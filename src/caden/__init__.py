@@ -4,7 +4,7 @@ baseline, convergence-analysis constants, and an experiment harness."""
 
 from ._accel import BACKEND
 from .config import ExperimentConfig, load_config, parse_config, serialize_config
-from .engine import AgentState, CadenConfig, TauSchedule
+from .engine import CadenConfig, TauSchedule
 from .graphs import Topology, build_random_graph, complete_graph, laplacian_spectrum
 from .harness import RunResult, participation_sweep, run_experiment
 from .losses import LogisticLoss, MlpLoss, QuadraticLoss, estimate_lipschitz
@@ -13,7 +13,6 @@ from .solvers import LocalSubproblem, solve_gd, solve_lbfgs
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentState",
     "BACKEND",
     "CadenConfig",
     "ExperimentConfig",

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .config import load_config
-from .harness import participation_sweep, run_experiment
+from .harness import participation_sweep, run_experiment, strict_json
 from .verify import SUITES, run_suites
 
 
@@ -80,7 +79,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{cfg.output_label}_sweep.json"
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="ascii")
+    path.write_text(strict_json(report), encoding="ascii")
     print(f"wrote {path}")
     return 0
 
@@ -95,7 +94,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         out.mkdir(parents=True, exist_ok=True)
         payload = {r.suite: {"passed": r.passed, **r.details} for r in results}
         path = out / "verify.json"
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="ascii")
+        path.write_text(strict_json(payload), encoding="ascii")
         print(f"wrote {path}")
     return 0 if all(r.passed for r in results) else 1
 

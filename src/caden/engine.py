@@ -1,11 +1,14 @@
-"""Agent-form round engine: partial participation, local solves, broadcast
-with buffering, dual ascent.
+"""Agent-form round engine: partial participation, local solves, broadcast,
+dual ascent.
 
-Rounds are synchronous.  Every active agent minimizes its local subproblem
-built from round-t snapshots (its own model, its buffered neighbor models and
-its dual vector), broadcasts the new model once, then updates its dual from
-the post-broadcast buffers.  Inactive agents are frozen for the round, and
-their last broadcast keeps standing in for them at the neighbors.
+The state is two (m, d) arrays: the models ``x`` and the duals ``phi``, one
+row per agent, updated in place.  Rounds are synchronous.  Every active agent
+minimizes its local subproblem built from round-t snapshots (its own model,
+its neighbors' models and its dual vector), broadcasts the new model once,
+then updates its dual from the post-broadcast models.  Inactive agents are
+frozen for the round.  An agent's model changes only in rounds where it
+broadcasts, so the last model a neighbor received is always the agent's
+current row of ``x``, and no per-neighbor copy is kept.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import CheckpointError
 from .graphs import Topology
 from .losses import LocalLoss
 from .solvers import (
@@ -28,16 +32,6 @@ from .solvers import (
 _PARTICIPATION_STREAM = 401
 
 CHECKPOINT_HEADER = struct.Struct("<QQQ")
-
-
-@dataclass
-class AgentState:
-    """Per-agent record: model, dual, neighbor buffer, activity flag."""
-
-    x: np.ndarray
-    phi: np.ndarray
-    inbox: dict[int, np.ndarray]
-    active: bool = False
 
 
 @dataclass(frozen=True)
@@ -100,18 +94,6 @@ class CadenConfig:
             return float(self.participation)
         return float(self.participation[agent])
 
-    @property
-    def p_min(self) -> float:
-        if np.isscalar(self.participation):
-            return float(self.participation)
-        return float(min(self.participation))
-
-    @property
-    def full_participation(self) -> bool:
-        if np.isscalar(self.participation):
-            return self.participation == 1.0
-        return all(p == 1.0 for p in self.participation)
-
 
 @dataclass(frozen=True)
 class RoundSummary:
@@ -124,20 +106,16 @@ def init_states(
     losses: list[LocalLoss],
     topology: Topology,
     x_init: np.ndarray,
-) -> list[AgentState]:
-    """Zero duals; buffers seeded with the neighbors' initial models."""
-    x_init = np.asarray(x_init, dtype=float)
-    if x_init.shape[0] != topology.m:
-        raise ValueError(f"x_init has {x_init.shape[0]} rows for m={topology.m}")
-    d = x_init.shape[1]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(m, d) models copied from ``x_init`` and (m, d) zero duals."""
+    x = np.array(x_init, dtype=float)
+    if x.shape[0] != topology.m:
+        raise ValueError(f"x_init has {x.shape[0]} rows for m={topology.m}")
+    d = x.shape[1]
     for i, loss in enumerate(losses):
         if loss.dim != d:
             raise ValueError(f"loss {i} has dim {loss.dim}, expected {d}")
-    states = []
-    for i in range(topology.m):
-        inbox = {j: x_init[j].copy() for j in topology.neighbors[i]}
-        states.append(AgentState(x=x_init[i].copy(), phi=np.zeros(d), inbox=inbox))
-    return states
+    return x, np.zeros_like(x)
 
 
 def sample_participation(config: CadenConfig, round_index: int, m: int) -> np.ndarray:
@@ -160,9 +138,25 @@ def sample_participation(config: CadenConfig, round_index: int, m: int) -> np.nd
     return flags
 
 
+def local_subproblem(
+    agent: int,
+    x: np.ndarray,
+    phi: np.ndarray,
+    loss: LocalLoss,
+    topology: Topology,
+    mu_z: float,
+) -> LocalSubproblem:
+    """The agent's round-t subproblem: its dual, and one midpoint anchor
+    0.5 (x_i + x_j) per neighbor j."""
+    neighbors = list(topology.neighbors[agent])
+    anchors = 0.5 * (x[agent] + x[neighbors])
+    return LocalSubproblem(loss=loss, phi=phi[agent], anchors=anchors, mu_z=mu_z)
+
+
 def primal_update(
     agent: int,
-    states: list[AgentState],
+    x: np.ndarray,
+    phi: np.ndarray,
     losses: list[LocalLoss],
     topology: Topology,
     config: CadenConfig,
@@ -174,110 +168,85 @@ def primal_update(
     commute.  The caller applies the returned model after all active agents
     have computed theirs.
     """
-    state = states[agent]
-    anchors = np.array(
-        [0.5 * (state.x + state.inbox[j]) for j in topology.neighbors[agent]]
-    )
-    problem = LocalSubproblem(
-        loss=losses[agent], phi=state.phi, anchors=anchors, mu_z=config.mu_z
-    )
+    problem = local_subproblem(agent, x, phi, losses[agent], topology, config.mu_z)
     tau = config.tau_schedule.tau(round_index, agent)
     if config.solver == "lbfgs":
-        report = solve_lbfgs(problem, state.x, tau, config.lbfgs_memory)
+        report = solve_lbfgs(problem, x[agent], tau, config.lbfgs_memory)
     elif config.solver == "gd":
-        report = solve_gd(problem, state.x, tau, step=config.gd_step, lipschitz=config.lipschitz)
+        report = solve_gd(problem, x[agent], tau, step=config.gd_step, lipschitz=config.lipschitz)
     else:
         report = solve_exact_quadratic(problem)
     return report.x_out
 
 
-def broadcast(agent: int, states: list[AgentState], topology: Topology) -> int:
-    """Deposit the agent's model in every neighbor's buffer.
+def broadcast(x: np.ndarray, new_x: dict[int, np.ndarray]) -> int:
+    """Publish each active agent's new model by writing its row of ``x``,
+    which is what every neighbor reads.
 
     Returns the communication units consumed: one per broadcast of a single
-    model vector, regardless of neighbor count, and zero for inactive agents.
+    model vector, regardless of neighbor count.
     """
-    if not states[agent].active:
-        return 0
-    for j in topology.neighbors[agent]:
-        states[j].inbox[agent] = states[agent].x
-    return 1
+    for i, model in new_x.items():
+        x[i] = model
+    return len(new_x)
 
 
 def dual_update(
-    agent: int, states: list[AgentState], topology: Topology, config: CadenConfig
+    agent: int, x: np.ndarray, phi: np.ndarray, topology: Topology, config: CadenConfig
 ) -> np.ndarray:
-    """phi_i + (mu_y / 2) sum_j (x_i - x_j), with x_j read from the buffer."""
-    state = states[agent]
-    acc = np.zeros_like(state.phi)
-    for j in topology.neighbors[agent]:
-        acc += state.x - state.inbox[j]
-    return state.phi + 0.5 * config.mu_y * acc
+    """phi_i + (mu_y / 2) sum_j (x_i - x_j) over the neighbors j."""
+    neighbors = list(topology.neighbors[agent])
+    return phi[agent] + 0.5 * config.mu_y * (x[agent] - x[neighbors]).sum(axis=0)
 
 
 def run_round(
-    states: list[AgentState],
+    x: np.ndarray,
+    phi: np.ndarray,
     losses: list[LocalLoss],
     topology: Topology,
     config: CadenConfig,
     round_index: int,
 ) -> RoundSummary:
-    """One synchronous round: participation, primal solves, broadcast, dual."""
-    m = topology.m
-    flags = sample_participation(config, round_index, m)
-    for i in range(m):
-        states[i].active = bool(flags[i])
-    new_x = {i: primal_update(i, states, losses, topology, config, round_index)
-             for i in range(m) if flags[i]}
-    for i, x in new_x.items():
-        states[i].x = x
-    broadcasts = 0
-    for i in range(m):
-        broadcasts += broadcast(i, states, topology)
-    new_phi = {i: dual_update(i, states, topology, config) for i in range(m) if flags[i]}
-    for i, phi in new_phi.items():
-        states[i].phi = phi
+    """One synchronous round on the (m, d) models ``x`` and duals ``phi``,
+    both updated in place: participation, primal solves, broadcast, dual."""
+    flags = sample_participation(config, round_index, topology.m)
+    active = [i for i in range(topology.m) if flags[i]]
+    new_x = {i: primal_update(i, x, phi, losses, topology, config, round_index) for i in active}
+    broadcasts = broadcast(x, new_x)
+    for i in active:
+        phi[i] = dual_update(i, x, phi, topology, config)
     return RoundSummary(round_index=round_index, active=flags, broadcasts=broadcasts)
 
 
-def save_checkpoint(path: str, states: list[AgentState], round_index: int) -> None:
-    """Binary checkpoint: '<QQQ' header (m, d, round), then per-agent models
-    and duals as little-endian float64 rows."""
-    m = len(states)
-    d = states[0].x.shape[0]
+def save_checkpoint(path: str, x: np.ndarray, phi: np.ndarray, round_index: int) -> None:
+    """Binary checkpoint: '<QQQ' header (m, d, round), then the (m, d) models
+    and the (m, d) duals as little-endian float64 rows."""
+    m, d = x.shape
     with open(path, "wb") as fp:
         fp.write(CHECKPOINT_HEADER.pack(m, d, round_index))
-        for s in states:
-            fp.write(s.x.astype("<f8").tobytes())
-        for s in states:
-            fp.write(s.phi.astype("<f8").tobytes())
+        fp.write(np.ascontiguousarray(x, dtype="<f8").tobytes())
+        fp.write(np.ascontiguousarray(phi, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path: str) -> tuple[np.ndarray, np.ndarray, int]:
-    """Read a checkpoint back as ((m, d) models, (m, d) duals, round)."""
-    with open(path, "rb") as fp:
-        header = fp.read(CHECKPOINT_HEADER.size)
-        m, d, round_index = CHECKPOINT_HEADER.unpack(header)
-        body = np.frombuffer(fp.read(2 * m * d * 8), dtype="<f8")
-    if body.size != 2 * m * d:
-        raise ValueError("truncated checkpoint")
-    x = body[: m * d].reshape(m, d).copy()
-    phi = body[m * d :].reshape(m, d).copy()
-    return x, phi, int(round_index)
+    """Read a checkpoint back as ((m, d) models, (m, d) duals, round).
 
-
-def restore_states(
-    losses: list[LocalLoss],
-    topology: Topology,
-    x: np.ndarray,
-    phi: np.ndarray,
-) -> list[AgentState]:
-    """Rebuild engine state from checkpoint arrays.
-
-    Buffers are reseeded with the stored models, which matches a synchronized
-    save point (every agent's last broadcast is its current model).
+    Raises CheckpointError when the file is shorter than its header, or when
+    its body is not exactly 2 m d floats.
     """
-    states = init_states(losses, topology, x)
-    for i, s in enumerate(states):
-        s.phi = np.asarray(phi[i], dtype=float).copy()
-    return states
+    with open(path, "rb") as fp:
+        raw = fp.read()
+    if len(raw) < CHECKPOINT_HEADER.size:
+        raise CheckpointError(
+            f"checkpoint {path} has {len(raw)} bytes, shorter than its "
+            f"{CHECKPOINT_HEADER.size}-byte header"
+        )
+    m, d, round_index = CHECKPOINT_HEADER.unpack_from(raw)
+    body = len(raw) - CHECKPOINT_HEADER.size
+    if body != 2 * m * d * 8:
+        raise CheckpointError(
+            f"checkpoint {path} declares m={m}, d={d} ({2 * m * d * 8} body bytes) "
+            f"but has {body} body bytes"
+        )
+    values = np.frombuffer(raw, dtype="<f8", offset=CHECKPOINT_HEADER.size).astype(float)
+    return values[: m * d].reshape(m, d), values[m * d :].reshape(m, d), int(round_index)

@@ -23,3 +23,7 @@ class ParameterSelectionError(CadenError):
 
 class ConfigError(CadenError):
     """Raised on malformed or contradictory experiment configuration."""
+
+
+class CheckpointError(CadenError):
+    """Raised when a checkpoint file is shorter or longer than its header declares."""

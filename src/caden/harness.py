@@ -11,6 +11,7 @@ recording is off.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,10 +26,10 @@ from .datasets import (
     load_idx_labels,
     shard_indices,
 )
-from .engine import AgentState, CadenConfig, TauSchedule
+from .engine import CadenConfig, TauSchedule
 from .errors import ConfigError
 from .losses import LogisticLoss, MlpLoss, QuadraticLoss, estimate_lipschitz
-from .solvers import LocalSubproblem, estimate_contraction
+from .solvers import estimate_contraction
 
 _TARGET_STREAM = 501
 _CURVATURE_STREAM = 502
@@ -224,6 +225,11 @@ def initialize(cfg: ExperimentConfig, losses, topology) -> Initialization:
     m, d = topology.m, losses[0].dim
     if cfg.init_state_file:
         x0, phi0, round_index = engine.load_checkpoint(cfg.init_state_file)
+        if x0.shape != (m, d):
+            raise ConfigError(
+                f"checkpoint {cfg.init_state_file} holds (m, d) = {x0.shape}, but the "
+                f"config's topology and loss give (m, d) = {(m, d)}"
+            )
         return Initialization(x0, phi0, round_index, _exact_smoothness(losses), "checkpoint")
     if cfg.init_strategy == "warmstart":
         if isinstance(losses[0], MlpLoss):
@@ -267,13 +273,9 @@ def _exact_smoothness(losses) -> float | None:
 def _probe_contraction(cfg, losses, topology, init, mu_z) -> float:
     """Max over agents of the empirical subproblem contraction rate."""
     rate = 0.0
+    phi = np.zeros_like(init.x0)
     for i, loss in enumerate(losses):
-        anchors = np.array(
-            [0.5 * (init.x0[i] + init.x0[j]) for j in topology.neighbors[i]]
-        )
-        problem = LocalSubproblem(
-            loss=loss, phi=np.zeros(loss.dim), anchors=anchors, mu_z=mu_z
-        )
+        problem = engine.local_subproblem(i, init.x0, phi, loss, topology, mu_z)
         rate = max(
             rate,
             estimate_contraction(
@@ -353,11 +355,6 @@ def resolve_parameters(
     )
 
 
-def _states_view(x: np.ndarray) -> list[AgentState]:
-    d = x.shape[1]
-    return [AgentState(x=row, phi=np.zeros(d), inbox={}, active=True) for row in x]
-
-
 def _tau_segments(schedule: TauSchedule, start: int, rounds: int, m: int) -> list[list[int]]:
     """Run-length encoding [start, end, tau] of the per-round budget."""
     segments: list[list[int]] = []
@@ -379,16 +376,16 @@ class _Clock:
         return time.perf_counter() - self._t0 if self.enabled else 0.0
 
 
-def _caden_row(round_index, states, losses, topology, comms, clock, acc_fn, active):
+def _caden_row(round_index, x, phi, losses, topology, comms, clock, acc_fn, active):
     return TraceRow(
         round=round_index,
-        v=metrics.lyapunov_v(states, losses, topology),
-        rel_err=metrics.relative_error(states, losses),
-        rel_err_graph=metrics.relative_error_graph(states, losses, topology),
-        acc=acc_fn(states),
+        v=metrics.lyapunov_v(x, phi, losses, topology),
+        rel_err=metrics.relative_error(x, losses),
+        rel_err_graph=metrics.relative_error_graph(x, losses, topology),
+        acc=acc_fn(x),
         comms=comms,
         time_s=clock.elapsed(),
-        phi_drift=metrics.phi_drift(states),
+        phi_drift=metrics.phi_drift(phi),
         active=active,
     )
 
@@ -401,6 +398,15 @@ def run_experiment(
     Any error during the round loop flushes the partial trace and a summary
     carrying the failure message before re-raising.
     """
+    if cfg.algorithm == "gt":
+        # A checkpoint holds models and duals; gradient tracking's state is
+        # models and trackers, so it can neither resume from nor write one.
+        for key, value in (
+            ("init.state_file", cfg.init_state_file),
+            ("output.save_state", cfg.output_save_state),
+        ):
+            if value:
+                raise ConfigError(f"{key} is not supported with algorithm = gt")
     topology = build_topology(cfg)
     losses, eval_set = build_losses(cfg, topology)
     init = initialize(cfg, losses, topology)
@@ -420,19 +426,19 @@ def run_experiment(
         "theory": params.theory,
     }
     if eval_set is None:
-        acc_fn = lambda states: None  # noqa: E731 - trivial closure
+        acc_fn = lambda x: None  # noqa: E731 - trivial closure
     else:
-        acc_fn = lambda states: metrics.test_accuracy(states, losses, *eval_set)  # noqa: E731
+        acc_fn = lambda x: metrics.test_accuracy(x, losses, *eval_set)  # noqa: E731
 
     trace = RunTrace()
     clock = _Clock(cfg.metrics_wall_time)
     error: Exception | None = None
-    final_states: list[AgentState] | None = None
+    final_state: tuple[np.ndarray, np.ndarray] | None = None
     try:
         if cfg.algorithm == "gt":
             _run_gt(cfg, losses, topology, init, trace, clock, acc_fn, summary)
         else:
-            final_states = _run_caden(
+            final_state = _run_caden(
                 cfg, losses, topology, init, params, trace, clock, acc_fn, summary
             )
     except Exception as exc:  # flush partial trace, then surface the failure
@@ -458,16 +464,30 @@ def run_experiment(
         csv_path = out / f"{cfg.output_label}_metrics.csv"
         json_path = out / f"{cfg.output_label}_summary.json"
         csv_path.write_text(trace.to_csv(), encoding="ascii")
-        json_path.write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="ascii"
-        )
-    if error is None and cfg.output_save_state and final_states is not None:
+        json_path.write_text(strict_json(summary), encoding="ascii")
+    if error is None and cfg.output_save_state and final_state is not None:
         engine.save_checkpoint(
-            cfg.output_save_state, final_states, init.start_round + cfg.rounds
+            cfg.output_save_state, *final_state, init.start_round + cfg.rounds
         )
     if error is not None:
         raise error
     return RunResult(config=cfg, trace=trace, summary=summary, csv_path=csv_path, json_path=json_path)
+
+
+def _finite_or_none(value):
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_none(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_none(v) for v in value]
+    return value
+
+
+def strict_json(payload) -> str:
+    """Indented, key-sorted JSON text in which every non-finite float is
+    written as null, so the output is valid JSON."""
+    return json.dumps(_finite_or_none(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _run_caden(cfg, losses, topology, init, params, trace, clock, acc_fn, summary):
@@ -487,27 +507,26 @@ def _run_caden(cfg, losses, topology, init, params, trace, clock, acc_fn, summar
         gd_step=cfg.caden_gd_step,
         lipschitz=params.lipschitz,
     )
-    states = engine.init_states(losses, topology, init.x0)
+    x, phi = engine.init_states(losses, topology, init.x0)
     if init.phi0 is not None:
-        for i, s in enumerate(states):
-            s.phi = init.phi0[i].copy()
+        phi[:] = init.phi0
     start = init.start_round
     summary["tau_by_round"] = _tau_segments(params.tau_schedule, start, cfg.rounds, topology.m)
     comms = 0
-    trace.append(_caden_row(start, states, losses, topology, comms, clock, acc_fn, 0))
+    trace.append(_caden_row(start, x, phi, losses, topology, comms, clock, acc_fn, 0))
     last_round = start + cfg.rounds
     for t in range(start, last_round):
-        result = engine.run_round(states, losses, topology, run_cfg, t)
+        result = engine.run_round(x, phi, losses, topology, run_cfg, t)
         comms += result.broadcasts
         done = t + 1
         if (done - start) % cfg.metrics_cadence == 0 or done == last_round:
             trace.append(
                 _caden_row(
-                    done, states, losses, topology, comms, clock, acc_fn,
+                    done, x, phi, losses, topology, comms, clock, acc_fn,
                     int(result.active.sum()),
                 )
             )
-    return states
+    return x, phi
 
 
 def _tune_gt_step(cfg, losses, topology, x0, w) -> tuple[float, list[dict]]:
@@ -520,7 +539,7 @@ def _tune_gt_step(cfg, losses, topology, x0, w) -> tuple[float, list[dict]]:
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(rounds):
                 state = baselines.gt_round(state, losses)
-            err = metrics.relative_error(_states_view(state.x), losses)
+            err = metrics.relative_error(state.x, losses)
         if not np.isfinite(err):
             err = np.inf
         table.append({"step": step, "rel_err": None if err == np.inf else err})
@@ -542,13 +561,12 @@ def _run_gt(cfg, losses, topology, init, trace, clock, acc_fn, summary):
     state = baselines.gt_init(losses, init.x0, w, step)
 
     def row(round_index, comms):
-        view = _states_view(state.x)
         return TraceRow(
             round=round_index,
             v=None,
-            rel_err=metrics.relative_error(view, losses),
-            rel_err_graph=metrics.relative_error_graph(view, losses, topology),
-            acc=acc_fn(view),
+            rel_err=metrics.relative_error(state.x, losses),
+            rel_err_graph=metrics.relative_error_graph(state.x, losses, topology),
+            acc=acc_fn(state.x),
             comms=comms,
             time_s=clock.elapsed(),
             phi_drift=None,

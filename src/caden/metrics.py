@@ -1,87 +1,68 @@
 """Run metrics: the stationarity-plus-consensus residual, relative error,
 test accuracy, and dual drift.
 
-The residual V is zero exactly at consensus stationary points: all models
-equal and the per-agent gradients summing to zero.  Two algebraically equal
-expressions are provided; the pair-gap form is the production metric and the
-midpoint form exists to cross-check it.
+Every metric reads the (m, d) models ``x`` and, where it needs them, the
+(m, d) duals ``phi``.  The residual V is zero exactly at consensus stationary
+points: all models equal and the per-agent gradients summing to zero.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .engine import AgentState
-from .graphs import Topology, edge_midpoints
+from .graphs import Topology
 from .losses import LocalLoss
 
 
 def lyapunov_v(
-    states: list[AgentState], losses: list[LocalLoss], topology: Topology
+    x: np.ndarray, phi: np.ndarray, losses: list[LocalLoss], topology: Topology
 ) -> float:
     """sum_i ||grad f_i(x_i) + phi_i||^2 + (1/4) sum_i sum_{j in N_i} ||x_i - x_j||^2."""
     total = 0.0
-    for state, loss in zip(states, losses):
-        g = loss.gradient(state.x) + state.phi
+    for x_i, phi_i, loss in zip(x, phi, losses):
+        g = loss.gradient(x_i) + phi_i
         total += float(g @ g)
     src, dst = topology.edge_arrays()
-    x = np.array([s.x for s in states])
     # Each undirected edge appears twice in the double sum over neighborhoods.
     total += 0.5 * float(((x[src] - x[dst]) ** 2).sum())
     return total
 
 
-def lyapunov_v_midpoint_form(
-    states: list[AgentState], losses: list[LocalLoss], topology: Topology
-) -> float:
-    """The same residual through explicit per-edge midpoints:
-    sum_i ||grad f_i + phi_i||^2 + sum_i sum_{j in N_i} ||x_i - z_ij||^2."""
-    total = 0.0
-    for state, loss in zip(states, losses):
-        g = loss.gradient(state.x) + state.phi
-        total += float(g @ g)
-    x = np.array([s.x for s in states])
-    z = edge_midpoints(topology, x)
-    for i in range(topology.m):
-        for k, _, _ in topology.incident(i):
-            diff = x[i] - z[k]
-            total += float(diff @ diff)
-    return total
+def _gradient_sum(x: np.ndarray, losses: list[LocalLoss]) -> np.ndarray:
+    grad_sum = np.zeros(losses[0].dim)
+    for x_i, loss in zip(x, losses):
+        grad_sum += loss.gradient(x_i)
+    return grad_sum
 
 
-def relative_error(states: list[AgentState], losses: list[LocalLoss]) -> float:
+def relative_error(x: np.ndarray, losses: list[LocalLoss]) -> float:
     """||sum_i grad f_i(x_i)||^2 plus the chain consensus gap
     sum_{i=1}^{m-1} ||x_i - x_{i+1}||^2.
 
     The consensus term runs over consecutive agent indices, not graph edges,
     so the metric is defined for methods without dual variables as well.
     """
-    grad_sum = np.zeros(losses[0].dim)
-    for state, loss in zip(states, losses):
-        grad_sum += loss.gradient(state.x)
+    grad_sum = _gradient_sum(x, losses)
     total = float(grad_sum @ grad_sum)
-    for a, b in zip(states, states[1:]):
-        diff = a.x - b.x
+    for a, b in zip(x, x[1:]):
+        diff = a - b
         total += float(diff @ diff)
     return total
 
 
 def relative_error_graph(
-    states: list[AgentState], losses: list[LocalLoss], topology: Topology
+    x: np.ndarray, losses: list[LocalLoss], topology: Topology
 ) -> float:
     """Variant with the consensus gap summed over graph edges (diagnostic)."""
-    grad_sum = np.zeros(losses[0].dim)
-    for state, loss in zip(states, losses):
-        grad_sum += loss.gradient(state.x)
+    grad_sum = _gradient_sum(x, losses)
     total = float(grad_sum @ grad_sum)
     src, dst = topology.edge_arrays()
-    x = np.array([s.x for s in states])
     total += float(((x[src] - x[dst]) ** 2).sum())
     return total
 
 
 def test_accuracy(
-    states: list[AgentState],
+    x: np.ndarray,
     losses: list[LocalLoss],
     eval_features: np.ndarray,
     eval_labels: np.ndarray,
@@ -91,16 +72,13 @@ def test_accuracy(
     if not hasattr(losses[0], "predict"):
         return None
     correct = 0.0
-    for state, loss in zip(states, losses):
-        pred = loss.predict(state.x, eval_features)
+    for x_i, loss in zip(x, losses):
+        pred = loss.predict(x_i, eval_features)
         correct += float((pred == eval_labels).mean())
-    return correct / len(states)
+    return correct / len(x)
 
 
-def phi_drift(states: list[AgentState]) -> float:
+def phi_drift(phi: np.ndarray) -> float:
     """Norm of sum_i phi_i; zero for all rounds under full participation and
     zero initialization, logged as a diagnostic under partial participation."""
-    total = np.zeros_like(states[0].phi)
-    for s in states:
-        total += s.phi
-    return float(np.linalg.norm(total))
+    return float(np.linalg.norm(phi.sum(axis=0)))

@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import AgentState, CadenConfig
-from .graphs import SpectralSummary
-from .losses import LocalLoss
+from .engine import local_subproblem
 from .errors import ParameterSelectionError
-from .solvers import LocalSubproblem
+from .graphs import SpectralSummary, Topology
+from .losses import LocalLoss
 
 MU_Y_FACTOR = 1152.0
 TAU_BOUND_FACTOR = 4608.0
@@ -231,42 +230,23 @@ def compute_constants(inputs: TheoryInputs) -> TheoryReport:
     )
 
 
-def initial_error_e0(
-    states: list[AgentState], losses: list[LocalLoss], config: CadenConfig
+def augmented_gradient_error(
+    x: np.ndarray,
+    phi: np.ndarray,
+    losses: list[LocalLoss],
+    topology: Topology,
+    mu_z: float,
 ) -> float:
-    """Squared norm of the stacked round-0 local augmented gradients.
+    """Squared norm of the stacked local augmented gradients.
 
-    Each block is the subproblem gradient at the agent's initial model with a
-    zero dual and midpoint anchors built from the initial buffers; shares the
-    subproblem code path used by the solvers.
+    Each block is the gradient of the agent's subproblem, built from ``x`` and
+    ``phi`` exactly as the engine builds it, at the agent's own model.  At the
+    initial models with ``phi = 0`` this is the initial error e0 of the bound;
+    at later rounds it is a diagnostic.
     """
     total = 0.0
-    for state, loss in zip(states, losses):
-        neighbors = sorted(state.inbox)
-        anchors = np.array([0.5 * (state.x + state.inbox[j]) for j in neighbors])
-        anchors = anchors.reshape(-1, loss.dim)
-        problem = LocalSubproblem(
-            loss=loss, phi=np.zeros(loss.dim), anchors=anchors, mu_z=config.mu_z
-        )
-        block = problem.gradient(state.x)
-        total += float(block @ block)
-    return total
-
-
-def augmented_gradient_error(
-    states: list[AgentState], losses: list[LocalLoss], config: CadenConfig
-) -> float:
-    """Optional diagnostic: the round-t analogue of the initial error, using
-    the current duals and buffered midpoints instead of the zero-dual start."""
-    total = 0.0
-    for state, loss in zip(states, losses):
-        neighbors = sorted(state.inbox)
-        anchors = np.array([0.5 * (state.x + state.inbox[j]) for j in neighbors])
-        anchors = anchors.reshape(-1, loss.dim)
-        problem = LocalSubproblem(
-            loss=loss, phi=state.phi, anchors=anchors, mu_z=config.mu_z
-        )
-        block = problem.gradient(state.x)
+    for i, loss in enumerate(losses):
+        block = local_subproblem(i, x, phi, loss, topology, mu_z).gradient(x[i])
         total += float(block @ block)
     return total
 

@@ -84,22 +84,20 @@ def verify_equivalence(
     config = CadenConfig(
         mu_z=mu_z, mu_y=mu_y, tau_schedule=TauSchedule(base=tau), participation=1.0, seed=seed
     )
-    states = engine.init_states(losses, topology, x0)
+    x, phi = engine.init_states(losses, topology, x0)
     edge_state = edge_form.init_edge_state(topology, x0)
     max_gap = 0.0
     max_antisym = edge_form.antisymmetry_gap(edge_state)
     max_phi_gap = 0.0
     for t in range(rounds):
-        engine.run_round(states, losses, topology, config, t)
+        engine.run_round(x, phi, losses, topology, config, t)
         edge_state = edge_form.run_edge_round(
             edge_state, losses, topology, mu_z=mu_z, mu_y=mu_y, tau=tau
         )
-        agent_x = np.array([s.x for s in states])
-        max_gap = max(max_gap, float(np.abs(agent_x - edge_state.x).max()))
+        max_gap = max(max_gap, float(np.abs(x - edge_state.x).max()))
         max_antisym = max(max_antisym, edge_form.antisymmetry_gap(edge_state))
-        agent_phi = np.array([s.phi for s in states])
         rebuilt_phi = edge_form.dual_aggregates(edge_state, topology)
-        max_phi_gap = max(max_phi_gap, float(np.abs(agent_phi - rebuilt_phi).max()))
+        max_phi_gap = max(max_phi_gap, float(np.abs(phi - rebuilt_phi).max()))
     passed = max_gap <= EQUIVALENCE_TOL and max_antisym <= ANTISYMMETRY_TOL
     return VerifyResult(
         suite="equivalence",

@@ -1,11 +1,11 @@
 """Shared test oracles: finite differences, dense constraint matrices,
-random curvature factories."""
+random curvature factories, the midpoint form of the residual V."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from caden.graphs import Topology, constraint_matrices
+from caden.graphs import Topology, constraint_matrices, edge_midpoints
 
 
 def central_difference(fn, x: np.ndarray, h: float | None = None) -> np.ndarray:
@@ -50,3 +50,19 @@ def dense_augmented_lagrangian(
     resid = a @ x.ravel() - b @ z.ravel()
     y_stacked = np.concatenate([y[:, 0].ravel(), y[:, 1].ravel()])
     return loss_values + float(y_stacked @ resid) + 0.5 * mu_z * float(resid @ resid)
+
+
+def lyapunov_v_midpoint_form(x: np.ndarray, phi: np.ndarray, losses, topology: Topology) -> float:
+    """The residual V through explicit per-edge midpoints (oracle for
+    ``metrics.lyapunov_v``):
+    sum_i ||grad f_i + phi_i||^2 + sum_i sum_{j in N_i} ||x_i - z_ij||^2."""
+    total = 0.0
+    for x_i, phi_i, loss in zip(x, phi, losses):
+        g = loss.gradient(x_i) + phi_i
+        total += float(g @ g)
+    z = edge_midpoints(topology, x)
+    for i in range(topology.m):
+        for k, _, _ in topology.incident(i):
+            diff = x[i] - z[k]
+            total += float(diff @ diff)
+    return total

@@ -22,7 +22,7 @@ from caden.losses import QuadraticLoss
 from caden.solvers import LocalSubproblem, estimate_contraction
 from caden.verify import verify_constants, verify_equivalence, verify_sandwich
 
-from helpers import random_psd
+from helpers import lyapunov_v_midpoint_form, random_psd
 
 
 @contextmanager
@@ -113,13 +113,13 @@ def test_criterion_3_convex_convergence():
             QuadraticLoss(q=np.ones(1), a=np.array([2.0])),
         ]
         config = CadenConfig(mu_z=3.0, mu_y=3.0, tau_schedule=TauSchedule(base=5), seed=1)
-        states = engine.init_states(losses, topology, np.array([[0.0], [2.0]]))
+        x, phi = engine.init_states(losses, topology, np.array([[0.0], [2.0]]))
         for t in range(500):
-            engine.run_round(states, losses, topology, config, t)
-            if max(abs(states[0].x[0] - 1.0), abs(states[1].x[0] - 1.0)) <= 1e-6:
+            engine.run_round(x, phi, losses, topology, config, t)
+            if max(abs(x[0, 0] - 1.0), abs(x[1, 0] - 1.0)) <= 1e-6:
                 break
-        assert abs(states[0].x[0] - 1.0) <= 1e-6
-        assert abs(states[1].x[0] - 1.0) <= 1e-6
+        assert abs(x[0, 0] - 1.0) <= 1e-6
+        assert abs(x[1, 0] - 1.0) <= 1e-6
 
 
 SEEDS = (3, 4, 5, 6, 7)
@@ -211,24 +211,24 @@ def test_criterion_8_metric_identities():
                 QuadraticLoss(q=rng.uniform(0.5, 2.0, 3), a=rng.standard_normal(3))
                 for _ in range(8)
             ]
-            states = engine.init_states(losses, topology, rng.standard_normal((8, 3)))
-            for s in states:
-                s.phi = rng.standard_normal(3)
-            a = metrics.lyapunov_v(states, losses, topology)
-            b = metrics.lyapunov_v_midpoint_form(states, losses, topology)
+            x, phi = engine.init_states(losses, topology, rng.standard_normal((8, 3)))
+            for i in range(8):
+                phi[i] = rng.standard_normal(3)
+            a = metrics.lyapunov_v(x, phi, losses, topology)
+            b = lyapunov_v_midpoint_form(x, phi, losses, topology)
             assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
         topology = graphs.complete_graph(4)
         losses = [QuadraticLoss(q=np.ones(2), a=np.full(2, float(i))) for i in range(4)]
         x_star = np.full(2, 1.5)
-        states = engine.init_states(losses, topology, np.tile(x_star, (4, 1)))
-        for i, s in enumerate(states):
-            s.phi = -losses[i].gradient(x_star)
-        assert metrics.lyapunov_v(states, losses, topology) == 0.0
-        states[0].x = states[0].x + 1e-3
-        assert metrics.lyapunov_v(states, losses, topology) > 0.0
-        states[0].x = x_star.copy()
-        states[2].phi = states[2].phi + 1e-3
-        assert metrics.lyapunov_v(states, losses, topology) > 0.0
+        x, phi = engine.init_states(losses, topology, np.tile(x_star, (4, 1)))
+        for i in range(4):
+            phi[i] = -losses[i].gradient(x_star)
+        assert metrics.lyapunov_v(x, phi, losses, topology) == 0.0
+        x[0] = x[0] + 1e-3
+        assert metrics.lyapunov_v(x, phi, losses, topology) > 0.0
+        x[0] = x_star
+        phi[2] = phi[2] + 1e-3
+        assert metrics.lyapunov_v(x, phi, losses, topology) > 0.0
 
 
 def test_criterion_9_gradient_tracking_baseline():

@@ -90,16 +90,15 @@ class TestYStep:
         losses = [QuadraticLoss(q=np.ones(2), a=rng.standard_normal(2)) for _ in range(5)]
         x0 = rng.standard_normal((5, 2))
         config = CadenConfig(mu_z=3.0, mu_y=2.0, tau_schedule=TauSchedule(base=4))
-        states = engine.init_states(losses, topology, x0)
+        x, phi = engine.init_states(losses, topology, x0)
         edge_state = edge_form.init_edge_state(topology, x0)
         for t in range(20):
-            engine.run_round(states, losses, topology, config, t)
+            engine.run_round(x, phi, losses, topology, config, t)
             edge_state = edge_form.run_edge_round(
                 edge_state, losses, topology, mu_z=3.0, mu_y=2.0, tau=4
             )
-            agent_phi = np.array([s.phi for s in states])
             rebuilt = edge_form.dual_aggregates(edge_state, topology)
-            assert np.abs(agent_phi - rebuilt).max() <= 1e-10
+            assert np.abs(phi - rebuilt).max() <= 1e-10
 
 
 class TestAugmentedObjective:

@@ -1,5 +1,7 @@
 """Round engine: state initialization, participation, updates, checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -19,29 +21,17 @@ def _k2_setup(mu_z=3.0, mu_y=3.0, solver="exact", **kwargs):
     topology = graphs.complete_graph(2)
     losses = _k2_quadratics()
     config = CadenConfig(mu_z=mu_z, mu_y=mu_y, solver=solver, **kwargs)
-    states = engine.init_states(losses, topology, np.array([[0.0], [2.0]]))
-    return topology, losses, config, states
+    x, phi = engine.init_states(losses, topology, np.array([[0.0], [2.0]]))
+    return topology, losses, config, x, phi
 
 
 class TestInitStates:
     def test_duals_start_at_zero(self):
         topology = graphs.build_random_graph(6, 0.5, seed=0)
         losses = [QuadraticLoss(q=np.ones(3), a=np.zeros(3)) for _ in range(6)]
-        states = engine.init_states(losses, topology, np.zeros((6, 3)))
-        total = sum(s.phi.sum() for s in states)
+        _, phi = engine.init_states(losses, topology, np.zeros((6, 3)))
+        total = phi.sum()
         assert total == 0.0
-
-    def test_inbox_seeded_with_neighbor_models(self):
-        _, _, _, states = _k2_setup()
-        assert states[0].inbox[1][0] == 2.0
-        assert states[1].inbox[0][0] == 0.0
-
-    def test_inbox_keys_are_neighbor_sets(self):
-        topology = graphs.build_random_graph(8, 0.4, seed=1)
-        losses = [QuadraticLoss(q=np.ones(2), a=np.zeros(2)) for _ in range(8)]
-        states = engine.init_states(losses, topology, np.zeros((8, 2)))
-        for i in range(8):
-            assert tuple(sorted(states[i].inbox)) == topology.neighbors[i]
 
     def test_dimension_mismatch(self):
         topology = graphs.complete_graph(2)
@@ -85,22 +75,20 @@ class TestParticipation:
 class TestPrimalUpdate:
     def test_k2_closed_form(self):
         # argmin of x^2/2 + (3/2)(x - 1)^2 is 3/4.
-        topology, losses, config, states = _k2_setup()
-        states[0].active = True
-        x_new = engine.primal_update(0, states, losses, topology, config, 0)
+        topology, losses, config, x, phi = _k2_setup()
+        x_new = engine.primal_update(0, x, phi, losses, topology, config, 0)
         assert x_new[0] == pytest.approx(0.75, abs=1e-12)
 
     def test_consensus_stationary_point_is_fixed(self):
         topology = graphs.build_random_graph(5, 0.6, seed=2)
         losses = [QuadraticLoss(q=np.ones(2), a=np.full(2, float(i))) for i in range(5)]
         x_star = np.full(2, 2.0)  # mean of the targets 0..4
-        states = engine.init_states(losses, topology, np.tile(x_star, (5, 1)))
+        x, phi = engine.init_states(losses, topology, np.tile(x_star, (5, 1)))
         config = CadenConfig(mu_z=3.0, mu_y=3.0, solver="exact")
         for i in range(5):
-            states[i].phi = -losses[i].gradient(x_star)
-            states[i].active = True
+            phi[i] = -losses[i].gradient(x_star)
         for i in range(5):
-            x_new = engine.primal_update(i, states, losses, topology, config, 0)
+            x_new = engine.primal_update(i, x, phi, losses, topology, config, 0)
             assert np.allclose(x_new, x_star, atol=1e-12)
 
     def test_updates_commute(self):
@@ -109,11 +97,11 @@ class TestPrimalUpdate:
         topology = graphs.build_random_graph(6, 0.5, seed=3)
         rng = np.random.default_rng(0)
         losses = [QuadraticLoss(q=np.ones(3), a=rng.standard_normal(3)) for _ in range(6)]
-        states = engine.init_states(losses, topology, rng.standard_normal((6, 3)))
+        x, phi = engine.init_states(losses, topology, rng.standard_normal((6, 3)))
         config = CadenConfig(mu_z=2.0, mu_y=2.0, solver="lbfgs")
-        forward = [engine.primal_update(i, states, losses, topology, config, 0)
+        forward = [engine.primal_update(i, x, phi, losses, topology, config, 0)
                    for i in range(6)]
-        backward = [engine.primal_update(i, states, losses, topology, config, 0)
+        backward = [engine.primal_update(i, x, phi, losses, topology, config, 0)
                     for i in reversed(range(6))]
         for i in range(6):
             assert np.array_equal(forward[i], backward[5 - i])
@@ -121,47 +109,32 @@ class TestPrimalUpdate:
 
 class TestBroadcastAndDual:
     def test_inactive_broadcast_is_noop(self):
-        topology, _, _, states = _k2_setup()
-        states[0].active = False
-        before = states[1].inbox[0].copy()
-        assert engine.broadcast(0, states, topology) == 0
-        assert np.array_equal(states[1].inbox[0], before)
+        _, _, _, x, _ = _k2_setup()
+        before = x.copy()
+        assert engine.broadcast(x, {}) == 0
+        assert np.array_equal(x, before)
 
     def test_one_unit_per_broadcast_regardless_of_degree(self):
         topology = graphs.complete_graph(4)  # every agent has 3 neighbors
         losses = [QuadraticLoss(q=np.ones(1), a=np.zeros(1)) for _ in range(4)]
-        states = engine.init_states(losses, topology, np.zeros((4, 1)))
-        states[0].active = True
-        assert engine.broadcast(0, states, topology) == 1
-
-    def test_inbox_gets_exact_model(self):
-        topology, _, _, states = _k2_setup()
-        states[0].active = True
-        states[0].x = np.array([0.75])
-        engine.broadcast(0, states, topology)
-        assert np.array_equal(states[1].inbox[0], states[0].x)
+        x, _ = engine.init_states(losses, topology, np.zeros((4, 1)))
+        assert engine.broadcast(x, {0: np.array([0.75])}) == 1
+        assert x[0, 0] == 0.75
 
     def test_k2_dual_update_hand_values(self):
-        topology, losses, _, states = _k2_setup()
+        topology, losses, _, x, phi = _k2_setup()
         config = CadenConfig(mu_z=3.0, mu_y=2.0)
-        states[0].x = np.array([1.0])
-        states[1].x = np.array([0.0])
-        for i in (0, 1):
-            states[i].active = True
-            engine.broadcast(i, states, topology)
-        phi0 = engine.dual_update(0, states, topology, config)
-        phi1 = engine.dual_update(1, states, topology, config)
+        engine.broadcast(x, {0: np.array([1.0]), 1: np.array([0.0])})
+        phi0 = engine.dual_update(0, x, phi, topology, config)
+        phi1 = engine.dual_update(1, x, phi, topology, config)
         assert phi0[0] == pytest.approx(1.0)
         assert phi1[0] == pytest.approx(-1.0)
         assert phi0[0] + phi1[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_consensus_leaves_duals_unchanged(self):
-        topology, losses, config, states = _k2_setup()
-        states[0].x = states[1].x = np.array([1.0])
-        for i in (0, 1):
-            states[i].active = True
-            engine.broadcast(i, states, topology)
-        assert engine.dual_update(0, states, topology, config)[0] == 0.0
+        topology, losses, config, x, phi = _k2_setup()
+        engine.broadcast(x, {0: np.array([1.0]), 1: np.array([1.0])})
+        assert engine.dual_update(0, x, phi, topology, config)[0] == 0.0
 
 
 class TestRunRound:
@@ -169,55 +142,55 @@ class TestRunRound:
         topology = graphs.build_random_graph(7, 0.4, seed=4)
         rng = np.random.default_rng(1)
         losses = [QuadraticLoss(q=np.ones(2), a=rng.standard_normal(2)) for _ in range(7)]
-        states = engine.init_states(losses, topology, rng.standard_normal((7, 2)))
+        x, phi = engine.init_states(losses, topology, rng.standard_normal((7, 2)))
         config = CadenConfig(mu_z=3.0, mu_y=2.0, tau_schedule=TauSchedule(base=5))
         rounds = 50
         for t in range(rounds):
-            engine.run_round(states, losses, topology, config, t)
-            drift = np.abs(sum(s.phi for s in states)).max()
+            engine.run_round(x, phi, losses, topology, config, t)
+            drift = np.abs(phi.sum(axis=0)).max()
             assert drift <= 1e-9 * config.mu_y * (t + 1)
 
     def test_inactive_agents_frozen_bitwise(self):
         topology = graphs.build_random_graph(8, 0.5, seed=5)
         rng = np.random.default_rng(2)
         losses = [QuadraticLoss(q=np.ones(2), a=rng.standard_normal(2)) for _ in range(8)]
-        states = engine.init_states(losses, topology, rng.standard_normal((8, 2)))
+        x, phi = engine.init_states(losses, topology, rng.standard_normal((8, 2)))
         config = CadenConfig(mu_z=3.0, mu_y=3.0, participation=0.5, seed=3)
         for t in range(10):
-            before = [(s.x.copy(), s.phi.copy()) for s in states]
-            summary = engine.run_round(states, losses, topology, config, t)
+            x_before, phi_before = x.copy(), phi.copy()
+            summary = engine.run_round(x, phi, losses, topology, config, t)
             for i in range(8):
                 if not summary.active[i]:
-                    assert np.array_equal(states[i].x, before[i][0])
-                    assert np.array_equal(states[i].phi, before[i][1])
+                    assert np.array_equal(x[i], x_before[i])
+                    assert np.array_equal(phi[i], phi_before[i])
 
     def test_all_inactive_round_changes_nothing(self):
-        topology, losses, _, states = _k2_setup()
+        topology, losses, _, x, phi = _k2_setup()
         config = CadenConfig(mu_z=3.0, mu_y=3.0, participation=1e-9, seed=0)
-        before = [(s.x.copy(), s.phi.copy()) for s in states]
-        summary = engine.run_round(states, losses, topology, config, 0)
+        x_before = x.copy()
+        summary = engine.run_round(x, phi, losses, topology, config, 0)
         assert summary.broadcasts == 0
         for i in (0, 1):
-            assert np.array_equal(states[i].x, before[i][0])
+            assert np.array_equal(x[i], x_before[i])
 
     def test_full_participation_communication_count(self):
         topology = graphs.build_random_graph(6, 0.5, seed=6)
         losses = [QuadraticLoss(q=np.ones(1), a=np.zeros(1)) for _ in range(6)]
-        states = engine.init_states(losses, topology, np.zeros((6, 1)))
+        x, phi = engine.init_states(losses, topology, np.zeros((6, 1)))
         config = CadenConfig(mu_z=1.0, mu_y=1.0)
         total = sum(
-            engine.run_round(states, losses, topology, config, t).broadcasts
+            engine.run_round(x, phi, losses, topology, config, t).broadcasts
             for t in range(9)
         )
         assert total == 6 * 9
 
     def test_k2_converges_to_global_optimum(self):
-        topology, losses, config, states = _k2_setup(solver="lbfgs",
+        topology, losses, config, x, phi = _k2_setup(solver="lbfgs",
                                                      tau_schedule=TauSchedule(base=5))
         for t in range(300):
-            engine.run_round(states, losses, topology, config, t)
-        assert abs(states[0].x[0] - 1.0) <= 1e-6
-        assert abs(states[1].x[0] - 1.0) <= 1e-6
+            engine.run_round(x, phi, losses, topology, config, t)
+        assert abs(x[0, 0] - 1.0) <= 1e-6
+        assert abs(x[1, 0] - 1.0) <= 1e-6
 
 
 class TestTauSchedule:
@@ -245,37 +218,23 @@ class TestCheckpoint:
         topology = graphs.build_random_graph(5, 0.6, seed=7)
         rng = np.random.default_rng(3)
         losses = [QuadraticLoss(q=np.ones(3), a=rng.standard_normal(3)) for _ in range(5)]
-        states = engine.init_states(losses, topology, rng.standard_normal((5, 3)))
+        x, phi = engine.init_states(losses, topology, rng.standard_normal((5, 3)))
         config = CadenConfig(mu_z=2.0, mu_y=2.0)
         for t in range(4):
-            engine.run_round(states, losses, topology, config, t)
+            engine.run_round(x, phi, losses, topology, config, t)
         path = str(tmp_path / "state.bin")
-        engine.save_checkpoint(path, states, round_index=4)
-        x, phi, round_index = engine.load_checkpoint(path)
+        engine.save_checkpoint(path, x, phi, round_index=4)
+        x_loaded, phi_loaded, round_index = engine.load_checkpoint(path)
         assert round_index == 4
         for i in range(5):
-            assert np.array_equal(x[i], states[i].x)
-            assert np.array_equal(phi[i], states[i].phi)
+            assert np.array_equal(x_loaded[i], x[i])
+            assert np.array_equal(phi_loaded[i], phi[i])
 
     def test_header_layout(self, tmp_path):
         # Little-endian u64 header (m, d, round), then float64 payload.
-        topology, losses, _, states = _k2_setup()
+        topology, losses, _, x, phi = _k2_setup()
         path = str(tmp_path / "s.bin")
-        engine.save_checkpoint(path, states, round_index=7)
+        engine.save_checkpoint(path, x, phi, round_index=7)
         raw = open(path, "rb").read()
-        import struct
-
         assert struct.unpack("<QQQ", raw[:24]) == (2, 1, 7)
         assert len(raw) == 24 + 2 * 2 * 1 * 8
-
-    def test_restore_states(self, tmp_path):
-        topology, losses, config, states = _k2_setup(solver="lbfgs")
-        for t in range(3):
-            engine.run_round(states, losses, topology, config, t)
-        path = str(tmp_path / "s.bin")
-        engine.save_checkpoint(path, states, 3)
-        x, phi, _ = engine.load_checkpoint(path)
-        restored = engine.restore_states(losses, topology, x, phi)
-        for i in (0, 1):
-            assert np.array_equal(restored[i].x, states[i].x)
-            assert np.array_equal(restored[i].phi, states[i].phi)

@@ -1,13 +1,14 @@
 """End-to-end runs, CSV/JSON output, determinism, sweeps, CLI."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from caden import cli
+from caden import cli, engine
 from caden.config import ExperimentConfig, serialize_config
-from caden.errors import ConfigError
+from caden.errors import CadenError, ConfigError
 from caden.harness import (
     CSV_COLUMNS,
     RunTrace,
@@ -154,6 +155,66 @@ class TestRunExperiment:
             straight.trace.rows[-1].rel_err, rel=1e-9, abs=1e-30
         )
 
+    def test_resume_reproduces_partial_participation_run(self, tmp_path):
+        k = 15
+        state_path = str(tmp_path / "state.bin")
+        cfg = _convex_benchmark(caden_participation=0.5)
+        run_experiment(
+            cfg.replace(rounds=k, output_save_state=state_path), out_dir=str(tmp_path / "a")
+        )
+        resumed = run_experiment(
+            cfg.replace(rounds=40 - k, init_state_file=state_path, output_label="resumed"),
+            out_dir=str(tmp_path / "b"),
+        )
+        straight = run_experiment(cfg.replace(rounds=40), out_dir=str(tmp_path / "c"))
+
+        def cells_after_k(result):
+            skip = {CSV_COLUMNS.index("comms"), CSV_COLUMNS.index("time_s")}
+            rows = [line.split(",") for line in result.csv_path.read_text().splitlines()[1:]]
+            return [
+                [c for j, c in enumerate(row) if j not in skip] for row in rows if int(row[0]) > k
+            ]
+
+        assert len(cells_after_k(straight)) == 40 - k
+        assert cells_after_k(resumed) == cells_after_k(straight)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        ["short-header", "trailing-bytes", "truncated-body", "shape-mismatch"],
+    )
+    def test_bad_checkpoint_raises_typed_error(self, tmp_path, corrupt):
+        path = tmp_path / "state.bin"
+        m, d = (3, 1) if corrupt == "shape-mismatch" else (2, 1)
+        engine.save_checkpoint(str(path), np.zeros((m, d)), np.zeros((m, d)), round_index=5)
+        raw = path.read_bytes()
+        raw = {
+            "short-header": raw[:10],
+            "trailing-bytes": raw + b"\0" * 8,
+            "truncated-body": raw[:-8],
+            "shape-mismatch": raw,
+        }[corrupt]
+        path.write_bytes(raw)
+        expected = ConfigError if corrupt == "shape-mismatch" else CadenError
+        with pytest.raises(expected, match=re.escape(str(path))) as info:
+            run_experiment(_k2_config(init_state_file=str(path)), out_dir=str(tmp_path))
+        if corrupt == "shape-mismatch":
+            assert "(3, 1)" in str(info.value) and "(2, 1)" in str(info.value)
+
+    def test_summary_json_is_strict_when_run_diverges(self, tmp_path):
+        cfg = ExperimentConfig(
+            seed=0, rounds=80, loss_kind="logistic", init_strategy="warmstart",
+            caden_mu_z=0.05, caden_mu_y=200.0, caden_tau=1,
+            metrics_wall_time=False, output_label="diverge",
+        )
+        with np.errstate(all="ignore"):
+            result = run_experiment(cfg, out_dir=str(tmp_path))
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        summary = json.loads(result.json_path.read_text(), parse_constant=reject)
+        assert summary["totals"]["final_rel_err"] is None
+
     def test_topology_from_file(self, tmp_path):
         from caden import graphs
 
@@ -223,6 +284,17 @@ class TestRunExperiment:
 
 
 class TestGtRuns:
+    def test_gt_rejects_init_state_file(self, tmp_path):
+        cfg = _k2_config(algorithm="gt", gt_step=0.1, init_state_file=str(tmp_path / "s.bin"))
+        with pytest.raises(ConfigError, match="init.state_file"):
+            run_experiment(cfg, out_dir=str(tmp_path))
+
+    def test_gt_rejects_save_state(self, tmp_path):
+        cfg = _k2_config(algorithm="gt", gt_step=0.1, output_save_state=str(tmp_path / "s.bin"))
+        with pytest.raises(ConfigError, match="output.save_state"):
+            run_experiment(cfg, out_dir=str(tmp_path))
+        assert not (tmp_path / "s.bin").exists()
+
     def test_gt_converges_with_tuned_step(self, tmp_path):
         cfg = _k2_config(algorithm="gt", rounds=300, caden_mu_z=None)
         result = run_experiment(cfg, out_dir=str(tmp_path))

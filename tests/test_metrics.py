@@ -7,16 +7,18 @@ from caden import engine, graphs, metrics
 from caden.datasets import gaussian_blobs
 from caden.losses import MlpLoss, QuadraticLoss
 
+from helpers import lyapunov_v_midpoint_form
+
 
 def _random_states(seed, m=8, d=3):
     rng = np.random.default_rng(seed)
     topology = graphs.build_random_graph(m, 0.4, seed=seed)
     losses = [QuadraticLoss(q=rng.uniform(0.5, 2.0, d), a=rng.standard_normal(d))
               for _ in range(m)]
-    states = engine.init_states(losses, topology, rng.standard_normal((m, d)))
-    for s in states:
-        s.phi = rng.standard_normal(d)
-    return topology, losses, states
+    x, phi = engine.init_states(losses, topology, rng.standard_normal((m, d)))
+    for i in range(m):
+        phi[i] = rng.standard_normal(d)
+    return topology, losses, x, phi
 
 
 def _consensus_stationary(m=4, d=2):
@@ -25,34 +27,33 @@ def _consensus_stationary(m=4, d=2):
     rng = np.random.default_rng(0)
     losses = [QuadraticLoss(q=np.ones(d), a=rng.standard_normal(d)) for _ in range(m)]
     x_star = np.mean([loss.a for loss in losses], axis=0)
-    states = engine.init_states(losses, topology, np.tile(x_star, (m, 1)))
-    for i, s in enumerate(states):
-        s.phi = -losses[i].gradient(x_star)
-    return topology, losses, states
+    x, phi = engine.init_states(losses, topology, np.tile(x_star, (m, 1)))
+    for i in range(m):
+        phi[i] = -losses[i].gradient(x_star)
+    return topology, losses, x, phi
 
 
 class TestResidualForms:
     @pytest.mark.parametrize("seed", range(50))
     def test_pair_and_midpoint_forms_agree(self, seed):
-        topology, losses, states = _random_states(seed)
-        a = metrics.lyapunov_v(states, losses, topology)
-        b = metrics.lyapunov_v_midpoint_form(states, losses, topology)
+        topology, losses, x, phi = _random_states(seed)
+        a = metrics.lyapunov_v(x, phi, losses, topology)
+        b = lyapunov_v_midpoint_form(x, phi, losses, topology)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
     def test_zero_exactly_at_consensus_stationary_state(self):
-        topology, losses, states = _consensus_stationary()
-        assert metrics.lyapunov_v(states, losses, topology) == 0.0
+        topology, losses, x, phi = _consensus_stationary()
+        assert metrics.lyapunov_v(x, phi, losses, topology) == 0.0
 
     def test_positive_when_consensus_perturbed(self):
-        topology, losses, states = _consensus_stationary()
-        states[0].x = states[0].x + 1e-3
-        assert metrics.lyapunov_v(states, losses, topology) > 0.0
+        topology, losses, x, phi = _consensus_stationary()
+        x[0] = x[0] + 1e-3
+        assert metrics.lyapunov_v(x, phi, losses, topology) > 0.0
 
     def test_positive_when_stationarity_perturbed(self):
-        topology, losses, states = _consensus_stationary()
-        for s in states:
-            s.phi = s.phi + 1e-3  # breaks gradient cancellation, keeps consensus
-        assert metrics.lyapunov_v(states, losses, topology) > 0.0
+        topology, losses, x, phi = _consensus_stationary()
+        phi += 1e-3  # breaks gradient cancellation, keeps consensus
+        assert metrics.lyapunov_v(x, phi, losses, topology) > 0.0
 
 
 class TestRelativeError:
@@ -61,40 +62,40 @@ class TestRelativeError:
         topology = graphs.complete_graph(2)
         losses = [QuadraticLoss(q=np.ones(1), a=np.array([-1.0])),
                   QuadraticLoss(q=np.ones(1), a=np.array([1.0]))]
-        states = engine.init_states(losses, topology, np.zeros((2, 1)))
-        assert metrics.relative_error(states, losses) == 0.0
+        x, _ = engine.init_states(losses, topology, np.zeros((2, 1)))
+        assert metrics.relative_error(x, losses) == 0.0
 
     def test_two_agent_hand_value(self):
         # Gradients vanish at the local targets; only the chain gap remains.
         topology = graphs.complete_graph(2)
         losses = [QuadraticLoss(q=np.ones(1), a=np.array([0.0])),
                   QuadraticLoss(q=np.ones(1), a=np.array([2.0]))]
-        states = engine.init_states(losses, topology, np.array([[0.0], [2.0]]))
-        assert metrics.relative_error(states, losses) == pytest.approx(4.0)
+        x, _ = engine.init_states(losses, topology, np.array([[0.0], [2.0]]))
+        assert metrics.relative_error(x, losses) == pytest.approx(4.0)
 
     def test_zero_iff_chain_consensus_and_zero_gradient_sum(self):
-        topology, losses, states = _consensus_stationary()
-        states[1].x = states[1].x + 1e-3
-        assert metrics.relative_error(states, losses) > 0.0
+        topology, losses, x, _ = _consensus_stationary()
+        x[1] = x[1] + 1e-3
+        assert metrics.relative_error(x, losses) > 0.0
 
     def test_graph_variant_counts_edges(self):
         topology = graphs.path_graph(3)
         losses = [QuadraticLoss(q=np.ones(1), a=np.zeros(1)) for _ in range(3)]
-        states = engine.init_states(losses, topology, np.array([[0.0], [1.0], [2.0]]))
-        chain = metrics.relative_error(states, losses)
-        graph = metrics.relative_error_graph(states, losses, topology)
+        x, _ = engine.init_states(losses, topology, np.array([[0.0], [1.0], [2.0]]))
+        chain = metrics.relative_error(x, losses)
+        graph = metrics.relative_error_graph(x, losses, topology)
         assert chain == pytest.approx(graph)  # path graph: same pair set
         ring = graphs.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-        assert metrics.relative_error_graph(states, losses, ring) > graph
+        assert metrics.relative_error_graph(x, losses, ring) > graph
 
 
 class TestAccuracy:
-    def _mlp_states(self, params):
+    def _mlp_models(self, params):
         x_data, y_data = gaussian_blobs(60, 5, 10, seed=0)
         topology = graphs.complete_graph(3)
         losses = [MlpLoss(x_data, y_data, hidden=6, classes=10) for _ in range(3)]
-        states = engine.init_states(losses, topology, np.tile(params(losses[0]), (3, 1)))
-        return topology, losses, states
+        x, _ = engine.init_states(losses, topology, np.tile(params(losses[0]), (3, 1)))
+        return topology, losses, x
 
     def test_perfect_classifier_scores_one(self):
         x_eval, y_eval = gaussian_blobs(100, 5, 3, seed=1, spread=0.1)
@@ -106,48 +107,46 @@ class TestAccuracy:
         problem = LocalSubproblem(loss=losses[0], phi=np.zeros(losses[0].dim),
                                   anchors=np.zeros((0, losses[0].dim)), mu_z=0.0)
         params = lbfgs_minimize(problem.value, problem.gradient, params, 200).x_out
-        states = engine.init_states(losses, topology, np.tile(params, (2, 1)))
-        assert metrics.test_accuracy(states, losses, x_eval, y_eval) == 1.0
+        x, _ = engine.init_states(losses, topology, np.tile(params, (2, 1)))
+        assert metrics.test_accuracy(x, losses, x_eval, y_eval) == 1.0
 
     def test_zero_weights_predict_one_class(self):
         x_eval, y_eval = gaussian_blobs(400, 5, 10, seed=2)
-        topology, losses, states = self._mlp_states(lambda loss: np.zeros(loss.dim))
-        acc = metrics.test_accuracy(states, losses, x_eval, y_eval)
+        topology, losses, x = self._mlp_models(lambda loss: np.zeros(loss.dim))
+        acc = metrics.test_accuracy(x, losses, x_eval, y_eval)
         assert abs(acc - 0.1) <= 0.03
 
     def test_deterministic(self):
         x_eval, y_eval = gaussian_blobs(50, 5, 10, seed=3)
-        topology, losses, states = self._mlp_states(lambda loss: loss.init_params(4))
-        a = metrics.test_accuracy(states, losses, x_eval, y_eval)
-        b = metrics.test_accuracy(states, losses, x_eval, y_eval)
+        topology, losses, x = self._mlp_models(lambda loss: loss.init_params(4))
+        a = metrics.test_accuracy(x, losses, x_eval, y_eval)
+        b = metrics.test_accuracy(x, losses, x_eval, y_eval)
         assert a == b
 
     def test_omitted_for_non_classification(self):
-        topology, losses, states = _consensus_stationary()
-        assert metrics.test_accuracy(states, losses, np.zeros((2, 2)), np.zeros(2)) is None
+        topology, losses, x, _ = _consensus_stationary()
+        assert metrics.test_accuracy(x, losses, np.zeros((2, 2)), np.zeros(2)) is None
 
 
 class TestPhiDrift:
     def test_zero_under_full_participation(self):
-        topology, losses, states = _random_states(0)
+        topology, losses, x, phi = _random_states(0)
         from caden.engine import CadenConfig
 
-        for s in states:
-            s.phi = np.zeros_like(s.phi)
+        phi[:] = 0.0
         config = CadenConfig(mu_z=2.0, mu_y=2.0)
         for t in range(10):
-            engine.run_round(states, losses, topology, config, t)
-        assert metrics.phi_drift(states) <= 1e-10
+            engine.run_round(x, phi, losses, topology, config, t)
+        assert metrics.phi_drift(phi) <= 1e-10
 
     def test_nonzero_reported_under_partial_participation(self):
-        topology, losses, states = _random_states(1)
+        topology, losses, x, phi = _random_states(1)
         from caden.engine import CadenConfig
 
-        for s in states:
-            s.phi = np.zeros_like(s.phi)
+        phi[:] = 0.0
         config = CadenConfig(mu_z=2.0, mu_y=2.0, participation=0.5, seed=7)
         drifts = []
         for t in range(20):
-            engine.run_round(states, losses, topology, config, t)
-            drifts.append(metrics.phi_drift(states))
+            engine.run_round(x, phi, losses, topology, config, t)
+            drifts.append(metrics.phi_drift(phi))
         assert max(drifts) > 0.0

@@ -159,36 +159,38 @@ class TestInitialError:
         # share a minimizer and start there in consensus.
         topology = graphs.complete_graph(3)
         losses = [QuadraticLoss(q=np.ones(1), a=np.array([1.0])) for _ in range(3)]
-        states = engine.init_states(losses, topology, np.full((3, 1), 1.0))
+        x, phi = engine.init_states(losses, topology, np.full((3, 1), 1.0))
         config = CadenConfig(mu_z=3.0, mu_y=1.0)
-        assert theory.initial_error_e0(states, losses, config) == 0.0
+        assert theory.augmented_gradient_error(x, phi, losses, topology, config.mu_z) == 0.0
 
     def test_k2_hand_value(self):
         topology = graphs.complete_graph(2)
         losses = [QuadraticLoss(q=np.ones(1), a=np.array([0.0])),
                   QuadraticLoss(q=np.ones(1), a=np.array([2.0]))]
-        states = engine.init_states(losses, topology, np.array([[0.0], [2.0]]))
+        x, phi = engine.init_states(losses, topology, np.array([[0.0], [2.0]]))
         config = CadenConfig(mu_z=3.0, mu_y=1.0)
-        assert theory.initial_error_e0(states, losses, config) == pytest.approx(18.0)
+        e0 = theory.augmented_gradient_error(x, phi, losses, topology, config.mu_z)
+        assert e0 == pytest.approx(18.0)
 
     def test_round_t_diagnostic_reduces_to_e0_at_start(self):
         topology = graphs.complete_graph(2)
         losses = [QuadraticLoss(q=np.ones(1), a=np.array([0.0])),
                   QuadraticLoss(q=np.ones(1), a=np.array([2.0]))]
-        states = engine.init_states(losses, topology, np.array([[0.0], [2.0]]))
+        x, phi = engine.init_states(losses, topology, np.array([[0.0], [2.0]]))
         config = CadenConfig(mu_z=3.0, mu_y=1.0)
-        assert theory.augmented_gradient_error(states, losses, config) == pytest.approx(
-            theory.initial_error_e0(states, losses, config)
-        )
-        engine.run_round(states, losses, topology, config, 0)
-        assert theory.augmented_gradient_error(states, losses, config) >= 0.0
+        e0 = theory.augmented_gradient_error(x, np.zeros_like(x), losses, topology, config.mu_z)
+        assert theory.augmented_gradient_error(
+            x, phi, losses, topology, config.mu_z
+        ) == pytest.approx(e0)
+        engine.run_round(x, phi, losses, topology, config, 0)
+        assert theory.augmented_gradient_error(x, phi, losses, topology, config.mu_z) >= 0.0
 
     def test_matches_subproblem_gradient_blocks(self):
         rng = np.random.default_rng(0)
         topology = graphs.build_random_graph(5, 0.6, seed=1)
         losses = [QuadraticLoss(q=np.ones(2), a=rng.standard_normal(2)) for _ in range(5)]
         x0 = rng.standard_normal((5, 2))
-        states = engine.init_states(losses, topology, x0)
+        x, phi = engine.init_states(losses, topology, x0)
         config = CadenConfig(mu_z=2.0, mu_y=1.0)
         total = 0.0
         for i in range(5):
@@ -198,4 +200,5 @@ class TestInitialError:
             )
             block = problem.gradient(x0[i])
             total += float(block @ block)
-        assert theory.initial_error_e0(states, losses, config) == pytest.approx(total)
+        e0 = theory.augmented_gradient_error(x, phi, losses, topology, config.mu_z)
+        assert e0 == pytest.approx(total)

@@ -2,7 +2,6 @@
 solvers: round engine, edge-variable reference form, gradient-tracking
 baseline, convergence-analysis constants, and an experiment harness."""
 
-from ._accel import BACKEND
 from .config import ExperimentConfig, load_config, parse_config, serialize_config
 from .engine import CadenConfig, TauSchedule
 from .graphs import Topology, build_random_graph, complete_graph, laplacian_spectrum
@@ -11,6 +10,8 @@ from .losses import LogisticLoss, MlpLoss, QuadraticLoss, estimate_lipschitz
 from .solvers import LocalSubproblem, solve_gd, solve_lbfgs
 
 __version__ = "0.1.0"
+
+BACKEND = "python"  # perfbench/measure.py prints it in its environment block
 
 __all__ = [
     "BACKEND",

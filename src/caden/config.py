@@ -10,7 +10,8 @@ The shipped ``docs/config_schema.txt`` is generated from this registry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import dataclasses
+from dataclasses import dataclass, field, fields
 from typing import IO
 
 from .errors import ConfigError
@@ -18,85 +19,110 @@ from .errors import ConfigError
 AUTO = None  # spelled "auto" in config files
 
 
-@dataclass(frozen=True)
-class _Key:
-    name: str  # dotted config key
-    attr: str  # ExperimentConfig attribute
-    kind: str  # int | float | autofloat | str | bool
-    default: object
-    help: str
-    choices: tuple[str, ...] = ()
+def _key(default, doc: str, choices: tuple[str, ...] = ()):
+    """A config field: its default plus the help text and allowed values that
+    the parser and the schema document read."""
+    return field(default=default, metadata={"help": doc, "choices": choices})
 
 
 @dataclass
 class ExperimentConfig:
-    seed: int = 0
-    rounds: int = 100
-    algorithm: str = "caden"
-    mode: str = "practice"
+    """The config schema: each field is the key ``<section>.<rest>`` (the
+    field name with its first ``_`` as the dot), typed by its annotation."""
 
-    topology_kind: str = "random"
-    topology_m: int = 20
-    topology_edge_prob: float = 0.2
-    topology_file: str = ""
+    seed: int = _key(0, "master seed for every derived random stream")
+    rounds: int = _key(100, "number of synchronous rounds T")
+    algorithm: str = _key("caden", "method to run", ("caden", "caden-gd", "gt"))
+    mode: str = _key(
+        "practice", "parameter source: user-set (practice) or prescribed (theory)",
+        ("practice", "theory"),
+    )
 
-    loss_kind: str = "quadratic"
-    loss_dimension: int = 2
-    loss_classes: int = 3
-    loss_features: int = 16
-    loss_hidden: int = 25
-    loss_l2: float = 0.0
-    loss_samples_per_agent: int = 40
-    loss_eval_samples: int = 200
-    loss_blob_spread: float = 1.0
-    loss_feature_scale_max: float = 1.0
-    loss_data: str = "blobs"
-    loss_idx_images: str = ""
-    loss_idx_labels: str = ""
-    loss_idx_eval_images: str = ""
-    loss_idx_eval_labels: str = ""
-    loss_shard_seed: int = -1
+    topology_kind: str = _key(
+        "random", "graph family", ("random", "file", "complete", "path", "ring")
+    )
+    topology_m: int = _key(20, "number of agents")
+    topology_edge_prob: float = _key(0.2, "edge probability for random graphs")
+    topology_file: str = _key("", "edge-list file path when topology.kind = file")
 
-    quadratic_style: str = "identity"
-    quadratic_cond: float = 10.0
-    quadratic_targets: str = ""
-    quadratic_target_spread: float = 1.0
+    loss_kind: str = _key("quadratic", "per-agent loss family", ("quadratic", "logistic", "mlp"))
+    loss_dimension: int = _key(2, "model dimension (quadratic losses only; data losses derive it)")
+    loss_classes: int = _key(3, "number of classes")
+    loss_features: int = _key(16, "feature dimension for blob data")
+    loss_hidden: int = _key(25, "hidden width of the two-layer net")
+    loss_l2: float = _key(0.0, "L2 coefficient for data losses")
+    loss_samples_per_agent: int = _key(40, "training samples held by each agent (blob data)")
+    loss_eval_samples: int = _key(200, "size of the shared held-out set")
+    loss_blob_spread: float = _key(1.0, "within-class standard deviation of blob data")
+    loss_feature_scale_max: float = _key(
+        1.0, "log-spaced per-column scaling of blob features up to this factor"
+    )
+    loss_data: str = _key("blobs", "data source for data losses", ("blobs", "idx"))
+    loss_idx_images: str = _key("", "IDX image file (training)")
+    loss_idx_labels: str = _key("", "IDX label file (training)")
+    loss_idx_eval_images: str = _key(
+        "", "IDX image file (evaluation); empty carves the tail of training data"
+    )
+    loss_idx_eval_labels: str = _key("", "IDX label file (evaluation)")
+    loss_shard_seed: int = _key(-1, "seed for the random shard shuffle; -1 uses the master seed")
 
-    caden_mu_z: float | None = AUTO
-    caden_mu_y: float | None = AUTO
-    caden_tau: int = 5
-    caden_tau_reduce_round: int = -1
-    caden_tau_reduced: int = 1
-    caden_participation: float = 1.0
-    caden_lbfgs_memory: int = 10
-    caden_gd_step: float | None = AUTO
+    quadratic_style: str = _key("identity", "curvature of quadratic losses", ("identity", "random"))
+    quadratic_cond: float = _key(10.0, "condition number for random quadratic curvature")
+    quadratic_targets: str = _key(
+        "", "comma-separated per-agent scalar targets (forces dimension 1)"
+    )
+    quadratic_target_spread: float = _key(1.0, "standard deviation of seeded random targets")
 
-    gt_step: float | None = AUTO
-    gt_tune_rounds: int = 100
+    caden_mu_z: float | None = _key(AUTO, "quadratic penalty; auto = 2 L + 1")
+    caden_mu_y: float | None = _key(
+        AUTO,
+        "dual ascent coefficient; auto = mu_z in practice mode, prescribed floor in theory mode",
+    )
+    caden_tau: int = _key(5, "local solver iterations per round")
+    caden_tau_reduce_round: int = _key(
+        -1, "round from which the reduced budget applies; -1 disables"
+    )
+    caden_tau_reduced: int = _key(1, "budget after the reduction round")
+    caden_participation: float = _key(
+        1.0, "per-round activity probability, identical across agents"
+    )
+    caden_lbfgs_memory: int = _key(10, "curvature pairs kept by the local solver")
+    caden_gd_step: float | None = _key(
+        AUTO, "step for the gradient-descent solver; auto = 1 / (L + mu_z d_i)"
+    )
 
-    init_strategy: str = "zeros"
-    init_scale: float = 1.0
-    init_state_file: str = ""
+    gt_step: float | None = _key(
+        AUTO, "gradient-tracking step; auto tunes over {1e-1,1e-2,1e-3,1e-4}"
+    )
+    gt_tune_rounds: int = _key(100, "rounds of the short tuning runs for gt.step = auto")
 
-    lipschitz_warm_epochs: int = 20
-    lipschitz_warm_lr: float = 0.1
-    lipschitz_probe_epochs: int = 10
-    lipschitz_probe_lr: float = 1e-7
+    init_strategy: str = _key("zeros", "model initialization", ("zeros", "random", "warmstart"))
+    init_scale: float = _key(1.0, "scale of random initialization")
+    init_state_file: str = _key("", "checkpoint to resume from (overrides init.strategy)")
 
-    contraction_probe_iters: int = 20
+    lipschitz_warm_epochs: int = _key(20, "full-gradient warm-up steps of the smoothness probe")
+    lipschitz_warm_lr: float = _key(0.1, "warm-up learning rate")
+    lipschitz_probe_epochs: int = _key(10, "tiny-step probe iterations")
+    lipschitz_probe_lr: float = _key(1e-7, "probe learning rate")
 
-    metrics_cadence: int = 1
-    metrics_thresholds: str = "1e-2,1e-4,1e-6"
-    metrics_wall_time: bool = True
+    contraction_probe_iters: int = _key(
+        20, "solver iterations of the local contraction probe (theory mode)"
+    )
 
-    output_dir: str = "out"
-    output_label: str = "run"
-    output_save_state: str = ""
+    metrics_cadence: int = _key(1, "log every k-th round")
+    metrics_thresholds: str = _key(
+        "1e-2,1e-4,1e-6", "relative-error thresholds for the time/communication table"
+    )
+    metrics_wall_time: bool = _key(
+        True, "record wall time in the CSV; disable for byte-reproducible output"
+    )
+
+    output_dir: str = _key("out", "output directory")
+    output_label: str = _key("run", "basename of the emitted files")
+    output_save_state: str = _key("", "write a final checkpoint to this path")
 
     def replace(self, **updates) -> "ExperimentConfig":
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        values.update(updates)
-        return ExperimentConfig(**values)
+        return dataclasses.replace(self, **updates)
 
     def shard_seed(self) -> int:
         return self.seed if self.loss_shard_seed < 0 else self.loss_shard_seed
@@ -106,96 +132,30 @@ class ExperimentConfig:
         return [float(tok) for tok in text.split(",") if tok.strip()] if text else []
 
 
-KEYS: tuple[_Key, ...] = (
-    _Key("seed", "seed", "int", 0, "master seed for every derived random stream"),
-    _Key("rounds", "rounds", "int", 100, "number of synchronous rounds T"),
-    _Key("algorithm", "algorithm", "str", "caden", "method to run",
-         ("caden", "caden-gd", "gt")),
-    _Key("mode", "mode", "str", "practice",
-         "parameter source: user-set (practice) or prescribed (theory)",
-         ("practice", "theory")),
-    _Key("topology.kind", "topology_kind", "str", "random", "graph family",
-         ("random", "file", "complete", "path", "ring")),
-    _Key("topology.m", "topology_m", "int", 20, "number of agents"),
-    _Key("topology.edge_prob", "topology_edge_prob", "float", 0.2,
-         "edge probability for random graphs"),
-    _Key("topology.file", "topology_file", "str", "",
-         "edge-list file path when topology.kind = file"),
-    _Key("loss.kind", "loss_kind", "str", "quadratic", "per-agent loss family",
-         ("quadratic", "logistic", "mlp")),
-    _Key("loss.dimension", "loss_dimension", "int", 2,
-         "model dimension (quadratic losses only; data losses derive it)"),
-    _Key("loss.classes", "loss_classes", "int", 3, "number of classes"),
-    _Key("loss.features", "loss_features", "int", 16, "feature dimension for blob data"),
-    _Key("loss.hidden", "loss_hidden", "int", 25, "hidden width of the two-layer net"),
-    _Key("loss.l2", "loss_l2", "float", 0.0, "L2 coefficient for data losses"),
-    _Key("loss.samples_per_agent", "loss_samples_per_agent", "int", 40,
-         "training samples held by each agent (blob data)"),
-    _Key("loss.eval_samples", "loss_eval_samples", "int", 200,
-         "size of the shared held-out set"),
-    _Key("loss.blob_spread", "loss_blob_spread", "float", 1.0,
-         "within-class standard deviation of blob data"),
-    _Key("loss.feature_scale_max", "loss_feature_scale_max", "float", 1.0,
-         "log-spaced per-column scaling of blob features up to this factor"),
-    _Key("loss.data", "loss_data", "str", "blobs", "data source for data losses",
-         ("blobs", "idx")),
-    _Key("loss.idx_images", "loss_idx_images", "str", "", "IDX image file (training)"),
-    _Key("loss.idx_labels", "loss_idx_labels", "str", "", "IDX label file (training)"),
-    _Key("loss.idx_eval_images", "loss_idx_eval_images", "str", "",
-         "IDX image file (evaluation); empty carves the tail of training data"),
-    _Key("loss.idx_eval_labels", "loss_idx_eval_labels", "str", "",
-         "IDX label file (evaluation)"),
-    _Key("loss.shard_seed", "loss_shard_seed", "int", -1,
-         "seed for the random shard shuffle; -1 uses the master seed"),
-    _Key("quadratic.style", "quadratic_style", "str", "identity",
-         "curvature of quadratic losses", ("identity", "random")),
-    _Key("quadratic.cond", "quadratic_cond", "float", 10.0,
-         "condition number for random quadratic curvature"),
-    _Key("quadratic.targets", "quadratic_targets", "str", "",
-         "comma-separated per-agent scalar targets (forces dimension 1)"),
-    _Key("quadratic.target_spread", "quadratic_target_spread", "float", 1.0,
-         "standard deviation of seeded random targets"),
-    _Key("caden.mu_z", "caden_mu_z", "autofloat", AUTO,
-         "quadratic penalty; auto = 2 L + 1"),
-    _Key("caden.mu_y", "caden_mu_y", "autofloat", AUTO,
-         "dual ascent coefficient; auto = mu_z in practice mode, prescribed floor in theory mode"),
-    _Key("caden.tau", "caden_tau", "int", 5, "local solver iterations per round"),
-    _Key("caden.tau_reduce_round", "caden_tau_reduce_round", "int", -1,
-         "round from which the reduced budget applies; -1 disables"),
-    _Key("caden.tau_reduced", "caden_tau_reduced", "int", 1,
-         "budget after the reduction round"),
-    _Key("caden.participation", "caden_participation", "float", 1.0,
-         "per-round activity probability, identical across agents"),
-    _Key("caden.lbfgs_memory", "caden_lbfgs_memory", "int", 10,
-         "curvature pairs kept by the local solver"),
-    _Key("caden.gd_step", "caden_gd_step", "autofloat", AUTO,
-         "step for the gradient-descent solver; auto = 1 / (L + mu_z d_i)"),
-    _Key("gt.step", "gt_step", "autofloat", AUTO,
-         "gradient-tracking step; auto tunes over {1e-1,1e-2,1e-3,1e-4}"),
-    _Key("gt.tune_rounds", "gt_tune_rounds", "int", 100,
-         "rounds of the short tuning runs for gt.step = auto"),
-    _Key("init.strategy", "init_strategy", "str", "zeros",
-         "model initialization", ("zeros", "random", "warmstart")),
-    _Key("init.scale", "init_scale", "float", 1.0, "scale of random initialization"),
-    _Key("init.state_file", "init_state_file", "str", "",
-         "checkpoint to resume from (overrides init.strategy)"),
-    _Key("lipschitz.warm_epochs", "lipschitz_warm_epochs", "int", 20,
-         "full-gradient warm-up steps of the smoothness probe"),
-    _Key("lipschitz.warm_lr", "lipschitz_warm_lr", "float", 0.1, "warm-up learning rate"),
-    _Key("lipschitz.probe_epochs", "lipschitz_probe_epochs", "int", 10,
-         "tiny-step probe iterations"),
-    _Key("lipschitz.probe_lr", "lipschitz_probe_lr", "float", 1e-7, "probe learning rate"),
-    _Key("contraction.probe_iters", "contraction_probe_iters", "int", 20,
-         "solver iterations of the local contraction probe (theory mode)"),
-    _Key("metrics.cadence", "metrics_cadence", "int", 1, "log every k-th round"),
-    _Key("metrics.thresholds", "metrics_thresholds", "str", "1e-2,1e-4,1e-6",
-         "relative-error thresholds for the time/communication table"),
-    _Key("metrics.wall_time", "metrics_wall_time", "bool", True,
-         "record wall time in the CSV; disable for byte-reproducible output"),
-    _Key("output.dir", "output_dir", "str", "out", "output directory"),
-    _Key("output.label", "output_label", "str", "run", "basename of the emitted files"),
-    _Key("output.save_state", "output_save_state", "str", "",
-         "write a final checkpoint to this path"),
+@dataclass(frozen=True)
+class _Key:
+    name: str  # dotted config key
+    attr: str  # ExperimentConfig attribute
+    kind: str  # int | float | autofloat | str | bool
+    default: object
+    help: str
+    choices: tuple[str, ...]
+
+
+# Field annotations (strings under postponed evaluation) to value kinds.
+_KINDS = {"int": "int", "float": "float", "float | None": "autofloat", "str": "str", "bool": "bool"}
+
+# The registry in field order; a field's first "_" is the section dot.
+KEYS: tuple[_Key, ...] = tuple(
+    _Key(
+        name=f.name.replace("_", ".", 1),
+        attr=f.name,
+        kind=_KINDS[f.type],
+        default=f.default,
+        help=f.metadata["help"],
+        choices=f.metadata["choices"],
+    )
+    for f in fields(ExperimentConfig)
 )
 
 _BY_NAME = {k.name: k for k in KEYS}

@@ -27,3 +27,7 @@ class ConfigError(CadenError):
 
 class CheckpointError(CadenError):
     """Raised when a checkpoint file is shorter or longer than its header declares."""
+
+
+class DivergenceError(CadenError):
+    """Raised when a run's state or logged metrics stop being finite."""

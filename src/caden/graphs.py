@@ -1,4 +1,4 @@
-"""Communication graph model: topology, constraint matrices, Laplacian spectrum.
+"""Communication graph model: topology, constraint residual, Laplacian spectrum.
 
 Agents are 0-indexed internally; the plain-text edge-list format is 1-indexed.
 Edges are canonically ordered (i < j, lexicographic) so that every per-edge
@@ -7,7 +7,7 @@ vector built elsewhere has a deterministic layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -87,27 +87,6 @@ class SpectralSummary:
     lambda_max: float
     lambda_min: float
     d_max: int
-
-
-@dataclass(frozen=True)
-class ConstraintMatrices:
-    """Binary edge-endpoint selection matrices.
-
-    Row k of ``a_src`` has a single 1 at the smaller endpoint of edge k, row k
-    of ``a_dst`` at the larger endpoint.  The per-coordinate lift to model
-    dimension d is never materialized; all products are taken edge-wise.
-    """
-
-    a_src: np.ndarray = field(repr=False)
-    a_dst: np.ndarray = field(repr=False)
-
-    @property
-    def n(self) -> int:
-        return self.a_src.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.a_src.shape[1]
 
 
 def _canonical_edges(edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -234,16 +213,6 @@ def laplacian_spectrum(t: Topology, tol: float = CONNECTIVITY_TOL) -> SpectralSu
     if lam_min <= tol:
         raise DisconnectedGraphError(f"second-smallest Laplacian eigenvalue {lam_min} <= {tol}")
     return SpectralSummary(lambda_max=lam_max, lambda_min=lam_min, d_max=t.d_max)
-
-
-def constraint_matrices(t: Topology) -> ConstraintMatrices:
-    """Materialize the n-by-m endpoint selection matrices (test/diagnostic use)."""
-    a_src = np.zeros((t.n, t.m))
-    a_dst = np.zeros((t.n, t.m))
-    for k, (i, j) in enumerate(t.edges):
-        a_src[k, i] = 1.0
-        a_dst[k, j] = 1.0
-    return ConstraintMatrices(a_src=a_src, a_dst=a_dst)
 
 
 def _as_matrix(vectors: Sequence[np.ndarray] | np.ndarray, rows: int, what: str) -> np.ndarray:

@@ -27,7 +27,7 @@ from .datasets import (
     shard_indices,
 )
 from .engine import CadenConfig, TauSchedule
-from .errors import ConfigError
+from .errors import ConfigError, DivergenceError
 from .losses import LogisticLoss, MlpLoss, QuadraticLoss, estimate_lipschitz
 from .solvers import estimate_contraction
 
@@ -61,6 +61,11 @@ class TraceRow:
     time_s: float
     phi_drift: float | None
     active: int
+
+    def finite(self) -> bool:
+        """False once a logged metric has overflowed or turned NaN."""
+        values = (self.v, self.rel_err, self.rel_err_graph, self.acc, self.phi_drift)
+        return all(v is None or math.isfinite(v) for v in values)
 
     def cells(self) -> list[str]:
         def num(value):
@@ -493,9 +498,7 @@ def strict_json(payload) -> str:
 def _run_caden(cfg, losses, topology, init, params, trace, clock, acc_fn, summary):
     solver = "gd" if cfg.algorithm == "caden-gd" else "lbfgs"
     if solver == "gd" and cfg.caden_gd_step is None and params.lipschitz is None:
-        smooth = _exact_smoothness(losses)
-        if smooth is None:
-            raise ConfigError("caden-gd needs caden.gd_step or a resolvable smoothness constant")
+        raise ConfigError("caden-gd needs caden.gd_step or a resolvable smoothness constant")
     run_cfg = CadenConfig(
         mu_z=params.mu_z,
         mu_y=params.mu_y,
@@ -519,14 +522,28 @@ def _run_caden(cfg, losses, topology, init, params, trace, clock, acc_fn, summar
         result = engine.run_round(x, phi, losses, topology, run_cfg, t)
         comms += result.broadcasts
         done = t + 1
-        if (done - start) % cfg.metrics_cadence == 0 or done == last_round:
+        finite = _all_finite(x, phi)
+        if not finite or (done - start) % cfg.metrics_cadence == 0 or done == last_round:
             trace.append(
                 _caden_row(
                     done, x, phi, losses, topology, comms, clock, acc_fn,
                     int(result.active.sum()),
                 )
             )
+            if not (finite and trace.rows[-1].finite()):
+                _stop_diverged(summary, done, "models, duals or metrics")
     return x, phi
+
+
+def _all_finite(*arrays: np.ndarray) -> bool:
+    return all(np.isfinite(a).all() for a in arrays)
+
+
+def _stop_diverged(summary: dict, round_index: int, what: str):
+    """Record the first non-finite round; the caller's flush path writes the
+    trace up to and including its row."""
+    summary["diverged_at"] = round_index
+    raise DivergenceError(f"{what} not finite after round {round_index}")
 
 
 def _tune_gt_step(cfg, losses, topology, x0, w) -> tuple[float, list[dict]]:
@@ -581,8 +598,11 @@ def _run_gt(cfg, losses, topology, init, trace, clock, acc_fn, summary):
         # Each agent shares its model and its tracker: two d-vectors.
         comms += 2 * topology.m
         done = t + 1
-        if done % cfg.metrics_cadence == 0 or done == cfg.rounds:
+        finite = _all_finite(state.x, state.g)
+        if not finite or done % cfg.metrics_cadence == 0 or done == cfg.rounds:
             trace.append(row(done, comms))
+            if not (finite and trace.rows[-1].finite()):
+                _stop_diverged(summary, done, "models, trackers or metrics")
 
 
 def _threshold_table(cfg: ExperimentConfig, trace: RunTrace) -> list[dict]:

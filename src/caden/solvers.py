@@ -17,7 +17,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._accel import two_loop_direction
 from .losses import LocalLoss, QuadraticLoss
 
 ARMIJO_C1 = 1e-4
@@ -101,6 +100,38 @@ def _geometric_rate(grad_norms: Sequence[float]) -> float:
     return float(np.exp(log_sum / count))
 
 
+def two_loop_direction(
+    s: np.ndarray,
+    y: np.ndarray,
+    rho: np.ndarray,
+    gamma: float,
+    grad: np.ndarray,
+) -> np.ndarray:
+    """Apply the limited-memory inverse-Hessian approximation to ``grad``.
+
+    Args:
+        s: (k, d) step differences, oldest first.
+        y: (k, d) gradient differences, oldest first.
+        rho: (k,) precomputed 1 / (s_i . y_i).
+        gamma: initial inverse-Hessian scaling.
+        grad: (d,) gradient to precondition.
+
+    Returns:
+        H @ grad; the descent direction is its negative.
+    """
+    k = s.shape[0]
+    q = grad.copy()
+    alpha = np.empty(k)
+    for i in range(k - 1, -1, -1):
+        alpha[i] = rho[i] * float(s[i] @ q)
+        q -= alpha[i] * y[i]
+    r = gamma * q
+    for i in range(k):
+        beta = rho[i] * float(y[i] @ r)
+        r += (alpha[i] - beta) * s[i]
+    return r
+
+
 def lbfgs_minimize(
     value: Callable[[np.ndarray], float],
     grad: Callable[[np.ndarray], np.ndarray],
@@ -136,6 +167,8 @@ def lbfgs_minimize(
     for _ in range(iterations):
         if gnorm == 0.0:
             break
+        # Looked up as a module global on every call, so a wrapper installed
+        # on caden.solvers.two_loop_direction sees each one.
         direction = -two_loop_direction(s_buf[:count], y_buf[:count], rho_buf[:count], gamma, g)
         slope = float(g @ direction)
         if slope >= 0.0:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from caden.graphs import Topology, constraint_matrices, edge_midpoints
+from caden.graphs import Topology, edge_midpoints
 
 
 def central_difference(fn, x: np.ndarray, h: float | None = None) -> np.ndarray:
@@ -28,11 +28,22 @@ def random_psd(dim: int, cond: float, rng: np.random.Generator) -> np.ndarray:
     return basis @ np.diag(evals) @ basis.T
 
 
+def constraint_matrices(t: Topology) -> tuple[np.ndarray, np.ndarray]:
+    """The n-by-m edge-endpoint selection matrices (a_src, a_dst): row k has a
+    single 1 at the smaller (a_src) or larger (a_dst) endpoint of edge k."""
+    a_src = np.zeros((t.n, t.m))
+    a_dst = np.zeros((t.n, t.m))
+    for k, (i, j) in enumerate(t.edges):
+        a_src[k, i] = 1.0
+        a_dst[k, j] = 1.0
+    return a_src, a_dst
+
+
 def dense_constraint_residual(t: Topology, x: np.ndarray, z: np.ndarray) -> float:
     """||Ax - Bz||^2 with the lifted matrices fully materialized (oracle)."""
     d = x.shape[1]
-    mats = constraint_matrices(t)
-    a = np.vstack([np.kron(mats.a_src, np.eye(d)), np.kron(mats.a_dst, np.eye(d))])
+    a_src, a_dst = constraint_matrices(t)
+    a = np.vstack([np.kron(a_src, np.eye(d)), np.kron(a_dst, np.eye(d))])
     b = np.vstack([np.eye(t.n * d), np.eye(t.n * d)])
     resid = a @ x.ravel() - b @ z.ravel()
     return float(resid @ resid)
@@ -44,8 +55,8 @@ def dense_augmented_lagrangian(
     """Augmented objective with materialized matrices; y is (n, 2, d) with the
     same stacking order as [src rows; dst rows]."""
     d = x.shape[1]
-    mats = constraint_matrices(t)
-    a = np.vstack([np.kron(mats.a_src, np.eye(d)), np.kron(mats.a_dst, np.eye(d))])
+    a_src, a_dst = constraint_matrices(t)
+    a = np.vstack([np.kron(a_src, np.eye(d)), np.kron(a_dst, np.eye(d))])
     b = np.vstack([np.eye(t.n * d), np.eye(t.n * d)])
     resid = a @ x.ravel() - b @ z.ravel()
     y_stacked = np.concatenate([y[:, 0].ravel(), y[:, 1].ravel()])

@@ -1,8 +1,11 @@
 """Config parsing, canonical serialization, schema documentation."""
 
+import typing
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caden import config
 from caden.errors import ConfigError
@@ -74,6 +77,40 @@ class TestSerialization:
         with open(path, "w") as fp:
             config.save_config(cfg, fp)
         assert config.load_config(str(path)) == cfg
+
+
+_FIELD_TYPES = typing.get_type_hints(config.ExperimentConfig)
+
+
+def _value_strategy(key):
+    # Drawn from the evaluated annotation, not from the derived key kind, so
+    # a wrongly derived kind fails the round trip.
+    if key.choices:
+        return st.sampled_from(key.choices)
+    annotation = _FIELD_TYPES[key.attr]
+    floats = st.floats(allow_nan=False)
+    if annotation == float | None:
+        return st.none() | floats
+    return {
+        int: st.integers(),
+        float: floats,
+        bool: st.booleans(),
+        # A value is one stripped line with no comment marker.
+        str: st.text("abcXYZ019 _-.,/=:").map(str.strip),
+    }[annotation]
+
+
+random_configs = st.fixed_dictionaries(
+    {key.attr: _value_strategy(key) for key in config.KEYS}
+).map(lambda values: config.ExperimentConfig(**values))
+
+
+@settings(deadline=None)
+@given(random_configs)
+def test_round_trip_every_key(cfg):
+    parsed = config.parse_config(config.serialize_config(cfg))
+    assert parsed == cfg
+    assert [type(v) for v in vars(parsed).values()] == [type(v) for v in vars(cfg).values()]
 
 
 class TestSchemaDoc:

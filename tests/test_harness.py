@@ -8,7 +8,7 @@ import pytest
 
 from caden import cli, engine
 from caden.config import ExperimentConfig, serialize_config
-from caden.errors import CadenError, ConfigError
+from caden.errors import CadenError, ConfigError, DivergenceError
 from caden.harness import (
     CSV_COLUMNS,
     RunTrace,
@@ -206,14 +206,36 @@ class TestRunExperiment:
             caden_mu_z=0.05, caden_mu_y=200.0, caden_tau=1,
             metrics_wall_time=False, output_label="diverge",
         )
-        with np.errstate(all="ignore"):
-            result = run_experiment(cfg, out_dir=str(tmp_path))
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError):
+            run_experiment(cfg, out_dir=str(tmp_path))
 
         def reject(token):
             raise ValueError(f"non-standard JSON constant {token}")
 
-        summary = json.loads(result.json_path.read_text(), parse_constant=reject)
-        assert summary["totals"]["final_rel_err"] is None
+        text = (tmp_path / "diverge_summary.json").read_text()
+        summary = json.loads(text, parse_constant=reject)
+        # V_t overflows first (round 53); the run stops on that row.
+        assert summary["diverged_at"] == summary["totals"]["rounds"] < 80
+        assert summary["totals"]["final_v"] is None
+        assert summary["error"].startswith("DivergenceError")
+        rows = (tmp_path / "diverge_metrics.csv").read_text().splitlines()
+        assert rows[-1].split(",")[0] == str(summary["diverged_at"])
+
+    def test_gt_stops_at_first_non_finite_state(self, tmp_path):
+        # Step 3 on unit quadratics makes the models grow geometrically; the
+        # per-round state check stops the run between logged rows.
+        cfg = ExperimentConfig(
+            seed=0, rounds=1000, algorithm="gt", gt_step=3.0,
+            topology_kind="ring", topology_m=4, loss_kind="quadratic",
+            metrics_cadence=500, metrics_wall_time=False, output_label="gt",
+        )
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="trackers"):
+            run_experiment(cfg, out_dir=str(tmp_path))
+        summary = json.loads((tmp_path / "gt_summary.json").read_text())
+        diverged_at = summary["diverged_at"]
+        assert 0 < diverged_at < 1000 and diverged_at % 500 != 0
+        rows = (tmp_path / "gt_metrics.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["0", str(diverged_at)]
 
     def test_topology_from_file(self, tmp_path):
         from caden import graphs
@@ -245,6 +267,17 @@ class TestRunExperiment:
             init_strategy="zeros", metrics_wall_time=False,
         )
         with pytest.raises(ConfigError, match="smoothness"):
+            run_experiment(cfg, out_dir=str(tmp_path))
+
+    def test_gd_step_auto_needs_smoothness(self, tmp_path):
+        cfg = ExperimentConfig(
+            seed=0, rounds=2, algorithm="caden-gd", loss_kind="mlp", loss_data="blobs",
+            topology_kind="complete", topology_m=3,
+            loss_samples_per_agent=10, loss_eval_samples=10,
+            init_strategy="zeros", caden_mu_z=1.0, caden_gd_step=None,
+            metrics_wall_time=False,
+        )
+        with pytest.raises(ConfigError, match="caden.gd_step"):
             run_experiment(cfg, out_dir=str(tmp_path))
 
     def test_idx_data_end_to_end(self, tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from caden import solvers
 from caden.losses import QuadraticLoss
 from caden.solvers import (
     LocalSubproblem,
@@ -10,6 +11,7 @@ from caden.solvers import (
     solve_exact_quadratic,
     solve_gd,
     solve_lbfgs,
+    two_loop_direction,
 )
 
 from helpers import central_difference, random_psd
@@ -54,6 +56,63 @@ class TestSubproblemGradient:
             grad = p.gradient(x)
             oracle = central_difference(p.value, x)
             assert np.linalg.norm(grad - oracle) / max(np.linalg.norm(oracle), 1.0) < 1e-5
+
+
+def _random_history(rng, k, d):
+    s = rng.standard_normal((k, d))
+    y = s @ np.diag(rng.uniform(0.5, 3.0, d))  # positive-curvature pairs
+    rho = 1.0 / np.einsum("ij,ij->i", s, y)
+    return s, y, rho
+
+
+class TestTwoLoop:
+    def test_empty_history_scales_gradient(self):
+        grad = np.array([2.0, -4.0])
+        out = two_loop_direction(
+            np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0), 0.5, grad
+        )
+        assert np.array_equal(out, 0.5 * grad)
+
+    def test_input_gradient_not_mutated(self):
+        rng = np.random.default_rng(1)
+        s, y, rho = _random_history(rng, 4, 8)
+        grad = rng.standard_normal(8)
+        snapshot = grad.copy()
+        two_loop_direction(s, y, rho, 1.0, grad)
+        assert np.array_equal(grad, snapshot)
+
+    def test_full_memory_exact_line_search_reaches_minimizer(self):
+        # With memory >= d and exact curvature pairs the recursion reproduces
+        # the Newton direction on quadratics: the minimizer arrives within
+        # d + 1 iterations.
+        q = np.diag([1.0, 10.0])
+        target = np.zeros(2)
+        x = np.array([3.0, -1.5])
+        d = 2
+        s_hist: list[np.ndarray] = []
+        y_hist: list[np.ndarray] = []
+        for _ in range(d + 1):
+            grad = q @ (x - target)
+            if np.linalg.norm(grad) == 0.0:
+                break
+            s_arr = np.array(s_hist).reshape(len(s_hist), d)
+            y_arr = np.array(y_hist).reshape(len(y_hist), d)
+            rho = (
+                1.0 / np.einsum("ij,ij->i", s_arr, y_arr)
+                if s_hist
+                else np.zeros(0)
+            )
+            gamma = 1.0
+            if s_hist:
+                gamma = float(s_arr[-1] @ y_arr[-1]) / float(y_arr[-1] @ y_arr[-1])
+            direction = -two_loop_direction(s_arr, y_arr, rho, gamma, grad)
+            denom = float(direction @ (q @ direction))
+            step = -float(grad @ direction) / denom  # exact line search
+            x_new = x + step * direction
+            s_hist.append(x_new - x)
+            y_hist.append(q @ (x_new - x))
+            x = x_new
+        assert np.linalg.norm(x - target) < 1e-8
 
 
 class TestLbfgs:
@@ -107,6 +166,21 @@ class TestLbfgs:
             # Monotone gradient decrease to (near) zero certifies every
             # direction was a descent direction of a positive-definite model.
             assert report.grad_norm_out < report.grad_norm_in
+
+    def test_kernel_looked_up_through_module_global(self, monkeypatch):
+        # Wrapping caden.solvers.two_loop_direction must see every iteration;
+        # a locally bound kernel would silently bypass the wrapper.
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return two_loop_direction(*args)
+
+        monkeypatch.setattr(solvers, "two_loop_direction", counting)
+        p = _subproblem(np.random.default_rng(12), cond=50.0)
+        report = solve_lbfgs(p, np.ones(p.loss.dim), tau=8)
+        assert report.iterations == 8
+        assert len(calls) == report.iterations
 
     def test_singular_curvature_pairs_are_skipped(self):
         # Zero curvature along the second coordinate produces step/gradient

@@ -215,8 +215,21 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    """Canonical text: every key, registry order, canonical value spelling."""
-    lines = [f"{k.name} = {_format_value(k, getattr(cfg, k.attr))}" for k in KEYS]
+    """Canonical text: every key, registry order, canonical value spelling.
+
+    Raises ConfigError for a value that ``parse_config`` would not read back:
+    one holding a ``#`` or a line break, or with leading or trailing
+    whitespace.
+    """
+    lines = []
+    for k in KEYS:
+        text = _format_value(k, getattr(cfg, k.attr))
+        if "#" in text or text != text.strip() or len(text.splitlines()) > 1:
+            raise ConfigError(
+                f"{k.name} = {text!r} cannot be written to a config file: values hold no"
+                " '#' or line break and no leading or trailing whitespace"
+            )
+        lines.append(f"{k.name} = {text}")
     return "\n".join(lines) + "\n"
 
 

@@ -36,34 +36,24 @@ CHECKPOINT_HEADER = struct.Struct("<QQQ")
 
 @dataclass(frozen=True)
 class TauSchedule:
-    """Local-iteration budget per (round, agent).
+    """Local-iteration budget per round.
 
     ``base`` applies everywhere, optionally dropping to ``reduced`` from
-    ``reduce_round`` on (the workload-reduction schedule).  ``per_agent``
-    overrides the base for specific agents.
+    ``reduce_round`` on (the workload-reduction schedule).
     """
 
     base: int = 5
     reduce_round: int | None = None
     reduced: int = 1
-    per_agent: dict[int, int] | None = None
 
     def __post_init__(self):
-        budgets = [self.base, self.reduced, *(self.per_agent or {}).values()]
-        if any(b < 1 for b in budgets):
+        if self.base < 1 or self.reduced < 1:
             raise ValueError("every local iteration budget must be at least 1")
 
-    def tau(self, round_index: int, agent: int) -> int:
+    def tau(self, round_index: int) -> int:
         if self.reduce_round is not None and round_index >= self.reduce_round:
             return self.reduced
-        if self.per_agent and agent in self.per_agent:
-            return self.per_agent[agent]
         return self.base
-
-    def minimum(self, rounds: int, m: int) -> int:
-        """Smallest budget over all (round, agent) pairs in a run."""
-        taus = {self.tau(t, i) for t in range(rounds) for i in range(m)}
-        return min(taus)
 
 
 @dataclass
@@ -73,7 +63,7 @@ class CadenConfig:
     mu_z: float
     mu_y: float
     tau_schedule: TauSchedule = field(default_factory=TauSchedule)
-    participation: float | tuple[float, ...] = 1.0
+    participation: float = 1.0
     solver: str = "lbfgs"  # lbfgs | gd | exact
     seed: int = 0
     lbfgs_memory: int = DEFAULT_MEMORY
@@ -85,14 +75,8 @@ class CadenConfig:
             raise ValueError("mu_z and mu_y must be positive")
         if self.solver not in ("lbfgs", "gd", "exact"):
             raise ValueError(f"unknown solver {self.solver!r}")
-        for p in np.atleast_1d(np.asarray(self.participation, dtype=float)):
-            if not (0.0 < p <= 1.0):
-                raise ValueError("participation probabilities must be in (0, 1]")
-
-    def p_of(self, agent: int) -> float:
-        if np.isscalar(self.participation):
-            return float(self.participation)
-        return float(self.participation[agent])
+        if not (0.0 < self.participation <= 1.0):
+            raise ValueError("participation probability must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -125,17 +109,14 @@ def sample_participation(config: CadenConfig, round_index: int, m: int) -> np.nd
     flags are a pure function of (seed, round, agent) and independent of any
     execution schedule.
     """
-    flags = np.empty(m, dtype=bool)
-    for i in range(m):
-        p = config.p_of(i)
-        if p >= 1.0:
-            flags[i] = True
-        else:
-            u = np.random.default_rng(
-                [_PARTICIPATION_STREAM, config.seed, round_index, i]
-            ).random()
-            flags[i] = u < p
-    return flags
+    p = config.participation
+    if p >= 1.0:
+        return np.ones(m, dtype=bool)
+    draws = [
+        np.random.default_rng([_PARTICIPATION_STREAM, config.seed, round_index, i]).random()
+        for i in range(m)
+    ]
+    return np.array(draws) < p
 
 
 def local_subproblem(
@@ -169,7 +150,7 @@ def primal_update(
     have computed theirs.
     """
     problem = local_subproblem(agent, x, phi, losses[agent], topology, config.mu_z)
-    tau = config.tau_schedule.tau(round_index, agent)
+    tau = config.tau_schedule.tau(round_index)
     if config.solver == "lbfgs":
         report = solve_lbfgs(problem, x[agent], tau, config.lbfgs_memory)
     elif config.solver == "gd":

@@ -189,12 +189,10 @@ def build_random_graph(
                 if mask[k]:
                     edges.append((i, j))
                 k += 1
-        adj: list[list[int]] = [[] for _ in range(m)]
-        for i, j in edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        if edges and _is_connected(m, adj):
+        try:
             return from_edges(m, edges, resamples=attempt)
+        except DisconnectedGraphError:
+            continue
     raise GraphSamplingError(
         f"no connected sample in {max_retries} retries "
         f"(m={m}, edge_prob={edge_prob}): edge_prob too small"

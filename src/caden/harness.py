@@ -290,24 +290,16 @@ def _probe_contraction(cfg, losses, topology, init, mu_z) -> float:
     return rate
 
 
-@dataclass
-class ResolvedParameters:
-    mu_z: float
-    mu_y: float
-    tau_schedule: TauSchedule
-    lipschitz: float | None
-    theory: dict
-
-
 def resolve_parameters(
     cfg: ExperimentConfig, losses, topology, init: Initialization
-) -> ResolvedParameters:
-    """Fill auto parameters.
+) -> tuple[CadenConfig, dict]:
+    """The engine config of a CADEN run, with auto parameters filled, and the
+    summary's theory record.
 
     Practice mode: mu_z = 2L + 1 and mu_y = mu_z unless set explicitly; tau
     comes from the config schedule.  Theory mode probes the local contraction
-    rate and takes the full prescribed triple, reporting the analysis
-    constants at the minimum budget of the run.
+    rate, takes the full prescribed triple, and reports the analysis
+    constants at the prescribed budget.
     """
     l_hat = init.lipschitz
     if cfg.caden_mu_z is not None:
@@ -319,6 +311,9 @@ def resolve_parameters(
                 " warmstart or a loss family with exact smoothness"
             )
         mu_z = 2.0 * l_hat + 1.0
+    solver = "gd" if cfg.algorithm == "caden-gd" else "lbfgs"
+    if solver == "gd" and cfg.caden_gd_step is None and l_hat is None:
+        raise ConfigError("caden-gd needs caden.gd_step or a resolvable smoothness constant")
     schedule = TauSchedule(
         base=cfg.caden_tau,
         reduce_round=None if cfg.caden_tau_reduce_round < 0 else cfg.caden_tau_reduce_round,
@@ -340,7 +335,7 @@ def resolve_parameters(
                 spectral=spectral,
                 p_min=cfg.caden_participation,
                 rate=rate,
-                tau=schedule.minimum(cfg.rounds, topology.m),
+                tau=selected.tau,
                 mu_z=mu_z,
                 mu_y=mu_y,
             )
@@ -355,16 +350,25 @@ def resolve_parameters(
     else:
         mu_y = cfg.caden_mu_y if cfg.caden_mu_y is not None else mu_z
     theory_info["parameters"] = {"mu_z": mu_z, "mu_y": mu_y, "lipschitz": l_hat}
-    return ResolvedParameters(
-        mu_z=mu_z, mu_y=mu_y, tau_schedule=schedule, lipschitz=l_hat, theory=theory_info
+    run_cfg = CadenConfig(
+        mu_z=mu_z,
+        mu_y=mu_y,
+        tau_schedule=schedule,
+        participation=cfg.caden_participation,
+        solver=solver,
+        seed=cfg.seed,
+        lbfgs_memory=cfg.caden_lbfgs_memory,
+        gd_step=cfg.caden_gd_step,
+        lipschitz=l_hat,
     )
+    return run_cfg, theory_info
 
 
-def _tau_segments(schedule: TauSchedule, start: int, rounds: int, m: int) -> list[list[int]]:
+def _tau_segments(schedule: TauSchedule, start: int, rounds: int) -> list[list[int]]:
     """Run-length encoding [start, end, tau] of the per-round budget."""
     segments: list[list[int]] = []
     for t in range(start, start + rounds):
-        tau = min(schedule.tau(t, i) for i in range(m))
+        tau = schedule.tau(t)
         if segments and segments[-1][2] == tau:
             segments[-1][1] = t + 1
         else:
@@ -381,20 +385,6 @@ class _Clock:
         return time.perf_counter() - self._t0 if self.enabled else 0.0
 
 
-def _caden_row(round_index, x, phi, losses, topology, comms, clock, acc_fn, active):
-    return TraceRow(
-        round=round_index,
-        v=metrics.lyapunov_v(x, phi, losses, topology),
-        rel_err=metrics.relative_error(x, losses),
-        rel_err_graph=metrics.relative_error_graph(x, losses, topology),
-        acc=acc_fn(x),
-        comms=comms,
-        time_s=clock.elapsed(),
-        phi_drift=metrics.phi_drift(phi),
-        active=active,
-    )
-
-
 def run_experiment(
     cfg: ExperimentConfig, out_dir: str | None = None, write_outputs: bool = True
 ) -> RunResult:
@@ -403,19 +393,21 @@ def run_experiment(
     Any error during the round loop flushes the partial trace and a summary
     carrying the failure message before re-raising.
     """
-    if cfg.algorithm == "gt":
+    gt = cfg.algorithm == "gt"
+    if gt:
         # A checkpoint holds models and duals; gradient tracking's state is
         # models and trackers, so it can neither resume from nor write one.
+        # Theory mode prescribes CADEN's parameters, which gt does not have.
         for key, value in (
             ("init.state_file", cfg.init_state_file),
             ("output.save_state", cfg.output_save_state),
+            ("mode = theory", cfg.mode == "theory"),
         ):
             if value:
                 raise ConfigError(f"{key} is not supported with algorithm = gt")
     topology = build_topology(cfg)
     losses, eval_set = build_losses(cfg, topology)
     init = initialize(cfg, losses, topology)
-    params = resolve_parameters(cfg, losses, topology, init)
 
     spectral = graphs.laplacian_spectrum(topology)
     summary: dict = {
@@ -428,8 +420,13 @@ def run_experiment(
             "lambda_min": spectral.lambda_min,
             "resamples": topology.resamples,
         },
-        "theory": params.theory,
     }
+    if gt:
+        summary["theory"] = {"mode": cfg.mode, "parameters": {}}
+        rounds = _gt_rounds(cfg, losses, topology, init, summary)
+    else:
+        run_cfg, summary["theory"] = resolve_parameters(cfg, losses, topology, init)
+        rounds = _caden_rounds(cfg, run_cfg, losses, topology, init, summary)
     if eval_set is None:
         acc_fn = lambda x: None  # noqa: E731 - trivial closure
     else:
@@ -440,12 +437,9 @@ def run_experiment(
     error: Exception | None = None
     final_state: tuple[np.ndarray, np.ndarray] | None = None
     try:
-        if cfg.algorithm == "gt":
-            _run_gt(cfg, losses, topology, init, trace, clock, acc_fn, summary)
-        else:
-            final_state = _run_caden(
-                cfg, losses, topology, init, params, trace, clock, acc_fn, summary
-            )
+        final_state = _record(
+            rounds, cfg, losses, topology, init, trace, clock, acc_fn, summary, duals=not gt
+        )
     except Exception as exc:  # flush partial trace, then surface the failure
         error = exc
         summary["error"] = f"{type(exc).__name__}: {exc}"
@@ -470,7 +464,7 @@ def run_experiment(
         json_path = out / f"{cfg.output_label}_summary.json"
         csv_path.write_text(trace.to_csv(), encoding="ascii")
         json_path.write_text(strict_json(summary), encoding="ascii")
-    if error is None and cfg.output_save_state and final_state is not None:
+    if error is None and cfg.output_save_state:
         engine.save_checkpoint(
             cfg.output_save_state, *final_state, init.start_round + cfg.rounds
         )
@@ -495,44 +489,36 @@ def strict_json(payload) -> str:
     return json.dumps(_finite_or_none(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _run_caden(cfg, losses, topology, init, params, trace, clock, acc_fn, summary):
-    solver = "gd" if cfg.algorithm == "caden-gd" else "lbfgs"
-    if solver == "gd" and cfg.caden_gd_step is None and params.lipschitz is None:
-        raise ConfigError("caden-gd needs caden.gd_step or a resolvable smoothness constant")
-    run_cfg = CadenConfig(
-        mu_z=params.mu_z,
-        mu_y=params.mu_y,
-        tau_schedule=params.tau_schedule,
-        participation=cfg.caden_participation,
-        solver=solver,
-        seed=cfg.seed,
-        lbfgs_memory=cfg.caden_lbfgs_memory,
-        gd_step=cfg.caden_gd_step,
-        lipschitz=params.lipschitz,
-    )
-    x, phi = engine.init_states(losses, topology, init.x0)
-    if init.phi0 is not None:
-        phi[:] = init.phi0
+def _record(rounds, cfg, losses, topology, init, trace, clock, acc_fn, summary, duals):
+    """Log the states that ``rounds`` yields as ``(round, models, duals or
+    trackers, communication units, active agents)``: the starting state,
+    every cadence-th round and the last one.  Stops at the first state that
+    is not finite or whose logged metrics are not.  ``duals`` says whether
+    the second array holds duals, which define V_t and phi_drift."""
     start = init.start_round
-    summary["tau_by_round"] = _tau_segments(params.tau_schedule, start, cfg.rounds, topology.m)
+    last = start + cfg.rounds
     comms = 0
-    trace.append(_caden_row(start, x, phi, losses, topology, comms, clock, acc_fn, 0))
-    last_round = start + cfg.rounds
-    for t in range(start, last_round):
-        result = engine.run_round(x, phi, losses, topology, run_cfg, t)
-        comms += result.broadcasts
-        done = t + 1
-        finite = _all_finite(x, phi)
-        if not finite or (done - start) % cfg.metrics_cadence == 0 or done == last_round:
-            trace.append(
-                _caden_row(
-                    done, x, phi, losses, topology, comms, clock, acc_fn,
-                    int(result.active.sum()),
-                )
+    for t, x, y, units, active in rounds:
+        comms += units
+        finite = _all_finite(x, y)
+        if finite and (t - start) % cfg.metrics_cadence != 0 and t != last:
+            continue
+        trace.append(
+            TraceRow(
+                round=t,
+                v=metrics.lyapunov_v(x, y, losses, topology) if duals else None,
+                rel_err=metrics.relative_error(x, losses),
+                rel_err_graph=metrics.relative_error_graph(x, losses, topology),
+                acc=acc_fn(x),
+                comms=comms,
+                time_s=clock.elapsed(),
+                phi_drift=metrics.phi_drift(y) if duals else None,
+                active=active,
             )
-            if not (finite and trace.rows[-1].finite()):
-                _stop_diverged(summary, done, "models, duals or metrics")
-    return x, phi
+        )
+        if not (finite and trace.rows[-1].finite()):
+            _stop_diverged(summary, t, f"models, {'duals' if duals else 'trackers'} or metrics")
+    return x, y
 
 
 def _all_finite(*arrays: np.ndarray) -> bool:
@@ -544,6 +530,19 @@ def _stop_diverged(summary: dict, round_index: int, what: str):
     trace up to and including its row."""
     summary["diverged_at"] = round_index
     raise DivergenceError(f"{what} not finite after round {round_index}")
+
+
+def _caden_rounds(cfg, run_cfg, losses, topology, init, summary):
+    """The starting state, then the state after each CADEN round."""
+    x, phi = engine.init_states(losses, topology, init.x0)
+    if init.phi0 is not None:
+        phi[:] = init.phi0
+    start = init.start_round
+    summary["tau_by_round"] = _tau_segments(run_cfg.tau_schedule, start, cfg.rounds)
+    yield start, x, phi, 0, 0
+    for t in range(start, start + cfg.rounds):
+        result = engine.run_round(x, phi, losses, topology, run_cfg, t)
+        yield t + 1, x, phi, result.broadcasts, int(result.active.sum())
 
 
 def _tune_gt_step(cfg, losses, topology, x0, w) -> tuple[float, list[dict]]:
@@ -567,7 +566,9 @@ def _tune_gt_step(cfg, losses, topology, x0, w) -> tuple[float, list[dict]]:
     return best_step, table
 
 
-def _run_gt(cfg, losses, topology, init, trace, clock, acc_fn, summary):
+def _gt_rounds(cfg, losses, topology, init, summary):
+    """The starting state, then the state after each gradient-tracking
+    round; tunes the step first when ``gt.step = auto``."""
     w = baselines.metropolis_weights(topology)
     if cfg.gt_step is not None:
         step = cfg.gt_step
@@ -576,33 +577,11 @@ def _run_gt(cfg, losses, topology, init, trace, clock, acc_fn, summary):
         summary["gt_tuning"] = {"grid": list(GT_STEP_GRID), "table": table, "selected": step}
     summary["theory"]["parameters"]["gt_step"] = step
     state = baselines.gt_init(losses, init.x0, w, step)
-
-    def row(round_index, comms):
-        return TraceRow(
-            round=round_index,
-            v=None,
-            rel_err=metrics.relative_error(state.x, losses),
-            rel_err_graph=metrics.relative_error_graph(state.x, losses, topology),
-            acc=acc_fn(state.x),
-            comms=comms,
-            time_s=clock.elapsed(),
-            phi_drift=None,
-            active=topology.m,
-        )
-
-    comms = 0
-    trace.append(row(0, comms))
-    trace.rows[-1].active = 0
+    yield 0, state.x, state.g, 0, 0
     for t in range(cfg.rounds):
         state = baselines.gt_round(state, losses)
         # Each agent shares its model and its tracker: two d-vectors.
-        comms += 2 * topology.m
-        done = t + 1
-        finite = _all_finite(state.x, state.g)
-        if not finite or done % cfg.metrics_cadence == 0 or done == cfg.rounds:
-            trace.append(row(done, comms))
-            if not (finite and trace.rows[-1].finite()):
-                _stop_diverged(summary, done, "models, trackers or metrics")
+        yield t + 1, state.x, state.g, 2 * topology.m, topology.m
 
 
 def _threshold_table(cfg: ExperimentConfig, trace: RunTrace) -> list[dict]:

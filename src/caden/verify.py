@@ -199,21 +199,14 @@ def verify_constants(rate: float = 0.5) -> VerifyResult:
 
 
 SUITES = {
-    "sandwich": verify_sandwich,
-    "equivalence": verify_equivalence,
-    "constants": verify_constants,
+    "sandwich": lambda seed: verify_sandwich(seed=seed),
+    "equivalence": lambda seed: verify_equivalence(seed=seed),
+    "constants": lambda seed: verify_constants(),
 }
 
 
 def run_suites(names: list[str], seed: int = 0) -> list[VerifyResult]:
-    results = []
-    for name in names:
-        if name == "sandwich":
-            results.append(verify_sandwich(seed=seed))
-        elif name == "equivalence":
-            results.append(verify_equivalence(seed=seed))
-        elif name == "constants":
-            results.append(verify_constants())
-        else:
-            raise ValueError(f"unknown suite {name!r}")
-    return results
+    unknown = [name for name in names if name not in SUITES]
+    if unknown:
+        raise ValueError(f"unknown suite {unknown[0]!r}")
+    return [SUITES[name](seed) for name in names]

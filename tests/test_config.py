@@ -95,9 +95,16 @@ def _value_strategy(key):
         int: st.integers(),
         float: floats,
         bool: st.booleans(),
-        # A value is one stripped line with no comment marker.
-        str: st.text("abcXYZ019 _-.,/=:").map(str.strip),
+        str: st.text(),
     }[annotation]
+
+
+def _reads_back(key, value) -> bool:
+    """Whether the value, written alone on a config line, parses back to itself."""
+    try:
+        return getattr(config.parse_config(f"{key.name} = {value}\n"), key.attr) == value
+    except ConfigError:
+        return False
 
 
 random_configs = st.fixed_dictionaries(
@@ -108,9 +115,24 @@ random_configs = st.fixed_dictionaries(
 @settings(deadline=None)
 @given(random_configs)
 def test_round_trip_every_key(cfg):
+    # A config either round-trips exactly or is refused with ConfigError,
+    # and it is refused exactly when one of its strings does not read back.
+    strings = [k for k in config.KEYS if _FIELD_TYPES[k.attr] is str]
+    if not all(_reads_back(k, getattr(cfg, k.attr)) for k in strings):
+        with pytest.raises(ConfigError, match="cannot be written"):
+            config.serialize_config(cfg)
+        return
     parsed = config.parse_config(config.serialize_config(cfg))
     assert parsed == cfg
     assert [type(v) for v in vars(parsed).values()] == [type(v) for v in vars(cfg).values()]
+
+
+@pytest.mark.parametrize("value", ["runs/#3", " a ", "a\nb"])
+def test_unreadable_string_value_refused(value):
+    cfg = config.ExperimentConfig(output_dir=value)
+    with pytest.raises(ConfigError, match="output.dir"):
+        config.serialize_config(cfg)
+    assert config.config_as_dict(cfg)["output.dir"] == value
 
 
 class TestSchemaDoc:

@@ -61,12 +61,6 @@ class TestParticipation:
         rate = hits / 100_000
         assert abs(rate - 0.5) < 0.02
 
-    def test_per_agent_probabilities(self):
-        config = CadenConfig(mu_z=1.0, mu_y=1.0, participation=(1.0, 0.5), seed=1)
-        flags = np.array([engine.sample_participation(config, t, 2) for t in range(2_000)])
-        assert flags[:, 0].all()
-        assert 0.4 < flags[:, 1].mean() < 0.6
-
     def test_invalid_probability_rejected(self):
         with pytest.raises(ValueError):
             CadenConfig(mu_z=1.0, mu_y=1.0, participation=0.0)
@@ -196,15 +190,9 @@ class TestRunRound:
 class TestTauSchedule:
     def test_reduction_schedule(self):
         sched = TauSchedule(base=5, reduce_round=100, reduced=1)
-        assert sched.tau(0, 0) == 5
-        assert sched.tau(99, 3) == 5
-        assert sched.tau(100, 0) == 1
-        assert sched.minimum(rounds=150, m=4) == 1
-
-    def test_per_agent_override(self):
-        sched = TauSchedule(base=5, per_agent={2: 9})
-        assert sched.tau(0, 2) == 9
-        assert sched.tau(0, 1) == 5
+        assert sched.tau(0) == 5
+        assert sched.tau(99) == 5
+        assert sched.tau(100) == 1
 
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError, match="at least 1"):

@@ -237,6 +237,19 @@ class TestRunExperiment:
         rows = (tmp_path / "gt_metrics.csv").read_text().splitlines()
         assert [r.split(",")[0] for r in rows[1:]] == ["0", str(diverged_at)]
 
+    @pytest.mark.parametrize("algorithm", ["caden", "gt"])
+    def test_non_finite_start_stops_at_start_round(self, tmp_path, algorithm):
+        cfg = _k2_config(
+            algorithm=algorithm, gt_step=0.1, rounds=10, init_strategy="random",
+            init_scale=float("inf"), output_label="inf",
+        )
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError):
+            run_experiment(cfg, out_dir=str(tmp_path))
+        summary = json.loads((tmp_path / "inf_summary.json").read_text())
+        assert summary["diverged_at"] == 0
+        rows = (tmp_path / "inf_metrics.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["0"]
+
     def test_topology_from_file(self, tmp_path):
         from caden import graphs
 
@@ -327,6 +340,25 @@ class TestGtRuns:
         with pytest.raises(ConfigError, match="output.save_state"):
             run_experiment(cfg, out_dir=str(tmp_path))
         assert not (tmp_path / "s.bin").exists()
+
+    def test_gt_rejects_theory_mode(self, tmp_path):
+        cfg = _k2_config(algorithm="gt", gt_step=0.1, mode="theory")
+        with pytest.raises(ConfigError, match="mode = theory"):
+            run_experiment(cfg, out_dir=str(tmp_path))
+
+    def test_gt_runs_logistic_loss_from_zeros(self, tmp_path):
+        # Gradient tracking needs no smoothness constant, so the default
+        # zero start works for a loss without an exact one.
+        cfg = ExperimentConfig(
+            seed=0, rounds=5, algorithm="gt", loss_kind="logistic",
+            topology_kind="complete", topology_m=3,
+            loss_samples_per_agent=10, loss_eval_samples=10,
+            init_strategy="zeros", metrics_wall_time=False, output_label="gt",
+        )
+        result = run_experiment(cfg, out_dir=str(tmp_path))
+        assert result.trace.rows[-1].round == 5
+        selected = result.summary["gt_tuning"]["selected"]
+        assert result.summary["theory"]["parameters"] == {"gt_step": selected}
 
     def test_gt_converges_with_tuned_step(self, tmp_path):
         cfg = _k2_config(algorithm="gt", rounds=300, caden_mu_z=None)
@@ -422,6 +454,12 @@ class TestCli:
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(serialize_config(_k2_config()))
         assert cli.main(["sweep", "--config", str(cfg_path)]) == 2
+
+    def test_unknown_suite_rejected(self):
+        from caden.verify import run_suites
+
+        with pytest.raises(ValueError, match="unknown suite 'nope'"):
+            run_suites(["nope"])
 
     def test_verify_subcommand(self, tmp_path, capsys):
         code = cli.main(["verify", "--suite", "equivalence", "--out-dir", str(tmp_path)])

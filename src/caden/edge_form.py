@@ -6,7 +6,9 @@ consensus variable z_ij and two duals, one per endpoint.  It runs full
 participation only and serves as the equivalence oracle for the agent-form
 engine: with zero dual initialization the two endpoint duals stay
 antisymmetric, z collapses to the edge midpoints, and the x-trajectories of
-the two forms coincide.
+the two forms coincide.  The x-step builds each agent's ``LocalSubproblem``
+and solves it through ``engine.solve_local`` with the run's ``CadenConfig``,
+so both forms share one config and one solver.
 """
 
 from __future__ import annotations
@@ -15,15 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import CadenConfig, solve_local
 from .graphs import Topology, constraint_residual, edge_midpoints
 from .losses import LocalLoss
-from .solvers import (
-    DEFAULT_MEMORY,
-    LocalSubproblem,
-    gd_minimize,
-    lbfgs_minimize,
-    solve_exact_quadratic,
-)
+from .solvers import LocalSubproblem
 
 
 @dataclass
@@ -48,67 +45,43 @@ def init_edge_state(topology: Topology, x_init: np.ndarray) -> EdgeState:
     return EdgeState(x=x, z=z, y=y)
 
 
-def local_objective(
-    state: EdgeState, topology: Topology, agent: int, loss: LocalLoss, mu_z: float
-):
-    """Value/gradient closures of the agent's edge-form x-step objective:
+def edge_subproblem(
+    agent: int,
+    state: EdgeState,
+    phi: np.ndarray,
+    loss: LocalLoss,
+    topology: Topology,
+    mu_z: float,
+) -> LocalSubproblem:
+    """The agent's edge-form x-step objective
 
         f_i(x) + sum_{edges k at i} [ y_k,i . (x - z_k) + (mu_z/2) ||x - z_k||^2 ]
+
+    as a subproblem with dual ``phi[agent]`` (the per-agent sums of
+    ``dual_aggregates``) and one anchor z_k per incident edge; the two differ
+    by the constant -sum_k y_k,i . z_k.
     """
-    incident = topology.incident(agent)
-
-    def value(x: np.ndarray) -> float:
-        total = loss.value(x)
-        for k, _, side in incident:
-            diff = x - state.z[k]
-            total += float(state.y[k, side] @ diff) + 0.5 * mu_z * float(diff @ diff)
-        return total
-
-    def gradient(x: np.ndarray) -> np.ndarray:
-        g = loss.gradient(x)
-        for k, _, side in incident:
-            g = g + state.y[k, side] + mu_z * (x - state.z[k])
-        return g
-
-    return value, gradient
+    edges = [k for k, _, _ in topology.incident(agent)]
+    return LocalSubproblem(loss=loss, phi=phi[agent], anchors=state.z[edges], mu_z=mu_z)
 
 
 def edge_x_step(
     state: EdgeState,
     losses: list[LocalLoss],
     topology: Topology,
-    mu_z: float,
-    tau: int,
-    solver: str = "lbfgs",
-    memory: int = DEFAULT_MEMORY,
-    gd_step: float | None = None,
+    config: CadenConfig,
+    round_index: int,
 ) -> np.ndarray:
-    """Inexactly minimize every agent's edge-form objective, warm-started.
-
-    Must be driven with the same solver and iteration budget as the paired
-    agent-form run for trace equality.
-    """
+    """Inexactly minimize every agent's edge-form objective, warm-started,
+    with the solver and round budget of ``config``."""
+    if config.participation < 1.0:
+        raise ValueError("the edge form runs full participation only")
+    phi = dual_aggregates(state, topology)
+    tau = config.tau_schedule.tau(round_index)
     new_x = np.empty_like(state.x)
     for i in range(topology.m):
-        if solver == "exact":
-            incident = topology.incident(i)
-            phi = np.zeros(state.x.shape[1])
-            anchors = np.empty((len(incident), state.x.shape[1]))
-            for slot, (k, _, side) in enumerate(incident):
-                phi += state.y[k, side]
-                anchors[slot] = state.z[k]
-            problem = LocalSubproblem(loss=losses[i], phi=phi, anchors=anchors, mu_z=mu_z)
-            new_x[i] = solve_exact_quadratic(problem).x_out
-            continue
-        value, gradient = local_objective(state, topology, i, losses[i], mu_z)
-        if solver == "lbfgs":
-            new_x[i] = lbfgs_minimize(value, gradient, state.x[i], tau, memory).x_out
-        elif solver == "gd":
-            if gd_step is None:
-                raise ValueError("gd solver needs an explicit step")
-            new_x[i] = gd_minimize(gradient, state.x[i], tau, gd_step).x_out
-        else:
-            raise ValueError(f"unknown solver {solver!r}")
+        problem = edge_subproblem(i, state, phi, losses[i], topology, config.mu_z)
+        new_x[i] = solve_local(problem, state.x[i], config, tau).x_out
     return new_x
 
 
@@ -131,19 +104,15 @@ def run_edge_round(
     state: EdgeState,
     losses: list[LocalLoss],
     topology: Topology,
-    mu_z: float,
-    mu_y: float,
-    tau: int,
-    solver: str = "lbfgs",
-    memory: int = DEFAULT_MEMORY,
-    gd_step: float | None = None,
+    config: CadenConfig,
+    round_index: int,
 ) -> EdgeState:
     """One synchronous x, z, y sweep; returns the new state."""
-    x = edge_x_step(state, losses, topology, mu_z, tau, solver, memory, gd_step)
+    x = edge_x_step(state, losses, topology, config, round_index)
     mid = EdgeState(x=x, z=state.z, y=state.y)
-    z = edge_z_step(mid, topology, mu_z)
+    z = edge_z_step(mid, topology, config.mu_z)
     mid = EdgeState(x=x, z=z, y=state.y)
-    y = edge_y_step(mid, topology, mu_y)
+    y = edge_y_step(mid, topology, config.mu_y)
     return EdgeState(x=x, z=z, y=y)
 
 

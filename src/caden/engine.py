@@ -24,6 +24,7 @@ from .losses import LocalLoss
 from .solvers import (
     DEFAULT_MEMORY,
     LocalSubproblem,
+    SolverReport,
     solve_exact_quadratic,
     solve_gd,
     solve_lbfgs,
@@ -134,6 +135,23 @@ def local_subproblem(
     return LocalSubproblem(loss=loss, phi=phi[agent], anchors=anchors, mu_z=mu_z)
 
 
+def solve_local(
+    problem: LocalSubproblem, x_start: np.ndarray, config: CadenConfig, tau: int
+) -> SolverReport:
+    """The one local-solver dispatch: tau iterations of ``config.solver`` on
+    ``problem``, warm-started at ``x_start`` (the exact solve uses neither).
+
+    Calls the solvers through this module's globals, so a wrapper installed
+    on ``caden.engine.solve_lbfgs`` or ``caden.engine.solve_gd`` sees each
+    solve.
+    """
+    if config.solver == "lbfgs":
+        return solve_lbfgs(problem, x_start, tau, config.lbfgs_memory)
+    if config.solver == "gd":
+        return solve_gd(problem, x_start, tau, step=config.gd_step, lipschitz=config.lipschitz)
+    return solve_exact_quadratic(problem)
+
+
 def primal_update(
     agent: int,
     x: np.ndarray,
@@ -150,14 +168,7 @@ def primal_update(
     have computed theirs.
     """
     problem = local_subproblem(agent, x, phi, losses[agent], topology, config.mu_z)
-    tau = config.tau_schedule.tau(round_index)
-    if config.solver == "lbfgs":
-        report = solve_lbfgs(problem, x[agent], tau, config.lbfgs_memory)
-    elif config.solver == "gd":
-        report = solve_gd(problem, x[agent], tau, step=config.gd_step, lipschitz=config.lipschitz)
-    else:
-        report = solve_exact_quadratic(problem)
-    return report.x_out
+    return solve_local(problem, x[agent], config, config.tau_schedule.tau(round_index)).x_out
 
 
 def broadcast(x: np.ndarray, new_x: dict[int, np.ndarray]) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -275,18 +275,15 @@ def _exact_smoothness(losses) -> float | None:
     return max(values)
 
 
-def _probe_contraction(cfg, losses, topology, init, mu_z) -> float:
-    """Max over agents of the empirical subproblem contraction rate."""
+def _probe_contraction(cfg, run_cfg, losses, topology, init) -> float:
+    """Max over agents of the empirical subproblem contraction rate of the
+    run's own local solver."""
     rate = 0.0
     phi = np.zeros_like(init.x0)
     for i, loss in enumerate(losses):
-        problem = engine.local_subproblem(i, init.x0, phi, loss, topology, mu_z)
-        rate = max(
-            rate,
-            estimate_contraction(
-                problem, init.x0[i], cfg.contraction_probe_iters, memory=cfg.caden_lbfgs_memory
-            ),
-        )
+        problem = engine.local_subproblem(i, init.x0, phi, loss, topology, run_cfg.mu_z)
+        report = engine.solve_local(problem, init.x0[i], run_cfg, cfg.contraction_probe_iters)
+        rate = max(rate, estimate_contraction(report))
     return rate
 
 
@@ -298,8 +295,8 @@ def resolve_parameters(
 
     Practice mode: mu_z = 2L + 1 and mu_y = mu_z unless set explicitly; tau
     comes from the config schedule.  Theory mode probes the local contraction
-    rate, takes the full prescribed triple, and reports the analysis
-    constants at the prescribed budget.
+    rate of the run's solver, takes the full prescribed triple, and reports
+    the analysis constants at the prescribed budget.
     """
     l_hat = init.lipschitz
     if cfg.caden_mu_z is not None:
@@ -314,46 +311,14 @@ def resolve_parameters(
     solver = "gd" if cfg.algorithm == "caden-gd" else "lbfgs"
     if solver == "gd" and cfg.caden_gd_step is None and l_hat is None:
         raise ConfigError("caden-gd needs caden.gd_step or a resolvable smoothness constant")
-    schedule = TauSchedule(
-        base=cfg.caden_tau,
-        reduce_round=None if cfg.caden_tau_reduce_round < 0 else cfg.caden_tau_reduce_round,
-        reduced=cfg.caden_tau_reduced,
-    )
-    theory_info: dict = {"mode": cfg.mode}
-    if cfg.mode == "theory":
-        if l_hat is None:
-            raise ConfigError("theory mode needs a smoothness constant")
-        spectral = graphs.laplacian_spectrum(topology)
-        rate = _probe_contraction(cfg, losses, topology, init, mu_z)
-        rate = min(max(rate, 1e-12), 1.0 - 1e-12)
-        selected = theory.select_parameters(l_hat, spectral, cfg.caden_participation, rate)
-        mu_z, mu_y = selected.mu_z, selected.mu_y
-        schedule = TauSchedule(base=selected.tau)
-        report = theory.compute_constants(
-            theory.TheoryInputs(
-                lipschitz=l_hat,
-                spectral=spectral,
-                p_min=cfg.caden_participation,
-                rate=rate,
-                tau=selected.tau,
-                mu_z=mu_z,
-                mu_y=mu_y,
-            )
-        )
-        theory_info.update(
-            {
-                "contraction_rate": rate,
-                "selected": {"mu_z": mu_z, "mu_y": mu_y, "tau": selected.tau},
-                "report": report.as_dict(),
-            }
-        )
-    else:
-        mu_y = cfg.caden_mu_y if cfg.caden_mu_y is not None else mu_z
-    theory_info["parameters"] = {"mu_z": mu_z, "mu_y": mu_y, "lipschitz": l_hat}
     run_cfg = CadenConfig(
         mu_z=mu_z,
-        mu_y=mu_y,
-        tau_schedule=schedule,
+        mu_y=cfg.caden_mu_y if cfg.caden_mu_y is not None else mu_z,
+        tau_schedule=TauSchedule(
+            base=cfg.caden_tau,
+            reduce_round=None if cfg.caden_tau_reduce_round < 0 else cfg.caden_tau_reduce_round,
+            reduced=cfg.caden_tau_reduced,
+        ),
         participation=cfg.caden_participation,
         solver=solver,
         seed=cfg.seed,
@@ -361,7 +326,67 @@ def resolve_parameters(
         gd_step=cfg.caden_gd_step,
         lipschitz=l_hat,
     )
+    theory_info: dict = {"mode": cfg.mode}
+    if cfg.mode == "theory":
+        if l_hat is None:
+            raise ConfigError("theory mode needs a smoothness constant")
+        spectral = graphs.laplacian_spectrum(topology)
+        rate = _probe_contraction(cfg, run_cfg, losses, topology, init)
+        rate = min(max(rate, 1e-12), 1.0 - 1e-12)
+        selected = theory.select_parameters(l_hat, spectral, cfg.caden_participation, rate)
+        run_cfg = replace(
+            run_cfg,
+            mu_z=selected.mu_z,
+            mu_y=selected.mu_y,
+            tau_schedule=TauSchedule(base=selected.tau),
+        )
+        report = theory.compute_constants(
+            theory.TheoryInputs(
+                lipschitz=l_hat,
+                spectral=spectral,
+                p_min=cfg.caden_participation,
+                rate=rate,
+                tau=selected.tau,
+                mu_z=selected.mu_z,
+                mu_y=selected.mu_y,
+            )
+        )
+        theory_info.update(
+            {
+                "contraction_rate": rate,
+                "selected": {"mu_z": selected.mu_z, "mu_y": selected.mu_y, "tau": selected.tau},
+                "report": report.as_dict(),
+            }
+        )
+    theory_info["parameters"] = {"mu_z": run_cfg.mu_z, "mu_y": run_cfg.mu_y, "lipschitz": l_hat}
     return run_cfg, theory_info
+
+
+def _check_ranges(cfg: ExperimentConfig) -> None:
+    """Raise ConfigError naming the first key whose value is out of range;
+    the CADEN keys are checked for CADEN runs only."""
+    checks = [
+        ("rounds", cfg.rounds >= 0, "at least 0"),
+        ("metrics_cadence", cfg.metrics_cadence >= 1, "at least 1"),
+    ]
+    if cfg.algorithm != "gt":
+        checks += [
+            ("caden_tau", cfg.caden_tau >= 1, "at least 1"),
+            ("caden_tau_reduced", cfg.caden_tau_reduced >= 1, "at least 1"),
+            ("caden_participation", 0.0 < cfg.caden_participation <= 1.0, "in (0, 1]"),
+            ("caden_mu_z", cfg.caden_mu_z is None or cfg.caden_mu_z > 0.0, "positive"),
+            ("caden_mu_y", cfg.caden_mu_y is None or cfg.caden_mu_y > 0.0, "positive"),
+            ("caden_gd_step", cfg.caden_gd_step is None or cfg.caden_gd_step > 0.0, "positive"),
+            ("caden_lbfgs_memory", cfg.caden_lbfgs_memory >= 1, "at least 1"),
+        ]
+        if cfg.mode == "theory":
+            checks.append(
+                ("contraction_probe_iters", cfg.contraction_probe_iters >= 1, "at least 1")
+            )
+    for attr, ok, requirement in checks:
+        if not ok:
+            key = attr.replace("_", ".", 1)
+            raise ConfigError(f"{key} must be {requirement}, got {getattr(cfg, attr)!r}")
 
 
 def _tau_segments(schedule: TauSchedule, start: int, rounds: int) -> list[list[int]]:
@@ -405,6 +430,7 @@ def run_experiment(
         ):
             if value:
                 raise ConfigError(f"{key} is not supported with algorithm = gt")
+    _check_ranges(cfg)
     topology = build_topology(cfg)
     losses, eval_set = build_losses(cfg, topology)
     init = initialize(cfg, losses, topology)

@@ -7,6 +7,8 @@ The primal step of each round minimizes
 for a fixed iteration budget tau.  The primary solver is limited-memory BFGS
 (two-loop recursion, Armijo backtracking); a plain gradient-descent variant
 and an exact closed-form solve for quadratic losses are also provided.
+``engine.solve_local`` is the one place that picks among them, for the agent
+form, the edge form and the contraction probe alike.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from .losses import LocalLoss, QuadraticLoss
 ARMIJO_C1 = 1e-4
 ARMIJO_SHRINK = 0.5
 # Relative slack in the acceptance test; makes accept/reject robust to
-# last-ulp noise in objective evaluation (equivalent objectives that differ
-# by an additive constant must line-search identically).
+# last-ulp noise in objective evaluation.
 ARMIJO_SLACK = 1e-12
 MAX_BACKTRACKS = 30
 CURVATURE_SKIP_TOL = 1e-10
@@ -78,7 +79,6 @@ class SolverReport:
     iterations: int
     grad_norm_in: float
     grad_norm_out: float
-    rate_estimate: float
     grad_norms: list[float] = field(default_factory=list, repr=False)
     values: list[float] = field(default_factory=list, repr=False)
     line_search_failures: int = 0
@@ -217,7 +217,6 @@ def lbfgs_minimize(
         iterations=performed,
         grad_norm_in=norms[0],
         grad_norm_out=gnorm,
-        rate_estimate=_geometric_rate(norms),
         grad_norms=norms,
         values=vals,
         line_search_failures=failures,
@@ -251,7 +250,6 @@ def gd_minimize(
         iterations=performed,
         grad_norm_in=norms[0],
         grad_norm_out=gnorm,
-        rate_estimate=_geometric_rate(norms),
         grad_norms=norms,
     )
 
@@ -313,32 +311,18 @@ def solve_exact_quadratic(problem: LocalSubproblem) -> SolverReport:
         iterations=0,
         grad_norm_in=gnorm,
         grad_norm_out=gnorm,
-        rate_estimate=0.0,
         grad_norms=[gnorm],
     )
 
 
-def estimate_contraction(
-    problem: LocalSubproblem,
-    x_start: np.ndarray,
-    probe_iters: int,
-    method: str = "lbfgs",
-    memory: int = DEFAULT_MEMORY,
-    step: float | None = None,
-) -> float:
+def estimate_contraction(report: SolverReport) -> float:
     """Empirical per-iteration decay factor of the squared gradient norm.
 
-    Runs ``probe_iters`` solver iterations and returns the geometric mean of
-    successive squared-gradient-norm ratios, clamped to (0, 1] with a warning
-    when the raw estimate exceeds 1.  A zero starting gradient returns 0
-    (already solved).  Meaningful only on strongly convex subproblems.
+    Returns the geometric mean of the solve's successive squared-gradient-norm
+    ratios, clamped to (0, 1] with a warning when the raw estimate exceeds 1.
+    A zero starting gradient returns 0 (already solved).  Meaningful only on
+    strongly convex subproblems.
     """
-    if method == "lbfgs":
-        report = solve_lbfgs(problem, x_start, probe_iters, memory)
-    elif method == "gd":
-        report = solve_gd(problem, x_start, probe_iters, step=step)
-    else:
-        raise ValueError(f"unknown method {method!r}")
     if report.grad_norm_in == 0.0:
         return 0.0
     rate = _geometric_rate(report.grad_norms) ** 2

@@ -78,8 +78,8 @@ def verify_equivalence(
     mu_z: float = 3.0,
     mu_y: float = 2.0,
 ) -> VerifyResult:
-    """Edge-form and agent-form trajectories must coincide round for round
-    under full participation, identical seeds and the same local solver."""
+    """Edge-form and agent-form trajectories and duals must coincide round for
+    round, both driven by one full-participation config."""
     topology, losses, x0 = _paired_quadratic_instance(seed)
     config = CadenConfig(
         mu_z=mu_z, mu_y=mu_y, tau_schedule=TauSchedule(base=tau), participation=1.0, seed=seed
@@ -91,14 +91,16 @@ def verify_equivalence(
     max_phi_gap = 0.0
     for t in range(rounds):
         engine.run_round(x, phi, losses, topology, config, t)
-        edge_state = edge_form.run_edge_round(
-            edge_state, losses, topology, mu_z=mu_z, mu_y=mu_y, tau=tau
-        )
+        edge_state = edge_form.run_edge_round(edge_state, losses, topology, config, t)
         max_gap = max(max_gap, float(np.abs(x - edge_state.x).max()))
         max_antisym = max(max_antisym, edge_form.antisymmetry_gap(edge_state))
         rebuilt_phi = edge_form.dual_aggregates(edge_state, topology)
         max_phi_gap = max(max_phi_gap, float(np.abs(phi - rebuilt_phi).max()))
-    passed = max_gap <= EQUIVALENCE_TOL and max_antisym <= ANTISYMMETRY_TOL
+    passed = (
+        max_gap <= EQUIVALENCE_TOL
+        and max_phi_gap <= EQUIVALENCE_TOL
+        and max_antisym <= ANTISYMMETRY_TOL
+    )
     return VerifyResult(
         suite="equivalence",
         passed=passed,
@@ -109,7 +111,7 @@ def verify_equivalence(
             "max_dual_gap": max_phi_gap,
             "headline": (
                 f"{rounds} rounds, trajectory gap {max_gap:.3e}, "
-                f"antisymmetry {max_antisym:.3e}"
+                f"dual gap {max_phi_gap:.3e}, antisymmetry {max_antisym:.3e}"
             ),
         },
     )

@@ -19,7 +19,7 @@ from caden.config import ExperimentConfig
 from caden.engine import CadenConfig, TauSchedule
 from caden.harness import participation_sweep, run_experiment
 from caden.losses import QuadraticLoss
-from caden.solvers import LocalSubproblem, estimate_contraction
+from caden.solvers import LocalSubproblem, estimate_contraction, solve_gd, solve_lbfgs
 from caden.verify import verify_constants, verify_equivalence, verify_sandwich
 
 from helpers import lyapunov_v_midpoint_form, random_psd
@@ -175,10 +175,8 @@ def test_criterion_5_curvature_acceleration(nonconvex_runs):
                 loss=loss, phi=np.zeros(d), anchors=np.zeros((0, d)), mu_z=0.0
             )
             x0 = rng.standard_normal(d)
-            r_lbfgs = estimate_contraction(problem, x0, probe_iters=20)
-            r_gd = estimate_contraction(
-                problem, x0, probe_iters=20, method="gd", step=2.0 / 101.0
-            )
+            r_lbfgs = estimate_contraction(solve_lbfgs(problem, x0, 20))
+            r_gd = estimate_contraction(solve_gd(problem, x0, 20, step=2.0 / 101.0))
             assert r_lbfgs <= r_gd
 
 

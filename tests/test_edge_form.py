@@ -1,15 +1,18 @@
 """Edge-variable reference form: step formulas, antisymmetry, equivalence."""
 
+import types
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from caden import edge_form, engine, graphs
+from caden import edge_form, engine, graphs, verify
 from caden.engine import CadenConfig, TauSchedule
 from caden.losses import QuadraticLoss
-from caden.solvers import LocalSubproblem
-from caden.verify import verify_equivalence
+from caden.verify import EQUIVALENCE_TOL, verify_equivalence
 
-from helpers import dense_augmented_lagrangian
+from helpers import dense_augmented_lagrangian, random_psd
 
 
 def _k2_state(x_vals, z_vals, y_vals):
@@ -24,8 +27,9 @@ def _k2_state(x_vals, z_vals, y_vals):
 
 class TestLocalObjective:
     def test_gradient_matches_agent_form_identity(self):
-        # With z at midpoints and the dual aggregated, the edge-form gradient
-        # equals the agent-form subproblem gradient.
+        # The subproblem built from the aggregated duals and the edge anchors
+        # has the gradient of the explicit per-edge x-step objective, and its
+        # value up to the constant -sum_k y_k,i . z_k.
         rng = np.random.default_rng(0)
         topology = graphs.build_random_graph(6, 0.5, seed=1)
         losses = [QuadraticLoss(q=rng.uniform(0.5, 2.0, 3), a=rng.standard_normal(3))
@@ -34,19 +38,27 @@ class TestLocalObjective:
         state = edge_form.init_edge_state(topology, x)
         state.y = rng.standard_normal(state.y.shape)
         mu_z = 2.5
+        phi = edge_form.dual_aggregates(state, topology)
         for i in range(6):
-            value, gradient = edge_form.local_objective(state, topology, i, losses[i], mu_z)
+            problem = edge_form.edge_subproblem(i, state, phi, losses[i], topology, mu_z)
             incident = topology.incident(i)
-            phi = sum(state.y[k, side] for k, _, side in incident)
-            anchors = np.array([state.z[k] for k, _, _ in incident])
-            problem = LocalSubproblem(loss=losses[i], phi=phi, anchors=anchors, mu_z=mu_z)
             point = rng.standard_normal(3)
-            assert np.allclose(gradient(point), problem.gradient(point), atol=1e-12)
+            value = losses[i].value(point)
+            gradient = losses[i].gradient(point)
+            constant = 0.0
+            for k, _, side in incident:
+                diff = point - state.z[k]
+                value += float(state.y[k, side] @ diff) + 0.5 * mu_z * float(diff @ diff)
+                gradient = gradient + state.y[k, side] + mu_z * diff
+                constant -= float(state.y[k, side] @ state.z[k])
+            assert np.allclose(gradient, problem.gradient(point), atol=1e-12)
+            assert value == pytest.approx(problem.value(point) + constant, rel=1e-12, abs=1e-12)
 
     def test_zero_losses_zero_duals_minimizer_is_anchor(self):
         topology, state = _k2_state([1.0, -1.0], [0.0], [0.0, 0.0])
         loss = QuadraticLoss(q=np.zeros(1), a=np.zeros(1))
-        new_x = edge_form.edge_x_step(state, [loss, loss], topology, mu_z=2.0, tau=30)
+        config = CadenConfig(mu_z=2.0, mu_y=2.0, tau_schedule=TauSchedule(base=30))
+        new_x = edge_form.edge_x_step(state, [loss, loss], topology, config, 0)
         assert np.allclose(new_x, 0.0, atol=1e-10)
 
 
@@ -94,9 +106,7 @@ class TestYStep:
         edge_state = edge_form.init_edge_state(topology, x0)
         for t in range(20):
             engine.run_round(x, phi, losses, topology, config, t)
-            edge_state = edge_form.run_edge_round(
-                edge_state, losses, topology, mu_z=3.0, mu_y=2.0, tau=4
-            )
+            edge_state = edge_form.run_edge_round(edge_state, losses, topology, config, t)
             rebuilt = edge_form.dual_aggregates(edge_state, topology)
             assert np.abs(phi - rebuilt).max() <= 1e-10
 
@@ -147,11 +157,10 @@ class TestAugmentedObjectiveTrend:
         topology = graphs.build_random_graph(5, 0.6, seed=5)
         losses = [QuadraticLoss(q=np.ones(2), a=rng.standard_normal(2)) for _ in range(5)]
         state = edge_form.init_edge_state(topology, rng.standard_normal((5, 2)))
+        config = CadenConfig(mu_z=3.0, mu_y=2.0, tau_schedule=TauSchedule(base=5))
         values = [edge_form.augmented_lagrangian_value(state, losses, topology, mu_z=3.0)]
-        for _ in range(30):
-            state = edge_form.run_edge_round(
-                state, losses, topology, mu_z=3.0, mu_y=2.0, tau=5
-            )
+        for t in range(30):
+            state = edge_form.run_edge_round(state, losses, topology, config, t)
             values.append(
                 edge_form.augmented_lagrangian_value(state, losses, topology, mu_z=3.0)
             )
@@ -164,7 +173,8 @@ class TestPairedEquivalence:
         losses = [QuadraticLoss(q=np.ones(1), a=np.array([0.0])),
                   QuadraticLoss(q=np.ones(1), a=np.array([2.0]))]
         state = edge_form.init_edge_state(topology, np.array([[0.0], [2.0]]))
-        new_x = edge_form.edge_x_step(state, losses, topology, mu_z=3.0, tau=0, solver="exact")
+        config = CadenConfig(mu_z=3.0, mu_y=3.0, solver="exact")
+        new_x = edge_form.edge_x_step(state, losses, topology, config, 0)
         assert new_x[0, 0] == pytest.approx(0.75, abs=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -173,3 +183,58 @@ class TestPairedEquivalence:
         assert result.passed, result.details
         assert result.details["max_trajectory_gap"] <= 1e-10
         assert result.details["max_antisymmetry"] <= 1e-12
+
+    def test_partial_participation_refused(self):
+        topology, state = _k2_state([0.0, 2.0], [1.0], [0.0, 0.0])
+        loss = QuadraticLoss(q=np.ones(1), a=np.zeros(1))
+        config = CadenConfig(mu_z=3.0, mu_y=3.0, participation=0.5)
+        with pytest.raises(ValueError, match="full participation"):
+            edge_form.run_edge_round(state, [loss, loss], topology, config, 0)
+
+    def test_dual_gap_fails_the_suite(self, monkeypatch):
+        # The edge form runs unchanged, but the suite reads its duals back
+        # shifted: the trajectories agree and the dual gap alone must fail it.
+        def shifted(state, topology):
+            return edge_form.dual_aggregates(state, topology) + 1e-6
+
+        view = types.SimpleNamespace(**vars(edge_form))
+        view.dual_aggregates = shifted
+        monkeypatch.setattr(verify, "edge_form", view)
+        result = verify_equivalence(seed=0, rounds=5)
+        assert result.details["max_trajectory_gap"] <= EQUIVALENCE_TOL
+        assert result.details["max_dual_gap"] > EQUIVALENCE_TOL
+        assert not result.passed
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(2, 9),
+    d=st.integers(1, 5),
+    edge_prob=st.floats(0.2, 1.0),
+    tau=st.integers(1, 7),
+    solver=st.sampled_from(["lbfgs", "gd", "exact"]),
+    mu_z=st.floats(0.1, 5.0),
+    mu_y_share=st.floats(0.01, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_forms_agree_on_random_graphs_and_budgets(
+    m, d, edge_prob, tau, solver, mu_z, mu_y_share, seed
+):
+    # mu_y <= mu_z: with mu_y far above mu_z the iteration diverges and the
+    # absolute gaps grow with the iterates.
+    topology = graphs.build_random_graph(m, edge_prob, seed=seed)
+    rng = np.random.default_rng(seed)
+    losses = [QuadraticLoss(q=random_psd(d, 10.0, rng), a=rng.standard_normal(d))
+              for _ in range(m)]
+    x0 = rng.standard_normal((m, d))
+    config = CadenConfig(
+        mu_z=mu_z, mu_y=mu_y_share * mu_z, tau_schedule=TauSchedule(base=tau), solver=solver
+    )
+    x, phi = engine.init_states(losses, topology, x0)
+    edge_state = edge_form.init_edge_state(topology, x0)
+    for t in range(15):
+        engine.run_round(x, phi, losses, topology, config, t)
+        edge_state = edge_form.run_edge_round(edge_state, losses, topology, config, t)
+        assert np.abs(x - edge_state.x).max() <= 1e-10
+        assert np.abs(phi - edge_form.dual_aggregates(edge_state, topology)).max() <= 1e-10
+        assert edge_form.antisymmetry_gap(edge_state) <= 1e-12

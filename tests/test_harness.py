@@ -13,9 +13,13 @@ from caden.harness import (
     CSV_COLUMNS,
     RunTrace,
     TraceRow,
+    build_losses,
+    build_topology,
+    initialize,
     participation_sweep,
     run_experiment,
 )
+from caden.solvers import estimate_contraction, solve_gd
 
 
 def _k2_config(**overrides):
@@ -272,6 +276,31 @@ class TestRunExperiment:
         assert theory_info["report"]["constants"]["c1"] > 0
         assert set(theory_info["selected"]) == {"mu_z", "mu_y", "tau"}
 
+    def test_theory_probe_measures_the_run_solver(self, tmp_path):
+        # A caden-gd run prescribes its parameters from the gradient-descent
+        # contraction rate at the run's default step, not the L-BFGS one.
+        cfg = ExperimentConfig(
+            seed=2, rounds=3, algorithm="caden-gd", mode="theory",
+            topology_kind="complete", topology_m=6,
+            loss_kind="quadratic", quadratic_style="random", loss_dimension=4,
+            quadratic_cond=50.0, init_strategy="random",
+            metrics_wall_time=False, output_label="theory_gd",
+        )
+        result = run_experiment(cfg, out_dir=str(tmp_path))
+        topology = build_topology(cfg)
+        losses, _ = build_losses(cfg, topology)
+        init = initialize(cfg, losses, topology)
+        mu_z = 2.0 * init.lipschitz + 1.0
+        phi = np.zeros_like(init.x0)
+        rates = []
+        for i, loss in enumerate(losses):
+            problem = engine.local_subproblem(i, init.x0, phi, loss, topology, mu_z)
+            report = solve_gd(
+                problem, init.x0[i], cfg.contraction_probe_iters, lipschitz=init.lipschitz
+            )
+            rates.append(estimate_contraction(report))
+        assert result.summary["theory"]["contraction_rate"] == max(rates)
+
     def test_mu_z_auto_needs_smoothness(self, tmp_path):
         cfg = ExperimentConfig(
             seed=0, rounds=2, loss_kind="mlp", loss_data="blobs",
@@ -327,6 +356,32 @@ class TestRunExperiment:
         result = run_experiment(cfg, out_dir=str(tmp_path))
         assert result.summary["theory"]["parameters"]["lipschitz"] > 0
         assert result.trace.rows[-1].acc is not None
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        (dict(caden_tau=0), "caden.tau"),
+        (dict(caden_tau_reduced=0), "caden.tau_reduced"),
+        (dict(caden_participation=0.0), "caden.participation"),
+        (dict(caden_participation=1.5), "caden.participation"),
+        (dict(caden_mu_z=-1.0), "caden.mu_z"),
+        (dict(caden_mu_y=0.0), "caden.mu_y"),
+        (dict(algorithm="caden-gd", caden_gd_step=-0.1), "caden.gd_step"),
+        (dict(caden_lbfgs_memory=0), "caden.lbfgs_memory"),
+        (dict(metrics_cadence=0), "metrics.cadence"),
+        (dict(rounds=-1), "rounds"),
+        (dict(mode="theory", contraction_probe_iters=0), "contraction.probe_iters"),
+    ],
+)
+def test_out_of_range_key_refused_before_any_round(tmp_path, monkeypatch, overrides, key):
+    def no_round(*args, **kwargs):
+        raise AssertionError("a round ran")
+
+    monkeypatch.setattr(engine, "run_round", no_round)
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must"):
+        run_experiment(_k2_config(**overrides), out_dir=str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestGtRuns:

@@ -156,7 +156,7 @@ class TestLbfgs:
         lbfgs_rep = solve_lbfgs(p, x0, tau)
         gd_rep = solve_gd(p, x0, tau, step=2.0 / (1.0 + 100.0))
         assert lbfgs_rep.grad_norm_out < gd_rep.grad_norm_out
-        assert lbfgs_rep.rate_estimate < gd_rep.rate_estimate
+        assert estimate_contraction(lbfgs_rep) < estimate_contraction(gd_rep)
 
     def test_descent_direction_after_curvature_skips(self):
         rng = np.random.default_rng(6)
@@ -246,14 +246,14 @@ class TestContraction:
         rng = np.random.default_rng(11)
         for _ in range(20):
             p = _subproblem(rng, cond=30.0)
-            rate = estimate_contraction(p, rng.standard_normal(p.loss.dim), probe_iters=15)
+            rate = estimate_contraction(solve_lbfgs(p, rng.standard_normal(p.loss.dim), 15))
             assert 0.0 <= rate < 1.0
 
     def test_zero_at_minimizer(self):
         # Exactly representable minimizer: everything centered at the origin.
         loss = QuadraticLoss(q=np.ones(3), a=np.zeros(3))
         p = LocalSubproblem(loss=loss, phi=np.zeros(3), anchors=np.zeros((2, 3)), mu_z=2.0)
-        assert estimate_contraction(p, np.zeros(3), probe_iters=5) == 0.0
+        assert estimate_contraction(solve_lbfgs(p, np.zeros(3), 5)) == 0.0
 
     def test_growth_warns_and_clamps_to_one(self):
         # An unstable gradient step makes the squared norms grow; the probe
@@ -261,7 +261,7 @@ class TestContraction:
         loss = QuadraticLoss(q=np.array([1.0, 10.0]), a=np.zeros(2))
         p = LocalSubproblem(loss=loss, phi=np.zeros(2), anchors=np.zeros((0, 2)), mu_z=0.0)
         with pytest.warns(UserWarning, match="grew"):
-            rate = estimate_contraction(p, np.ones(2), probe_iters=5, method="gd", step=0.5)
+            rate = estimate_contraction(solve_gd(p, np.ones(2), 5, step=0.5))
         assert rate == 1.0
 
     def test_lbfgs_beats_optimal_gd_on_condition_100(self):
@@ -271,7 +271,6 @@ class TestContraction:
             loss = QuadraticLoss(q=random_psd(d, 100.0, rng), a=rng.standard_normal(d))
             p = LocalSubproblem(loss=loss, phi=np.zeros(d), anchors=np.zeros((0, d)), mu_z=0.0)
             x0 = rng.standard_normal(d)
-            r_lbfgs = estimate_contraction(p, x0, probe_iters=20)
-            r_gd = estimate_contraction(p, x0, probe_iters=20, method="gd",
-                                        step=2.0 / (1.0 + 100.0))
+            r_lbfgs = estimate_contraction(solve_lbfgs(p, x0, 20))
+            r_gd = estimate_contraction(solve_gd(p, x0, 20, step=2.0 / (1.0 + 100.0)))
             assert r_lbfgs <= r_gd

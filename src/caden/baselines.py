@@ -53,9 +53,3 @@ def gt_round(state: GTState, losses: list[LocalLoss]) -> GTState:
     grads_new = np.array([loss.gradient(x_new[i]) for i, loss in enumerate(losses)])
     g_new = state.w @ state.g + grads_new - state.grads
     return GTState(x=x_new, g=g_new, grads=grads_new, w=state.w, step=state.step)
-
-
-def tracking_gap(state: GTState, losses: list[LocalLoss]) -> float:
-    """Max-abs violation of the tracking identity sum g_i = sum grad f_i."""
-    fresh = np.array([loss.gradient(state.x[i]) for i, loss in enumerate(losses)])
-    return float(np.abs(state.g.sum(axis=0) - fresh.sum(axis=0)).max())

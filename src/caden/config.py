@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field, fields
-from typing import IO
 
 from .errors import ConfigError
 
@@ -236,10 +235,6 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 def load_config(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fp:
         return parse_config(fp.read())
-
-
-def save_config(cfg: ExperimentConfig, fp: IO[str]) -> None:
-    fp.write(serialize_config(cfg))
 
 
 def config_as_dict(cfg: ExperimentConfig) -> dict:

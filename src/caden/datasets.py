@@ -54,21 +54,6 @@ def load_idx_labels(path: str) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
 
 
-def write_idx_images(path: str, images: np.ndarray, rows: int, cols: int) -> None:
-    """Write float images in [0, 1] as an IDX u8 file (test/tooling helper)."""
-    count = images.shape[0]
-    u8 = np.clip(np.round(images * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fp:
-        fp.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, count, rows, cols))
-        fp.write(u8.tobytes())
-
-
-def write_idx_labels(path: str, labels: np.ndarray) -> None:
-    with open(path, "wb") as fp:
-        fp.write(struct.pack(">II", IDX_LABELS_MAGIC, labels.shape[0]))
-        fp.write(labels.astype(np.uint8).tobytes())
-
-
 def gaussian_blobs(
     samples: int,
     features: int,

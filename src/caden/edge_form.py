@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import CadenConfig, solve_local
-from .graphs import Topology, constraint_residual, edge_midpoints
+from .graphs import Topology, edge_midpoints
 from .losses import LocalLoss
 from .solvers import LocalSubproblem
 
@@ -130,15 +130,3 @@ def antisymmetry_gap(state: EdgeState) -> float:
     if state.y.shape[0] == 0:
         return 0.0
     return float(np.abs(state.y[:, 0] + state.y[:, 1]).max())
-
-
-def augmented_lagrangian_value(
-    state: EdgeState, losses: list[LocalLoss], topology: Topology, mu_z: float
-) -> float:
-    """F(x) + y . (Ax - Bz) + (mu_z / 2) ||Ax - Bz||^2, evaluated edge-wise."""
-    total = sum(loss.value(x) for loss, x in zip(losses, state.x))
-    src, dst = topology.edge_arrays()
-    total += float((state.y[:, 0] * (state.x[src] - state.z)).sum())
-    total += float((state.y[:, 1] * (state.x[dst] - state.z)).sum())
-    total += 0.5 * mu_z * constraint_residual(topology, state.x, state.z)
-    return total

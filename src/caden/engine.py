@@ -82,7 +82,6 @@ class CadenConfig:
 
 @dataclass(frozen=True)
 class RoundSummary:
-    round_index: int
     active: np.ndarray
     broadcasts: int
 
@@ -207,7 +206,7 @@ def run_round(
     broadcasts = broadcast(x, new_x)
     for i in active:
         phi[i] = dual_update(i, x, phi, topology, config)
-    return RoundSummary(round_index=round_index, active=flags, broadcasts=broadcasts)
+    return RoundSummary(active=flags, broadcasts=broadcasts)
 
 
 def save_checkpoint(path: str, x: np.ndarray, phi: np.ndarray, round_index: int) -> None:

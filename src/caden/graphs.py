@@ -274,15 +274,9 @@ def neighbor_disagreement_bounds(
     return lam * resid, mid, spectral.d_max * resid
 
 
-def write_edge_list(t: Topology, fp: IO[str]) -> None:
-    """Serialize as plain text: first line "m n", then 1-indexed "i j" lines."""
-    fp.write(f"{t.m} {t.n}\n")
-    for i, j in t.edges:
-        fp.write(f"{i + 1} {j + 1}\n")
-
-
 def read_edge_list(fp: IO[str]) -> Topology:
-    """Parse the plain-text edge-list format written by :func:`write_edge_list`."""
+    """Parse the plain-text edge-list format: first line "m n", then n
+    1-indexed "i j" lines."""
     header = fp.readline().split()
     if len(header) != 2:
         raise ValueError("edge-list header must be 'm n'")
@@ -298,11 +292,6 @@ def read_edge_list(fp: IO[str]) -> Topology:
     if len(edges) != n:
         raise ValueError(f"header declares {n} edges, file has {len(edges)}")
     return from_edges(m, edges)
-
-
-def save_edge_list(t: Topology, path: str) -> None:
-    with open(path, "w", encoding="ascii") as fp:
-        write_edge_list(t, fp)
 
 
 def load_edge_list(path: str) -> Topology:

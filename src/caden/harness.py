@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -92,10 +92,6 @@ class RunTrace:
         if self.rows and row.round <= self.rows[-1].round:
             raise ValueError("trace rounds must be strictly increasing")
         self.rows.append(row)
-
-    def column(self, name: str) -> list:
-        attr = {"V_t": "v"}.get(name, name)
-        return [getattr(r, attr) for r in self.rows]
 
     def to_csv(self) -> str:
         lines = [",".join(CSV_COLUMNS)]
@@ -216,7 +212,6 @@ class Initialization:
     phi0: np.ndarray | None
     start_round: int
     lipschitz: float | None
-    source: str
 
 
 def initialize(cfg: ExperimentConfig, losses, topology) -> Initialization:
@@ -235,7 +230,7 @@ def initialize(cfg: ExperimentConfig, losses, topology) -> Initialization:
                 f"checkpoint {cfg.init_state_file} holds (m, d) = {x0.shape}, but the "
                 f"config's topology and loss give (m, d) = {(m, d)}"
             )
-        return Initialization(x0, phi0, round_index, _exact_smoothness(losses), "checkpoint")
+        return Initialization(x0, phi0, round_index, _exact_smoothness(losses))
     if cfg.init_strategy == "warmstart":
         if isinstance(losses[0], MlpLoss):
             common = losses[0].init_params(cfg.seed)
@@ -255,7 +250,7 @@ def initialize(cfg: ExperimentConfig, losses, topology) -> Initialization:
             )
             x0[i] = est.x_init
             l_hat = max(l_hat, est.l_hat)
-        return Initialization(x0, None, 0, l_hat, "warmstart")
+        return Initialization(x0, None, 0, l_hat)
     if cfg.init_strategy == "random":
         rng = np.random.default_rng([_XINIT_STREAM, cfg.seed])
         x0 = cfg.init_scale * rng.standard_normal((m, d))
@@ -265,7 +260,7 @@ def initialize(cfg: ExperimentConfig, losses, topology) -> Initialization:
         x0 = np.tile(losses[0].init_params(cfg.seed), (m, 1))
     else:
         x0 = np.zeros((m, d))
-    return Initialization(x0, None, 0, _exact_smoothness(losses), cfg.init_strategy)
+    return Initialization(x0, None, 0, _exact_smoothness(losses))
 
 
 def _exact_smoothness(losses) -> float | None:
@@ -341,20 +336,12 @@ def resolve_parameters(
             tau_schedule=TauSchedule(base=selected.tau),
         )
         report = theory.compute_constants(
-            theory.TheoryInputs(
-                lipschitz=l_hat,
-                spectral=spectral,
-                p_min=cfg.caden_participation,
-                rate=rate,
-                tau=selected.tau,
-                mu_z=selected.mu_z,
-                mu_y=selected.mu_y,
-            )
+            l_hat, spectral, cfg.caden_participation, rate, selected
         )
         theory_info.update(
             {
                 "contraction_rate": rate,
-                "selected": {"mu_z": selected.mu_z, "mu_y": selected.mu_y, "tau": selected.tau},
+                "selected": asdict(selected),
                 "report": report.as_dict(),
             }
         )
@@ -364,12 +351,23 @@ def resolve_parameters(
 
 def _check_ranges(cfg: ExperimentConfig) -> None:
     """Raise ConfigError naming the first key whose value is out of range;
-    the CADEN keys are checked for CADEN runs only."""
+    the CADEN keys are checked for CADEN runs only, the gt keys for gt runs."""
     checks = [
         ("rounds", cfg.rounds >= 0, "at least 0"),
         ("metrics_cadence", cfg.metrics_cadence >= 1, "at least 1"),
     ]
-    if cfg.algorithm != "gt":
+    if cfg.topology_kind in ("random", "complete", "path", "ring"):
+        checks.append(("topology_m", cfg.topology_m >= 2, "at least 2"))
+    if cfg.topology_kind == "random":
+        checks.append(("topology_edge_prob", 0.0 < cfg.topology_edge_prob <= 1.0, "in (0, 1]"))
+    if cfg.loss_kind == "quadratic" and not cfg.quadratic_targets.strip():
+        checks.append(("loss_dimension", cfg.loss_dimension >= 1, "at least 1"))
+    if cfg.algorithm == "gt":
+        checks += [
+            ("gt_step", cfg.gt_step is None or cfg.gt_step > 0.0, "positive"),
+            ("gt_tune_rounds", cfg.gt_tune_rounds >= 1, "at least 1"),
+        ]
+    else:
         checks += [
             ("caden_tau", cfg.caden_tau >= 1, "at least 1"),
             ("caden_tau_reduced", cfg.caden_tau_reduced >= 1, "at least 1"),

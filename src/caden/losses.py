@@ -214,23 +214,21 @@ class LipschitzEstimate:
 
     l_hat: float
     x_init: np.ndarray
-    quotients: int
 
 
 def estimate_lipschitz(
     loss: LocalLoss,
-    x0: np.ndarray | None,
+    x0: np.ndarray,
     warm_epochs: int = 20,
     warm_lr: float = 0.1,
     probe_epochs: int = 10,
     probe_lr: float = 1e-7,
-    seed: int = 0,
 ) -> LipschitzEstimate:
     """Empirical gradient-Lipschitz constant from local full-gradient descent.
 
-    Runs ``warm_epochs`` descent steps at ``warm_lr`` from ``x0`` (a seeded
-    random start when x0 is None), then ``probe_epochs`` steps at the tiny
-    ``probe_lr``, and returns the maximum difference quotient
+    Runs ``warm_epochs`` descent steps at ``warm_lr`` from ``x0``, then
+    ``probe_epochs`` steps at the tiny ``probe_lr``, and returns the maximum
+    difference quotient
 
         ||grad(x_next) - grad(x)|| / ||x_next - x||
 
@@ -240,10 +238,7 @@ def estimate_lipschitz(
     """
     if warm_lr <= 0 or probe_lr <= 0:
         raise ValueError("learning rates must be positive")
-    if x0 is None:
-        x = np.random.default_rng([_INIT_STREAM, seed]).standard_normal(loss.dim)
-    else:
-        x = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float).copy()
     for _ in range(warm_epochs):
         x = x - warm_lr * loss.gradient(x)
     l_hat = 0.0
@@ -261,4 +256,4 @@ def estimate_lipschitz(
         raise LipschitzEstimateError(
             "all probe steps were below the minimum length; decrease warm_epochs or raise probe_lr"
         )
-    return LipschitzEstimate(l_hat=l_hat, x_init=x, quotients=used)
+    return LipschitzEstimate(l_hat=l_hat, x_init=x)

@@ -6,16 +6,17 @@ The primal step of each round minimizes
 
 for a fixed iteration budget tau.  The primary solver is limited-memory BFGS
 (two-loop recursion, Armijo backtracking); a plain gradient-descent variant
-and an exact closed-form solve for quadratic losses are also provided.
-``engine.solve_local`` is the one place that picks among them, for the agent
-form, the edge form and the contraction probe alike.
+and an exact closed-form solve for quadratic losses are also provided.  Each
+solver works on a ``LocalSubproblem`` directly, calling its ``value`` and
+``gradient``.  ``engine.solve_local`` is the one place that picks among them,
+for the agent form, the edge form and the contraction probe alike.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -132,14 +133,13 @@ def two_loop_direction(
     return r
 
 
-def lbfgs_minimize(
-    value: Callable[[np.ndarray], float],
-    grad: Callable[[np.ndarray], np.ndarray],
-    x0: np.ndarray,
-    iterations: int,
+def solve_lbfgs(
+    problem: LocalSubproblem,
+    x_start: np.ndarray,
+    tau: int,
     memory: int = DEFAULT_MEMORY,
 ) -> SolverReport:
-    """Run a fixed number of L-BFGS iterations on an arbitrary objective.
+    """tau iterations of L-BFGS on the local subproblem, warm-started.
 
     Two-loop recursion with Liu-Nocedal initial scaling and Armijo
     backtracking (c1=1e-4, halving, 30 backtracks max).  A failed line search
@@ -149,10 +149,12 @@ def lbfgs_minimize(
     fresh per call: each round's subproblem is a different function, so no
     stale pairs carry over.
     """
-    x = np.asarray(x0, dtype=float).copy()
+    if tau < 0:
+        raise ValueError("tau must be nonnegative")
+    x = np.asarray(x_start, dtype=float).copy()
     d = x.shape[0]
-    g = grad(x)
-    f = value(x)
+    g = problem.gradient(x)
+    f = problem.value(x)
     gnorm = float(np.linalg.norm(g))
     norms = [gnorm]
     vals = [f]
@@ -164,7 +166,7 @@ def lbfgs_minimize(
     failures = 0
     performed = 0
 
-    for _ in range(iterations):
+    for _ in range(tau):
         if gnorm == 0.0:
             break
         # Looked up as a module global on every call, so a wrapper installed
@@ -180,7 +182,7 @@ def lbfgs_minimize(
         f_trial = f
         for _ in range(MAX_BACKTRACKS):
             x_trial = x + step * direction
-            f_trial = value(x_trial)
+            f_trial = problem.value(x_trial)
             slack = ARMIJO_SLACK * (abs(f) + abs(f_trial))
             if f_trial <= f + ARMIJO_C1 * step * slope + slack:
                 accepted = True
@@ -192,7 +194,7 @@ def lbfgs_minimize(
             norms.append(gnorm)
             vals.append(f)
             continue
-        g_new = grad(x_trial)
+        g_new = problem.gradient(x_trial)
         s_vec = x_trial - x
         y_vec = g_new - g
         sy = float(s_vec @ y_vec)
@@ -223,49 +225,6 @@ def lbfgs_minimize(
     )
 
 
-def gd_minimize(
-    grad: Callable[[np.ndarray], np.ndarray],
-    x0: np.ndarray,
-    iterations: int,
-    step: float,
-) -> SolverReport:
-    """Fixed-step gradient descent with the same reporting as L-BFGS."""
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    x = np.asarray(x0, dtype=float).copy()
-    g = grad(x)
-    gnorm = float(np.linalg.norm(g))
-    norms = [gnorm]
-    performed = 0
-    for _ in range(iterations):
-        if gnorm == 0.0:
-            break
-        x = x - step * g
-        g = grad(x)
-        gnorm = float(np.linalg.norm(g))
-        norms.append(gnorm)
-        performed += 1
-    return SolverReport(
-        x_out=x,
-        iterations=performed,
-        grad_norm_in=norms[0],
-        grad_norm_out=gnorm,
-        grad_norms=norms,
-    )
-
-
-def solve_lbfgs(
-    problem: LocalSubproblem,
-    x_start: np.ndarray,
-    tau: int,
-    memory: int = DEFAULT_MEMORY,
-) -> SolverReport:
-    """tau iterations of L-BFGS on the local subproblem, warm-started."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    return lbfgs_minimize(problem.value, problem.gradient, x_start, tau, memory)
-
-
 def default_gd_step(problem: LocalSubproblem, lipschitz: float | None = None) -> float:
     """1 / (L + mu_z * degree): the inverse of the subproblem smoothness."""
     if lipschitz is None:
@@ -282,10 +241,33 @@ def solve_gd(
     step: float | None = None,
     lipschitz: float | None = None,
 ) -> SolverReport:
-    """tau plain gradient steps on the local subproblem."""
+    """tau fixed-step gradient steps on the local subproblem, warm-started,
+    with the same reporting as L-BFGS; the step defaults to the inverse of the
+    subproblem smoothness."""
     if step is None:
         step = default_gd_step(problem, lipschitz)
-    return gd_minimize(problem.gradient, x_start, tau, step)
+    if step <= 0.0:
+        raise ValueError("step must be positive")
+    x = np.asarray(x_start, dtype=float).copy()
+    g = problem.gradient(x)
+    gnorm = float(np.linalg.norm(g))
+    norms = [gnorm]
+    performed = 0
+    for _ in range(tau):
+        if gnorm == 0.0:
+            break
+        x = x - step * g
+        g = problem.gradient(x)
+        gnorm = float(np.linalg.norm(g))
+        norms.append(gnorm)
+        performed += 1
+    return SolverReport(
+        x_out=x,
+        iterations=performed,
+        grad_norm_in=norms[0],
+        grad_norm_out=gnorm,
+        grad_norms=norms,
+    )
 
 
 def solve_exact_quadratic(problem: LocalSubproblem) -> SolverReport:

@@ -1,9 +1,11 @@
 """Convergence-analysis constants and theory-consistent parameter selection.
 
-Evaluates every constant of the averaged-stationarity bound from problem data
-(smoothness, Laplacian spectrum, participation floor, local contraction rate,
-penalty coefficients, iteration budget), checks the parameter hypotheses the
-bound needs, and derives the prescribed parameter triple (mu_z, mu_y, tau).
+``select_parameters`` derives the prescribed parameter triple (mu_z, mu_y,
+tau) from problem data (smoothness, Laplacian spectrum, participation floor,
+local contraction rate).  ``compute_constants`` is the one entry point to the
+constants of the averaged-stationarity bound: it takes the same problem data
+plus a ``SelectedParameters`` triple and checks the parameter hypotheses the
+bound needs.  The module is pure arithmetic on those numbers.
 
 The prescribed mu_y and tau are enormous on realistic graphs; they exist for
 numeric sanity checks and tiny instances ("theory mode"), while experiments
@@ -16,39 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .engine import local_subproblem
 from .errors import ParameterSelectionError
-from .graphs import SpectralSummary, Topology
-from .losses import LocalLoss
+from .graphs import SpectralSummary
 
 MU_Y_FACTOR = 1152.0
 TAU_BOUND_FACTOR = 4608.0
-
-
-@dataclass(frozen=True)
-class TheoryInputs:
-    """Everything the constant formulas consume."""
-
-    lipschitz: float
-    spectral: SpectralSummary
-    p_min: float
-    rate: float
-    tau: int
-    mu_z: float
-    mu_y: float
-
-    def __post_init__(self):
-        if not (0.0 < self.p_min <= 1.0):
-            raise ValueError("p_min must be in (0, 1]")
-        if not (0.0 < self.rate < 1.0):
-            raise ValueError("rate must be in (0, 1)")
-        for name in ("lipschitz", "mu_z", "mu_y"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.tau < 1:
-            raise ValueError("tau must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -133,27 +107,43 @@ def select_parameters(
     return SelectedParameters(mu_z=mu_z, mu_y=mu_y, tau=tau)
 
 
-def compute_constants(inputs: TheoryInputs) -> TheoryReport:
+def compute_constants(
+    lipschitz: float,
+    spectral: SpectralSummary,
+    p_min: float,
+    rate: float,
+    params: SelectedParameters,
+) -> TheoryReport:
     """Evaluate the hatted and plain constants exactly as displayed.
 
     The hatted constants feed the plain ones; c1 = max(c8/c3, c7/c4) and
     c2 = c6 + c1 c5.  Evaluation is gated on chat1 > 0 and chat4 d_max^2 < 1;
-    when either fails, the report carries flags and no constants.
+    when either fails, the report carries flags and no constants.  Inputs
+    outside the formulas' domain raise ValueError.
     """
-    lam_max = inputs.spectral.lambda_max
-    lam_min_sq = inputs.spectral.lambda_min**2
-    d = float(inputs.spectral.d_max)
-    p = inputs.p_min
-    mu_z, mu_y, lip = inputs.mu_z, inputs.mu_y, inputs.lipschitz
-    r_tau = inputs.rate**inputs.tau
+    if not (0.0 < p_min <= 1.0):
+        raise ValueError("p_min must be in (0, 1]")
+    if not (0.0 < rate < 1.0):
+        raise ValueError("rate must be in (0, 1)")
+    for name, value in (("lipschitz", lipschitz), ("mu_z", params.mu_z), ("mu_y", params.mu_y)):
+        if value <= 0:
+            raise ValueError(f"{name} must be positive")
+    if params.tau < 1:
+        raise ValueError("tau must be at least 1")
+    lam_max = spectral.lambda_max
+    lam_min_sq = spectral.lambda_min**2
+    d = float(spectral.d_max)
+    p = p_min
+    mu_z, mu_y, lip = params.mu_z, params.mu_y, lipschitz
+    r_tau = rate**params.tau
 
     chat1 = 1.0 - 4.0 * r_tau / p
     chat2 = (4.0 + 3.0 * p**2 - 6.0 * p) / p**2
     chat3 = 2.0 / p
     conditions = {
         "mu_z_at_least_1_plus_2L": mu_z >= 1.0 + 2.0 * lip,
-        "mu_y_at_least_floor": mu_y >= mu_y_floor(inputs.spectral, p, mu_z) * (1.0 - 1e-12),
-        "rate_power_below_bound": r_tau <= rate_power_bound(inputs.spectral, p, mu_z),
+        "mu_y_at_least_floor": mu_y >= mu_y_floor(spectral, p, mu_z) * (1.0 - 1e-12),
+        "rate_power_below_bound": r_tau <= rate_power_bound(spectral, p, mu_z),
         "chat1_positive": chat1 > 0.0,
     }
     violations = [name for name, met in conditions.items() if not met]
@@ -227,118 +217,4 @@ def compute_constants(inputs: TheoryInputs) -> TheoryReport:
         conditions_met=conditions,
         violations=tuple(name for name, met in conditions.items() if not met),
         constants=constants,
-    )
-
-
-def augmented_gradient_error(
-    x: np.ndarray,
-    phi: np.ndarray,
-    losses: list[LocalLoss],
-    topology: Topology,
-    mu_z: float,
-) -> float:
-    """Squared norm of the stacked local augmented gradients.
-
-    Each block is the gradient of the agent's subproblem, built from ``x`` and
-    ``phi`` exactly as the engine builds it, at the agent's own model.  At the
-    initial models with ``phi = 0`` this is the initial error e0 of the bound;
-    at later rounds it is a diagnostic.
-    """
-    total = 0.0
-    for i, loss in enumerate(losses):
-        block = local_subproblem(i, x, phi, loss, topology, mu_z).gradient(x[i])
-        total += float(block @ block)
-    return total
-
-
-@dataclass(frozen=True)
-class ScalingEntry:
-    d_max: int
-    lipschitz: float
-    p_min: float
-    claimed: float
-    c1: float
-    ratio: float
-
-
-@dataclass(frozen=True)
-class ScalingReport:
-    entries: tuple[ScalingEntry, ...]
-    ratio_min: float
-    ratio_max: float
-    spread: float
-    loglog_slope: float
-
-    def as_dict(self) -> dict:
-        return {
-            "ratio_min": self.ratio_min,
-            "ratio_max": self.ratio_max,
-            "spread": self.spread,
-            "loglog_slope": self.loglog_slope,
-            "points": [
-                {
-                    "d_max": e.d_max,
-                    "lipschitz": e.lipschitz,
-                    "p_min": e.p_min,
-                    "claimed": e.claimed,
-                    "c1": e.c1,
-                    "ratio": e.ratio,
-                }
-                for e in self.entries
-            ],
-        }
-
-
-def corollary_scaling_check(
-    points: list[tuple[SpectralSummary, float, float]], rate: float
-) -> ScalingReport:
-    """Fit c1 against the claimed growth rate d_max^4 L lambda_max /
-    (lambda_min^2 p_min) across a sweep of (spectrum, L, p_min) points.
-
-    Each point gets the prescribed parameters for the given rate; the report
-    carries the per-point ratio c1 / claimed, the ratio spread, and the
-    log-log regression slope of c1 on the claimed expression.
-    """
-    entries = []
-    for spectral, lip, p_min in points:
-        params = select_parameters(lip, spectral, p_min, rate)
-        report = compute_constants(
-            TheoryInputs(
-                lipschitz=lip,
-                spectral=spectral,
-                p_min=p_min,
-                rate=rate,
-                tau=params.tau,
-                mu_z=params.mu_z,
-                mu_y=params.mu_y,
-            )
-        )
-        if report.constants is None:
-            raise ParameterSelectionError(
-                f"prescribed parameters violate hypotheses at {spectral}, L={lip}, p={p_min}"
-            )
-        claimed = (
-            spectral.d_max**4 * lip * spectral.lambda_max / (spectral.lambda_min**2 * p_min)
-        )
-        c1 = report.constants.c1
-        entries.append(
-            ScalingEntry(
-                d_max=spectral.d_max,
-                lipschitz=lip,
-                p_min=p_min,
-                claimed=claimed,
-                c1=c1,
-                ratio=c1 / claimed,
-            )
-        )
-    ratios = np.array([e.ratio for e in entries])
-    logs_x = np.log([e.claimed for e in entries])
-    logs_y = np.log([e.c1 for e in entries])
-    slope = float(np.polyfit(logs_x, logs_y, 1)[0]) if len(entries) > 1 else float("nan")
-    return ScalingReport(
-        entries=tuple(entries),
-        ratio_min=float(ratios.min()),
-        ratio_max=float(ratios.max()),
-        spread=float(ratios.max() / ratios.min()),
-        loglog_slope=slope,
     )

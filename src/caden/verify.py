@@ -10,7 +10,7 @@ both the CLI and the acceptance tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -146,17 +146,7 @@ def verify_constants(rate: float = 0.5) -> VerifyResult:
         checked += 1
         point = f"d_max={spectral.d_max} L={lip} p={p_min}"
         selected = theory.select_parameters(lip, spectral, p_min, rate)
-        report = theory.compute_constants(
-            theory.TheoryInputs(
-                lipschitz=lip,
-                spectral=spectral,
-                p_min=p_min,
-                rate=rate,
-                tau=selected.tau,
-                mu_z=selected.mu_z,
-                mu_y=selected.mu_y,
-            )
-        )
+        report = theory.compute_constants(lip, spectral, p_min, rate, selected)
         if not report.ok:
             failures.append(f"{point}: hypotheses violated {report.violations}")
             continue
@@ -168,19 +158,10 @@ def verify_constants(rate: float = 0.5) -> VerifyResult:
         # Rate sweep at fixed parameters: the budget is sized for the worst
         # rate so the power stays inside the bound across the whole sweep.
         tau_fixed = theory.select_parameters(lip, spectral, p_min, max(MONOTONE_RATES)).tau
+        fixed = replace(selected, tau=tau_fixed)
         sweep = []
         for r in MONOTONE_RATES:
-            rep = theory.compute_constants(
-                theory.TheoryInputs(
-                    lipschitz=lip,
-                    spectral=spectral,
-                    p_min=p_min,
-                    rate=r,
-                    tau=tau_fixed,
-                    mu_z=selected.mu_z,
-                    mu_y=selected.mu_y,
-                )
-            )
+            rep = theory.compute_constants(lip, spectral, p_min, r, fixed)
             if rep.constants is None:
                 failures.append(f"{point}: sweep rate {r} violates hypotheses")
                 break

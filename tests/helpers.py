@@ -1,11 +1,25 @@
-"""Shared test oracles: finite differences, dense constraint matrices,
-random curvature factories, the midpoint form of the residual V."""
+"""Test oracles and file writers shared by the tests: finite differences,
+dense constraint matrices, random curvature factories, the midpoint form of
+the residual V, the edge-form augmented Lagrangian, the initial
+augmented-gradient error, the gradient-tracking identity gap, the corollary
+scaling sweep, and writers for the IDX and edge-list formats the package
+reads."""
 
 from __future__ import annotations
 
+import struct
+from dataclasses import dataclass
+from typing import IO
+
 import numpy as np
 
-from caden.graphs import Topology, edge_midpoints
+from caden import theory
+from caden.baselines import GTState
+from caden.datasets import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
+from caden.edge_form import EdgeState
+from caden.engine import local_subproblem
+from caden.errors import ParameterSelectionError
+from caden.graphs import SpectralSummary, Topology, constraint_residual, edge_midpoints
 
 
 def central_difference(fn, x: np.ndarray, h: float | None = None) -> np.ndarray:
@@ -77,3 +91,99 @@ def lyapunov_v_midpoint_form(x: np.ndarray, phi: np.ndarray, losses, topology: T
             diff = x[i] - z[k]
             total += float(diff @ diff)
     return total
+
+
+def augmented_lagrangian_value(
+    state: EdgeState, losses, topology: Topology, mu_z: float
+) -> float:
+    """F(x) + y . (Ax - Bz) + (mu_z / 2) ||Ax - Bz||^2, evaluated edge-wise."""
+    total = sum(loss.value(x) for loss, x in zip(losses, state.x))
+    src, dst = topology.edge_arrays()
+    total += float((state.y[:, 0] * (state.x[src] - state.z)).sum())
+    total += float((state.y[:, 1] * (state.x[dst] - state.z)).sum())
+    total += 0.5 * mu_z * constraint_residual(topology, state.x, state.z)
+    return total
+
+
+def augmented_gradient_error(
+    x: np.ndarray, phi: np.ndarray, losses, topology: Topology, mu_z: float
+) -> float:
+    """Squared norm of the stacked local augmented gradients.
+
+    Each block is the gradient of the agent's subproblem, built from ``x`` and
+    ``phi`` exactly as the engine builds it, at the agent's own model.  At the
+    initial models with ``phi = 0`` this is the initial error e0 of the bound.
+    """
+    total = 0.0
+    for i, loss in enumerate(losses):
+        block = local_subproblem(i, x, phi, loss, topology, mu_z).gradient(x[i])
+        total += float(block @ block)
+    return total
+
+
+def tracking_gap(state: GTState, losses) -> float:
+    """Max-abs violation of the tracking identity sum g_i = sum grad f_i."""
+    fresh = np.array([loss.gradient(state.x[i]) for i, loss in enumerate(losses)])
+    return float(np.abs(state.g.sum(axis=0) - fresh.sum(axis=0)).max())
+
+
+@dataclass(frozen=True)
+class ScalingEntry:
+    claimed: float
+    ratio: float
+
+
+@dataclass(frozen=True)
+class ScalingReport:
+    entries: tuple[ScalingEntry, ...]
+    ratio_max: float
+    spread: float
+
+
+def corollary_scaling_check(
+    points: list[tuple[SpectralSummary, float, float]], rate: float
+) -> ScalingReport:
+    """c1 against the claimed growth rate d_max^4 L lambda_max /
+    (lambda_min^2 p_min) across a sweep of (spectrum, L, p_min) points.
+
+    Each point gets the prescribed parameters for the given rate; the report
+    carries the per-point ratio c1 / claimed and the ratio spread.
+    """
+    entries = []
+    for spectral, lip, p_min in points:
+        params = theory.select_parameters(lip, spectral, p_min, rate)
+        report = theory.compute_constants(lip, spectral, p_min, rate, params)
+        if report.constants is None:
+            raise ParameterSelectionError(
+                f"prescribed parameters violate hypotheses at {spectral}, L={lip}, p={p_min}"
+            )
+        claimed = (
+            spectral.d_max**4 * lip * spectral.lambda_max / (spectral.lambda_min**2 * p_min)
+        )
+        entries.append(ScalingEntry(claimed=claimed, ratio=report.constants.c1 / claimed))
+    ratios = [e.ratio for e in entries]
+    return ScalingReport(
+        entries=tuple(entries), ratio_max=max(ratios), spread=max(ratios) / min(ratios)
+    )
+
+
+def write_idx_images(path: str, images: np.ndarray, rows: int, cols: int) -> None:
+    """Write float images in [0, 1] as an IDX u8 file."""
+    count = images.shape[0]
+    u8 = np.clip(np.round(images * 255.0), 0, 255).astype(np.uint8)
+    with open(path, "wb") as fp:
+        fp.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, count, rows, cols))
+        fp.write(u8.tobytes())
+
+
+def write_idx_labels(path: str, labels: np.ndarray) -> None:
+    with open(path, "wb") as fp:
+        fp.write(struct.pack(">II", IDX_LABELS_MAGIC, labels.shape[0]))
+        fp.write(labels.astype(np.uint8).tobytes())
+
+
+def write_edge_list(t: Topology, fp: IO[str]) -> None:
+    """Serialize as plain text: first line "m n", then 1-indexed "i j" lines."""
+    fp.write(f"{t.m} {t.n}\n")
+    for i, j in t.edges:
+        fp.write(f"{i + 1} {j + 1}\n")

@@ -74,8 +74,7 @@ class TestSerialization:
     def test_file_round_trip(self, tmp_path):
         cfg = config.parse_config(SAMPLE)
         path = tmp_path / "exp.cfg"
-        with open(path, "w") as fp:
-            config.save_config(cfg, fp)
+        path.write_text(config.serialize_config(cfg))
         assert config.load_config(str(path)) == cfg
 
 

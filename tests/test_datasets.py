@@ -7,13 +7,15 @@ import pytest
 
 from caden import datasets
 
+from helpers import write_idx_images, write_idx_labels
+
 
 class TestIdx:
     def test_image_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         images = rng.integers(0, 256, size=(7, 12)).astype(np.float64) / 255.0
         path = str(tmp_path / "imgs.idx")
-        datasets.write_idx_images(path, images, rows=3, cols=4)
+        write_idx_images(path, images, rows=3, cols=4)
         loaded = datasets.load_idx_images(path)
         assert loaded.shape == (7, 12)
         assert np.allclose(loaded, images, atol=1e-12)
@@ -22,7 +24,7 @@ class TestIdx:
     def test_label_round_trip(self, tmp_path):
         labels = np.array([0, 3, 9, 1], dtype=np.int64)
         path = str(tmp_path / "labels.idx")
-        datasets.write_idx_labels(path, labels)
+        write_idx_labels(path, labels)
         assert np.array_equal(datasets.load_idx_labels(path), labels)
 
     def test_bad_magic_rejected(self, tmp_path):

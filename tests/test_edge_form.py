@@ -12,7 +12,7 @@ from caden.engine import CadenConfig, TauSchedule
 from caden.losses import QuadraticLoss
 from caden.verify import EQUIVALENCE_TOL, verify_equivalence
 
-from helpers import dense_augmented_lagrangian, random_psd
+from helpers import augmented_lagrangian_value, dense_augmented_lagrangian, random_psd
 
 
 def _k2_state(x_vals, z_vals, y_vals):
@@ -118,7 +118,7 @@ class TestAugmentedObjective:
         losses = [QuadraticLoss(q=np.ones(2), a=rng.standard_normal(2)) for _ in range(6)]
         x = np.tile(rng.standard_normal(2), (6, 1))
         state = edge_form.init_edge_state(topology, x)
-        value = edge_form.augmented_lagrangian_value(state, losses, topology, mu_z=3.0)
+        value = augmented_lagrangian_value(state, losses, topology, mu_z=3.0)
         expected = sum(loss.value(x[i]) for i, loss in enumerate(losses))
         assert value == pytest.approx(expected, rel=1e-12)
 
@@ -127,7 +127,7 @@ class TestAugmentedObjective:
         # penalty terms cancel exactly.
         topology, state = _k2_state([0.0, 2.0], [1.0], [1.0, -1.0])
         zero = QuadraticLoss(q=np.zeros(1), a=np.zeros(1))
-        value = edge_form.augmented_lagrangian_value(state, [zero, zero], topology, mu_z=2.0)
+        value = augmented_lagrangian_value(state, [zero, zero], topology, mu_z=2.0)
         assert value == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_dense_matrix_oracle(self):
@@ -142,7 +142,7 @@ class TestAugmentedObjective:
                 y=rng.standard_normal((topology.n, 2, 3)),
             )
             mu_z = 2.0
-            value = edge_form.augmented_lagrangian_value(state, losses, topology, mu_z)
+            value = augmented_lagrangian_value(state, losses, topology, mu_z)
             loss_sum = sum(loss.value(state.x[i]) for i, loss in enumerate(losses))
             oracle = dense_augmented_lagrangian(
                 topology, state.x, state.z, state.y, mu_z, loss_sum
@@ -158,11 +158,11 @@ class TestAugmentedObjectiveTrend:
         losses = [QuadraticLoss(q=np.ones(2), a=rng.standard_normal(2)) for _ in range(5)]
         state = edge_form.init_edge_state(topology, rng.standard_normal((5, 2)))
         config = CadenConfig(mu_z=3.0, mu_y=2.0, tau_schedule=TauSchedule(base=5))
-        values = [edge_form.augmented_lagrangian_value(state, losses, topology, mu_z=3.0)]
+        values = [augmented_lagrangian_value(state, losses, topology, mu_z=3.0)]
         for t in range(30):
             state = edge_form.run_edge_round(state, losses, topology, config, t)
             values.append(
-                edge_form.augmented_lagrangian_value(state, losses, topology, mu_z=3.0)
+                augmented_lagrangian_value(state, losses, topology, mu_z=3.0)
             )
         assert values[-1] < values[0]
 

@@ -21,6 +21,8 @@ from caden.harness import (
 )
 from caden.solvers import estimate_contraction, solve_gd
 
+from helpers import write_edge_list, write_idx_images, write_idx_labels
+
 
 def _k2_config(**overrides):
     base = dict(
@@ -37,6 +39,13 @@ def _k2_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def _strict_json_loads(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def _convex_benchmark(**overrides):
@@ -212,12 +221,7 @@ class TestRunExperiment:
         )
         with np.errstate(all="ignore"), pytest.raises(DivergenceError):
             run_experiment(cfg, out_dir=str(tmp_path))
-
-        def reject(token):
-            raise ValueError(f"non-standard JSON constant {token}")
-
-        text = (tmp_path / "diverge_summary.json").read_text()
-        summary = json.loads(text, parse_constant=reject)
+        summary = _strict_json_loads((tmp_path / "diverge_summary.json").read_text())
         # V_t overflows first (round 53); the run stops on that row.
         assert summary["diverged_at"] == summary["totals"]["rounds"] < 80
         assert summary["totals"]["final_v"] is None
@@ -258,7 +262,8 @@ class TestRunExperiment:
         from caden import graphs
 
         path = str(tmp_path / "graph.txt")
-        graphs.save_edge_list(graphs.complete_graph(2), path)
+        with open(path, "w", encoding="ascii") as fp:
+            write_edge_list(graphs.complete_graph(2), fp)
         cfg = _k2_config(topology_kind="file", topology_file=path)
         result = run_experiment(cfg, out_dir=str(tmp_path))
         assert result.summary["graph"]["m"] == 2
@@ -323,8 +328,6 @@ class TestRunExperiment:
             run_experiment(cfg, out_dir=str(tmp_path))
 
     def test_idx_data_end_to_end(self, tmp_path):
-        from caden.datasets import write_idx_images, write_idx_labels
-
         rng = np.random.default_rng(0)
         count, rows, cols = 60, 3, 4
         labels = (np.arange(count) % 2).astype(np.int64)
@@ -372,6 +375,15 @@ class TestRunExperiment:
         (dict(metrics_cadence=0), "metrics.cadence"),
         (dict(rounds=-1), "rounds"),
         (dict(mode="theory", contraction_probe_iters=0), "contraction.probe_iters"),
+        (dict(algorithm="gt", gt_step=-0.1), "gt.step"),
+        (dict(algorithm="gt", gt_tune_rounds=0), "gt.tune_rounds"),
+        (dict(topology_m=1), "topology.m"),
+        (dict(topology_kind="path", topology_m=1), "topology.m"),
+        (dict(topology_kind="ring", topology_m=1), "topology.m"),
+        (dict(topology_kind="random", topology_m=1), "topology.m"),
+        (dict(topology_kind="random", topology_edge_prob=0.0), "topology.edge_prob"),
+        (dict(topology_kind="random", topology_edge_prob=1.5), "topology.edge_prob"),
+        (dict(quadratic_targets="", loss_dimension=0), "loss.dimension"),
     ],
 )
 def test_out_of_range_key_refused_before_any_round(tmp_path, monkeypatch, overrides, key):
@@ -462,7 +474,7 @@ class TestTraceContainer:
 
     def test_cumulative_columns_nondecreasing(self, tmp_path):
         result = run_experiment(_k2_config(rounds=30), out_dir=str(tmp_path))
-        comms = result.trace.column("comms")
+        comms = [row.comms for row in result.trace.rows]
         assert all(a <= b for a, b in zip(comms, comms[1:]))
 
 
@@ -516,10 +528,11 @@ class TestCli:
         with pytest.raises(ValueError, match="unknown suite 'nope'"):
             run_suites(["nope"])
 
-    def test_verify_subcommand(self, tmp_path, capsys):
-        code = cli.main(["verify", "--suite", "equivalence", "--out-dir", str(tmp_path)])
+    @pytest.mark.parametrize("suite", ["sandwich", "equivalence", "constants"])
+    def test_verify_subcommand(self, tmp_path, capsys, suite):
+        code = cli.main(["verify", "--suite", suite, "--out-dir", str(tmp_path)])
         assert code == 0
         out = capsys.readouterr().out
-        assert "[PASS] equivalence" in out
-        payload = json.loads((tmp_path / "verify.json").read_text())
-        assert payload["equivalence"]["passed"] is True
+        assert f"[PASS] {suite}" in out
+        payload = _strict_json_loads((tmp_path / "verify.json").read_text())
+        assert payload[suite]["passed"] is True

@@ -125,9 +125,3 @@ class TestLipschitzEstimate:
         loss = losses.QuadraticLoss(q=np.ones(2), a=np.zeros(2))
         with pytest.raises(LipschitzEstimateError):
             losses.estimate_lipschitz(loss, np.zeros(2), warm_epochs=0)
-
-    def test_random_start_is_seeded(self):
-        loss = losses.QuadraticLoss(q=np.ones(2), a=np.ones(2))
-        a = losses.estimate_lipschitz(loss, None, seed=5)
-        b = losses.estimate_lipschitz(loss, None, seed=5)
-        assert np.array_equal(a.x_init, b.x_init)

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caden import engine, graphs, metrics
 from caden.datasets import gaussian_blobs
+from caden.engine import CadenConfig
 from caden.losses import MlpLoss, QuadraticLoss
 
 from helpers import lyapunov_v_midpoint_form
@@ -102,11 +105,11 @@ class TestAccuracy:
         topology = graphs.complete_graph(2)
         losses = [MlpLoss(x_eval, y_eval, hidden=16, classes=3) for _ in range(2)]
         params = losses[0].init_params(0)
-        from caden.solvers import LocalSubproblem, lbfgs_minimize
+        from caden.solvers import LocalSubproblem, solve_lbfgs
 
         problem = LocalSubproblem(loss=losses[0], phi=np.zeros(losses[0].dim),
                                   anchors=np.zeros((0, losses[0].dim)), mu_z=0.0)
-        params = lbfgs_minimize(problem.value, problem.gradient, params, 200).x_out
+        params = solve_lbfgs(problem, params, 200).x_out
         x, _ = engine.init_states(losses, topology, np.tile(params, (2, 1)))
         assert metrics.test_accuracy(x, losses, x_eval, y_eval) == 1.0
 
@@ -129,20 +132,34 @@ class TestAccuracy:
 
 
 class TestPhiDrift:
-    def test_zero_under_full_participation(self):
-        topology, losses, x, phi = _random_states(0)
-        from caden.engine import CadenConfig
-
-        phi[:] = 0.0
-        config = CadenConfig(mu_z=2.0, mu_y=2.0)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(2, 9),
+        d=st.integers(1, 5),
+        edge_prob=st.floats(0.2, 1.0),
+        solver=st.sampled_from(["lbfgs", "gd", "exact"]),
+        mu_z=st.floats(0.1, 5.0),
+        mu_y_share=st.floats(0.01, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_zero_under_full_participation(
+        self, m, d, edge_prob, solver, mu_z, mu_y_share, seed
+    ):
+        # Each edge adds opposite terms to its endpoints' duals, so their sum
+        # stays at zero from zero duals.  mu_y <= mu_z keeps the iterates, and
+        # with them the rounding of that sum, bounded.
+        topology = graphs.build_random_graph(m, edge_prob, seed=seed)
+        rng = np.random.default_rng(seed)
+        losses = [QuadraticLoss(q=rng.uniform(0.5, 2.0, d), a=rng.standard_normal(d))
+                  for _ in range(m)]
+        x, phi = engine.init_states(losses, topology, rng.standard_normal((m, d)))
+        config = CadenConfig(mu_z=mu_z, mu_y=mu_y_share * mu_z, solver=solver)
         for t in range(10):
             engine.run_round(x, phi, losses, topology, config, t)
         assert metrics.phi_drift(phi) <= 1e-10
 
     def test_nonzero_reported_under_partial_participation(self):
         topology, losses, x, phi = _random_states(1)
-        from caden.engine import CadenConfig
-
         phi[:] = 0.0
         config = CadenConfig(mu_z=2.0, mu_y=2.0, participation=0.5, seed=7)
         drifts = []

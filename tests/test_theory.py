@@ -1,5 +1,7 @@
 """Analysis constants, parameter selection, and their numeric sanity checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from caden.errors import ParameterSelectionError
 from caden.losses import QuadraticLoss
 from caden.solvers import LocalSubproblem
 from caden.verify import constants_grid, verify_constants
+
+from helpers import augmented_gradient_error, corollary_scaling_check
 
 K2_SPECTRUM = graphs.laplacian_spectrum(graphs.complete_graph(2))
 
@@ -35,17 +39,14 @@ class TestSelectParameters:
 
 
 class TestComputeConstants:
-    def _inputs(self, spectral, lip=1.0, p_min=1.0, rate=0.5):
+    def _prescribed(self, spectral, lip=1.0, p_min=1.0, rate=0.5):
         sel = theory.select_parameters(lip, spectral, p_min, rate)
-        return theory.TheoryInputs(
-            lipschitz=lip, spectral=spectral, p_min=p_min, rate=rate,
-            tau=sel.tau, mu_z=sel.mu_z, mu_y=sel.mu_y,
-        )
+        return theory.compute_constants(lip, spectral, p_min, rate, sel)
 
     def test_prescribed_parameters_meet_all_conditions(self):
         # Dense graph: the positivity margin scales with the degree.
         spectral = graphs.laplacian_spectrum(graphs.complete_graph(6))
-        report = theory.compute_constants(self._inputs(spectral))
+        report = self._prescribed(spectral)
         assert report.ok
         c = report.constants
         assert 0.0 < c.chat1 < 1.0
@@ -58,43 +59,48 @@ class TestComputeConstants:
         # hold yet c3 comes out negative; the dominant term of c3 decays like
         # 1/d_max^2 and only dense graphs leave a margin.  Extra budget
         # (rate power well below its bound) restores positivity.
-        report = theory.compute_constants(self._inputs(K2_SPECTRUM))
+        report = self._prescribed(K2_SPECTRUM)
         assert all(report.conditions_met.values())
         assert report.constants.c3 < 0.0
         sel = theory.select_parameters(1.0, K2_SPECTRUM, p_min=1.0, rate=0.5)
         relaxed = theory.compute_constants(
-            theory.TheoryInputs(
-                lipschitz=1.0, spectral=K2_SPECTRUM, p_min=1.0, rate=0.5,
-                tau=sel.tau + 10, mu_z=sel.mu_z, mu_y=sel.mu_y,
-            )
+            1.0, K2_SPECTRUM, 1.0, 0.5, replace(sel, tau=sel.tau + 10)
         )
         assert relaxed.constants.c3 > 0.0 and relaxed.constants.c4 > 0.0
 
     def test_chat2_at_full_participation(self):
-        report = theory.compute_constants(self._inputs(K2_SPECTRUM, p_min=1.0))
+        report = self._prescribed(K2_SPECTRUM, p_min=1.0)
         assert report.constants.chat2 == pytest.approx(1.0)
 
     def test_violation_report_instead_of_nan(self):
         # tau = 1 with rate 0.9 leaves chat1 = 1 - 4*0.9 < 0.
-        inputs = theory.TheoryInputs(
-            lipschitz=1.0, spectral=K2_SPECTRUM, p_min=1.0, rate=0.9,
-            tau=1, mu_z=3.0, mu_y=1728.0,
-        )
-        report = theory.compute_constants(inputs)
+        params = theory.SelectedParameters(mu_z=3.0, mu_y=1728.0, tau=1)
+        report = theory.compute_constants(1.0, K2_SPECTRUM, 1.0, 0.9, params)
         assert report.constants is None
         assert not report.conditions_met["chat1_positive"]
         assert "chat1_positive" in report.violations
+
+    @pytest.mark.parametrize(
+        "lip, p_min, rate, mu_z, mu_y, tau, name",
+        [
+            (1.0, 0.0, 0.5, 3.0, 1728.0, 5, "p_min"),
+            (1.0, 1.0, 1.0, 3.0, 1728.0, 5, "rate"),
+            (0.0, 1.0, 0.5, 3.0, 1728.0, 5, "lipschitz"),
+            (1.0, 1.0, 0.5, 0.0, 1728.0, 5, "mu_z"),
+            (1.0, 1.0, 0.5, 3.0, -1.0, 5, "mu_y"),
+            (1.0, 1.0, 0.5, 3.0, 1728.0, 0, "tau"),
+        ],
+    )
+    def test_out_of_domain_input_raises(self, lip, p_min, rate, mu_z, mu_y, tau, name):
+        params = theory.SelectedParameters(mu_z=mu_z, mu_y=mu_y, tau=tau)
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            theory.compute_constants(lip, K2_SPECTRUM, p_min, rate, params)
 
     def test_monotone_in_rate_at_fixed_parameters(self):
         sel = theory.select_parameters(1.0, K2_SPECTRUM, p_min=1.0, rate=0.9)
         prev_c1 = prev_c2 = np.inf
         for rate in (0.9, 0.5, 0.1):
-            report = theory.compute_constants(
-                theory.TheoryInputs(
-                    lipschitz=1.0, spectral=K2_SPECTRUM, p_min=1.0, rate=rate,
-                    tau=sel.tau, mu_z=sel.mu_z, mu_y=sel.mu_y,
-                )
-            )
+            report = theory.compute_constants(1.0, K2_SPECTRUM, 1.0, rate, sel)
             assert report.ok
             assert report.constants.c1 <= prev_c1
             assert report.constants.c2 <= prev_c2
@@ -104,12 +110,7 @@ class TestComputeConstants:
     def test_selection_passes_preconditions_on_grid(self, rate):
         for spectral, lip, p_min in constants_grid():
             sel = theory.select_parameters(lip, spectral, p_min, rate)
-            report = theory.compute_constants(
-                theory.TheoryInputs(
-                    lipschitz=lip, spectral=spectral, p_min=p_min, rate=rate,
-                    tau=sel.tau, mu_z=sel.mu_z, mu_y=sel.mu_y,
-                )
-            )
+            report = theory.compute_constants(lip, spectral, p_min, rate, sel)
             assert report.ok, (spectral, lip, p_min, report.violations)
 
     def test_full_grid_suite(self):
@@ -126,18 +127,13 @@ class TestScalingCheck:
         sel = theory.select_parameters(2 * lip, spectral, p_min=1.0, rate=0.5)
         c1 = []
         for level in (lip, 2 * lip):
-            report = theory.compute_constants(
-                theory.TheoryInputs(
-                    lipschitz=level, spectral=spectral, p_min=1.0, rate=0.5,
-                    tau=sel.tau, mu_z=sel.mu_z, mu_y=sel.mu_y,
-                )
-            )
+            report = theory.compute_constants(level, spectral, 1.0, 0.5, sel)
             assert report.ok
             c1.append(report.constants.c1)
         assert c1[1] / c1[0] <= 2.0 * 1.5
 
     def test_ratio_bounded_across_grid(self):
-        report = theory.corollary_scaling_check(constants_grid(), rate=0.5)
+        report = corollary_scaling_check(constants_grid(), rate=0.5)
         assert np.isfinite(report.ratio_max)
         assert report.ratio_max < 1e3
         assert report.spread >= 1.0
@@ -146,7 +142,7 @@ class TestScalingCheck:
         # Diagnostic only: the claim is asymptotic order, so the growth is
         # reported, not asserted.
         spectral = graphs.laplacian_spectrum(graphs.complete_graph(8))
-        report = theory.corollary_scaling_check(
+        report = corollary_scaling_check(
             [(spectral, 1.0, 1.0), (spectral, 1.0, 0.5)], rate=0.5
         )
         assert len(report.entries) == 2
@@ -161,7 +157,7 @@ class TestInitialError:
         losses = [QuadraticLoss(q=np.ones(1), a=np.array([1.0])) for _ in range(3)]
         x, phi = engine.init_states(losses, topology, np.full((3, 1), 1.0))
         config = CadenConfig(mu_z=3.0, mu_y=1.0)
-        assert theory.augmented_gradient_error(x, phi, losses, topology, config.mu_z) == 0.0
+        assert augmented_gradient_error(x, phi, losses, topology, config.mu_z) == 0.0
 
     def test_k2_hand_value(self):
         topology = graphs.complete_graph(2)
@@ -169,7 +165,7 @@ class TestInitialError:
                   QuadraticLoss(q=np.ones(1), a=np.array([2.0]))]
         x, phi = engine.init_states(losses, topology, np.array([[0.0], [2.0]]))
         config = CadenConfig(mu_z=3.0, mu_y=1.0)
-        e0 = theory.augmented_gradient_error(x, phi, losses, topology, config.mu_z)
+        e0 = augmented_gradient_error(x, phi, losses, topology, config.mu_z)
         assert e0 == pytest.approx(18.0)
 
     def test_round_t_diagnostic_reduces_to_e0_at_start(self):
@@ -178,12 +174,12 @@ class TestInitialError:
                   QuadraticLoss(q=np.ones(1), a=np.array([2.0]))]
         x, phi = engine.init_states(losses, topology, np.array([[0.0], [2.0]]))
         config = CadenConfig(mu_z=3.0, mu_y=1.0)
-        e0 = theory.augmented_gradient_error(x, np.zeros_like(x), losses, topology, config.mu_z)
-        assert theory.augmented_gradient_error(
+        e0 = augmented_gradient_error(x, np.zeros_like(x), losses, topology, config.mu_z)
+        assert augmented_gradient_error(
             x, phi, losses, topology, config.mu_z
         ) == pytest.approx(e0)
         engine.run_round(x, phi, losses, topology, config, 0)
-        assert theory.augmented_gradient_error(x, phi, losses, topology, config.mu_z) >= 0.0
+        assert augmented_gradient_error(x, phi, losses, topology, config.mu_z) >= 0.0
 
     def test_matches_subproblem_gradient_blocks(self):
         rng = np.random.default_rng(0)
@@ -200,5 +196,5 @@ class TestInitialError:
             )
             block = problem.gradient(x0[i])
             total += float(block @ block)
-        e0 = theory.augmented_gradient_error(x, phi, losses, topology, config.mu_z)
+        e0 = augmented_gradient_error(x, phi, losses, topology, config.mu_z)
         assert e0 == pytest.approx(total)

@@ -9,6 +9,11 @@ then updates its dual from the post-broadcast models.  Inactive agents are
 frozen for the round.  An agent's model changes only in rounds where it
 broadcasts, so the last model a neighbor received is always the agent's
 current row of ``x``, and no per-neighbor copy is kept.
+
+The active agents' subproblems are solved together (``primal_updates``): one
+lockstep L-BFGS or gradient-descent solve over a ``SubproblemBatch`` whose
+loss terms come from the run's ``LossStack``.  Each agent's result is that of
+its own solve bit for bit, since the subproblems read only round-t snapshots.
 """
 
 from __future__ import annotations
@@ -20,14 +25,17 @@ import numpy as np
 
 from .errors import CheckpointError
 from .graphs import Topology
-from .losses import LocalLoss
+from .losses import LocalLoss, LossStack
 from .solvers import (
     DEFAULT_MEMORY,
     LocalSubproblem,
     SolverReport,
+    SubproblemBatch,
     solve_exact_quadratic,
     solve_gd,
+    solve_gd_batch,
     solve_lbfgs,
+    solve_lbfgs_batch,
 )
 
 _PARTICIPATION_STREAM = 401
@@ -137,8 +145,9 @@ def local_subproblem(
 def solve_local(
     problem: LocalSubproblem, x_start: np.ndarray, config: CadenConfig, tau: int
 ) -> SolverReport:
-    """The one local-solver dispatch: tau iterations of ``config.solver`` on
-    ``problem``, warm-started at ``x_start`` (the exact solve uses neither).
+    """tau iterations of ``config.solver`` on one subproblem, warm-started at
+    ``x_start`` (the exact solve uses neither); the edge form and the
+    contraction probe solve agent by agent through it.
 
     Calls the solvers through this module's globals, so a wrapper installed
     on ``caden.engine.solve_lbfgs`` or ``caden.engine.solve_gd`` sees each
@@ -151,6 +160,44 @@ def solve_local(
     return solve_exact_quadratic(problem)
 
 
+def solve_batch(
+    batch: SubproblemBatch, x_start: np.ndarray, config: CadenConfig, tau: int
+) -> list[SolverReport]:
+    """``solve_local`` for every subproblem of ``batch`` at once: lockstep
+    L-BFGS or gradient descent from the rows of ``x_start``; the exact solve
+    goes agent by agent.  Each report equals that of ``solve_local``."""
+    if config.solver == "lbfgs":
+        return solve_lbfgs_batch(batch, x_start, tau, config.lbfgs_memory)
+    if config.solver == "gd":
+        return solve_gd_batch(batch, x_start, tau, step=config.gd_step, lipschitz=config.lipschitz)
+    return [solve_exact_quadratic(p) for p in batch.problems]
+
+
+def primal_updates(
+    agents: list[int],
+    x: np.ndarray,
+    phi: np.ndarray,
+    losses: list[LocalLoss],
+    topology: Topology,
+    config: CadenConfig,
+    round_index: int,
+) -> list[np.ndarray]:
+    """Solve the round-t subproblems of ``agents`` together, each from the
+    agent's current model; returns the new models in the order of ``agents``.
+
+    Reads only round-t snapshots, so the agents' results do not depend on
+    which others are solved with them.  The caller applies the returned
+    models after all of them are computed.
+    """
+    if not agents:
+        return []
+    stack = LossStack.of(losses)
+    problems = [local_subproblem(i, x, phi, stack[i], topology, config.mu_z) for i in agents]
+    batch = SubproblemBatch(problems, stack, agents)
+    tau = config.tau_schedule.tau(round_index)
+    return [report.x_out for report in solve_batch(batch, x[agents], config, tau)]
+
+
 def primal_update(
     agent: int,
     x: np.ndarray,
@@ -160,14 +207,9 @@ def primal_update(
     config: CadenConfig,
     round_index: int,
 ) -> np.ndarray:
-    """Solve the agent's round-t subproblem from its current model.
-
-    Reads only round-t snapshots, so primal updates of distinct agents
-    commute.  The caller applies the returned model after all active agents
-    have computed theirs.
-    """
-    problem = local_subproblem(agent, x, phi, losses[agent], topology, config.mu_z)
-    return solve_local(problem, x[agent], config, config.tau_schedule.tau(round_index)).x_out
+    """One agent's round-t primal step: the one-agent case of
+    ``primal_updates``."""
+    return primal_updates([agent], x, phi, losses, topology, config, round_index)[0]
 
 
 def broadcast(x: np.ndarray, new_x: dict[int, np.ndarray]) -> int:
@@ -201,9 +243,9 @@ def run_round(
     """One synchronous round on the (m, d) models ``x`` and duals ``phi``,
     both updated in place: participation, primal solves, broadcast, dual."""
     flags = sample_participation(config, round_index, topology.m)
-    active = [i for i in range(topology.m) if flags[i]]
-    new_x = {i: primal_update(i, x, phi, losses, topology, config, round_index) for i in active}
-    broadcasts = broadcast(x, new_x)
+    active = np.flatnonzero(flags).tolist()
+    new_x = primal_updates(active, x, phi, losses, topology, config, round_index)
+    broadcasts = broadcast(x, dict(zip(active, new_x)))
     for i in active:
         phi[i] = dual_update(i, x, phi, topology, config)
     return RoundSummary(active=flags, broadcasts=broadcasts)

@@ -28,7 +28,7 @@ from .datasets import (
 )
 from .engine import CadenConfig, TauSchedule
 from .errors import ConfigError, DivergenceError
-from .losses import LogisticLoss, MlpLoss, QuadraticLoss, estimate_lipschitz
+from .losses import LogisticLoss, LossStack, MlpLoss, QuadraticLoss, estimate_lipschitz
 from .solvers import estimate_contraction
 
 _TARGET_STREAM = 501
@@ -187,6 +187,10 @@ def _data_losses(cfg: ExperimentConfig, m: int):
             x_train, y_train = x_train[:cut], y_train[:cut]
     else:
         raise ConfigError(f"unknown loss.data {cfg.loss_data!r}")
+    if x_train.shape[0] < m:
+        raise ConfigError(
+            f"loss.idx_images holds {x_train.shape[0]} training samples, fewer than m={m} agents"
+        )
     shards = shard_indices(x_train.shape[0], m, cfg.shard_seed())
     losses = []
     for idx in shards:
@@ -200,10 +204,12 @@ def _data_losses(cfg: ExperimentConfig, m: int):
 
 
 def build_losses(cfg: ExperimentConfig, topology: graphs.Topology):
-    """Per-agent losses plus the shared held-out set (None for quadratics)."""
+    """The agents' losses as one ``LossStack``, built once per run, plus the
+    shared held-out set (None for quadratics)."""
     if cfg.loss_kind == "quadratic":
-        return _quadratic_losses(cfg, topology.m), None
-    return _data_losses(cfg, topology.m)
+        return LossStack(_quadratic_losses(cfg, topology.m)), None
+    losses, eval_set = _data_losses(cfg, topology.m)
+    return LossStack(losses), eval_set
 
 
 @dataclass
@@ -362,6 +368,23 @@ def _check_ranges(cfg: ExperimentConfig) -> None:
         checks.append(("topology_edge_prob", 0.0 < cfg.topology_edge_prob <= 1.0, "in (0, 1]"))
     if cfg.loss_kind == "quadratic" and not cfg.quadratic_targets.strip():
         checks.append(("loss_dimension", cfg.loss_dimension >= 1, "at least 1"))
+    if cfg.loss_kind == "quadratic" and cfg.quadratic_style == "random":
+        checks.append(("quadratic_cond", cfg.quadratic_cond >= 1.0, "at least 1"))
+    if cfg.loss_kind in ("logistic", "mlp"):
+        if cfg.loss_data == "blobs":
+            checks += [
+                ("loss_samples_per_agent", cfg.loss_samples_per_agent >= 1, "at least 1"),
+                ("loss_features", cfg.loss_features >= 1, "at least 1"),
+                ("loss_classes", cfg.loss_classes >= 1, "at least 1"),
+            ]
+        checks.append(("loss_eval_samples", cfg.loss_eval_samples >= 1, "at least 1"))
+    if cfg.loss_kind == "mlp":
+        checks.append(("loss_hidden", cfg.loss_hidden >= 1, "at least 1"))
+    if cfg.init_strategy == "warmstart":
+        checks += [
+            ("lipschitz_warm_lr", cfg.lipschitz_warm_lr > 0.0, "positive"),
+            ("lipschitz_probe_lr", cfg.lipschitz_probe_lr > 0.0, "positive"),
+        ]
     if cfg.algorithm == "gt":
         checks += [
             ("gt_step", cfg.gt_step is None or cfg.gt_step > 0.0, "positive"),

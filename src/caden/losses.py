@@ -1,13 +1,21 @@
-"""Per-agent differentiable losses and empirical smoothness estimation.
+"""Per-agent differentiable losses, their stacked evaluation, and empirical
+smoothness estimation.
 
 Three families are provided: quadratics (with exact curvature, used as
 oracles), multinomial logistic regression, and a two-layer ReLU perceptron
 with softmax cross-entropy.  All are bounded below by 0 and expose value()
 and gradient() on a flat parameter vector of dimension ``dim``.
+
+The logistic and MLP math is written once, as kernels over parameters and
+data shards with any leading axes; one agent's ``value``/``gradient``/
+``predict`` is the one-row case.  ``LossStack`` holds a run's m losses and
+evaluates many agents' rows in one kernel call per group of equal shard
+shapes, bit-identical to the one-agent methods.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +41,11 @@ class LocalLoss:
 
     def smoothness(self) -> float | None:
         """Exact gradient-Lipschitz constant when known in closed form."""
+        return None
+
+    def stack_key(self):
+        """Losses with equal non-None keys evaluate together in a
+        ``LossStack``; None evaluates row by row."""
         return None
 
     def _check(self, x: np.ndarray) -> np.ndarray:
@@ -79,14 +92,46 @@ class QuadraticLoss(LocalLoss):
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def _cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
-    picked = probs[np.arange(labels.shape[0]), labels]
-    return float(-np.log(np.maximum(picked, 1e-300)).mean())
+def _cross_entropy(probs: np.ndarray, shard: Shard) -> np.ndarray:
+    picked = probs[shard.picks]
+    return -np.log(np.maximum(picked, 1e-300)).mean(axis=-1)
+
+
+def _squared_norms(x: np.ndarray):
+    """x . x of each parameter row, one dot product per row as for one agent."""
+    if x.ndim == 1:
+        return float(x @ x)
+    return np.array([float(row @ row) for row in x])
+
+
+def _t(a: np.ndarray) -> np.ndarray:
+    """Transpose of the last two axes."""
+    return a.swapaxes(-1, -2)
+
+
+class Shard:
+    """Labelled samples with any leading axes: features (..., n, p) and
+    class labels (..., n).  ``picks`` indexes each sample's label entry in
+    a (..., n, classes) array."""
+
+    __slots__ = ("features", "labels", "picks")
+
+    def __init__(self, features: np.ndarray, labels: np.ndarray):
+        self.features = np.asarray(features, dtype=float)
+        self.labels = np.asarray(labels, dtype=np.int64)
+        self.picks = (*np.indices(self.labels.shape, sparse=True), self.labels)
+
+    @classmethod
+    def stack(cls, shards: Sequence[Shard]) -> Shard:
+        return cls(np.stack([s.features for s in shards]), np.stack([s.labels for s in shards]))
+
+    def take(self, slots: np.ndarray) -> Shard:
+        return Shard(self.features[slots], self.labels[slots])
 
 
 class LogisticLoss(LocalLoss):
@@ -94,35 +139,43 @@ class LogisticLoss(LocalLoss):
 
     Parameters are the flattened (features, classes) weight matrix; there is
     no separate bias (append a constant feature column if one is wanted).
+    ``_values``/``_gradients`` take parameters (..., d) and a shard with the
+    same leading axes; ``value``/``gradient`` are their one-agent case.
     """
 
     def __init__(self, features: np.ndarray, labels: np.ndarray, classes: int, l2: float = 0.0):
-        self.x_data = np.asarray(features, dtype=float)
-        self.labels = np.asarray(labels, dtype=np.int64)
+        self.shard = Shard(features, labels)
         self.classes = classes
         self.l2 = l2
-        self.n_features = self.x_data.shape[1]
+        self.n_features = self.shard.features.shape[1]
         self.dim = self.n_features * classes
 
+    def stack_key(self):
+        return (LogisticLoss, self.shard.features.shape, self.classes, self.l2)
+
     def _weights(self, x: np.ndarray) -> np.ndarray:
-        return x.reshape(self.n_features, self.classes)
+        return x.reshape(*x.shape[:-1], self.n_features, self.classes)
+
+    def _values(self, x: np.ndarray, shard: Shard) -> np.ndarray:
+        probs = _softmax(shard.features @ self._weights(x))
+        return _cross_entropy(probs, shard) + 0.5 * self.l2 * _squared_norms(x)
+
+    def _gradients(self, x: np.ndarray, shard: Shard) -> np.ndarray:
+        n = shard.features.shape[-2]
+        probs = _softmax(shard.features @ self._weights(x))
+        probs[shard.picks] -= 1.0
+        grad = (_t(shard.features) @ probs) / n
+        return grad.reshape(x.shape) + self.l2 * x
 
     def value(self, x: np.ndarray) -> float:
-        x = self._check(x)
-        probs = _softmax(self.x_data @ self._weights(x))
-        return _cross_entropy(probs, self.labels) + 0.5 * self.l2 * float(x @ x)
+        return float(self._values(self._check(x), self.shard))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        x = self._check(x)
-        n = self.x_data.shape[0]
-        probs = _softmax(self.x_data @ self._weights(x))
-        probs[np.arange(n), self.labels] -= 1.0
-        grad = (self.x_data.T @ probs) / n
-        return grad.ravel() + self.l2 * x
+        return self._gradients(self._check(x), self.shard)
 
     def predict(self, x: np.ndarray, features: np.ndarray) -> np.ndarray:
         logits = np.asarray(features, dtype=float) @ self._weights(self._check(x))
-        return logits.argmax(axis=1)
+        return logits.argmax(axis=-1)
 
 
 class MlpLoss(LocalLoss):
@@ -130,7 +183,9 @@ class MlpLoss(LocalLoss):
 
     Flat parameter layout: [W1 (features x hidden), b1, W2 (hidden x classes),
     b2].  Gradients are reverse-mode through the two layers on the agent's
-    full data shard.
+    full data shard.  ``_values``/``_gradients`` take parameters (..., d) and
+    a shard with the same leading axes; ``value``/``gradient``/``predict`` are
+    their one-agent case.
     """
 
     def __init__(
@@ -141,55 +196,69 @@ class MlpLoss(LocalLoss):
         classes: int,
         l2: float = 0.0,
     ):
-        self.x_data = np.asarray(features, dtype=float)
-        self.labels = np.asarray(labels, dtype=np.int64)
+        self.shard = Shard(features, labels)
         self.hidden = hidden
         self.classes = classes
         self.l2 = l2
-        self.n_features = self.x_data.shape[1]
+        self.n_features = self.shard.features.shape[1]
         p, h, k = self.n_features, hidden, classes
         self.dim = p * h + h + h * k + k
 
+    def stack_key(self):
+        return (MlpLoss, self.shard.features.shape, self.hidden, self.classes, self.l2)
+
     def _unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(W1, b1, W2, b2) with the leading axes of ``x``; the biases keep a
+        length-1 sample axis."""
+        lead = x.shape[:-1]
         p, h, k = self.n_features, self.hidden, self.classes
         o1 = p * h
         o2 = o1 + h
         o3 = o2 + h * k
         return (
-            x[:o1].reshape(p, h),
-            x[o1:o2],
-            x[o2:o3].reshape(h, k),
-            x[o3:],
+            x[..., :o1].reshape(*lead, p, h),
+            x[..., o1:o2].reshape(*lead, 1, h),
+            x[..., o2:o3].reshape(*lead, h, k),
+            x[..., o3:].reshape(*lead, 1, k),
         )
 
-    def _forward(self, x: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        w1, b1, w2, b2 = self._unpack(x)
+    @staticmethod
+    def _forward(weights, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        w1, b1, w2, b2 = weights
         act = np.maximum(data @ w1 + b1, 0.0)
         return act, act @ w2 + b2
 
-    def value(self, x: np.ndarray) -> float:
-        x = self._check(x)
-        _, logits = self._forward(x, self.x_data)
-        return _cross_entropy(_softmax(logits), self.labels) + 0.5 * self.l2 * float(x @ x)
+    def _values(self, x: np.ndarray, shard: Shard) -> np.ndarray:
+        _, logits = self._forward(self._unpack(x), shard.features)
+        return _cross_entropy(_softmax(logits), shard) + 0.5 * self.l2 * _squared_norms(x)
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        x = self._check(x)
-        w1, b1, w2, b2 = self._unpack(x)
-        n = self.x_data.shape[0]
-        act, logits = self._forward(x, self.x_data)
+    def _gradients(self, x: np.ndarray, shard: Shard) -> np.ndarray:
+        weights = self._unpack(x)
+        w2 = weights[2]
+        n = shard.features.shape[-2]
+        act, logits = self._forward(weights, shard.features)
         delta = _softmax(logits)
-        delta[np.arange(n), self.labels] -= 1.0
+        delta[shard.picks] -= 1.0
         delta /= n
-        g_w2 = act.T @ delta
-        g_b2 = delta.sum(axis=0)
-        back = delta @ w2.T
+        g_w2 = _t(act) @ delta
+        g_b2 = delta.sum(axis=-2)
+        back = delta @ _t(w2)
         back[act <= 0.0] = 0.0
-        g_w1 = self.x_data.T @ back
-        g_b1 = back.sum(axis=0)
-        grad = np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2])
+        g_w1 = _t(shard.features) @ back
+        g_b1 = back.sum(axis=-2)
+        lead = x.shape[:-1]
+        grad = np.concatenate(
+            [g_w1.reshape(*lead, -1), g_b1, g_w2.reshape(*lead, -1), g_b2], axis=-1
+        )
         if self.l2:
             grad += self.l2 * x
         return grad
+
+    def value(self, x: np.ndarray) -> float:
+        return float(self._values(self._check(x), self.shard))
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return self._gradients(self._check(x), self.shard)
 
     def init_params(self, seed: int) -> np.ndarray:
         """He-scaled random weights, zero biases."""
@@ -200,8 +269,80 @@ class MlpLoss(LocalLoss):
         return np.concatenate([w1.ravel(), np.zeros(h), w2.ravel(), np.zeros(k)])
 
     def predict(self, x: np.ndarray, features: np.ndarray) -> np.ndarray:
-        _, logits = self._forward(self._check(x), np.asarray(features, dtype=float))
-        return logits.argmax(axis=1)
+        _, logits = self._forward(self._unpack(self._check(x)), np.asarray(features, dtype=float))
+        return logits.argmax(axis=-1)
+
+
+class LossStack(Sequence):
+    """The m agents' losses, evaluated many rows at a time.
+
+    Indexing, ``len`` and iteration give the per-agent losses, so a stack
+    stands wherever a list of losses does.  ``values(x, rows)`` and
+    ``gradients(x, rows)`` evaluate agent ``rows[n]``'s loss at ``x[n]``.
+    Logistic and MLP losses with equal shard shapes and equal
+    hyperparameters form one group whose (g, n, p) shards go through the
+    family's kernel in one call; an uneven last shard gets its own group.
+    Each row's result equals the agent's own ``value``/``gradient`` bit for
+    bit.  Other losses (quadratics) are evaluated row by row through their
+    own methods.
+    """
+
+    def __init__(self, losses: Sequence[LocalLoss]):
+        self._losses = list(losses)
+        if not self._losses:
+            raise ValueError("a loss stack needs at least one loss")
+        self.dim = self._losses[0].dim
+        members: dict = {}
+        for i, loss in enumerate(self._losses):
+            key = loss.stack_key()
+            if key is not None:
+                members.setdefault(key, []).append(i)
+        # Per agent: its group (-1 for row-by-row losses) and row in it.
+        self._group = np.full(len(self._losses), -1)
+        self._slot = np.zeros(len(self._losses), dtype=np.intp)
+        self._groups: list[tuple[LocalLoss, Shard]] = []
+        for agents in members.values():
+            self._group[agents] = len(self._groups)
+            self._slot[agents] = np.arange(len(agents))
+            shard = Shard.stack([self._losses[i].shard for i in agents])
+            self._groups.append((self._losses[agents[0]], shard))
+
+    @classmethod
+    def of(cls, losses: Sequence[LocalLoss]) -> LossStack:
+        """``losses`` itself when it is a stack, else a stack of it."""
+        return losses if isinstance(losses, LossStack) else cls(losses)
+
+    def __len__(self) -> int:
+        return len(self._losses)
+
+    def __getitem__(self, agent):
+        return self._losses[agent]
+
+    def __iter__(self):
+        return iter(self._losses)
+
+    def values(self, x: np.ndarray, rows) -> np.ndarray:
+        """(k,) loss values of agents ``rows`` at the (k, d) points ``x``."""
+        return self._evaluate(x, rows, np.empty(len(rows)), "value", "_values")
+
+    def gradients(self, x: np.ndarray, rows) -> np.ndarray:
+        """(k, d) loss gradients of agents ``rows`` at the (k, d) points ``x``."""
+        return self._evaluate(x, rows, np.empty((len(rows), self.dim)), "gradient", "_gradients")
+
+    def _evaluate(self, x, rows, out, one, many):
+        rows = np.asarray(rows, dtype=np.intp)
+        groups = self._group[rows]
+        for n in np.flatnonzero(groups < 0):
+            out[n] = getattr(self._losses[rows[n]], one)(x[n])
+        for g, (loss, shard) in enumerate(self._groups):
+            pos = np.flatnonzero(groups == g)
+            if pos.size == 0:
+                continue
+            slots = self._slot[rows[pos]]
+            if len(slots) != len(shard.features) or (slots != np.arange(len(slots))).any():
+                shard = shard.take(slots)
+            out[pos] = getattr(loss, many)(x[pos], shard)
+        return out
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 dense constraint matrices, random curvature factories, the midpoint form of
 the residual V, the edge-form augmented Lagrangian, the initial
 augmented-gradient error, the gradient-tracking identity gap, the corollary
-scaling sweep, and writers for the IDX and edge-list formats the package
-reads."""
+scaling sweep, the one-agent logistic and MLP losses and the lone L-BFGS
+loop that the stacked kernels and the lockstep solver must match bit for bit,
+and writers for the IDX and edge-list formats the package reads."""
 
 from __future__ import annotations
 
@@ -20,6 +21,18 @@ from caden.edge_form import EdgeState
 from caden.engine import local_subproblem
 from caden.errors import ParameterSelectionError
 from caden.graphs import SpectralSummary, Topology, constraint_residual, edge_midpoints
+from caden.losses import LocalLoss
+from caden.solvers import (
+    ARMIJO_C1,
+    ARMIJO_SHRINK,
+    ARMIJO_SLACK,
+    CURVATURE_SKIP_TOL,
+    DEFAULT_MEMORY,
+    MAX_BACKTRACKS,
+    LocalSubproblem,
+    SolverReport,
+    two_loop_direction,
+)
 
 
 def central_difference(fn, x: np.ndarray, h: float | None = None) -> np.ndarray:
@@ -164,6 +177,217 @@ def corollary_scaling_check(
     ratios = [e.ratio for e in entries]
     return ScalingReport(
         entries=tuple(entries), ratio_max=max(ratios), spread=max(ratios) / min(ratios)
+    )
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
+    picked = probs[np.arange(labels.shape[0]), labels]
+    return float(-np.log(np.maximum(picked, 1e-300)).mean())
+
+
+class ReferenceLogisticLoss(LocalLoss):
+    """Multinomial logistic regression: mean cross-entropy plus optional L2.
+
+    Parameters are the flattened (features, classes) weight matrix; there is
+    no separate bias (append a constant feature column if one is wanted).
+    """
+
+    def __init__(self, features: np.ndarray, labels: np.ndarray, classes: int, l2: float = 0.0):
+        self.x_data = np.asarray(features, dtype=float)
+        self.labels = np.asarray(labels, dtype=np.int64)
+        self.classes = classes
+        self.l2 = l2
+        self.n_features = self.x_data.shape[1]
+        self.dim = self.n_features * classes
+
+    def _weights(self, x: np.ndarray) -> np.ndarray:
+        return x.reshape(self.n_features, self.classes)
+
+    def value(self, x: np.ndarray) -> float:
+        x = self._check(x)
+        probs = _softmax(self.x_data @ self._weights(x))
+        return _cross_entropy(probs, self.labels) + 0.5 * self.l2 * float(x @ x)
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        x = self._check(x)
+        n = self.x_data.shape[0]
+        probs = _softmax(self.x_data @ self._weights(x))
+        probs[np.arange(n), self.labels] -= 1.0
+        grad = (self.x_data.T @ probs) / n
+        return grad.ravel() + self.l2 * x
+
+    def predict(self, x: np.ndarray, features: np.ndarray) -> np.ndarray:
+        logits = np.asarray(features, dtype=float) @ self._weights(self._check(x))
+        return logits.argmax(axis=1)
+
+
+class ReferenceMlpLoss(LocalLoss):
+    """Two fully connected layers with ReLU, softmax cross-entropy, optional L2.
+
+    Flat parameter layout: [W1 (features x hidden), b1, W2 (hidden x classes),
+    b2].  Gradients are reverse-mode through the two layers on the agent's
+    full data shard.
+    """
+
+    def __init__(
+        self,
+        features: np.ndarray,
+        labels: np.ndarray,
+        hidden: int,
+        classes: int,
+        l2: float = 0.0,
+    ):
+        self.x_data = np.asarray(features, dtype=float)
+        self.labels = np.asarray(labels, dtype=np.int64)
+        self.hidden = hidden
+        self.classes = classes
+        self.l2 = l2
+        self.n_features = self.x_data.shape[1]
+        p, h, k = self.n_features, hidden, classes
+        self.dim = p * h + h + h * k + k
+
+    def _unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        p, h, k = self.n_features, self.hidden, self.classes
+        o1 = p * h
+        o2 = o1 + h
+        o3 = o2 + h * k
+        return (
+            x[:o1].reshape(p, h),
+            x[o1:o2],
+            x[o2:o3].reshape(h, k),
+            x[o3:],
+        )
+
+    def _forward(self, x: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        w1, b1, w2, b2 = self._unpack(x)
+        act = np.maximum(data @ w1 + b1, 0.0)
+        return act, act @ w2 + b2
+
+    def value(self, x: np.ndarray) -> float:
+        x = self._check(x)
+        _, logits = self._forward(x, self.x_data)
+        return _cross_entropy(_softmax(logits), self.labels) + 0.5 * self.l2 * float(x @ x)
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        x = self._check(x)
+        w1, b1, w2, b2 = self._unpack(x)
+        n = self.x_data.shape[0]
+        act, logits = self._forward(x, self.x_data)
+        delta = _softmax(logits)
+        delta[np.arange(n), self.labels] -= 1.0
+        delta /= n
+        g_w2 = act.T @ delta
+        g_b2 = delta.sum(axis=0)
+        back = delta @ w2.T
+        back[act <= 0.0] = 0.0
+        g_w1 = self.x_data.T @ back
+        g_b1 = back.sum(axis=0)
+        grad = np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2])
+        if self.l2:
+            grad += self.l2 * x
+        return grad
+
+    def predict(self, x: np.ndarray, features: np.ndarray) -> np.ndarray:
+        _, logits = self._forward(self._check(x), np.asarray(features, dtype=float))
+        return logits.argmax(axis=1)
+
+
+def reference_solve_lbfgs(
+    problem: LocalSubproblem,
+    x_start: np.ndarray,
+    tau: int,
+    memory: int = DEFAULT_MEMORY,
+) -> SolverReport:
+    """One agent's L-BFGS solve as a lone loop: the oracle that
+    ``solvers.solve_lbfgs_batch`` must match field for field.
+
+    tau iterations of L-BFGS on the local subproblem, warm-started.
+
+    Two-loop recursion with Liu-Nocedal initial scaling and Armijo
+    backtracking (c1=1e-4, halving, 30 backtracks max).  A failed line search
+    takes a zero step for that iteration rather than forcing a move.
+    Curvature pairs with s.y <= 1e-10 ||s|| ||y|| are dropped, which keeps the
+    implicit inverse-Hessian approximation positive definite.  The memory is
+    fresh per call: each round's subproblem is a different function, so no
+    stale pairs carry over.
+    """
+    if tau < 0:
+        raise ValueError("tau must be nonnegative")
+    x = np.asarray(x_start, dtype=float).copy()
+    d = x.shape[0]
+    g = problem.gradient(x)
+    f = problem.value(x)
+    gnorm = float(np.linalg.norm(g))
+    norms = [gnorm]
+    vals = [f]
+    s_buf = np.empty((memory, d))
+    y_buf = np.empty((memory, d))
+    rho_buf = np.empty(memory)
+    count = 0
+    gamma = 1.0
+    failures = 0
+    performed = 0
+
+    for _ in range(tau):
+        if gnorm == 0.0:
+            break
+        direction = -two_loop_direction(s_buf[:count], y_buf[:count], rho_buf[:count], gamma, g)
+        slope = float(g @ direction)
+        if slope >= 0.0:
+            # Numerically broken direction; steepest descent is always safe.
+            direction = -g
+            slope = -float(g @ g)
+        step = 1.0
+        accepted = False
+        f_trial = f
+        for _ in range(MAX_BACKTRACKS):
+            x_trial = x + step * direction
+            f_trial = problem.value(x_trial)
+            slack = ARMIJO_SLACK * (abs(f) + abs(f_trial))
+            if f_trial <= f + ARMIJO_C1 * step * slope + slack:
+                accepted = True
+                break
+            step *= ARMIJO_SHRINK
+        performed += 1
+        if not accepted:
+            failures += 1
+            norms.append(gnorm)
+            vals.append(f)
+            continue
+        g_new = problem.gradient(x_trial)
+        s_vec = x_trial - x
+        y_vec = g_new - g
+        sy = float(s_vec @ y_vec)
+        if sy > CURVATURE_SKIP_TOL * float(np.linalg.norm(s_vec)) * float(np.linalg.norm(y_vec)):
+            if count == memory:
+                s_buf[:-1] = s_buf[1:]
+                y_buf[:-1] = y_buf[1:]
+                rho_buf[:-1] = rho_buf[1:]
+                count -= 1
+            s_buf[count] = s_vec
+            y_buf[count] = y_vec
+            rho_buf[count] = 1.0 / sy
+            count += 1
+            gamma = sy / float(y_vec @ y_vec)
+        x, f, g = x_trial, f_trial, g_new
+        gnorm = float(np.linalg.norm(g))
+        norms.append(gnorm)
+        vals.append(f)
+
+    return SolverReport(
+        x_out=x,
+        iterations=performed,
+        grad_norm_in=norms[0],
+        grad_norm_out=gnorm,
+        grad_norms=norms,
+        values=vals,
+        line_search_failures=failures,
     )
 
 

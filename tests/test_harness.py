@@ -5,8 +5,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from caden import cli, engine
+from caden import cli, engine, harness
 from caden.config import ExperimentConfig, serialize_config
 from caden.errors import CadenError, ConfigError, DivergenceError
 from caden.harness import (
@@ -65,6 +67,13 @@ def _convex_benchmark(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def _cells_after(result, split):
+    """The result's CSV rows after round ``split``, without comms and time_s."""
+    skip = {CSV_COLUMNS.index("comms"), CSV_COLUMNS.index("time_s")}
+    rows = [line.split(",") for line in result.csv_path.read_text().splitlines()[1:]]
+    return [[c for j, c in enumerate(row) if j not in skip] for row in rows if int(row[0]) > split]
 
 
 class TestRunExperiment:
@@ -181,15 +190,32 @@ class TestRunExperiment:
         )
         straight = run_experiment(cfg.replace(rounds=40), out_dir=str(tmp_path / "c"))
 
-        def cells_after_k(result):
-            skip = {CSV_COLUMNS.index("comms"), CSV_COLUMNS.index("time_s")}
-            rows = [line.split(",") for line in result.csv_path.read_text().splitlines()[1:]]
-            return [
-                [c for j, c in enumerate(row) if j not in skip] for row in rows if int(row[0]) > k
-            ]
+        assert len(_cells_after(straight, k)) == 40 - k
+        assert _cells_after(resumed, k) == _cells_after(straight, k)
 
-        assert len(cells_after_k(straight)) == 40 - k
-        assert cells_after_k(resumed) == cells_after_k(straight)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        split=st.integers(1, 11),
+        p=st.floats(0.05, 1.0),
+        seed=st.integers(0, 1000),
+        loss_kind=st.sampled_from(["quadratic", "logistic"]),
+    )
+    def test_resume_equals_continuous_run(self, tmp_path_factory, split, p, seed, loss_kind):
+        # Partial participation makes every round solve a different subset.
+        out = tmp_path_factory.mktemp("resume")
+        state_path = str(out / "state.bin")
+        cfg = _convex_benchmark(
+            seed=seed, rounds=12, caden_participation=p, loss_kind=loss_kind,
+            loss_samples_per_agent=8, loss_features=3, loss_eval_samples=5, caden_mu_z=3.0,
+        )
+        run_experiment(cfg.replace(rounds=split, output_save_state=state_path), out_dir=str(out))
+        resumed = run_experiment(
+            cfg.replace(rounds=12 - split, init_state_file=state_path, output_label="resumed"),
+            out_dir=str(out),
+        )
+        straight = run_experiment(cfg.replace(output_label="straight"), out_dir=str(out))
+        assert _cells_after(resumed, split) == _cells_after(straight, split)
+        assert len(_cells_after(straight, split)) == 12 - split
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -348,6 +374,20 @@ class TestRunExperiment:
         assert result.trace.rows[-1].acc is not None
         assert result.summary["totals"]["final_rel_err"] >= 0.0
 
+    def test_idx_data_with_fewer_samples_than_agents_refused(self, tmp_path):
+        img_path = str(tmp_path / "train.idx")
+        lab_path = str(tmp_path / "labels.idx")
+        write_idx_images(img_path, np.full((4, 2), 0.5), 1, 2)
+        write_idx_labels(lab_path, np.array([0, 1, 0, 1]))
+        cfg = ExperimentConfig(
+            seed=0, rounds=2, topology_kind="complete", topology_m=3,
+            loss_kind="logistic", loss_data="idx", loss_idx_images=img_path,
+            loss_idx_labels=lab_path, loss_eval_samples=2, output_label="idx",
+        )
+        with pytest.raises(ConfigError, match="loss.idx_images holds 2 training samples"):
+            run_experiment(cfg, out_dir=str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+
     def test_warmstart_resolves_smoothness(self, tmp_path):
         cfg = ExperimentConfig(
             seed=0, rounds=3, loss_kind="mlp", loss_data="blobs",
@@ -384,13 +424,25 @@ class TestRunExperiment:
         (dict(topology_kind="random", topology_edge_prob=0.0), "topology.edge_prob"),
         (dict(topology_kind="random", topology_edge_prob=1.5), "topology.edge_prob"),
         (dict(quadratic_targets="", loss_dimension=0), "loss.dimension"),
+        (dict(quadratic_style="random", quadratic_cond=0.0), "quadratic.cond"),
+        (dict(loss_kind="logistic", loss_samples_per_agent=0), "loss.samples_per_agent"),
+        (dict(loss_kind="mlp", loss_eval_samples=0), "loss.eval_samples"),
+        (dict(loss_kind="logistic", loss_features=0), "loss.features"),
+        (dict(loss_kind="logistic", loss_classes=0), "loss.classes"),
+        (dict(loss_kind="mlp", loss_hidden=0), "loss.hidden"),
+        (dict(init_strategy="warmstart", lipschitz_warm_lr=0.0), "lipschitz.warm_lr"),
+        (dict(init_strategy="warmstart", lipschitz_probe_lr=-1e-7), "lipschitz.probe_lr"),
     ],
 )
 def test_out_of_range_key_refused_before_any_round(tmp_path, monkeypatch, overrides, key):
     def no_round(*args, **kwargs):
         raise AssertionError("a round ran")
 
+    def no_build(*args, **kwargs):
+        raise AssertionError("the problem was built")
+
     monkeypatch.setattr(engine, "run_round", no_round)
+    monkeypatch.setattr(harness, "build_topology", no_build)
     with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must"):
         run_experiment(_k2_config(**overrides), out_dir=str(tmp_path))
     assert list(tmp_path.iterdir()) == []

@@ -1,13 +1,16 @@
-"""Loss families: values, gradients vs finite differences, smoothness probe."""
+"""Loss families: values, gradients vs finite differences, smoothness probe,
+and the stacked evaluation against the one-agent losses."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caden import losses
 from caden.datasets import gaussian_blobs
 from caden.errors import LipschitzEstimateError
 
-from helpers import central_difference, random_psd
+from helpers import ReferenceLogisticLoss, ReferenceMlpLoss, central_difference, random_psd
 
 
 def _loss_zoo():
@@ -125,3 +128,79 @@ class TestLipschitzEstimate:
         loss = losses.QuadraticLoss(q=np.ones(2), a=np.zeros(2))
         with pytest.raises(LipschitzEstimateError):
             losses.estimate_lipschitz(loss, np.zeros(2), warm_epochs=0)
+
+
+@st.composite
+def _stacked_agents(draw):
+    """Agents of one data-loss family with equal shards except possibly the
+    last (IDX sharding gives it the remainder), optionally plus a quadratic
+    agent of the same dimension; returns (losses, reference losses, rng)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    family = draw(st.sampled_from(["logistic", "mlp"]))
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 12))
+    n_last = draw(st.integers(1, n + 5))
+    p = draw(st.integers(1, 6))
+    hidden = draw(st.integers(1, 6))
+    classes = draw(st.integers(2, 4))
+    l2 = draw(st.sampled_from([0.0, 1e-3, 0.5]))
+    scale = draw(st.sampled_from([0.1, 1.0, 10.0]))
+    built, reference = [], []
+    for i in range(m):
+        rows = n_last if i == m - 1 else n
+        features = scale * rng.standard_normal((rows, p))
+        labels = rng.integers(0, classes, rows)
+        if family == "logistic":
+            built.append(losses.LogisticLoss(features, labels, classes, l2))
+            reference.append(ReferenceLogisticLoss(features, labels, classes, l2))
+        else:
+            built.append(losses.MlpLoss(features, labels, hidden, classes, l2))
+            reference.append(ReferenceMlpLoss(features, labels, hidden, classes, l2))
+    if draw(st.booleans()):
+        d = built[0].dim
+        quad = losses.QuadraticLoss(q=rng.uniform(0.5, 2.0, d), a=rng.standard_normal(d))
+        built.append(quad)
+        reference.append(quad)
+    return built, reference, rng
+
+
+def _logits(loss, x, features):
+    """Logits of the (k, d) parameter rows on shared features, through the
+    broadcast kernel that ``predict`` runs one row at a time."""
+    if isinstance(loss, losses.MlpLoss):
+        return loss._forward(loss._unpack(x), features)[1]
+    return features @ loss._weights(x)
+
+
+class TestLossStack:
+    @settings(max_examples=150, deadline=None)
+    @given(_stacked_agents(), st.data())
+    def test_rows_equal_the_one_agent_losses_bit_for_bit(self, agents, data):
+        built, reference, rng = agents
+        stack = losses.LossStack(built)
+        m, d = len(built), built[0].dim
+        rows = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=2 * m)))
+        x = rng.standard_normal((len(rows), d)) * rng.uniform(0.1, 3.0)
+        values = stack.values(x, rows)
+        gradients = stack.gradients(x, rows)
+        features = rng.standard_normal((7, built[0].n_features))
+        data_rows = np.array([n for n, agent in enumerate(rows) if hasattr(built[agent], "shard")])
+        if data_rows.size:
+            stacked_logits = _logits(built[0], x[data_rows], features)
+        for n, agent in enumerate(rows):
+            ref = reference[agent]
+            assert values[n] == ref.value(x[n])
+            assert np.array_equal(gradients[n], ref.gradient(x[n]))
+            assert built[agent].value(x[n]) == ref.value(x[n])
+            assert np.array_equal(built[agent].gradient(x[n]), ref.gradient(x[n]))
+            if hasattr(ref, "predict"):
+                want = ref.predict(x[n], features)
+                assert np.array_equal(built[agent].predict(x[n], features), want)
+                stacked = stacked_logits[list(data_rows).index(n)].argmax(axis=-1)
+                assert np.array_equal(stacked, want)
+
+    def test_behaves_as_the_list_of_losses(self):
+        zoo = _loss_zoo()[2:]
+        stack = losses.LossStack(zoo)
+        assert len(stack) == 2 and list(stack) == zoo and stack[1] is zoo[1]
+        assert losses.LossStack.of(stack) is stack

@@ -1,20 +1,27 @@
-"""Local subproblem and solver tests against closed-form oracles."""
+"""Local subproblem and solver tests against closed-form oracles, and the
+lockstep solves against lone ones."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caden import solvers
-from caden.losses import QuadraticLoss
+from caden.datasets import gaussian_blobs
+from caden.losses import LocalLoss, LossStack, MlpLoss, QuadraticLoss
 from caden.solvers import (
     LocalSubproblem,
+    SubproblemBatch,
     estimate_contraction,
     solve_exact_quadratic,
     solve_gd,
+    solve_gd_batch,
     solve_lbfgs,
+    solve_lbfgs_batch,
     two_loop_direction,
 )
 
-from helpers import central_difference, random_psd
+from helpers import central_difference, random_psd, reference_solve_lbfgs
 
 
 def _subproblem(rng, d=4, degree=3, mu_z=3.0, cond=10.0):
@@ -274,3 +281,122 @@ class TestContraction:
             r_lbfgs = estimate_contraction(solve_lbfgs(p, x0, 20))
             r_gd = estimate_contraction(solve_gd(p, x0, 20, step=2.0 / (1.0 + 100.0)))
             assert r_lbfgs <= r_gd
+
+
+class _AntiGradient(LocalLoss):
+    """0.5 ||x||^2 reporting the negated gradient: every search direction
+    ascends, so each Armijo search fails after MAX_BACKTRACKS trials."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+
+    def value(self, x):
+        return 0.5 * float(x @ x)
+
+    def gradient(self, x):
+        return -np.asarray(x, dtype=float)
+
+
+class _UndefinedFar(QuadraticLoss):
+    """A quadratic whose value is NaN outside the ball of radius 2, so long
+    trial steps are rejected as NaN."""
+
+    def value(self, x):
+        return super().value(x) if float(x @ x) <= 4.0 else float("nan")
+
+
+@st.composite
+def _lockstep_batches(draw):
+    """A stack of m agents of mixed kinds and the subproblems of an active
+    subset of them, with start points, budget and memory."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 7))
+    d = 7  # MLP: 2 features, 1 hidden unit, 2 classes
+    x_mlp, y_mlp = gaussian_blobs(9 * m, 2, 2, seed=int(rng.integers(1000)))
+    kinds = draw(st.lists(st.sampled_from(["quad", "mlp", "zero", "fail", "lone", "nan"]),
+                          min_size=m, max_size=m))
+    losses, x_start, anchors, phis, mu_zs = [], [], [], [], []
+    for i, kind in enumerate(kinds):
+        degree = int(rng.integers(1, 4))
+        mu_z = float(rng.uniform(0.5, 3.0))
+        phi = rng.standard_normal(d)
+        x0 = rng.standard_normal(d)
+        if kind == "mlp":
+            rows = slice(9 * i, 9 * i + 9 - (i == m - 1) * 2)  # uneven last shard
+            losses.append(MlpLoss(x_mlp[rows], y_mlp[rows], hidden=1, classes=2, l2=1e-3))
+        elif kind == "fail":
+            losses.append(_AntiGradient(d))
+            degree, mu_z, phi = 0, 0.0, np.zeros(d)
+        elif kind == "nan":
+            losses.append(_UndefinedFar(q=np.ones(d), a=3.0 * rng.standard_normal(d)))
+            x0 = 0.3 * x0
+        elif kind == "zero":
+            # Exactly representable minimizer: starts at a zero gradient.
+            losses.append(QuadraticLoss(q=np.ones(d), a=np.zeros(d)))
+            phi, x0 = np.zeros(d), np.zeros(d)
+            degree = int(rng.integers(0, 3))
+        else:
+            losses.append(QuadraticLoss(q=random_psd(d, 30.0, rng), a=rng.standard_normal(d)))
+            if kind == "lone":  # degree 0, mu_z = 0 as in criterion 5
+                degree, mu_z = 0, 0.0
+        anchors.append(np.zeros((degree, d)) if kind == "zero" else rng.standard_normal((degree, d)))
+        phis.append(phi)
+        mu_zs.append(mu_z)
+        x_start.append(x0)
+    active = sorted(draw(st.sets(st.integers(0, m - 1), min_size=1)))
+    problems = [
+        LocalSubproblem(loss=losses[i], phi=phis[i], anchors=anchors[i], mu_z=mu_zs[i])
+        for i in active
+    ]
+    x_start = np.array(x_start)[active]
+    tau = draw(st.integers(0, 7))
+    memory = draw(st.integers(1, 10))
+    return LossStack(losses), active, problems, x_start, tau, memory
+
+
+class TestLockstep:
+    @settings(max_examples=200, deadline=None)
+    @given(_lockstep_batches())
+    def test_every_report_equals_the_lone_solve(self, case):
+        stack, active, problems, x_start, tau, memory = case
+        asked = {}
+        stacked_values = stack.values
+
+        def counted_values(x, rows):
+            for agent in rows:
+                asked[agent] = asked.get(agent, 0) + 1
+            return stacked_values(x, rows)
+
+        stack.values = counted_values
+        batch = SubproblemBatch(problems, stack, active)
+        reports = solve_lbfgs_batch(batch, x_start, tau, memory)
+        for agent, problem, x0, got in zip(active, problems, x_start, reports):
+            want = reference_solve_lbfgs(problem, x0, tau, memory)
+            assert np.array_equal(got.x_out, want.x_out)
+            for name in ("iterations", "grad_norm_in", "grad_norm_out", "grad_norms",
+                         "values", "line_search_failures"):
+                assert getattr(got, name) == getattr(want, name), name
+            accepted = got.iterations - got.line_search_failures
+            assert asked[agent] == 1 + accepted + got.backtracks
+
+    def test_failed_search_counts_every_trial(self):
+        p = LocalSubproblem(loss=_AntiGradient(3), phi=np.zeros(3),
+                            anchors=np.zeros((0, 3)), mu_z=0.0)
+        report = solve_lbfgs(p, np.ones(3), tau=2)
+        assert report.line_search_failures == 2
+        assert report.backtracks == 2 * solvers.MAX_BACKTRACKS
+        assert np.array_equal(report.x_out, np.ones(3))
+
+    def test_gd_batch_equals_lone_solves(self):
+        rng = np.random.default_rng(13)
+        problems = [_subproblem(rng, degree=k) for k in (0, 1, 3)]
+        x_start = rng.standard_normal((3, 4))
+        reports = solve_gd_batch(SubproblemBatch(problems), x_start, tau=6)
+        for problem, x0, got in zip(problems, x_start, reports):
+            step = solvers.default_gd_step(problem)
+            x = x0.copy()
+            for _ in range(6):
+                x = x - step * problem.gradient(x)
+            assert np.array_equal(got.x_out, x)
+            assert got.iterations == 6
+            assert got.grad_norm_out == float(np.linalg.norm(problem.gradient(x)))

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from .config import load_config
-from .harness import participation_sweep, run_experiment, strict_json
+from .harness import check_sweep, participation_sweep, run_experiment, strict_json
 from .verify import SUITES, run_suites
 
 
@@ -57,6 +57,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             print(f"p={p:g}: seed-averaged final V = {sweep.final_v[p]:.6g}")
         wrote_any = True
     if args.tau:
+        check_sweep(cfg, "caden.tau")
         tau_report = {}
         for tau in (int(t) for t in _float_list(args.tau)):
             errs = []

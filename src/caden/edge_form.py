@@ -6,9 +6,10 @@ consensus variable z_ij and two duals, one per endpoint.  It runs full
 participation only and serves as the equivalence oracle for the agent-form
 engine: with zero dual initialization the two endpoint duals stay
 antisymmetric, z collapses to the edge midpoints, and the x-trajectories of
-the two forms coincide.  The x-step builds each agent's ``LocalSubproblem``
-and solves it through ``engine.solve_local`` with the run's ``CadenConfig``,
-so both forms share one config and one solver.
+the two forms coincide.  The x-step is the engine's
+``solve_subproblems``, passed this form's z where the agent form passes the
+edge midpoints, so both forms share one subproblem builder, one config and
+one lockstep solver.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import CadenConfig, solve_local
+from .engine import CadenConfig, solve_subproblems
 from .graphs import Topology, edge_midpoints
 from .losses import LocalLoss
-from .solvers import LocalSubproblem
 
 
 @dataclass
@@ -45,26 +45,6 @@ def init_edge_state(topology: Topology, x_init: np.ndarray) -> EdgeState:
     return EdgeState(x=x, z=z, y=y)
 
 
-def edge_subproblem(
-    agent: int,
-    state: EdgeState,
-    phi: np.ndarray,
-    loss: LocalLoss,
-    topology: Topology,
-    mu_z: float,
-) -> LocalSubproblem:
-    """The agent's edge-form x-step objective
-
-        f_i(x) + sum_{edges k at i} [ y_k,i . (x - z_k) + (mu_z/2) ||x - z_k||^2 ]
-
-    as a subproblem with dual ``phi[agent]`` (the per-agent sums of
-    ``dual_aggregates``) and one anchor z_k per incident edge; the two differ
-    by the constant -sum_k y_k,i . z_k.
-    """
-    edges = [k for k, _, _ in topology.incident(agent)]
-    return LocalSubproblem(loss=loss, phi=phi[agent], anchors=state.z[edges], mu_z=mu_z)
-
-
 def edge_x_step(
     state: EdgeState,
     losses: list[LocalLoss],
@@ -72,28 +52,33 @@ def edge_x_step(
     config: CadenConfig,
     round_index: int,
 ) -> np.ndarray:
-    """Inexactly minimize every agent's edge-form objective, warm-started,
-    with the solver and round budget of ``config``."""
+    """Inexactly minimize every agent's x-step objective
+
+        f_i(x) + sum_{edges k at i} [ y_k,i . (x - z_k) + (mu_z/2) ||x - z_k||^2 ]
+
+    in one lockstep solve, warm-started, with the solver and round budget of
+    ``config``.  Each objective is the engine's subproblem with dual
+    ``dual_aggregates`` and anchors ``z``, up to the constant
+    -sum_k y_k,i . z_k.
+    """
     if config.participation < 1.0:
         raise ValueError("the edge form runs full participation only")
     phi = dual_aggregates(state, topology)
     tau = config.tau_schedule.tau(round_index)
-    new_x = np.empty_like(state.x)
-    for i in range(topology.m):
-        problem = edge_subproblem(i, state, phi, losses[i], topology, config.mu_z)
-        new_x[i] = solve_local(problem, state.x[i], config, tau).x_out
-    return new_x
+    agents = range(topology.m)
+    reports = solve_subproblems(agents, state.x, phi, state.z, losses, topology, config, tau)
+    return np.array([report.x_out for report in reports])
 
 
 def edge_z_step(state: EdgeState, topology: Topology, mu_z: float) -> np.ndarray:
     """Closed form: z_k = (x_i + x_j + (y_k,i + y_k,j) / mu_z) / 2."""
-    src, dst = topology.edge_arrays()
+    src, dst = topology.src, topology.dst
     return 0.5 * (state.x[src] + state.x[dst] + (state.y[:, 0] + state.y[:, 1]) / mu_z)
 
 
 def edge_y_step(state: EdgeState, topology: Topology, mu_y: float) -> np.ndarray:
     """Dual ascent per endpoint: y_k,i += mu_y (x_i - z_k)."""
-    src, dst = topology.edge_arrays()
+    src, dst = topology.src, topology.dst
     y = state.y.copy()
     y[:, 0] += mu_y * (state.x[src] - state.z)
     y[:, 1] += mu_y * (state.x[dst] - state.z)

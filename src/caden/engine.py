@@ -3,28 +3,30 @@ dual ascent.
 
 The state is two (m, d) arrays: the models ``x`` and the duals ``phi``, one
 row per agent, updated in place.  Rounds are synchronous.  Every active agent
-minimizes its local subproblem built from round-t snapshots (its own model,
-its neighbors' models and its dual vector), broadcasts the new model once,
-then updates its dual from the post-broadcast models.  Inactive agents are
-frozen for the round.  An agent's model changes only in rounds where it
-broadcasts, so the last model a neighbor received is always the agent's
-current row of ``x``, and no per-neighbor copy is kept.
+minimizes its local subproblem built from round-t snapshots, broadcasts the
+new model once, then updates its dual from the post-broadcast models.
+Inactive agents are frozen for the round.  An agent's model changes only in
+rounds where it broadcasts, so the last model a neighbor received is always
+the agent's current row of ``x``, and no per-neighbor copy is kept.
 
-The active agents' subproblems are solved together (``primal_updates``): one
-lockstep L-BFGS or gradient-descent solve over a ``SubproblemBatch`` whose
-loss terms come from the run's ``LossStack``.  Each agent's result is that of
-its own solve bit for bit, since the subproblems read only round-t snapshots.
+The agent form is the edge form (``caden.edge_form``) with every consensus
+variable z_ij held at the edge midpoint (x_i + x_j) / 2, which is why one
+broadcast per round suffices.  ``subproblems`` builds the round-t
+subproblems of both forms from a dual per agent and a z per edge, and
+``solve_subproblems`` solves them in one lockstep L-BFGS or
+gradient-descent solve over the run's ``LossStack``.
 """
 
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CheckpointError
-from .graphs import Topology
+from .graphs import Topology, edge_midpoints
 from .losses import LocalLoss, LossStack
 from .solvers import (
     DEFAULT_MEMORY,
@@ -32,11 +34,12 @@ from .solvers import (
     SolverReport,
     SubproblemBatch,
     solve_exact_quadratic,
-    solve_gd,
     solve_gd_batch,
-    solve_lbfgs,
     solve_lbfgs_batch,
 )
+
+# Kept as names for perfbench/tracer.py, which wraps caden.engine.solve_lbfgs/solve_gd.
+from .solvers import solve_gd, solve_lbfgs  # noqa: F401
 
 _PARTICIPATION_STREAM = 401
 
@@ -127,45 +130,43 @@ def sample_participation(config: CadenConfig, round_index: int, m: int) -> np.nd
     return np.array(draws) < p
 
 
-def local_subproblem(
-    agent: int,
-    x: np.ndarray,
+def subproblems(
+    agents: Sequence[int],
     phi: np.ndarray,
-    loss: LocalLoss,
+    z: np.ndarray,
+    losses: Sequence[LocalLoss],
     topology: Topology,
     mu_z: float,
-) -> LocalSubproblem:
-    """The agent's round-t subproblem: its dual, and one midpoint anchor
-    0.5 (x_i + x_j) per neighbor j."""
-    neighbors = list(topology.neighbors[agent])
-    anchors = 0.5 * (x[agent] + x[neighbors])
-    return LocalSubproblem(loss=loss, phi=phi[agent], anchors=anchors, mu_z=mu_z)
+) -> SubproblemBatch:
+    """The round-t subproblems of ``agents`` over the run's ``LossStack``:
+    agent i's has dual ``phi[i]`` and one anchor ``z[k]`` per incident edge k,
+    in ascending edge (= neighbor) order."""
+    stack = LossStack.of(losses)
+    problems = [
+        LocalSubproblem(stack[i], phi[i], z[topology.incident_edges[i]], mu_z) for i in agents
+    ]
+    return SubproblemBatch(problems, stack, agents)
 
 
-def solve_local(
-    problem: LocalSubproblem, x_start: np.ndarray, config: CadenConfig, tau: int
-) -> SolverReport:
-    """tau iterations of ``config.solver`` on one subproblem, warm-started at
-    ``x_start`` (the exact solve uses neither); the edge form and the
-    contraction probe solve agent by agent through it.
-
-    Calls the solvers through this module's globals, so a wrapper installed
-    on ``caden.engine.solve_lbfgs`` or ``caden.engine.solve_gd`` sees each
-    solve.
-    """
-    if config.solver == "lbfgs":
-        return solve_lbfgs(problem, x_start, tau, config.lbfgs_memory)
-    if config.solver == "gd":
-        return solve_gd(problem, x_start, tau, step=config.gd_step, lipschitz=config.lipschitz)
-    return solve_exact_quadratic(problem)
-
-
-def solve_batch(
-    batch: SubproblemBatch, x_start: np.ndarray, config: CadenConfig, tau: int
+def solve_subproblems(
+    agents: Sequence[int],
+    x: np.ndarray,
+    phi: np.ndarray,
+    z: np.ndarray,
+    losses: Sequence[LocalLoss],
+    topology: Topology,
+    config: CadenConfig,
+    tau: int,
 ) -> list[SolverReport]:
-    """``solve_local`` for every subproblem of ``batch`` at once: lockstep
-    L-BFGS or gradient descent from the rows of ``x_start``; the exact solve
-    goes agent by agent.  Each report equals that of ``solve_local``."""
+    """tau iterations of ``config.solver`` on the ``subproblems`` of
+    ``agents``, warm-started at their rows of ``x``; one report per agent.
+
+    L-BFGS and gradient descent run the agents in lockstep, the exact solve
+    one by one.  Each report equals that of a lone solve, so it does not
+    depend on which other agents are solved with it.
+    """
+    batch = subproblems(agents, phi, z, losses, topology, config.mu_z)
+    x_start = x[list(agents)]
     if config.solver == "lbfgs":
         return solve_lbfgs_batch(batch, x_start, tau, config.lbfgs_memory)
     if config.solver == "gd":
@@ -173,55 +174,32 @@ def solve_batch(
     return [solve_exact_quadratic(p) for p in batch.problems]
 
 
-def primal_updates(
-    agents: list[int],
-    x: np.ndarray,
-    phi: np.ndarray,
-    losses: list[LocalLoss],
-    topology: Topology,
-    config: CadenConfig,
-    round_index: int,
-) -> list[np.ndarray]:
-    """Solve the round-t subproblems of ``agents`` together, each from the
-    agent's current model; returns the new models in the order of ``agents``.
-
-    Reads only round-t snapshots, so the agents' results do not depend on
-    which others are solved with them.  The caller applies the returned
-    models after all of them are computed.
-    """
-    if not agents:
-        return []
-    stack = LossStack.of(losses)
-    problems = [local_subproblem(i, x, phi, stack[i], topology, config.mu_z) for i in agents]
-    batch = SubproblemBatch(problems, stack, agents)
-    tau = config.tau_schedule.tau(round_index)
-    return [report.x_out for report in solve_batch(batch, x[agents], config, tau)]
-
-
+# Kept as a name for perfbench/tracer.py, which wraps caden.engine.primal_update.
 def primal_update(
     agent: int,
     x: np.ndarray,
     phi: np.ndarray,
-    losses: list[LocalLoss],
+    losses: Sequence[LocalLoss],
     topology: Topology,
     config: CadenConfig,
     round_index: int,
 ) -> np.ndarray:
-    """One agent's round-t primal step: the one-agent case of
-    ``primal_updates``."""
-    return primal_updates([agent], x, phi, losses, topology, config, round_index)[0]
+    """One agent's round-t primal step, as ``run_round`` takes it."""
+    z = edge_midpoints(topology, x)
+    tau = config.tau_schedule.tau(round_index)
+    return solve_subproblems([agent], x, phi, z, losses, topology, config, tau)[0].x_out
 
 
-def broadcast(x: np.ndarray, new_x: dict[int, np.ndarray]) -> int:
-    """Publish each active agent's new model by writing its row of ``x``,
-    which is what every neighbor reads.
+def broadcast(x: np.ndarray, agents: list[int], models: list[np.ndarray]) -> int:
+    """Publish the new ``models`` of ``agents`` by writing their rows of
+    ``x``, which is what every neighbor reads.
 
     Returns the communication units consumed: one per broadcast of a single
     model vector, regardless of neighbor count.
     """
-    for i, model in new_x.items():
-        x[i] = model
-    return len(new_x)
+    if agents:
+        x[agents] = models
+    return len(agents)
 
 
 def dual_update(
@@ -244,8 +222,10 @@ def run_round(
     both updated in place: participation, primal solves, broadcast, dual."""
     flags = sample_participation(config, round_index, topology.m)
     active = np.flatnonzero(flags).tolist()
-    new_x = primal_updates(active, x, phi, losses, topology, config, round_index)
-    broadcasts = broadcast(x, dict(zip(active, new_x)))
+    z = edge_midpoints(topology, x)
+    tau = config.tau_schedule.tau(round_index)
+    reports = solve_subproblems(active, x, phi, z, losses, topology, config, tau)
+    broadcasts = broadcast(x, active, [report.x_out for report in reports])
     for i in active:
         phi[i] = dual_update(i, x, phi, topology, config)
     return RoundSummary(active=flags, broadcasts=broadcasts)

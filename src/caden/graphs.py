@@ -7,7 +7,7 @@ vector built elsewhere has a deterministic layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -31,6 +31,10 @@ class Topology:
         neighbors: per-agent neighbor tuples, ascending.
         degrees: per-agent degree d_i = len(neighbors[i]).
         d_max: maximum degree.
+        incident_edges: per-agent ids of the edges touching it, ascending
+            (which is ascending neighbor order under the canonical ordering).
+        src, dst: the smaller and larger endpoint of every edge, as index
+            arrays for vectorized per-edge math.
         resamples: how many disconnected samples were rejected before this
             topology was produced (0 for deterministic constructions).
     """
@@ -40,6 +44,9 @@ class Topology:
     neighbors: tuple[tuple[int, ...], ...]
     degrees: tuple[int, ...]
     d_max: int
+    incident_edges: tuple[np.ndarray, ...] = field(compare=False, repr=False)
+    src: np.ndarray = field(compare=False, repr=False)
+    dst: np.ndarray = field(compare=False, repr=False)
     resamples: int = 0
 
     @property
@@ -57,27 +64,12 @@ class Topology:
             lap[j, j] += 1.0
         return lap
 
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(src, dst) index arrays over edges, for vectorized per-edge math."""
-        if self.n == 0:
-            return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-        arr = np.asarray(self.edges, dtype=np.intp)
-        return arr[:, 0], arr[:, 1]
-
     def incident(self, i: int) -> list[tuple[int, int, int]]:
-        """Edges touching agent i as (edge index, neighbor, endpoint side).
-
-        Side 0 means i is the smaller endpoint of the edge, side 1 the larger.
-        Listed in edge-index order, which coincides with ascending neighbor
-        order under the canonical edge ordering.
-        """
-        out = []
-        for k, (a, b) in enumerate(self.edges):
-            if a == i:
-                out.append((k, b, 0))
-            elif b == i:
-                out.append((k, a, 1))
-        return out
+        """Edges touching agent i as (edge index, neighbor, endpoint side) in
+        edge-index order; side 0 means i is the edge's smaller endpoint."""
+        return [
+            (int(k), j, int(i > j)) for k, j in zip(self.incident_edges[i], self.neighbors[i])
+        ]
 
 
 @dataclass(frozen=True)
@@ -133,12 +125,20 @@ def from_edges(m: int, edges: Iterable[tuple[int, int]], resamples: int = 0) -> 
         raise DisconnectedGraphError(f"graph on {m} agents with {len(canon)} edges is disconnected")
     neighbors = tuple(tuple(sorted(a)) for a in adj)
     degrees = tuple(len(a) for a in neighbors)
+    incident: list[list[int]] = [[] for _ in range(m)]
+    for k, (i, j) in enumerate(canon):
+        incident[i].append(k)
+        incident[j].append(k)
+    src, dst = np.array(canon, dtype=np.intp).reshape(-1, 2).T
     return Topology(
         m=m,
         edges=canon,
         neighbors=neighbors,
         degrees=degrees,
         d_max=max(degrees),
+        incident_edges=tuple(np.array(k, dtype=np.intp) for k in incident),
+        src=src,
+        dst=dst,
         resamples=resamples,
     )
 
@@ -234,15 +234,13 @@ def constraint_residual(
     zm = _as_matrix(z, t.n, "edge")
     if xm.shape[1] != zm.shape[1]:
         raise ValueError(f"dimension mismatch: x has d={xm.shape[1]}, z has d={zm.shape[1]}")
-    src, dst = t.edge_arrays()
-    return float(((xm[src] - zm) ** 2).sum() + ((xm[dst] - zm) ** 2).sum())
+    return float(((xm[t.src] - zm) ** 2).sum() + ((xm[t.dst] - zm) ** 2).sum())
 
 
 def edge_midpoints(t: Topology, x: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
     """Per-edge midpoints (x_i + x_j) / 2 as an (n, d) array."""
     xm = _as_matrix(x, t.m, "agent")
-    src, dst = t.edge_arrays()
-    return 0.5 * (xm[src] + xm[dst])
+    return 0.5 * (xm[t.src] + xm[t.dst])
 
 
 def neighbor_disagreement_bounds(
@@ -267,7 +265,7 @@ def neighbor_disagreement_bounds(
     mid = 0.0
     for i in range(t.m):
         acc = np.zeros(xm.shape[1])
-        for k, _, _ in t.incident(i):
+        for k in t.incident_edges[i]:
             acc += xm[i] - z[k]
         mid += float(acc @ acc)
     lam = spectral.lambda_min**2 / (2.0 * spectral.lambda_max)
@@ -276,11 +274,20 @@ def neighbor_disagreement_bounds(
 
 def read_edge_list(fp: IO[str]) -> Topology:
     """Parse the plain-text edge-list format: first line "m n", then n
-    1-indexed "i j" lines."""
+    1-indexed "i j" lines.
+
+    Raises:
+        ValueError: on a malformed header or line, a non-integer token, fewer
+            than 2 agents, an edge count other than the header's, or an edge
+            ``from_edges`` rejects.
+        DisconnectedGraphError: if the graph is not connected.
+    """
     header = fp.readline().split()
     if len(header) != 2:
         raise ValueError("edge-list header must be 'm n'")
     m, n = int(header[0]), int(header[1])
+    if m < 2:
+        raise ValueError(f"header declares {m} agents, at least 2 are needed")
     edges = []
     for line in fp:
         parts = line.split()

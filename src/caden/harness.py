@@ -119,9 +119,13 @@ def build_topology(cfg: ExperimentConfig) -> graphs.Topology:
     if kind == "ring":
         return graphs.ring_graph(cfg.topology_m)
     if kind == "file":
-        if not cfg.topology_file:
+        path = cfg.topology_file
+        if not path:
             raise ConfigError("topology.kind = file requires topology.file")
-        return graphs.load_edge_list(cfg.topology_file)
+        try:
+            return graphs.load_edge_list(path)
+        except ValueError as exc:
+            raise ConfigError(f"topology.file {path}: {exc}") from exc
     raise ConfigError(f"unknown topology.kind {kind!r}")
 
 
@@ -278,14 +282,14 @@ def _exact_smoothness(losses) -> float | None:
 
 def _probe_contraction(cfg, run_cfg, losses, topology, init) -> float:
     """Max over agents of the empirical subproblem contraction rate of the
-    run's own local solver."""
-    rate = 0.0
-    phi = np.zeros_like(init.x0)
-    for i, loss in enumerate(losses):
-        problem = engine.local_subproblem(i, init.x0, phi, loss, topology, run_cfg.mu_z)
-        report = engine.solve_local(problem, init.x0[i], run_cfg, cfg.contraction_probe_iters)
-        rate = max(rate, estimate_contraction(report))
-    return rate
+    run's own local solver, on the first round's subproblems."""
+    x0 = init.x0
+    z = graphs.edge_midpoints(topology, x0)
+    agents = range(topology.m)
+    reports = engine.solve_subproblems(
+        agents, x0, np.zeros_like(x0), z, losses, topology, run_cfg, cfg.contraction_probe_iters
+    )
+    return max(0.0, *(estimate_contraction(report) for report in reports))
 
 
 def resolve_parameters(
@@ -654,6 +658,13 @@ class SweepResult:
     runs: dict[tuple[float, int], RunResult]
 
 
+def check_sweep(cfg: ExperimentConfig, key: str) -> None:
+    """Raise ConfigError when ``cfg`` runs gradient tracking, which logs no V
+    and has no ``key`` to sweep."""
+    if cfg.algorithm == "gt":
+        raise ConfigError(f"a {key} sweep needs a CADEN algorithm; gradient tracking has no {key}")
+
+
 def participation_sweep(
     cfg: ExperimentConfig,
     p_values: list[float],
@@ -667,6 +678,7 @@ def participation_sweep(
     averages the mean residual V over the final 10% of logged rounds.  Traces
     are aligned: every run covers the same rounds at the same cadence.
     """
+    check_sweep(cfg, "caden.participation")
     for p in p_values:
         if not (0.0 < p <= 1.0):
             raise ValueError(f"participation {p} not in (0, 1]")

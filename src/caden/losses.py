@@ -283,7 +283,8 @@ class LossStack(Sequence):
     hyperparameters form one group whose (g, n, p) shards go through the
     family's kernel in one call; an uneven last shard gets its own group.
     Each row's result equals the agent's own ``value``/``gradient`` bit for
-    bit.  Other losses (quadratics) are evaluated row by row through their
+    bit; a grouped loss's own shard becomes a view of its group's arrays.
+    Other losses (quadratics) are evaluated row by row through their
     own methods.
     """
 
@@ -306,6 +307,10 @@ class LossStack(Sequence):
             self._slot[agents] = np.arange(len(agents))
             shard = Shard.stack([self._losses[i].shard for i in agents])
             self._groups.append((self._losses[agents[0]], shard))
+            # Each member reads its rows of the stacked arrays, so the
+            # training data is held once.
+            for slot, i in enumerate(agents):
+                self._losses[i].shard = Shard(shard.features[slot], shard.labels[slot])
 
     @classmethod
     def of(cls, losses: Sequence[LocalLoss]) -> LossStack:

@@ -22,9 +22,8 @@ def lyapunov_v(
     for x_i, phi_i, loss in zip(x, phi, losses):
         g = loss.gradient(x_i) + phi_i
         total += float(g @ g)
-    src, dst = topology.edge_arrays()
     # Each undirected edge appears twice in the double sum over neighborhoods.
-    total += 0.5 * float(((x[src] - x[dst]) ** 2).sum())
+    total += 0.5 * float(((x[topology.src] - x[topology.dst]) ** 2).sum())
     return total
 
 
@@ -56,8 +55,7 @@ def relative_error_graph(
     """Variant with the consensus gap summed over graph edges (diagnostic)."""
     grad_sum = _gradient_sum(x, losses)
     total = float(grad_sum @ grad_sum)
-    src, dst = topology.edge_arrays()
-    total += float(((x[src] - x[dst]) ** 2).sum())
+    total += float(((x[topology.src] - x[topology.dst]) ** 2).sum())
     return total
 
 

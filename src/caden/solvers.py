@@ -13,8 +13,8 @@ body runs every agent's iterations side by side, and each stage (the start,
 each backtracking level, the gradients after accepted steps) makes one
 stacked loss call for the agents it concerns.  Each agent's arithmetic is
 that of a lone solve, so ``solve_lbfgs``/``solve_gd`` on one subproblem are
-the one-agent case of the same body.  ``engine.solve_batch`` and
-``engine.solve_local`` are the places that pick among the solvers.
+the one-agent case of the same body.  ``engine.solve_subproblems`` is the
+one place that picks among the solvers.
 """
 
 from __future__ import annotations

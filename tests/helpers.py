@@ -18,7 +18,6 @@ from caden import theory
 from caden.baselines import GTState
 from caden.datasets import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
 from caden.edge_form import EdgeState
-from caden.engine import local_subproblem
 from caden.errors import ParameterSelectionError
 from caden.graphs import SpectralSummary, Topology, constraint_residual, edge_midpoints
 from caden.losses import LocalLoss
@@ -111,7 +110,7 @@ def augmented_lagrangian_value(
 ) -> float:
     """F(x) + y . (Ax - Bz) + (mu_z / 2) ||Ax - Bz||^2, evaluated edge-wise."""
     total = sum(loss.value(x) for loss, x in zip(losses, state.x))
-    src, dst = topology.edge_arrays()
+    src, dst = topology.src, topology.dst
     total += float((state.y[:, 0] * (state.x[src] - state.z)).sum())
     total += float((state.y[:, 1] * (state.x[dst] - state.z)).sum())
     total += 0.5 * mu_z * constraint_residual(topology, state.x, state.z)
@@ -123,13 +122,15 @@ def augmented_gradient_error(
 ) -> float:
     """Squared norm of the stacked local augmented gradients.
 
-    Each block is the gradient of the agent's subproblem, built from ``x`` and
-    ``phi`` exactly as the engine builds it, at the agent's own model.  At the
-    initial models with ``phi = 0`` this is the initial error e0 of the bound.
+    Each block is the gradient, at the agent's own model, of its subproblem
+    with dual ``phi[i]`` and one midpoint anchor 0.5 (x_i + x_j) per neighbor
+    j.  At the initial models with ``phi = 0`` this is the initial error e0
+    of the bound.
     """
     total = 0.0
     for i, loss in enumerate(losses):
-        block = local_subproblem(i, x, phi, loss, topology, mu_z).gradient(x[i])
+        anchors = 0.5 * (x[i] + x[list(topology.neighbors[i])])
+        block = LocalSubproblem(loss, phi[i], anchors, mu_z).gradient(x[i])
         total += float(block @ block)
     return total
 

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from caden import edge_form, engine, graphs, verify
 from caden.engine import CadenConfig, TauSchedule
-from caden.losses import QuadraticLoss
+from caden.losses import LogisticLoss, QuadraticLoss
+from caden.solvers import LocalSubproblem, solve_exact_quadratic, solve_gd, solve_lbfgs
 from caden.verify import EQUIVALENCE_TOL, verify_equivalence
 
 from helpers import augmented_lagrangian_value, dense_augmented_lagrangian, random_psd
@@ -40,8 +41,9 @@ class TestLocalObjective:
         mu_z = 2.5
         phi = edge_form.dual_aggregates(state, topology)
         for i in range(6):
-            problem = edge_form.edge_subproblem(i, state, phi, losses[i], topology, mu_z)
             incident = topology.incident(i)
+            anchors = state.z[[k for k, _, _ in incident]]
+            problem = LocalSubproblem(losses[i], phi[i], anchors, mu_z)
             point = rng.standard_normal(3)
             value = losses[i].value(point)
             gradient = losses[i].gradient(point)
@@ -238,3 +240,54 @@ def test_forms_agree_on_random_graphs_and_budgets(
         assert np.abs(x - edge_state.x).max() <= 1e-10
         assert np.abs(phi - edge_form.dual_aggregates(edge_state, topology)).max() <= 1e-10
         assert edge_form.antisymmetry_gap(edge_state) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(2, 9),
+    d=st.integers(1, 5),
+    edge_prob=st.floats(0.2, 1.0),
+    tau=st.integers(0, 7),
+    solver=st.sampled_from(["lbfgs", "gd", "exact"]),
+    memory=st.integers(1, 10),
+    logistic=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_x_step_equals_lone_solves_of_explicit_edge_subproblems(
+    m, d, edge_prob, tau, solver, memory, logistic, seed
+):
+    # The x-step solves all agents in lockstep; each row must be the lone
+    # solve of that agent's edge subproblem: its endpoint duals summed in
+    # edge order, and one anchor z_k per incident edge.
+    topology = graphs.build_random_graph(m, edge_prob, seed=seed)
+    rng = np.random.default_rng(seed)
+    if logistic and solver != "exact":
+        losses = [LogisticLoss(rng.standard_normal((6, d)), rng.integers(0, 2, 6), classes=2)
+                  for _ in range(m)]
+        d = losses[0].dim
+    else:
+        losses = [QuadraticLoss(q=random_psd(d, 10.0, rng), a=rng.standard_normal(d))
+                  for _ in range(m)]
+    state = edge_form.EdgeState(
+        x=rng.standard_normal((m, d)),
+        z=rng.standard_normal((topology.n, d)),
+        y=rng.standard_normal((topology.n, 2, d)),
+    )
+    # TauSchedule refuses a budget of 0, so a fixed-budget stand-in is used.
+    config = CadenConfig(mu_z=2.0, mu_y=1.0, solver=solver, lbfgs_memory=memory,
+                         lipschitz=1.0 if logistic else None,
+                         tau_schedule=types.SimpleNamespace(tau=lambda _: tau))
+    new_x = edge_form.edge_x_step(state, losses, topology, config, 0)
+    for i in range(m):
+        incident = topology.incident(i)
+        phi_i = np.zeros(d)
+        for k, _, side in incident:
+            phi_i += state.y[k, side]
+        problem = LocalSubproblem(losses[i], phi_i, state.z[[k for k, _, _ in incident]], 2.0)
+        if solver == "lbfgs":
+            want = solve_lbfgs(problem, state.x[i], tau, memory)
+        elif solver == "gd":
+            want = solve_gd(problem, state.x[i], tau, lipschitz=config.lipschitz)
+        else:
+            want = solve_exact_quadratic(problem)
+        assert np.array_equal(new_x[i], want.x_out)

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caden import engine, graphs
 from caden.engine import CadenConfig, TauSchedule
@@ -101,24 +103,58 @@ class TestPrimalUpdate:
             assert np.array_equal(forward[i], backward[5 - i])
 
 
+class TestSubproblemBuilder:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(2, 12),
+        edge_prob=st.floats(0.2, 1.0),
+        seed=st.integers(0, 10_000),
+        d=st.integers(1, 5),
+        log_scale=st.floats(-5.0, 4.0),
+        data=st.data(),
+    )
+    def test_agent_form_anchors_are_neighbor_midpoints(
+        self, m, edge_prob, seed, d, log_scale, data
+    ):
+        # At z = edge midpoints, every built subproblem has one anchor
+        # 0.5 (x_i + x_j) per neighbor j in ascending order, bit for bit.
+        topology = graphs.build_random_graph(m, edge_prob, seed)
+        rng = np.random.default_rng(seed)
+        x = 10.0**log_scale * rng.standard_normal((m, d))
+        phi = rng.standard_normal((m, d))
+        losses = [QuadraticLoss(q=np.ones(d), a=np.zeros(d)) for _ in range(m)]
+        agents = sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1)))
+        z = graphs.edge_midpoints(topology, x)
+        batch = engine.subproblems(agents, phi, z, losses, topology, mu_z=2.0)
+        assert len(batch.problems) == len(agents)
+        for i, problem in zip(agents, batch.problems):
+            neighbors = sorted(b if a == i else a for a, b in topology.edges if i in (a, b))
+            want = np.array([0.5 * (x[i] + x[j]) for j in neighbors])
+            assert np.array_equal(problem.anchors, want)
+            assert np.array_equal(problem.anchor_sum, want.sum(axis=0))
+            assert np.array_equal(problem.phi, phi[i])
+            assert problem.loss is losses[i]
+            assert problem.mu_z == 2.0
+
+
 class TestBroadcastAndDual:
     def test_inactive_broadcast_is_noop(self):
         _, _, _, x, _ = _k2_setup()
         before = x.copy()
-        assert engine.broadcast(x, {}) == 0
+        assert engine.broadcast(x, [], []) == 0
         assert np.array_equal(x, before)
 
     def test_one_unit_per_broadcast_regardless_of_degree(self):
         topology = graphs.complete_graph(4)  # every agent has 3 neighbors
         losses = [QuadraticLoss(q=np.ones(1), a=np.zeros(1)) for _ in range(4)]
         x, _ = engine.init_states(losses, topology, np.zeros((4, 1)))
-        assert engine.broadcast(x, {0: np.array([0.75])}) == 1
+        assert engine.broadcast(x, [0], [np.array([0.75])]) == 1
         assert x[0, 0] == 0.75
 
     def test_k2_dual_update_hand_values(self):
         topology, losses, _, x, phi = _k2_setup()
         config = CadenConfig(mu_z=3.0, mu_y=2.0)
-        engine.broadcast(x, {0: np.array([1.0]), 1: np.array([0.0])})
+        engine.broadcast(x, [0, 1], [np.array([1.0]), np.array([0.0])])
         phi0 = engine.dual_update(0, x, phi, topology, config)
         phi1 = engine.dual_update(1, x, phi, topology, config)
         assert phi0[0] == pytest.approx(1.0)
@@ -127,7 +163,7 @@ class TestBroadcastAndDual:
 
     def test_consensus_leaves_duals_unchanged(self):
         topology, losses, config, x, phi = _k2_setup()
-        engine.broadcast(x, {0: np.array([1.0]), 1: np.array([1.0])})
+        engine.broadcast(x, [0, 1], [np.array([1.0]), np.array([1.0])])
         assert engine.dual_update(0, x, phi, topology, config)[0] == 0.0
 
 

@@ -21,7 +21,7 @@ from caden.harness import (
     participation_sweep,
     run_experiment,
 )
-from caden.solvers import estimate_contraction, solve_gd
+from caden.solvers import LocalSubproblem, estimate_contraction, solve_gd
 
 from helpers import write_edge_list, write_idx_images, write_idx_labels
 
@@ -294,6 +294,28 @@ class TestRunExperiment:
         result = run_experiment(cfg, out_dir=str(tmp_path))
         assert result.summary["graph"]["m"] == 2
 
+    @pytest.mark.parametrize(
+        "text, defect",
+        [
+            ("1 0\n", "at least 2 are needed"),
+            ("3\n", "header must be 'm n'"),
+            ("3 2\n1 2 3\n2 3\n", "malformed edge line"),
+            ("3 3\n1 2\n2 3\n", "declares 3 edges, file has 2"),
+            ("2 1\n1 1\n", "self-loop"),
+            ("3 3\n1 2\n2 1\n2 3\n", "duplicate edges"),
+            ("2 1\n1 3\n", "out of range"),
+            ("2 1\n1 b\n", "invalid literal"),
+        ],
+        ids=["one-agent", "header", "line", "count", "self-loop", "duplicate", "range", "token"],
+    )
+    def test_bad_topology_file_is_a_config_error(self, tmp_path, text, defect):
+        path = tmp_path / "graph.txt"
+        path.write_text(text, encoding="ascii")
+        cfg = _k2_config(topology_kind="file", topology_file=str(path))
+        with pytest.raises(ConfigError, match=re.escape(f"topology.file {path}: ")) as err:
+            build_topology(cfg)
+        assert defect in str(err.value)
+
     def test_theory_mode_reports_constants(self, tmp_path):
         cfg = ExperimentConfig(
             seed=2, rounds=3, mode="theory",
@@ -325,7 +347,8 @@ class TestRunExperiment:
         phi = np.zeros_like(init.x0)
         rates = []
         for i, loss in enumerate(losses):
-            problem = engine.local_subproblem(i, init.x0, phi, loss, topology, mu_z)
+            anchors = 0.5 * (init.x0[i] + init.x0[list(topology.neighbors[i])])
+            problem = LocalSubproblem(loss, phi[i], anchors, mu_z)
             report = solve_gd(
                 problem, init.x0[i], cfg.contraction_probe_iters, lipschitz=init.lipschitz
             )
@@ -515,6 +538,17 @@ class TestParticipationSweep:
         assert ta.to_csv() == tb.to_csv()
 
 
+    def test_gradient_tracking_is_refused_before_any_run(self, monkeypatch):
+        # gt logs no V and has no participation to vary.
+        monkeypatch.setattr(harness, "run_experiment", _no_run)
+        with pytest.raises(ConfigError, match="caden.participation"):
+            participation_sweep(_k2_config(algorithm="gt"), [0.5, 1.0], n_seeds=1)
+
+
+def _no_run(*args, **kwargs):
+    raise AssertionError("no run may start")
+
+
 class TestTraceContainer:
     def test_rows_must_increase(self):
         trace = RunTrace()
@@ -568,6 +602,15 @@ class TestCli:
         assert code == 0
         report = json.loads((tmp_path / "k2_sweep.json").read_text())
         assert set(report["tau"]) == {"1", "5"}
+
+    def test_sweep_tau_refuses_gradient_tracking(self, tmp_path, monkeypatch):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(serialize_config(_k2_config(algorithm="gt", gt_step=0.1)))
+        monkeypatch.setattr(cli, "run_experiment", _no_run)
+        with pytest.raises(ConfigError, match="caden.tau"):
+            cli.main(["sweep", "--config", str(cfg_path), "--tau", "1,5",
+                      "--seeds", "1", "--out-dir", str(tmp_path)])
+        assert not (tmp_path / "k2_sweep.json").exists()
 
     def test_sweep_without_grids_errors(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"

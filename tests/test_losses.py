@@ -199,6 +199,32 @@ class TestLossStack:
                 stacked = stacked_logits[list(data_rows).index(n)].argmax(axis=-1)
                 assert np.array_equal(stacked, want)
 
+    @pytest.mark.parametrize("family", ["logistic", "mlp"])
+    def test_members_read_views_of_the_stacked_shards(self, family):
+        # The training data is held once: each grouped loss's shard is a view
+        # of its group's arrays; an uneven last shard forms its own group.
+        rng = np.random.default_rng(0)
+        sizes = (5, 5, 5, 4)
+        shards = [(rng.standard_normal((n, 3)), rng.integers(0, 2, n)) for n in sizes]
+        if family == "logistic":
+            built = [losses.LogisticLoss(f, y, classes=2) for f, y in shards]
+        else:
+            built = [losses.MlpLoss(f, y, hidden=4, classes=2) for f, y in shards]
+        x = rng.standard_normal(built[0].dim)
+        before = [loss.value(x) for loss in built]
+        losses.LossStack(built)
+        *grouped, last = (loss.shard for loss in built)
+        features, labels = grouped[0].features.base, grouped[0].labels.base
+        assert features.shape == (3, 5, 3) and labels.shape == (3, 5)
+        for shard in grouped:
+            assert np.shares_memory(shard.features, features)
+            assert np.shares_memory(shard.labels, labels)
+        assert not np.shares_memory(last.features, features)
+        for loss, (f, y), value in zip(built, shards, before):
+            assert np.array_equal(loss.shard.features, f)
+            assert np.array_equal(loss.shard.labels, y)
+            assert loss.value(x) == value
+
     def test_behaves_as_the_list_of_losses(self):
         zoo = _loss_zoo()[2:]
         stack = losses.LossStack(zoo)

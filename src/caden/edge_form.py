@@ -66,7 +66,7 @@ def edge_x_step(
     phi = dual_aggregates(state, topology)
     tau = config.tau_schedule.tau(round_index)
     agents = range(topology.m)
-    reports = solve_subproblems(agents, state.x, phi, state.z, losses, topology, config, tau)
+    reports = solve_subproblems(agents, state.x, None, phi, state.z, losses, topology, config, tau)
     return np.array([report.x_out for report in reports])
 
 

@@ -1,13 +1,20 @@
 """Agent-form round engine: partial participation, local solves, broadcast,
 dual ascent.
 
-The state is two (m, d) arrays: the models ``x`` and the duals ``phi``, one
-row per agent, updated in place.  Rounds are synchronous.  Every active agent
-minimizes its local subproblem built from round-t snapshots, broadcasts the
-new model once, then updates its dual from the post-broadcast models.
-Inactive agents are frozen for the round.  An agent's model changes only in
+The state is three (m, d) arrays, one row per agent, updated in place: the
+models ``x``, the duals ``phi`` and the loss gradients ``grad`` =
+grad f_i(x_i).  Rounds are synchronous.  Every active agent minimizes its
+local subproblem built from round-t snapshots, broadcasts the new model
+once, then updates its dual from the post-broadcast models.  Inactive
+agents are frozen for the round.  An agent's model changes only in
 rounds where it broadcasts, so the last model a neighbor received is always
 the agent's current row of ``x``, and no per-neighbor copy is kept.
+
+``grad`` is carried, not recomputed: ``init_states`` fills it with one
+stacked evaluation, each solve starts from its agents' rows and reports the
+loss gradient of its own last evaluation, which is at the model it returns,
+and ``run_round`` writes those rows.  Inactive rows stay valid because their
+models did not move.  The residual V_t (``metrics.lyapunov_v``) reads it.
 
 The agent form is the edge form (``caden.edge_form``) with every consensus
 variable z_ij held at the edge midpoint (x_i + x_j) / 2, which is why one
@@ -101,8 +108,9 @@ def init_states(
     losses: list[LocalLoss],
     topology: Topology,
     x_init: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(m, d) models copied from ``x_init`` and (m, d) zero duals."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m, d) models copied from ``x_init``, (m, d) zero duals and the (m, d)
+    loss gradients at the models, from one stacked evaluation."""
     x = np.array(x_init, dtype=float)
     if x.shape[0] != topology.m:
         raise ValueError(f"x_init has {x.shape[0]} rows for m={topology.m}")
@@ -110,7 +118,8 @@ def init_states(
     for i, loss in enumerate(losses):
         if loss.dim != d:
             raise ValueError(f"loss {i} has dim {loss.dim}, expected {d}")
-    return x, np.zeros_like(x)
+    grad = LossStack.of(losses).gradients(x, np.arange(topology.m))
+    return x, np.zeros_like(x), grad
 
 
 def sample_participation(config: CadenConfig, round_index: int, m: int) -> np.ndarray:
@@ -151,6 +160,7 @@ def subproblems(
 def solve_subproblems(
     agents: Sequence[int],
     x: np.ndarray,
+    grad: np.ndarray | None,
     phi: np.ndarray,
     z: np.ndarray,
     losses: Sequence[LocalLoss],
@@ -160,17 +170,21 @@ def solve_subproblems(
 ) -> list[SolverReport]:
     """tau iterations of ``config.solver`` on the ``subproblems`` of
     ``agents``, warm-started at their rows of ``x``; one report per agent.
+    ``grad`` holds the loss gradients at ``x``, or is None to have the
+    solver evaluate them.
 
     L-BFGS and gradient descent run the agents in lockstep, the exact solve
     one by one.  Each report equals that of a lone solve, so it does not
     depend on which other agents are solved with it.
     """
+    agents = list(agents)
     batch = subproblems(agents, phi, z, losses, topology, config.mu_z)
-    x_start = x[list(agents)]
+    x_start = x[agents]
+    start_grad = None if grad is None else grad[agents]
     if config.solver == "lbfgs":
-        return solve_lbfgs_batch(batch, x_start, tau, config.lbfgs_memory)
+        return solve_lbfgs_batch(batch, x_start, tau, config.lbfgs_memory, start_grad)
     if config.solver == "gd":
-        return solve_gd_batch(batch, x_start, tau, step=config.gd_step, lipschitz=config.lipschitz)
+        return solve_gd_batch(batch, x_start, tau, config.gd_step, config.lipschitz, start_grad)
     return [solve_exact_quadratic(p) for p in batch.problems]
 
 
@@ -187,7 +201,7 @@ def primal_update(
     """One agent's round-t primal step, as ``run_round`` takes it."""
     z = edge_midpoints(topology, x)
     tau = config.tau_schedule.tau(round_index)
-    return solve_subproblems([agent], x, phi, z, losses, topology, config, tau)[0].x_out
+    return solve_subproblems([agent], x, None, phi, z, losses, topology, config, tau)[0].x_out
 
 
 def broadcast(x: np.ndarray, agents: list[int], models: list[np.ndarray]) -> int:
@@ -213,19 +227,23 @@ def dual_update(
 def run_round(
     x: np.ndarray,
     phi: np.ndarray,
+    grad: np.ndarray,
     losses: list[LocalLoss],
     topology: Topology,
     config: CadenConfig,
     round_index: int,
 ) -> RoundSummary:
-    """One synchronous round on the (m, d) models ``x`` and duals ``phi``,
-    both updated in place: participation, primal solves, broadcast, dual."""
+    """One synchronous round on the (m, d) models ``x``, duals ``phi`` and
+    loss gradients ``grad``, all updated in place: participation, primal
+    solves, broadcast, dual."""
     flags = sample_participation(config, round_index, topology.m)
     active = np.flatnonzero(flags).tolist()
     z = edge_midpoints(topology, x)
     tau = config.tau_schedule.tau(round_index)
-    reports = solve_subproblems(active, x, phi, z, losses, topology, config, tau)
+    reports = solve_subproblems(active, x, grad, phi, z, losses, topology, config, tau)
     broadcasts = broadcast(x, active, [report.x_out for report in reports])
+    if active:
+        grad[active] = [report.loss_grad_out for report in reports]
     for i in active:
         phi[i] = dual_update(i, x, phi, topology, config)
     return RoundSummary(active=flags, broadcasts=broadcasts)

@@ -86,8 +86,6 @@ def _canonical_edges(edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, int],
 
 
 def _is_connected(m: int, neighbors: Sequence[Sequence[int]]) -> bool:
-    if m == 0:
-        return False
     seen = [False] * m
     stack = [0]
     seen[0] = True
@@ -106,9 +104,12 @@ def from_edges(m: int, edges: Iterable[tuple[int, int]], resamples: int = 0) -> 
     """Build a validated topology from an edge list.
 
     Raises:
-        ValueError: on self-loops, duplicate edges, or out-of-range endpoints.
+        ValueError: on fewer than 2 agents, self-loops, duplicate edges, or
+            out-of-range endpoints.
         DisconnectedGraphError: if the graph is not connected.
     """
+    if m < 2:
+        raise ValueError(f"a topology needs at least 2 agents, got m={m}")
     canon = _canonical_edges(edges)
     for i, j in canon:
         if i == j:

@@ -124,6 +124,8 @@ def build_topology(cfg: ExperimentConfig) -> graphs.Topology:
             raise ConfigError("topology.kind = file requires topology.file")
         try:
             return graphs.load_edge_list(path)
+        except OSError as exc:
+            raise ConfigError(f"topology.file {path}: cannot be read ({exc.strerror})") from exc
         except ValueError as exc:
             raise ConfigError(f"topology.file {path}: {exc}") from exc
     raise ConfigError(f"unknown topology.kind {kind!r}")
@@ -287,7 +289,8 @@ def _probe_contraction(cfg, run_cfg, losses, topology, init) -> float:
     z = graphs.edge_midpoints(topology, x0)
     agents = range(topology.m)
     reports = engine.solve_subproblems(
-        agents, x0, np.zeros_like(x0), z, losses, topology, run_cfg, cfg.contraction_probe_iters
+        agents, x0, None, np.zeros_like(x0), z, losses, topology, run_cfg,
+        cfg.contraction_probe_iters,
     )
     return max(0.0, *(estimate_contraction(report) for report in reports))
 
@@ -542,14 +545,15 @@ def strict_json(payload) -> str:
 
 def _record(rounds, cfg, losses, topology, init, trace, clock, acc_fn, summary, duals):
     """Log the states that ``rounds`` yields as ``(round, models, duals or
-    trackers, communication units, active agents)``: the starting state,
-    every cadence-th round and the last one.  Stops at the first state that
-    is not finite or whose logged metrics are not.  ``duals`` says whether
-    the second array holds duals, which define V_t and phi_drift."""
+    trackers, loss gradients at the models, communication units, active
+    agents)``: the starting state, every cadence-th round and the last one.
+    Stops at the first state that is not finite or whose logged metrics are
+    not.  ``duals`` says whether the second array holds duals, which define
+    V_t and phi_drift."""
     start = init.start_round
     last = start + cfg.rounds
     comms = 0
-    for t, x, y, units, active in rounds:
+    for t, x, y, grad, units, active in rounds:
         comms += units
         finite = _all_finite(x, y)
         if finite and (t - start) % cfg.metrics_cadence != 0 and t != last:
@@ -557,7 +561,7 @@ def _record(rounds, cfg, losses, topology, init, trace, clock, acc_fn, summary, 
         trace.append(
             TraceRow(
                 round=t,
-                v=metrics.lyapunov_v(x, y, losses, topology) if duals else None,
+                v=metrics.lyapunov_v(x, y, grad, topology) if duals else None,
                 rel_err=metrics.relative_error(x, losses),
                 rel_err_graph=metrics.relative_error_graph(x, losses, topology),
                 acc=acc_fn(x),
@@ -585,15 +589,15 @@ def _stop_diverged(summary: dict, round_index: int, what: str):
 
 def _caden_rounds(cfg, run_cfg, losses, topology, init, summary):
     """The starting state, then the state after each CADEN round."""
-    x, phi = engine.init_states(losses, topology, init.x0)
+    x, phi, grad = engine.init_states(losses, topology, init.x0)
     if init.phi0 is not None:
         phi[:] = init.phi0
     start = init.start_round
     summary["tau_by_round"] = _tau_segments(run_cfg.tau_schedule, start, cfg.rounds)
-    yield start, x, phi, 0, 0
+    yield start, x, phi, grad, 0, 0
     for t in range(start, start + cfg.rounds):
-        result = engine.run_round(x, phi, losses, topology, run_cfg, t)
-        yield t + 1, x, phi, result.broadcasts, int(result.active.sum())
+        result = engine.run_round(x, phi, grad, losses, topology, run_cfg, t)
+        yield t + 1, x, phi, grad, result.broadcasts, int(result.active.sum())
 
 
 def _tune_gt_step(cfg, losses, topology, x0, w) -> tuple[float, list[dict]]:
@@ -628,11 +632,11 @@ def _gt_rounds(cfg, losses, topology, init, summary):
         summary["gt_tuning"] = {"grid": list(GT_STEP_GRID), "table": table, "selected": step}
     summary["theory"]["parameters"]["gt_step"] = step
     state = baselines.gt_init(losses, init.x0, w, step)
-    yield 0, state.x, state.g, 0, 0
+    yield 0, state.x, state.g, state.grads, 0, 0
     for t in range(cfg.rounds):
         state = baselines.gt_round(state, losses)
         # Each agent shares its model and its tracker: two d-vectors.
-        yield t + 1, state.x, state.g, 2 * topology.m, topology.m
+        yield t + 1, state.x, state.g, state.grads, 2 * topology.m, topology.m
 
 
 def _threshold_table(cfg: ExperimentConfig, trace: RunTrace) -> list[dict]:

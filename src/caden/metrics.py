@@ -2,8 +2,11 @@
 test accuracy, and dual drift.
 
 Every metric reads the (m, d) models ``x`` and, where it needs them, the
-(m, d) duals ``phi``.  The residual V is zero exactly at consensus stationary
-points: all models equal and the per-agent gradients summing to zero.
+(m, d) duals ``phi``.  V reads the engine's carried (m, d) loss gradients
+``grad`` = grad f_i(x_i) and evaluates no loss; the relative errors still
+evaluate each agent's gradient.  The residual V is zero exactly at
+consensus stationary points: all models equal and the per-agent gradients
+summing to zero.
 """
 
 from __future__ import annotations
@@ -14,13 +17,12 @@ from .graphs import Topology
 from .losses import LocalLoss
 
 
-def lyapunov_v(
-    x: np.ndarray, phi: np.ndarray, losses: list[LocalLoss], topology: Topology
-) -> float:
-    """sum_i ||grad f_i(x_i) + phi_i||^2 + (1/4) sum_i sum_{j in N_i} ||x_i - x_j||^2."""
+def lyapunov_v(x: np.ndarray, phi: np.ndarray, grad: np.ndarray, topology: Topology) -> float:
+    """sum_i ||grad f_i(x_i) + phi_i||^2 + (1/4) sum_i sum_{j in N_i} ||x_i - x_j||^2,
+    with the loss gradients at the models given as the rows of ``grad``."""
     total = 0.0
-    for x_i, phi_i, loss in zip(x, phi, losses):
-        g = loss.gradient(x_i) + phi_i
+    for grad_i, phi_i in zip(grad, phi):
+        g = grad_i + phi_i
         total += float(g @ g)
     # Each undirected edge appears twice in the double sum over neighborhoods.
     total += 0.5 * float(((x[topology.src] - x[topology.dst]) ** 2).sum())

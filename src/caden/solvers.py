@@ -9,17 +9,24 @@ for a fixed iteration budget tau.  The primary solver is limited-memory BFGS
 and an exact closed-form solve for quadratic losses are also provided.
 
 L-BFGS and gradient descent advance a ``SubproblemBatch`` in lockstep: one
-body runs every agent's iterations side by side, and each stage (the start,
-each backtracking level, the gradients after accepted steps) makes one
-stacked loss call for the agents it concerns.  Each agent's arithmetic is
-that of a lone solve, so ``solve_lbfgs``/``solve_gd`` on one subproblem are
-the one-agent case of the same body.  ``engine.solve_subproblems`` is the
-one place that picks among the solvers.
+body runs every agent's iterations side by side as stacked arrays.  Each
+stage is one call for the agents it concerns: the two-loop recursion over
+the (k, M, d) histories, one stacked loss call at the start, at each
+backtracking level and for the gradients after accepted steps, and the
+dual and penalty terms, slopes, norms and curvature tests as row-wise
+arrays (``rowdot``).  Each agent's arithmetic is that of a lone solve, bit
+for bit, so ``solve_lbfgs``/``solve_gd`` on one subproblem are the
+one-agent case of the same body.
+
+Every solver reports the loss gradient at its ``x_out`` from its own last
+evaluation (``SolverReport.loss_grad_out``) and takes the loss gradients at
+its start points when the caller has them; the engine carries them from
+round to round this way.  ``engine.solve_subproblems`` is the one place that
+picks among the solvers.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -38,6 +45,19 @@ CURVATURE_SKIP_TOL = 1e-10
 DEFAULT_MEMORY = 10
 
 
+def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(k,) dot products a[n] . b[n] of the rows of two (k, d) arrays.
+
+    The stacked ``matmul`` computes each row as one ``a[n] @ b[n]`` computes
+    it (numpy hands both to BLAS ``ddot``), so a stacked solve keeps the
+    bits of a lone one; ``tests/test_solvers.py`` pins this.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+_FIRST = np.zeros(1, dtype=np.intp)
+
+
 @dataclass
 class LocalSubproblem:
     """One agent's regularized local objective for a single round.
@@ -49,6 +69,8 @@ class LocalSubproblem:
         mu_z: quadratic penalty coefficient.  When mu_z exceeds the loss
             smoothness the subproblem is strongly convex with a unique
             minimizer.
+
+    ``value`` and ``gradient`` are the one-row case of ``SubproblemBatch``.
     """
 
     loss: LocalLoss
@@ -68,22 +90,12 @@ class LocalSubproblem:
         return self.anchors.shape[0]
 
     def value(self, x: np.ndarray) -> float:
-        return self.value_with(x, self.loss.value(x))
-
-    def value_with(self, x: np.ndarray, loss_value: float) -> float:
-        """The objective at ``x`` given the loss value there."""
-        pen = float(((x - self.anchors) ** 2).sum()) if self.degree else 0.0
-        return float(loss_value + float(self.phi @ x) + 0.5 * self.mu_z * pen)
+        x = np.asarray(x, dtype=float)[None]
+        return float(SubproblemBatch([self]).values(x, _FIRST)[0])
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.gradient_with(x, self.loss.gradient(x))
-
-    def gradient_with(self, x: np.ndarray, loss_gradient: np.ndarray) -> np.ndarray:
-        """The objective's gradient at ``x`` given the loss gradient there."""
-        g = loss_gradient + self.phi
-        if self.degree:
-            g = g + self.mu_z * (self.degree * x - self.anchor_sum)
-        return g
+        x = np.asarray(x, dtype=float)[None]
+        return SubproblemBatch([self]).gradients(x, _FIRST)[0]
 
 
 class SubproblemBatch:
@@ -92,10 +104,10 @@ class SubproblemBatch:
     ``values(x, which)`` and ``gradients(x, which)`` evaluate subproblem
     ``which[n]`` at ``x[n]``.  The loss terms of all rows come from one
     stacked call on ``losses``, where subproblem j is agent ``agents[j]``;
-    the dual and penalty terms are added row by row through
-    ``LocalSubproblem``, so each row equals that subproblem's own
-    ``value``/``gradient``.  Without ``losses`` the batch stacks the
-    subproblems' own losses.
+    without ``losses`` each row evaluates its subproblem's own loss.  The
+    dual and penalty terms are added as stacked arrays, the penalty one
+    group of equal degree at a time; each row equals that subproblem's own
+    ``value``/``gradient`` bit for bit.
     """
 
     def __init__(
@@ -105,23 +117,64 @@ class SubproblemBatch:
         agents: Sequence[int] | None = None,
     ):
         self.problems = list(problems)
-        if losses is None:
-            losses = LossStack([p.loss for p in self.problems])
-            agents = range(len(self.problems))
         self._losses = losses
-        self._agents = np.asarray(agents, dtype=np.intp)
+        self._agents = None if losses is None else np.asarray(agents, dtype=np.intp)
+        self.phi = np.array([p.phi for p in self.problems])
+        self.mu_z = np.array([p.mu_z for p in self.problems], dtype=float)
+        self.degree = np.array([p.degree for p in self.problems], dtype=np.intp)
+        self.anchor_sum = np.array([p.anchor_sum for p in self.problems])
+        # Per degree k > 0: the (g, k, d) anchors of its subproblems, and
+        # each subproblem's slot in its group.
+        self._anchors: dict[int, np.ndarray] = {}
+        self._slot = np.zeros(len(self.problems), dtype=np.intp)
+        for k in np.unique(self.degree[self.degree > 0]).tolist():
+            members = np.flatnonzero(self.degree == k)
+            self._slot[members] = np.arange(members.size)
+            self._anchors[k] = np.array([self.problems[j].anchors for j in members])
+
+    def loss_gradients(self, x: np.ndarray, which: np.ndarray) -> np.ndarray:
+        """(n, d) loss gradients of subproblems ``which`` at ``x``."""
+        if self._losses is None:
+            return np.array([self.problems[j].loss.gradient(x[n]) for n, j in enumerate(which)])
+        return self._losses.gradients(x, self._agents[which])
 
     def values(self, x: np.ndarray, which: np.ndarray) -> np.ndarray:
-        loss_values = self._losses.values(x, self._agents[which])
-        return np.array(
-            [self.problems[j].value_with(x[n], loss_values[n]) for n, j in enumerate(which)]
-        )
+        which = np.asarray(which, dtype=np.intp)
+        if self._losses is None:
+            loss_values = np.array([self.problems[j].loss.value(x[n]) for n, j in enumerate(which)])
+        else:
+            loss_values = self._losses.values(x, self._agents[which])
+        dual = rowdot(self.phi[which], x)
+        return loss_values + dual + 0.5 * self.mu_z[which] * self._penalties(x, which)
 
-    def gradients(self, x: np.ndarray, which: np.ndarray) -> np.ndarray:
-        loss_gradients = self._losses.gradients(x, self._agents[which])
-        out = np.empty_like(loss_gradients)
-        for n, j in enumerate(which):
-            out[n] = self.problems[j].gradient_with(x[n], loss_gradients[n])
+    def gradients(
+        self, x: np.ndarray, which: np.ndarray, loss_gradients: np.ndarray | None = None
+    ) -> np.ndarray:
+        """(n, d) objective gradients; the loss gradients at ``x`` are
+        evaluated unless given."""
+        which = np.asarray(which, dtype=np.intp)
+        if loss_gradients is None:
+            loss_gradients = self.loss_gradients(x, which)
+        g = loss_gradients + self.phi[which]
+        pos = np.flatnonzero(self.degree[which])
+        if pos.size:
+            rows = which[pos]
+            pull = self.degree[rows, None] * x[pos] - self.anchor_sum[rows]
+            g[pos] += self.mu_z[rows, None] * pull
+        return g
+
+    def _penalties(self, x: np.ndarray, which: np.ndarray) -> np.ndarray:
+        """sum_j ||x[n] - anchor_j||^2 of each row; 0 for degree 0."""
+        out = np.zeros(len(which))
+        degree = self.degree[which]
+        for k, anchors in self._anchors.items():
+            pos = np.flatnonzero(degree == k)
+            if pos.size == 0:
+                continue
+            slots = self._slot[which[pos]]
+            if len(slots) != len(anchors) or (slots != np.arange(len(slots))).any():
+                anchors = anchors[slots]
+            out[pos] = ((x[pos, None] - anchors) ** 2).sum(axis=(1, 2))
         return out
 
 
@@ -138,6 +191,8 @@ class SolverReport:
     line_search_failures: int = 0
     # Rejected Armijo trials; a failed search counts all MAX_BACKTRACKS.
     backtracks: int = 0
+    # The loss gradient at x_out, from the solve's own last evaluation.
+    loss_grad_out: np.ndarray | None = field(default=None, repr=False)
 
 
 def _geometric_rate(grad_norms: Sequence[float]) -> float:
@@ -160,37 +215,61 @@ def two_loop_direction(
     s: np.ndarray,
     y: np.ndarray,
     rho: np.ndarray,
-    gamma: float,
+    gamma: np.ndarray,
     grad: np.ndarray,
+    counts: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Apply the limited-memory inverse-Hessian approximation to ``grad``.
+    """Apply each row's limited-memory inverse-Hessian approximation to its
+    gradient.
 
     Args:
-        s: (k, d) step differences, oldest first.
-        y: (k, d) gradient differences, oldest first.
-        rho: (k,) precomputed 1 / (s_i . y_i).
-        gamma: initial inverse-Hessian scaling.
-        grad: (d,) gradient to precondition.
+        s: (k, M, d) step differences per row, oldest first.
+        y: (k, M, d) gradient differences per row, oldest first.
+        rho: (k, M) precomputed 1 / (s_i . y_i).
+        gamma: (k,) initial inverse-Hessian scalings.
+        grad: (k, d) gradients to precondition.
+        counts: (k,) pairs in use per row, its first ``counts[n]`` slots;
+            all M when None.
 
     Returns:
-        H @ grad; the descent direction is its negative.
+        (k, d) H_n @ grad[n]; the descent directions are their negatives.
+        One agent's (M, d) history, scalar gamma and (d,) gradient give
+        its (d,) product.
     """
-    k = s.shape[0]
+    if grad.ndim == 1:
+        return two_loop_direction(s[None], y[None], rho[None], np.array([gamma]), grad[None])[0]
+    k, memory = rho.shape
+    if counts is None:
+        counts = np.full(k, memory)
+    top = int(counts.max(initial=0))
+    # Every row takes part in every pair when the counts agree: plain slices.
+    uniform = bool((counts == top).all())
     q = grad.copy()
-    alpha = np.empty(k)
-    for i in range(k - 1, -1, -1):
-        alpha[i] = rho[i] * float(s[i] @ q)
-        q -= alpha[i] * y[i]
-    r = gamma * q
-    for i in range(k):
-        beta = rho[i] * float(y[i] @ r)
-        r += (alpha[i] - beta) * s[i]
+    alpha = np.empty((k, top))
+    for i in range(top - 1, -1, -1):
+        rows = slice(None) if uniform else np.flatnonzero(counts > i)
+        alpha[rows, i] = rho[rows, i] * rowdot(s[rows, i], q[rows])
+        q[rows] -= alpha[rows, i][:, None] * y[rows, i]
+    r = gamma[:, None] * q
+    for i in range(top):
+        rows = slice(None) if uniform else np.flatnonzero(counts > i)
+        beta = rho[rows, i] * rowdot(y[rows, i], r[rows])
+        r[rows] += (alpha[rows, i] - beta)[:, None] * s[rows, i]
     return r
 
 
-def _norm(v: np.ndarray) -> float:
-    """||v||, rounded as ``np.linalg.norm`` rounds it (sqrt of v . v)."""
-    return math.sqrt(float(v @ v))
+def _norms(v: np.ndarray) -> np.ndarray:
+    """||v[n]|| of each row, rounded as ``np.linalg.norm`` rounds it (the
+    square root of v[n] . v[n])."""
+    return np.sqrt(rowdot(v, v))
+
+
+def _start_loss_gradients(batch: SubproblemBatch, x: np.ndarray, given) -> np.ndarray:
+    """A writable copy of the given loss gradients at ``x``, else their
+    evaluation."""
+    if given is None:
+        return batch.loss_gradients(x, np.arange(len(x)))
+    return np.array(given, dtype=float)
 
 
 def solve_lbfgs(
@@ -210,9 +289,12 @@ def solve_lbfgs_batch(
     x_start: np.ndarray,
     tau: int,
     memory: int = DEFAULT_MEMORY,
+    loss_grad: np.ndarray | None = None,
 ) -> list[SolverReport]:
     """tau iterations of L-BFGS on every subproblem of ``batch`` in
     lockstep, warm-started at the rows of ``x_start``; one report per row.
+    ``loss_grad`` holds the loss gradients at ``x_start`` when the caller
+    has them; they are evaluated otherwise.
 
     Two-loop recursion with Liu-Nocedal initial scaling and Armijo
     backtracking (c1=1e-4, halving, 30 backtracks max).  A failed line search
@@ -222,51 +304,56 @@ def solve_lbfgs_batch(
     fresh per call: each round's subproblem is a different function, so no
     stale pairs carry over.  An agent stops once its gradient is exactly 0.
 
-    Every agent still iterating shares each stage: one stacked value call
-    per backtracking level for the agents still searching, one stacked
-    gradient call for the agents that accepted.  The per-agent arithmetic
-    (two-loop, slope check, Armijo test, curvature test) is unchanged, so
-    each report equals that of a lone solve.
+    Every agent still iterating shares each stage: one two-loop call over
+    the (k, M, d) histories, one stacked value call per backtracking level
+    for the agents still searching, one stacked gradient call for the
+    agents that accepted.  The slope, norm and curvature dot products go
+    through ``rowdot``.  Each row's arithmetic is that of a lone solve, so
+    each report equals it bit for bit.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     x = np.array(x_start, dtype=float)
     k, d = x.shape
+    if k == 0:
+        return []
     everyone = np.arange(k)
-    g = batch.gradients(x, everyone)
+    lg = _start_loss_gradients(batch, x, loss_grad)
+    g = batch.gradients(x, everyone, lg)
     f = batch.values(x, everyone)
-    gnorm = [_norm(row) for row in g]
-    norms = [[v] for v in gnorm]
+    gnorm = _norms(g)
+    norms = [[v] for v in gnorm.tolist()]
     vals = [[v] for v in f.tolist()]
     # Only accepted steps store pairs, so at most tau slots are ever used.
-    s_buf = np.empty((k, min(memory, tau), d))
+    slots = min(memory, tau)
+    s_buf = np.empty((k, slots, d))
     y_buf = np.empty_like(s_buf)
-    rho_buf = np.empty(s_buf.shape[:2])
-    count = [0] * k
-    gamma = [1.0] * k
+    rho_buf = np.empty((k, slots))
+    count = np.zeros(k, dtype=np.intp)
+    gamma = np.ones(k)
     failures = np.zeros(k, dtype=int)
     performed = np.zeros(k, dtype=int)
     backtracks = np.zeros(k, dtype=int)
 
     for _ in range(tau):
-        moving = np.array([i for i in range(k) if gnorm[i] != 0.0], dtype=np.intp)
+        moving = np.flatnonzero(gnorm != 0.0)
         if moving.size == 0:
             break
         performed[moving] += 1
-        direction = np.empty((moving.size, d))
-        slope = np.empty(moving.size)
-        for n, i in enumerate(moving):
-            c = count[i]
-            # Looked up as a module global on every call, so a wrapper
-            # installed on caden.solvers.two_loop_direction sees each one.
-            direction[n] = -two_loop_direction(
-                s_buf[i, :c], y_buf[i, :c], rho_buf[i, :c], gamma[i], g[i]
-            )
-            slope[n] = float(g[i] @ direction[n])
-            if slope[n] >= 0.0:
-                # Numerically broken direction; steepest descent is always safe.
-                direction[n] = -g[i]
-                slope[n] = -float(g[i] @ g[i])
+        hist = slice(None) if moving.size == k else moving
+        g_now = g[moving]
+        # Looked up as a module global on every call, so a wrapper
+        # installed on caden.solvers.two_loop_direction sees each one.
+        direction = -two_loop_direction(
+            s_buf[hist], y_buf[hist], rho_buf[hist], gamma[moving], g_now, count[moving]
+        )
+        slope = rowdot(g_now, direction)
+        # A numerically broken direction falls back to steepest descent,
+        # which is always safe.
+        broken = np.flatnonzero(slope >= 0.0)
+        if broken.size:
+            direction[broken] = -g_now[broken]
+            slope[broken] = -rowdot(g_now[broken], g_now[broken])
 
         # Armijo backtracking, one stacked value call per level for the
         # agents still searching.
@@ -288,9 +375,9 @@ def solve_lbfgs_batch(
                 break
         # A failed search leaves the agent in place for this iteration.
         failures[moving[searching]] += 1
-        for i in moving[searching]:
-            norms[i].append(gnorm[i])
-            vals[i].append(float(f[i]))
+        for i in moving[searching].tolist():
+            norms[i].append(norms[i][-1])
+            vals[i].append(vals[i][-1])
         if searching.size == moving.size:
             continue
         took = np.ones(moving.size, dtype=bool)
@@ -298,41 +385,47 @@ def solve_lbfgs_batch(
 
         # One stacked gradient call for the agents that accepted.
         rows = moving[took]
-        g_new = batch.gradients(x_trial[took], rows)
-        s_new = x_trial[took] - x[rows]
+        x_new = x_trial[took]
+        lg_new = batch.loss_gradients(x_new, rows)
+        g_new = batch.gradients(x_new, rows, lg_new)
+        s_new = x_new - x[rows]
         y_new = g_new - g[rows]
-        x[rows] = x_trial[took]
+        x[rows] = x_new
         f[rows] = f_trial[took]
         g[rows] = g_new
-        for r, i in enumerate(rows):
-            s_vec, y_vec = s_new[r], y_new[r]
-            sy = float(s_vec @ y_vec)
-            if sy > CURVATURE_SKIP_TOL * _norm(s_vec) * _norm(y_vec):
-                c = count[i]
-                if c == memory:
-                    s_buf[i, :-1] = s_buf[i, 1:]
-                    y_buf[i, :-1] = y_buf[i, 1:]
-                    rho_buf[i, :-1] = rho_buf[i, 1:]
-                    c -= 1
-                s_buf[i, c] = s_vec
-                y_buf[i, c] = y_vec
-                rho_buf[i, c] = 1.0 / sy
-                count[i] = c + 1
-                gamma[i] = sy / float(y_vec @ y_vec)
-            gnorm[i] = _norm(g_new[r])
-            norms[i].append(gnorm[i])
-            vals[i].append(float(f[i]))
+        lg[rows] = lg_new
+        sy = rowdot(s_new, y_new)
+        keep = np.flatnonzero(sy > CURVATURE_SKIP_TOL * _norms(s_new) * _norms(y_new))
+        if keep.size:
+            stored = rows[keep]
+            full = stored[count[stored] == slots]
+            if full.size:
+                s_buf[full, :-1] = s_buf[full, 1:]
+                y_buf[full, :-1] = y_buf[full, 1:]
+                rho_buf[full, :-1] = rho_buf[full, 1:]
+                count[full] -= 1
+            c = count[stored]
+            s_buf[stored, c] = s_new[keep]
+            y_buf[stored, c] = y_new[keep]
+            rho_buf[stored, c] = 1.0 / sy[keep]
+            count[stored] = c + 1
+            gamma[stored] = sy[keep] / rowdot(y_new[keep], y_new[keep])
+        gnorm[rows] = _norms(g_new)
+        for i, gn, fv in zip(rows.tolist(), gnorm[rows].tolist(), f[rows].tolist()):
+            norms[i].append(gn)
+            vals[i].append(fv)
 
     return [
         SolverReport(
             x_out=x[i],
             iterations=int(performed[i]),
             grad_norm_in=norms[i][0],
-            grad_norm_out=gnorm[i],
+            grad_norm_out=norms[i][-1],
             grad_norms=norms[i],
             values=vals[i],
             line_search_failures=int(failures[i]),
             backtracks=int(backtracks[i]),
+            loss_grad_out=lg[i],
         )
         for i in range(k)
     ]
@@ -366,20 +459,25 @@ def solve_gd_batch(
     tau: int,
     step: float | None = None,
     lipschitz: float | None = None,
+    loss_grad: np.ndarray | None = None,
 ) -> list[SolverReport]:
     """tau fixed-step gradient steps on every subproblem of ``batch`` in
     lockstep, warm-started at the rows of ``x_start``, with the same
     reporting as L-BFGS and one stacked gradient call per step.  Each
     agent's step defaults to the inverse of its subproblem's smoothness;
-    an agent stops once its gradient is exactly 0."""
+    an agent stops once its gradient is exactly 0.  ``loss_grad`` holds
+    the loss gradients at ``x_start`` when the caller has them."""
     steps = np.array(
         [step if step is not None else default_gd_step(p, lipschitz) for p in batch.problems]
     )
     if (steps <= 0.0).any():
         raise ValueError("step must be positive")
     x = np.array(x_start, dtype=float)
-    g = batch.gradients(x, np.arange(len(x)))
-    gnorm = np.array([_norm(row) for row in g])
+    if len(x) == 0:
+        return []
+    lg = _start_loss_gradients(batch, x, loss_grad)
+    g = batch.gradients(x, np.arange(len(x)), lg)
+    gnorm = _norms(g)
     norms = [[v] for v in gnorm.tolist()]
     performed = np.zeros(len(x), dtype=int)
     for _ in range(tau):
@@ -387,10 +485,11 @@ def solve_gd_batch(
         if moving.size == 0:
             break
         x[moving] = x[moving] - steps[moving, None] * g[moving]
-        g[moving] = batch.gradients(x[moving], moving)
-        gnorm[moving] = [_norm(row) for row in g[moving]]
-        for i in moving:
-            norms[i].append(float(gnorm[i]))
+        lg[moving] = batch.loss_gradients(x[moving], moving)
+        g[moving] = batch.gradients(x[moving], moving, lg[moving])
+        gnorm[moving] = _norms(g[moving])
+        for i, gn in zip(moving.tolist(), gnorm[moving].tolist()):
+            norms[i].append(gn)
         performed[moving] += 1
     return [
         SolverReport(
@@ -399,6 +498,7 @@ def solve_gd_batch(
             grad_norm_in=norms[i][0],
             grad_norm_out=norms[i][-1],
             grad_norms=norms[i],
+            loss_grad_out=lg[i],
         )
         for i in range(len(x))
     ]
@@ -421,13 +521,16 @@ def solve_exact_quadratic(problem: LocalSubproblem) -> SolverReport:
     else:
         rhs = rhs + loss.q @ loss.a
         x = np.linalg.solve(loss.q + shift * np.eye(loss.dim), rhs)
-    gnorm = float(np.linalg.norm(problem.gradient(x)))
+    lg = loss.gradient(x)
+    g = SubproblemBatch([problem]).gradients(x[None], _FIRST, lg[None])
+    gnorm = float(_norms(g)[0])
     return SolverReport(
         x_out=x,
         iterations=0,
         grad_norm_in=gnorm,
         grad_norm_out=gnorm,
         grad_norms=[gnorm],
+        loss_grad_out=lg,
     )
 
 

@@ -2,9 +2,10 @@
 dense constraint matrices, random curvature factories, the midpoint form of
 the residual V, the edge-form augmented Lagrangian, the initial
 augmented-gradient error, the gradient-tracking identity gap, the corollary
-scaling sweep, the one-agent logistic and MLP losses and the lone L-BFGS
-loop that the stacked kernels and the lockstep solver must match bit for bit,
-and writers for the IDX and edge-list formats the package reads."""
+scaling sweep, the one-agent logistic and MLP losses, and the lone L-BFGS
+loop with its one-row subproblem terms and two-loop recursion, which the
+stacked kernels and the lockstep solver must match bit for bit, and writers
+for the IDX and edge-list formats the package reads."""
 
 from __future__ import annotations
 
@@ -30,7 +31,6 @@ from caden.solvers import (
     MAX_BACKTRACKS,
     LocalSubproblem,
     SolverReport,
-    two_loop_direction,
 )
 
 
@@ -299,6 +299,38 @@ class ReferenceMlpLoss(LocalLoss):
         return logits.argmax(axis=1)
 
 
+def reference_value(problem: LocalSubproblem, x: np.ndarray) -> float:
+    """One subproblem's objective at ``x``, written out for one row."""
+    pen = float(((x - problem.anchors) ** 2).sum()) if problem.degree else 0.0
+    return float(problem.loss.value(x) + float(problem.phi @ x) + 0.5 * problem.mu_z * pen)
+
+
+def reference_gradient(problem: LocalSubproblem, x: np.ndarray) -> np.ndarray:
+    """One subproblem's objective gradient at ``x``, written out for one row."""
+    g = problem.loss.gradient(x) + problem.phi
+    if problem.degree:
+        g = g + problem.mu_z * (problem.degree * x - problem.anchor_sum)
+    return g
+
+
+def reference_two_loop(
+    s: np.ndarray, y: np.ndarray, rho: np.ndarray, gamma: float, grad: np.ndarray
+) -> np.ndarray:
+    """One agent's two-loop recursion H @ grad over its (k, d) history,
+    oldest pair first."""
+    k = s.shape[0]
+    q = grad.copy()
+    alpha = np.empty(k)
+    for i in range(k - 1, -1, -1):
+        alpha[i] = rho[i] * float(s[i] @ q)
+        q -= alpha[i] * y[i]
+    r = gamma * q
+    for i in range(k):
+        beta = rho[i] * float(y[i] @ r)
+        r += (alpha[i] - beta) * s[i]
+    return r
+
+
 def reference_solve_lbfgs(
     problem: LocalSubproblem,
     x_start: np.ndarray,
@@ -322,8 +354,8 @@ def reference_solve_lbfgs(
         raise ValueError("tau must be nonnegative")
     x = np.asarray(x_start, dtype=float).copy()
     d = x.shape[0]
-    g = problem.gradient(x)
-    f = problem.value(x)
+    g = reference_gradient(problem, x)
+    f = reference_value(problem, x)
     gnorm = float(np.linalg.norm(g))
     norms = [gnorm]
     vals = [f]
@@ -338,7 +370,7 @@ def reference_solve_lbfgs(
     for _ in range(tau):
         if gnorm == 0.0:
             break
-        direction = -two_loop_direction(s_buf[:count], y_buf[:count], rho_buf[:count], gamma, g)
+        direction = -reference_two_loop(s_buf[:count], y_buf[:count], rho_buf[:count], gamma, g)
         slope = float(g @ direction)
         if slope >= 0.0:
             # Numerically broken direction; steepest descent is always safe.
@@ -349,7 +381,7 @@ def reference_solve_lbfgs(
         f_trial = f
         for _ in range(MAX_BACKTRACKS):
             x_trial = x + step * direction
-            f_trial = problem.value(x_trial)
+            f_trial = reference_value(problem, x_trial)
             slack = ARMIJO_SLACK * (abs(f) + abs(f_trial))
             if f_trial <= f + ARMIJO_C1 * step * slope + slack:
                 accepted = True
@@ -361,7 +393,7 @@ def reference_solve_lbfgs(
             norms.append(gnorm)
             vals.append(f)
             continue
-        g_new = problem.gradient(x_trial)
+        g_new = reference_gradient(problem, x_trial)
         s_vec = x_trial - x
         y_vec = g_new - g
         sy = float(s_vec @ y_vec)

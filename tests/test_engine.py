@@ -1,6 +1,8 @@
 """Round engine: state initialization, participation, updates, checkpoints."""
 
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
@@ -8,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caden import engine, graphs
+from caden.datasets import gaussian_blobs
 from caden.engine import CadenConfig, TauSchedule
-from caden.losses import QuadraticLoss
+from caden.losses import LocalLoss, LogisticLoss, LossStack, MlpLoss, QuadraticLoss
 
 
 def _k2_quadratics():
@@ -23,15 +26,15 @@ def _k2_setup(mu_z=3.0, mu_y=3.0, solver="exact", **kwargs):
     topology = graphs.complete_graph(2)
     losses = _k2_quadratics()
     config = CadenConfig(mu_z=mu_z, mu_y=mu_y, solver=solver, **kwargs)
-    x, phi = engine.init_states(losses, topology, np.array([[0.0], [2.0]]))
-    return topology, losses, config, x, phi
+    x, phi, grad = engine.init_states(losses, topology, np.array([[0.0], [2.0]]))
+    return topology, losses, config, x, phi, grad
 
 
 class TestInitStates:
     def test_duals_start_at_zero(self):
         topology = graphs.build_random_graph(6, 0.5, seed=0)
         losses = [QuadraticLoss(q=np.ones(3), a=np.zeros(3)) for _ in range(6)]
-        _, phi = engine.init_states(losses, topology, np.zeros((6, 3)))
+        _, phi, _ = engine.init_states(losses, topology, np.zeros((6, 3)))
         total = phi.sum()
         assert total == 0.0
 
@@ -71,7 +74,7 @@ class TestParticipation:
 class TestPrimalUpdate:
     def test_k2_closed_form(self):
         # argmin of x^2/2 + (3/2)(x - 1)^2 is 3/4.
-        topology, losses, config, x, phi = _k2_setup()
+        topology, losses, config, x, phi, _ = _k2_setup()
         x_new = engine.primal_update(0, x, phi, losses, topology, config, 0)
         assert x_new[0] == pytest.approx(0.75, abs=1e-12)
 
@@ -79,7 +82,7 @@ class TestPrimalUpdate:
         topology = graphs.build_random_graph(5, 0.6, seed=2)
         losses = [QuadraticLoss(q=np.ones(2), a=np.full(2, float(i))) for i in range(5)]
         x_star = np.full(2, 2.0)  # mean of the targets 0..4
-        x, phi = engine.init_states(losses, topology, np.tile(x_star, (5, 1)))
+        x, phi, _ = engine.init_states(losses, topology, np.tile(x_star, (5, 1)))
         config = CadenConfig(mu_z=3.0, mu_y=3.0, solver="exact")
         for i in range(5):
             phi[i] = -losses[i].gradient(x_star)
@@ -93,7 +96,7 @@ class TestPrimalUpdate:
         topology = graphs.build_random_graph(6, 0.5, seed=3)
         rng = np.random.default_rng(0)
         losses = [QuadraticLoss(q=np.ones(3), a=rng.standard_normal(3)) for _ in range(6)]
-        x, phi = engine.init_states(losses, topology, rng.standard_normal((6, 3)))
+        x, phi, _ = engine.init_states(losses, topology, rng.standard_normal((6, 3)))
         config = CadenConfig(mu_z=2.0, mu_y=2.0, solver="lbfgs")
         forward = [engine.primal_update(i, x, phi, losses, topology, config, 0)
                    for i in range(6)]
@@ -139,7 +142,7 @@ class TestSubproblemBuilder:
 
 class TestBroadcastAndDual:
     def test_inactive_broadcast_is_noop(self):
-        _, _, _, x, _ = _k2_setup()
+        _, _, _, x, _, _ = _k2_setup()
         before = x.copy()
         assert engine.broadcast(x, [], []) == 0
         assert np.array_equal(x, before)
@@ -147,12 +150,12 @@ class TestBroadcastAndDual:
     def test_one_unit_per_broadcast_regardless_of_degree(self):
         topology = graphs.complete_graph(4)  # every agent has 3 neighbors
         losses = [QuadraticLoss(q=np.ones(1), a=np.zeros(1)) for _ in range(4)]
-        x, _ = engine.init_states(losses, topology, np.zeros((4, 1)))
+        x, _, _ = engine.init_states(losses, topology, np.zeros((4, 1)))
         assert engine.broadcast(x, [0], [np.array([0.75])]) == 1
         assert x[0, 0] == 0.75
 
     def test_k2_dual_update_hand_values(self):
-        topology, losses, _, x, phi = _k2_setup()
+        topology, losses, _, x, phi, _ = _k2_setup()
         config = CadenConfig(mu_z=3.0, mu_y=2.0)
         engine.broadcast(x, [0, 1], [np.array([1.0]), np.array([0.0])])
         phi0 = engine.dual_update(0, x, phi, topology, config)
@@ -162,7 +165,7 @@ class TestBroadcastAndDual:
         assert phi0[0] + phi1[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_consensus_leaves_duals_unchanged(self):
-        topology, losses, config, x, phi = _k2_setup()
+        topology, losses, config, x, phi, _ = _k2_setup()
         engine.broadcast(x, [0, 1], [np.array([1.0]), np.array([1.0])])
         assert engine.dual_update(0, x, phi, topology, config)[0] == 0.0
 
@@ -172,11 +175,11 @@ class TestRunRound:
         topology = graphs.build_random_graph(7, 0.4, seed=4)
         rng = np.random.default_rng(1)
         losses = [QuadraticLoss(q=np.ones(2), a=rng.standard_normal(2)) for _ in range(7)]
-        x, phi = engine.init_states(losses, topology, rng.standard_normal((7, 2)))
+        x, phi, grad = engine.init_states(losses, topology, rng.standard_normal((7, 2)))
         config = CadenConfig(mu_z=3.0, mu_y=2.0, tau_schedule=TauSchedule(base=5))
         rounds = 50
         for t in range(rounds):
-            engine.run_round(x, phi, losses, topology, config, t)
+            engine.run_round(x, phi, grad, losses, topology, config, t)
             drift = np.abs(phi.sum(axis=0)).max()
             assert drift <= 1e-9 * config.mu_y * (t + 1)
 
@@ -184,21 +187,21 @@ class TestRunRound:
         topology = graphs.build_random_graph(8, 0.5, seed=5)
         rng = np.random.default_rng(2)
         losses = [QuadraticLoss(q=np.ones(2), a=rng.standard_normal(2)) for _ in range(8)]
-        x, phi = engine.init_states(losses, topology, rng.standard_normal((8, 2)))
+        x, phi, grad = engine.init_states(losses, topology, rng.standard_normal((8, 2)))
         config = CadenConfig(mu_z=3.0, mu_y=3.0, participation=0.5, seed=3)
         for t in range(10):
             x_before, phi_before = x.copy(), phi.copy()
-            summary = engine.run_round(x, phi, losses, topology, config, t)
+            summary = engine.run_round(x, phi, grad, losses, topology, config, t)
             for i in range(8):
                 if not summary.active[i]:
                     assert np.array_equal(x[i], x_before[i])
                     assert np.array_equal(phi[i], phi_before[i])
 
     def test_all_inactive_round_changes_nothing(self):
-        topology, losses, _, x, phi = _k2_setup()
+        topology, losses, _, x, phi, grad = _k2_setup()
         config = CadenConfig(mu_z=3.0, mu_y=3.0, participation=1e-9, seed=0)
         x_before = x.copy()
-        summary = engine.run_round(x, phi, losses, topology, config, 0)
+        summary = engine.run_round(x, phi, grad, losses, topology, config, 0)
         assert summary.broadcasts == 0
         for i in (0, 1):
             assert np.array_equal(x[i], x_before[i])
@@ -206,21 +209,103 @@ class TestRunRound:
     def test_full_participation_communication_count(self):
         topology = graphs.build_random_graph(6, 0.5, seed=6)
         losses = [QuadraticLoss(q=np.ones(1), a=np.zeros(1)) for _ in range(6)]
-        x, phi = engine.init_states(losses, topology, np.zeros((6, 1)))
+        x, phi, grad = engine.init_states(losses, topology, np.zeros((6, 1)))
         config = CadenConfig(mu_z=1.0, mu_y=1.0)
         total = sum(
-            engine.run_round(x, phi, losses, topology, config, t).broadcasts
+            engine.run_round(x, phi, grad, losses, topology, config, t).broadcasts
             for t in range(9)
         )
         assert total == 6 * 9
 
     def test_k2_converges_to_global_optimum(self):
-        topology, losses, config, x, phi = _k2_setup(solver="lbfgs",
+        topology, losses, config, x, phi, grad = _k2_setup(solver="lbfgs",
                                                      tau_schedule=TauSchedule(base=5))
         for t in range(300):
-            engine.run_round(x, phi, losses, topology, config, t)
+            engine.run_round(x, phi, grad, losses, topology, config, t)
         assert abs(x[0, 0] - 1.0) <= 1e-6
         assert abs(x[1, 0] - 1.0) <= 1e-6
+
+
+class _AntiGradient(LocalLoss):
+    """0.5 ||x||^2 reporting the negated gradient, so L-BFGS line searches
+    fail and gradient steps ascend."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+
+    def value(self, x):
+        return 0.5 * float(x @ x)
+
+    def gradient(self, x):
+        return -np.asarray(x, dtype=float)
+
+
+def _carried_gradient_run(draw, rng):
+    """Random graph, losses, start models and engine config for the
+    carried-gradient property."""
+    m = draw(st.integers(2, 7))
+    topology = graphs.build_random_graph(m, draw(st.floats(0.3, 1.0)), seed=int(rng.integers(1000)))
+    solver = draw(st.sampled_from(["lbfgs", "gd", "exact"]))
+    # At rest every model and quadratic target is 0: each local gradient is
+    # exactly 0 and the solvers return without a step.
+    at_rest = draw(st.integers(0, 3)) == 0
+    family = "quadratic" if at_rest or solver == "exact" else draw(
+        st.sampled_from(["quadratic", "logistic", "mlp", "mixed"])
+    )
+    features, labels = gaussian_blobs(8 * m, 2, 2, seed=int(rng.integers(1000)))
+    # MLP: 2 features, 1 hidden unit, 2 classes; logistic: 2 features and a bias.
+    d = 7 if family == "mlp" else 6
+    losses = []
+    for i in range(m):
+        kind = family
+        if family == "mixed":
+            kind = draw(st.sampled_from(["quadratic", "logistic", "failing"]))
+        rows = slice(8 * i, 8 * i + 8)
+        if kind == "quadratic":
+            target = np.zeros(d) if at_rest else rng.standard_normal(d)
+            losses.append(QuadraticLoss(q=rng.uniform(0.5, 2.0, d), a=target))
+        elif kind == "logistic":
+            losses.append(LogisticLoss(np.c_[features[rows], np.ones(8)], labels[rows], 2, 1e-3))
+        elif kind == "mlp":
+            losses.append(MlpLoss(features[rows], labels[rows], hidden=1, classes=2, l2=1e-3))
+        else:
+            losses.append(_AntiGradient(d))
+    x0 = np.zeros((m, d)) if at_rest else rng.standard_normal((m, d))
+    config = CadenConfig(
+        mu_z=float(rng.uniform(0.5, 3.0)),
+        mu_y=float(rng.uniform(0.1, 2.0)),
+        tau_schedule=TauSchedule(base=draw(st.integers(1, 6))),
+        participation=draw(st.floats(0.05, 1.0)),
+        solver=solver,
+        seed=int(rng.integers(1000)),
+        gd_step=0.05,
+    )
+    return topology, LossStack(losses), x0, config
+
+
+class TestCarriedGradient:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), rounds=st.integers(1, 6), resume_at=st.integers(0, 6))
+    def test_equals_a_fresh_evaluation_after_every_round(self, data, rounds, resume_at):
+        # The rows run_round writes come from each solve's last loss
+        # evaluation; they must be the gradients at the current models bit
+        # for bit, for active and inactive agents, and after a resume,
+        # which refills them from the checkpointed models.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        topology, losses, x0, config = _carried_gradient_run(data.draw, rng)
+        everyone = np.arange(topology.m)
+        x, phi, grad = engine.init_states(losses, topology, x0)
+        assert np.array_equal(grad, losses.gradients(x, everyone))
+        for t in range(rounds):
+            if t == resume_at:
+                with tempfile.TemporaryDirectory() as tmp:
+                    path = os.path.join(tmp, "state.bin")
+                    engine.save_checkpoint(path, x, phi, t)
+                    x_saved, phi_saved, _ = engine.load_checkpoint(path)
+                x, phi, grad = engine.init_states(losses, topology, x_saved)
+                phi[:] = phi_saved
+            engine.run_round(x, phi, grad, losses, topology, config, t)
+            assert np.array_equal(grad, losses.gradients(x, everyone))
 
 
 class TestTauSchedule:
@@ -242,10 +327,10 @@ class TestCheckpoint:
         topology = graphs.build_random_graph(5, 0.6, seed=7)
         rng = np.random.default_rng(3)
         losses = [QuadraticLoss(q=np.ones(3), a=rng.standard_normal(3)) for _ in range(5)]
-        x, phi = engine.init_states(losses, topology, rng.standard_normal((5, 3)))
+        x, phi, grad = engine.init_states(losses, topology, rng.standard_normal((5, 3)))
         config = CadenConfig(mu_z=2.0, mu_y=2.0)
         for t in range(4):
-            engine.run_round(x, phi, losses, topology, config, t)
+            engine.run_round(x, phi, grad, losses, topology, config, t)
         path = str(tmp_path / "state.bin")
         engine.save_checkpoint(path, x, phi, round_index=4)
         x_loaded, phi_loaded, round_index = engine.load_checkpoint(path)
@@ -256,7 +341,7 @@ class TestCheckpoint:
 
     def test_header_layout(self, tmp_path):
         # Little-endian u64 header (m, d, round), then float64 payload.
-        topology, losses, _, x, phi = _k2_setup()
+        topology, losses, _, x, phi, _ = _k2_setup()
         path = str(tmp_path / "s.bin")
         engine.save_checkpoint(path, x, phi, round_index=7)
         raw = open(path, "rb").read()

@@ -33,6 +33,11 @@ class TestTopology:
         with pytest.raises(DisconnectedGraphError):
             graphs.from_edges(4, [(0, 1), (2, 3)])
 
+    @pytest.mark.parametrize("m", [-1, 0, 1])
+    def test_rejects_fewer_than_two_agents(self, m):
+        with pytest.raises(ValueError, match=f"m={m}$"):
+            graphs.from_edges(m, [])
+
     def test_incident_matches_neighbor_order(self):
         t = graphs.build_random_graph(9, 0.4, seed=2)
         for i in range(t.m):

@@ -316,6 +316,12 @@ class TestRunExperiment:
             build_topology(cfg)
         assert defect in str(err.value)
 
+    def test_missing_topology_file_is_a_config_error(self, tmp_path):
+        path = tmp_path / "absent" / "graph.txt"
+        cfg = _k2_config(topology_kind="file", topology_file=str(path))
+        with pytest.raises(ConfigError, match=re.escape(f"topology.file {path}: cannot be read")):
+            build_topology(cfg)
+
     def test_theory_mode_reports_constants(self, tmp_path):
         cfg = ExperimentConfig(
             seed=2, rounds=3, mode="theory",

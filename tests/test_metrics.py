@@ -18,10 +18,10 @@ def _random_states(seed, m=8, d=3):
     topology = graphs.build_random_graph(m, 0.4, seed=seed)
     losses = [QuadraticLoss(q=rng.uniform(0.5, 2.0, d), a=rng.standard_normal(d))
               for _ in range(m)]
-    x, phi = engine.init_states(losses, topology, rng.standard_normal((m, d)))
+    x, phi, grad = engine.init_states(losses, topology, rng.standard_normal((m, d)))
     for i in range(m):
         phi[i] = rng.standard_normal(d)
-    return topology, losses, x, phi
+    return topology, losses, x, phi, grad
 
 
 def _consensus_stationary(m=4, d=2):
@@ -30,33 +30,38 @@ def _consensus_stationary(m=4, d=2):
     rng = np.random.default_rng(0)
     losses = [QuadraticLoss(q=np.ones(d), a=rng.standard_normal(d)) for _ in range(m)]
     x_star = np.mean([loss.a for loss in losses], axis=0)
-    x, phi = engine.init_states(losses, topology, np.tile(x_star, (m, 1)))
+    x, phi, grad = engine.init_states(losses, topology, np.tile(x_star, (m, 1)))
     for i in range(m):
         phi[i] = -losses[i].gradient(x_star)
-    return topology, losses, x, phi
+    return topology, losses, x, phi, grad
+
+
+def _gradients_at(x, losses):
+    """The loss gradients at models ``x``, one agent at a time."""
+    return np.array([loss.gradient(x_i) for x_i, loss in zip(x, losses)])
 
 
 class TestResidualForms:
     @pytest.mark.parametrize("seed", range(50))
     def test_pair_and_midpoint_forms_agree(self, seed):
-        topology, losses, x, phi = _random_states(seed)
-        a = metrics.lyapunov_v(x, phi, losses, topology)
+        topology, losses, x, phi, grad = _random_states(seed)
+        a = metrics.lyapunov_v(x, phi, grad, topology)
         b = lyapunov_v_midpoint_form(x, phi, losses, topology)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
     def test_zero_exactly_at_consensus_stationary_state(self):
-        topology, losses, x, phi = _consensus_stationary()
-        assert metrics.lyapunov_v(x, phi, losses, topology) == 0.0
+        topology, losses, x, phi, grad = _consensus_stationary()
+        assert metrics.lyapunov_v(x, phi, grad, topology) == 0.0
 
     def test_positive_when_consensus_perturbed(self):
-        topology, losses, x, phi = _consensus_stationary()
+        topology, losses, x, phi, _ = _consensus_stationary()
         x[0] = x[0] + 1e-3
-        assert metrics.lyapunov_v(x, phi, losses, topology) > 0.0
+        assert metrics.lyapunov_v(x, phi, _gradients_at(x, losses), topology) > 0.0
 
     def test_positive_when_stationarity_perturbed(self):
-        topology, losses, x, phi = _consensus_stationary()
+        topology, losses, x, phi, grad = _consensus_stationary()
         phi += 1e-3  # breaks gradient cancellation, keeps consensus
-        assert metrics.lyapunov_v(x, phi, losses, topology) > 0.0
+        assert metrics.lyapunov_v(x, phi, grad, topology) > 0.0
 
 
 class TestRelativeError:
@@ -65,7 +70,7 @@ class TestRelativeError:
         topology = graphs.complete_graph(2)
         losses = [QuadraticLoss(q=np.ones(1), a=np.array([-1.0])),
                   QuadraticLoss(q=np.ones(1), a=np.array([1.0]))]
-        x, _ = engine.init_states(losses, topology, np.zeros((2, 1)))
+        x, _, _ = engine.init_states(losses, topology, np.zeros((2, 1)))
         assert metrics.relative_error(x, losses) == 0.0
 
     def test_two_agent_hand_value(self):
@@ -73,18 +78,18 @@ class TestRelativeError:
         topology = graphs.complete_graph(2)
         losses = [QuadraticLoss(q=np.ones(1), a=np.array([0.0])),
                   QuadraticLoss(q=np.ones(1), a=np.array([2.0]))]
-        x, _ = engine.init_states(losses, topology, np.array([[0.0], [2.0]]))
+        x, _, _ = engine.init_states(losses, topology, np.array([[0.0], [2.0]]))
         assert metrics.relative_error(x, losses) == pytest.approx(4.0)
 
     def test_zero_iff_chain_consensus_and_zero_gradient_sum(self):
-        topology, losses, x, _ = _consensus_stationary()
+        topology, losses, x, _, _ = _consensus_stationary()
         x[1] = x[1] + 1e-3
         assert metrics.relative_error(x, losses) > 0.0
 
     def test_graph_variant_counts_edges(self):
         topology = graphs.path_graph(3)
         losses = [QuadraticLoss(q=np.ones(1), a=np.zeros(1)) for _ in range(3)]
-        x, _ = engine.init_states(losses, topology, np.array([[0.0], [1.0], [2.0]]))
+        x, _, _ = engine.init_states(losses, topology, np.array([[0.0], [1.0], [2.0]]))
         chain = metrics.relative_error(x, losses)
         graph = metrics.relative_error_graph(x, losses, topology)
         assert chain == pytest.approx(graph)  # path graph: same pair set
@@ -97,7 +102,7 @@ class TestAccuracy:
         x_data, y_data = gaussian_blobs(60, 5, 10, seed=0)
         topology = graphs.complete_graph(3)
         losses = [MlpLoss(x_data, y_data, hidden=6, classes=10) for _ in range(3)]
-        x, _ = engine.init_states(losses, topology, np.tile(params(losses[0]), (3, 1)))
+        x, _, _ = engine.init_states(losses, topology, np.tile(params(losses[0]), (3, 1)))
         return topology, losses, x
 
     def test_perfect_classifier_scores_one(self):
@@ -110,7 +115,7 @@ class TestAccuracy:
         problem = LocalSubproblem(loss=losses[0], phi=np.zeros(losses[0].dim),
                                   anchors=np.zeros((0, losses[0].dim)), mu_z=0.0)
         params = solve_lbfgs(problem, params, 200).x_out
-        x, _ = engine.init_states(losses, topology, np.tile(params, (2, 1)))
+        x, _, _ = engine.init_states(losses, topology, np.tile(params, (2, 1)))
         assert metrics.test_accuracy(x, losses, x_eval, y_eval) == 1.0
 
     def test_zero_weights_predict_one_class(self):
@@ -127,7 +132,7 @@ class TestAccuracy:
         assert a == b
 
     def test_omitted_for_non_classification(self):
-        topology, losses, x, _ = _consensus_stationary()
+        topology, losses, x, _, _ = _consensus_stationary()
         assert metrics.test_accuracy(x, losses, np.zeros((2, 2)), np.zeros(2)) is None
 
 
@@ -152,18 +157,18 @@ class TestPhiDrift:
         rng = np.random.default_rng(seed)
         losses = [QuadraticLoss(q=rng.uniform(0.5, 2.0, d), a=rng.standard_normal(d))
                   for _ in range(m)]
-        x, phi = engine.init_states(losses, topology, rng.standard_normal((m, d)))
+        x, phi, grad = engine.init_states(losses, topology, rng.standard_normal((m, d)))
         config = CadenConfig(mu_z=mu_z, mu_y=mu_y_share * mu_z, solver=solver)
         for t in range(10):
-            engine.run_round(x, phi, losses, topology, config, t)
+            engine.run_round(x, phi, grad, losses, topology, config, t)
         assert metrics.phi_drift(phi) <= 1e-10
 
     def test_nonzero_reported_under_partial_participation(self):
-        topology, losses, x, phi = _random_states(1)
+        topology, losses, x, phi, grad = _random_states(1)
         phi[:] = 0.0
         config = CadenConfig(mu_z=2.0, mu_y=2.0, participation=0.5, seed=7)
         drifts = []
         for t in range(20):
-            engine.run_round(x, phi, losses, topology, config, t)
+            engine.run_round(x, phi, grad, losses, topology, config, t)
             drifts.append(metrics.phi_drift(phi))
         assert max(drifts) > 0.0

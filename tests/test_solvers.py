@@ -21,7 +21,14 @@ from caden.solvers import (
     two_loop_direction,
 )
 
-from helpers import central_difference, random_psd, reference_solve_lbfgs
+from helpers import (
+    central_difference,
+    random_psd,
+    reference_gradient,
+    reference_solve_lbfgs,
+    reference_two_loop,
+    reference_value,
+)
 
 
 def _subproblem(rng, d=4, degree=3, mu_z=3.0, cond=10.0):
@@ -40,6 +47,44 @@ def _oracle_minimizer(p: LocalSubproblem) -> np.ndarray:
     lhs = q + p.mu_z * p.degree * np.eye(p.loss.dim)
     rhs = q @ p.loss.a - p.phi + p.mu_z * p.anchors.sum(axis=0)
     return np.linalg.solve(lhs, rhs)
+
+
+class TestSubproblemTerms:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        degrees=st.lists(st.integers(0, 4), min_size=1, max_size=6),
+        d=st.integers(1, 30),
+        log_scale=st.floats(-5.0, 4.0),
+        data=st.data(),
+    )
+    def test_batch_rows_equal_written_out_objective(self, degrees, d, log_scale, data):
+        # The stacked dual and penalty terms, grouped by degree, give each
+        # row's one-subproblem value and gradient bit for bit.
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        problems = [
+            LocalSubproblem(
+                loss=QuadraticLoss(q=rng.uniform(0.5, 2.0, d), a=scale * rng.standard_normal(d)),
+                phi=scale * rng.standard_normal(d),
+                anchors=scale * rng.standard_normal((k, d)),
+                mu_z=float(rng.uniform(0.0, 3.0)),
+            )
+            for k in degrees
+        ]
+        which = np.array(
+            data.draw(st.lists(st.integers(0, len(problems) - 1), min_size=1, max_size=8)),
+            dtype=np.intp,
+        )
+        x = scale * rng.standard_normal((len(which), d))
+        batch = SubproblemBatch(problems)
+        values = batch.values(x, which)
+        gradients = batch.gradients(x, which)
+        for n, j in enumerate(which):
+            assert values[n] == reference_value(problems[j], x[n])
+            assert np.array_equal(gradients[n], reference_gradient(problems[j], x[n]))
+            assert problems[j].value(x[n]) == values[n]
+            assert np.array_equal(problems[j].gradient(x[n]), gradients[n])
 
 
 class TestSubproblemGradient:
@@ -65,6 +110,32 @@ class TestSubproblemGradient:
             assert np.linalg.norm(grad - oracle) / max(np.linalg.norm(oracle), 1.0) < 1e-5
 
 
+class TestRowdot:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        k=st.integers(1, 12),
+        d=st.integers(1, 600),
+        log_scale=st.floats(-5.0, 5.0),
+        offsets=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_per_row_matmul_bit_for_bit(self, k, d, log_scale, offsets, seed):
+        # The lockstep solver's bit-identity with lone solves rests on this:
+        # a numpy or BLAS change that sums the stacked rows in another
+        # order fails here by name.
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        off_a, off_b = offsets
+        a = scale * rng.standard_normal((k + off_a, d + off_a))[off_a:, off_a:]
+        b = scale * rng.standard_normal((k + off_b, d + off_b))[off_b:, off_b:]
+        want = np.array([row_a @ row_b for row_a, row_b in zip(a, b)])
+        assert np.array_equal(solvers.rowdot(a, b), want)
+        # Column slices of a stacked (k, M, d) history, as the two-loop reads them.
+        history = scale * rng.standard_normal((k, 3, d))
+        want = np.array([history[n, 1] @ b[n] for n in range(k)])
+        assert np.array_equal(solvers.rowdot(history[:, 1], b), want)
+
+
 def _random_history(rng, k, d):
     s = rng.standard_normal((k, d))
     y = s @ np.diag(rng.uniform(0.5, 3.0, d))  # positive-curvature pairs
@@ -87,6 +158,31 @@ class TestTwoLoop:
         snapshot = grad.copy()
         two_loop_direction(s, y, rho, 1.0, grad)
         assert np.array_equal(grad, snapshot)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        k=st.integers(1, 6),
+        memory=st.integers(0, 5),
+        d=st.integers(1, 40),
+        equal_counts=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_rows_equal_lone_recursions(self, k, memory, d, equal_counts, seed):
+        rng = np.random.default_rng(seed)
+        s = np.empty((k, memory, d))
+        y = np.empty_like(s)
+        rho = np.empty((k, memory))
+        for n in range(k):
+            s[n], y[n], rho[n] = _random_history(rng, memory, d)
+        counts = rng.integers(0, memory + 1, size=k)
+        if equal_counts:
+            counts[:] = memory
+        gamma = rng.uniform(0.1, 2.0, k)
+        grad = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal((k, d))
+        out = two_loop_direction(s, y, rho, gamma, grad, counts)
+        for n, c in enumerate(counts):
+            want = reference_two_loop(s[n, :c], y[n, :c], rho[n, :c], gamma[n], grad[n])
+            assert np.array_equal(out[n], want)
 
     def test_full_memory_exact_line_search_reaches_minimizer(self):
         # With memory >= d and exact curvature pairs the recursion reproduces
@@ -378,6 +474,7 @@ class TestLockstep:
                 assert getattr(got, name) == getattr(want, name), name
             accepted = got.iterations - got.line_search_failures
             assert asked[agent] == 1 + accepted + got.backtracks
+            assert np.array_equal(got.loss_grad_out, problem.loss.gradient(got.x_out))
 
     def test_failed_search_counts_every_trial(self):
         p = LocalSubproblem(loss=_AntiGradient(3), phi=np.zeros(3),
@@ -400,3 +497,4 @@ class TestLockstep:
             assert np.array_equal(got.x_out, x)
             assert got.iterations == 6
             assert got.grad_norm_out == float(np.linalg.norm(problem.gradient(x)))
+            assert np.array_equal(got.loss_grad_out, problem.loss.gradient(x))

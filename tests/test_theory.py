@@ -155,7 +155,7 @@ class TestInitialError:
         # share a minimizer and start there in consensus.
         topology = graphs.complete_graph(3)
         losses = [QuadraticLoss(q=np.ones(1), a=np.array([1.0])) for _ in range(3)]
-        x, phi = engine.init_states(losses, topology, np.full((3, 1), 1.0))
+        x, phi, _ = engine.init_states(losses, topology, np.full((3, 1), 1.0))
         config = CadenConfig(mu_z=3.0, mu_y=1.0)
         assert augmented_gradient_error(x, phi, losses, topology, config.mu_z) == 0.0
 
@@ -163,7 +163,7 @@ class TestInitialError:
         topology = graphs.complete_graph(2)
         losses = [QuadraticLoss(q=np.ones(1), a=np.array([0.0])),
                   QuadraticLoss(q=np.ones(1), a=np.array([2.0]))]
-        x, phi = engine.init_states(losses, topology, np.array([[0.0], [2.0]]))
+        x, phi, _ = engine.init_states(losses, topology, np.array([[0.0], [2.0]]))
         config = CadenConfig(mu_z=3.0, mu_y=1.0)
         e0 = augmented_gradient_error(x, phi, losses, topology, config.mu_z)
         assert e0 == pytest.approx(18.0)
@@ -172,13 +172,13 @@ class TestInitialError:
         topology = graphs.complete_graph(2)
         losses = [QuadraticLoss(q=np.ones(1), a=np.array([0.0])),
                   QuadraticLoss(q=np.ones(1), a=np.array([2.0]))]
-        x, phi = engine.init_states(losses, topology, np.array([[0.0], [2.0]]))
+        x, phi, grad = engine.init_states(losses, topology, np.array([[0.0], [2.0]]))
         config = CadenConfig(mu_z=3.0, mu_y=1.0)
         e0 = augmented_gradient_error(x, np.zeros_like(x), losses, topology, config.mu_z)
         assert augmented_gradient_error(
             x, phi, losses, topology, config.mu_z
         ) == pytest.approx(e0)
-        engine.run_round(x, phi, losses, topology, config, 0)
+        engine.run_round(x, phi, grad, losses, topology, config, 0)
         assert augmented_gradient_error(x, phi, losses, topology, config.mu_z) >= 0.0
 
     def test_matches_subproblem_gradient_blocks(self):
@@ -186,7 +186,7 @@ class TestInitialError:
         topology = graphs.build_random_graph(5, 0.6, seed=1)
         losses = [QuadraticLoss(q=np.ones(2), a=rng.standard_normal(2)) for _ in range(5)]
         x0 = rng.standard_normal((5, 2))
-        x, phi = engine.init_states(losses, topology, x0)
+        x, phi, _ = engine.init_states(losses, topology, x0)
         config = CadenConfig(mu_z=2.0, mu_y=1.0)
         total = 0.0
         for i in range(5):

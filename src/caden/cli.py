@@ -39,6 +39,17 @@ def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _count(text: str) -> int:
+    """An integer of at least 1; argparse names the flag when this refuses."""
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return int(text)
+
+
+def _counts(text: str) -> list[int]:
+    return [_count(tok) for tok in text.split(",") if tok.strip()]
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load(args)
     out_dir = args.out_dir if args.out_dir is not None else cfg.output_dir
@@ -47,7 +58,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.participation:
         sweep = participation_sweep(
             cfg,
-            _float_list(args.participation),
+            args.participation,
             n_seeds=args.seeds,
             out_dir=out_dir,
             write_outputs=True,
@@ -59,7 +70,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.tau:
         check_sweep(cfg, "caden.tau")
         tau_report = {}
-        for tau in (int(t) for t in _float_list(args.tau)):
+        for tau in args.tau:
             errs = []
             for k in range(args.seeds):
                 run_cfg = cfg.replace(
@@ -115,10 +126,15 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", help="run participation and/or workload grids")
     sweep_p.add_argument("--config", required=True, help="config file path")
     sweep_p.add_argument(
-        "--participation", default="", help="comma-separated participation probabilities"
+        "--participation",
+        type=_float_list,
+        default="",
+        help="comma-separated participation probabilities",
     )
-    sweep_p.add_argument("--tau", default="", help="comma-separated local iteration budgets")
-    sweep_p.add_argument("--seeds", type=int, default=5, help="seeds per grid point")
+    sweep_p.add_argument(
+        "--tau", type=_counts, default="", help="comma-separated local iteration budgets"
+    )
+    sweep_p.add_argument("--seeds", type=_count, default=5, help="seeds per grid point")
     _add_common(sweep_p)
     sweep_p.set_defaults(func=cmd_sweep)
 

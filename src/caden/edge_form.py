@@ -9,7 +9,8 @@ antisymmetric, z collapses to the edge midpoints, and the x-trajectories of
 the two forms coincide.  The x-step is the engine's
 ``solve_subproblems``, passed this form's z where the agent form passes the
 edge midpoints, so both forms share one subproblem builder, one config and
-one lockstep solver.
+one lockstep solver; ``dual_aggregates`` sums the endpoint duals with
+``graphs.incident_sums``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import CadenConfig, solve_subproblems
-from .graphs import Topology, edge_midpoints
+from .graphs import Topology, edge_midpoints, incident_sums
 from .losses import LocalLoss
 
 
@@ -102,12 +103,9 @@ def run_edge_round(
 
 
 def dual_aggregates(state: EdgeState, topology: Topology) -> np.ndarray:
-    """Per-agent sums of incident endpoint duals (the agent-form dual)."""
-    phi = np.zeros_like(state.x)
-    for i in range(topology.m):
-        for k, _, side in topology.incident(i):
-            phi[i] += state.y[k, side]
-    return phi
+    """Per-agent sums of incident endpoint duals (the agent-form dual), in
+    ascending edge order."""
+    return incident_sums(topology, state.y[:, 0], state.y[:, 1])
 
 
 def antisymmetry_gap(state: EdgeState) -> float:

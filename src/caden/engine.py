@@ -21,7 +21,8 @@ variable z_ij held at the edge midpoint (x_i + x_j) / 2, which is why one
 broadcast per round suffices.  ``subproblems`` builds the round-t
 subproblems of both forms from a dual per agent and a z per edge, and
 ``solve_subproblems`` solves them in one lockstep L-BFGS or
-gradient-descent solve over the run's ``LossStack``.
+gradient-descent solve over the run's ``LossStack``.  The anchors and the
+dual step follow the incident-edge order of ``graphs.edge_ends``.
 """
 
 from __future__ import annotations
@@ -33,14 +34,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CheckpointError
-from .graphs import Topology, edge_midpoints
+from .graphs import Topology, edge_ends, edge_midpoints, incident_sums
 from .losses import LocalLoss, LossStack
 from .solvers import (
     DEFAULT_MEMORY,
-    LocalSubproblem,
     SolverReport,
     SubproblemBatch,
-    solve_exact_quadratic,
+    solve_exact_batch,
     solve_gd_batch,
     solve_lbfgs_batch,
 )
@@ -149,12 +149,16 @@ def subproblems(
 ) -> SubproblemBatch:
     """The round-t subproblems of ``agents`` over the run's ``LossStack``:
     agent i's has dual ``phi[i]`` and one anchor ``z[k]`` per incident edge k,
-    in ascending edge (= neighbor) order."""
-    stack = LossStack.of(losses)
-    problems = [
-        LocalSubproblem(stack[i], phi[i], z[topology.incident_edges[i]], mu_z) for i in agents
-    ]
-    return SubproblemBatch(problems, stack, agents)
+    in ascending edge (= neighbor) order.  ``z`` is indexed once, for the
+    incident edges of ``agents`` only."""
+    agents = np.asarray(agents, dtype=np.intp)
+    row = np.full(topology.m, -1)
+    row[agents] = np.arange(agents.size)
+    end_agent, end_edge = edge_ends(topology)
+    ends = np.flatnonzero(row[end_agent] >= 0)
+    return SubproblemBatch(
+        LossStack.of(losses), agents, phi[agents], mu_z, z[end_edge[ends]], row[end_agent[ends]]
+    )
 
 
 def solve_subproblems(
@@ -185,7 +189,7 @@ def solve_subproblems(
         return solve_lbfgs_batch(batch, x_start, tau, config.lbfgs_memory, start_grad)
     if config.solver == "gd":
         return solve_gd_batch(batch, x_start, tau, config.gd_step, config.lipschitz, start_grad)
-    return [solve_exact_quadratic(p) for p in batch.problems]
+    return solve_exact_batch(batch)
 
 
 # Kept as a name for perfbench/tracer.py, which wraps caden.engine.primal_update.
@@ -217,11 +221,13 @@ def broadcast(x: np.ndarray, agents: list[int], models: list[np.ndarray]) -> int
 
 
 def dual_update(
-    agent: int, x: np.ndarray, phi: np.ndarray, topology: Topology, config: CadenConfig
+    agents, x: np.ndarray, phi: np.ndarray, topology: Topology, config: CadenConfig
 ) -> np.ndarray:
-    """phi_i + (mu_y / 2) sum_j (x_i - x_j) over the neighbors j."""
-    neighbors = list(topology.neighbors[agent])
-    return phi[agent] + 0.5 * config.mu_y * (x[agent] - x[neighbors]).sum(axis=0)
+    """phi_i + (mu_y / 2) sum_j (x_i - x_j) over the neighbors j of each of
+    ``agents``: one row per agent, or the (d,) row of a single int."""
+    diff = x[topology.src] - x[topology.dst]
+    pull = incident_sums(topology, diff, -diff)
+    return phi[agents] + 0.5 * config.mu_y * pull[agents]
 
 
 def run_round(
@@ -244,8 +250,7 @@ def run_round(
     broadcasts = broadcast(x, active, [report.x_out for report in reports])
     if active:
         grad[active] = [report.loss_grad_out for report in reports]
-    for i in active:
-        phi[i] = dual_update(i, x, phi, topology, config)
+        phi[active] = dual_update(active, x, phi, topology, config)
     return RoundSummary(active=flags, broadcasts=broadcasts)
 
 

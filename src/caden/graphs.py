@@ -3,6 +3,9 @@
 Agents are 0-indexed internally; the plain-text edge-list format is 1-indexed.
 Edges are canonically ordered (i < j, lexicographic) so that every per-edge
 vector built elsewhere has a deterministic layout.
+``edge_ends`` is the one definition of each agent's incident-edge order
+(ascending edge = neighbor order); ``incident_sums`` sums per-edge values in
+it, and every per-agent sum over incident edges goes through the two.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .errors import DisconnectedGraphError, GraphSamplingError
+from .solvers import rowdot
 
 # Stream tag for graph sampling; keeps the RNG draws here independent of every
 # other seeded component.
@@ -31,8 +35,6 @@ class Topology:
         neighbors: per-agent neighbor tuples, ascending.
         degrees: per-agent degree d_i = len(neighbors[i]).
         d_max: maximum degree.
-        incident_edges: per-agent ids of the edges touching it, ascending
-            (which is ascending neighbor order under the canonical ordering).
         src, dst: the smaller and larger endpoint of every edge, as index
             arrays for vectorized per-edge math.
         resamples: how many disconnected samples were rejected before this
@@ -44,7 +46,6 @@ class Topology:
     neighbors: tuple[tuple[int, ...], ...]
     degrees: tuple[int, ...]
     d_max: int
-    incident_edges: tuple[np.ndarray, ...] = field(compare=False, repr=False)
     src: np.ndarray = field(compare=False, repr=False)
     dst: np.ndarray = field(compare=False, repr=False)
     resamples: int = 0
@@ -56,20 +57,9 @@ class Topology:
 
     def laplacian(self) -> np.ndarray:
         """Dense m-by-m graph Laplacian L = D - A."""
-        lap = np.zeros((self.m, self.m))
-        for i, j in self.edges:
-            lap[i, j] -= 1.0
-            lap[j, i] -= 1.0
-            lap[i, i] += 1.0
-            lap[j, j] += 1.0
+        lap = np.diag(np.array(self.degrees, dtype=float))
+        lap[self.src, self.dst] = lap[self.dst, self.src] = -1.0
         return lap
-
-    def incident(self, i: int) -> list[tuple[int, int, int]]:
-        """Edges touching agent i as (edge index, neighbor, endpoint side) in
-        edge-index order; side 0 means i is the edge's smaller endpoint."""
-        return [
-            (int(k), j, int(i > j)) for k, j in zip(self.incident_edges[i], self.neighbors[i])
-        ]
 
 
 @dataclass(frozen=True)
@@ -126,10 +116,6 @@ def from_edges(m: int, edges: Iterable[tuple[int, int]], resamples: int = 0) -> 
         raise DisconnectedGraphError(f"graph on {m} agents with {len(canon)} edges is disconnected")
     neighbors = tuple(tuple(sorted(a)) for a in adj)
     degrees = tuple(len(a) for a in neighbors)
-    incident: list[list[int]] = [[] for _ in range(m)]
-    for k, (i, j) in enumerate(canon):
-        incident[i].append(k)
-        incident[j].append(k)
     src, dst = np.array(canon, dtype=np.intp).reshape(-1, 2).T
     return Topology(
         m=m,
@@ -137,7 +123,6 @@ def from_edges(m: int, edges: Iterable[tuple[int, int]], resamples: int = 0) -> 
         neighbors=neighbors,
         degrees=degrees,
         d_max=max(degrees),
-        incident_edges=tuple(np.array(k, dtype=np.intp) for k in incident),
         src=src,
         dst=dst,
         resamples=resamples,
@@ -244,6 +229,24 @@ def edge_midpoints(t: Topology, x: Sequence[np.ndarray] | np.ndarray) -> np.ndar
     return 0.5 * (xm[t.src] + xm[t.dst])
 
 
+def edge_ends(t: Topology) -> tuple[np.ndarray, np.ndarray]:
+    """Both ends of every edge as (agent, edge id) index arrays, each agent's
+    in ascending edge order: larger ends first, since an agent's edges to
+    smaller neighbors precede its edges to larger ones."""
+    edge = np.arange(t.n)
+    return np.concatenate([t.dst, t.src]), np.concatenate([edge, edge])
+
+
+def incident_sums(t: Topology, at_src: np.ndarray, at_dst: np.ndarray) -> np.ndarray:
+    """(m, ...) per-agent sums of the incident edges' values: ``at_src[k]``
+    at edge k's smaller end, ``at_dst[k]`` at its larger one.  Each sum
+    starts at 0 and adds one term at a time in ``edge_ends`` order."""
+    agent, _ = edge_ends(t)
+    out = np.zeros((t.m, *at_src.shape[1:]))
+    np.add.at(out, agent, np.concatenate([at_dst, at_src]))
+    return out
+
+
 def neighbor_disagreement_bounds(
     t: Topology,
     x: Sequence[np.ndarray] | np.ndarray,
@@ -263,12 +266,9 @@ def neighbor_disagreement_bounds(
     xm = _as_matrix(x, t.m, "agent")
     z = edge_midpoints(t, xm)
     resid = constraint_residual(t, xm, z)
-    mid = 0.0
-    for i in range(t.m):
-        acc = np.zeros(xm.shape[1])
-        for k in t.incident_edges[i]:
-            acc += xm[i] - z[k]
-        mid += float(acc @ acc)
+    acc = incident_sums(t, xm[t.src] - z, xm[t.dst] - z)
+    # A running total in agent order.
+    mid = float(np.cumsum(rowdot(acc, acc))[-1])
     lam = spectral.lambda_min**2 / (2.0 * spectral.lambda_max)
     return lam * resid, mid, spectral.d_max * resid
 

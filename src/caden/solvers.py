@@ -14,9 +14,10 @@ stage is one call for the agents it concerns: the two-loop recursion over
 the (k, M, d) histories, one stacked loss call at the start, at each
 backtracking level and for the gradients after accepted steps, and the
 dual and penalty terms, slopes, norms and curvature tests as row-wise
-arrays (``rowdot``).  Each agent's arithmetic is that of a lone solve, bit
-for bit, so ``solve_lbfgs``/``solve_gd`` on one subproblem are the
-one-agent case of the same body.
+arrays (``rowdot``).  A row's penalty is held as its degree, anchor sum and
+anchor spread, not as its anchor matrix.  Each agent's arithmetic is that
+of a lone solve, bit for bit, so ``solve_lbfgs``/``solve_gd`` on one
+subproblem are the one-agent case of the same body.
 
 Every solver reports the loss gradient at its ``x_out`` from its own last
 evaluation (``SolverReport.loss_grad_out``) and takes the loss gradients at
@@ -55,9 +56,6 @@ def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-_FIRST = np.zeros(1, dtype=np.intp)
-
-
 @dataclass
 class LocalSubproblem:
     """One agent's regularized local objective for a single round.
@@ -83,7 +81,6 @@ class LocalSubproblem:
         self.anchors = np.asarray(self.anchors, dtype=float).reshape(-1, self.loss.dim)
         if self.phi.shape != (self.loss.dim,):
             raise ValueError(f"phi shape {self.phi.shape} != ({self.loss.dim},)")
-        self.anchor_sum = self.anchors.sum(axis=0)
 
     @property
     def degree(self) -> int:
@@ -91,61 +88,74 @@ class LocalSubproblem:
 
     def value(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)[None]
-        return float(SubproblemBatch([self]).values(x, _FIRST)[0])
+        return float(SubproblemBatch.of([self]).values(x, [0])[0])
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)[None]
-        return SubproblemBatch([self]).gradients(x, _FIRST)[0]
+        return SubproblemBatch.of([self]).gradients(x, [0])[0]
 
 
 class SubproblemBatch:
     """Several agents' subproblems, evaluated together.
 
-    ``values(x, which)`` and ``gradients(x, which)`` evaluate subproblem
-    ``which[n]`` at ``x[n]``.  The loss terms of all rows come from one
-    stacked call on ``losses``, where subproblem j is agent ``agents[j]``;
-    without ``losses`` each row evaluates its subproblem's own loss.  The
-    dual and penalty terms are added as stacked arrays, the penalty one
-    group of equal degree at a time; each row equals that subproblem's own
-    ``value``/``gradient`` bit for bit.
+    Row j is agent ``agents[j]``'s subproblem: loss ``losses[agents[j]]``,
+    dual ``phi[j]`` and penalty coefficient ``mu_z`` (one, or one per row).
+    ``anchors`` is the flat (N, d) list of every row's anchors, ``owner[q]``
+    the row of anchor q.  Each row holds its penalty as three numbers: its
+    ``degree``, ``anchor_sum`` (its anchors added one at a time in list
+    order) and ``spread`` sum_k ||a_k - mean||^2, through the exact identity
+    sum_k ||x - a_k||^2 = degree ||x - mean||^2 + spread.  The penalty
+    gradient is degree x - anchor_sum.
+
+    ``values(x, which)`` and ``gradients(x, which)`` evaluate row
+    ``which[n]`` at ``x[n]``: the loss terms in one stacked call when
+    ``losses`` is a ``LossStack``, else row by row, and the dual and penalty
+    terms as stacked arrays.
     """
 
-    def __init__(
-        self,
-        problems: Sequence[LocalSubproblem],
-        losses: LossStack | None = None,
-        agents: Sequence[int] | None = None,
-    ):
-        self.problems = list(problems)
+    def __init__(self, losses, agents, phi, mu_z, anchors, owner):
         self._losses = losses
-        self._agents = None if losses is None else np.asarray(agents, dtype=np.intp)
-        self.phi = np.array([p.phi for p in self.problems])
-        self.mu_z = np.array([p.mu_z for p in self.problems], dtype=float)
-        self.degree = np.array([p.degree for p in self.problems], dtype=np.intp)
-        self.anchor_sum = np.array([p.anchor_sum for p in self.problems])
-        # Per degree k > 0: the (g, k, d) anchors of its subproblems, and
-        # each subproblem's slot in its group.
-        self._anchors: dict[int, np.ndarray] = {}
-        self._slot = np.zeros(len(self.problems), dtype=np.intp)
-        for k in np.unique(self.degree[self.degree > 0]).tolist():
-            members = np.flatnonzero(self.degree == k)
-            self._slot[members] = np.arange(members.size)
-            self._anchors[k] = np.array([self.problems[j].anchors for j in members])
+        self._agents = np.asarray(agents, dtype=np.intp)
+        rows = len(self._agents)
+        self.phi = np.asarray(phi, dtype=float)
+        self.mu_z = np.broadcast_to(np.asarray(mu_z, dtype=float), (rows,))
+        self.degree = np.bincount(owner, minlength=rows)
+        self.anchor_sum = np.zeros_like(self.phi)
+        np.add.at(self.anchor_sum, owner, anchors)
+        self.mean = self.anchor_sum / np.maximum(self.degree, 1)[:, None]
+        off = anchors - self.mean[owner]
+        self.spread = np.bincount(owner, weights=rowdot(off, off), minlength=rows)
+
+    @classmethod
+    def of(cls, problems: Sequence[LocalSubproblem], losses=None, agents=None) -> SubproblemBatch:
+        """The batch whose row j is ``problems[j]``, with the loss of agent
+        ``agents[j]`` of the stack ``losses`` when given, else its own."""
+        if losses is None:
+            losses, agents = [p.loss for p in problems], range(len(problems))
+        owner = np.repeat(np.arange(len(problems)), [p.degree for p in problems])
+        anchors = np.concatenate([p.anchors for p in problems])
+        return cls(losses, agents, [p.phi for p in problems], [p.mu_z for p in problems],
+                   anchors, owner)
+
+    def loss(self, row: int) -> LocalLoss:
+        return self._losses[self._agents[row]]
+
+    def _loss_terms(self, x: np.ndarray, which: np.ndarray, kind: str) -> np.ndarray:
+        agents = self._agents[which]
+        if isinstance(self._losses, LossStack):
+            return getattr(self._losses, kind + "s")(x, agents)
+        return np.array([getattr(self._losses[a], kind)(x[n]) for n, a in enumerate(agents)])
 
     def loss_gradients(self, x: np.ndarray, which: np.ndarray) -> np.ndarray:
-        """(n, d) loss gradients of subproblems ``which`` at ``x``."""
-        if self._losses is None:
-            return np.array([self.problems[j].loss.gradient(x[n]) for n, j in enumerate(which)])
-        return self._losses.gradients(x, self._agents[which])
+        """(n, d) loss gradients of rows ``which`` at ``x``."""
+        return self._loss_terms(x, which, "gradient")
 
     def values(self, x: np.ndarray, which: np.ndarray) -> np.ndarray:
         which = np.asarray(which, dtype=np.intp)
-        if self._losses is None:
-            loss_values = np.array([self.problems[j].loss.value(x[n]) for n, j in enumerate(which)])
-        else:
-            loss_values = self._losses.values(x, self._agents[which])
         dual = rowdot(self.phi[which], x)
-        return loss_values + dual + 0.5 * self.mu_z[which] * self._penalties(x, which)
+        off = x - self.mean[which]
+        penalty = self.degree[which] * rowdot(off, off) + self.spread[which]
+        return self._loss_terms(x, which, "value") + dual + 0.5 * self.mu_z[which] * penalty
 
     def gradients(
         self, x: np.ndarray, which: np.ndarray, loss_gradients: np.ndarray | None = None
@@ -155,27 +165,8 @@ class SubproblemBatch:
         which = np.asarray(which, dtype=np.intp)
         if loss_gradients is None:
             loss_gradients = self.loss_gradients(x, which)
-        g = loss_gradients + self.phi[which]
-        pos = np.flatnonzero(self.degree[which])
-        if pos.size:
-            rows = which[pos]
-            pull = self.degree[rows, None] * x[pos] - self.anchor_sum[rows]
-            g[pos] += self.mu_z[rows, None] * pull
-        return g
-
-    def _penalties(self, x: np.ndarray, which: np.ndarray) -> np.ndarray:
-        """sum_j ||x[n] - anchor_j||^2 of each row; 0 for degree 0."""
-        out = np.zeros(len(which))
-        degree = self.degree[which]
-        for k, anchors in self._anchors.items():
-            pos = np.flatnonzero(degree == k)
-            if pos.size == 0:
-                continue
-            slots = self._slot[which[pos]]
-            if len(slots) != len(anchors) or (slots != np.arange(len(slots))).any():
-                anchors = anchors[slots]
-            out[pos] = ((x[pos, None] - anchors) ** 2).sum(axis=(1, 2))
-        return out
+        pull = self.degree[which, None] * x - self.anchor_sum[which]
+        return loss_gradients + self.phi[which] + self.mu_z[which, None] * pull
 
 
 @dataclass
@@ -281,7 +272,7 @@ def solve_lbfgs(
     """tau iterations of L-BFGS on one subproblem, warm-started: the
     one-agent case of ``solve_lbfgs_batch``."""
     x = np.asarray(x_start, dtype=float)[None]
-    return solve_lbfgs_batch(SubproblemBatch([problem]), x, tau, memory)[0]
+    return solve_lbfgs_batch(SubproblemBatch.of([problem]), x, tau, memory)[0]
 
 
 def solve_lbfgs_batch(
@@ -322,8 +313,12 @@ def solve_lbfgs_batch(
     g = batch.gradients(x, everyone, lg)
     f = batch.values(x, everyone)
     gnorm = _norms(g)
-    norms = [[v] for v in gnorm.tolist()]
-    vals = [[v] for v in f.tolist()]
+    # Column c of an agent's row holds its gradient norm and value after c
+    # iterations.
+    norms = np.empty((k, tau + 1))
+    vals = np.empty((k, tau + 1))
+    norms[:, 0] = gnorm
+    vals[:, 0] = f
     # Only accepted steps store pairs, so at most tau slots are ever used.
     slots = min(memory, tau)
     s_buf = np.empty((k, slots, d))
@@ -375,69 +370,71 @@ def solve_lbfgs_batch(
                 break
         # A failed search leaves the agent in place for this iteration.
         failures[moving[searching]] += 1
-        for i in moving[searching].tolist():
-            norms[i].append(norms[i][-1])
-            vals[i].append(vals[i][-1])
-        if searching.size == moving.size:
-            continue
         took = np.ones(moving.size, dtype=bool)
         took[searching] = False
-
-        # One stacked gradient call for the agents that accepted.
         rows = moving[took]
-        x_new = x_trial[took]
-        lg_new = batch.loss_gradients(x_new, rows)
-        g_new = batch.gradients(x_new, rows, lg_new)
-        s_new = x_new - x[rows]
-        y_new = g_new - g[rows]
-        x[rows] = x_new
-        f[rows] = f_trial[took]
-        g[rows] = g_new
-        lg[rows] = lg_new
-        sy = rowdot(s_new, y_new)
-        keep = np.flatnonzero(sy > CURVATURE_SKIP_TOL * _norms(s_new) * _norms(y_new))
-        if keep.size:
-            stored = rows[keep]
-            full = stored[count[stored] == slots]
-            if full.size:
-                s_buf[full, :-1] = s_buf[full, 1:]
-                y_buf[full, :-1] = y_buf[full, 1:]
-                rho_buf[full, :-1] = rho_buf[full, 1:]
-                count[full] -= 1
-            c = count[stored]
-            s_buf[stored, c] = s_new[keep]
-            y_buf[stored, c] = y_new[keep]
-            rho_buf[stored, c] = 1.0 / sy[keep]
-            count[stored] = c + 1
-            gamma[stored] = sy[keep] / rowdot(y_new[keep], y_new[keep])
-        gnorm[rows] = _norms(g_new)
-        for i, gn, fv in zip(rows.tolist(), gnorm[rows].tolist(), f[rows].tolist()):
-            norms[i].append(gn)
-            vals[i].append(fv)
+        if rows.size:
+            # One stacked gradient call for the agents that accepted.
+            x_new = x_trial[took]
+            lg_new = batch.loss_gradients(x_new, rows)
+            g_new = batch.gradients(x_new, rows, lg_new)
+            s_new = x_new - x[rows]
+            y_new = g_new - g[rows]
+            x[rows] = x_new
+            f[rows] = f_trial[took]
+            g[rows] = g_new
+            lg[rows] = lg_new
+            sy = rowdot(s_new, y_new)
+            keep = np.flatnonzero(sy > CURVATURE_SKIP_TOL * _norms(s_new) * _norms(y_new))
+            if keep.size:
+                stored = rows[keep]
+                full = stored[count[stored] == slots]
+                if full.size:
+                    s_buf[full, :-1] = s_buf[full, 1:]
+                    y_buf[full, :-1] = y_buf[full, 1:]
+                    rho_buf[full, :-1] = rho_buf[full, 1:]
+                    count[full] -= 1
+                c = count[stored]
+                s_buf[stored, c] = s_new[keep]
+                y_buf[stored, c] = y_new[keep]
+                rho_buf[stored, c] = 1.0 / sy[keep]
+                count[stored] = c + 1
+                gamma[stored] = sy[keep] / rowdot(y_new[keep], y_new[keep])
+            gnorm[rows] = _norms(g_new)
+        norms[moving, performed[moving]] = gnorm[moving]
+        vals[moving, performed[moving]] = f[moving]
 
+    return _reports(
+        x, performed, norms, lg, vals, line_search_failures=failures, backtracks=backtracks
+    )
+
+
+def _reports(x, performed, norms, lg, vals=None, **counts) -> list[SolverReport]:
+    """One report per row: the first ``performed + 1`` columns of its rows
+    of the (k, tau + 1) histories, and its entries of the (k,) ``counts``."""
     return [
         SolverReport(
             x_out=x[i],
-            iterations=int(performed[i]),
-            grad_norm_in=norms[i][0],
-            grad_norm_out=norms[i][-1],
-            grad_norms=norms[i],
-            values=vals[i],
-            line_search_failures=int(failures[i]),
-            backtracks=int(backtracks[i]),
+            iterations=done,
+            grad_norm_in=float(norms[i, 0]),
+            grad_norm_out=float(norms[i, done]),
+            grad_norms=norms[i, : done + 1].tolist(),
+            values=[] if vals is None else vals[i, : done + 1].tolist(),
             loss_grad_out=lg[i],
+            **{name: int(c[i]) for name, c in counts.items()},
         )
-        for i in range(k)
+        for i, done in enumerate(performed.tolist())
     ]
 
 
-def default_gd_step(problem: LocalSubproblem, lipschitz: float | None = None) -> float:
-    """1 / (L + mu_z * degree): the inverse of the subproblem smoothness."""
+def default_gd_step(batch: SubproblemBatch, row: int, lipschitz: float | None = None) -> float:
+    """1 / (L + mu_z * degree) of batch row ``row``: the inverse of its
+    subproblem's smoothness."""
     if lipschitz is None:
-        lipschitz = problem.loss.smoothness()
+        lipschitz = batch.loss(row).smoothness()
     if lipschitz is None:
         raise ValueError("no smoothness estimate available; pass an explicit step")
-    return 1.0 / (lipschitz + problem.mu_z * problem.degree)
+    return 1.0 / (lipschitz + batch.mu_z[row] * batch.degree[row])
 
 
 def solve_gd(
@@ -450,7 +447,7 @@ def solve_gd(
     """tau fixed-step gradient steps on one subproblem, warm-started: the
     one-agent case of ``solve_gd_batch``."""
     x = np.asarray(x_start, dtype=float)[None]
-    return solve_gd_batch(SubproblemBatch([problem]), x, tau, step, lipschitz)[0]
+    return solve_gd_batch(SubproblemBatch.of([problem]), x, tau, step, lipschitz)[0]
 
 
 def solve_gd_batch(
@@ -467,19 +464,21 @@ def solve_gd_batch(
     agent's step defaults to the inverse of its subproblem's smoothness;
     an agent stops once its gradient is exactly 0.  ``loss_grad`` holds
     the loss gradients at ``x_start`` when the caller has them."""
+    x = np.array(x_start, dtype=float)
+    k = len(x)
     steps = np.array(
-        [step if step is not None else default_gd_step(p, lipschitz) for p in batch.problems]
+        [step if step is not None else default_gd_step(batch, n, lipschitz) for n in range(k)]
     )
     if (steps <= 0.0).any():
         raise ValueError("step must be positive")
-    x = np.array(x_start, dtype=float)
-    if len(x) == 0:
+    if k == 0:
         return []
     lg = _start_loss_gradients(batch, x, loss_grad)
-    g = batch.gradients(x, np.arange(len(x)), lg)
+    g = batch.gradients(x, np.arange(k), lg)
     gnorm = _norms(g)
-    norms = [[v] for v in gnorm.tolist()]
-    performed = np.zeros(len(x), dtype=int)
+    norms = np.empty((k, tau + 1))
+    norms[:, 0] = gnorm
+    performed = np.zeros(k, dtype=int)
     for _ in range(tau):
         moving = np.flatnonzero(gnorm != 0.0)
         if moving.size == 0:
@@ -488,50 +487,31 @@ def solve_gd_batch(
         lg[moving] = batch.loss_gradients(x[moving], moving)
         g[moving] = batch.gradients(x[moving], moving, lg[moving])
         gnorm[moving] = _norms(g[moving])
-        for i, gn in zip(moving.tolist(), gnorm[moving].tolist()):
-            norms[i].append(gn)
         performed[moving] += 1
-    return [
-        SolverReport(
-            x_out=x[i],
-            iterations=int(performed[i]),
-            grad_norm_in=norms[i][0],
-            grad_norm_out=norms[i][-1],
-            grad_norms=norms[i],
-            loss_grad_out=lg[i],
-        )
-        for i in range(len(x))
-    ]
+        norms[moving, performed[moving]] = gnorm[moving]
+    return _reports(x, performed, norms, lg)
 
 
-def solve_exact_quadratic(problem: LocalSubproblem) -> SolverReport:
-    """Closed-form minimizer (Q + mu_z k I)^-1 (Q a - phi + mu_z sum anchors).
-
-    Only valid for quadratic losses; used as the oracle against which the
-    iterative solvers are checked and as the engine's "exact" solver mode.
-    """
-    loss = problem.loss
-    if not isinstance(loss, QuadraticLoss):
-        raise TypeError("exact solve requires a quadratic loss")
-    shift = problem.mu_z * problem.degree
-    rhs = -problem.phi + problem.mu_z * problem.anchor_sum
-    if loss.diagonal:
-        rhs = rhs + loss.q * loss.a
-        x = rhs / (loss.q + shift)
-    else:
-        rhs = rhs + loss.q @ loss.a
-        x = np.linalg.solve(loss.q + shift * np.eye(loss.dim), rhs)
-    lg = loss.gradient(x)
-    g = SubproblemBatch([problem]).gradients(x[None], _FIRST, lg[None])
-    gnorm = float(_norms(g)[0])
-    return SolverReport(
-        x_out=x,
-        iterations=0,
-        grad_norm_in=gnorm,
-        grad_norm_out=gnorm,
-        grad_norms=[gnorm],
-        loss_grad_out=lg,
-    )
+def solve_exact_batch(batch: SubproblemBatch) -> list[SolverReport]:
+    """Closed-form minimizer (Q + mu_z k I)^-1 (Q a - phi + mu_z sum anchors)
+    of every row of ``batch``, one row at a time.  Only valid for quadratic
+    losses; the oracle for the iterative solvers and the engine's "exact"
+    solver mode."""
+    k = len(batch.phi)
+    x, lg = np.empty_like(batch.phi), np.empty_like(batch.phi)
+    for n in range(k):
+        loss = batch.loss(n)
+        if not isinstance(loss, QuadraticLoss):
+            raise TypeError("exact solve requires a quadratic loss")
+        shift = batch.mu_z[n] * batch.degree[n]
+        rhs = -batch.phi[n] + batch.mu_z[n] * batch.anchor_sum[n]
+        if loss.diagonal:
+            x[n] = (rhs + loss.q * loss.a) / (loss.q + shift)
+        else:
+            x[n] = np.linalg.solve(loss.q + shift * np.eye(loss.dim), rhs + loss.q @ loss.a)
+        lg[n] = loss.gradient(x[n])
+    norms = _norms(batch.gradients(x, np.arange(k), lg))[:, None]
+    return _reports(x, np.zeros(k, dtype=int), norms, lg)
 
 
 def estimate_contraction(report: SolverReport) -> float:

@@ -1,11 +1,12 @@
 """Test oracles and file writers shared by the tests: finite differences,
-dense constraint matrices, random curvature factories, the midpoint form of
-the residual V, the edge-form augmented Lagrangian, the initial
-augmented-gradient error, the gradient-tracking identity gap, the corollary
-scaling sweep, the one-agent logistic and MLP losses, and the lone L-BFGS
-loop with its one-row subproblem terms and two-loop recursion, which the
-stacked kernels and the lockstep solver must match bit for bit, and writers
-for the IDX and edge-list formats the package reads."""
+the incident edges of an agent, dense constraint matrices, random curvature
+factories, the midpoint form of the residual V, the edge-form augmented
+Lagrangian, the initial augmented-gradient error, the gradient-tracking
+identity gap, the corollary scaling sweep, the one-agent logistic and MLP
+losses, the one-subproblem exact solve, and the lone L-BFGS loop with its
+one-row subproblem terms and two-loop recursion, which the stacked kernels
+and the lockstep solver must match bit for bit, and writers for the IDX and
+edge-list formats the package reads."""
 
 from __future__ import annotations
 
@@ -31,6 +32,8 @@ from caden.solvers import (
     MAX_BACKTRACKS,
     LocalSubproblem,
     SolverReport,
+    SubproblemBatch,
+    solve_exact_batch,
 )
 
 
@@ -52,6 +55,14 @@ def random_psd(dim: int, cond: float, rng: np.random.Generator) -> np.ndarray:
     basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     evals = np.logspace(0.0, np.log10(cond), dim)
     return basis @ np.diag(evals) @ basis.T
+
+
+def incident(t: Topology, i: int) -> list[tuple[int, int, int]]:
+    """Edges touching agent i as (edge index, neighbor, endpoint side) in
+    edge-index order; side 0 means i is the edge's smaller endpoint."""
+    return [
+        (k, b if a == i else a, int(b == i)) for k, (a, b) in enumerate(t.edges) if i in (a, b)
+    ]
 
 
 def constraint_matrices(t: Topology) -> tuple[np.ndarray, np.ndarray]:
@@ -99,7 +110,7 @@ def lyapunov_v_midpoint_form(x: np.ndarray, phi: np.ndarray, losses, topology: T
         total += float(g @ g)
     z = edge_midpoints(topology, x)
     for i in range(topology.m):
-        for k, _, _ in topology.incident(i):
+        for k, _, _ in incident(topology, i):
             diff = x[i] - z[k]
             total += float(diff @ diff)
     return total
@@ -299,9 +310,26 @@ class ReferenceMlpLoss(LocalLoss):
         return logits.argmax(axis=1)
 
 
+def _anchor_terms(problem: LocalSubproblem) -> tuple[np.ndarray, np.ndarray, float]:
+    """The running total of a subproblem's anchors, their mean (0 without
+    anchors) and their spread sum_k ||a_k - mean||^2, one anchor at a time."""
+    total = np.zeros(problem.loss.dim)
+    for anchor in problem.anchors:
+        total = total + anchor
+    mean = total / max(problem.degree, 1)
+    spread = 0.0
+    for anchor in problem.anchors:
+        off = anchor - mean
+        spread += float(off @ off)
+    return total, mean, spread
+
+
 def reference_value(problem: LocalSubproblem, x: np.ndarray) -> float:
-    """One subproblem's objective at ``x``, written out for one row."""
-    pen = float(((x - problem.anchors) ** 2).sum()) if problem.degree else 0.0
+    """One subproblem's objective at ``x``, written out for one row, its
+    penalty in the centered form degree ||x - mean||^2 + spread."""
+    _, mean, spread = _anchor_terms(problem)
+    off = x - mean
+    pen = problem.degree * float(off @ off) + spread
     return float(problem.loss.value(x) + float(problem.phi @ x) + 0.5 * problem.mu_z * pen)
 
 
@@ -309,8 +337,15 @@ def reference_gradient(problem: LocalSubproblem, x: np.ndarray) -> np.ndarray:
     """One subproblem's objective gradient at ``x``, written out for one row."""
     g = problem.loss.gradient(x) + problem.phi
     if problem.degree:
-        g = g + problem.mu_z * (problem.degree * x - problem.anchor_sum)
+        total, _, _ = _anchor_terms(problem)
+        g = g + problem.mu_z * (problem.degree * x - total)
     return g
+
+
+def solve_exact_quadratic(problem: LocalSubproblem) -> SolverReport:
+    """The closed-form minimizer of one subproblem: the one-row case of
+    ``solvers.solve_exact_batch``."""
+    return solve_exact_batch(SubproblemBatch.of([problem]))[0]
 
 
 def reference_two_loop(

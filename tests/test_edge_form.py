@@ -10,10 +10,16 @@ from hypothesis import strategies as st
 from caden import edge_form, engine, graphs, verify
 from caden.engine import CadenConfig, TauSchedule
 from caden.losses import LogisticLoss, QuadraticLoss
-from caden.solvers import LocalSubproblem, solve_exact_quadratic, solve_gd, solve_lbfgs
+from caden.solvers import LocalSubproblem, solve_gd, solve_lbfgs
 from caden.verify import EQUIVALENCE_TOL, verify_equivalence
 
-from helpers import augmented_lagrangian_value, dense_augmented_lagrangian, random_psd
+from helpers import (
+    augmented_lagrangian_value,
+    dense_augmented_lagrangian,
+    incident,
+    random_psd,
+    solve_exact_quadratic,
+)
 
 
 def _k2_state(x_vals, z_vals, y_vals):
@@ -41,14 +47,14 @@ class TestLocalObjective:
         mu_z = 2.5
         phi = edge_form.dual_aggregates(state, topology)
         for i in range(6):
-            incident = topology.incident(i)
-            anchors = state.z[[k for k, _, _ in incident]]
+            edges = incident(topology, i)
+            anchors = state.z[[k for k, _, _ in edges]]
             problem = LocalSubproblem(losses[i], phi[i], anchors, mu_z)
             point = rng.standard_normal(3)
             value = losses[i].value(point)
             gradient = losses[i].gradient(point)
             constant = 0.0
-            for k, _, side in incident:
+            for k, _, side in edges:
                 diff = point - state.z[k]
                 value += float(state.y[k, side] @ diff) + 0.5 * mu_z * float(diff @ diff)
                 gradient = gradient + state.y[k, side] + mu_z * diff
@@ -279,11 +285,11 @@ def test_x_step_equals_lone_solves_of_explicit_edge_subproblems(
                          tau_schedule=types.SimpleNamespace(tau=lambda _: tau))
     new_x = edge_form.edge_x_step(state, losses, topology, config, 0)
     for i in range(m):
-        incident = topology.incident(i)
+        edges = incident(topology, i)
         phi_i = np.zeros(d)
-        for k, _, side in incident:
+        for k, _, side in edges:
             phi_i += state.y[k, side]
-        problem = LocalSubproblem(losses[i], phi_i, state.z[[k for k, _, _ in incident]], 2.0)
+        problem = LocalSubproblem(losses[i], phi_i, state.z[[k for k, _, _ in edges]], 2.0)
         if solver == "lbfgs":
             want = solve_lbfgs(problem, state.x[i], tau, memory)
         elif solver == "gd":

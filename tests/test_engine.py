@@ -13,6 +13,7 @@ from caden import engine, graphs
 from caden.datasets import gaussian_blobs
 from caden.engine import CadenConfig, TauSchedule
 from caden.losses import LocalLoss, LogisticLoss, LossStack, MlpLoss, QuadraticLoss
+from caden.solvers import LocalSubproblem
 
 
 def _k2_quadratics():
@@ -119,25 +120,29 @@ class TestSubproblemBuilder:
     def test_agent_form_anchors_are_neighbor_midpoints(
         self, m, edge_prob, seed, d, log_scale, data
     ):
-        # At z = edge midpoints, every built subproblem has one anchor
-        # 0.5 (x_i + x_j) per neighbor j in ascending order, bit for bit.
+        # At z = edge midpoints, every row of the built batch is the
+        # subproblem with one anchor 0.5 (x_i + x_j) per neighbor j in
+        # ascending order: its value and gradient bit for bit.
         topology = graphs.build_random_graph(m, edge_prob, seed)
         rng = np.random.default_rng(seed)
         x = 10.0**log_scale * rng.standard_normal((m, d))
         phi = rng.standard_normal((m, d))
-        losses = [QuadraticLoss(q=np.ones(d), a=np.zeros(d)) for _ in range(m)]
+        losses = [QuadraticLoss(q=rng.uniform(0.5, 2.0, d), a=rng.standard_normal(d))
+                  for _ in range(m)]
         agents = sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1)))
         z = graphs.edge_midpoints(topology, x)
         batch = engine.subproblems(agents, phi, z, losses, topology, mu_z=2.0)
-        assert len(batch.problems) == len(agents)
-        for i, problem in zip(agents, batch.problems):
+        assert len(batch.phi) == len(agents)
+        for n, i in enumerate(agents):
             neighbors = sorted(b if a == i else a for a, b in topology.edges if i in (a, b))
             want = np.array([0.5 * (x[i] + x[j]) for j in neighbors])
-            assert np.array_equal(problem.anchors, want)
-            assert np.array_equal(problem.anchor_sum, want.sum(axis=0))
-            assert np.array_equal(problem.phi, phi[i])
-            assert problem.loss is losses[i]
-            assert problem.mu_z == 2.0
+            problem = LocalSubproblem(losses[i], phi[i], want, 2.0)
+            assert batch.loss(n) is losses[i]
+            assert batch.degree[n] == len(neighbors)
+            for point in (x[i], x[i] + 10.0**log_scale * rng.standard_normal(d)):
+                assert batch.values(point[None], [n])[0] == problem.value(point)
+                assert np.array_equal(batch.gradients(point[None], [n])[0],
+                                      problem.gradient(point))
 
 
 class TestBroadcastAndDual:

@@ -8,7 +8,7 @@ import pytest
 from caden import graphs
 from caden.errors import DisconnectedGraphError, GraphSamplingError
 
-from helpers import constraint_matrices, dense_constraint_residual, write_edge_list
+from helpers import constraint_matrices, dense_constraint_residual, incident, write_edge_list
 
 
 class TestTopology:
@@ -41,7 +41,38 @@ class TestTopology:
     def test_incident_matches_neighbor_order(self):
         t = graphs.build_random_graph(9, 0.4, seed=2)
         for i in range(t.m):
-            assert tuple(nbr for _, nbr, _ in t.incident(i)) == t.neighbors[i]
+            assert tuple(nbr for _, nbr, _ in incident(t, i)) == t.neighbors[i]
+
+
+class TestIncidentSums:
+    @pytest.mark.parametrize(
+        "topology",
+        [graphs.complete_graph(10), graphs.complete_graph(12),
+         graphs.build_random_graph(30, 0.4, seed=3)],
+        ids=["complete10", "complete12", "random30"],
+    )
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_equal_a_loop_over_ascending_incident_edges(self, topology, d):
+        # Bit for bit: each agent's terms added one at a time from 0 in
+        # ascending edge order.  Degrees >= 8 with mixed magnitudes tell
+        # this order apart from numpy's pairwise sums.
+        assert topology.d_max >= 8
+        rng = np.random.default_rng(d)
+        scales = 10.0 ** rng.uniform(-5.0, 4.0, (topology.n, 1))
+        at_src = scales * rng.standard_normal((topology.n, d))
+        at_dst = scales * rng.standard_normal((topology.n, d))
+        got = graphs.incident_sums(topology, at_src, at_dst)
+        for i in range(topology.m):
+            want = np.zeros(d)
+            for k, _, side in incident(topology, i):
+                want = want + (at_dst if side else at_src)[k]
+            assert np.array_equal(got[i], want)
+
+    def test_edge_ends_list_each_agent_in_ascending_edge_order(self):
+        t = graphs.build_random_graph(12, 0.5, seed=4)
+        agent, edge = graphs.edge_ends(t)
+        for i in range(t.m):
+            assert edge[agent == i].tolist() == [k for k, _, _ in incident(t, i)]
 
 
 class TestRandomGraph:

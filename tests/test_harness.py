@@ -618,6 +618,28 @@ class TestCli:
                       "--seeds", "1", "--out-dir", str(tmp_path)])
         assert not (tmp_path / "k2_sweep.json").exists()
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--tau", "2.5"], "--tau"),
+            (["--seeds", "0", "--tau", "2"], "--seeds"),
+            (["--seeds", "0", "--participation", "0.5"], "--seeds"),
+        ],
+        ids=["non-integer-tau", "zero-seeds-tau", "zero-seeds-participation"],
+    )
+    def test_sweep_refuses_bad_counts_before_any_run(
+        self, tmp_path, monkeypatch, capsys, flags, named
+    ):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(serialize_config(_k2_config()))
+        monkeypatch.setattr(cli, "run_experiment", _no_run)
+        monkeypatch.setattr(harness, "run_experiment", _no_run)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["sweep", "--config", str(cfg_path), *flags, "--out-dir", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert f"argument {named}: expected an integer of at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "k2_sweep.json").exists()
+
     def test_sweep_without_grids_errors(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(serialize_config(_k2_config()))

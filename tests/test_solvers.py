@@ -13,7 +13,6 @@ from caden.solvers import (
     LocalSubproblem,
     SubproblemBatch,
     estimate_contraction,
-    solve_exact_quadratic,
     solve_gd,
     solve_gd_batch,
     solve_lbfgs,
@@ -28,6 +27,7 @@ from helpers import (
     reference_solve_lbfgs,
     reference_two_loop,
     reference_value,
+    solve_exact_quadratic,
 )
 
 
@@ -58,8 +58,8 @@ class TestSubproblemTerms:
         data=st.data(),
     )
     def test_batch_rows_equal_written_out_objective(self, degrees, d, log_scale, data):
-        # The stacked dual and penalty terms, grouped by degree, give each
-        # row's one-subproblem value and gradient bit for bit.
+        # The stacked dual and penalty terms give each row's one-subproblem
+        # value and gradient, written out in the centered form, bit for bit.
         seed = data.draw(st.integers(0, 2**32 - 1))
         rng = np.random.default_rng(seed)
         scale = 10.0**log_scale
@@ -77,7 +77,7 @@ class TestSubproblemTerms:
             dtype=np.intp,
         )
         x = scale * rng.standard_normal((len(which), d))
-        batch = SubproblemBatch(problems)
+        batch = SubproblemBatch.of(problems)
         values = batch.values(x, which)
         gradients = batch.gradients(x, which)
         for n, j in enumerate(which):
@@ -85,6 +85,34 @@ class TestSubproblemTerms:
             assert np.array_equal(gradients[n], reference_gradient(problems[j], x[n]))
             assert problems[j].value(x[n]) == values[n]
             assert np.array_equal(problems[j].gradient(x[n]), gradients[n])
+
+    @pytest.mark.parametrize("log_scale", range(-5, 5))
+    def test_penalty_equals_the_written_out_sum(self, log_scale):
+        # A row's penalty, held as degree, anchor sum and spread, is
+        # sum_k ||x - a_k||^2 to a relative 1e-12, for degrees 0 to 8 and x
+        # at an anchor, at the anchor mean or far away.  With a zero loss,
+        # zero dual and mu_z = 2 a row's value is its penalty.
+        rng = np.random.default_rng(log_scale + 10)
+        scale = 10.0**log_scale
+        for d in range(1, 6):
+            zero = QuadraticLoss(q=np.zeros(d), a=np.zeros(d))
+            problems, points = [], []
+            for degree in range(9):
+                for _ in range(20):
+                    anchors = scale * (rng.standard_normal(d) + rng.standard_normal((degree, d)))
+                    near = scale * 1e-6 * rng.standard_normal((2, d))
+                    if degree:
+                        points += [anchors[rng.integers(degree)] + near[0],
+                                   anchors.mean(axis=0) + near[1],
+                                   anchors.mean(axis=0) + scale * 1e3 * rng.standard_normal(d)]
+                    else:
+                        points += list(scale * rng.standard_normal((3, d)))
+                    problems += [LocalSubproblem(zero, np.zeros(d), anchors, 2.0)] * 3
+            points = np.array(points)
+            got = SubproblemBatch.of(problems).values(points, np.arange(len(problems)))
+            for value, x, problem in zip(got, points, problems):
+                want = sum(float(np.sum((x - a) ** 2)) for a in problem.anchors)
+                assert abs(value - want) <= 1e-12 * want
 
 
 class TestSubproblemGradient:
@@ -464,7 +492,7 @@ class TestLockstep:
             return stacked_values(x, rows)
 
         stack.values = counted_values
-        batch = SubproblemBatch(problems, stack, active)
+        batch = SubproblemBatch.of(problems, stack, active)
         reports = solve_lbfgs_batch(batch, x_start, tau, memory)
         for agent, problem, x0, got in zip(active, problems, x_start, reports):
             want = reference_solve_lbfgs(problem, x0, tau, memory)
@@ -488,9 +516,10 @@ class TestLockstep:
         rng = np.random.default_rng(13)
         problems = [_subproblem(rng, degree=k) for k in (0, 1, 3)]
         x_start = rng.standard_normal((3, 4))
-        reports = solve_gd_batch(SubproblemBatch(problems), x_start, tau=6)
-        for problem, x0, got in zip(problems, x_start, reports):
-            step = solvers.default_gd_step(problem)
+        batch = SubproblemBatch.of(problems)
+        reports = solve_gd_batch(batch, x_start, tau=6)
+        for n, (problem, x0, got) in enumerate(zip(problems, x_start, reports)):
+            step = solvers.default_gd_step(batch, n)
             x = x0.copy()
             for _ in range(6):
                 x = x - step * problem.gradient(x)

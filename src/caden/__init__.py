@@ -5,7 +5,7 @@ baseline, convergence-analysis constants, and an experiment harness."""
 from .config import ExperimentConfig, load_config, parse_config, serialize_config
 from .engine import CadenConfig, TauSchedule
 from .graphs import Topology, build_random_graph, complete_graph, laplacian_spectrum
-from .harness import RunResult, participation_sweep, run_experiment
+from .harness import RunResult, run_experiment, sweep
 from .losses import LogisticLoss, MlpLoss, QuadraticLoss, estimate_lipschitz
 from .solvers import LocalSubproblem, solve_gd, solve_lbfgs
 
@@ -30,10 +30,10 @@ __all__ = [
     "laplacian_spectrum",
     "load_config",
     "parse_config",
-    "participation_sweep",
     "run_experiment",
     "serialize_config",
     "solve_gd",
     "solve_lbfgs",
+    "sweep",
     "__version__",
 ]

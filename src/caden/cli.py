@@ -1,4 +1,8 @@
-"""Command-line entry point: run experiments, sweep grids, verify invariants."""
+"""Command-line entry point: run experiments, sweep grids, verify invariants.
+
+``caden sweep`` runs ``harness.sweep`` once per grid flag given
+(participation first), and its flag types refuse an out-of-range entry
+before any run, with exit code 2 and a message naming the flag."""
 
 from __future__ import annotations
 
@@ -7,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .config import load_config
-from .harness import check_sweep, participation_sweep, run_experiment, strict_json
+from .harness import run_experiment, strict_json, sweep
 from .verify import SUITES, run_suites
 
 
@@ -35,8 +39,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _probability(text: str) -> float:
+    """A number in (0, 1]; argparse names the flag when this refuses."""
+    try:
+        if 0.0 < float(text) <= 1.0:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a probability in (0, 1], got {text!r}")
 
 
 def _count(text: str) -> int:
@@ -46,48 +56,32 @@ def _count(text: str) -> int:
     return int(text)
 
 
-def _counts(text: str) -> list[int]:
-    return [_count(tok) for tok in text.split(",") if tok.strip()]
+def _listed(item):
+    """The argparse type of a comma-separated list of ``item`` values."""
+    return lambda text: [item(tok) for tok in text.split(",") if tok.strip()]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    out_dir = args.out_dir if args.out_dir is not None else cfg.output_dir
-    wrote_any = False
-    report: dict = {"seeds": args.seeds}
-    if args.participation:
-        sweep = participation_sweep(
-            cfg,
-            args.participation,
-            n_seeds=args.seeds,
-            out_dir=out_dir,
-            write_outputs=True,
-        )
-        report["participation"] = {str(p): v for p, v in sweep.final_v.items()}
-        for p in sweep.values:
-            print(f"p={p:g}: seed-averaged final V = {sweep.final_v[p]:.6g}")
-        wrote_any = True
-    if args.tau:
-        check_sweep(cfg, "caden.tau")
-        tau_report = {}
-        for tau in args.tau:
-            errs = []
-            for k in range(args.seeds):
-                run_cfg = cfg.replace(
-                    caden_tau=tau,
-                    seed=cfg.seed + k,
-                    output_label=f"{cfg.output_label}_tau{tau}_s{cfg.seed + k}",
-                )
-                result = run_experiment(run_cfg, out_dir=out_dir, write_outputs=True)
-                errs.append(result.summary["totals"]["final_rel_err"])
-            mean_err = sum(errs) / len(errs)
-            tau_report[str(tau)] = mean_err
-            print(f"tau={tau}: seed-averaged final rel_err = {mean_err:.6g}")
-        report["tau"] = tau_report
-        wrote_any = True
-    if not wrote_any:
+    if not (args.participation or args.tau):
         print("nothing to sweep: pass --participation and/or --tau", file=sys.stderr)
         return 2
+    out_dir = args.out_dir if args.out_dir is not None else cfg.output_dir
+    report: dict = {"seeds": args.seeds}
+    if args.participation:
+        result = sweep(
+            cfg, "caden.participation", args.participation, args.seeds, out_dir, write_outputs=True
+        )
+        final_v = result.final_v
+        report["participation"] = {str(p): v for p, v in final_v.items()}
+        for p in result.values:
+            print(f"p={p:g}: seed-averaged final V = {final_v[p]:.6g}")
+    if args.tau:
+        result = sweep(cfg, "caden.tau", args.tau, args.seeds, out_dir, write_outputs=True)
+        final_err = result.final_rel_err
+        report["tau"] = {str(tau): err for tau, err in final_err.items()}
+        for tau in result.values:
+            print(f"tau={tau}: seed-averaged final rel_err = {final_err[tau]:.6g}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{cfg.output_label}_sweep.json"
@@ -127,12 +121,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--config", required=True, help="config file path")
     sweep_p.add_argument(
         "--participation",
-        type=_float_list,
+        type=_listed(_probability),
         default="",
         help="comma-separated participation probabilities",
     )
     sweep_p.add_argument(
-        "--tau", type=_counts, default="", help="comma-separated local iteration budgets"
+        "--tau", type=_listed(_count), default="", help="comma-separated local iteration budgets"
     )
     sweep_p.add_argument("--seeds", type=_count, default=5, help="seeds per grid point")
     _add_common(sweep_p)

@@ -8,6 +8,7 @@ generator for desk-scale classification benchmarks.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 from typing import IO
 
@@ -26,32 +27,35 @@ def _open_maybe_gzip(path: str) -> IO[bytes]:
     return open(path, "rb")
 
 
+def _read_idx(path: str, magic: int, kind: str) -> tuple[list[int], np.ndarray]:
+    """The dimensions and the u8 payload of an IDX file; ValueError for a
+    short header, a magic other than ``magic`` or a short payload."""
+    fields = 1 + (magic & 0xFF)  # the magic's last byte counts the dimensions
+    with _open_maybe_gzip(path) as fp:
+        header = fp.read(4 * fields)
+        if len(header) != 4 * fields:
+            raise ValueError(f"IDX header of {len(header)} bytes, expected {4 * fields}")
+        found, *dims = struct.unpack(f">{fields}I", header)
+        if found != magic:
+            raise ValueError(f"bad {kind} magic 0x{found:08x}, expected 0x{magic:08x}")
+        raw = fp.read(math.prod(dims))
+    if len(raw) != math.prod(dims):
+        raise ValueError(f"truncated IDX {kind} file")
+    return dims, np.frombuffer(raw, dtype=np.uint8)
+
+
 def load_idx_images(path: str) -> np.ndarray:
     """Read an IDX u8 image file into a float array scaled to [0, 1].
 
     Returns an (count, rows*cols) array; pixels are row-major per image.
     """
-    with _open_maybe_gzip(path) as fp:
-        magic, count, rows, cols = struct.unpack(">IIII", fp.read(16))
-        if magic != IDX_IMAGES_MAGIC:
-            raise ValueError(f"bad image magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}")
-        raw = fp.read(count * rows * cols)
-    if len(raw) != count * rows * cols:
-        raise ValueError("truncated IDX image file")
-    pixels = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / 255.0
-    return pixels.reshape(count, rows * cols)
+    (count, rows, cols), raw = _read_idx(path, IDX_IMAGES_MAGIC, "image")
+    return (raw.astype(np.float64) / 255.0).reshape(count, rows * cols)
 
 
 def load_idx_labels(path: str) -> np.ndarray:
     """Read an IDX u8 label file into an int array."""
-    with _open_maybe_gzip(path) as fp:
-        magic, count = struct.unpack(">II", fp.read(8))
-        if magic != IDX_LABELS_MAGIC:
-            raise ValueError(f"bad label magic 0x{magic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}")
-        raw = fp.read(count)
-    if len(raw) != count:
-        raise ValueError("truncated IDX label file")
-    return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+    return _read_idx(path, IDX_LABELS_MAGIC, "label")[1].astype(np.int64)
 
 
 def gaussian_blobs(

@@ -16,7 +16,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .errors import DisconnectedGraphError, GraphSamplingError
-from .solvers import rowdot
+from .losses import rowdot
 
 # Stream tag for graph sampling; keeps the RNG draws here independent of every
 # other seeded component.
@@ -32,8 +32,7 @@ class Topology:
     Attributes:
         m: number of agents.
         edges: canonically ordered (i, j) pairs with i < j.
-        neighbors: per-agent neighbor tuples, ascending.
-        degrees: per-agent degree d_i = len(neighbors[i]).
+        degrees: per-agent degree d_i, the number of edges at agent i.
         d_max: maximum degree.
         src, dst: the smaller and larger endpoint of every edge, as index
             arrays for vectorized per-edge math.
@@ -43,7 +42,6 @@ class Topology:
 
     m: int
     edges: tuple[tuple[int, int], ...]
-    neighbors: tuple[tuple[int, ...], ...]
     degrees: tuple[int, ...]
     d_max: int
     src: np.ndarray = field(compare=False, repr=False)
@@ -114,13 +112,11 @@ def from_edges(m: int, edges: Iterable[tuple[int, int]], resamples: int = 0) -> 
         adj[j].append(i)
     if not _is_connected(m, adj):
         raise DisconnectedGraphError(f"graph on {m} agents with {len(canon)} edges is disconnected")
-    neighbors = tuple(tuple(sorted(a)) for a in adj)
-    degrees = tuple(len(a) for a in neighbors)
+    degrees = tuple(len(a) for a in adj)
     src, dst = np.array(canon, dtype=np.intp).reshape(-1, 2).T
     return Topology(
         m=m,
         edges=canon,
-        neighbors=neighbors,
         degrees=degrees,
         d_max=max(degrees),
         src=src,

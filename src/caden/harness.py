@@ -1,5 +1,6 @@
 """Run orchestration: builds the problem from a config, runs the chosen
-method, records metrics, and writes CSV + JSON outputs.
+method, records metrics, and writes CSV + JSON outputs.  ``sweep`` is the one
+runner of a grid of runs over ``caden.participation`` or ``caden.tau``.
 
 CSV rows follow a fixed column order (round, V_t, rel_err, rel_err_graph,
 acc, comms, time_s, phi_drift, active); metrics without a defined value for
@@ -112,23 +113,34 @@ def build_topology(cfg: ExperimentConfig) -> graphs.Topology:
     kind = cfg.topology_kind
     if kind == "random":
         return graphs.build_random_graph(cfg.topology_m, cfg.topology_edge_prob, cfg.seed)
-    if kind == "complete":
-        return graphs.complete_graph(cfg.topology_m)
-    if kind == "path":
-        return graphs.path_graph(cfg.topology_m)
-    if kind == "ring":
-        return graphs.ring_graph(cfg.topology_m)
+    of_m = {"complete": graphs.complete_graph, "path": graphs.path_graph, "ring": graphs.ring_graph}
+    if kind in of_m:
+        return of_m[kind](cfg.topology_m)
     if kind == "file":
-        path = cfg.topology_file
-        if not path:
+        if not cfg.topology_file:
             raise ConfigError("topology.kind = file requires topology.file")
-        try:
-            return graphs.load_edge_list(path)
-        except OSError as exc:
-            raise ConfigError(f"topology.file {path}: cannot be read ({exc.strerror})") from exc
-        except ValueError as exc:
-            raise ConfigError(f"topology.file {path}: {exc}") from exc
+        return _read_input(cfg, "topology.file", graphs.load_edge_list)
     raise ConfigError(f"unknown topology.kind {kind!r}")
+
+
+def _read_input(cfg: ExperimentConfig, key: str, load):
+    """``load`` of the file ``key`` names, or ConfigError naming the key."""
+    path = getattr(cfg, key.replace(".", "_"))
+    try:
+        return load(path)
+    except OSError as exc:
+        raise ConfigError(f"{key} {path}: cannot be read ({exc.strerror or exc})") from exc
+    except (ValueError, EOFError) as exc:
+        raise ConfigError(f"{key} {path}: {exc}") from exc
+
+
+def _idx_pair(cfg: ExperimentConfig, images_key: str, labels_key: str):
+    """The images and labels of an IDX file pair, which must agree in count."""
+    images = _read_input(cfg, images_key, load_idx_images)
+    labels = _read_input(cfg, labels_key, load_idx_labels)
+    if len(images) != len(labels):
+        raise ConfigError(f"{images_key} holds {len(images)} images, {labels_key} {len(labels)}")
+    return images, labels
 
 
 def _random_psd(dim: int, cond: float, rng: np.random.Generator) -> np.ndarray:
@@ -181,12 +193,14 @@ def _data_losses(cfg: ExperimentConfig, m: int):
     elif cfg.loss_data == "idx":
         if not (cfg.loss_idx_images and cfg.loss_idx_labels):
             raise ConfigError("loss.data = idx requires loss.idx_images and loss.idx_labels")
-        x_train = load_idx_images(cfg.loss_idx_images)
-        y_train = load_idx_labels(cfg.loss_idx_labels)
-        classes = int(y_train.max()) + 1
+        if bool(cfg.loss_idx_eval_images) != bool(cfg.loss_idx_eval_labels):
+            raise ConfigError("loss.idx_eval_images and loss.idx_eval_labels must be set together")
+        x_train, y_train = _idx_pair(cfg, "loss.idx_images", "loss.idx_labels")
+        classes = int(y_train.max(initial=0)) + 1
         if cfg.loss_idx_eval_images:
-            x_eval = load_idx_images(cfg.loss_idx_eval_images)
-            y_eval = load_idx_labels(cfg.loss_idx_eval_labels)
+            x_eval, y_eval = _idx_pair(cfg, "loss.idx_eval_images", "loss.idx_eval_labels")
+            if x_eval.shape[1] != x_train.shape[1]:
+                raise ConfigError("loss.idx_eval_images and loss.idx_images differ in image size")
         else:
             cut = max(1, x_train.shape[0] - cfg.loss_eval_samples)
             x_eval, y_eval = x_train[cut:], y_train[cut:]
@@ -429,15 +443,6 @@ def _tau_segments(schedule: TauSchedule, start: int, rounds: int) -> list[list[i
     return segments
 
 
-class _Clock:
-    def __init__(self, enabled: bool):
-        self.enabled = enabled
-        self._t0 = time.perf_counter() if enabled else 0.0
-
-    def elapsed(self) -> float:
-        return time.perf_counter() - self._t0 if self.enabled else 0.0
-
-
 def run_experiment(
     cfg: ExperimentConfig, out_dir: str | None = None, write_outputs: bool = True
 ) -> RunResult:
@@ -487,7 +492,8 @@ def run_experiment(
         acc_fn = lambda x: metrics.test_accuracy(x, losses, *eval_set)  # noqa: E731
 
     trace = RunTrace()
-    clock = _Clock(cfg.metrics_wall_time)
+    t0 = time.perf_counter()
+    clock = lambda: (time.perf_counter() - t0) if cfg.metrics_wall_time else 0.0  # noqa: E731
     error: Exception | None = None
     final_state: tuple[np.ndarray, np.ndarray] | None = None
     try:
@@ -566,7 +572,7 @@ def _record(rounds, cfg, losses, topology, init, trace, clock, acc_fn, summary, 
                 rel_err_graph=metrics.relative_error_graph(x, losses, topology),
                 acc=acc_fn(x),
                 comms=comms,
-                time_s=clock.elapsed(),
+                time_s=clock(),
                 phi_drift=metrics.phi_drift(y) if duals else None,
                 active=active,
             )
@@ -654,53 +660,59 @@ def _threshold_table(cfg: ExperimentConfig, trace: RunTrace) -> list[dict]:
     return table
 
 
+# The keys a sweep may vary, each with its tag in the per-run output labels.
+SWEEP_LABELS = {"caden.participation": "p{:g}", "caden.tau": "tau{}"}
+
+
 @dataclass
 class SweepResult:
-    values: list[float]
+    key: str
+    values: list
     seeds: list[int]
-    final_v: dict[float, float]
-    runs: dict[tuple[float, int], RunResult]
+    runs: dict[tuple, RunResult]
+
+    @property
+    def final_v(self) -> dict:
+        """Per value, the seed mean of the runs' mean V over their last 10%."""
+        out = {}
+        for value in self.values:
+            per_seed = []
+            for s in self.seeds:
+                v_col = [r.v for r in self.runs[(value, s)].trace.rows if r.v is not None]
+                tail = max(1, int(np.ceil(0.1 * len(v_col))))
+                per_seed.append(float(np.mean(v_col[-tail:])))
+            out[value] = float(np.mean(per_seed))
+        return out
+
+    @property
+    def final_rel_err(self) -> dict:
+        """Per value, the seed mean of the runs' final rel_err."""
+        out = {}
+        for value in self.values:
+            errs = [self.runs[(value, s)].summary["totals"]["final_rel_err"] for s in self.seeds]
+            out[value] = sum(errs) / len(errs)
+        return out
 
 
-def check_sweep(cfg: ExperimentConfig, key: str) -> None:
-    """Raise ConfigError when ``cfg`` runs gradient tracking, which logs no V
-    and has no ``key`` to sweep."""
+def sweep(cfg, key, values, n_seeds=5, out_dir=None, write_outputs=False) -> SweepResult:
+    """Runs of ``cfg`` varying only ``key`` over ``values``, each on seeds
+    seed .. seed + n_seeds - 1, all logging the same rounds.  Before any run,
+    ConfigError refuses an unknown key, gradient tracking (no V and neither
+    key), n_seeds below 1 and every value that ``_check_ranges`` refuses."""
+    if key not in SWEEP_LABELS:
+        raise ConfigError(f"cannot sweep {key!r}; the sweepable keys are {', '.join(SWEEP_LABELS)}")
     if cfg.algorithm == "gt":
         raise ConfigError(f"a {key} sweep needs a CADEN algorithm; gradient tracking has no {key}")
-
-
-def participation_sweep(
-    cfg: ExperimentConfig,
-    p_values: list[float],
-    n_seeds: int = 5,
-    out_dir: str | None = None,
-    write_outputs: bool = False,
-) -> SweepResult:
-    """Identical-seed runs varying only the participation probability.
-
-    For each p, runs ``n_seeds`` experiments (seeds seed, seed+1, ...) and
-    averages the mean residual V over the final 10% of logged rounds.  Traces
-    are aligned: every run covers the same rounds at the same cadence.
-    """
-    check_sweep(cfg, "caden.participation")
-    for p in p_values:
-        if not (0.0 < p <= 1.0):
-            raise ValueError(f"participation {p} not in (0, 1]")
+    if n_seeds < 1:
+        raise ConfigError(f"a {key} sweep needs n_seeds of at least 1, got {n_seeds!r}")
+    attr = key.replace(".", "_")
+    for value in values:
+        _check_ranges(cfg.replace(**{attr: value}))
     seeds = [cfg.seed + k for k in range(n_seeds)]
-    runs: dict[tuple[float, int], RunResult] = {}
-    final_v: dict[float, float] = {}
-    for p in p_values:
-        per_seed = []
+    runs = {}
+    for value in values:
         for s in seeds:
-            run_cfg = cfg.replace(
-                caden_participation=p,
-                seed=s,
-                output_label=f"{cfg.output_label}_p{p:g}_s{s}",
-            )
-            result = run_experiment(run_cfg, out_dir=out_dir, write_outputs=write_outputs)
-            runs[(p, s)] = result
-            v_col = [r.v for r in result.trace.rows if r.v is not None]
-            tail = max(1, int(np.ceil(0.1 * len(v_col))))
-            per_seed.append(float(np.mean(v_col[-tail:])))
-        final_v[p] = float(np.mean(per_seed))
-    return SweepResult(values=list(p_values), seeds=seeds, final_v=final_v, runs=runs)
+            label = f"{cfg.output_label}_{SWEEP_LABELS[key].format(value)}_s{s}"
+            run_cfg = cfg.replace(**{attr: value}, seed=s, output_label=label)
+            runs[(value, s)] = run_experiment(run_cfg, out_dir=out_dir, write_outputs=write_outputs)
+    return SweepResult(key, list(values), seeds, runs)

@@ -102,11 +102,12 @@ def _cross_entropy(probs: np.ndarray, shard: Shard) -> np.ndarray:
     return -np.log(np.maximum(picked, 1e-300)).mean(axis=-1)
 
 
-def _squared_norms(x: np.ndarray):
-    """x . x of each parameter row, one dot product per row as for one agent."""
-    if x.ndim == 1:
-        return float(x @ x)
-    return np.array([float(row @ row) for row in x])
+def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis: a scalar for two d-vectors, (k,) for
+    the rows of two (k, d) arrays.  Each row keeps the bits of a lone
+    ``a[n] @ b[n]`` (both reach BLAS ``ddot``); ``tests/test_solvers.py``
+    pins this, and with it the bit-identity of stacked and lone solves."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def _t(a: np.ndarray) -> np.ndarray:
@@ -158,7 +159,7 @@ class LogisticLoss(LocalLoss):
 
     def _values(self, x: np.ndarray, shard: Shard) -> np.ndarray:
         probs = _softmax(shard.features @ self._weights(x))
-        return _cross_entropy(probs, shard) + 0.5 * self.l2 * _squared_norms(x)
+        return _cross_entropy(probs, shard) + 0.5 * self.l2 * rowdot(x, x)
 
     def _gradients(self, x: np.ndarray, shard: Shard) -> np.ndarray:
         n = shard.features.shape[-2]
@@ -230,7 +231,7 @@ class MlpLoss(LocalLoss):
 
     def _values(self, x: np.ndarray, shard: Shard) -> np.ndarray:
         _, logits = self._forward(self._unpack(x), shard.features)
-        return _cross_entropy(_softmax(logits), shard) + 0.5 * self.l2 * _squared_norms(x)
+        return _cross_entropy(_softmax(logits), shard) + 0.5 * self.l2 * rowdot(x, x)
 
     def _gradients(self, x: np.ndarray, shard: Shard) -> np.ndarray:
         weights = self._unpack(x)

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .losses import LocalLoss, LossStack, QuadraticLoss
+from .losses import LocalLoss, LossStack, QuadraticLoss, rowdot
 
 ARMIJO_C1 = 1e-4
 ARMIJO_SHRINK = 0.5
@@ -44,16 +44,6 @@ ARMIJO_SLACK = 1e-12
 MAX_BACKTRACKS = 30
 CURVATURE_SKIP_TOL = 1e-10
 DEFAULT_MEMORY = 10
-
-
-def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(k,) dot products a[n] . b[n] of the rows of two (k, d) arrays.
-
-    The stacked ``matmul`` computes each row as one ``a[n] @ b[n]`` computes
-    it (numpy hands both to BLAS ``ddot``), so a stacked solve keeps the
-    bits of a lone one; ``tests/test_solvers.py`` pins this.
-    """
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 @dataclass

@@ -57,6 +57,11 @@ def random_psd(dim: int, cond: float, rng: np.random.Generator) -> np.ndarray:
     return basis @ np.diag(evals) @ basis.T
 
 
+def neighbors(t: Topology, i: int) -> tuple[int, ...]:
+    """Agent i's neighbors, ascending."""
+    return tuple(sorted(b if a == i else a for a, b in t.edges if i in (a, b)))
+
+
 def incident(t: Topology, i: int) -> list[tuple[int, int, int]]:
     """Edges touching agent i as (edge index, neighbor, endpoint side) in
     edge-index order; side 0 means i is the edge's smaller endpoint."""
@@ -140,7 +145,7 @@ def augmented_gradient_error(
     """
     total = 0.0
     for i, loss in enumerate(losses):
-        anchors = 0.5 * (x[i] + x[list(topology.neighbors[i])])
+        anchors = 0.5 * (x[i] + x[list(neighbors(topology, i))])
         block = LocalSubproblem(loss, phi[i], anchors, mu_z).gradient(x[i])
         total += float(block @ block)
     return total

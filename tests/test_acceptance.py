@@ -17,7 +17,7 @@ import pytest
 from caden import baselines, engine, graphs, metrics
 from caden.config import ExperimentConfig
 from caden.engine import CadenConfig, TauSchedule
-from caden.harness import participation_sweep, run_experiment
+from caden.harness import run_experiment, sweep
 from caden.losses import QuadraticLoss
 from caden.solvers import LocalSubproblem, estimate_contraction, solve_gd, solve_lbfgs
 from caden.verify import verify_constants, verify_equivalence, verify_sandwich
@@ -182,10 +182,11 @@ def test_criterion_5_curvature_acceleration(nonconvex_runs):
 
 def test_criterion_6_participation_ordering():
     with criterion(6, "final residual is ordered by participation", 180.0):
-        sweep = participation_sweep(
-            _convex_benchmark(10), [0.3, 0.6, 1.0], n_seeds=5, write_outputs=False
+        result = sweep(
+            _convex_benchmark(10), "caden.participation", [0.3, 0.6, 1.0], n_seeds=5,
+            write_outputs=False,
         )
-        v = sweep.final_v
+        v = result.final_v
         print(f"  seed-averaged final V: {v}")
         assert v[0.6] <= v[0.3] * 1.05
         assert v[1.0] <= v[0.6] * 1.05

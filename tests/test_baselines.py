@@ -6,7 +6,7 @@ import pytest
 from caden import baselines, graphs
 from caden.losses import QuadraticLoss
 
-from helpers import tracking_gap
+from helpers import neighbors, tracking_gap
 
 
 class TestMetropolisWeights:
@@ -26,7 +26,7 @@ class TestMetropolisWeights:
         w = baselines.metropolis_weights(t)
         for i in range(t.m):
             for j in range(t.m):
-                if i != j and j not in t.neighbors[i]:
+                if i != j and j not in neighbors(t, i):
                     assert w[i, j] == 0.0
 
     def test_spectral_contraction_of_disagreement(self):

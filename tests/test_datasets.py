@@ -41,6 +41,13 @@ class TestIdx:
         with pytest.raises(ValueError, match="truncated"):
             datasets.load_idx_images(str(path))
 
+    @pytest.mark.parametrize("load, size", [("load_idx_images", 15), ("load_idx_labels", 7)])
+    def test_short_header_rejected(self, tmp_path, load, size):
+        path = tmp_path / "short.idx"
+        path.write_bytes(b"\x00" * size)
+        with pytest.raises(ValueError, match=f"IDX header of {size} bytes"):
+            getattr(datasets, load)(str(path))
+
     def test_gzip_transparent(self, tmp_path):
         import gzip
 

@@ -18,12 +18,12 @@ from caden.harness import (
     build_losses,
     build_topology,
     initialize,
-    participation_sweep,
     run_experiment,
+    sweep,
 )
 from caden.solvers import LocalSubproblem, estimate_contraction, solve_gd
 
-from helpers import write_edge_list, write_idx_images, write_idx_labels
+from helpers import neighbors, write_edge_list, write_idx_images, write_idx_labels
 
 
 def _k2_config(**overrides):
@@ -353,7 +353,7 @@ class TestRunExperiment:
         phi = np.zeros_like(init.x0)
         rates = []
         for i, loss in enumerate(losses):
-            anchors = 0.5 * (init.x0[i] + init.x0[list(topology.neighbors[i])])
+            anchors = 0.5 * (init.x0[i] + init.x0[list(neighbors(topology, i))])
             problem = LocalSubproblem(loss, phi[i], anchors, mu_z)
             report = solve_gd(
                 problem, init.x0[i], cfg.contraction_probe_iters, lipschitz=init.lipschitz
@@ -428,6 +428,84 @@ class TestRunExperiment:
         result = run_experiment(cfg, out_dir=str(tmp_path))
         assert result.summary["theory"]["parameters"]["lipschitz"] > 0
         assert result.trace.rows[-1].acc is not None
+
+
+def _idx_files(directory, name, count, rows=1, cols=2):
+    """Write ``count`` two-class IDX images and labels; return both paths."""
+    images, labels = str(directory / f"{name}_images.idx"), str(directory / f"{name}_labels.idx")
+    write_idx_images(images, np.full((count, rows * cols), 0.5), rows, cols)
+    write_idx_labels(labels, np.arange(count) % 2)
+    return images, labels
+
+
+class TestIdxInputs:
+    """Each bad IDX input raises a ConfigError naming its key before any
+    output is written."""
+
+    def _refused(self, tmp_path, match, **keys):
+        images, labels = _idx_files(tmp_path, "train", 30)
+        cfg = ExperimentConfig(
+            seed=0, rounds=2, topology_kind="complete", topology_m=3,
+            loss_kind="logistic", loss_data="idx", loss_eval_samples=6,
+            **{"loss_idx_images": images, "loss_idx_labels": labels, **keys},
+        )
+        with pytest.raises(ConfigError, match=match):
+            run_experiment(cfg, out_dir=str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("attr", ["loss_idx_images", "loss_idx_labels"])
+    def test_missing_file(self, tmp_path, attr):
+        missing = str(tmp_path / "missing.idx")
+        key = attr.replace("_", ".", 1)
+        self._refused(tmp_path, f"^{key} {re.escape(missing)}: cannot be read", **{attr: missing})
+
+    def test_label_file_passed_as_images(self, tmp_path):
+        _, labels = _idx_files(tmp_path, "other", 30)
+        self._refused(tmp_path, "^loss.idx_images .*bad image magic", loss_idx_images=labels)
+
+    @pytest.mark.parametrize("attr, size", [("loss_idx_images", 15), ("loss_idx_labels", 7)])
+    def test_short_header(self, tmp_path, attr, size):
+        short = tmp_path / "short.idx"
+        short.write_bytes(b"\x00" * size)
+        key = attr.replace("_", ".", 1)
+        self._refused(tmp_path, f"^{key} .*IDX header of {size} bytes", **{attr: str(short)})
+
+    def test_eval_images_without_eval_labels(self, tmp_path):
+        eval_images, _ = _idx_files(tmp_path, "eval", 10)
+        self._refused(
+            tmp_path, "loss.idx_eval_images and loss.idx_eval_labels must be set together",
+            loss_idx_eval_images=eval_images,
+        )
+
+    def test_training_counts_differ(self, tmp_path):
+        images, _ = _idx_files(tmp_path, "many", 300)
+        _, labels = _idx_files(tmp_path, "few", 200)
+        self._refused(
+            tmp_path, "loss.idx_images holds 300 images, loss.idx_labels 200",
+            loss_idx_images=images, loss_idx_labels=labels,
+        )
+
+    def test_eval_counts_differ(self, tmp_path):
+        images, _ = _idx_files(tmp_path, "many", 300)
+        _, labels = _idx_files(tmp_path, "few", 250)
+        self._refused(
+            tmp_path, "loss.idx_eval_images holds 300 images, loss.idx_eval_labels 250",
+            loss_idx_eval_images=images, loss_idx_eval_labels=labels,
+        )
+
+    def test_eval_image_size_differs(self, tmp_path):
+        eval_images, eval_labels = _idx_files(tmp_path, "eval", 10, rows=2)
+        self._refused(
+            tmp_path, "loss.idx_eval_images and loss.idx_images differ in image size",
+            loss_idx_eval_images=eval_images, loss_idx_eval_labels=eval_labels,
+        )
+
+    def test_empty_files(self, tmp_path):
+        images, labels = _idx_files(tmp_path, "empty", 0)
+        self._refused(
+            tmp_path, "loss.idx_images holds 0 training samples",
+            loss_idx_images=images, loss_idx_labels=labels,
+        )
 
 
 @pytest.mark.parametrize(
@@ -530,15 +608,15 @@ class TestGtRuns:
 
 class TestParticipationSweep:
     def test_ordering_and_alignment(self):
-        sweep = participation_sweep(_convex_benchmark(), [0.3, 0.6, 1.0], n_seeds=3)
-        assert sweep.final_v[0.3] >= sweep.final_v[0.6] >= sweep.final_v[1.0]
-        lengths = {len(res.trace.rows) for res in sweep.runs.values()}
+        result = sweep(_convex_benchmark(), "caden.participation", [0.3, 0.6, 1.0], n_seeds=3)
+        assert result.final_v[0.3] >= result.final_v[0.6] >= result.final_v[1.0]
+        lengths = {len(res.trace.rows) for res in result.runs.values()}
         assert len(lengths) == 1
 
     def test_identical_seed_identical_trace(self):
         cfg = _convex_benchmark(rounds=20)
-        a = participation_sweep(cfg, [0.6], n_seeds=1)
-        b = participation_sweep(cfg, [0.6], n_seeds=1)
+        a = sweep(cfg, "caden.participation", [0.6], n_seeds=1)
+        b = sweep(cfg, "caden.participation", [0.6], n_seeds=1)
         ta = a.runs[(0.6, 10)].trace
         tb = b.runs[(0.6, 10)].trace
         assert ta.to_csv() == tb.to_csv()
@@ -548,11 +626,43 @@ class TestParticipationSweep:
         # gt logs no V and has no participation to vary.
         monkeypatch.setattr(harness, "run_experiment", _no_run)
         with pytest.raises(ConfigError, match="caden.participation"):
-            participation_sweep(_k2_config(algorithm="gt"), [0.5, 1.0], n_seeds=1)
+            sweep(_k2_config(algorithm="gt"), "caden.participation", [0.5, 1.0], n_seeds=1)
+
+    @pytest.mark.parametrize(
+        "key, values, n_seeds, named",
+        [
+            ("caden.participation", [0.5, 0.0], 1, "caden.participation must be in"),
+            ("caden.participation", [1.5], 1, "caden.participation must be in"),
+            ("caden.participation", [0.5, float("nan")], 1, "caden.participation must be in"),
+            ("caden.tau", [2, 0], 1, "caden.tau must be at least 1"),
+            ("caden.tau", [2], 0, "caden.tau sweep needs n_seeds"),
+            ("caden.mu_z", [1.0], 1, "cannot sweep 'caden.mu_z'"),
+        ],
+        ids=["p-zero", "p-above-one", "p-nan", "tau-zero", "no-seeds", "unknown-key"],
+    )
+    def test_bad_grid_is_refused_before_any_run(self, monkeypatch, key, values, n_seeds, named):
+        monkeypatch.setattr(harness, "run_experiment", _no_run)
+        with pytest.raises(ConfigError, match=named):
+            sweep(_k2_config(), key, values, n_seeds=n_seeds)
+
+    def test_tau_sweep_reports_seed_mean_final_error(self):
+        result = sweep(_k2_config(rounds=15), "caden.tau", [1, 3], n_seeds=2)
+        assert result.key == "caden.tau" and result.seeds == [1, 2]
+        for tau in (1, 3):
+            errs = [result.runs[(tau, s)].summary["totals"]["final_rel_err"] for s in (1, 2)]
+            assert result.final_rel_err[tau] == sum(errs) / 2
+            assert result.runs[(tau, 2)].config.output_label == f"k2_tau{tau}_s2"
 
 
 def _no_run(*args, **kwargs):
     raise AssertionError("no run may start")
+
+
+def test_every_public_name_resolves():
+    import caden
+
+    assert all(hasattr(caden, name) for name in caden.__all__)
+    assert "sweep" in caden.__all__
 
 
 class TestTraceContainer:
@@ -639,6 +749,43 @@ class TestCli:
         assert exit_info.value.code == 2
         assert f"argument {named}: expected an integer of at least 1" in capsys.readouterr().err
         assert not (tmp_path / "k2_sweep.json").exists()
+
+    @pytest.mark.parametrize("value", ["0", "1.5", "nan", "half", "0.5,2"])
+    def test_sweep_refuses_bad_participation_before_any_run(
+        self, tmp_path, monkeypatch, capsys, value
+    ):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(serialize_config(_k2_config()))
+        monkeypatch.setattr(cli, "run_experiment", _no_run)
+        monkeypatch.setattr(harness, "run_experiment", _no_run)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["sweep", "--config", str(cfg_path), "--participation", value,
+                      "--out-dir", str(tmp_path)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --participation: expected a probability in (0, 1]" in err
+        assert not (tmp_path / "k2_sweep.json").exists()
+
+    def test_sweep_both_grids(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(serialize_config(_k2_config(rounds=10)))
+        code = cli.main([
+            "sweep", "--config", str(cfg_path), "--participation", "0.5", "--tau", "2",
+            "--seeds", "2", "--out-dir", str(tmp_path),
+        ])
+        assert code == 0
+        written = sorted(path.name for path in tmp_path.glob("k2_*_s*_*"))
+        assert written == sorted(
+            f"k2_{tag}_s{s}_{kind}"
+            for tag in ("p0.5", "tau2") for s in (1, 2)
+            for kind in ("metrics.csv", "summary.json")
+        )
+        report = json.loads((tmp_path / "k2_sweep.json").read_text())
+        assert set(report) == {"participation", "seeds", "tau"}
+        assert set(report["participation"]) == {"0.5"} and set(report["tau"]) == {"2"}
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("p=0.5: seed-averaged final V = ")
+        assert out[1].startswith("tau=2: seed-averaged final rel_err = ")
 
     def test_sweep_without_grids_errors(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"

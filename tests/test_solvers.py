@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from caden import solvers
 from caden.datasets import gaussian_blobs
-from caden.losses import LocalLoss, LossStack, MlpLoss, QuadraticLoss
+from caden.losses import LocalLoss, LossStack, MlpLoss, QuadraticLoss, rowdot
 from caden.solvers import (
     LocalSubproblem,
     SubproblemBatch,
@@ -162,6 +162,24 @@ class TestRowdot:
         history = scale * rng.standard_normal((k, 3, d))
         want = np.array([history[n, 1] @ b[n] for n in range(k)])
         assert np.array_equal(solvers.rowdot(history[:, 1], b), want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        d=st.one_of(st.integers(1, 4099), st.just(503)),
+        log_scale=st.floats(-5.0, 5.0),
+        offset=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_vector_and_squared_norm_forms_bit_for_bit(self, d, log_scale, offset, seed):
+        # A loss's l2 term takes x . x of one d-vector or of each (k, d) row
+        # through rowdot; both must keep the bits of the plain ``@``.
+        rng = np.random.default_rng(seed)
+        rows = 10.0**log_scale * rng.standard_normal((3 + offset, d + offset))[offset:, offset:]
+        a, b = rows[0], rows[1]
+        assert rowdot(a, b) == a @ b
+        assert rowdot(a, a) == float(a @ a)
+        assert np.array_equal(rowdot(rows, rows), np.array([r @ r for r in rows]))
+        assert solvers.rowdot is rowdot
 
 
 def _random_history(rng, k, d):

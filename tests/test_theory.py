@@ -12,7 +12,7 @@ from caden.losses import QuadraticLoss
 from caden.solvers import LocalSubproblem
 from caden.verify import constants_grid, verify_constants
 
-from helpers import augmented_gradient_error, corollary_scaling_check
+from helpers import augmented_gradient_error, corollary_scaling_check, neighbors
 
 K2_SPECTRUM = graphs.laplacian_spectrum(graphs.complete_graph(2))
 
@@ -190,7 +190,7 @@ class TestInitialError:
         config = CadenConfig(mu_z=2.0, mu_y=1.0)
         total = 0.0
         for i in range(5):
-            anchors = np.array([0.5 * (x0[i] + x0[j]) for j in topology.neighbors[i]])
+            anchors = np.array([0.5 * (x0[i] + x0[j]) for j in neighbors(topology, i)])
             problem = LocalSubproblem(
                 loss=losses[i], phi=np.zeros(2), anchors=anchors, mu_z=2.0
             )

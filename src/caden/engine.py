@@ -125,18 +125,14 @@ def init_states(
 def sample_participation(config: CadenConfig, round_index: int, m: int) -> np.ndarray:
     """Independent Bernoulli activity flags.
 
-    Each (agent, round) pair draws from its own counter-derived stream, so the
-    flags are a pure function of (seed, round, agent) and independent of any
-    execution schedule.
+    Each round draws from its own counter-derived stream, agent i taking
+    its i-th uniform, so the flags are a pure function of (seed, round,
+    agent): independent of any execution schedule and, for agent i, of m.
     """
     p = config.participation
     if p >= 1.0:
         return np.ones(m, dtype=bool)
-    draws = [
-        np.random.default_rng([_PARTICIPATION_STREAM, config.seed, round_index, i]).random()
-        for i in range(m)
-    ]
-    return np.array(draws) < p
+    return np.random.default_rng([_PARTICIPATION_STREAM, config.seed, round_index]).random(m) < p
 
 
 def subproblems(

@@ -250,7 +250,7 @@ def initialize(cfg: ExperimentConfig, losses, topology) -> Initialization:
     """
     m, d = topology.m, losses[0].dim
     if cfg.init_state_file:
-        x0, phi0, round_index = engine.load_checkpoint(cfg.init_state_file)
+        x0, phi0, round_index = _read_input(cfg, "init.state_file", engine.load_checkpoint)
         if x0.shape != (m, d):
             raise ConfigError(
                 f"checkpoint {cfg.init_state_file} holds (m, d) = {x0.shape}, but the "
@@ -382,6 +382,7 @@ def _check_ranges(cfg: ExperimentConfig) -> None:
     checks = [
         ("rounds", cfg.rounds >= 0, "at least 0"),
         ("metrics_cadence", cfg.metrics_cadence >= 1, "at least 1"),
+        ("metrics_thresholds", _thresholds_ok(cfg), "a list of positive finite numbers"),
     ]
     if cfg.topology_kind in ("random", "complete", "path", "ring"):
         checks.append(("topology_m", cfg.topology_m >= 2, "at least 2"))
@@ -405,6 +406,8 @@ def _check_ranges(cfg: ExperimentConfig) -> None:
         checks += [
             ("lipschitz_warm_lr", cfg.lipschitz_warm_lr > 0.0, "positive"),
             ("lipschitz_probe_lr", cfg.lipschitz_probe_lr > 0.0, "positive"),
+            ("lipschitz_warm_epochs", cfg.lipschitz_warm_epochs >= 0, "at least 0"),
+            ("lipschitz_probe_epochs", cfg.lipschitz_probe_epochs >= 1, "at least 1"),
         ]
     if cfg.algorithm == "gt":
         checks += [
@@ -429,6 +432,14 @@ def _check_ranges(cfg: ExperimentConfig) -> None:
         if not ok:
             key = attr.replace("_", ".", 1)
             raise ConfigError(f"{key} must be {requirement}, got {getattr(cfg, attr)!r}")
+
+
+def _thresholds_ok(cfg: ExperimentConfig) -> bool:
+    """Whether every ``metrics.thresholds`` entry is a positive finite number."""
+    try:
+        return all(math.isfinite(eps) and eps > 0.0 for eps in cfg.thresholds())
+    except ValueError:
+        return False
 
 
 def _tau_segments(schedule: TauSchedule, start: int, rounds: int) -> list[list[int]]:

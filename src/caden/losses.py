@@ -6,11 +6,12 @@ oracles), multinomial logistic regression, and a two-layer ReLU perceptron
 with softmax cross-entropy.  All are bounded below by 0 and expose value()
 and gradient() on a flat parameter vector of dimension ``dim``.
 
-The logistic and MLP math is written once, as kernels over parameters and
-data shards with any leading axes; one agent's ``value``/``gradient``/
-``predict`` is the one-row case.  ``LossStack`` holds a run's m losses and
-evaluates many agents' rows in one kernel call per group of equal shard
-shapes, bit-identical to the one-agent methods.
+The math of each family is written once, as kernels over parameters and
+data (a quadratic's curvature and target, a classifier's shard) with any
+leading axes; one agent's ``value``/``gradient``/``predict`` is the one-row
+case.  ``LossStack`` holds a run's m losses and evaluates many agents' rows
+in one kernel call per group of equal data shapes, bit-identical to the
+one-agent methods.
 """
 
 from __future__ import annotations
@@ -45,7 +46,9 @@ class LocalLoss:
 
     def stack_key(self):
         """Losses with equal non-None keys evaluate together in a
-        ``LossStack``; None evaluates row by row."""
+        ``LossStack`` through ``_values``/``_gradients``; None evaluates row
+        by row.  A subclass overriding ``value`` or ``gradient`` of a
+        stacking family must return None, or the stack bypasses it."""
         return None
 
     def _check(self, x: np.ndarray) -> np.ndarray:
@@ -59,36 +62,58 @@ class QuadraticLoss(LocalLoss):
     """0.5 (x - a)^T Q (x - a) with positive semidefinite Q.
 
     Q may be passed as a 1-D diagonal or a full symmetric matrix.
+    ``_values``/``_gradients`` take parameters (..., d) and ``QuadraticData``
+    with the same leading axes; ``value``/``gradient`` are their one-agent case.
     """
 
     def __init__(self, q: np.ndarray, a: np.ndarray):
-        q = np.asarray(q, dtype=float)
-        self.a = np.asarray(a, dtype=float)
+        self.shard = QuadraticData(np.asarray(q, dtype=float), np.asarray(a, dtype=float))
         self.dim = self.a.shape[0]
-        self.diagonal = q.ndim == 1
-        if self.diagonal:
-            if q.shape != (self.dim,):
-                raise ValueError("diagonal Q must match target dimension")
-        elif q.shape != (self.dim, self.dim):
-            raise ValueError("Q must be (d,) or (d, d)")
-        self.q = q
+        self.diagonal = self.q.ndim == 1
+        if self.q.shape not in ((self.dim,), (self.dim, self.dim)):
+            raise ValueError("Q must be (d,) or (d, d) for a target of dimension d")
+
+    q = property(lambda self: self.shard.q)
+    a = property(lambda self: self.shard.a)
+
+    def stack_key(self):
+        return (QuadraticLoss, self.q.shape)
+
+    def _values(self, x: np.ndarray, data: QuadraticData) -> np.ndarray:
+        return 0.5 * rowdot(x - data.a, self._gradients(x, data))
+
+    def _gradients(self, x: np.ndarray, data: QuadraticData) -> np.ndarray:
+        r = x - data.a
+        return data.q * r if self.diagonal else np.matmul(data.q, r[..., None])[..., 0]
 
     def value(self, x: np.ndarray) -> float:
-        x = self._check(x)
-        r = x - self.a
-        if self.diagonal:
-            return 0.5 * float(r @ (self.q * r))
-        return 0.5 * float(r @ (self.q @ r))
+        return float(self._values(self._check(x), self.shard))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        x = self._check(x)
-        r = x - self.a
-        return self.q * r if self.diagonal else self.q @ r
+        return self._gradients(self._check(x), self.shard)
 
     def smoothness(self) -> float:
         if self.diagonal:
             return float(self.q.max())
         return float(np.linalg.eigvalsh(self.q)[-1])
+
+
+@dataclass(frozen=True, eq=False)
+class QuadraticData:
+    """Curvatures q (..., d) or (..., d, d) and targets a (..., d)."""
+
+    q: np.ndarray
+    a: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.a)
+
+    @classmethod
+    def stack(cls, parts: Sequence[QuadraticData]) -> QuadraticData:
+        return cls(np.stack([p.q for p in parts]), np.stack([p.a for p in parts]))
+
+    def take(self, slots) -> QuadraticData:
+        return QuadraticData(self.q[slots], self.a[slots])
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -127,11 +152,14 @@ class Shard:
         self.labels = np.asarray(labels, dtype=np.int64)
         self.picks = (*np.indices(self.labels.shape, sparse=True), self.labels)
 
+    def __len__(self) -> int:
+        return len(self.features)
+
     @classmethod
     def stack(cls, shards: Sequence[Shard]) -> Shard:
         return cls(np.stack([s.features for s in shards]), np.stack([s.labels for s in shards]))
 
-    def take(self, slots: np.ndarray) -> Shard:
+    def take(self, slots) -> Shard:
         return Shard(self.features[slots], self.labels[slots])
 
 
@@ -280,13 +308,13 @@ class LossStack(Sequence):
     Indexing, ``len`` and iteration give the per-agent losses, so a stack
     stands wherever a list of losses does.  ``values(x, rows)`` and
     ``gradients(x, rows)`` evaluate agent ``rows[n]``'s loss at ``x[n]``.
-    Logistic and MLP losses with equal shard shapes and equal
-    hyperparameters form one group whose (g, n, p) shards go through the
-    family's kernel in one call; an uneven last shard gets its own group.
-    Each row's result equals the agent's own ``value``/``gradient`` bit for
-    bit; a grouped loss's own shard becomes a view of its group's arrays.
-    Other losses (quadratics) are evaluated row by row through their
-    own methods.
+    Losses with equal ``stack_key`` form one group whose stacked data (the
+    (g, d) or (g, d, d) curvatures of quadratics, the (g, n, p) shards of
+    logistic and MLP losses) goes through the family's kernel in one call;
+    an uneven last shard gets its own group.  Each row's result equals the
+    agent's own ``value``/``gradient`` bit for bit; a grouped loss's own
+    ``shard`` becomes a view of its group's arrays.  Losses without a key
+    (user-defined ones) are evaluated row by row.
     """
 
     def __init__(self, losses: Sequence[LocalLoss]):
@@ -306,12 +334,13 @@ class LossStack(Sequence):
         for agents in members.values():
             self._group[agents] = len(self._groups)
             self._slot[agents] = np.arange(len(agents))
-            shard = Shard.stack([self._losses[i].shard for i in agents])
-            self._groups.append((self._losses[agents[0]], shard))
+            first = self._losses[agents[0]]
+            shard = type(first.shard).stack([self._losses[i].shard for i in agents])
+            self._groups.append((first, shard))
             # Each member reads its rows of the stacked arrays, so the
-            # training data is held once.
+            # data is held once.
             for slot, i in enumerate(agents):
-                self._losses[i].shard = Shard(shard.features[slot], shard.labels[slot])
+                self._losses[i].shard = shard.take(slot)
 
     @classmethod
     def of(cls, losses: Sequence[LocalLoss]) -> LossStack:
@@ -345,7 +374,7 @@ class LossStack(Sequence):
             if pos.size == 0:
                 continue
             slots = self._slot[rows[pos]]
-            if len(slots) != len(shard.features) or (slots != np.arange(len(slots))).any():
+            if len(slots) != len(shard) or (slots != np.arange(len(slots))).any():
                 shard = shard.take(slots)
             out[pos] = getattr(loss, many)(x[pos], shard)
         return out

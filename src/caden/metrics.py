@@ -14,16 +14,15 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import Topology
-from .losses import LocalLoss
+from .losses import LocalLoss, rowdot
 
 
 def lyapunov_v(x: np.ndarray, phi: np.ndarray, grad: np.ndarray, topology: Topology) -> float:
     """sum_i ||grad f_i(x_i) + phi_i||^2 + (1/4) sum_i sum_{j in N_i} ||x_i - x_j||^2,
     with the loss gradients at the models given as the rows of ``grad``."""
-    total = 0.0
-    for grad_i, phi_i in zip(grad, phi):
-        g = grad_i + phi_i
-        total += float(g @ g)
+    g = grad + phi
+    # A running total in agent order.
+    total = float(np.cumsum(rowdot(g, g))[-1])
     # Each undirected edge appears twice in the double sum over neighborhoods.
     total += 0.5 * float(((x[topology.src] - x[topology.dst]) ** 2).sum())
     return total

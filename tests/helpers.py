@@ -2,8 +2,8 @@
 the incident edges of an agent, dense constraint matrices, random curvature
 factories, the midpoint form of the residual V, the edge-form augmented
 Lagrangian, the initial augmented-gradient error, the gradient-tracking
-identity gap, the corollary scaling sweep, the one-agent logistic and MLP
-losses, the one-subproblem exact solve, and the lone L-BFGS loop with its
+identity gap, the corollary scaling sweep, the one-agent quadratic, logistic
+and MLP losses, the one-subproblem exact solve, and the lone L-BFGS loop with its
 one-row subproblem terms and two-loop recursion, which the stacked kernels
 and the lockstep solver must match bit for bit, and writers for the IDX and
 edge-list formats the package reads."""
@@ -206,6 +206,42 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 def _cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     picked = probs[np.arange(labels.shape[0]), labels]
     return float(-np.log(np.maximum(picked, 1e-300)).mean())
+
+
+class ReferenceQuadraticLoss(LocalLoss):
+    """0.5 (x - a)^T Q (x - a) with positive semidefinite Q.
+
+    Q may be passed as a 1-D diagonal or a full symmetric matrix.
+    """
+
+    def __init__(self, q: np.ndarray, a: np.ndarray):
+        q = np.asarray(q, dtype=float)
+        self.a = np.asarray(a, dtype=float)
+        self.dim = self.a.shape[0]
+        self.diagonal = q.ndim == 1
+        if self.diagonal:
+            if q.shape != (self.dim,):
+                raise ValueError("diagonal Q must match target dimension")
+        elif q.shape != (self.dim, self.dim):
+            raise ValueError("Q must be (d,) or (d, d)")
+        self.q = q
+
+    def value(self, x: np.ndarray) -> float:
+        x = self._check(x)
+        r = x - self.a
+        if self.diagonal:
+            return 0.5 * float(r @ (self.q * r))
+        return 0.5 * float(r @ (self.q @ r))
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        x = self._check(x)
+        r = x - self.a
+        return self.q * r if self.diagonal else self.q @ r
+
+    def smoothness(self) -> float:
+        if self.diagonal:
+            return float(self.q.max())
+        return float(np.linalg.eigvalsh(self.q)[-1])
 
 
 class ReferenceLogisticLoss(LocalLoss):

@@ -59,6 +59,14 @@ class TestParticipation:
         c = engine.sample_participation(config, 4, 12)
         assert not np.array_equal(a, c)  # astronomically unlikely to match
 
+    def test_first_flags_do_not_depend_on_m(self):
+        # Agent i's flag is the i-th draw of its round's stream, whatever m is.
+        config = CadenConfig(mu_z=1.0, mu_y=1.0, participation=0.5, seed=3)
+        for t in range(20):
+            wide = engine.sample_participation(config, t, 200)
+            for m in (1, 5, 37):
+                assert np.array_equal(engine.sample_participation(config, t, m), wide[:m])
+
     def test_empirical_rate(self):
         config = CadenConfig(mu_z=1.0, mu_y=1.0, participation=0.5, seed=0)
         hits = sum(

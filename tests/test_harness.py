@@ -137,6 +137,9 @@ class TestRunExperiment:
         class Bomb(QuadraticLoss):
             calls = 0
 
+            def stack_key(self):
+                return None
+
             def gradient(self, x):
                 Bomb.calls += 1
                 if Bomb.calls > 60:
@@ -238,6 +241,14 @@ class TestRunExperiment:
             run_experiment(_k2_config(init_state_file=str(path)), out_dir=str(tmp_path))
         if corrupt == "shape-mismatch":
             assert "(3, 1)" in str(info.value) and "(2, 1)" in str(info.value)
+
+    def test_missing_checkpoint_names_its_key(self, tmp_path):
+        missing = str(tmp_path / "nope.bin")
+        out = tmp_path / "out"
+        match = rf"^init\.state_file {re.escape(missing)}: cannot be read"
+        with pytest.raises(ConfigError, match=match):
+            run_experiment(_k2_config(init_state_file=missing), out_dir=str(out))
+        assert not out.exists()
 
     def test_summary_json_is_strict_when_run_diverges(self, tmp_path):
         cfg = ExperimentConfig(
@@ -539,6 +550,13 @@ class TestIdxInputs:
         (dict(loss_kind="mlp", loss_hidden=0), "loss.hidden"),
         (dict(init_strategy="warmstart", lipschitz_warm_lr=0.0), "lipschitz.warm_lr"),
         (dict(init_strategy="warmstart", lipschitz_probe_lr=-1e-7), "lipschitz.probe_lr"),
+        (dict(init_strategy="warmstart", lipschitz_warm_epochs=-3), "lipschitz.warm_epochs"),
+        (dict(init_strategy="warmstart", lipschitz_probe_epochs=0), "lipschitz.probe_epochs"),
+        (dict(metrics_thresholds="1e-2,abc"), "metrics.thresholds"),
+        (dict(metrics_thresholds="nan"), "metrics.thresholds"),
+        (dict(metrics_thresholds="1e-2,inf"), "metrics.thresholds"),
+        (dict(metrics_thresholds="0"), "metrics.thresholds"),
+        (dict(algorithm="gt", metrics_thresholds="-1e-3"), "metrics.thresholds"),
     ],
 )
 def test_out_of_range_key_refused_before_any_round(tmp_path, monkeypatch, overrides, key):

@@ -10,7 +10,13 @@ from caden import losses
 from caden.datasets import gaussian_blobs
 from caden.errors import LipschitzEstimateError
 
-from helpers import ReferenceLogisticLoss, ReferenceMlpLoss, central_difference, random_psd
+from helpers import (
+    ReferenceLogisticLoss,
+    ReferenceMlpLoss,
+    ReferenceQuadraticLoss,
+    central_difference,
+    random_psd,
+)
 
 
 def _loss_zoo():
@@ -133,8 +139,9 @@ class TestLipschitzEstimate:
 @st.composite
 def _stacked_agents(draw):
     """Agents of one data-loss family with equal shards except possibly the
-    last (IDX sharding gives it the remainder), optionally plus a quadratic
-    agent of the same dimension; returns (losses, reference losses, rng)."""
+    last (IDX sharding gives it the remainder), plus 0-4 quadratic agents of
+    the same dimension, each with diagonal or full curvature, in shuffled
+    order; returns (losses, reference losses, rng)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     family = draw(st.sampled_from(["logistic", "mlp"]))
     m = draw(st.integers(1, 5))
@@ -156,12 +163,14 @@ def _stacked_agents(draw):
         else:
             built.append(losses.MlpLoss(features, labels, hidden, classes, l2))
             reference.append(ReferenceMlpLoss(features, labels, hidden, classes, l2))
-    if draw(st.booleans()):
-        d = built[0].dim
-        quad = losses.QuadraticLoss(q=rng.uniform(0.5, 2.0, d), a=rng.standard_normal(d))
-        built.append(quad)
-        reference.append(quad)
-    return built, reference, rng
+    d = built[0].dim
+    for full in draw(st.lists(st.booleans(), max_size=4)):
+        q = random_psd(d, 30.0, rng) if full else rng.uniform(0.5, 2.0, d)
+        a = scale * rng.standard_normal(d)
+        built.append(losses.QuadraticLoss(q=q, a=a))
+        reference.append(ReferenceQuadraticLoss(q=q, a=a))
+    order = rng.permutation(len(built))
+    return [built[i] for i in order], [reference[i] for i in order], rng
 
 
 def _logits(loss, x, features):
@@ -183,10 +192,13 @@ class TestLossStack:
         x = rng.standard_normal((len(rows), d)) * rng.uniform(0.1, 3.0)
         values = stack.values(x, rows)
         gradients = stack.gradients(x, rows)
-        features = rng.standard_normal((7, built[0].n_features))
-        data_rows = np.array([n for n, agent in enumerate(rows) if hasattr(built[agent], "shard")])
+        classifier = next(loss for loss in built if hasattr(loss, "predict"))
+        features = rng.standard_normal((7, classifier.n_features))
+        data_rows = np.array(
+            [n for n, agent in enumerate(rows) if hasattr(built[agent], "predict")]
+        )
         if data_rows.size:
-            stacked_logits = _logits(built[0], x[data_rows], features)
+            stacked_logits = _logits(classifier, x[data_rows], features)
         for n, agent in enumerate(rows):
             ref = reference[agent]
             assert values[n] == ref.value(x[n])
@@ -199,34 +211,82 @@ class TestLossStack:
                 stacked = stacked_logits[list(data_rows).index(n)].argmax(axis=-1)
                 assert np.array_equal(stacked, want)
 
-    @pytest.mark.parametrize("family", ["logistic", "mlp"])
+    @pytest.mark.parametrize("family", ["logistic", "mlp", "quadratic"])
     def test_members_read_views_of_the_stacked_shards(self, family):
-        # The training data is held once: each grouped loss's shard is a view
-        # of its group's arrays; an uneven last shard forms its own group.
+        # The data is held once: each grouped loss's shard is a view of its
+        # group's arrays; an uneven last shard, or a diagonal last quadratic
+        # among full ones, forms its own group.
         rng = np.random.default_rng(0)
-        sizes = (5, 5, 5, 4)
-        shards = [(rng.standard_normal((n, 3)), rng.integers(0, 2, n)) for n in sizes]
-        if family == "logistic":
-            built = [losses.LogisticLoss(f, y, classes=2) for f, y in shards]
+        if family == "quadratic":
+            data = [(random_psd(3, 10.0, rng), rng.standard_normal(3)) for _ in range(3)]
+            data.append((rng.uniform(0.5, 2.0, 3), rng.standard_normal(3)))
+            built = [losses.QuadraticLoss(q, a) for q, a in data]
+            fields = {"q": (3, 3, 3), "a": (3, 3)}
         else:
-            built = [losses.MlpLoss(f, y, hidden=4, classes=2) for f, y in shards]
+            sizes = (5, 5, 5, 4)
+            data = [(rng.standard_normal((n, 3)), rng.integers(0, 2, n)) for n in sizes]
+            if family == "logistic":
+                built = [losses.LogisticLoss(f, y, classes=2) for f, y in data]
+            else:
+                built = [losses.MlpLoss(f, y, hidden=4, classes=2) for f, y in data]
+            fields = {"features": (3, 5, 3), "labels": (3, 5)}
         x = rng.standard_normal(built[0].dim)
         before = [loss.value(x) for loss in built]
         losses.LossStack(built)
         *grouped, last = (loss.shard for loss in built)
-        features, labels = grouped[0].features.base, grouped[0].labels.base
-        assert features.shape == (3, 5, 3) and labels.shape == (3, 5)
-        for shard in grouped:
-            assert np.shares_memory(shard.features, features)
-            assert np.shares_memory(shard.labels, labels)
-        assert not np.shares_memory(last.features, features)
-        for loss, (f, y), value in zip(built, shards, before):
-            assert np.array_equal(loss.shard.features, f)
-            assert np.array_equal(loss.shard.labels, y)
+        for name, shape in fields.items():
+            stacked = getattr(grouped[0], name).base
+            assert stacked.shape == shape
+            for shard in grouped:
+                assert np.shares_memory(getattr(shard, name), stacked)
+            assert not np.shares_memory(getattr(last, name), stacked)
+        for loss, arrays, value in zip(built, data, before):
+            for name, array in zip(fields, arrays):
+                assert np.array_equal(getattr(loss.shard, name), array)
             assert loss.value(x) == value
+
+    def test_quadratic_stack_never_calls_the_one_row_methods(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        curvatures = [random_psd(3, 10.0, rng) for _ in range(3)]
+        curvatures += [rng.uniform(0.5, 2.0, 3) for _ in range(2)]
+        targets = rng.standard_normal((5, 3))
+        stack = losses.LossStack([losses.QuadraticLoss(q, a) for q, a in zip(curvatures, targets)])
+
+        def refuse(self, x):
+            raise AssertionError("a quadratic was evaluated row by row")
+
+        monkeypatch.setattr(losses.QuadraticLoss, "value", refuse)
+        monkeypatch.setattr(losses.QuadraticLoss, "gradient", refuse)
+        rows = np.array([4, 0, 2, 3, 1, 0, 3])
+        x = rng.standard_normal((len(rows), 3))
+        values, gradients = stack.values(x, rows), stack.gradients(x, rows)
+        for n, agent in enumerate(rows):
+            ref = ReferenceQuadraticLoss(curvatures[agent], targets[agent])
+            assert values[n] == ref.value(x[n])
+            assert np.array_equal(gradients[n], ref.gradient(x[n]))
 
     def test_behaves_as_the_list_of_losses(self):
         zoo = _loss_zoo()[2:]
         stack = losses.LossStack(zoo)
         assert len(stack) == 2 and list(stack) == zoo and stack[1] is zoo[1]
         assert losses.LossStack.of(stack) is stack
+
+
+class TestQuadraticKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.integers(1, 17),
+        d=st.integers(1, 80),
+        log_scale=st.floats(-5.0, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_matmul_rows_equal_the_lone_product(self, k, d, log_scale, seed):
+        # A full quadratic's stacked gradient rows equal its lone q @ r bit
+        # for bit only because numpy runs each (d, d) x (d, 1) product of the
+        # stack as the lone matrix-vector product; a change fails here by name.
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        q = scale * rng.standard_normal((k, d, d))
+        r = scale * rng.standard_normal((k, d))
+        want = np.array([q[n] @ r[n] for n in range(k)])
+        assert np.array_equal(np.matmul(q, r[..., None])[..., 0], want)

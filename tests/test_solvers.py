@@ -443,6 +443,9 @@ class _UndefinedFar(QuadraticLoss):
     """A quadratic whose value is NaN outside the ball of radius 2, so long
     trial steps are rejected as NaN."""
 
+    def stack_key(self):
+        return None
+
     def value(self, x):
         return super().value(x) if float(x @ x) <= 4.0 else float("nan")
 

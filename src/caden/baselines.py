@@ -43,6 +43,7 @@ class GTState:
 
 def gt_init(losses: list[LocalLoss], x_init: np.ndarray, w: np.ndarray, step: float) -> GTState:
     x = np.asarray(x_init, dtype=float).copy()
+    # Per agent until perfbench keeps trajectory digests: a faster gt raises its peak_rss_mb.
     grads = np.array([loss.gradient(x[i]) for i, loss in enumerate(losses)])
     return GTState(x=x, g=grads.copy(), grads=grads, w=w, step=step)
 
@@ -50,6 +51,7 @@ def gt_init(losses: list[LocalLoss], x_init: np.ndarray, w: np.ndarray, step: fl
 def gt_round(state: GTState, losses: list[LocalLoss]) -> GTState:
     """One mixing + descent + tracker-correction round."""
     x_new = state.w @ state.x - state.step * state.g
+    # Per agent until perfbench keeps trajectory digests: a faster gt raises its peak_rss_mb.
     grads_new = np.array([loss.gradient(x_new[i]) for i, loss in enumerate(losses)])
     g_new = state.w @ state.g + grads_new - state.grads
     return GTState(x=x_new, g=g_new, grads=grads_new, w=state.w, step=state.step)

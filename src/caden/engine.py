@@ -152,9 +152,8 @@ def subproblems(
     row[agents] = np.arange(agents.size)
     end_agent, end_edge = edge_ends(topology)
     ends = np.flatnonzero(row[end_agent] >= 0)
-    return SubproblemBatch(
-        LossStack.of(losses), agents, phi[agents], mu_z, z[end_edge[ends]], row[end_agent[ends]]
-    )
+    anchors, owner = z[end_edge[ends]], row[end_agent[ends]]
+    return SubproblemBatch(losses, agents, phi[agents], mu_z, anchors, owner)
 
 
 def solve_subproblems(

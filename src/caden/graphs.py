@@ -160,17 +160,12 @@ def build_random_graph(
         raise ValueError("need at least 2 agents")
     if not (0.0 < edge_prob <= 1.0):
         raise ValueError("edge_prob must be in (0, 1]")
-    n_pairs = m * (m - 1) // 2
+    # Every pair i < j, ordered by i then j.
+    first, second = np.triu_indices(m, 1)
     for attempt in range(max_retries + 1):
         rng = np.random.default_rng([_GRAPH_STREAM, seed, attempt])
-        mask = rng.random(n_pairs) < edge_prob
-        edges = []
-        k = 0
-        for i in range(m):
-            for j in range(i + 1, m):
-                if mask[k]:
-                    edges.append((i, j))
-                k += 1
+        mask = rng.random(len(first)) < edge_prob
+        edges = list(zip(first[mask].tolist(), second[mask].tolist()))
         try:
             return from_edges(m, edges, resamples=attempt)
         except DisconnectedGraphError:

@@ -243,7 +243,7 @@ class Initialization:
 def initialize(cfg: ExperimentConfig, losses, topology) -> Initialization:
     """Initial models plus the resolved smoothness constant.
 
-    The warm-start strategy runs the smoothness probe per agent from a common
+    The warm-start strategy runs the lockstep smoothness probe from a common
     start; its final iterates become the initial models and the global
     constant is the max across agents.  Quadratic losses report their exact
     smoothness, so the harness never needs a probe for them.
@@ -263,20 +263,12 @@ def initialize(cfg: ExperimentConfig, losses, topology) -> Initialization:
         else:
             rng = np.random.default_rng([_XINIT_STREAM, cfg.seed])
             common = cfg.init_scale * rng.standard_normal(d)
-        x0 = np.empty((m, d))
-        l_hat = 0.0
-        for i, loss in enumerate(losses):
-            est = estimate_lipschitz(
-                loss,
-                common,
-                warm_epochs=cfg.lipschitz_warm_epochs,
-                warm_lr=cfg.lipschitz_warm_lr,
-                probe_epochs=cfg.lipschitz_probe_epochs,
-                probe_lr=cfg.lipschitz_probe_lr,
-            )
-            x0[i] = est.x_init
-            l_hat = max(l_hat, est.l_hat)
-        return Initialization(x0, None, 0, l_hat)
+        est = estimate_lipschitz(
+            losses, common,
+            warm_epochs=cfg.lipschitz_warm_epochs, warm_lr=cfg.lipschitz_warm_lr,
+            probe_epochs=cfg.lipschitz_probe_epochs, probe_lr=cfg.lipschitz_probe_lr,
+        )
+        return Initialization(est.x_init, None, 0, est.l_hat)
     if cfg.init_strategy == "random":
         rng = np.random.default_rng([_XINIT_STREAM, cfg.seed])
         x0 = cfg.init_scale * rng.standard_normal((m, d))

@@ -7,11 +7,11 @@ with softmax cross-entropy.  All are bounded below by 0 and expose value()
 and gradient() on a flat parameter vector of dimension ``dim``.
 
 The math of each family is written once, as kernels over parameters and
-data (a quadratic's curvature and target, a classifier's shard) with any
-leading axes; one agent's ``value``/``gradient``/``predict`` is the one-row
-case.  ``LossStack`` holds a run's m losses and evaluates many agents' rows
-in one kernel call per group of equal data shapes, bit-identical to the
-one-agent methods.
+data with any leading axes; one agent's ``value``/``gradient``/``predict``
+is the one-row case.  ``LossStack`` holds a run's m losses and is the one
+way to evaluate many agents: one kernel call per group of equal data
+shapes, bit-identical to the one-agent methods.  The smoothness probe
+steps every agent through it in lockstep.
 """
 
 from __future__ import annotations
@@ -135,6 +135,11 @@ def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
+def rownorm(v: np.ndarray) -> np.ndarray:
+    """Row norms sqrt(v[n] . v[n]), rounded as ``np.linalg.norm`` rounds them."""
+    return np.sqrt(rowdot(v, v))
+
+
 def _t(a: np.ndarray) -> np.ndarray:
     """Transpose of the last two axes."""
     return a.swapaxes(-1, -2)
@@ -169,7 +174,8 @@ class LogisticLoss(LocalLoss):
     Parameters are the flattened (features, classes) weight matrix; there is
     no separate bias (append a constant feature column if one is wanted).
     ``_values``/``_gradients`` take parameters (..., d) and a shard with the
-    same leading axes; ``value``/``gradient`` are their one-agent case.
+    same leading axes, ``_predictions`` shared (n, p) features instead;
+    ``value``/``gradient``/``predict`` are their one-agent case.
     """
 
     def __init__(self, features: np.ndarray, labels: np.ndarray, classes: int, l2: float = 0.0):
@@ -202,9 +208,11 @@ class LogisticLoss(LocalLoss):
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return self._gradients(self._check(x), self.shard)
 
+    def _predictions(self, x: np.ndarray, features: np.ndarray) -> np.ndarray:
+        return (features @ self._weights(x)).argmax(axis=-1)
+
     def predict(self, x: np.ndarray, features: np.ndarray) -> np.ndarray:
-        logits = np.asarray(features, dtype=float) @ self._weights(self._check(x))
-        return logits.argmax(axis=-1)
+        return self._predictions(self._check(x), np.asarray(features, dtype=float))
 
 
 class MlpLoss(LocalLoss):
@@ -213,8 +221,9 @@ class MlpLoss(LocalLoss):
     Flat parameter layout: [W1 (features x hidden), b1, W2 (hidden x classes),
     b2].  Gradients are reverse-mode through the two layers on the agent's
     full data shard.  ``_values``/``_gradients`` take parameters (..., d) and
-    a shard with the same leading axes; ``value``/``gradient``/``predict`` are
-    their one-agent case.
+    a shard with the same leading axes, ``_predictions`` shared (n, p)
+    features instead; ``value``/``gradient``/``predict`` are their one-agent
+    case.
     """
 
     def __init__(
@@ -297,9 +306,11 @@ class MlpLoss(LocalLoss):
         w2 = rng.standard_normal((h, k)) * np.sqrt(2.0 / h)
         return np.concatenate([w1.ravel(), np.zeros(h), w2.ravel(), np.zeros(k)])
 
+    def _predictions(self, x: np.ndarray, features: np.ndarray) -> np.ndarray:
+        return self._forward(self._unpack(x), features)[1].argmax(axis=-1)
+
     def predict(self, x: np.ndarray, features: np.ndarray) -> np.ndarray:
-        _, logits = self._forward(self._unpack(self._check(x)), np.asarray(features, dtype=float))
-        return logits.argmax(axis=-1)
+        return self._predictions(self._check(x), np.asarray(features, dtype=float))
 
 
 class LossStack(Sequence):
@@ -307,14 +318,15 @@ class LossStack(Sequence):
 
     Indexing, ``len`` and iteration give the per-agent losses, so a stack
     stands wherever a list of losses does.  ``values(x, rows)`` and
-    ``gradients(x, rows)`` evaluate agent ``rows[n]``'s loss at ``x[n]``.
-    Losses with equal ``stack_key`` form one group whose stacked data (the
-    (g, d) or (g, d, d) curvatures of quadratics, the (g, n, p) shards of
-    logistic and MLP losses) goes through the family's kernel in one call;
-    an uneven last shard gets its own group.  Each row's result equals the
-    agent's own ``value``/``gradient`` bit for bit; a grouped loss's own
-    ``shard`` becomes a view of its group's arrays.  Losses without a key
-    (user-defined ones) are evaluated row by row.
+    ``gradients(x, rows)`` evaluate agent ``rows[n]``'s loss at ``x[n]``;
+    ``predictions(x, features)`` gives every agent's labels of shared
+    features.  Losses with equal ``stack_key`` form one group whose stacked
+    data (the (g, d) or (g, d, d) curvatures of quadratics, the (g, n, p)
+    shards of logistic and MLP losses) goes through the family's kernel in
+    one call; an uneven last shard gets its own group.  Each row's result
+    equals the agent's own ``value``/``gradient``/``predict`` bit for bit; a
+    grouped loss's own ``shard`` becomes a view of its group's arrays.
+    Losses without a key (user-defined ones) are evaluated row by row.
     """
 
     def __init__(self, losses: Sequence[LocalLoss]):
@@ -334,9 +346,10 @@ class LossStack(Sequence):
         for agents in members.values():
             self._group[agents] = len(self._groups)
             self._slot[agents] = np.arange(len(agents))
-            first = self._losses[agents[0]]
-            shard = type(first.shard).stack([self._losses[i].shard for i in agents])
-            self._groups.append((first, shard))
+            shards = [self._losses[i].shard for i in agents]
+            # A lone member's group is a view of its own data, not a copy.
+            shard = shards[0].take(None) if len(shards) == 1 else type(shards[0]).stack(shards)
+            self._groups.append((self._losses[agents[0]], shard))
             # Each member reads its rows of the stacked arrays, so the
             # data is held once.
             for slot, i in enumerate(agents):
@@ -364,11 +377,21 @@ class LossStack(Sequence):
         """(k, d) loss gradients of agents ``rows`` at the (k, d) points ``x``."""
         return self._evaluate(x, rows, np.empty((len(rows), self.dim)), "gradient", "_gradients")
 
-    def _evaluate(self, x, rows, out, one, many):
+    def predictions(self, x: np.ndarray, features: np.ndarray) -> np.ndarray:
+        """(m, n) labels that agent i's classifier at ``x[i]`` gives the
+        shared (n, p) ``features``."""
+        features = np.asarray(features, dtype=float)
+        out = np.empty((len(self), len(features)), dtype=np.intp)
+        return self._evaluate(x, np.arange(len(self)), out, "predict", "_predictions", features)
+
+    def _evaluate(self, x, rows, out, one, many, *shared):
+        """Row n of ``out``: agent ``rows[n]``'s ``one`` at ``x[n]``, or its
+        group's kernel ``many`` on the group's shard rows, or on the
+        ``shared`` data when given."""
         rows = np.asarray(rows, dtype=np.intp)
         groups = self._group[rows]
         for n in np.flatnonzero(groups < 0):
-            out[n] = getattr(self._losses[rows[n]], one)(x[n])
+            out[n] = getattr(self._losses[rows[n]], one)(x[n], *shared)
         for g, (loss, shard) in enumerate(self._groups):
             pos = np.flatnonzero(groups == g)
             if pos.size == 0:
@@ -376,7 +399,7 @@ class LossStack(Sequence):
             slots = self._slot[rows[pos]]
             if len(slots) != len(shard) or (slots != np.arange(len(slots))).any():
                 shard = shard.take(slots)
-            out[pos] = getattr(loss, many)(x[pos], shard)
+            out[pos] = getattr(loss, many)(x[pos], *(shared or (shard,)))
         return out
 
 
@@ -384,8 +407,9 @@ class LossStack(Sequence):
 class LipschitzEstimate:
     """Result of the smoothness probe.
 
-    ``x_init`` is the final probe iterate, which doubles as the algorithm's
-    initialization so estimation and warm-up share the same local training.
+    ``l_hat`` is the max over agents; row i of the (m, d) ``x_init`` is agent
+    i's final probe iterate, which doubles as the algorithm's initialization
+    so estimation and warm-up share the same local training.
     """
 
     l_hat: float
@@ -393,7 +417,7 @@ class LipschitzEstimate:
 
 
 def estimate_lipschitz(
-    loss: LocalLoss,
+    losses: Sequence[LocalLoss],
     x0: np.ndarray,
     warm_epochs: int = 20,
     warm_lr: float = 0.1,
@@ -402,34 +426,40 @@ def estimate_lipschitz(
 ) -> LipschitzEstimate:
     """Empirical gradient-Lipschitz constant from local full-gradient descent.
 
-    Runs ``warm_epochs`` descent steps at ``warm_lr`` from ``x0``, then
-    ``probe_epochs`` steps at the tiny ``probe_lr``, and returns the maximum
-    difference quotient
+    Every agent of the ``LossStack`` (or list) ``losses`` runs ``warm_epochs``
+    descent steps at ``warm_lr`` from its row of ``x0`` ((d,) or (m, d)),
+    then ``probe_epochs`` steps at the tiny ``probe_lr``; its estimate is the
+    maximum difference quotient
 
         ||grad(x_next) - grad(x)|| / ||x_next - x||
 
-    over consecutive probe iterates.  Probe pairs with step shorter than
-    ``MIN_PROBE_STEP`` are skipped; the estimate fails only when every pair
-    is skipped.
+    over its consecutive probe iterates.  One stacked gradient call per epoch
+    steps every agent, each with a lone probe's arithmetic.  Pairs with step
+    shorter than ``MIN_PROBE_STEP`` are skipped; an agent whose every pair
+    is skipped fails the estimate.
     """
     if warm_lr <= 0 or probe_lr <= 0:
         raise ValueError("learning rates must be positive")
-    x = np.asarray(x0, dtype=float).copy()
+    stack = LossStack.of(losses)
+    rows = np.arange(len(stack))
+    x = np.array(np.broadcast_to(np.asarray(x0, dtype=float), (len(rows), stack.dim)))
     for _ in range(warm_epochs):
-        x = x - warm_lr * loss.gradient(x)
-    l_hat = 0.0
-    used = 0
-    grad = loss.gradient(x)
+        x = x - warm_lr * stack.gradients(x, rows)
+    l_hat, used = np.zeros(len(rows)), np.zeros(len(rows), dtype=int)
+    grad = stack.gradients(x, rows)
     for _ in range(probe_epochs):
         x_next = x - probe_lr * grad
-        grad_next = loss.gradient(x_next)
-        step = float(np.linalg.norm(x_next - x))
-        if step >= MIN_PROBE_STEP:
-            l_hat = max(l_hat, float(np.linalg.norm(grad_next - grad)) / step)
-            used += 1
+        grad_next = stack.gradients(x_next, rows)
+        step = rownorm(x_next - x)
+        usable = step >= MIN_PROBE_STEP
+        # fmax keeps the running maximum when a quotient is NaN.
+        quotient = rownorm(grad_next[usable] - grad[usable]) / step[usable]
+        l_hat[usable] = np.fmax(l_hat[usable], quotient)
+        used += usable
         x, grad = x_next, grad_next
-    if used == 0:
+    if not used.all():
         raise LipschitzEstimateError(
-            "all probe steps were below the minimum length; decrease warm_epochs or raise probe_lr"
+            f"agent {int(np.argmin(used))}: all probe steps were below the minimum length; "
+            "decrease warm_epochs or raise probe_lr"
         )
-    return LipschitzEstimate(l_hat=l_hat, x_init=x)
+    return LipschitzEstimate(l_hat=float(l_hat.max()), x_init=x)

@@ -4,9 +4,10 @@ test accuracy, and dual drift.
 Every metric reads the (m, d) models ``x`` and, where it needs them, the
 (m, d) duals ``phi``.  V reads the engine's carried (m, d) loss gradients
 ``grad`` = grad f_i(x_i) and evaluates no loss; the relative errors still
-evaluate each agent's gradient.  The residual V is zero exactly at
-consensus stationary points: all models equal and the per-agent gradients
-summing to zero.
+evaluate each agent's gradient one agent at a time, and test accuracy takes
+every agent's predictions from one ``LossStack.predictions`` call.  The
+residual V is zero exactly at consensus stationary points: all models equal
+and the per-agent gradients summing to zero.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import Topology
-from .losses import LocalLoss, rowdot
+from .losses import LocalLoss, LossStack, rowdot
 
 
 def lyapunov_v(x: np.ndarray, phi: np.ndarray, grad: np.ndarray, topology: Topology) -> float:
@@ -29,6 +30,7 @@ def lyapunov_v(x: np.ndarray, phi: np.ndarray, grad: np.ndarray, topology: Topol
 
 
 def _gradient_sum(x: np.ndarray, losses: list[LocalLoss]) -> np.ndarray:
+    # Per agent until perfbench counts stacked calls and keeps trajectory digests.
     grad_sum = np.zeros(losses[0].dim)
     for x_i, loss in zip(x, losses):
         grad_sum += loss.gradient(x_i)
@@ -43,11 +45,9 @@ def relative_error(x: np.ndarray, losses: list[LocalLoss]) -> float:
     so the metric is defined for methods without dual variables as well.
     """
     grad_sum = _gradient_sum(x, losses)
-    total = float(grad_sum @ grad_sum)
-    for a, b in zip(x, x[1:]):
-        diff = a - b
-        total += float(diff @ diff)
-    return total
+    diff = x[:-1] - x[1:]
+    # A running total in agent order.
+    return float(np.cumsum([grad_sum @ grad_sum, *rowdot(diff, diff)])[-1])
 
 
 def relative_error_graph(
@@ -70,11 +70,9 @@ def test_accuracy(
     set; None when the loss family has no classifier."""
     if not hasattr(losses[0], "predict"):
         return None
-    correct = 0.0
-    for x_i, loss in zip(x, losses):
-        pred = loss.predict(x_i, eval_features)
-        correct += float((pred == eval_labels).mean())
-    return correct / len(x)
+    pred = LossStack.of(losses).predictions(x, eval_features)
+    # Each mean is an exact count / n; a running total in agent order.
+    return float(np.cumsum((pred == eval_labels).mean(axis=-1))[-1]) / len(x)
 
 
 def phi_drift(phi: np.ndarray) -> float:

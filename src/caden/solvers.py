@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .losses import LocalLoss, LossStack, QuadraticLoss, rowdot
+from .losses import LocalLoss, LossStack, QuadraticLoss, rowdot, rownorm
 
 ARMIJO_C1 = 1e-4
 ARMIJO_SHRINK = 0.5
@@ -77,12 +77,10 @@ class LocalSubproblem:
         return self.anchors.shape[0]
 
     def value(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)[None]
-        return float(SubproblemBatch.of([self]).values(x, [0])[0])
+        return float(SubproblemBatch.of([self]).values(np.atleast_2d(x), [0])[0])
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)[None]
-        return SubproblemBatch.of([self]).gradients(x, [0])[0]
+        return SubproblemBatch.of([self]).gradients(np.atleast_2d(x), [0])[0]
 
 
 class SubproblemBatch:
@@ -98,13 +96,13 @@ class SubproblemBatch:
     gradient is degree x - anchor_sum.
 
     ``values(x, which)`` and ``gradients(x, which)`` evaluate row
-    ``which[n]`` at ``x[n]``: the loss terms in one stacked call when
-    ``losses`` is a ``LossStack``, else row by row, and the dual and penalty
-    terms as stacked arrays.
+    ``which[n]`` at ``x[n]``: the loss terms in one call of ``losses``, a
+    ``LossStack`` (a list is stacked), and the dual and penalty terms as
+    stacked arrays.
     """
 
     def __init__(self, losses, agents, phi, mu_z, anchors, owner):
-        self._losses = losses
+        self._losses = LossStack.of(losses)
         self._agents = np.asarray(agents, dtype=np.intp)
         rows = len(self._agents)
         self.phi = np.asarray(phi, dtype=float)
@@ -130,22 +128,16 @@ class SubproblemBatch:
     def loss(self, row: int) -> LocalLoss:
         return self._losses[self._agents[row]]
 
-    def _loss_terms(self, x: np.ndarray, which: np.ndarray, kind: str) -> np.ndarray:
-        agents = self._agents[which]
-        if isinstance(self._losses, LossStack):
-            return getattr(self._losses, kind + "s")(x, agents)
-        return np.array([getattr(self._losses[a], kind)(x[n]) for n, a in enumerate(agents)])
-
     def loss_gradients(self, x: np.ndarray, which: np.ndarray) -> np.ndarray:
         """(n, d) loss gradients of rows ``which`` at ``x``."""
-        return self._loss_terms(x, which, "gradient")
+        return self._losses.gradients(x, self._agents[which])
 
     def values(self, x: np.ndarray, which: np.ndarray) -> np.ndarray:
         which = np.asarray(which, dtype=np.intp)
         dual = rowdot(self.phi[which], x)
         off = x - self.mean[which]
         penalty = self.degree[which] * rowdot(off, off) + self.spread[which]
-        return self._loss_terms(x, which, "value") + dual + 0.5 * self.mu_z[which] * penalty
+        return self._losses.values(x, self._agents[which]) + dual + 0.5 * self.mu_z[which] * penalty
 
     def gradients(
         self, x: np.ndarray, which: np.ndarray, loss_gradients: np.ndarray | None = None
@@ -239,12 +231,6 @@ def two_loop_direction(
     return r
 
 
-def _norms(v: np.ndarray) -> np.ndarray:
-    """||v[n]|| of each row, rounded as ``np.linalg.norm`` rounds it (the
-    square root of v[n] . v[n])."""
-    return np.sqrt(rowdot(v, v))
-
-
 def _start_loss_gradients(batch: SubproblemBatch, x: np.ndarray, given) -> np.ndarray:
     """A writable copy of the given loss gradients at ``x``, else their
     evaluation."""
@@ -261,8 +247,7 @@ def solve_lbfgs(
 ) -> SolverReport:
     """tau iterations of L-BFGS on one subproblem, warm-started: the
     one-agent case of ``solve_lbfgs_batch``."""
-    x = np.asarray(x_start, dtype=float)[None]
-    return solve_lbfgs_batch(SubproblemBatch.of([problem]), x, tau, memory)[0]
+    return solve_lbfgs_batch(SubproblemBatch.of([problem]), np.atleast_2d(x_start), tau, memory)[0]
 
 
 def solve_lbfgs_batch(
@@ -302,7 +287,7 @@ def solve_lbfgs_batch(
     lg = _start_loss_gradients(batch, x, loss_grad)
     g = batch.gradients(x, everyone, lg)
     f = batch.values(x, everyone)
-    gnorm = _norms(g)
+    gnorm = rownorm(g)
     # Column c of an agent's row holds its gradient norm and value after c
     # iterations.
     norms = np.empty((k, tau + 1))
@@ -375,7 +360,7 @@ def solve_lbfgs_batch(
             g[rows] = g_new
             lg[rows] = lg_new
             sy = rowdot(s_new, y_new)
-            keep = np.flatnonzero(sy > CURVATURE_SKIP_TOL * _norms(s_new) * _norms(y_new))
+            keep = np.flatnonzero(sy > CURVATURE_SKIP_TOL * rownorm(s_new) * rownorm(y_new))
             if keep.size:
                 stored = rows[keep]
                 full = stored[count[stored] == slots]
@@ -390,7 +375,7 @@ def solve_lbfgs_batch(
                 rho_buf[stored, c] = 1.0 / sy[keep]
                 count[stored] = c + 1
                 gamma[stored] = sy[keep] / rowdot(y_new[keep], y_new[keep])
-            gnorm[rows] = _norms(g_new)
+            gnorm[rows] = rownorm(g_new)
         norms[moving, performed[moving]] = gnorm[moving]
         vals[moving, performed[moving]] = f[moving]
 
@@ -417,14 +402,16 @@ def _reports(x, performed, norms, lg, vals=None, **counts) -> list[SolverReport]
     ]
 
 
-def default_gd_step(batch: SubproblemBatch, row: int, lipschitz: float | None = None) -> float:
-    """1 / (L + mu_z * degree) of batch row ``row``: the inverse of its
-    subproblem's smoothness."""
+def default_gd_step(batch: SubproblemBatch, lipschitz: float | None = None) -> np.ndarray:
+    """(k,) steps 1 / (L + mu_z * degree), one per batch row: the inverse of
+    each subproblem's smoothness.  L is ``lipschitz``, or each row's own
+    loss smoothness when that is None."""
     if lipschitz is None:
-        lipschitz = batch.loss(row).smoothness()
-    if lipschitz is None:
-        raise ValueError("no smoothness estimate available; pass an explicit step")
-    return 1.0 / (lipschitz + batch.mu_z[row] * batch.degree[row])
+        known = [batch.loss(n).smoothness() for n in range(len(batch.mu_z))]
+        if any(v is None for v in known):
+            raise ValueError("no smoothness estimate available; pass an explicit step")
+        lipschitz = np.array(known)
+    return 1.0 / (lipschitz + batch.mu_z * batch.degree)
 
 
 def solve_gd(
@@ -436,8 +423,8 @@ def solve_gd(
 ) -> SolverReport:
     """tau fixed-step gradient steps on one subproblem, warm-started: the
     one-agent case of ``solve_gd_batch``."""
-    x = np.asarray(x_start, dtype=float)[None]
-    return solve_gd_batch(SubproblemBatch.of([problem]), x, tau, step, lipschitz)[0]
+    batch = SubproblemBatch.of([problem])
+    return solve_gd_batch(batch, np.atleast_2d(x_start), tau, step, lipschitz)[0]
 
 
 def solve_gd_batch(
@@ -456,16 +443,14 @@ def solve_gd_batch(
     the loss gradients at ``x_start`` when the caller has them."""
     x = np.array(x_start, dtype=float)
     k = len(x)
-    steps = np.array(
-        [step if step is not None else default_gd_step(batch, n, lipschitz) for n in range(k)]
-    )
+    steps = np.full(k, step, dtype=float) if step is not None else default_gd_step(batch, lipschitz)
     if (steps <= 0.0).any():
         raise ValueError("step must be positive")
     if k == 0:
         return []
     lg = _start_loss_gradients(batch, x, loss_grad)
     g = batch.gradients(x, np.arange(k), lg)
-    gnorm = _norms(g)
+    gnorm = rownorm(g)
     norms = np.empty((k, tau + 1))
     norms[:, 0] = gnorm
     performed = np.zeros(k, dtype=int)
@@ -476,7 +461,7 @@ def solve_gd_batch(
         x[moving] = x[moving] - steps[moving, None] * g[moving]
         lg[moving] = batch.loss_gradients(x[moving], moving)
         g[moving] = batch.gradients(x[moving], moving, lg[moving])
-        gnorm[moving] = _norms(g[moving])
+        gnorm[moving] = rownorm(g[moving])
         performed[moving] += 1
         norms[moving, performed[moving]] = gnorm[moving]
     return _reports(x, performed, norms, lg)
@@ -484,11 +469,11 @@ def solve_gd_batch(
 
 def solve_exact_batch(batch: SubproblemBatch) -> list[SolverReport]:
     """Closed-form minimizer (Q + mu_z k I)^-1 (Q a - phi + mu_z sum anchors)
-    of every row of ``batch``, one row at a time.  Only valid for quadratic
-    losses; the oracle for the iterative solvers and the engine's "exact"
-    solver mode."""
+    of every row of ``batch``, one row at a time, then every row's loss
+    gradient in one stacked call.  Only valid for quadratic losses; the
+    oracle for the iterative solvers and the engine's "exact" solver mode."""
     k = len(batch.phi)
-    x, lg = np.empty_like(batch.phi), np.empty_like(batch.phi)
+    x = np.empty_like(batch.phi)
     for n in range(k):
         loss = batch.loss(n)
         if not isinstance(loss, QuadraticLoss):
@@ -499,8 +484,9 @@ def solve_exact_batch(batch: SubproblemBatch) -> list[SolverReport]:
             x[n] = (rhs + loss.q * loss.a) / (loss.q + shift)
         else:
             x[n] = np.linalg.solve(loss.q + shift * np.eye(loss.dim), rhs + loss.q @ loss.a)
-        lg[n] = loss.gradient(x[n])
-    norms = _norms(batch.gradients(x, np.arange(k), lg))[:, None]
+    everyone = np.arange(k)
+    lg = batch.loss_gradients(x, everyone)
+    norms = rownorm(batch.gradients(x, everyone, lg))[:, None]
     return _reports(x, np.zeros(k, dtype=int), norms, lg)
 
 

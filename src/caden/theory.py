@@ -16,7 +16,7 @@ structured report, never NaN constants and never silent clamping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import ParameterSelectionError
 from .graphs import SpectralSummary
@@ -57,10 +57,7 @@ class TheoryReport:
     def as_dict(self) -> dict:
         out = {"conditions_met": dict(self.conditions_met), "violations": list(self.violations)}
         if self.constants is not None:
-            out["constants"] = {k: getattr(self.constants, k) for k in (
-                "chat1", "chat2", "chat3", "chat4",
-                "c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8",
-            )}
+            out["constants"] = asdict(self.constants)
         return out
 
 

@@ -3,9 +3,10 @@ the incident edges of an agent, dense constraint matrices, random curvature
 factories, the midpoint form of the residual V, the edge-form augmented
 Lagrangian, the initial augmented-gradient error, the gradient-tracking
 identity gap, the corollary scaling sweep, the one-agent quadratic, logistic
-and MLP losses, the one-subproblem exact solve, and the lone L-BFGS loop with its
-one-row subproblem terms and two-loop recursion, which the stacked kernels
-and the lockstep solver must match bit for bit, and writers for the IDX and
+and MLP losses, the one-agent smoothness probe, the one-subproblem exact
+solve, and the lone L-BFGS loop with its one-row subproblem terms and
+two-loop recursion, which the stacked kernels, the lockstep probe and the
+lockstep solver must match bit for bit, and writers for the IDX and
 edge-list formats the package reads."""
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from caden import theory
 from caden.baselines import GTState
 from caden.datasets import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
 from caden.edge_form import EdgeState
-from caden.errors import ParameterSelectionError
+from caden.errors import LipschitzEstimateError, ParameterSelectionError
 from caden.graphs import SpectralSummary, Topology, constraint_residual, edge_midpoints
-from caden.losses import LocalLoss
+from caden.losses import MIN_PROBE_STEP, LipschitzEstimate, LocalLoss
 from caden.solvers import (
     ARMIJO_C1,
     ARMIJO_SHRINK,
@@ -349,6 +350,40 @@ class ReferenceMlpLoss(LocalLoss):
     def predict(self, x: np.ndarray, features: np.ndarray) -> np.ndarray:
         _, logits = self._forward(self._check(x), np.asarray(features, dtype=float))
         return logits.argmax(axis=1)
+
+
+def reference_estimate_lipschitz(
+    loss: LocalLoss,
+    x0: np.ndarray,
+    warm_epochs: int = 20,
+    warm_lr: float = 0.1,
+    probe_epochs: int = 10,
+    probe_lr: float = 1e-7,
+) -> LipschitzEstimate:
+    """The one-agent smoothness probe that ``losses.estimate_lipschitz``
+    runs for every agent in lockstep: its (d,) ``x_init`` and ``l_hat`` are
+    one row and one agent's share of the stacked estimate, bit for bit."""
+    if warm_lr <= 0 or probe_lr <= 0:
+        raise ValueError("learning rates must be positive")
+    x = np.asarray(x0, dtype=float).copy()
+    for _ in range(warm_epochs):
+        x = x - warm_lr * loss.gradient(x)
+    l_hat = 0.0
+    used = 0
+    grad = loss.gradient(x)
+    for _ in range(probe_epochs):
+        x_next = x - probe_lr * grad
+        grad_next = loss.gradient(x_next)
+        step = float(np.linalg.norm(x_next - x))
+        if step >= MIN_PROBE_STEP:
+            l_hat = max(l_hat, float(np.linalg.norm(grad_next - grad)) / step)
+            used += 1
+        x, grad = x_next, grad_next
+    if used == 0:
+        raise LipschitzEstimateError(
+            "all probe steps were below the minimum length; decrease warm_epochs or raise probe_lr"
+        )
+    return LipschitzEstimate(l_hat=l_hat, x_init=x)
 
 
 def _anchor_terms(problem: LocalSubproblem) -> tuple[np.ndarray, np.ndarray, float]:

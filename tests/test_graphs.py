@@ -81,6 +81,21 @@ class TestIncidentSums:
             assert edge[agent == i].tolist() == [k for k, _, _ in incident(t, i)]
 
 
+def _loop_random_graph_edges(m, edge_prob, seed, attempt):
+    """The candidate edges of ``build_random_graph``'s sample ``attempt``,
+    drawn by a nested loop over the pairs."""
+    rng = np.random.default_rng([graphs._GRAPH_STREAM, seed, attempt])
+    mask = rng.random(m * (m - 1) // 2) < edge_prob
+    edges = []
+    k = 0
+    for i in range(m):
+        for j in range(i + 1, m):
+            if mask[k]:
+                edges.append((i, j))
+            k += 1
+    return tuple(edges)
+
+
 class TestRandomGraph:
     def test_paper_scale_sample_is_connected(self):
         t = graphs.build_random_graph(20, 0.2, seed=0)
@@ -110,6 +125,11 @@ class TestRandomGraph:
         a = graphs.build_random_graph(15, 0.25, seed=9)
         b = graphs.build_random_graph(15, 0.25, seed=9)
         assert a.edges == b.edges
+        # The same edges in the same order as a loop over pairs i < j, the
+        # later cases after rejected samples.
+        for m, p, seed in ((5, 0.5, 0), (20, 0.2, 3), (24, 0.09, 3), (50, 0.1, 7), (200, 0.03, 1)):
+            t = graphs.build_random_graph(m, p, seed)
+            assert t.edges == _loop_random_graph_edges(m, p, seed, t.resamples)
 
 
 class TestSpectrum:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caden import cli, engine, harness
+from caden import cli, engine, harness, metrics
 from caden.config import ExperimentConfig, serialize_config
 from caden.errors import CadenError, ConfigError, DivergenceError
 from caden.harness import (
@@ -21,6 +21,7 @@ from caden.harness import (
     run_experiment,
     sweep,
 )
+from caden.losses import LogisticLoss, MlpLoss, QuadraticLoss
 from caden.solvers import LocalSubproblem, estimate_contraction, solve_gd
 
 from helpers import neighbors, write_edge_list, write_idx_images, write_idx_labels
@@ -622,6 +623,47 @@ class TestGtRuns:
         cells = body.split(",")
         assert cells[CSV_COLUMNS.index("V_t")] == ""
         assert cells[CSV_COLUMNS.index("phi_drift")] == ""
+
+
+class TestOneEvaluationPath:
+    def test_no_one_row_loss_call_outside_the_stack(self, monkeypatch):
+        # LossStack evaluates every built-in family through its kernels, so
+        # the warm-start probe, the starting gradients, a round of each
+        # solver and the test accuracy never call one agent's loss method.
+        def refuse(self, *args):
+            raise AssertionError(f"{type(self).__name__} was evaluated one row at a time")
+
+        for cls in (LogisticLoss, MlpLoss):
+            for name in ("value", "gradient", "predict"):
+                monkeypatch.setattr(cls, name, refuse)
+        monkeypatch.setattr(QuadraticLoss, "gradient", refuse)
+        for kind in ("logistic", "mlp"):
+            cfg = ExperimentConfig(
+                seed=3, topology_kind="ring", topology_m=5, loss_kind=kind, loss_features=4,
+                loss_hidden=6, loss_samples_per_agent=20, loss_eval_samples=30, loss_l2=1e-3,
+                init_strategy="warmstart",
+            )
+            topology = build_topology(cfg)
+            losses, eval_set = build_losses(cfg, topology)
+            init = initialize(cfg, losses, topology)
+            x, phi, grad = engine.init_states(losses, topology, init.x0)
+            for solver in ("lbfgs", "gd"):
+                config = engine.CadenConfig(
+                    mu_z=2.0 * init.lipschitz + 1.0, mu_y=1.0, solver=solver,
+                    lipschitz=init.lipschitz,
+                )
+                engine.run_round(x, phi, grad, losses, topology, config, 0)
+            assert 0.0 <= metrics.test_accuracy(x, losses, *eval_set) <= 1.0
+        cfg = ExperimentConfig(
+            seed=3, topology_kind="complete", topology_m=4, loss_kind="quadratic",
+            quadratic_style="random", loss_dimension=3,
+        )
+        topology = build_topology(cfg)
+        losses, _ = build_losses(cfg, topology)
+        x, phi, grad = engine.init_states(losses, topology, initialize(cfg, losses, topology).x0)
+        for solver in ("lbfgs", "gd", "exact"):
+            config = engine.CadenConfig(mu_z=3.0, mu_y=1.0, solver=solver)
+            engine.run_round(x, phi, grad, losses, topology, config, 0)
 
 
 class TestParticipationSweep:

@@ -16,6 +16,7 @@ from helpers import (
     ReferenceQuadraticLoss,
     central_difference,
     random_psd,
+    reference_estimate_lipschitz,
 )
 
 
@@ -98,7 +99,7 @@ class TestLipschitzEstimate:
     def test_identity_quadratic_is_exactly_one(self):
         # a = 0 makes the gradient difference bitwise equal to the step.
         loss = losses.QuadraticLoss(q=np.ones(3), a=np.zeros(3))
-        est = losses.estimate_lipschitz(loss, np.array([1.0, -2.0, 0.5]))
+        est = losses.estimate_lipschitz([loss], np.array([1.0, -2.0, 0.5]))
         assert est.l_hat == 1.0
 
     def test_ill_conditioned_quadratic_approaches_top_eigenvalue(self):
@@ -107,7 +108,7 @@ class TestLipschitzEstimate:
         # lam_max from below.
         loss = losses.QuadraticLoss(q=np.array([1.0, 10.0]), a=np.zeros(2))
         est = losses.estimate_lipschitz(
-            loss, np.array([1.0, 1.0]), warm_epochs=20, warm_lr=0.19,
+            [loss], np.array([1.0, 1.0]), warm_epochs=20, warm_lr=0.19,
             probe_epochs=10, probe_lr=1e-7,
         )
         assert 9.99 <= est.l_hat <= 10.0
@@ -118,22 +119,57 @@ class TestLipschitzEstimate:
             q = random_psd(5, 40.0, rng)
             loss = losses.QuadraticLoss(q=q, a=rng.standard_normal(5))
             est = losses.estimate_lipschitz(
-                loss, rng.standard_normal(5), warm_epochs=15, warm_lr=0.04
+                [loss], rng.standard_normal(5), warm_epochs=15, warm_lr=0.04
             )
             assert est.l_hat <= np.linalg.eigvalsh(q)[-1] + 1e-9
 
     def test_mlp_smoke(self):
         x_data, y_data = gaussian_blobs(40, 6, 3, seed=9)
         loss = losses.MlpLoss(x_data, y_data, hidden=8, classes=3)
-        est = losses.estimate_lipschitz(loss, loss.init_params(0))
+        est = losses.estimate_lipschitz([loss], loss.init_params(0))
         assert np.isfinite(est.l_hat) and est.l_hat > 0.0
-        assert est.x_init.shape == (loss.dim,)
+        assert est.x_init.shape == (1, loss.dim)
 
     def test_all_pairs_skipped_is_an_error(self):
         # Start at the exact minimizer: every probe step has zero length.
         loss = losses.QuadraticLoss(q=np.ones(2), a=np.zeros(2))
         with pytest.raises(LipschitzEstimateError):
-            losses.estimate_lipschitz(loss, np.zeros(2), warm_epochs=0)
+            losses.estimate_lipschitz([loss], np.zeros(2), warm_epochs=0)
+
+    @pytest.mark.parametrize("family", ["logistic", "mlp"])
+    def test_lockstep_probe_equals_the_one_agent_probe_bit_for_bit(self, family):
+        # Uneven last shard: the stack evaluates two groups per epoch.
+        rng = np.random.default_rng(11)
+        built, reference = [], []
+        for rows in (30, 30, 30, 17):
+            x_data, y_data = gaussian_blobs(rows, 4, 3, seed=int(rng.integers(1000)))
+            if family == "logistic":
+                built.append(losses.LogisticLoss(x_data, y_data, classes=3, l2=1e-3))
+                reference.append(ReferenceLogisticLoss(x_data, y_data, classes=3, l2=1e-3))
+            else:
+                built.append(losses.MlpLoss(x_data, y_data, hidden=5, classes=3, l2=1e-3))
+                reference.append(ReferenceMlpLoss(x_data, y_data, hidden=5, classes=3, l2=1e-3))
+        stack = losses.LossStack(built)
+        assert len(stack._groups) == 2
+        x0 = 0.5 * rng.standard_normal(stack.dim)
+        est = losses.estimate_lipschitz(stack, x0, warm_epochs=7, warm_lr=0.05)
+        lone = [reference_estimate_lipschitz(ref, x0, warm_epochs=7, warm_lr=0.05)
+                for ref in reference]
+        assert est.x_init.shape == (4, stack.dim)
+        for row, one in zip(est.x_init, lone):
+            assert np.array_equal(row, one.x_init)
+        assert est.l_hat == max(one.l_hat for one in lone) > 0.0
+
+    def test_an_agent_at_its_minimizer_is_named(self):
+        # Agent 1 starts at its own minimizer, so its probe steps have zero
+        # length; the others probe normally.
+        targets = np.array([[1.0, 2.0], [-1.0, 0.5], [3.0, -2.0]])
+        stack = losses.LossStack(
+            [losses.QuadraticLoss(q=np.array([1.0, 4.0]), a=a) for a in targets]
+        )
+        x0 = np.array([[0.0, 0.0], targets[1], [0.0, 0.0]])
+        with pytest.raises(LipschitzEstimateError, match=r"^agent 1: .*raise probe_lr"):
+            losses.estimate_lipschitz(stack, x0, warm_epochs=0)
 
 
 @st.composite
@@ -173,14 +209,6 @@ def _stacked_agents(draw):
     return [built[i] for i in order], [reference[i] for i in order], rng
 
 
-def _logits(loss, x, features):
-    """Logits of the (k, d) parameter rows on shared features, through the
-    broadcast kernel that ``predict`` runs one row at a time."""
-    if isinstance(loss, losses.MlpLoss):
-        return loss._forward(loss._unpack(x), features)[1]
-    return features @ loss._weights(x)
-
-
 class TestLossStack:
     @settings(max_examples=150, deadline=None)
     @given(_stacked_agents(), st.data())
@@ -192,13 +220,14 @@ class TestLossStack:
         x = rng.standard_normal((len(rows), d)) * rng.uniform(0.1, 3.0)
         values = stack.values(x, rows)
         gradients = stack.gradients(x, rows)
-        classifier = next(loss for loss in built if hasattr(loss, "predict"))
-        features = rng.standard_normal((7, classifier.n_features))
-        data_rows = np.array(
-            [n for n, agent in enumerate(rows) if hasattr(built[agent], "predict")]
-        )
-        if data_rows.size:
-            stacked_logits = _logits(classifier, x[data_rows], features)
+        classifiers = [i for i, loss in enumerate(built) if hasattr(loss, "predict")]
+        features = rng.standard_normal((7, built[classifiers[0]].n_features))
+        # Every classifier agent's labels from one call of a stack of them.
+        x_agents = rng.standard_normal((len(classifiers), d)) * rng.uniform(0.1, 3.0)
+        labels = losses.LossStack([built[i] for i in classifiers]).predictions(x_agents, features)
+        assert labels.shape == (len(classifiers), 7)
+        for row, agent in enumerate(classifiers):
+            assert np.array_equal(labels[row], reference[agent].predict(x_agents[row], features))
         for n, agent in enumerate(rows):
             ref = reference[agent]
             assert values[n] == ref.value(x[n])
@@ -208,14 +237,13 @@ class TestLossStack:
             if hasattr(ref, "predict"):
                 want = ref.predict(x[n], features)
                 assert np.array_equal(built[agent].predict(x[n], features), want)
-                stacked = stacked_logits[list(data_rows).index(n)].argmax(axis=-1)
-                assert np.array_equal(stacked, want)
 
     @pytest.mark.parametrize("family", ["logistic", "mlp", "quadratic"])
     def test_members_read_views_of_the_stacked_shards(self, family):
         # The data is held once: each grouped loss's shard is a view of its
         # group's arrays; an uneven last shard, or a diagonal last quadratic
-        # among full ones, forms its own group.
+        # among full ones, forms its own group, which views the loss's own
+        # arrays.
         rng = np.random.default_rng(0)
         if family == "quadratic":
             data = [(random_psd(3, 10.0, rng), rng.standard_normal(3)) for _ in range(3)]
@@ -240,6 +268,8 @@ class TestLossStack:
             for shard in grouped:
                 assert np.shares_memory(getattr(shard, name), stacked)
             assert not np.shares_memory(getattr(last, name), stacked)
+        for name, array in zip(fields, data[-1]):
+            assert np.shares_memory(getattr(last, name), array)
         for loss, arrays, value in zip(built, data, before):
             for name, array in zip(fields, arrays):
                 assert np.array_equal(getattr(loss.shard, name), array)

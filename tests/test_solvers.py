@@ -539,8 +539,9 @@ class TestLockstep:
         x_start = rng.standard_normal((3, 4))
         batch = SubproblemBatch.of(problems)
         reports = solve_gd_batch(batch, x_start, tau=6)
-        for n, (problem, x0, got) in enumerate(zip(problems, x_start, reports)):
-            step = solvers.default_gd_step(batch, n)
+        steps = solvers.default_gd_step(batch)
+        for step, problem, x0, got in zip(steps, problems, x_start, reports):
+            assert step == 1.0 / (problem.loss.smoothness() + problem.mu_z * problem.degree)
             x = x0.copy()
             for _ in range(6):
                 x = x - step * problem.gradient(x)

@@ -66,9 +66,9 @@ def edge_x_step(
         raise ValueError("the edge form runs full participation only")
     phi = dual_aggregates(state, topology)
     tau = config.tau_schedule.tau(round_index)
-    agents = range(topology.m)
-    reports = solve_subproblems(agents, state.x, None, phi, state.z, losses, topology, config, tau)
-    return np.array([report.x_out for report in reports])
+    agents = np.arange(topology.m)
+    report = solve_subproblems(agents, state.x, None, phi, state.z, losses, topology, config, tau)
+    return report.x_out
 
 
 def edge_z_step(state: EdgeState, topology: Topology, mu_z: float) -> np.ndarray:

@@ -12,17 +12,19 @@ the agent's current row of ``x``, and no per-neighbor copy is kept.
 
 ``grad`` is carried, not recomputed: ``init_states`` fills it with one
 stacked evaluation, each solve starts from its agents' rows and reports the
-loss gradient of its own last evaluation, which is at the model it returns,
-and ``run_round`` writes those rows.  Inactive rows stay valid because their
-models did not move.  The residual V_t (``metrics.lyapunov_v``) reads it.
+(k, d) loss gradients of its own last evaluation, which are at the models
+it returns, and ``run_round`` writes those rows.  Inactive rows stay valid
+because their models did not move.  The residual V_t
+(``metrics.lyapunov_v``) reads it.
 
 The agent form is the edge form (``caden.edge_form``) with every consensus
 variable z_ij held at the edge midpoint (x_i + x_j) / 2, which is why one
 broadcast per round suffices.  ``subproblems`` builds the round-t
 subproblems of both forms from a dual per agent and a z per edge, and
 ``solve_subproblems`` solves them in one lockstep L-BFGS or
-gradient-descent solve over the run's ``LossStack``.  The anchors and the
-dual step follow the incident-edge order of ``graphs.edge_ends``.
+gradient-descent solve over the run's ``LossStack``, reported as (k, ...)
+arrays.  The anchors and the dual step follow the incident-edge order of
+``graphs.edge_ends``.
 """
 
 from __future__ import annotations
@@ -166,17 +168,16 @@ def solve_subproblems(
     topology: Topology,
     config: CadenConfig,
     tau: int,
-) -> list[SolverReport]:
+) -> SolverReport:
     """tau iterations of ``config.solver`` on the ``subproblems`` of
-    ``agents``, warm-started at their rows of ``x``; one report per agent.
-    ``grad`` holds the loss gradients at ``x``, or is None to have the
-    solver evaluate them.
+    ``agents``, warm-started at their rows of ``x``; one report whose row n
+    is agent ``agents[n]``'s.  ``grad`` holds the loss gradients at ``x``,
+    or is None to have the solver evaluate them.
 
     L-BFGS and gradient descent run the agents in lockstep, the exact solve
-    one by one.  Each report equals that of a lone solve, so it does not
-    depend on which other agents are solved with it.
+    one by one.  Each row of the report equals a lone solve's, so it does
+    not depend on which other agents are solved with it.
     """
-    agents = list(agents)
     batch = subproblems(agents, phi, z, losses, topology, config.mu_z)
     x_start = x[agents]
     start_grad = None if grad is None else grad[agents]
@@ -200,17 +201,17 @@ def primal_update(
     """One agent's round-t primal step, as ``run_round`` takes it."""
     z = edge_midpoints(topology, x)
     tau = config.tau_schedule.tau(round_index)
-    return solve_subproblems([agent], x, None, phi, z, losses, topology, config, tau)[0].x_out
+    return solve_subproblems([agent], x, None, phi, z, losses, topology, config, tau).x_out[0]
 
 
-def broadcast(x: np.ndarray, agents: list[int], models: list[np.ndarray]) -> int:
-    """Publish the new ``models`` of ``agents`` by writing their rows of
-    ``x``, which is what every neighbor reads.
+def broadcast(x: np.ndarray, agents: np.ndarray, models: np.ndarray) -> int:
+    """Publish the (k, d) new ``models`` of the k ``agents`` by writing their
+    rows of ``x``, which is what every neighbor reads.
 
     Returns the communication units consumed: one per broadcast of a single
     model vector, regardless of neighbor count.
     """
-    if agents:
+    if len(agents):
         x[agents] = models
     return len(agents)
 
@@ -238,14 +239,13 @@ def run_round(
     loss gradients ``grad``, all updated in place: participation, primal
     solves, broadcast, dual."""
     flags = sample_participation(config, round_index, topology.m)
-    active = np.flatnonzero(flags).tolist()
+    active = np.flatnonzero(flags)
     z = edge_midpoints(topology, x)
     tau = config.tau_schedule.tau(round_index)
-    reports = solve_subproblems(active, x, grad, phi, z, losses, topology, config, tau)
-    broadcasts = broadcast(x, active, [report.x_out for report in reports])
-    if active:
-        grad[active] = [report.loss_grad_out for report in reports]
-        phi[active] = dual_update(active, x, phi, topology, config)
+    report = solve_subproblems(active, x, grad, phi, z, losses, topology, config, tau)
+    broadcasts = broadcast(x, active, report.x_out)
+    grad[active] = report.loss_grad_out
+    phi[active] = dual_update(active, x, phi, topology, config)
     return RoundSummary(active=flags, broadcasts=broadcasts)
 
 

@@ -293,12 +293,11 @@ def _probe_contraction(cfg, run_cfg, losses, topology, init) -> float:
     run's own local solver, on the first round's subproblems."""
     x0 = init.x0
     z = graphs.edge_midpoints(topology, x0)
-    agents = range(topology.m)
-    reports = engine.solve_subproblems(
-        agents, x0, None, np.zeros_like(x0), z, losses, topology, run_cfg,
+    report = engine.solve_subproblems(
+        np.arange(topology.m), x0, None, np.zeros_like(x0), z, losses, topology, run_cfg,
         cfg.contraction_probe_iters,
     )
-    return max(0.0, *(estimate_contraction(report) for report in reports))
+    return float(estimate_contraction(report).max(initial=0.0))
 
 
 def resolve_parameters(
@@ -370,7 +369,8 @@ def resolve_parameters(
 
 def _check_ranges(cfg: ExperimentConfig) -> None:
     """Raise ConfigError naming the first key whose value is out of range;
-    the CADEN keys are checked for CADEN runs only, the gt keys for gt runs."""
+    the CADEN keys are checked for CADEN runs only, the gt keys for gt runs.
+    No real-valued key may be infinite or NaN (``init.scale`` excepted)."""
     checks = [
         ("rounds", cfg.rounds >= 0, "at least 0"),
         ("metrics_cadence", cfg.metrics_cadence >= 1, "at least 1"),
@@ -383,27 +383,34 @@ def _check_ranges(cfg: ExperimentConfig) -> None:
     if cfg.loss_kind == "quadratic" and not cfg.quadratic_targets.strip():
         checks.append(("loss_dimension", cfg.loss_dimension >= 1, "at least 1"))
     if cfg.loss_kind == "quadratic" and cfg.quadratic_style == "random":
-        checks.append(("quadratic_cond", cfg.quadratic_cond >= 1.0, "at least 1"))
+        checks.append(
+            ("quadratic_cond", 1.0 <= cfg.quadratic_cond < math.inf, "at least 1 and finite")
+        )
     if cfg.loss_kind in ("logistic", "mlp"):
         if cfg.loss_data == "blobs":
             checks += [
                 ("loss_samples_per_agent", cfg.loss_samples_per_agent >= 1, "at least 1"),
                 ("loss_features", cfg.loss_features >= 1, "at least 1"),
                 ("loss_classes", cfg.loss_classes >= 1, "at least 1"),
+                ("loss_feature_scale_max", 0.0 < cfg.loss_feature_scale_max < math.inf,
+                 "positive and finite"),
             ]
-        checks.append(("loss_eval_samples", cfg.loss_eval_samples >= 1, "at least 1"))
+        checks += [
+            ("loss_eval_samples", cfg.loss_eval_samples >= 1, "at least 1"),
+            ("loss_l2", 0.0 <= cfg.loss_l2 < math.inf, "at least 0 and finite"),
+        ]
     if cfg.loss_kind == "mlp":
         checks.append(("loss_hidden", cfg.loss_hidden >= 1, "at least 1"))
     if cfg.init_strategy == "warmstart":
         checks += [
-            ("lipschitz_warm_lr", cfg.lipschitz_warm_lr > 0.0, "positive"),
-            ("lipschitz_probe_lr", cfg.lipschitz_probe_lr > 0.0, "positive"),
+            ("lipschitz_warm_lr", _positive(cfg.lipschitz_warm_lr), "positive and finite"),
+            ("lipschitz_probe_lr", _positive(cfg.lipschitz_probe_lr), "positive and finite"),
             ("lipschitz_warm_epochs", cfg.lipschitz_warm_epochs >= 0, "at least 0"),
             ("lipschitz_probe_epochs", cfg.lipschitz_probe_epochs >= 1, "at least 1"),
         ]
     if cfg.algorithm == "gt":
         checks += [
-            ("gt_step", cfg.gt_step is None or cfg.gt_step > 0.0, "positive"),
+            ("gt_step", _positive(cfg.gt_step), "positive and finite"),
             ("gt_tune_rounds", cfg.gt_tune_rounds >= 1, "at least 1"),
         ]
     else:
@@ -411,9 +418,9 @@ def _check_ranges(cfg: ExperimentConfig) -> None:
             ("caden_tau", cfg.caden_tau >= 1, "at least 1"),
             ("caden_tau_reduced", cfg.caden_tau_reduced >= 1, "at least 1"),
             ("caden_participation", 0.0 < cfg.caden_participation <= 1.0, "in (0, 1]"),
-            ("caden_mu_z", cfg.caden_mu_z is None or cfg.caden_mu_z > 0.0, "positive"),
-            ("caden_mu_y", cfg.caden_mu_y is None or cfg.caden_mu_y > 0.0, "positive"),
-            ("caden_gd_step", cfg.caden_gd_step is None or cfg.caden_gd_step > 0.0, "positive"),
+            ("caden_mu_z", _positive(cfg.caden_mu_z), "positive and finite"),
+            ("caden_mu_y", _positive(cfg.caden_mu_y), "positive and finite"),
+            ("caden_gd_step", _positive(cfg.caden_gd_step), "positive and finite"),
             ("caden_lbfgs_memory", cfg.caden_lbfgs_memory >= 1, "at least 1"),
         ]
         if cfg.mode == "theory":
@@ -424,6 +431,11 @@ def _check_ranges(cfg: ExperimentConfig) -> None:
         if not ok:
             key = attr.replace("_", ".", 1)
             raise ConfigError(f"{key} must be {requirement}, got {getattr(cfg, attr)!r}")
+
+
+def _positive(value: float | None) -> bool:
+    """Whether an optional key is unset (auto) or a positive finite number."""
+    return value is None or 0.0 < value < math.inf
 
 
 def _thresholds_ok(cfg: ExperimentConfig) -> bool:

@@ -19,11 +19,11 @@ anchor spread, not as its anchor matrix.  Each agent's arithmetic is that
 of a lone solve, bit for bit, so ``solve_lbfgs``/``solve_gd`` on one
 subproblem are the one-agent case of the same body.
 
-Every solver reports the loss gradient at its ``x_out`` from its own last
-evaluation (``SolverReport.loss_grad_out``) and takes the loss gradients at
-its start points when the caller has them; the engine carries them from
-round to round this way.  ``engine.solve_subproblems`` is the one place that
-picks among the solvers.
+Each solve returns one ``SolverReport`` of row-stacked arrays: the (k, d)
+models and loss gradients it ends at, (k,) counts and (k, tau + 1)
+histories.  Every solver takes the loss gradients at its start points when
+the caller has them; the engine carries them from round to round this way.
+``engine.solve_subproblems`` is the one place that picks among the solvers.
 """
 
 from __future__ import annotations
@@ -58,29 +58,32 @@ class LocalSubproblem:
             smoothness the subproblem is strongly convex with a unique
             minimizer.
 
-    ``value`` and ``gradient`` are the one-row case of ``SubproblemBatch``.
+    ``value``, ``gradient`` and the lone solves evaluate through ``batch``,
+    its one-row ``SubproblemBatch`` built at construction.
     """
 
     loss: LocalLoss
     phi: np.ndarray
     anchors: np.ndarray
     mu_z: float
+    batch: SubproblemBatch = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.phi = np.asarray(self.phi, dtype=float)
         self.anchors = np.asarray(self.anchors, dtype=float).reshape(-1, self.loss.dim)
         if self.phi.shape != (self.loss.dim,):
             raise ValueError(f"phi shape {self.phi.shape} != ({self.loss.dim},)")
+        self.batch = SubproblemBatch.of([self])
 
     @property
     def degree(self) -> int:
         return self.anchors.shape[0]
 
     def value(self, x: np.ndarray) -> float:
-        return float(SubproblemBatch.of([self]).values(np.atleast_2d(x), [0])[0])
+        return float(self.batch.values(np.atleast_2d(x), [0])[0])
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return SubproblemBatch.of([self]).gradients(np.atleast_2d(x), [0])[0]
+        return self.batch.gradients(np.atleast_2d(x), [0])[0]
 
 
 class SubproblemBatch:
@@ -151,21 +154,30 @@ class SubproblemBatch:
         return loss_gradients + self.phi[which] + self.mu_z[which, None] * pull
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverReport:
-    """Outcome of one inexact local solve."""
+    """Outcome of one solve of k subproblems, row n for row n of its batch.
+    Column c of a (k, tau + 1) history holds a row's entry after c
+    iterations, NaN past its ``iterations``.  Gradient descent and the exact
+    solve record no values and count no line-search failures or backtracks."""
 
-    x_out: np.ndarray
-    iterations: int
-    grad_norm_in: float
-    grad_norm_out: float
-    grad_norms: list[float] = field(default_factory=list, repr=False)
-    values: list[float] = field(default_factory=list, repr=False)
-    line_search_failures: int = 0
-    # Rejected Armijo trials; a failed search counts all MAX_BACKTRACKS.
-    backtracks: int = 0
-    # The loss gradient at x_out, from the solve's own last evaluation.
-    loss_grad_out: np.ndarray | None = field(default=None, repr=False)
+    x_out: np.ndarray  # (k, d)
+    # (k, d) loss gradients at x_out, from the solve's own last evaluation.
+    loss_grad_out: np.ndarray = field(repr=False)
+    iterations: np.ndarray  # (k,)
+    grad_norms: np.ndarray = field(repr=False)  # (k, tau + 1)
+    values: np.ndarray | None = field(repr=False)  # (k, tau + 1), L-BFGS only
+    line_search_failures: np.ndarray  # (k,)
+    # (k,) rejected Armijo trials; a failed search counts all MAX_BACKTRACKS.
+    backtracks: np.ndarray
+
+    @property
+    def grad_norm_in(self) -> np.ndarray:
+        return self.grad_norms[:, 0]
+
+    @property
+    def grad_norm_out(self) -> np.ndarray:
+        return self.grad_norms[np.arange(len(self.iterations)), self.iterations]
 
 
 def _geometric_rate(grad_norms: Sequence[float]) -> float:
@@ -246,8 +258,8 @@ def solve_lbfgs(
     memory: int = DEFAULT_MEMORY,
 ) -> SolverReport:
     """tau iterations of L-BFGS on one subproblem, warm-started: the
-    one-agent case of ``solve_lbfgs_batch``."""
-    return solve_lbfgs_batch(SubproblemBatch.of([problem]), np.atleast_2d(x_start), tau, memory)[0]
+    one-agent case of ``solve_lbfgs_batch``, with its one-row report."""
+    return solve_lbfgs_batch(problem.batch, np.atleast_2d(x_start), tau, memory)
 
 
 def solve_lbfgs_batch(
@@ -256,11 +268,11 @@ def solve_lbfgs_batch(
     tau: int,
     memory: int = DEFAULT_MEMORY,
     loss_grad: np.ndarray | None = None,
-) -> list[SolverReport]:
+) -> SolverReport:
     """tau iterations of L-BFGS on every subproblem of ``batch`` in
-    lockstep, warm-started at the rows of ``x_start``; one report per row.
-    ``loss_grad`` holds the loss gradients at ``x_start`` when the caller
-    has them; they are evaluated otherwise.
+    lockstep, warm-started at the rows of ``x_start``; one report for all
+    rows.  ``loss_grad`` holds the loss gradients at ``x_start`` when the
+    caller has them; they are evaluated otherwise.
 
     Two-loop recursion with Liu-Nocedal initial scaling and Armijo
     backtracking (c1=1e-4, halving, 30 backtracks max).  A failed line search
@@ -275,14 +287,12 @@ def solve_lbfgs_batch(
     for the agents still searching, one stacked gradient call for the
     agents that accepted.  The slope, norm and curvature dot products go
     through ``rowdot``.  Each row's arithmetic is that of a lone solve, so
-    each report equals it bit for bit.
+    each row of the report equals the lone solve's bit for bit.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     x = np.array(x_start, dtype=float)
     k, d = x.shape
-    if k == 0:
-        return []
     everyone = np.arange(k)
     lg = _start_loss_gradients(batch, x, loss_grad)
     g = batch.gradients(x, everyone, lg)
@@ -290,8 +300,7 @@ def solve_lbfgs_batch(
     gnorm = rownorm(g)
     # Column c of an agent's row holds its gradient norm and value after c
     # iterations.
-    norms = np.empty((k, tau + 1))
-    vals = np.empty((k, tau + 1))
+    norms, vals = np.full((2, k, tau + 1), np.nan)
     norms[:, 0] = gnorm
     vals[:, 0] = f
     # Only accepted steps store pairs, so at most tau slots are ever used.
@@ -301,9 +310,7 @@ def solve_lbfgs_batch(
     rho_buf = np.empty((k, slots))
     count = np.zeros(k, dtype=np.intp)
     gamma = np.ones(k)
-    failures = np.zeros(k, dtype=int)
-    performed = np.zeros(k, dtype=int)
-    backtracks = np.zeros(k, dtype=int)
+    failures, performed, backtracks = np.zeros((3, k), dtype=int)
 
     for _ in range(tau):
         moving = np.flatnonzero(gnorm != 0.0)
@@ -379,27 +386,7 @@ def solve_lbfgs_batch(
         norms[moving, performed[moving]] = gnorm[moving]
         vals[moving, performed[moving]] = f[moving]
 
-    return _reports(
-        x, performed, norms, lg, vals, line_search_failures=failures, backtracks=backtracks
-    )
-
-
-def _reports(x, performed, norms, lg, vals=None, **counts) -> list[SolverReport]:
-    """One report per row: the first ``performed + 1`` columns of its rows
-    of the (k, tau + 1) histories, and its entries of the (k,) ``counts``."""
-    return [
-        SolverReport(
-            x_out=x[i],
-            iterations=done,
-            grad_norm_in=float(norms[i, 0]),
-            grad_norm_out=float(norms[i, done]),
-            grad_norms=norms[i, : done + 1].tolist(),
-            values=[] if vals is None else vals[i, : done + 1].tolist(),
-            loss_grad_out=lg[i],
-            **{name: int(c[i]) for name, c in counts.items()},
-        )
-        for i, done in enumerate(performed.tolist())
-    ]
+    return SolverReport(x, lg, performed, norms, vals, failures, backtracks)
 
 
 def default_gd_step(batch: SubproblemBatch, lipschitz: float | None = None) -> np.ndarray:
@@ -422,9 +409,8 @@ def solve_gd(
     lipschitz: float | None = None,
 ) -> SolverReport:
     """tau fixed-step gradient steps on one subproblem, warm-started: the
-    one-agent case of ``solve_gd_batch``."""
-    batch = SubproblemBatch.of([problem])
-    return solve_gd_batch(batch, np.atleast_2d(x_start), tau, step, lipschitz)[0]
+    one-agent case of ``solve_gd_batch``, with its one-row report."""
+    return solve_gd_batch(problem.batch, np.atleast_2d(x_start), tau, step, lipschitz)
 
 
 def solve_gd_batch(
@@ -434,24 +420,22 @@ def solve_gd_batch(
     step: float | None = None,
     lipschitz: float | None = None,
     loss_grad: np.ndarray | None = None,
-) -> list[SolverReport]:
+) -> SolverReport:
     """tau fixed-step gradient steps on every subproblem of ``batch`` in
-    lockstep, warm-started at the rows of ``x_start``, with the same
-    reporting as L-BFGS and one stacked gradient call per step.  Each
-    agent's step defaults to the inverse of its subproblem's smoothness;
-    an agent stops once its gradient is exactly 0.  ``loss_grad`` holds
+    lockstep, warm-started at the rows of ``x_start``, with one report for
+    all rows and one stacked gradient call per step.  Each agent's step
+    defaults to the inverse of its subproblem's smoothness; an agent stops
+    once its gradient is exactly 0.  ``loss_grad`` holds
     the loss gradients at ``x_start`` when the caller has them."""
     x = np.array(x_start, dtype=float)
     k = len(x)
     steps = np.full(k, step, dtype=float) if step is not None else default_gd_step(batch, lipschitz)
     if (steps <= 0.0).any():
         raise ValueError("step must be positive")
-    if k == 0:
-        return []
     lg = _start_loss_gradients(batch, x, loss_grad)
     g = batch.gradients(x, np.arange(k), lg)
     gnorm = rownorm(g)
-    norms = np.empty((k, tau + 1))
+    norms = np.full((k, tau + 1), np.nan)
     norms[:, 0] = gnorm
     performed = np.zeros(k, dtype=int)
     for _ in range(tau):
@@ -464,10 +448,11 @@ def solve_gd_batch(
         gnorm[moving] = rownorm(g[moving])
         performed[moving] += 1
         norms[moving, performed[moving]] = gnorm[moving]
-    return _reports(x, performed, norms, lg)
+    zeros = np.zeros(k, dtype=int)
+    return SolverReport(x, lg, performed, norms, None, zeros, zeros)
 
 
-def solve_exact_batch(batch: SubproblemBatch) -> list[SolverReport]:
+def solve_exact_batch(batch: SubproblemBatch) -> SolverReport:
     """Closed-form minimizer (Q + mu_z k I)^-1 (Q a - phi + mu_z sum anchors)
     of every row of ``batch``, one row at a time, then every row's loss
     gradient in one stacked call.  Only valid for quadratic losses; the
@@ -487,21 +472,22 @@ def solve_exact_batch(batch: SubproblemBatch) -> list[SolverReport]:
     everyone = np.arange(k)
     lg = batch.loss_gradients(x, everyone)
     norms = rownorm(batch.gradients(x, everyone, lg))[:, None]
-    return _reports(x, np.zeros(k, dtype=int), norms, lg)
+    zeros = np.zeros(k, dtype=int)
+    return SolverReport(x, lg, zeros, norms, None, zeros, zeros)
 
 
-def estimate_contraction(report: SolverReport) -> float:
-    """Empirical per-iteration decay factor of the squared gradient norm.
-
-    Returns the geometric mean of the solve's successive squared-gradient-norm
-    ratios, clamped to (0, 1] with a warning when the raw estimate exceeds 1.
-    A zero starting gradient returns 0 (already solved).  Meaningful only on
-    strongly convex subproblems.
+def estimate_contraction(report: SolverReport) -> np.ndarray:
+    """(k,) empirical per-iteration decay factors of each row's squared
+    gradient norm: the geometric mean of the successive squared ratios among
+    its first ``iterations[n] + 1`` norms, 0 from a zero start gradient
+    (already solved).  Rates above 1 are clamped to 1, with one warning
+    naming the largest.  Meaningful only on strongly convex subproblems.
     """
-    if report.grad_norm_in == 0.0:
-        return 0.0
-    rate = _geometric_rate(report.grad_norms) ** 2
-    if rate > 1.0:
-        warnings.warn(f"gradient norms grew during the contraction probe (rate {rate:.3g})")
-        rate = 1.0
-    return rate
+    raw = np.array([
+        _geometric_rate(norms[: done + 1].tolist()) ** 2
+        for norms, done in zip(report.grad_norms, report.iterations.tolist())
+    ])
+    grew = raw[raw > 1.0]
+    if grew.size:
+        warnings.warn(f"gradient norms grew during the contraction probe (rate {grew.max():.3g})")
+    return np.minimum(raw, 1.0)

@@ -33,7 +33,6 @@ from caden.solvers import (
     MAX_BACKTRACKS,
     LocalSubproblem,
     SolverReport,
-    SubproblemBatch,
     solve_exact_batch,
 )
 
@@ -420,8 +419,8 @@ def reference_gradient(problem: LocalSubproblem, x: np.ndarray) -> np.ndarray:
 
 def solve_exact_quadratic(problem: LocalSubproblem) -> SolverReport:
     """The closed-form minimizer of one subproblem: the one-row case of
-    ``solvers.solve_exact_batch``."""
-    return solve_exact_batch(SubproblemBatch.of([problem]))[0]
+    ``solvers.solve_exact_batch``, with its one-row report."""
+    return solve_exact_batch(problem.batch)
 
 
 def reference_two_loop(
@@ -448,8 +447,9 @@ def reference_solve_lbfgs(
     tau: int,
     memory: int = DEFAULT_MEMORY,
 ) -> SolverReport:
-    """One agent's L-BFGS solve as a lone loop: the oracle that
-    ``solvers.solve_lbfgs_batch`` must match field for field.
+    """One agent's L-BFGS solve as a lone loop, as a one-row report: the
+    oracle that each row of ``solvers.solve_lbfgs_batch`` must match field
+    for field.  It counts no backtracks.
 
     tau iterations of L-BFGS on the local subproblem, warm-started.
 
@@ -524,14 +524,16 @@ def reference_solve_lbfgs(
         norms.append(gnorm)
         vals.append(f)
 
+    # Unreached columns are NaN, as in the lockstep report.
+    unreached = [float("nan")] * (tau - performed)
     return SolverReport(
-        x_out=x,
-        iterations=performed,
-        grad_norm_in=norms[0],
-        grad_norm_out=gnorm,
-        grad_norms=norms,
-        values=vals,
-        line_search_failures=failures,
+        x_out=x[None],
+        loss_grad_out=problem.loss.gradient(x)[None],
+        iterations=np.array([performed]),
+        grad_norms=np.array([norms + unreached]),
+        values=np.array([vals + unreached]),
+        line_search_failures=np.array([failures]),
+        backtracks=np.zeros(1, dtype=int),
     )
 
 

@@ -175,8 +175,8 @@ def test_criterion_5_curvature_acceleration(nonconvex_runs):
                 loss=loss, phi=np.zeros(d), anchors=np.zeros((0, d)), mu_z=0.0
             )
             x0 = rng.standard_normal(d)
-            r_lbfgs = estimate_contraction(solve_lbfgs(problem, x0, 20))
-            r_gd = estimate_contraction(solve_gd(problem, x0, 20, step=2.0 / 101.0))
+            r_lbfgs = estimate_contraction(solve_lbfgs(problem, x0, 20))[0]
+            r_gd = estimate_contraction(solve_gd(problem, x0, 20, step=2.0 / 101.0))[0]
             assert r_lbfgs <= r_gd
 
 

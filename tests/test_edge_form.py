@@ -296,4 +296,4 @@ def test_x_step_equals_lone_solves_of_explicit_edge_subproblems(
             want = solve_gd(problem, state.x[i], tau, lipschitz=config.lipschitz)
         else:
             want = solve_exact_quadratic(problem)
-        assert np.array_equal(new_x[i], want.x_out)
+        assert np.array_equal(new_x[i], want.x_out[0])

@@ -210,14 +210,20 @@ class TestRunRound:
                     assert np.array_equal(x[i], x_before[i])
                     assert np.array_equal(phi[i], phi_before[i])
 
-    def test_all_inactive_round_changes_nothing(self):
+    @pytest.mark.parametrize("solver", ["lbfgs", "gd", "exact"])
+    def test_all_inactive_round_changes_nothing(self, solver):
+        # Every solver takes an empty solve: no rows in, none written.
         topology, losses, _, x, phi, grad = _k2_setup()
-        config = CadenConfig(mu_z=3.0, mu_y=3.0, participation=1e-9, seed=0)
-        x_before = x.copy()
+        config = CadenConfig(mu_z=3.0, mu_y=3.0, participation=1e-9, seed=0, solver=solver)
+        phi[:] = [[0.5], [-0.5]]
+        x_before, phi_before, grad_before = x.copy(), phi.copy(), grad.copy()
         summary = engine.run_round(x, phi, grad, losses, topology, config, 0)
         assert summary.broadcasts == 0
+        assert not summary.active.any()
         for i in (0, 1):
             assert np.array_equal(x[i], x_before[i])
+        assert np.array_equal(phi, phi_before)
+        assert np.array_equal(grad, grad_before)
 
     def test_full_participation_communication_count(self):
         topology = graphs.build_random_graph(6, 0.5, seed=6)

@@ -370,7 +370,7 @@ class TestRunExperiment:
             report = solve_gd(
                 problem, init.x0[i], cfg.contraction_probe_iters, lipschitz=init.lipschitz
             )
-            rates.append(estimate_contraction(report))
+            rates.append(estimate_contraction(report)[0])
         assert result.summary["theory"]["contraction_rate"] == max(rates)
 
     def test_mu_z_auto_needs_smoothness(self, tmp_path):
@@ -558,6 +558,20 @@ class TestIdxInputs:
         (dict(metrics_thresholds="1e-2,inf"), "metrics.thresholds"),
         (dict(metrics_thresholds="0"), "metrics.thresholds"),
         (dict(algorithm="gt", metrics_thresholds="-1e-3"), "metrics.thresholds"),
+        (dict(loss_kind="logistic", loss_l2=-1.0), "loss.l2"),
+        (dict(loss_kind="logistic", loss_l2=float("nan")), "loss.l2"),
+        (dict(loss_kind="mlp", loss_l2=float("inf")), "loss.l2"),
+        (dict(loss_kind="logistic", loss_feature_scale_max=0.0), "loss.feature_scale_max"),
+        (dict(loss_kind="mlp", loss_feature_scale_max=-2.0), "loss.feature_scale_max"),
+        (dict(loss_kind="logistic", loss_feature_scale_max=float("inf")),
+         "loss.feature_scale_max"),
+        (dict(caden_mu_z=float("inf")), "caden.mu_z"),
+        (dict(caden_mu_y=float("inf")), "caden.mu_y"),
+        (dict(algorithm="caden-gd", caden_gd_step=float("inf")), "caden.gd_step"),
+        (dict(algorithm="gt", gt_step=float("inf")), "gt.step"),
+        (dict(init_strategy="warmstart", lipschitz_warm_lr=float("inf")), "lipschitz.warm_lr"),
+        (dict(init_strategy="warmstart", lipschitz_probe_lr=float("inf")), "lipschitz.probe_lr"),
+        (dict(quadratic_style="random", quadratic_cond=float("inf")), "quadratic.cond"),
     ],
 )
 def test_out_of_range_key_refused_before_any_round(tmp_path, monkeypatch, overrides, key):

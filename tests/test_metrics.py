@@ -114,7 +114,7 @@ class TestAccuracy:
 
         problem = LocalSubproblem(loss=losses[0], phi=np.zeros(losses[0].dim),
                                   anchors=np.zeros((0, losses[0].dim)), mu_z=0.0)
-        params = solve_lbfgs(problem, params, 200).x_out
+        params = solve_lbfgs(problem, params, 200).x_out[0]
         x, _, _ = engine.init_states(losses, topology, np.tile(params, (2, 1)))
         assert metrics.test_accuracy(x, losses, x_eval, y_eval) == 1.0
 

@@ -1,6 +1,8 @@
 """Local subproblem and solver tests against closed-form oracles, and the
 lockstep solves against lone ones."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,12 @@ def _oracle_minimizer(p: LocalSubproblem) -> np.ndarray:
     lhs = q + p.mu_z * p.degree * np.eye(p.loss.dim)
     rhs = q @ p.loss.a - p.phi + p.mu_z * p.anchors.sum(axis=0)
     return np.linalg.solve(lhs, rhs)
+
+
+def _reached(report, name, n=0):
+    """Row n's first ``iterations[n] + 1`` entries of the (k, tau + 1)
+    history ``name`` of ``report``: the ones its solve reached."""
+    return getattr(report, name)[n, : report.iterations[n] + 1]
 
 
 class TestSubproblemTerms:
@@ -113,6 +121,30 @@ class TestSubproblemTerms:
             for value, x, problem in zip(got, points, problems):
                 want = sum(float(np.sum((x - a) ** 2)) for a in problem.anchors)
                 assert abs(value - want) <= 1e-12 * want
+
+
+class TestOneRowBatch:
+    def test_value_gradient_and_lone_solves_reuse_one_batch(self, monkeypatch):
+        # A subproblem builds its one-row batch once, at construction; every
+        # value and gradient call and each lone solve evaluates through it.
+        built = []
+        init = SubproblemBatch.__init__
+
+        def counting(self, *args):
+            built.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(SubproblemBatch, "__init__", counting)
+        p = _subproblem(np.random.default_rng(14))
+        x = np.ones(p.loss.dim)
+        values = [p.value(x) for _ in range(3)]
+        gradients = [p.gradient(x) for _ in range(3)]
+        solve_lbfgs(p, x, tau=2)
+        solve_gd(p, x, tau=2)
+        assert len(built) == 1
+        assert values == [reference_value(p, x)] * 3
+        for g in gradients:
+            assert np.array_equal(g, reference_gradient(p, x))
 
 
 class TestSubproblemGradient:
@@ -270,31 +302,34 @@ class TestLbfgs:
         for _ in range(5):
             p = _subproblem(rng)
             report = solve_lbfgs(p, rng.standard_normal(p.loss.dim), tau=60)
-            assert report.grad_norm_out <= 1e-10 * report.grad_norm_in
-            assert np.allclose(report.x_out, _oracle_minimizer(p), atol=1e-8)
+            assert report.grad_norm_out[0] <= 1e-10 * report.grad_norm_in[0]
+            assert np.allclose(report.x_out[0], _oracle_minimizer(p), atol=1e-8)
 
     def test_start_at_minimizer_stays_put(self):
         rng = np.random.default_rng(3)
         p = _subproblem(rng)
-        x_star = solve_exact_quadratic(p).x_out
+        x_star = solve_exact_quadratic(p).x_out[0]
         report = solve_lbfgs(p, x_star, tau=5)
-        assert np.allclose(report.x_out, x_star, atol=1e-9)
-        assert report.grad_norm_out <= 1e-9
+        assert np.allclose(report.x_out[0], x_star, atol=1e-9)
+        assert report.grad_norm_out[0] <= 1e-9
 
     def test_iteration_budget_respected(self):
         rng = np.random.default_rng(4)
         p = _subproblem(rng)
         report = solve_lbfgs(p, rng.standard_normal(p.loss.dim), tau=3)
-        assert report.iterations <= 3
-        assert len(report.grad_norms) == report.iterations + 1
+        assert report.iterations[0] <= 3
+        assert report.grad_norms.shape == (1, 4)
+        assert not np.isnan(_reached(report, "grad_norms")).any()
+        assert np.isnan(report.grad_norms[0, report.iterations[0] + 1 :]).all()
 
     def test_monotone_descent(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             p = _subproblem(rng, cond=50.0)
             report = solve_lbfgs(p, rng.standard_normal(p.loss.dim), tau=15)
-            diffs = np.diff(report.values)
-            allowed = 1e-11 * (1.0 + np.abs(report.values[:-1]))
+            values = _reached(report, "values")
+            diffs = np.diff(values)
+            allowed = 1e-11 * (1.0 + np.abs(values[:-1]))
             assert (diffs <= allowed).all()
 
     def test_faster_than_gd_on_ill_conditioned(self):
@@ -304,8 +339,8 @@ class TestLbfgs:
         tau = 12
         lbfgs_rep = solve_lbfgs(p, x0, tau)
         gd_rep = solve_gd(p, x0, tau, step=2.0 / (1.0 + 100.0))
-        assert lbfgs_rep.grad_norm_out < gd_rep.grad_norm_out
-        assert estimate_contraction(lbfgs_rep) < estimate_contraction(gd_rep)
+        assert lbfgs_rep.grad_norm_out[0] < gd_rep.grad_norm_out[0]
+        assert estimate_contraction(lbfgs_rep)[0] < estimate_contraction(gd_rep)[0]
 
     def test_descent_direction_after_curvature_skips(self):
         rng = np.random.default_rng(6)
@@ -314,7 +349,7 @@ class TestLbfgs:
             report = solve_lbfgs(p, rng.standard_normal(p.loss.dim), tau=20)
             # Monotone gradient decrease to (near) zero certifies every
             # direction was a descent direction of a positive-definite model.
-            assert report.grad_norm_out < report.grad_norm_in
+            assert report.grad_norm_out[0] < report.grad_norm_in[0]
 
     def test_kernel_looked_up_through_module_global(self, monkeypatch):
         # Wrapping caden.solvers.two_loop_direction must see every iteration;
@@ -328,8 +363,8 @@ class TestLbfgs:
         monkeypatch.setattr(solvers, "two_loop_direction", counting)
         p = _subproblem(np.random.default_rng(12), cond=50.0)
         report = solve_lbfgs(p, np.ones(p.loss.dim), tau=8)
-        assert report.iterations == 8
-        assert len(calls) == report.iterations
+        assert report.iterations[0] == 8
+        assert len(calls) == report.iterations[0]
 
     def test_singular_curvature_pairs_are_skipped(self):
         # Zero curvature along the second coordinate produces step/gradient
@@ -337,9 +372,10 @@ class TestLbfgs:
         loss = QuadraticLoss(q=np.array([1.0, 0.0, 0.5]), a=np.zeros(3))
         p = LocalSubproblem(loss=loss, phi=np.zeros(3), anchors=np.zeros((0, 3)), mu_z=0.0)
         report = solve_lbfgs(p, np.array([2.0, 1.0, -3.0]), tau=25)
-        assert report.grad_norm_out <= 1e-8
-        diffs = np.diff(report.values)
-        assert (diffs <= 1e-11 * (1.0 + np.abs(report.values[:-1]))).all()
+        assert report.grad_norm_out[0] <= 1e-8
+        values = _reached(report, "values")
+        diffs = np.diff(values)
+        assert (diffs <= 1e-11 * (1.0 + np.abs(values[:-1]))).all()
 
 
 class TestGd:
@@ -347,14 +383,14 @@ class TestGd:
         loss = QuadraticLoss(q=np.array([1.0, 10.0]), a=np.zeros(2))
         p = LocalSubproblem(loss=loss, phi=np.zeros(2), anchors=np.zeros((0, 2)), mu_z=0.0)
         report = solve_gd(p, np.array([1.0, 1.0]), tau=1, step=0.1)
-        assert np.allclose(report.x_out, [0.9, 0.0])
+        assert np.allclose(report.x_out[0], [0.9, 0.0])
 
     def test_zero_iterations(self):
         rng = np.random.default_rng(7)
         p = _subproblem(rng)
         x0 = rng.standard_normal(p.loss.dim)
         report = solve_gd(p, x0, tau=0, step=0.01)
-        assert np.array_equal(report.x_out, x0)
+        assert np.array_equal(report.x_out[0], x0)
 
     def test_descent_below_stability_threshold(self):
         rng = np.random.default_rng(8)
@@ -362,13 +398,13 @@ class TestGd:
             p = _subproblem(rng, cond=20.0)
             smooth = p.loss.smoothness() + p.mu_z * p.degree
             report = solve_gd(p, rng.standard_normal(p.loss.dim), tau=5, step=1.8 / smooth)
-            assert report.grad_norm_out < report.grad_norm_in
+            assert report.grad_norm_out[0] < report.grad_norm_in[0]
 
     def test_default_step_from_smoothness(self):
         rng = np.random.default_rng(9)
         p = _subproblem(rng)
         report = solve_gd(p, rng.standard_normal(p.loss.dim), tau=10)
-        assert report.grad_norm_out < report.grad_norm_in
+        assert report.grad_norm_out[0] < report.grad_norm_in[0]
 
 
 class TestExactSolve:
@@ -376,7 +412,7 @@ class TestExactSolve:
         rng = np.random.default_rng(10)
         for _ in range(5):
             p = _subproblem(rng)
-            assert np.allclose(solve_exact_quadratic(p).x_out, _oracle_minimizer(p), atol=1e-10)
+            assert np.allclose(solve_exact_quadratic(p).x_out[0], _oracle_minimizer(p), atol=1e-10)
 
     def test_rejects_non_quadratic(self):
         from caden.datasets import gaussian_blobs
@@ -395,14 +431,14 @@ class TestContraction:
         rng = np.random.default_rng(11)
         for _ in range(20):
             p = _subproblem(rng, cond=30.0)
-            rate = estimate_contraction(solve_lbfgs(p, rng.standard_normal(p.loss.dim), 15))
+            rate = estimate_contraction(solve_lbfgs(p, rng.standard_normal(p.loss.dim), 15))[0]
             assert 0.0 <= rate < 1.0
 
     def test_zero_at_minimizer(self):
         # Exactly representable minimizer: everything centered at the origin.
         loss = QuadraticLoss(q=np.ones(3), a=np.zeros(3))
         p = LocalSubproblem(loss=loss, phi=np.zeros(3), anchors=np.zeros((2, 3)), mu_z=2.0)
-        assert estimate_contraction(solve_lbfgs(p, np.zeros(3), 5)) == 0.0
+        assert estimate_contraction(solve_lbfgs(p, np.zeros(3), 5))[0] == 0.0
 
     def test_growth_warns_and_clamps_to_one(self):
         # An unstable gradient step makes the squared norms grow; the probe
@@ -410,8 +446,21 @@ class TestContraction:
         loss = QuadraticLoss(q=np.array([1.0, 10.0]), a=np.zeros(2))
         p = LocalSubproblem(loss=loss, phi=np.zeros(2), anchors=np.zeros((0, 2)), mu_z=0.0)
         with pytest.warns(UserWarning, match="grew"):
-            rate = estimate_contraction(solve_gd(p, np.ones(2), 5, step=0.5))
+            rate = estimate_contraction(solve_gd(p, np.ones(2), 5, step=0.5))[0]
         assert rate == 1.0
+        # Two growing rows: one warning for the probe, naming the larger
+        # raw rate, and both rates clamped.
+        steep = LocalSubproblem(loss=QuadraticLoss(q=np.array([1.0, 20.0]), a=np.zeros(2)),
+                                phi=np.zeros(2), anchors=np.zeros((0, 2)), mu_z=0.0)
+        batch = SubproblemBatch.of([p, steep])
+        report = solve_gd_batch(batch, np.ones((2, 2)), 5, step=0.5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rates = estimate_contraction(report)
+        assert len(caught) == 1
+        assert "grew" in str(caught[0].message)
+        assert "rate 81" in str(caught[0].message)
+        assert rates.tolist() == [1.0, 1.0]
 
     def test_lbfgs_beats_optimal_gd_on_condition_100(self):
         for trial in range(20):
@@ -420,8 +469,8 @@ class TestContraction:
             loss = QuadraticLoss(q=random_psd(d, 100.0, rng), a=rng.standard_normal(d))
             p = LocalSubproblem(loss=loss, phi=np.zeros(d), anchors=np.zeros((0, d)), mu_z=0.0)
             x0 = rng.standard_normal(d)
-            r_lbfgs = estimate_contraction(solve_lbfgs(p, x0, 20))
-            r_gd = estimate_contraction(solve_gd(p, x0, 20, step=2.0 / (1.0 + 100.0)))
+            r_lbfgs = estimate_contraction(solve_lbfgs(p, x0, 20))[0]
+            r_gd = estimate_contraction(solve_gd(p, x0, 20, step=2.0 / (1.0 + 100.0)))[0]
             assert r_lbfgs <= r_gd
 
 
@@ -514,38 +563,39 @@ class TestLockstep:
 
         stack.values = counted_values
         batch = SubproblemBatch.of(problems, stack, active)
-        reports = solve_lbfgs_batch(batch, x_start, tau, memory)
-        for agent, problem, x0, got in zip(active, problems, x_start, reports):
+        got = solve_lbfgs_batch(batch, x_start, tau, memory)
+        for n, (agent, problem, x0) in enumerate(zip(active, problems, x_start)):
             want = reference_solve_lbfgs(problem, x0, tau, memory)
-            assert np.array_equal(got.x_out, want.x_out)
+            assert np.array_equal(got.x_out[n], want.x_out[0])
             for name in ("iterations", "grad_norm_in", "grad_norm_out", "grad_norms",
                          "values", "line_search_failures"):
-                assert getattr(got, name) == getattr(want, name), name
-            accepted = got.iterations - got.line_search_failures
-            assert asked[agent] == 1 + accepted + got.backtracks
-            assert np.array_equal(got.loss_grad_out, problem.loss.gradient(got.x_out))
+                assert np.array_equal(getattr(got, name)[n], getattr(want, name)[0],
+                                      equal_nan=True), name
+            accepted = got.iterations[n] - got.line_search_failures[n]
+            assert asked[agent] == 1 + accepted + got.backtracks[n]
+            assert np.array_equal(got.loss_grad_out[n], problem.loss.gradient(got.x_out[n]))
 
     def test_failed_search_counts_every_trial(self):
         p = LocalSubproblem(loss=_AntiGradient(3), phi=np.zeros(3),
                             anchors=np.zeros((0, 3)), mu_z=0.0)
         report = solve_lbfgs(p, np.ones(3), tau=2)
-        assert report.line_search_failures == 2
-        assert report.backtracks == 2 * solvers.MAX_BACKTRACKS
-        assert np.array_equal(report.x_out, np.ones(3))
+        assert report.line_search_failures[0] == 2
+        assert report.backtracks[0] == 2 * solvers.MAX_BACKTRACKS
+        assert np.array_equal(report.x_out[0], np.ones(3))
 
     def test_gd_batch_equals_lone_solves(self):
         rng = np.random.default_rng(13)
         problems = [_subproblem(rng, degree=k) for k in (0, 1, 3)]
         x_start = rng.standard_normal((3, 4))
         batch = SubproblemBatch.of(problems)
-        reports = solve_gd_batch(batch, x_start, tau=6)
+        got = solve_gd_batch(batch, x_start, tau=6)
         steps = solvers.default_gd_step(batch)
-        for step, problem, x0, got in zip(steps, problems, x_start, reports):
+        for n, (step, problem, x0) in enumerate(zip(steps, problems, x_start)):
             assert step == 1.0 / (problem.loss.smoothness() + problem.mu_z * problem.degree)
             x = x0.copy()
             for _ in range(6):
                 x = x - step * problem.gradient(x)
-            assert np.array_equal(got.x_out, x)
-            assert got.iterations == 6
-            assert got.grad_norm_out == float(np.linalg.norm(problem.gradient(x)))
-            assert np.array_equal(got.loss_grad_out, problem.loss.gradient(x))
+            assert np.array_equal(got.x_out[n], x)
+            assert got.iterations[n] == 6
+            assert got.grad_norm_out[n] == float(np.linalg.norm(problem.gradient(x)))
+            assert np.array_equal(got.loss_grad_out[n], problem.loss.gradient(x))

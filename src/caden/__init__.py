@@ -7,7 +7,7 @@ from .engine import CadenConfig, TauSchedule
 from .graphs import Topology, build_random_graph, complete_graph, laplacian_spectrum
 from .harness import RunResult, run_experiment, sweep
 from .losses import LogisticLoss, MlpLoss, QuadraticLoss, estimate_lipschitz
-from .solvers import LocalSubproblem, solve_gd, solve_lbfgs
+from .solvers import SubproblemBatch, solve_gd, solve_lbfgs
 
 __version__ = "0.1.0"
 
@@ -17,11 +17,11 @@ __all__ = [
     "BACKEND",
     "CadenConfig",
     "ExperimentConfig",
-    "LocalSubproblem",
     "LogisticLoss",
     "MlpLoss",
     "QuadraticLoss",
     "RunResult",
+    "SubproblemBatch",
     "TauSchedule",
     "Topology",
     "build_random_graph",

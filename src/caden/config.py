@@ -97,7 +97,9 @@ class ExperimentConfig:
 
     init_strategy: str = _key("zeros", "model initialization", ("zeros", "random", "warmstart"))
     init_scale: float = _key(1.0, "scale of random initialization")
-    init_state_file: str = _key("", "checkpoint to resume from (overrides init.strategy)")
+    init_state_file: str = _key(
+        "", "checkpoint to resume from (its models and duals replace init.strategy's)"
+    )
 
     lipschitz_warm_epochs: int = _key(20, "full-gradient warm-up steps of the smoothness probe")
     lipschitz_warm_lr: float = _key(0.1, "warm-up learning rate")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .engine import CadenConfig, solve_subproblems
 from .graphs import Topology, edge_midpoints, incident_sums
-from .losses import LocalLoss
+from .losses import LossStack
 
 
 @dataclass
@@ -48,7 +48,7 @@ def init_edge_state(topology: Topology, x_init: np.ndarray) -> EdgeState:
 
 def edge_x_step(
     state: EdgeState,
-    losses: list[LocalLoss],
+    losses: LossStack,
     topology: Topology,
     config: CadenConfig,
     round_index: int,
@@ -88,7 +88,7 @@ def edge_y_step(state: EdgeState, topology: Topology, mu_y: float) -> np.ndarray
 
 def run_edge_round(
     state: EdgeState,
-    losses: list[LocalLoss],
+    losses: LossStack,
     topology: Topology,
     config: CadenConfig,
     round_index: int,

@@ -19,11 +19,12 @@ because their models did not move.  The residual V_t
 
 The agent form is the edge form (``caden.edge_form``) with every consensus
 variable z_ij held at the edge midpoint (x_i + x_j) / 2, which is why one
-broadcast per round suffices.  ``subproblems`` builds the round-t
-subproblems of both forms from a dual per agent and a z per edge, and
-``solve_subproblems`` solves them in one lockstep L-BFGS or
-gradient-descent solve over the run's ``LossStack``, reported as (k, ...)
-arrays.  The anchors and the dual step follow the incident-edge order of
+broadcast per round suffices.  Every function takes the run's losses as
+one ``LossStack``.  ``subproblems`` builds the round-t subproblems of both
+forms from a dual per agent and a z per edge as one ``SubproblemBatch``,
+and ``solve_subproblems`` solves them in one lockstep L-BFGS or
+gradient-descent solve (or the exact one), reported as (k, ...) arrays.
+The anchors and the dual step follow the incident-edge order of
 ``graphs.edge_ends``.
 """
 
@@ -35,19 +36,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import solvers
 from .errors import CheckpointError
 from .graphs import Topology, edge_ends, edge_midpoints, incident_sums
-from .losses import LocalLoss, LossStack
-from .solvers import (
-    DEFAULT_MEMORY,
-    SolverReport,
-    SubproblemBatch,
-    solve_exact_batch,
-    solve_gd_batch,
-    solve_lbfgs_batch,
-)
+from .losses import LossStack
+from .solvers import DEFAULT_MEMORY, SolverReport, SubproblemBatch
 
-# Kept as names for perfbench/tracer.py, which wraps caden.engine.solve_lbfgs/solve_gd.
+# Kept as names for perfbench/tracer.py, which wraps caden.engine.solve_lbfgs/solve_gd
+# and reads each result as one agent's report.  A solve reports (k, ...) arrays,
+# so ``solve_subproblems`` calls ``solvers.solve_lbfgs``/``solve_gd``, never these.
 from .solvers import solve_gd, solve_lbfgs  # noqa: F401
 
 _PARTICIPATION_STREAM = 401
@@ -107,20 +104,16 @@ class RoundSummary:
 
 
 def init_states(
-    losses: list[LocalLoss],
+    losses: LossStack,
     topology: Topology,
     x_init: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(m, d) models copied from ``x_init``, (m, d) zero duals and the (m, d)
     loss gradients at the models, from one stacked evaluation."""
     x = np.array(x_init, dtype=float)
-    if x.shape[0] != topology.m:
-        raise ValueError(f"x_init has {x.shape[0]} rows for m={topology.m}")
-    d = x.shape[1]
-    for i, loss in enumerate(losses):
-        if loss.dim != d:
-            raise ValueError(f"loss {i} has dim {loss.dim}, expected {d}")
-    grad = LossStack.of(losses).gradients(x, np.arange(topology.m))
+    if x.shape != (topology.m, losses.dim):
+        raise ValueError(f"x_init has shape {x.shape}, expected {(topology.m, losses.dim)}")
+    grad = losses.gradients(x, np.arange(topology.m))
     return x, np.zeros_like(x), grad
 
 
@@ -141,7 +134,7 @@ def subproblems(
     agents: Sequence[int],
     phi: np.ndarray,
     z: np.ndarray,
-    losses: Sequence[LocalLoss],
+    losses: LossStack,
     topology: Topology,
     mu_z: float,
 ) -> SubproblemBatch:
@@ -164,7 +157,7 @@ def solve_subproblems(
     grad: np.ndarray | None,
     phi: np.ndarray,
     z: np.ndarray,
-    losses: Sequence[LocalLoss],
+    losses: LossStack,
     topology: Topology,
     config: CadenConfig,
     tau: int,
@@ -182,10 +175,10 @@ def solve_subproblems(
     x_start = x[agents]
     start_grad = None if grad is None else grad[agents]
     if config.solver == "lbfgs":
-        return solve_lbfgs_batch(batch, x_start, tau, config.lbfgs_memory, start_grad)
+        return solvers.solve_lbfgs(batch, x_start, tau, config.lbfgs_memory, start_grad)
     if config.solver == "gd":
-        return solve_gd_batch(batch, x_start, tau, config.gd_step, config.lipschitz, start_grad)
-    return solve_exact_batch(batch)
+        return solvers.solve_gd(batch, x_start, tau, config.gd_step, config.lipschitz, start_grad)
+    return solvers.solve_exact(batch)
 
 
 # Kept as a name for perfbench/tracer.py, which wraps caden.engine.primal_update.
@@ -193,7 +186,7 @@ def primal_update(
     agent: int,
     x: np.ndarray,
     phi: np.ndarray,
-    losses: Sequence[LocalLoss],
+    losses: LossStack,
     topology: Topology,
     config: CadenConfig,
     round_index: int,
@@ -230,7 +223,7 @@ def run_round(
     x: np.ndarray,
     phi: np.ndarray,
     grad: np.ndarray,
-    losses: list[LocalLoss],
+    losses: LossStack,
     topology: Topology,
     config: CadenConfig,
     round_index: int,

@@ -240,15 +240,18 @@ class Initialization:
     lipschitz: float | None
 
 
-def initialize(cfg: ExperimentConfig, losses, topology) -> Initialization:
+def initialize(cfg: ExperimentConfig, losses: LossStack, topology) -> Initialization:
     """Initial models plus the resolved smoothness constant.
 
     The warm-start strategy runs the lockstep smoothness probe from a common
     start; its final iterates become the initial models and the global
     constant is the max across agents.  Quadratic losses report their exact
-    smoothness, so the harness never needs a probe for them.
+    smoothness, so the harness never needs a probe for them.  A resumed run
+    takes its models and duals from the checkpoint; under warm start it
+    reruns the deterministic probe for the constant only, so it resolves
+    the same constant as the run that wrote the checkpoint.
     """
-    m, d = topology.m, losses[0].dim
+    m, d = topology.m, losses.dim
     if cfg.init_state_file:
         x0, phi0, round_index = _read_input(cfg, "init.state_file", engine.load_checkpoint)
         if x0.shape != (m, d):
@@ -256,18 +259,13 @@ def initialize(cfg: ExperimentConfig, losses, topology) -> Initialization:
                 f"checkpoint {cfg.init_state_file} holds (m, d) = {x0.shape}, but the "
                 f"config's topology and loss give (m, d) = {(m, d)}"
             )
-        return Initialization(x0, phi0, round_index, _exact_smoothness(losses))
-    if cfg.init_strategy == "warmstart":
-        if isinstance(losses[0], MlpLoss):
-            common = losses[0].init_params(cfg.seed)
+        if cfg.init_strategy == "warmstart":
+            lipschitz = _warm_start(cfg, losses).l_hat
         else:
-            rng = np.random.default_rng([_XINIT_STREAM, cfg.seed])
-            common = cfg.init_scale * rng.standard_normal(d)
-        est = estimate_lipschitz(
-            losses, common,
-            warm_epochs=cfg.lipschitz_warm_epochs, warm_lr=cfg.lipschitz_warm_lr,
-            probe_epochs=cfg.lipschitz_probe_epochs, probe_lr=cfg.lipschitz_probe_lr,
-        )
+            lipschitz = _exact_smoothness(losses)
+        return Initialization(x0, phi0, round_index, lipschitz)
+    if cfg.init_strategy == "warmstart":
+        est = _warm_start(cfg, losses)
         return Initialization(est.x_init, None, 0, est.l_hat)
     if cfg.init_strategy == "random":
         rng = np.random.default_rng([_XINIT_STREAM, cfg.seed])
@@ -279,6 +277,20 @@ def initialize(cfg: ExperimentConfig, losses, topology) -> Initialization:
     else:
         x0 = np.zeros((m, d))
     return Initialization(x0, None, 0, _exact_smoothness(losses))
+
+
+def _warm_start(cfg: ExperimentConfig, losses: LossStack):
+    """The lockstep smoothness probe from the run's common start."""
+    if isinstance(losses[0], MlpLoss):
+        common = losses[0].init_params(cfg.seed)
+    else:
+        rng = np.random.default_rng([_XINIT_STREAM, cfg.seed])
+        common = cfg.init_scale * rng.standard_normal(losses.dim)
+    return estimate_lipschitz(
+        losses, common,
+        warm_epochs=cfg.lipschitz_warm_epochs, warm_lr=cfg.lipschitz_warm_lr,
+        probe_epochs=cfg.lipschitz_probe_epochs, probe_lr=cfg.lipschitz_probe_lr,
+    )
 
 
 def _exact_smoothness(losses) -> float | None:
@@ -301,15 +313,17 @@ def _probe_contraction(cfg, run_cfg, losses, topology, init) -> float:
 
 
 def resolve_parameters(
-    cfg: ExperimentConfig, losses, topology, init: Initialization
+    cfg: ExperimentConfig, losses, topology, init: Initialization,
+    spectral: graphs.SpectralSummary,
 ) -> tuple[CadenConfig, dict]:
     """The engine config of a CADEN run, with auto parameters filled, and the
     summary's theory record.
 
     Practice mode: mu_z = 2L + 1 and mu_y = mu_z unless set explicitly; tau
     comes from the config schedule.  Theory mode probes the local contraction
-    rate of the run's solver, takes the full prescribed triple, and reports
-    the analysis constants at the prescribed budget.
+    rate of the run's solver, takes the full prescribed triple for the run's
+    Laplacian ``spectral`` summary, and reports the analysis constants at
+    the prescribed budget.
     """
     l_hat = init.lipschitz
     if cfg.caden_mu_z is not None:
@@ -343,7 +357,6 @@ def resolve_parameters(
     if cfg.mode == "theory":
         if l_hat is None:
             raise ConfigError("theory mode needs a smoothness constant")
-        spectral = graphs.laplacian_spectrum(topology)
         rate = _probe_contraction(cfg, run_cfg, losses, topology, init)
         rate = min(max(rate, 1e-12), 1.0 - 1e-12)
         selected = theory.select_parameters(l_hat, spectral, cfg.caden_participation, rate)
@@ -499,7 +512,7 @@ def run_experiment(
         summary["theory"] = {"mode": cfg.mode, "parameters": {}}
         rounds = _gt_rounds(cfg, losses, topology, init, summary)
     else:
-        run_cfg, summary["theory"] = resolve_parameters(cfg, losses, topology, init)
+        run_cfg, summary["theory"] = resolve_parameters(cfg, losses, topology, init, spectral)
         rounds = _caden_rounds(cfg, run_cfg, losses, topology, init, summary)
     if eval_set is None:
         acc_fn = lambda x: None  # noqa: E731 - trivial closure

@@ -10,8 +10,9 @@ The math of each family is written once, as kernels over parameters and
 data with any leading axes; one agent's ``value``/``gradient``/``predict``
 is the one-row case.  ``LossStack`` holds a run's m losses and is the one
 way to evaluate many agents: one kernel call per group of equal data
-shapes, bit-identical to the one-agent methods.  The smoothness probe
-steps every agent through it in lockstep.
+shapes, bit-identical to the one-agent methods.  It is built once per run;
+the engine, the solvers, the metrics and the smoothness probe take it as
+given, and the probe steps every agent through it in lockstep.
 """
 
 from __future__ import annotations
@@ -320,13 +321,15 @@ class LossStack(Sequence):
     stands wherever a list of losses does.  ``values(x, rows)`` and
     ``gradients(x, rows)`` evaluate agent ``rows[n]``'s loss at ``x[n]``;
     ``predictions(x, features)`` gives every agent's labels of shared
-    features.  Losses with equal ``stack_key`` form one group whose stacked
-    data (the (g, d) or (g, d, d) curvatures of quadratics, the (g, n, p)
-    shards of logistic and MLP losses) goes through the family's kernel in
-    one call; an uneven last shard gets its own group.  Each row's result
-    equals the agent's own ``value``/``gradient``/``predict`` bit for bit; a
-    grouped loss's own ``shard`` becomes a view of its group's arrays.
-    Losses without a key (user-defined ones) are evaluated row by row.
+    features.  Every member has the same ``dim``; the constructor refuses
+    a loss of another.  Losses with equal ``stack_key`` form one group whose
+    stacked data (the (g, d) or (g, d, d) curvatures of quadratics, the
+    (g, n, p) shards of logistic and MLP losses) goes through the family's
+    kernel in one call; an uneven last shard gets its own group.  Each row's
+    result equals the agent's own ``value``/``gradient``/``predict`` bit for
+    bit; a grouped loss's own ``shard`` becomes a view of its group's
+    arrays.  Losses without a key (user-defined ones) are evaluated row by
+    row.
     """
 
     def __init__(self, losses: Sequence[LocalLoss]):
@@ -336,6 +339,8 @@ class LossStack(Sequence):
         self.dim = self._losses[0].dim
         members: dict = {}
         for i, loss in enumerate(self._losses):
+            if loss.dim != self.dim:
+                raise ValueError(f"loss {i} has dim {loss.dim}, but loss 0 has dim {self.dim}")
             key = loss.stack_key()
             if key is not None:
                 members.setdefault(key, []).append(i)
@@ -354,11 +359,6 @@ class LossStack(Sequence):
             # data is held once.
             for slot, i in enumerate(agents):
                 self._losses[i].shard = shard.take(slot)
-
-    @classmethod
-    def of(cls, losses: Sequence[LocalLoss]) -> LossStack:
-        """``losses`` itself when it is a stack, else a stack of it."""
-        return losses if isinstance(losses, LossStack) else cls(losses)
 
     def __len__(self) -> int:
         return len(self._losses)
@@ -417,7 +417,7 @@ class LipschitzEstimate:
 
 
 def estimate_lipschitz(
-    losses: Sequence[LocalLoss],
+    losses: LossStack,
     x0: np.ndarray,
     warm_epochs: int = 20,
     warm_lr: float = 0.1,
@@ -426,8 +426,8 @@ def estimate_lipschitz(
 ) -> LipschitzEstimate:
     """Empirical gradient-Lipschitz constant from local full-gradient descent.
 
-    Every agent of the ``LossStack`` (or list) ``losses`` runs ``warm_epochs``
-    descent steps at ``warm_lr`` from its row of ``x0`` ((d,) or (m, d)),
+    Every agent of the ``LossStack`` ``losses`` runs ``warm_epochs`` descent
+    steps at ``warm_lr`` from its row of ``x0`` ((d,) or (m, d)),
     then ``probe_epochs`` steps at the tiny ``probe_lr``; its estimate is the
     maximum difference quotient
 
@@ -440,16 +440,15 @@ def estimate_lipschitz(
     """
     if warm_lr <= 0 or probe_lr <= 0:
         raise ValueError("learning rates must be positive")
-    stack = LossStack.of(losses)
-    rows = np.arange(len(stack))
-    x = np.array(np.broadcast_to(np.asarray(x0, dtype=float), (len(rows), stack.dim)))
+    rows = np.arange(len(losses))
+    x = np.array(np.broadcast_to(np.asarray(x0, dtype=float), (len(rows), losses.dim)))
     for _ in range(warm_epochs):
-        x = x - warm_lr * stack.gradients(x, rows)
+        x = x - warm_lr * losses.gradients(x, rows)
     l_hat, used = np.zeros(len(rows)), np.zeros(len(rows), dtype=int)
-    grad = stack.gradients(x, rows)
+    grad = losses.gradients(x, rows)
     for _ in range(probe_epochs):
         x_next = x - probe_lr * grad
-        grad_next = stack.gradients(x_next, rows)
+        grad_next = losses.gradients(x_next, rows)
         step = rownorm(x_next - x)
         usable = step >= MIN_PROBE_STEP
         # fmax keeps the running maximum when a quotient is NaN.

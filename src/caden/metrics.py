@@ -2,12 +2,13 @@
 test accuracy, and dual drift.
 
 Every metric reads the (m, d) models ``x`` and, where it needs them, the
-(m, d) duals ``phi``.  V reads the engine's carried (m, d) loss gradients
-``grad`` = grad f_i(x_i) and evaluates no loss; the relative errors still
-evaluate each agent's gradient one agent at a time, and test accuracy takes
-every agent's predictions from one ``LossStack.predictions`` call.  The
-residual V is zero exactly at consensus stationary points: all models equal
-and the per-agent gradients summing to zero.
+(m, d) duals ``phi`` and the run's ``LossStack``.  V reads the engine's
+carried (m, d) loss gradients ``grad`` = grad f_i(x_i) and evaluates no
+loss; the relative errors still evaluate each agent's gradient one agent at
+a time, and test accuracy takes every agent's predictions from one
+``predictions`` call of the stack.  The residual V is zero exactly at
+consensus stationary points: all models equal and the per-agent gradients
+summing to zero.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import Topology
-from .losses import LocalLoss, LossStack, rowdot
+from .losses import LossStack, rowdot
 
 
 def lyapunov_v(x: np.ndarray, phi: np.ndarray, grad: np.ndarray, topology: Topology) -> float:
@@ -29,7 +30,7 @@ def lyapunov_v(x: np.ndarray, phi: np.ndarray, grad: np.ndarray, topology: Topol
     return total
 
 
-def _gradient_sum(x: np.ndarray, losses: list[LocalLoss]) -> np.ndarray:
+def _gradient_sum(x: np.ndarray, losses: LossStack) -> np.ndarray:
     # Per agent until perfbench counts stacked calls and keeps trajectory digests.
     grad_sum = np.zeros(losses[0].dim)
     for x_i, loss in zip(x, losses):
@@ -37,7 +38,7 @@ def _gradient_sum(x: np.ndarray, losses: list[LocalLoss]) -> np.ndarray:
     return grad_sum
 
 
-def relative_error(x: np.ndarray, losses: list[LocalLoss]) -> float:
+def relative_error(x: np.ndarray, losses: LossStack) -> float:
     """||sum_i grad f_i(x_i)||^2 plus the chain consensus gap
     sum_{i=1}^{m-1} ||x_i - x_{i+1}||^2.
 
@@ -51,7 +52,7 @@ def relative_error(x: np.ndarray, losses: list[LocalLoss]) -> float:
 
 
 def relative_error_graph(
-    x: np.ndarray, losses: list[LocalLoss], topology: Topology
+    x: np.ndarray, losses: LossStack, topology: Topology
 ) -> float:
     """Variant with the consensus gap summed over graph edges (diagnostic)."""
     grad_sum = _gradient_sum(x, losses)
@@ -62,7 +63,7 @@ def relative_error_graph(
 
 def test_accuracy(
     x: np.ndarray,
-    losses: list[LocalLoss],
+    losses: LossStack,
     eval_features: np.ndarray,
     eval_labels: np.ndarray,
 ) -> float | None:
@@ -70,7 +71,7 @@ def test_accuracy(
     set; None when the loss family has no classifier."""
     if not hasattr(losses[0], "predict"):
         return None
-    pred = LossStack.of(losses).predictions(x, eval_features)
+    pred = losses.predictions(x, eval_features)
     # Each mean is an exact count / n; a running total in agent order.
     return float(np.cumsum((pred == eval_labels).mean(axis=-1))[-1]) / len(x)
 

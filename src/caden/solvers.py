@@ -8,16 +8,16 @@ for a fixed iteration budget tau.  The primary solver is limited-memory BFGS
 (two-loop recursion, Armijo backtracking); a plain gradient-descent variant
 and an exact closed-form solve for quadratic losses are also provided.
 
-L-BFGS and gradient descent advance a ``SubproblemBatch`` in lockstep: one
-body runs every agent's iterations side by side as stacked arrays.  Each
-stage is one call for the agents it concerns: the two-loop recursion over
-the (k, M, d) histories, one stacked loss call at the start, at each
-backtracking level and for the gradients after accepted steps, and the
-dual and penalty terms, slopes, norms and curvature tests as row-wise
-arrays (``rowdot``).  A row's penalty is held as its degree, anchor sum and
-anchor spread, not as its anchor matrix.  Each agent's arithmetic is that
-of a lone solve, bit for bit, so ``solve_lbfgs``/``solve_gd`` on one
-subproblem are the one-agent case of the same body.
+``SubproblemBatch`` is the one subproblem type: k agents' subproblems over
+the run's ``LossStack``, one agent being the case k = 1.  ``solve_lbfgs``
+and ``solve_gd`` advance a batch in lockstep: one body runs every agent's
+iterations side by side as stacked arrays.  Each stage is one call for the
+agents it concerns: the two-loop recursion over the (k, M, d) histories,
+one stacked loss call at the start, at each backtracking level and for the
+gradients after accepted steps, and the dual and penalty terms, slopes,
+norms and curvature tests as row-wise arrays (``rowdot``).  A row's penalty
+is held as its degree, anchor sum and anchor spread, not as its anchor
+matrix.  Each agent's arithmetic is that of a lone solve, bit for bit.
 
 Each solve returns one ``SolverReport`` of row-stacked arrays: the (k, d)
 models and loss gradients it ends at, (k,) counts and (k, tau + 1)
@@ -46,46 +46,6 @@ CURVATURE_SKIP_TOL = 1e-10
 DEFAULT_MEMORY = 10
 
 
-@dataclass
-class LocalSubproblem:
-    """One agent's regularized local objective for a single round.
-
-    Attributes:
-        loss: the agent's raw loss f_i.
-        phi: dual vector added linearly to the objective.
-        anchors: (k, d) array of midpoint targets; k is the agent degree.
-        mu_z: quadratic penalty coefficient.  When mu_z exceeds the loss
-            smoothness the subproblem is strongly convex with a unique
-            minimizer.
-
-    ``value``, ``gradient`` and the lone solves evaluate through ``batch``,
-    its one-row ``SubproblemBatch`` built at construction.
-    """
-
-    loss: LocalLoss
-    phi: np.ndarray
-    anchors: np.ndarray
-    mu_z: float
-    batch: SubproblemBatch = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.phi = np.asarray(self.phi, dtype=float)
-        self.anchors = np.asarray(self.anchors, dtype=float).reshape(-1, self.loss.dim)
-        if self.phi.shape != (self.loss.dim,):
-            raise ValueError(f"phi shape {self.phi.shape} != ({self.loss.dim},)")
-        self.batch = SubproblemBatch.of([self])
-
-    @property
-    def degree(self) -> int:
-        return self.anchors.shape[0]
-
-    def value(self, x: np.ndarray) -> float:
-        return float(self.batch.values(np.atleast_2d(x), [0])[0])
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.batch.gradients(np.atleast_2d(x), [0])[0]
-
-
 class SubproblemBatch:
     """Several agents' subproblems, evaluated together.
 
@@ -99,13 +59,13 @@ class SubproblemBatch:
     gradient is degree x - anchor_sum.
 
     ``values(x, which)`` and ``gradients(x, which)`` evaluate row
-    ``which[n]`` at ``x[n]``: the loss terms in one call of ``losses``, a
-    ``LossStack`` (a list is stacked), and the dual and penalty terms as
-    stacked arrays.
+    ``which[n]`` at ``x[n]``: the loss terms in one call of the
+    ``LossStack`` ``losses``, and the dual and penalty terms as stacked
+    arrays.
     """
 
-    def __init__(self, losses, agents, phi, mu_z, anchors, owner):
-        self._losses = LossStack.of(losses)
+    def __init__(self, losses: LossStack, agents, phi, mu_z, anchors, owner):
+        self._losses = losses
         self._agents = np.asarray(agents, dtype=np.intp)
         rows = len(self._agents)
         self.phi = np.asarray(phi, dtype=float)
@@ -116,17 +76,6 @@ class SubproblemBatch:
         self.mean = self.anchor_sum / np.maximum(self.degree, 1)[:, None]
         off = anchors - self.mean[owner]
         self.spread = np.bincount(owner, weights=rowdot(off, off), minlength=rows)
-
-    @classmethod
-    def of(cls, problems: Sequence[LocalSubproblem], losses=None, agents=None) -> SubproblemBatch:
-        """The batch whose row j is ``problems[j]``, with the loss of agent
-        ``agents[j]`` of the stack ``losses`` when given, else its own."""
-        if losses is None:
-            losses, agents = [p.loss for p in problems], range(len(problems))
-        owner = np.repeat(np.arange(len(problems)), [p.degree for p in problems])
-        anchors = np.concatenate([p.anchors for p in problems])
-        return cls(losses, agents, [p.phi for p in problems], [p.mu_z for p in problems],
-                   anchors, owner)
 
     def loss(self, row: int) -> LocalLoss:
         return self._losses[self._agents[row]]
@@ -218,11 +167,7 @@ def two_loop_direction(
 
     Returns:
         (k, d) H_n @ grad[n]; the descent directions are their negatives.
-        One agent's (M, d) history, scalar gamma and (d,) gradient give
-        its (d,) product.
     """
-    if grad.ndim == 1:
-        return two_loop_direction(s[None], y[None], rho[None], np.array([gamma]), grad[None])[0]
     k, memory = rho.shape
     if counts is None:
         counts = np.full(k, memory)
@@ -252,17 +197,6 @@ def _start_loss_gradients(batch: SubproblemBatch, x: np.ndarray, given) -> np.nd
 
 
 def solve_lbfgs(
-    problem: LocalSubproblem,
-    x_start: np.ndarray,
-    tau: int,
-    memory: int = DEFAULT_MEMORY,
-) -> SolverReport:
-    """tau iterations of L-BFGS on one subproblem, warm-started: the
-    one-agent case of ``solve_lbfgs_batch``, with its one-row report."""
-    return solve_lbfgs_batch(problem.batch, np.atleast_2d(x_start), tau, memory)
-
-
-def solve_lbfgs_batch(
     batch: SubproblemBatch,
     x_start: np.ndarray,
     tau: int,
@@ -287,7 +221,7 @@ def solve_lbfgs_batch(
     for the agents still searching, one stacked gradient call for the
     agents that accepted.  The slope, norm and curvature dot products go
     through ``rowdot``.  Each row's arithmetic is that of a lone solve, so
-    each row of the report equals the lone solve's bit for bit.
+    each row of the report equals its one-row batch's solve bit for bit.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
@@ -402,18 +336,6 @@ def default_gd_step(batch: SubproblemBatch, lipschitz: float | None = None) -> n
 
 
 def solve_gd(
-    problem: LocalSubproblem,
-    x_start: np.ndarray,
-    tau: int,
-    step: float | None = None,
-    lipschitz: float | None = None,
-) -> SolverReport:
-    """tau fixed-step gradient steps on one subproblem, warm-started: the
-    one-agent case of ``solve_gd_batch``, with its one-row report."""
-    return solve_gd_batch(problem.batch, np.atleast_2d(x_start), tau, step, lipschitz)
-
-
-def solve_gd_batch(
     batch: SubproblemBatch,
     x_start: np.ndarray,
     tau: int,
@@ -452,7 +374,7 @@ def solve_gd_batch(
     return SolverReport(x, lg, performed, norms, None, zeros, zeros)
 
 
-def solve_exact_batch(batch: SubproblemBatch) -> SolverReport:
+def solve_exact(batch: SubproblemBatch) -> SolverReport:
     """Closed-form minimizer (Q + mu_z k I)^-1 (Q a - phi + mu_z sum anchors)
     of every row of ``batch``, one row at a time, then every row's loss
     gradient in one stacked call.  Only valid for quadratic losses; the

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import edge_form, engine, graphs, theory
 from .engine import CadenConfig, TauSchedule
-from .losses import QuadraticLoss
+from .losses import LossStack, QuadraticLoss
 
 SANDWICH_SLACK = -1e-9
 EQUIVALENCE_TOL = 1e-10
@@ -68,7 +68,7 @@ def _paired_quadratic_instance(seed: int, m: int = 5, d: int = 4):
         a = rng.standard_normal(d)
         losses.append(QuadraticLoss(q=q, a=a))
     x0 = rng.standard_normal((m, d))
-    return topology, losses, x0
+    return topology, LossStack(losses), x0
 
 
 def verify_equivalence(

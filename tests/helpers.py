@@ -3,17 +3,18 @@ the incident edges of an agent, dense constraint matrices, random curvature
 factories, the midpoint form of the residual V, the edge-form augmented
 Lagrangian, the initial augmented-gradient error, the gradient-tracking
 identity gap, the corollary scaling sweep, the one-agent quadratic, logistic
-and MLP losses, the one-agent smoothness probe, the one-subproblem exact
-solve, and the lone L-BFGS loop with its one-row subproblem terms and
-two-loop recursion, which the stacked kernels, the lockstep probe and the
-lockstep solver must match bit for bit, and writers for the IDX and
+and MLP losses, the one-agent smoothness probe, the subproblem ``Row`` the
+per-row oracles read and ``batch_of``, which stacks rows into a
+``SubproblemBatch``, and the lone L-BFGS loop with its one-row subproblem
+terms and two-loop recursion, which the stacked kernels, the lockstep probe
+and the lockstep solver must match bit for bit, and writers for the IDX and
 edge-list formats the package reads."""
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, NamedTuple
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from caden.datasets import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
 from caden.edge_form import EdgeState
 from caden.errors import LipschitzEstimateError, ParameterSelectionError
 from caden.graphs import SpectralSummary, Topology, constraint_residual, edge_midpoints
-from caden.losses import MIN_PROBE_STEP, LipschitzEstimate, LocalLoss
+from caden.losses import MIN_PROBE_STEP, LipschitzEstimate, LocalLoss, LossStack
 from caden.solvers import (
     ARMIJO_C1,
     ARMIJO_SHRINK,
@@ -31,9 +32,8 @@ from caden.solvers import (
     CURVATURE_SKIP_TOL,
     DEFAULT_MEMORY,
     MAX_BACKTRACKS,
-    LocalSubproblem,
     SolverReport,
-    solve_exact_batch,
+    SubproblemBatch,
 )
 
 
@@ -146,7 +146,7 @@ def augmented_gradient_error(
     total = 0.0
     for i, loss in enumerate(losses):
         anchors = 0.5 * (x[i] + x[list(neighbors(topology, i))])
-        block = LocalSubproblem(loss, phi[i], anchors, mu_z).gradient(x[i])
+        block = reference_gradient(Row(loss, phi[i], anchors, mu_z), x[i])
         total += float(block @ block)
     return total
 
@@ -385,7 +385,29 @@ def reference_estimate_lipschitz(
     return LipschitzEstimate(l_hat=l_hat, x_init=x)
 
 
-def _anchor_terms(problem: LocalSubproblem) -> tuple[np.ndarray, np.ndarray, float]:
+class Row(NamedTuple):
+    """One agent's subproblem terms, as the per-row oracles read them: its
+    loss, dual, (degree, d) anchors and penalty coefficient."""
+
+    loss: LocalLoss
+    phi: np.ndarray
+    anchors: np.ndarray
+    mu_z: float
+    degree = property(lambda self: len(self.anchors))
+
+
+def batch_of(rows, losses=None, agents=None) -> SubproblemBatch:
+    """The batch whose row j is ``rows[j]``, with agent ``agents[j]``'s loss
+    of the stack ``losses`` when given, else a stack of the rows' own."""
+    if losses is None:
+        losses, agents = LossStack([r.loss for r in rows]), range(len(rows))
+    owner = np.repeat(np.arange(len(rows)), [r.degree for r in rows])
+    anchors = np.concatenate([r.anchors for r in rows])
+    return SubproblemBatch(losses, agents, [r.phi for r in rows], [r.mu_z for r in rows],
+                           anchors, owner)
+
+
+def _anchor_terms(problem: Row) -> tuple[np.ndarray, np.ndarray, float]:
     """The running total of a subproblem's anchors, their mean (0 without
     anchors) and their spread sum_k ||a_k - mean||^2, one anchor at a time."""
     total = np.zeros(problem.loss.dim)
@@ -399,7 +421,7 @@ def _anchor_terms(problem: LocalSubproblem) -> tuple[np.ndarray, np.ndarray, flo
     return total, mean, spread
 
 
-def reference_value(problem: LocalSubproblem, x: np.ndarray) -> float:
+def reference_value(problem: Row, x: np.ndarray) -> float:
     """One subproblem's objective at ``x``, written out for one row, its
     penalty in the centered form degree ||x - mean||^2 + spread."""
     _, mean, spread = _anchor_terms(problem)
@@ -408,19 +430,13 @@ def reference_value(problem: LocalSubproblem, x: np.ndarray) -> float:
     return float(problem.loss.value(x) + float(problem.phi @ x) + 0.5 * problem.mu_z * pen)
 
 
-def reference_gradient(problem: LocalSubproblem, x: np.ndarray) -> np.ndarray:
+def reference_gradient(problem: Row, x: np.ndarray) -> np.ndarray:
     """One subproblem's objective gradient at ``x``, written out for one row."""
     g = problem.loss.gradient(x) + problem.phi
     if problem.degree:
         total, _, _ = _anchor_terms(problem)
         g = g + problem.mu_z * (problem.degree * x - total)
     return g
-
-
-def solve_exact_quadratic(problem: LocalSubproblem) -> SolverReport:
-    """The closed-form minimizer of one subproblem: the one-row case of
-    ``solvers.solve_exact_batch``, with its one-row report."""
-    return solve_exact_batch(problem.batch)
 
 
 def reference_two_loop(
@@ -442,13 +458,13 @@ def reference_two_loop(
 
 
 def reference_solve_lbfgs(
-    problem: LocalSubproblem,
+    problem: Row,
     x_start: np.ndarray,
     tau: int,
     memory: int = DEFAULT_MEMORY,
 ) -> SolverReport:
     """One agent's L-BFGS solve as a lone loop, as a one-row report: the
-    oracle that each row of ``solvers.solve_lbfgs_batch`` must match field
+    oracle that each row of ``solvers.solve_lbfgs`` must match field
     for field.  It counts no backtracks.
 
     tau iterations of L-BFGS on the local subproblem, warm-started.

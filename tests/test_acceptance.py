@@ -18,11 +18,11 @@ from caden import baselines, engine, graphs, metrics
 from caden.config import ExperimentConfig
 from caden.engine import CadenConfig, TauSchedule
 from caden.harness import run_experiment, sweep
-from caden.losses import QuadraticLoss
-from caden.solvers import LocalSubproblem, estimate_contraction, solve_gd, solve_lbfgs
+from caden.losses import LossStack, QuadraticLoss
+from caden.solvers import estimate_contraction, solve_gd, solve_lbfgs
 from caden.verify import verify_constants, verify_equivalence, verify_sandwich
 
-from helpers import lyapunov_v_midpoint_form, random_psd, tracking_gap
+from helpers import Row, batch_of, lyapunov_v_midpoint_form, random_psd, tracking_gap
 
 
 @contextmanager
@@ -108,10 +108,10 @@ def test_criterion_2_sandwich_bound():
 def test_criterion_3_convex_convergence():
     with criterion(3, "two-agent quadratic case reaches the optimum", 2.0):
         topology = graphs.complete_graph(2)
-        losses = [
+        losses = LossStack([
             QuadraticLoss(q=np.ones(1), a=np.array([0.0])),
             QuadraticLoss(q=np.ones(1), a=np.array([2.0])),
-        ]
+        ])
         config = CadenConfig(mu_z=3.0, mu_y=3.0, tau_schedule=TauSchedule(base=5), seed=1)
         x, phi, grad = engine.init_states(losses, topology, np.array([[0.0], [2.0]]))
         for t in range(500):
@@ -171,12 +171,10 @@ def test_criterion_5_curvature_acceleration(nonconvex_runs):
             rng = np.random.default_rng([55, trial])
             d = 20
             loss = QuadraticLoss(q=random_psd(d, 100.0, rng), a=rng.standard_normal(d))
-            problem = LocalSubproblem(
-                loss=loss, phi=np.zeros(d), anchors=np.zeros((0, d)), mu_z=0.0
-            )
-            x0 = rng.standard_normal(d)
-            r_lbfgs = estimate_contraction(solve_lbfgs(problem, x0, 20))[0]
-            r_gd = estimate_contraction(solve_gd(problem, x0, 20, step=2.0 / 101.0))[0]
+            batch = batch_of([Row(loss=loss, phi=np.zeros(d), anchors=np.zeros((0, d)), mu_z=0.0)])
+            x0 = rng.standard_normal((1, d))
+            r_lbfgs = estimate_contraction(solve_lbfgs(batch, x0, 20))[0]
+            r_gd = estimate_contraction(solve_gd(batch, x0, 20, step=2.0 / 101.0))[0]
             assert r_lbfgs <= r_gd
 
 
@@ -206,10 +204,10 @@ def test_criterion_8_metric_identities():
         for seed in range(50):
             rng = np.random.default_rng(seed)
             topology = graphs.build_random_graph(8, 0.4, seed=seed)
-            losses = [
+            losses = LossStack([
                 QuadraticLoss(q=rng.uniform(0.5, 2.0, 3), a=rng.standard_normal(3))
                 for _ in range(8)
-            ]
+            ])
             x, phi, grad = engine.init_states(losses, topology, rng.standard_normal((8, 3)))
             for i in range(8):
                 phi[i] = rng.standard_normal(3)
@@ -217,7 +215,7 @@ def test_criterion_8_metric_identities():
             b = lyapunov_v_midpoint_form(x, phi, losses, topology)
             assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
         topology = graphs.complete_graph(4)
-        losses = [QuadraticLoss(q=np.ones(2), a=np.full(2, float(i))) for i in range(4)]
+        losses = LossStack([QuadraticLoss(q=np.ones(2), a=np.full(2, float(i))) for i in range(4)])
         x_star = np.full(2, 1.5)
         x, phi, grad = engine.init_states(losses, topology, np.tile(x_star, (4, 1)))
         for i in range(4):
@@ -240,7 +238,8 @@ def test_criterion_9_gradient_tracking_baseline():
         assert result.summary["totals"]["final_rel_err"] <= 1e-6
         topology = graphs.build_random_graph(10, 0.4, seed=10)
         rng = np.random.default_rng(0)
-        losses = [QuadraticLoss(q=np.ones(4), a=rng.standard_normal(4)) for _ in range(10)]
+        losses = LossStack([QuadraticLoss(q=np.ones(4), a=rng.standard_normal(4))
+                            for _ in range(10)])
         w = baselines.metropolis_weights(topology)
         state = baselines.gt_init(losses, rng.standard_normal((10, 4)), w, step=0.1)
         for _ in range(400):

@@ -9,16 +9,17 @@ from hypothesis import strategies as st
 
 from caden import edge_form, engine, graphs, verify
 from caden.engine import CadenConfig, TauSchedule
-from caden.losses import LogisticLoss, QuadraticLoss
-from caden.solvers import LocalSubproblem, solve_gd, solve_lbfgs
+from caden.losses import LogisticLoss, LossStack, QuadraticLoss
+from caden.solvers import solve_exact, solve_gd, solve_lbfgs
 from caden.verify import EQUIVALENCE_TOL, verify_equivalence
 
 from helpers import (
+    Row,
     augmented_lagrangian_value,
+    batch_of,
     dense_augmented_lagrangian,
     incident,
     random_psd,
-    solve_exact_quadratic,
 )
 
 
@@ -49,7 +50,7 @@ class TestLocalObjective:
         for i in range(6):
             edges = incident(topology, i)
             anchors = state.z[[k for k, _, _ in edges]]
-            problem = LocalSubproblem(losses[i], phi[i], anchors, mu_z)
+            batch = batch_of([Row(losses[i], phi[i], anchors, mu_z)])
             point = rng.standard_normal(3)
             value = losses[i].value(point)
             gradient = losses[i].gradient(point)
@@ -59,14 +60,15 @@ class TestLocalObjective:
                 value += float(state.y[k, side] @ diff) + 0.5 * mu_z * float(diff @ diff)
                 gradient = gradient + state.y[k, side] + mu_z * diff
                 constant -= float(state.y[k, side] @ state.z[k])
-            assert np.allclose(gradient, problem.gradient(point), atol=1e-12)
-            assert value == pytest.approx(problem.value(point) + constant, rel=1e-12, abs=1e-12)
+            assert np.allclose(gradient, batch.gradients(point[None], [0])[0], atol=1e-12)
+            assert value == pytest.approx(batch.values(point[None], [0])[0] + constant,
+                                          rel=1e-12, abs=1e-12)
 
     def test_zero_losses_zero_duals_minimizer_is_anchor(self):
         topology, state = _k2_state([1.0, -1.0], [0.0], [0.0, 0.0])
         loss = QuadraticLoss(q=np.zeros(1), a=np.zeros(1))
         config = CadenConfig(mu_z=2.0, mu_y=2.0, tau_schedule=TauSchedule(base=30))
-        new_x = edge_form.edge_x_step(state, [loss, loss], topology, config, 0)
+        new_x = edge_form.edge_x_step(state, LossStack([loss, loss]), topology, config, 0)
         assert np.allclose(new_x, 0.0, atol=1e-10)
 
 
@@ -107,7 +109,8 @@ class TestYStep:
     def test_dual_aggregates_match_engine_duals(self):
         topology = graphs.build_random_graph(5, 0.6, seed=3)
         rng = np.random.default_rng(2)
-        losses = [QuadraticLoss(q=np.ones(2), a=rng.standard_normal(2)) for _ in range(5)]
+        losses = LossStack([QuadraticLoss(q=np.ones(2), a=rng.standard_normal(2))
+                            for _ in range(5)])
         x0 = rng.standard_normal((5, 2))
         config = CadenConfig(mu_z=3.0, mu_y=2.0, tau_schedule=TauSchedule(base=4))
         x, phi, grad = engine.init_states(losses, topology, x0)
@@ -163,7 +166,8 @@ class TestAugmentedObjectiveTrend:
         # Diagnostic descent check; meaningful on convex instances only.
         rng = np.random.default_rng(5)
         topology = graphs.build_random_graph(5, 0.6, seed=5)
-        losses = [QuadraticLoss(q=np.ones(2), a=rng.standard_normal(2)) for _ in range(5)]
+        losses = LossStack([QuadraticLoss(q=np.ones(2), a=rng.standard_normal(2))
+                            for _ in range(5)])
         state = edge_form.init_edge_state(topology, rng.standard_normal((5, 2)))
         config = CadenConfig(mu_z=3.0, mu_y=2.0, tau_schedule=TauSchedule(base=5))
         values = [augmented_lagrangian_value(state, losses, topology, mu_z=3.0)]
@@ -178,8 +182,8 @@ class TestAugmentedObjectiveTrend:
 class TestPairedEquivalence:
     def test_k2_first_round_matches_engine_closed_form(self):
         topology = graphs.complete_graph(2)
-        losses = [QuadraticLoss(q=np.ones(1), a=np.array([0.0])),
-                  QuadraticLoss(q=np.ones(1), a=np.array([2.0]))]
+        losses = LossStack([QuadraticLoss(q=np.ones(1), a=np.array([0.0])),
+                            QuadraticLoss(q=np.ones(1), a=np.array([2.0]))])
         state = edge_form.init_edge_state(topology, np.array([[0.0], [2.0]]))
         config = CadenConfig(mu_z=3.0, mu_y=3.0, solver="exact")
         new_x = edge_form.edge_x_step(state, losses, topology, config, 0)
@@ -232,8 +236,8 @@ def test_forms_agree_on_random_graphs_and_budgets(
     # absolute gaps grow with the iterates.
     topology = graphs.build_random_graph(m, edge_prob, seed=seed)
     rng = np.random.default_rng(seed)
-    losses = [QuadraticLoss(q=random_psd(d, 10.0, rng), a=rng.standard_normal(d))
-              for _ in range(m)]
+    losses = LossStack([QuadraticLoss(q=random_psd(d, 10.0, rng), a=rng.standard_normal(d))
+                        for _ in range(m)])
     x0 = rng.standard_normal((m, d))
     config = CadenConfig(
         mu_z=mu_z, mu_y=mu_y_share * mu_z, tau_schedule=TauSchedule(base=tau), solver=solver
@@ -268,12 +272,12 @@ def test_x_step_equals_lone_solves_of_explicit_edge_subproblems(
     topology = graphs.build_random_graph(m, edge_prob, seed=seed)
     rng = np.random.default_rng(seed)
     if logistic and solver != "exact":
-        losses = [LogisticLoss(rng.standard_normal((6, d)), rng.integers(0, 2, 6), classes=2)
-                  for _ in range(m)]
-        d = losses[0].dim
+        losses = LossStack([LogisticLoss(rng.standard_normal((6, d)), rng.integers(0, 2, 6),
+                                         classes=2) for _ in range(m)])
+        d = losses.dim
     else:
-        losses = [QuadraticLoss(q=random_psd(d, 10.0, rng), a=rng.standard_normal(d))
-                  for _ in range(m)]
+        losses = LossStack([QuadraticLoss(q=random_psd(d, 10.0, rng), a=rng.standard_normal(d))
+                            for _ in range(m)])
     state = edge_form.EdgeState(
         x=rng.standard_normal((m, d)),
         z=rng.standard_normal((topology.n, d)),
@@ -289,11 +293,12 @@ def test_x_step_equals_lone_solves_of_explicit_edge_subproblems(
         phi_i = np.zeros(d)
         for k, _, side in edges:
             phi_i += state.y[k, side]
-        problem = LocalSubproblem(losses[i], phi_i, state.z[[k for k, _, _ in edges]], 2.0)
+        problem = Row(losses[i], phi_i, state.z[[k for k, _, _ in edges]], 2.0)
         if solver == "lbfgs":
-            want = solve_lbfgs(problem, state.x[i], tau, memory)
+            want = solve_lbfgs(batch_of([problem]), state.x[i][None], tau, memory)
         elif solver == "gd":
-            want = solve_gd(problem, state.x[i], tau, lipschitz=config.lipschitz)
+            want = solve_gd(batch_of([problem]), state.x[i][None], tau,
+                            lipschitz=config.lipschitz)
         else:
-            want = solve_exact_quadratic(problem)
+            want = solve_exact(batch_of([problem]))
         assert np.array_equal(new_x[i], want.x_out[0])

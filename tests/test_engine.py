@@ -1,6 +1,7 @@
 """Round engine: state initialization, participation, updates, checkpoints."""
 
 import os
+import re
 import struct
 import tempfile
 
@@ -13,14 +14,15 @@ from caden import engine, graphs
 from caden.datasets import gaussian_blobs
 from caden.engine import CadenConfig, TauSchedule
 from caden.losses import LocalLoss, LogisticLoss, LossStack, MlpLoss, QuadraticLoss
-from caden.solvers import LocalSubproblem
+
+from helpers import Row, batch_of
 
 
 def _k2_quadratics():
-    return [
+    return LossStack([
         QuadraticLoss(q=np.ones(1), a=np.array([0.0])),
         QuadraticLoss(q=np.ones(1), a=np.array([2.0])),
-    ]
+    ])
 
 
 def _k2_setup(mu_z=3.0, mu_y=3.0, solver="exact", **kwargs):
@@ -34,15 +36,17 @@ def _k2_setup(mu_z=3.0, mu_y=3.0, solver="exact", **kwargs):
 class TestInitStates:
     def test_duals_start_at_zero(self):
         topology = graphs.build_random_graph(6, 0.5, seed=0)
-        losses = [QuadraticLoss(q=np.ones(3), a=np.zeros(3)) for _ in range(6)]
+        losses = LossStack([QuadraticLoss(q=np.ones(3), a=np.zeros(3)) for _ in range(6)])
         _, phi, _ = engine.init_states(losses, topology, np.zeros((6, 3)))
         total = phi.sum()
         assert total == 0.0
 
     def test_dimension_mismatch(self):
+        # Models must be (m, d) for the topology's m and the stack's dim.
         topology = graphs.complete_graph(2)
-        with pytest.raises(ValueError):
-            engine.init_states(_k2_quadratics(), topology, np.zeros((3, 1)))
+        for shape in ((3, 1), (2, 2)):
+            with pytest.raises(ValueError, match=re.escape(f"shape {shape}, expected (2, 1)")):
+                engine.init_states(_k2_quadratics(), topology, np.zeros(shape))
 
 
 class TestParticipation:
@@ -89,7 +93,7 @@ class TestPrimalUpdate:
 
     def test_consensus_stationary_point_is_fixed(self):
         topology = graphs.build_random_graph(5, 0.6, seed=2)
-        losses = [QuadraticLoss(q=np.ones(2), a=np.full(2, float(i))) for i in range(5)]
+        losses = LossStack([QuadraticLoss(q=np.ones(2), a=np.full(2, float(i))) for i in range(5)])
         x_star = np.full(2, 2.0)  # mean of the targets 0..4
         x, phi, _ = engine.init_states(losses, topology, np.tile(x_star, (5, 1)))
         config = CadenConfig(mu_z=3.0, mu_y=3.0, solver="exact")
@@ -104,7 +108,8 @@ class TestPrimalUpdate:
         # cannot change the results.
         topology = graphs.build_random_graph(6, 0.5, seed=3)
         rng = np.random.default_rng(0)
-        losses = [QuadraticLoss(q=np.ones(3), a=rng.standard_normal(3)) for _ in range(6)]
+        losses = LossStack([QuadraticLoss(q=np.ones(3), a=rng.standard_normal(3))
+                            for _ in range(6)])
         x, phi, _ = engine.init_states(losses, topology, rng.standard_normal((6, 3)))
         config = CadenConfig(mu_z=2.0, mu_y=2.0, solver="lbfgs")
         forward = [engine.primal_update(i, x, phi, losses, topology, config, 0)
@@ -135,8 +140,8 @@ class TestSubproblemBuilder:
         rng = np.random.default_rng(seed)
         x = 10.0**log_scale * rng.standard_normal((m, d))
         phi = rng.standard_normal((m, d))
-        losses = [QuadraticLoss(q=rng.uniform(0.5, 2.0, d), a=rng.standard_normal(d))
-                  for _ in range(m)]
+        losses = LossStack([QuadraticLoss(q=rng.uniform(0.5, 2.0, d), a=rng.standard_normal(d))
+                            for _ in range(m)])
         agents = sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1)))
         z = graphs.edge_midpoints(topology, x)
         batch = engine.subproblems(agents, phi, z, losses, topology, mu_z=2.0)
@@ -144,13 +149,13 @@ class TestSubproblemBuilder:
         for n, i in enumerate(agents):
             neighbors = sorted(b if a == i else a for a, b in topology.edges if i in (a, b))
             want = np.array([0.5 * (x[i] + x[j]) for j in neighbors])
-            problem = LocalSubproblem(losses[i], phi[i], want, 2.0)
+            lone = batch_of([Row(losses[i], phi[i], want, 2.0)])
             assert batch.loss(n) is losses[i]
             assert batch.degree[n] == len(neighbors)
             for point in (x[i], x[i] + 10.0**log_scale * rng.standard_normal(d)):
-                assert batch.values(point[None], [n])[0] == problem.value(point)
+                assert batch.values(point[None], [n])[0] == lone.values(point[None], [0])[0]
                 assert np.array_equal(batch.gradients(point[None], [n])[0],
-                                      problem.gradient(point))
+                                      lone.gradients(point[None], [0])[0])
 
 
 class TestBroadcastAndDual:
@@ -162,7 +167,7 @@ class TestBroadcastAndDual:
 
     def test_one_unit_per_broadcast_regardless_of_degree(self):
         topology = graphs.complete_graph(4)  # every agent has 3 neighbors
-        losses = [QuadraticLoss(q=np.ones(1), a=np.zeros(1)) for _ in range(4)]
+        losses = LossStack([QuadraticLoss(q=np.ones(1), a=np.zeros(1)) for _ in range(4)])
         x, _, _ = engine.init_states(losses, topology, np.zeros((4, 1)))
         assert engine.broadcast(x, [0], [np.array([0.75])]) == 1
         assert x[0, 0] == 0.75
@@ -187,7 +192,8 @@ class TestRunRound:
     def test_dual_sum_stays_zero_under_full_participation(self):
         topology = graphs.build_random_graph(7, 0.4, seed=4)
         rng = np.random.default_rng(1)
-        losses = [QuadraticLoss(q=np.ones(2), a=rng.standard_normal(2)) for _ in range(7)]
+        losses = LossStack([QuadraticLoss(q=np.ones(2), a=rng.standard_normal(2))
+                            for _ in range(7)])
         x, phi, grad = engine.init_states(losses, topology, rng.standard_normal((7, 2)))
         config = CadenConfig(mu_z=3.0, mu_y=2.0, tau_schedule=TauSchedule(base=5))
         rounds = 50
@@ -199,7 +205,8 @@ class TestRunRound:
     def test_inactive_agents_frozen_bitwise(self):
         topology = graphs.build_random_graph(8, 0.5, seed=5)
         rng = np.random.default_rng(2)
-        losses = [QuadraticLoss(q=np.ones(2), a=rng.standard_normal(2)) for _ in range(8)]
+        losses = LossStack([QuadraticLoss(q=np.ones(2), a=rng.standard_normal(2))
+                            for _ in range(8)])
         x, phi, grad = engine.init_states(losses, topology, rng.standard_normal((8, 2)))
         config = CadenConfig(mu_z=3.0, mu_y=3.0, participation=0.5, seed=3)
         for t in range(10):
@@ -227,7 +234,7 @@ class TestRunRound:
 
     def test_full_participation_communication_count(self):
         topology = graphs.build_random_graph(6, 0.5, seed=6)
-        losses = [QuadraticLoss(q=np.ones(1), a=np.zeros(1)) for _ in range(6)]
+        losses = LossStack([QuadraticLoss(q=np.ones(1), a=np.zeros(1)) for _ in range(6)])
         x, phi, grad = engine.init_states(losses, topology, np.zeros((6, 1)))
         config = CadenConfig(mu_z=1.0, mu_y=1.0)
         total = sum(
@@ -345,7 +352,8 @@ class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         topology = graphs.build_random_graph(5, 0.6, seed=7)
         rng = np.random.default_rng(3)
-        losses = [QuadraticLoss(q=np.ones(3), a=rng.standard_normal(3)) for _ in range(5)]
+        losses = LossStack([QuadraticLoss(q=np.ones(3), a=rng.standard_normal(3))
+                            for _ in range(5)])
         x, phi, grad = engine.init_states(losses, topology, rng.standard_normal((5, 3)))
         config = CadenConfig(mu_z=2.0, mu_y=2.0)
         for t in range(4):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caden import cli, engine, harness, metrics
+from caden import cli, engine, graphs, harness, metrics
 from caden.config import ExperimentConfig, serialize_config
 from caden.errors import CadenError, ConfigError, DivergenceError
 from caden.harness import (
@@ -21,10 +21,17 @@ from caden.harness import (
     run_experiment,
     sweep,
 )
-from caden.losses import LogisticLoss, MlpLoss, QuadraticLoss
-from caden.solvers import LocalSubproblem, estimate_contraction, solve_gd
+from caden.losses import LogisticLoss, LossStack, MlpLoss, QuadraticLoss
+from caden.solvers import estimate_contraction, solve_gd
 
-from helpers import neighbors, write_edge_list, write_idx_images, write_idx_labels
+from helpers import (
+    Row,
+    batch_of,
+    neighbors,
+    write_edge_list,
+    write_idx_images,
+    write_idx_labels,
+)
 
 
 def _k2_config(**overrides):
@@ -148,7 +155,7 @@ class TestRunExperiment:
                 return super().gradient(x)
 
         def broken_losses(cfg, topology):
-            return [Bomb(q=np.ones(1), a=np.array([float(i)])) for i in range(2)], None
+            return LossStack([Bomb(q=np.ones(1), a=np.array([float(i)])) for i in range(2)]), None
 
         original = harness.build_losses
         harness.build_losses = broken_losses
@@ -196,6 +203,29 @@ class TestRunExperiment:
 
         assert len(_cells_after(straight, k)) == 40 - k
         assert _cells_after(resumed, k) == _cells_after(straight, k)
+
+    @pytest.mark.parametrize("algorithm", ["caden", "caden-gd"])
+    def test_warm_start_resume_equals_continuous_run(self, tmp_path, algorithm):
+        # The checkpoint holds models and duals only; a resumed warm-start run
+        # reruns the deterministic probe, so caden.mu_z = auto (and the
+        # caden-gd step) resolve as in the run it continues.
+        state_path = str(tmp_path / "state.bin")
+        cfg = ExperimentConfig(
+            seed=4, rounds=10, algorithm=algorithm, topology_kind="ring", topology_m=4,
+            loss_kind="logistic", loss_l2=1e-3, loss_samples_per_agent=20, loss_features=4,
+            loss_eval_samples=20, init_strategy="warmstart", metrics_wall_time=False,
+            output_label="straight",
+        )
+        straight = run_experiment(cfg, out_dir=str(tmp_path))
+        run_experiment(cfg.replace(rounds=5, output_save_state=state_path, output_label="first"),
+                       out_dir=str(tmp_path))
+        resumed = run_experiment(
+            cfg.replace(rounds=5, init_state_file=state_path, output_label="resumed"),
+            out_dir=str(tmp_path),
+        )
+        assert resumed.summary["theory"] == straight.summary["theory"]
+        assert len(_cells_after(straight, 5)) == 5
+        assert _cells_after(resumed, 5) == _cells_after(straight, 5)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -366,12 +396,28 @@ class TestRunExperiment:
         rates = []
         for i, loss in enumerate(losses):
             anchors = 0.5 * (init.x0[i] + init.x0[list(neighbors(topology, i))])
-            problem = LocalSubproblem(loss, phi[i], anchors, mu_z)
             report = solve_gd(
-                problem, init.x0[i], cfg.contraction_probe_iters, lipschitz=init.lipschitz
+                batch_of([Row(loss, phi[i], anchors, mu_z)]), init.x0[i][None],
+                cfg.contraction_probe_iters, lipschitz=init.lipschitz,
             )
             rates.append(estimate_contraction(report)[0])
         assert result.summary["theory"]["contraction_rate"] == max(rates)
+
+    def test_theory_run_computes_the_spectrum_once(self, tmp_path, monkeypatch):
+        # The graph summary and the prescribed parameters share one
+        # Laplacian spectrum.
+        calls = []
+        spectrum = graphs.laplacian_spectrum
+        monkeypatch.setattr(graphs, "laplacian_spectrum",
+                            lambda topology: calls.append(1) or spectrum(topology))
+        cfg = ExperimentConfig(
+            seed=2, rounds=3, mode="theory", topology_kind="complete", topology_m=6,
+            loss_kind="quadratic", quadratic_style="identity", loss_dimension=2,
+            metrics_wall_time=False, output_label="theory",
+        )
+        result = run_experiment(cfg, out_dir=str(tmp_path))
+        assert len(calls) == 1
+        assert result.summary["graph"]["lambda_max"] == spectrum(build_topology(cfg)).lambda_max
 
     def test_mu_z_auto_needs_smoothness(self, tmp_path):
         cfg = ExperimentConfig(

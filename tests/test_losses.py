@@ -99,7 +99,7 @@ class TestLipschitzEstimate:
     def test_identity_quadratic_is_exactly_one(self):
         # a = 0 makes the gradient difference bitwise equal to the step.
         loss = losses.QuadraticLoss(q=np.ones(3), a=np.zeros(3))
-        est = losses.estimate_lipschitz([loss], np.array([1.0, -2.0, 0.5]))
+        est = losses.estimate_lipschitz(losses.LossStack([loss]), np.array([1.0, -2.0, 0.5]))
         assert est.l_hat == 1.0
 
     def test_ill_conditioned_quadratic_approaches_top_eigenvalue(self):
@@ -108,7 +108,7 @@ class TestLipschitzEstimate:
         # lam_max from below.
         loss = losses.QuadraticLoss(q=np.array([1.0, 10.0]), a=np.zeros(2))
         est = losses.estimate_lipschitz(
-            [loss], np.array([1.0, 1.0]), warm_epochs=20, warm_lr=0.19,
+            losses.LossStack([loss]), np.array([1.0, 1.0]), warm_epochs=20, warm_lr=0.19,
             probe_epochs=10, probe_lr=1e-7,
         )
         assert 9.99 <= est.l_hat <= 10.0
@@ -119,14 +119,14 @@ class TestLipschitzEstimate:
             q = random_psd(5, 40.0, rng)
             loss = losses.QuadraticLoss(q=q, a=rng.standard_normal(5))
             est = losses.estimate_lipschitz(
-                [loss], rng.standard_normal(5), warm_epochs=15, warm_lr=0.04
+                losses.LossStack([loss]), rng.standard_normal(5), warm_epochs=15, warm_lr=0.04
             )
             assert est.l_hat <= np.linalg.eigvalsh(q)[-1] + 1e-9
 
     def test_mlp_smoke(self):
         x_data, y_data = gaussian_blobs(40, 6, 3, seed=9)
         loss = losses.MlpLoss(x_data, y_data, hidden=8, classes=3)
-        est = losses.estimate_lipschitz([loss], loss.init_params(0))
+        est = losses.estimate_lipschitz(losses.LossStack([loss]), loss.init_params(0))
         assert np.isfinite(est.l_hat) and est.l_hat > 0.0
         assert est.x_init.shape == (1, loss.dim)
 
@@ -134,7 +134,7 @@ class TestLipschitzEstimate:
         # Start at the exact minimizer: every probe step has zero length.
         loss = losses.QuadraticLoss(q=np.ones(2), a=np.zeros(2))
         with pytest.raises(LipschitzEstimateError):
-            losses.estimate_lipschitz([loss], np.zeros(2), warm_epochs=0)
+            losses.estimate_lipschitz(losses.LossStack([loss]), np.zeros(2), warm_epochs=0)
 
     @pytest.mark.parametrize("family", ["logistic", "mlp"])
     def test_lockstep_probe_equals_the_one_agent_probe_bit_for_bit(self, family):
@@ -296,10 +296,14 @@ class TestLossStack:
             assert np.array_equal(gradients[n], ref.gradient(x[n]))
 
     def test_behaves_as_the_list_of_losses(self):
-        zoo = _loss_zoo()[2:]
+        zoo = [_loss_zoo()[2] for _ in range(2)]
         stack = losses.LossStack(zoo)
         assert len(stack) == 2 and list(stack) == zoo and stack[1] is zoo[1]
-        assert losses.LossStack.of(stack) is stack
+
+    def test_refuses_members_of_another_dimension(self):
+        # Logistic d = 15 and MLP d = 66 on the same data.
+        with pytest.raises(ValueError, match=r"^loss 1 has dim 66, but loss 0 has dim 15$"):
+            losses.LossStack(_loss_zoo()[2:])
 
 
 class TestQuadraticKernel:

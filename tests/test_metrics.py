@@ -8,16 +8,16 @@ from hypothesis import strategies as st
 from caden import engine, graphs, metrics
 from caden.datasets import gaussian_blobs
 from caden.engine import CadenConfig
-from caden.losses import MlpLoss, QuadraticLoss
+from caden.losses import LossStack, MlpLoss, QuadraticLoss
 
-from helpers import lyapunov_v_midpoint_form
+from helpers import Row, batch_of, lyapunov_v_midpoint_form
 
 
 def _random_states(seed, m=8, d=3):
     rng = np.random.default_rng(seed)
     topology = graphs.build_random_graph(m, 0.4, seed=seed)
-    losses = [QuadraticLoss(q=rng.uniform(0.5, 2.0, d), a=rng.standard_normal(d))
-              for _ in range(m)]
+    losses = LossStack([QuadraticLoss(q=rng.uniform(0.5, 2.0, d), a=rng.standard_normal(d))
+                        for _ in range(m)])
     x, phi, grad = engine.init_states(losses, topology, rng.standard_normal((m, d)))
     for i in range(m):
         phi[i] = rng.standard_normal(d)
@@ -28,7 +28,7 @@ def _consensus_stationary(m=4, d=2):
     """All models equal with duals cancelling each local gradient."""
     topology = graphs.complete_graph(m)
     rng = np.random.default_rng(0)
-    losses = [QuadraticLoss(q=np.ones(d), a=rng.standard_normal(d)) for _ in range(m)]
+    losses = LossStack([QuadraticLoss(q=np.ones(d), a=rng.standard_normal(d)) for _ in range(m)])
     x_star = np.mean([loss.a for loss in losses], axis=0)
     x, phi, grad = engine.init_states(losses, topology, np.tile(x_star, (m, 1)))
     for i in range(m):
@@ -68,16 +68,16 @@ class TestRelativeError:
     def test_zero_at_global_consensus_stationary_point(self):
         # Exactly representable optimum: targets -1 and 1 with mean 0.
         topology = graphs.complete_graph(2)
-        losses = [QuadraticLoss(q=np.ones(1), a=np.array([-1.0])),
-                  QuadraticLoss(q=np.ones(1), a=np.array([1.0]))]
+        losses = LossStack([QuadraticLoss(q=np.ones(1), a=np.array([-1.0])),
+                            QuadraticLoss(q=np.ones(1), a=np.array([1.0]))])
         x, _, _ = engine.init_states(losses, topology, np.zeros((2, 1)))
         assert metrics.relative_error(x, losses) == 0.0
 
     def test_two_agent_hand_value(self):
         # Gradients vanish at the local targets; only the chain gap remains.
         topology = graphs.complete_graph(2)
-        losses = [QuadraticLoss(q=np.ones(1), a=np.array([0.0])),
-                  QuadraticLoss(q=np.ones(1), a=np.array([2.0]))]
+        losses = LossStack([QuadraticLoss(q=np.ones(1), a=np.array([0.0])),
+                            QuadraticLoss(q=np.ones(1), a=np.array([2.0]))])
         x, _, _ = engine.init_states(losses, topology, np.array([[0.0], [2.0]]))
         assert metrics.relative_error(x, losses) == pytest.approx(4.0)
 
@@ -88,7 +88,7 @@ class TestRelativeError:
 
     def test_graph_variant_counts_edges(self):
         topology = graphs.path_graph(3)
-        losses = [QuadraticLoss(q=np.ones(1), a=np.zeros(1)) for _ in range(3)]
+        losses = LossStack([QuadraticLoss(q=np.ones(1), a=np.zeros(1)) for _ in range(3)])
         x, _, _ = engine.init_states(losses, topology, np.array([[0.0], [1.0], [2.0]]))
         chain = metrics.relative_error(x, losses)
         graph = metrics.relative_error_graph(x, losses, topology)
@@ -101,20 +101,21 @@ class TestAccuracy:
     def _mlp_models(self, params):
         x_data, y_data = gaussian_blobs(60, 5, 10, seed=0)
         topology = graphs.complete_graph(3)
-        losses = [MlpLoss(x_data, y_data, hidden=6, classes=10) for _ in range(3)]
+        losses = LossStack([MlpLoss(x_data, y_data, hidden=6, classes=10) for _ in range(3)])
         x, _, _ = engine.init_states(losses, topology, np.tile(params(losses[0]), (3, 1)))
         return topology, losses, x
 
     def test_perfect_classifier_scores_one(self):
         x_eval, y_eval = gaussian_blobs(100, 5, 3, seed=1, spread=0.1)
         topology = graphs.complete_graph(2)
-        losses = [MlpLoss(x_eval, y_eval, hidden=16, classes=3) for _ in range(2)]
+        losses = LossStack([MlpLoss(x_eval, y_eval, hidden=16, classes=3) for _ in range(2)])
         params = losses[0].init_params(0)
-        from caden.solvers import LocalSubproblem, solve_lbfgs
+        from caden.solvers import solve_lbfgs
 
-        problem = LocalSubproblem(loss=losses[0], phi=np.zeros(losses[0].dim),
-                                  anchors=np.zeros((0, losses[0].dim)), mu_z=0.0)
-        params = solve_lbfgs(problem, params, 200).x_out[0]
+        d = losses.dim
+        batch = batch_of([Row(loss=losses[0], phi=np.zeros(d), anchors=np.zeros((0, d)), mu_z=0.0)],
+                         losses, [0])
+        params = solve_lbfgs(batch, params[None], 200).x_out[0]
         x, _, _ = engine.init_states(losses, topology, np.tile(params, (2, 1)))
         assert metrics.test_accuracy(x, losses, x_eval, y_eval) == 1.0
 
@@ -155,8 +156,8 @@ class TestPhiDrift:
         # with them the rounding of that sum, bounded.
         topology = graphs.build_random_graph(m, edge_prob, seed=seed)
         rng = np.random.default_rng(seed)
-        losses = [QuadraticLoss(q=rng.uniform(0.5, 2.0, d), a=rng.standard_normal(d))
-                  for _ in range(m)]
+        losses = LossStack([QuadraticLoss(q=rng.uniform(0.5, 2.0, d), a=rng.standard_normal(d))
+                            for _ in range(m)])
         x, phi, grad = engine.init_states(losses, topology, rng.standard_normal((m, d)))
         config = CadenConfig(mu_z=mu_z, mu_y=mu_y_share * mu_z, solver=solver)
         for t in range(10):

@@ -12,30 +12,28 @@ from caden import solvers
 from caden.datasets import gaussian_blobs
 from caden.losses import LocalLoss, LossStack, MlpLoss, QuadraticLoss, rowdot
 from caden.solvers import (
-    LocalSubproblem,
-    SubproblemBatch,
     estimate_contraction,
+    solve_exact,
     solve_gd,
-    solve_gd_batch,
     solve_lbfgs,
-    solve_lbfgs_batch,
     two_loop_direction,
 )
 
 from helpers import (
+    Row,
+    batch_of,
     central_difference,
     random_psd,
     reference_gradient,
     reference_solve_lbfgs,
     reference_two_loop,
     reference_value,
-    solve_exact_quadratic,
 )
 
 
 def _subproblem(rng, d=4, degree=3, mu_z=3.0, cond=10.0):
     loss = QuadraticLoss(q=random_psd(d, cond, rng), a=rng.standard_normal(d))
-    return LocalSubproblem(
+    return Row(
         loss=loss,
         phi=rng.standard_normal(d),
         anchors=rng.standard_normal((degree, d)),
@@ -43,7 +41,7 @@ def _subproblem(rng, d=4, degree=3, mu_z=3.0, cond=10.0):
     )
 
 
-def _oracle_minimizer(p: LocalSubproblem) -> np.ndarray:
+def _oracle_minimizer(p: Row) -> np.ndarray:
     # (Q + mu_z k I)^-1 (Q a - phi + mu_z sum anchors), built independently.
     q = p.loss.q if not p.loss.diagonal else np.diag(p.loss.q)
     lhs = q + p.mu_z * p.degree * np.eye(p.loss.dim)
@@ -72,7 +70,7 @@ class TestSubproblemTerms:
         rng = np.random.default_rng(seed)
         scale = 10.0**log_scale
         problems = [
-            LocalSubproblem(
+            Row(
                 loss=QuadraticLoss(q=rng.uniform(0.5, 2.0, d), a=scale * rng.standard_normal(d)),
                 phi=scale * rng.standard_normal(d),
                 anchors=scale * rng.standard_normal((k, d)),
@@ -85,14 +83,12 @@ class TestSubproblemTerms:
             dtype=np.intp,
         )
         x = scale * rng.standard_normal((len(which), d))
-        batch = SubproblemBatch.of(problems)
+        batch = batch_of(problems)
         values = batch.values(x, which)
         gradients = batch.gradients(x, which)
         for n, j in enumerate(which):
             assert values[n] == reference_value(problems[j], x[n])
             assert np.array_equal(gradients[n], reference_gradient(problems[j], x[n]))
-            assert problems[j].value(x[n]) == values[n]
-            assert np.array_equal(problems[j].gradient(x[n]), gradients[n])
 
     @pytest.mark.parametrize("log_scale", range(-5, 5))
     def test_penalty_equals_the_written_out_sum(self, log_scale):
@@ -115,58 +111,34 @@ class TestSubproblemTerms:
                                    anchors.mean(axis=0) + scale * 1e3 * rng.standard_normal(d)]
                     else:
                         points += list(scale * rng.standard_normal((3, d)))
-                    problems += [LocalSubproblem(zero, np.zeros(d), anchors, 2.0)] * 3
+                    problems += [Row(zero, np.zeros(d), anchors, 2.0)] * 3
             points = np.array(points)
-            got = SubproblemBatch.of(problems).values(points, np.arange(len(problems)))
+            got = batch_of(problems).values(points, np.arange(len(problems)))
             for value, x, problem in zip(got, points, problems):
                 want = sum(float(np.sum((x - a) ** 2)) for a in problem.anchors)
                 assert abs(value - want) <= 1e-12 * want
 
 
-class TestOneRowBatch:
-    def test_value_gradient_and_lone_solves_reuse_one_batch(self, monkeypatch):
-        # A subproblem builds its one-row batch once, at construction; every
-        # value and gradient call and each lone solve evaluates through it.
-        built = []
-        init = SubproblemBatch.__init__
-
-        def counting(self, *args):
-            built.append(1)
-            init(self, *args)
-
-        monkeypatch.setattr(SubproblemBatch, "__init__", counting)
-        p = _subproblem(np.random.default_rng(14))
-        x = np.ones(p.loss.dim)
-        values = [p.value(x) for _ in range(3)]
-        gradients = [p.gradient(x) for _ in range(3)]
-        solve_lbfgs(p, x, tau=2)
-        solve_gd(p, x, tau=2)
-        assert len(built) == 1
-        assert values == [reference_value(p, x)] * 3
-        for g in gradients:
-            assert np.array_equal(g, reference_gradient(p, x))
-
-
 class TestSubproblemGradient:
     def test_identity_loss_single_zero_anchor(self):
         loss = QuadraticLoss(q=np.ones(2), a=np.zeros(2))
-        p = LocalSubproblem(loss=loss, phi=np.zeros(2), anchors=np.zeros((1, 2)), mu_z=3.0)
+        batch = batch_of([Row(loss=loss, phi=np.zeros(2), anchors=np.zeros((1, 2)), mu_z=3.0)])
         v = np.array([1.5, -0.5])
-        assert np.allclose(p.gradient(v), 4.0 * v)
+        assert np.allclose(batch.gradients(v[None], [0])[0], 4.0 * v)
 
     def test_zero_at_minimizer(self):
         rng = np.random.default_rng(0)
         p = _subproblem(rng)
         x_star = _oracle_minimizer(p)
-        assert np.linalg.norm(p.gradient(x_star)) < 1e-10
+        assert np.linalg.norm(batch_of([p]).gradients(x_star[None], [0])[0]) < 1e-10
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(1)
         for _ in range(5):
-            p = _subproblem(rng)
-            x = rng.standard_normal(p.loss.dim)
-            grad = p.gradient(x)
-            oracle = central_difference(p.value, x)
+            batch = batch_of([_subproblem(rng)])
+            x = rng.standard_normal(4)
+            grad = batch.gradients(x[None], [0])[0]
+            oracle = central_difference(lambda v: batch.values(v[None], [0])[0], x)
             assert np.linalg.norm(grad - oracle) / max(np.linalg.norm(oracle), 1.0) < 1e-5
 
 
@@ -225,16 +197,16 @@ class TestTwoLoop:
     def test_empty_history_scales_gradient(self):
         grad = np.array([2.0, -4.0])
         out = two_loop_direction(
-            np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0), 0.5, grad
+            np.zeros((1, 0, 2)), np.zeros((1, 0, 2)), np.zeros((1, 0)), np.array([0.5]), grad[None]
         )
-        assert np.array_equal(out, 0.5 * grad)
+        assert np.array_equal(out[0], 0.5 * grad)
 
     def test_input_gradient_not_mutated(self):
         rng = np.random.default_rng(1)
         s, y, rho = _random_history(rng, 4, 8)
-        grad = rng.standard_normal(8)
+        grad = rng.standard_normal((1, 8))
         snapshot = grad.copy()
-        two_loop_direction(s, y, rho, 1.0, grad)
+        two_loop_direction(s[None], y[None], rho[None], np.ones(1), grad)
         assert np.array_equal(grad, snapshot)
 
     @settings(max_examples=100, deadline=None)
@@ -286,7 +258,9 @@ class TestTwoLoop:
             gamma = 1.0
             if s_hist:
                 gamma = float(s_arr[-1] @ y_arr[-1]) / float(y_arr[-1] @ y_arr[-1])
-            direction = -two_loop_direction(s_arr, y_arr, rho, gamma, grad)
+            direction = -two_loop_direction(
+                s_arr[None], y_arr[None], rho[None], np.array([gamma]), grad[None]
+            )[0]
             denom = float(direction @ (q @ direction))
             step = -float(grad @ direction) / denom  # exact line search
             x_new = x + step * direction
@@ -301,22 +275,22 @@ class TestLbfgs:
         rng = np.random.default_rng(2)
         for _ in range(5):
             p = _subproblem(rng)
-            report = solve_lbfgs(p, rng.standard_normal(p.loss.dim), tau=60)
+            report = solve_lbfgs(batch_of([p]), rng.standard_normal(p.loss.dim)[None], tau=60)
             assert report.grad_norm_out[0] <= 1e-10 * report.grad_norm_in[0]
             assert np.allclose(report.x_out[0], _oracle_minimizer(p), atol=1e-8)
 
     def test_start_at_minimizer_stays_put(self):
         rng = np.random.default_rng(3)
         p = _subproblem(rng)
-        x_star = solve_exact_quadratic(p).x_out[0]
-        report = solve_lbfgs(p, x_star, tau=5)
+        x_star = solve_exact(batch_of([p])).x_out[0]
+        report = solve_lbfgs(batch_of([p]), x_star[None], tau=5)
         assert np.allclose(report.x_out[0], x_star, atol=1e-9)
         assert report.grad_norm_out[0] <= 1e-9
 
     def test_iteration_budget_respected(self):
         rng = np.random.default_rng(4)
         p = _subproblem(rng)
-        report = solve_lbfgs(p, rng.standard_normal(p.loss.dim), tau=3)
+        report = solve_lbfgs(batch_of([p]), rng.standard_normal(p.loss.dim)[None], tau=3)
         assert report.iterations[0] <= 3
         assert report.grad_norms.shape == (1, 4)
         assert not np.isnan(_reached(report, "grad_norms")).any()
@@ -326,7 +300,7 @@ class TestLbfgs:
         rng = np.random.default_rng(5)
         for _ in range(10):
             p = _subproblem(rng, cond=50.0)
-            report = solve_lbfgs(p, rng.standard_normal(p.loss.dim), tau=15)
+            report = solve_lbfgs(batch_of([p]), rng.standard_normal(p.loss.dim)[None], tau=15)
             values = _reached(report, "values")
             diffs = np.diff(values)
             allowed = 1e-11 * (1.0 + np.abs(values[:-1]))
@@ -334,11 +308,11 @@ class TestLbfgs:
 
     def test_faster_than_gd_on_ill_conditioned(self):
         loss = QuadraticLoss(q=np.array([1.0, 100.0]), a=np.zeros(2))
-        p = LocalSubproblem(loss=loss, phi=np.zeros(2), anchors=np.zeros((0, 2)), mu_z=0.5)
+        p = Row(loss=loss, phi=np.zeros(2), anchors=np.zeros((0, 2)), mu_z=0.5)
         x0 = np.array([1.0, 1.0])
         tau = 12
-        lbfgs_rep = solve_lbfgs(p, x0, tau)
-        gd_rep = solve_gd(p, x0, tau, step=2.0 / (1.0 + 100.0))
+        lbfgs_rep = solve_lbfgs(batch_of([p]), x0[None], tau)
+        gd_rep = solve_gd(batch_of([p]), x0[None], tau, step=2.0 / (1.0 + 100.0))
         assert lbfgs_rep.grad_norm_out[0] < gd_rep.grad_norm_out[0]
         assert estimate_contraction(lbfgs_rep)[0] < estimate_contraction(gd_rep)[0]
 
@@ -346,7 +320,7 @@ class TestLbfgs:
         rng = np.random.default_rng(6)
         for _ in range(10):
             p = _subproblem(rng, cond=100.0)
-            report = solve_lbfgs(p, rng.standard_normal(p.loss.dim), tau=20)
+            report = solve_lbfgs(batch_of([p]), rng.standard_normal(p.loss.dim)[None], tau=20)
             # Monotone gradient decrease to (near) zero certifies every
             # direction was a descent direction of a positive-definite model.
             assert report.grad_norm_out[0] < report.grad_norm_in[0]
@@ -362,7 +336,7 @@ class TestLbfgs:
 
         monkeypatch.setattr(solvers, "two_loop_direction", counting)
         p = _subproblem(np.random.default_rng(12), cond=50.0)
-        report = solve_lbfgs(p, np.ones(p.loss.dim), tau=8)
+        report = solve_lbfgs(batch_of([p]), np.ones((1, p.loss.dim)), tau=8)
         assert report.iterations[0] == 8
         assert len(calls) == report.iterations[0]
 
@@ -370,8 +344,8 @@ class TestLbfgs:
         # Zero curvature along the second coordinate produces step/gradient
         # pairs with s.y ~ 0; they must be dropped without breaking descent.
         loss = QuadraticLoss(q=np.array([1.0, 0.0, 0.5]), a=np.zeros(3))
-        p = LocalSubproblem(loss=loss, phi=np.zeros(3), anchors=np.zeros((0, 3)), mu_z=0.0)
-        report = solve_lbfgs(p, np.array([2.0, 1.0, -3.0]), tau=25)
+        p = Row(loss=loss, phi=np.zeros(3), anchors=np.zeros((0, 3)), mu_z=0.0)
+        report = solve_lbfgs(batch_of([p]), np.array([[2.0, 1.0, -3.0]]), tau=25)
         assert report.grad_norm_out[0] <= 1e-8
         values = _reached(report, "values")
         diffs = np.diff(values)
@@ -381,15 +355,15 @@ class TestLbfgs:
 class TestGd:
     def test_hand_step(self):
         loss = QuadraticLoss(q=np.array([1.0, 10.0]), a=np.zeros(2))
-        p = LocalSubproblem(loss=loss, phi=np.zeros(2), anchors=np.zeros((0, 2)), mu_z=0.0)
-        report = solve_gd(p, np.array([1.0, 1.0]), tau=1, step=0.1)
+        p = Row(loss=loss, phi=np.zeros(2), anchors=np.zeros((0, 2)), mu_z=0.0)
+        report = solve_gd(batch_of([p]), np.ones((1, 2)), tau=1, step=0.1)
         assert np.allclose(report.x_out[0], [0.9, 0.0])
 
     def test_zero_iterations(self):
         rng = np.random.default_rng(7)
         p = _subproblem(rng)
         x0 = rng.standard_normal(p.loss.dim)
-        report = solve_gd(p, x0, tau=0, step=0.01)
+        report = solve_gd(batch_of([p]), x0[None], tau=0, step=0.01)
         assert np.array_equal(report.x_out[0], x0)
 
     def test_descent_below_stability_threshold(self):
@@ -397,13 +371,14 @@ class TestGd:
         for _ in range(10):
             p = _subproblem(rng, cond=20.0)
             smooth = p.loss.smoothness() + p.mu_z * p.degree
-            report = solve_gd(p, rng.standard_normal(p.loss.dim), tau=5, step=1.8 / smooth)
+            x0 = rng.standard_normal(p.loss.dim)[None]
+            report = solve_gd(batch_of([p]), x0, tau=5, step=1.8 / smooth)
             assert report.grad_norm_out[0] < report.grad_norm_in[0]
 
     def test_default_step_from_smoothness(self):
         rng = np.random.default_rng(9)
         p = _subproblem(rng)
-        report = solve_gd(p, rng.standard_normal(p.loss.dim), tau=10)
+        report = solve_gd(batch_of([p]), rng.standard_normal(p.loss.dim)[None], tau=10)
         assert report.grad_norm_out[0] < report.grad_norm_in[0]
 
 
@@ -412,7 +387,8 @@ class TestExactSolve:
         rng = np.random.default_rng(10)
         for _ in range(5):
             p = _subproblem(rng)
-            assert np.allclose(solve_exact_quadratic(p).x_out[0], _oracle_minimizer(p), atol=1e-10)
+            x_exact = solve_exact(batch_of([p])).x_out[0]
+            assert np.allclose(x_exact, _oracle_minimizer(p), atol=1e-10)
 
     def test_rejects_non_quadratic(self):
         from caden.datasets import gaussian_blobs
@@ -420,10 +396,10 @@ class TestExactSolve:
 
         x_data, y_data = gaussian_blobs(20, 3, 2, seed=0)
         loss = LogisticLoss(x_data, y_data, classes=2)
-        p = LocalSubproblem(loss=loss, phi=np.zeros(loss.dim),
+        p = Row(loss=loss, phi=np.zeros(loss.dim),
                             anchors=np.zeros((0, loss.dim)), mu_z=1.0)
         with pytest.raises(TypeError):
-            solve_exact_quadratic(p)
+            solve_exact(batch_of([p]))
 
 
 class TestContraction:
@@ -431,29 +407,29 @@ class TestContraction:
         rng = np.random.default_rng(11)
         for _ in range(20):
             p = _subproblem(rng, cond=30.0)
-            rate = estimate_contraction(solve_lbfgs(p, rng.standard_normal(p.loss.dim), 15))[0]
+            x0 = rng.standard_normal(p.loss.dim)[None]
+            rate = estimate_contraction(solve_lbfgs(batch_of([p]), x0, 15))[0]
             assert 0.0 <= rate < 1.0
 
     def test_zero_at_minimizer(self):
         # Exactly representable minimizer: everything centered at the origin.
         loss = QuadraticLoss(q=np.ones(3), a=np.zeros(3))
-        p = LocalSubproblem(loss=loss, phi=np.zeros(3), anchors=np.zeros((2, 3)), mu_z=2.0)
-        assert estimate_contraction(solve_lbfgs(p, np.zeros(3), 5))[0] == 0.0
+        p = Row(loss=loss, phi=np.zeros(3), anchors=np.zeros((2, 3)), mu_z=2.0)
+        assert estimate_contraction(solve_lbfgs(batch_of([p]), np.zeros((1, 3)), 5))[0] == 0.0
 
     def test_growth_warns_and_clamps_to_one(self):
         # An unstable gradient step makes the squared norms grow; the probe
         # warns and reports the no-contraction ceiling.
         loss = QuadraticLoss(q=np.array([1.0, 10.0]), a=np.zeros(2))
-        p = LocalSubproblem(loss=loss, phi=np.zeros(2), anchors=np.zeros((0, 2)), mu_z=0.0)
+        p = Row(loss=loss, phi=np.zeros(2), anchors=np.zeros((0, 2)), mu_z=0.0)
         with pytest.warns(UserWarning, match="grew"):
-            rate = estimate_contraction(solve_gd(p, np.ones(2), 5, step=0.5))[0]
+            rate = estimate_contraction(solve_gd(batch_of([p]), np.ones((1, 2)), 5, step=0.5))[0]
         assert rate == 1.0
         # Two growing rows: one warning for the probe, naming the larger
         # raw rate, and both rates clamped.
-        steep = LocalSubproblem(loss=QuadraticLoss(q=np.array([1.0, 20.0]), a=np.zeros(2)),
+        steep = Row(loss=QuadraticLoss(q=np.array([1.0, 20.0]), a=np.zeros(2)),
                                 phi=np.zeros(2), anchors=np.zeros((0, 2)), mu_z=0.0)
-        batch = SubproblemBatch.of([p, steep])
-        report = solve_gd_batch(batch, np.ones((2, 2)), 5, step=0.5)
+        report = solve_gd(batch_of([p, steep]), np.ones((2, 2)), 5, step=0.5)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rates = estimate_contraction(report)
@@ -467,10 +443,11 @@ class TestContraction:
             rng = np.random.default_rng([99, trial])
             d = 20
             loss = QuadraticLoss(q=random_psd(d, 100.0, rng), a=rng.standard_normal(d))
-            p = LocalSubproblem(loss=loss, phi=np.zeros(d), anchors=np.zeros((0, d)), mu_z=0.0)
+            p = Row(loss=loss, phi=np.zeros(d), anchors=np.zeros((0, d)), mu_z=0.0)
             x0 = rng.standard_normal(d)
-            r_lbfgs = estimate_contraction(solve_lbfgs(p, x0, 20))[0]
-            r_gd = estimate_contraction(solve_gd(p, x0, 20, step=2.0 / (1.0 + 100.0)))[0]
+            batch = batch_of([p])
+            r_lbfgs = estimate_contraction(solve_lbfgs(batch, x0[None], 20))[0]
+            r_gd = estimate_contraction(solve_gd(batch, x0[None], 20, step=2.0 / (1.0 + 100.0)))[0]
             assert r_lbfgs <= r_gd
 
 
@@ -539,7 +516,7 @@ def _lockstep_batches(draw):
         x_start.append(x0)
     active = sorted(draw(st.sets(st.integers(0, m - 1), min_size=1)))
     problems = [
-        LocalSubproblem(loss=losses[i], phi=phis[i], anchors=anchors[i], mu_z=mu_zs[i])
+        Row(loss=losses[i], phi=phis[i], anchors=anchors[i], mu_z=mu_zs[i])
         for i in active
     ]
     x_start = np.array(x_start)[active]
@@ -562,8 +539,7 @@ class TestLockstep:
             return stacked_values(x, rows)
 
         stack.values = counted_values
-        batch = SubproblemBatch.of(problems, stack, active)
-        got = solve_lbfgs_batch(batch, x_start, tau, memory)
+        got = solve_lbfgs(batch_of(problems, stack, active), x_start, tau, memory)
         for n, (agent, problem, x0) in enumerate(zip(active, problems, x_start)):
             want = reference_solve_lbfgs(problem, x0, tau, memory)
             assert np.array_equal(got.x_out[n], want.x_out[0])
@@ -576,9 +552,9 @@ class TestLockstep:
             assert np.array_equal(got.loss_grad_out[n], problem.loss.gradient(got.x_out[n]))
 
     def test_failed_search_counts_every_trial(self):
-        p = LocalSubproblem(loss=_AntiGradient(3), phi=np.zeros(3),
+        p = Row(loss=_AntiGradient(3), phi=np.zeros(3),
                             anchors=np.zeros((0, 3)), mu_z=0.0)
-        report = solve_lbfgs(p, np.ones(3), tau=2)
+        report = solve_lbfgs(batch_of([p]), np.ones((1, 3)), tau=2)
         assert report.line_search_failures[0] == 2
         assert report.backtracks[0] == 2 * solvers.MAX_BACKTRACKS
         assert np.array_equal(report.x_out[0], np.ones(3))
@@ -587,15 +563,15 @@ class TestLockstep:
         rng = np.random.default_rng(13)
         problems = [_subproblem(rng, degree=k) for k in (0, 1, 3)]
         x_start = rng.standard_normal((3, 4))
-        batch = SubproblemBatch.of(problems)
-        got = solve_gd_batch(batch, x_start, tau=6)
+        batch = batch_of(problems)
+        got = solve_gd(batch, x_start, tau=6)
         steps = solvers.default_gd_step(batch)
         for n, (step, problem, x0) in enumerate(zip(steps, problems, x_start)):
             assert step == 1.0 / (problem.loss.smoothness() + problem.mu_z * problem.degree)
             x = x0.copy()
             for _ in range(6):
-                x = x - step * problem.gradient(x)
+                x = x - step * reference_gradient(problem, x)
             assert np.array_equal(got.x_out[n], x)
             assert got.iterations[n] == 6
-            assert got.grad_norm_out[n] == float(np.linalg.norm(problem.gradient(x)))
+            assert got.grad_norm_out[n] == float(np.linalg.norm(reference_gradient(problem, x)))
             assert np.array_equal(got.loss_grad_out[n], problem.loss.gradient(x))

@@ -8,11 +8,10 @@ import pytest
 from caden import engine, graphs, theory
 from caden.engine import CadenConfig
 from caden.errors import ParameterSelectionError
-from caden.losses import QuadraticLoss
-from caden.solvers import LocalSubproblem
+from caden.losses import LossStack, QuadraticLoss
 from caden.verify import constants_grid, verify_constants
 
-from helpers import augmented_gradient_error, corollary_scaling_check, neighbors
+from helpers import Row, augmented_gradient_error, batch_of, corollary_scaling_check, neighbors
 
 K2_SPECTRUM = graphs.laplacian_spectrum(graphs.complete_graph(2))
 
@@ -154,15 +153,15 @@ class TestInitialError:
         # Zero duals at round 0: every block vanishes only when the agents
         # share a minimizer and start there in consensus.
         topology = graphs.complete_graph(3)
-        losses = [QuadraticLoss(q=np.ones(1), a=np.array([1.0])) for _ in range(3)]
+        losses = LossStack([QuadraticLoss(q=np.ones(1), a=np.array([1.0])) for _ in range(3)])
         x, phi, _ = engine.init_states(losses, topology, np.full((3, 1), 1.0))
         config = CadenConfig(mu_z=3.0, mu_y=1.0)
         assert augmented_gradient_error(x, phi, losses, topology, config.mu_z) == 0.0
 
     def test_k2_hand_value(self):
         topology = graphs.complete_graph(2)
-        losses = [QuadraticLoss(q=np.ones(1), a=np.array([0.0])),
-                  QuadraticLoss(q=np.ones(1), a=np.array([2.0]))]
+        losses = LossStack([QuadraticLoss(q=np.ones(1), a=np.array([0.0])),
+                            QuadraticLoss(q=np.ones(1), a=np.array([2.0]))])
         x, phi, _ = engine.init_states(losses, topology, np.array([[0.0], [2.0]]))
         config = CadenConfig(mu_z=3.0, mu_y=1.0)
         e0 = augmented_gradient_error(x, phi, losses, topology, config.mu_z)
@@ -170,8 +169,8 @@ class TestInitialError:
 
     def test_round_t_diagnostic_reduces_to_e0_at_start(self):
         topology = graphs.complete_graph(2)
-        losses = [QuadraticLoss(q=np.ones(1), a=np.array([0.0])),
-                  QuadraticLoss(q=np.ones(1), a=np.array([2.0]))]
+        losses = LossStack([QuadraticLoss(q=np.ones(1), a=np.array([0.0])),
+                            QuadraticLoss(q=np.ones(1), a=np.array([2.0]))])
         x, phi, grad = engine.init_states(losses, topology, np.array([[0.0], [2.0]]))
         config = CadenConfig(mu_z=3.0, mu_y=1.0)
         e0 = augmented_gradient_error(x, np.zeros_like(x), losses, topology, config.mu_z)
@@ -184,17 +183,16 @@ class TestInitialError:
     def test_matches_subproblem_gradient_blocks(self):
         rng = np.random.default_rng(0)
         topology = graphs.build_random_graph(5, 0.6, seed=1)
-        losses = [QuadraticLoss(q=np.ones(2), a=rng.standard_normal(2)) for _ in range(5)]
+        losses = LossStack([QuadraticLoss(q=np.ones(2), a=rng.standard_normal(2))
+                            for _ in range(5)])
         x0 = rng.standard_normal((5, 2))
         x, phi, _ = engine.init_states(losses, topology, x0)
         config = CadenConfig(mu_z=2.0, mu_y=1.0)
         total = 0.0
         for i in range(5):
             anchors = np.array([0.5 * (x0[i] + x0[j]) for j in neighbors(topology, i)])
-            problem = LocalSubproblem(
-                loss=losses[i], phi=np.zeros(2), anchors=anchors, mu_z=2.0
-            )
-            block = problem.gradient(x0[i])
+            batch = batch_of([Row(loss=losses[i], phi=np.zeros(2), anchors=anchors, mu_z=2.0)])
+            block = batch.gradients(x0[i][None], [0])[0]
             total += float(block @ block)
         e0 = augmented_gradient_error(x, phi, losses, topology, config.mu_z)
         assert e0 == pytest.approx(total)

@@ -6,6 +6,9 @@ vector built elsewhere has a deterministic layout.
 ``edge_ends`` is the one definition of each agent's incident-edge order
 (ascending edge = neighbor order); ``incident_sums`` sums per-edge values in
 it, and every per-agent sum over incident edges goes through the two.
+``ordered_sums`` is the one grouped sum: each row adds its terms one at a
+time in list order, as ``np.add.at`` would, with one vectorised add per
+rank; ``incident_sums`` and the subproblems' anchor sums use it.
 """
 
 from __future__ import annotations
@@ -228,14 +231,34 @@ def edge_ends(t: Topology) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([t.dst, t.src]), np.concatenate([edge, edge])
 
 
+def ordered_sums(owner: np.ndarray, terms: np.ndarray, rows: int) -> np.ndarray:
+    """(rows, ...) sums of the (N, ...) ``terms`` by their (N,) ``owner``
+    rows.  Each sum starts at 0 and adds its row's terms one at a time in
+    list order, the bits ``np.add.at`` gives.  Step r adds every row's r-th
+    term at once, so a sum costs one vectorised add per rank, not one per
+    term; a rank that every row reaches adds without indexing ``out``."""
+    owner = np.asarray(owner, dtype=np.intp)
+    out = np.zeros((rows, *terms.shape[1:]))
+    counts = np.bincount(owner, minlength=rows)
+    # Row i's terms, in list order, are by_owner[start[i]:start[i] + counts[i]].
+    by_owner = np.argsort(owner, kind="stable")
+    start = np.cumsum(counts) - counts
+    everyone = counts.min(initial=0)
+    for r in range(counts.max(initial=0)):
+        if r < everyone:
+            out += terms[by_owner[start + r]]
+        else:
+            at = np.flatnonzero(counts > r)
+            out[at] += terms[by_owner[start[at] + r]]
+    return out
+
+
 def incident_sums(t: Topology, at_src: np.ndarray, at_dst: np.ndarray) -> np.ndarray:
     """(m, ...) per-agent sums of the incident edges' values: ``at_src[k]``
     at edge k's smaller end, ``at_dst[k]`` at its larger one.  Each sum
     starts at 0 and adds one term at a time in ``edge_ends`` order."""
     agent, _ = edge_ends(t)
-    out = np.zeros((t.m, *at_src.shape[1:]))
-    np.add.at(out, agent, np.concatenate([at_dst, at_src]))
-    return out
+    return ordered_sums(agent, np.concatenate([at_dst, at_src]), t.m)
 
 
 def neighbor_disagreement_bounds(

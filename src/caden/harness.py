@@ -394,7 +394,11 @@ def _check_ranges(cfg: ExperimentConfig) -> None:
     if cfg.topology_kind == "random":
         checks.append(("topology_edge_prob", 0.0 < cfg.topology_edge_prob <= 1.0, "in (0, 1]"))
     if cfg.loss_kind == "quadratic" and not cfg.quadratic_targets.strip():
-        checks.append(("loss_dimension", cfg.loss_dimension >= 1, "at least 1"))
+        checks += [
+            ("loss_dimension", cfg.loss_dimension >= 1, "at least 1"),
+            ("quadratic_target_spread", 0.0 <= cfg.quadratic_target_spread < math.inf,
+             "at least 0 and finite"),
+        ]
     if cfg.loss_kind == "quadratic" and cfg.quadratic_style == "random":
         checks.append(
             ("quadratic_cond", 1.0 <= cfg.quadratic_cond < math.inf, "at least 1 and finite")
@@ -405,6 +409,8 @@ def _check_ranges(cfg: ExperimentConfig) -> None:
                 ("loss_samples_per_agent", cfg.loss_samples_per_agent >= 1, "at least 1"),
                 ("loss_features", cfg.loss_features >= 1, "at least 1"),
                 ("loss_classes", cfg.loss_classes >= 1, "at least 1"),
+                ("loss_blob_spread", 0.0 <= cfg.loss_blob_spread < math.inf,
+                 "at least 0 and finite"),
                 ("loss_feature_scale_max", 0.0 < cfg.loss_feature_scale_max < math.inf,
                  "positive and finite"),
             ]
@@ -429,6 +435,8 @@ def _check_ranges(cfg: ExperimentConfig) -> None:
     else:
         checks += [
             ("caden_tau", cfg.caden_tau >= 1, "at least 1"),
+            ("caden_tau_reduce_round", cfg.caden_tau_reduce_round >= -1,
+             "at least -1 (-1 disables the reduction)"),
             ("caden_tau_reduced", cfg.caden_tau_reduced >= 1, "at least 1"),
             ("caden_participation", 0.0 < cfg.caden_participation <= 1.0, "in (0, 1]"),
             ("caden_mu_z", _positive(cfg.caden_mu_z), "positive and finite"),

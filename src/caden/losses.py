@@ -12,13 +12,17 @@ is the one-row case.  ``LossStack`` holds a run's m losses and is the one
 way to evaluate many agents: one kernel call per group of equal data
 shapes, bit-identical to the one-agent methods.  It is built once per run;
 the engine, the solvers, the metrics and the smoothness probe take it as
-given, and the probe steps every agent through it in lockstep.
+given, and the probe steps every agent through it in lockstep.  Which
+kernel reads which shard rows is resolved into a ``RowPlan``: once with the
+stack for all agents, once per ``SubproblemBatch`` for its rows, and per
+call only for other subsets.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,7 +122,12 @@ class QuadraticData:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    # The row maximum one class at a time: a maximum is exact, so this has
+    # the bits of max(axis=-1), which reduces a short class axis slowly.
+    top = logits[..., :1]
+    for c in range(1, logits.shape[-1]):
+        top = np.maximum(top, logits[..., c : c + 1])
+    shifted = logits - top
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -314,6 +323,18 @@ class MlpLoss(LocalLoss):
         return self._predictions(self._check(x), np.asarray(features, dtype=float))
 
 
+class RowPlan(NamedTuple):
+    """Where a ``LossStack`` evaluates the agents ``rows``.  ``LossStack.plan``
+    resolves one; evaluating through it skips the resolution."""
+
+    rows: np.ndarray
+    # (loss, shard rows, output positions) per group the rows touch; the
+    # positions are a full slice when the group fills them all.
+    parts: list
+    # (output position, loss) per row-by-row loss.
+    lone: list
+
+
 class LossStack(Sequence):
     """The m agents' losses, evaluated many rows at a time.
 
@@ -330,6 +351,12 @@ class LossStack(Sequence):
     bit; a grouped loss's own ``shard`` becomes a view of its group's
     arrays.  Losses without a key (user-defined ones) are evaluated row by
     row.
+
+    Each call first resolves its rows into a ``RowPlan``.  ``rows`` may be
+    a plan from ``plan`` instead, so a caller that evaluates the same rows
+    again and again (a ``SubproblemBatch``) resolves them once.  The plan of
+    all m agents in order is resolved with the stack and reused by every
+    call for them; no other plan is kept.
     """
 
     def __init__(self, losses: Sequence[LocalLoss]):
@@ -359,6 +386,7 @@ class LossStack(Sequence):
             # data is held once.
             for slot, i in enumerate(agents):
                 self._losses[i].shard = shard.take(slot)
+        self._everyone = self._resolve(np.arange(len(self._losses)))
 
     def __len__(self) -> int:
         return len(self._losses)
@@ -369,29 +397,21 @@ class LossStack(Sequence):
     def __iter__(self):
         return iter(self._losses)
 
-    def values(self, x: np.ndarray, rows) -> np.ndarray:
-        """(k,) loss values of agents ``rows`` at the (k, d) points ``x``."""
-        return self._evaluate(x, rows, np.empty(len(rows)), "value", "_values")
-
-    def gradients(self, x: np.ndarray, rows) -> np.ndarray:
-        """(k, d) loss gradients of agents ``rows`` at the (k, d) points ``x``."""
-        return self._evaluate(x, rows, np.empty((len(rows), self.dim)), "gradient", "_gradients")
-
-    def predictions(self, x: np.ndarray, features: np.ndarray) -> np.ndarray:
-        """(m, n) labels that agent i's classifier at ``x[i]`` gives the
-        shared (n, p) ``features``."""
-        features = np.asarray(features, dtype=float)
-        out = np.empty((len(self), len(features)), dtype=np.intp)
-        return self._evaluate(x, np.arange(len(self)), out, "predict", "_predictions", features)
-
-    def _evaluate(self, x, rows, out, one, many, *shared):
-        """Row n of ``out``: agent ``rows[n]``'s ``one`` at ``x[n]``, or its
-        group's kernel ``many`` on the group's shard rows, or on the
-        ``shared`` data when given."""
+    def plan(self, rows) -> RowPlan:
+        """The ``RowPlan`` of agents ``rows``; a plan is returned as is."""
+        if isinstance(rows, RowPlan):
+            return rows
         rows = np.asarray(rows, dtype=np.intp)
+        everyone = self._everyone.rows
+        if rows.shape == everyone.shape and (rows == everyone).all():
+            return self._everyone
+        return self._resolve(rows)
+
+    def _resolve(self, rows: np.ndarray) -> RowPlan:
+        """Each row's group, shard row and output position."""
         groups = self._group[rows]
-        for n in np.flatnonzero(groups < 0):
-            out[n] = getattr(self._losses[rows[n]], one)(x[n], *shared)
+        lone = [(n, self._losses[rows[n]]) for n in np.flatnonzero(groups < 0)]
+        parts = []
         for g, (loss, shard) in enumerate(self._groups):
             pos = np.flatnonzero(groups == g)
             if pos.size == 0:
@@ -399,6 +419,35 @@ class LossStack(Sequence):
             slots = self._slot[rows[pos]]
             if len(slots) != len(shard) or (slots != np.arange(len(slots))).any():
                 shard = shard.take(slots)
+            parts.append((loss, shard, slice(None) if pos.size == len(rows) else pos))
+        return RowPlan(rows, parts, lone)
+
+    def values(self, x: np.ndarray, rows) -> np.ndarray:
+        """(k,) loss values of agents ``rows`` at the (k, d) points ``x``."""
+        plan = self.plan(rows)
+        return self._evaluate(x, plan, np.empty(len(plan.rows)), "value", "_values")
+
+    def gradients(self, x: np.ndarray, rows) -> np.ndarray:
+        """(k, d) loss gradients of agents ``rows`` at the (k, d) points ``x``."""
+        plan = self.plan(rows)
+        out = np.empty((len(plan.rows), self.dim))
+        return self._evaluate(x, plan, out, "gradient", "_gradients")
+
+    def predictions(self, x: np.ndarray, features: np.ndarray) -> np.ndarray:
+        """(m, n) labels that agent i's classifier at ``x[i]`` gives the
+        shared (n, p) ``features``."""
+        features = np.asarray(features, dtype=float)
+        out = np.empty((len(self), len(features)), dtype=np.intp)
+        return self._evaluate(x, self._everyone, out, "predict", "_predictions", features)
+
+    @staticmethod
+    def _evaluate(x, plan: RowPlan, out, one, many, *shared):
+        """Row n of ``out``: agent ``plan.rows[n]``'s ``one`` at ``x[n]``, or
+        its group's kernel ``many`` on the group's shard rows, or on the
+        ``shared`` data when given."""
+        for n, loss in plan.lone:
+            out[n] = getattr(loss, one)(x[n], *shared)
+        for loss, shard, pos in plan.parts:
             out[pos] = getattr(loss, many)(x[pos], *(shared or (shard,)))
         return out
 

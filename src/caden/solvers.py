@@ -18,6 +18,9 @@ gradients after accepted steps, and the dual and penalty terms, slopes,
 norms and curvature tests as row-wise arrays (``rowdot``).  A row's penalty
 is held as its degree, anchor sum and anchor spread, not as its anchor
 matrix.  Each agent's arithmetic is that of a lone solve, bit for bit.
+A stage that concerns every row runs on whole arrays (``ALL``): views
+instead of index copies, and loss calls through the batch's ``RowPlan``,
+resolved once per batch; index arrays appear only for row subsets.
 
 Each solve returns one ``SolverReport`` of row-stacked arrays: the (k, d)
 models and loss gradients it ends at, (k,) counts and (k, tau + 1)
@@ -34,6 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .graphs import ordered_sums
 from .losses import LocalLoss, LossStack, QuadraticLoss, rowdot, rownorm
 
 ARMIJO_C1 = 1e-4
@@ -46,6 +50,24 @@ CURVATURE_SKIP_TOL = 1e-10
 DEFAULT_MEMORY = 10
 
 
+# Every row of a batch, as a ``which`` argument or a subset of rows: whole
+# arrays and views instead of index copies.  Recognised by identity.
+ALL = slice(None)
+
+
+def _where(keep: np.ndarray):
+    """The positions where the (n,) mask ``keep`` holds, or ALL when it
+    holds at all of them."""
+    return ALL if np.count_nonzero(keep) == len(keep) else keep.nonzero()[0]
+
+
+def _pick(rows, sub):
+    """``rows[sub]`` for index arrays or ALL on either side."""
+    if sub is ALL:
+        return rows
+    return sub if rows is ALL else rows[sub]
+
+
 class SubproblemBatch:
     """Several agents' subproblems, evaluated together.
 
@@ -54,25 +76,28 @@ class SubproblemBatch:
     ``anchors`` is the flat (N, d) list of every row's anchors, ``owner[q]``
     the row of anchor q.  Each row holds its penalty as three numbers: its
     ``degree``, ``anchor_sum`` (its anchors added one at a time in list
-    order) and ``spread`` sum_k ||a_k - mean||^2, through the exact identity
+    order, by ``graphs.ordered_sums``) and ``spread``
+    sum_k ||a_k - mean||^2, through the exact identity
     sum_k ||x - a_k||^2 = degree ||x - mean||^2 + spread.  The penalty
     gradient is degree x - anchor_sum.
 
     ``values(x, which)`` and ``gradients(x, which)`` evaluate row
     ``which[n]`` at ``x[n]``: the loss terms in one call of the
     ``LossStack`` ``losses``, and the dual and penalty terms as stacked
-    arrays.
+    arrays.  ``which`` is an index array, or ``ALL`` for every row in
+    order; then the terms are read as views and the loss call goes through
+    the batch's ``RowPlan``, resolved once when the batch is built.
     """
 
     def __init__(self, losses: LossStack, agents, phi, mu_z, anchors, owner):
         self._losses = losses
         self._agents = np.asarray(agents, dtype=np.intp)
+        self._plan = losses.plan(self._agents)
         rows = len(self._agents)
         self.phi = np.asarray(phi, dtype=float)
         self.mu_z = np.broadcast_to(np.asarray(mu_z, dtype=float), (rows,))
         self.degree = np.bincount(owner, minlength=rows)
-        self.anchor_sum = np.zeros_like(self.phi)
-        np.add.at(self.anchor_sum, owner, anchors)
+        self.anchor_sum = ordered_sums(owner, np.asarray(anchors, dtype=float), rows)
         self.mean = self.anchor_sum / np.maximum(self.degree, 1)[:, None]
         off = anchors - self.mean[owner]
         self.spread = np.bincount(owner, weights=rowdot(off, off), minlength=rows)
@@ -80,25 +105,33 @@ class SubproblemBatch:
     def loss(self, row: int) -> LocalLoss:
         return self._losses[self._agents[row]]
 
-    def loss_gradients(self, x: np.ndarray, which: np.ndarray) -> np.ndarray:
-        """(n, d) loss gradients of rows ``which`` at ``x``."""
-        return self._losses.gradients(x, self._agents[which])
-
-    def values(self, x: np.ndarray, which: np.ndarray) -> np.ndarray:
+    def _rows(self, which):
+        """``which`` (row indices, or ALL) and what its loss terms evaluate:
+        the stack rows, or the batch's plan for ALL."""
+        if which is ALL:
+            return ALL, self._plan
         which = np.asarray(which, dtype=np.intp)
+        return which, self._agents[which]
+
+    def loss_gradients(self, x: np.ndarray, which) -> np.ndarray:
+        """(n, d) loss gradients of rows ``which`` at ``x``."""
+        return self._losses.gradients(x, self._rows(which)[1])
+
+    def values(self, x: np.ndarray, which) -> np.ndarray:
+        which, rows = self._rows(which)
         dual = rowdot(self.phi[which], x)
         off = x - self.mean[which]
         penalty = self.degree[which] * rowdot(off, off) + self.spread[which]
-        return self._losses.values(x, self._agents[which]) + dual + 0.5 * self.mu_z[which] * penalty
+        return self._losses.values(x, rows) + dual + 0.5 * self.mu_z[which] * penalty
 
     def gradients(
-        self, x: np.ndarray, which: np.ndarray, loss_gradients: np.ndarray | None = None
+        self, x: np.ndarray, which, loss_gradients: np.ndarray | None = None
     ) -> np.ndarray:
         """(n, d) objective gradients; the loss gradients at ``x`` are
         evaluated unless given."""
-        which = np.asarray(which, dtype=np.intp)
+        which, rows = self._rows(which)
         if loss_gradients is None:
-            loss_gradients = self.loss_gradients(x, which)
+            loss_gradients = self._losses.gradients(x, rows)
         pull = self.degree[which, None] * x - self.anchor_sum[which]
         return loss_gradients + self.phi[which] + self.mu_z[which, None] * pull
 
@@ -192,7 +225,7 @@ def _start_loss_gradients(batch: SubproblemBatch, x: np.ndarray, given) -> np.nd
     """A writable copy of the given loss gradients at ``x``, else their
     evaluation."""
     if given is None:
-        return batch.loss_gradients(x, np.arange(len(x)))
+        return batch.loss_gradients(x, ALL)
     return np.array(given, dtype=float)
 
 
@@ -222,15 +255,22 @@ def solve_lbfgs(
     agents that accepted.  The slope, norm and curvature dot products go
     through ``rowdot``.  Each row's arithmetic is that of a lone solve, so
     each row of the report equals its one-row batch's solve bit for bit.
+
+    A stage that concerns every row works on whole arrays: while no row
+    has stopped, the stages read views instead of index copies, the first
+    backtracking level tries step 1 for every row in one call through the
+    batch's plan, and when every row accepts it the trial points go
+    straight to the gradient call and the update.  So a lockstep iteration
+    in which every row accepts step 1 costs one stacked value call and one
+    stacked gradient call, with no row subset resolved.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     x = np.array(x_start, dtype=float)
     k, d = x.shape
-    everyone = np.arange(k)
     lg = _start_loss_gradients(batch, x, loss_grad)
-    g = batch.gradients(x, everyone, lg)
-    f = batch.values(x, everyone)
+    g = batch.gradients(x, ALL, lg)
+    f = batch.values(x, ALL)
     gnorm = rownorm(g)
     # Column c of an agent's row holds its gradient norm and value after c
     # iterations.
@@ -246,17 +286,19 @@ def solve_lbfgs(
     gamma = np.ones(k)
     failures, performed, backtracks = np.zeros((3, k), dtype=int)
 
-    for _ in range(tau):
-        moving = np.flatnonzero(gnorm != 0.0)
-        if moving.size == 0:
+    for it in range(1, tau + 1):
+        # A row stops for good at a zero gradient, so each moving row has
+        # moved in every earlier iteration and this is its iteration ``it``.
+        live = gnorm != 0.0
+        if not live.any():
             break
+        moving = _where(live)
         performed[moving] += 1
-        hist = slice(None) if moving.size == k else moving
         g_now = g[moving]
         # Looked up as a module global on every call, so a wrapper
         # installed on caden.solvers.two_loop_direction sees each one.
         direction = -two_loop_direction(
-            s_buf[hist], y_buf[hist], rho_buf[hist], gamma[moving], g_now, count[moving]
+            s_buf[moving], y_buf[moving], rho_buf[moving], gamma[moving], g_now, count[moving]
         )
         slope = rowdot(g_now, direction)
         # A numerically broken direction falls back to steepest descent,
@@ -267,58 +309,70 @@ def solve_lbfgs(
             slope[broken] = -rowdot(g_now[broken], g_now[broken])
 
         # Armijo backtracking, one stacked value call per level for the
-        # agents still searching.
+        # agents still searching (positions into ``moving``): all of them
+        # at step 1, then those whose last trial was rejected.
         x_now, f_now = x[moving], f[moving]
-        step = np.ones(moving.size)
-        x_trial = np.empty_like(x_now)
-        f_trial = np.empty(moving.size)
-        searching = np.arange(moving.size)
+        step = np.ones(len(f_now))
+        x_trial = x_now + direction
+        f_trial = np.empty_like(f_now)
+        searching = ALL
+        took = ALL
         for _ in range(MAX_BACKTRACKS):
-            x_trial[searching] = x_now[searching] + step[searching, None] * direction[searching]
-            f_trial[searching] = batch.values(x_trial[searching], moving[searching])
+            f_trial[searching] = batch.values(x_trial[searching], _pick(moving, searching))
             f0, ft = f_now[searching], f_trial[searching]
             slack = ARMIJO_SLACK * (np.abs(f0) + np.abs(ft))
             accept = ft <= f0 + ARMIJO_C1 * step[searching] * slope[searching] + slack
-            searching = searching[~accept]
-            step[searching] *= ARMIJO_SHRINK
-            backtracks[moving[searching]] += 1
-            if searching.size == 0:
+            if accept.all():
                 break
-        # A failed search leaves the agent in place for this iteration.
-        failures[moving[searching]] += 1
-        took = np.ones(moving.size, dtype=bool)
-        took[searching] = False
-        rows = moving[took]
-        if rows.size:
+            searching = _pick(searching, _where(~accept))
+            step[searching] *= ARMIJO_SHRINK
+            backtracks[_pick(moving, searching)] += 1
+            x_trial[searching] = x_now[searching] + step[searching, None] * direction[searching]
+        else:
+            # A failed search leaves the agent in place for this iteration.
+            failures[_pick(moving, searching)] += 1
+            accepted = np.ones(len(f_now), dtype=bool)
+            accepted[searching] = False
+            took = _where(accepted)
+        rows = _pick(moving, took)
+        if took is ALL or took.size:
             # One stacked gradient call for the agents that accepted.
             x_new = x_trial[took]
             lg_new = batch.loss_gradients(x_new, rows)
             g_new = batch.gradients(x_new, rows, lg_new)
             s_new = x_new - x[rows]
             y_new = g_new - g[rows]
-            x[rows] = x_new
-            f[rows] = f_trial[took]
-            g[rows] = g_new
-            lg[rows] = lg_new
+            if rows is ALL:
+                # Every row accepted: the new arrays become the state.
+                x, f, g, lg = x_new, f_trial, g_new, lg_new
+            else:
+                x[rows] = x_new
+                f[rows] = f_trial[took]
+                g[rows] = g_new
+                lg[rows] = lg_new
             sy = rowdot(s_new, y_new)
-            keep = np.flatnonzero(sy > CURVATURE_SKIP_TOL * rownorm(s_new) * rownorm(y_new))
-            if keep.size:
-                stored = rows[keep]
-                full = stored[count[stored] == slots]
-                if full.size:
-                    s_buf[full, :-1] = s_buf[full, 1:]
-                    y_buf[full, :-1] = y_buf[full, 1:]
-                    rho_buf[full, :-1] = rho_buf[full, 1:]
-                    count[full] -= 1
+            keep = sy > CURVATURE_SKIP_TOL * rownorm(s_new) * rownorm(y_new)
+            if keep.any():
+                kept = _where(keep)
+                stored = _pick(rows, kept)
+                full = count[stored] == slots
+                if full.any():
+                    shift = _pick(stored, _where(full))
+                    s_buf[shift, :-1] = s_buf[shift, 1:]
+                    y_buf[shift, :-1] = y_buf[shift, 1:]
+                    rho_buf[shift, :-1] = rho_buf[shift, 1:]
+                    count[shift] -= 1
                 c = count[stored]
-                s_buf[stored, c] = s_new[keep]
-                y_buf[stored, c] = y_new[keep]
-                rho_buf[stored, c] = 1.0 / sy[keep]
+                # Each stored row writes its own slot: index pairs, not a slice.
+                at = np.arange(k)[stored]
+                s_buf[at, c] = s_new[kept]
+                y_buf[at, c] = y_new[kept]
+                rho_buf[at, c] = 1.0 / sy[kept]
                 count[stored] = c + 1
-                gamma[stored] = sy[keep] / rowdot(y_new[keep], y_new[keep])
+                gamma[stored] = sy[kept] / rowdot(y_new[kept], y_new[kept])
             gnorm[rows] = rownorm(g_new)
-        norms[moving, performed[moving]] = gnorm[moving]
-        vals[moving, performed[moving]] = f[moving]
+        norms[moving, it] = gnorm[moving]
+        vals[moving, it] = f[moving]
 
     return SolverReport(x, lg, performed, norms, vals, failures, backtracks)
 
@@ -355,21 +409,23 @@ def solve_gd(
     if (steps <= 0.0).any():
         raise ValueError("step must be positive")
     lg = _start_loss_gradients(batch, x, loss_grad)
-    g = batch.gradients(x, np.arange(k), lg)
+    g = batch.gradients(x, ALL, lg)
     gnorm = rownorm(g)
     norms = np.full((k, tau + 1), np.nan)
     norms[:, 0] = gnorm
     performed = np.zeros(k, dtype=int)
-    for _ in range(tau):
-        moving = np.flatnonzero(gnorm != 0.0)
-        if moving.size == 0:
+    for it in range(1, tau + 1):
+        # As in ``solve_lbfgs``: a moving row is at its iteration ``it``.
+        live = gnorm != 0.0
+        if not live.any():
             break
+        moving = _where(live)
         x[moving] = x[moving] - steps[moving, None] * g[moving]
         lg[moving] = batch.loss_gradients(x[moving], moving)
         g[moving] = batch.gradients(x[moving], moving, lg[moving])
         gnorm[moving] = rownorm(g[moving])
         performed[moving] += 1
-        norms[moving, performed[moving]] = gnorm[moving]
+        norms[moving, it] = gnorm[moving]
     zeros = np.zeros(k, dtype=int)
     return SolverReport(x, lg, performed, norms, None, zeros, zeros)
 
@@ -391,9 +447,8 @@ def solve_exact(batch: SubproblemBatch) -> SolverReport:
             x[n] = (rhs + loss.q * loss.a) / (loss.q + shift)
         else:
             x[n] = np.linalg.solve(loss.q + shift * np.eye(loss.dim), rhs + loss.q @ loss.a)
-    everyone = np.arange(k)
-    lg = batch.loss_gradients(x, everyone)
-    norms = rownorm(batch.gradients(x, everyone, lg))[:, None]
+    lg = batch.loss_gradients(x, ALL)
+    norms = rownorm(batch.gradients(x, ALL, lg))[:, None]
     zeros = np.zeros(k, dtype=int)
     return SolverReport(x, lg, zeros, norms, None, zeros, zeros)
 

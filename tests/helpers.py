@@ -7,12 +7,15 @@ and MLP losses, the one-agent smoothness probe, the subproblem ``Row`` the
 per-row oracles read and ``batch_of``, which stacks rows into a
 ``SubproblemBatch``, and the lone L-BFGS loop with its one-row subproblem
 terms and two-loop recursion, which the stacked kernels, the lockstep probe
-and the lockstep solver must match bit for bit, and writers for the IDX and
-edge-list formats the package reads."""
+and the lockstep solver must match bit for bit, the ``np.add.at`` sums that
+``graphs.ordered_sums`` must match, ``StackCalls``, which counts a
+``LossStack``'s stacked calls, rows and resolved row plans, and writers for
+the IDX and edge-list formats the package reads."""
 
 from __future__ import annotations
 
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from typing import IO, NamedTuple
 
@@ -24,7 +27,7 @@ from caden.datasets import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
 from caden.edge_form import EdgeState
 from caden.errors import LipschitzEstimateError, ParameterSelectionError
 from caden.graphs import SpectralSummary, Topology, constraint_residual, edge_midpoints
-from caden.losses import MIN_PROBE_STEP, LipschitzEstimate, LocalLoss, LossStack
+from caden.losses import MIN_PROBE_STEP, LipschitzEstimate, LocalLoss, LossStack, RowPlan
 from caden.solvers import (
     ARMIJO_C1,
     ARMIJO_SHRINK,
@@ -383,6 +386,54 @@ def reference_estimate_lipschitz(
             "all probe steps were below the minimum length; decrease warm_epochs or raise probe_lr"
         )
     return LipschitzEstimate(l_hat=l_hat, x_init=x)
+
+
+def reference_ordered_sums(owner: np.ndarray, terms: np.ndarray, rows: int) -> np.ndarray:
+    """(rows, ...) sums of ``terms`` by ``owner`` through ``np.add.at``,
+    which adds one term at a time in list order: the oracle for
+    ``graphs.ordered_sums``."""
+    out = np.zeros((rows, *terms.shape[1:]))
+    np.add.at(out, owner, terms)
+    return out
+
+
+class StackCalls:
+    """Counts what one ``LossStack`` serves from now on: per method
+    (``values``, ``gradients``) its stacked ``calls``, how many of them
+    passed a ``RowPlan`` instead of agent rows (``planned``), the ``rows``
+    they evaluate and the rows of each agent (``per_agent``), and the row
+    ``plans`` it resolves, the all-agents plan of its constructor not
+    included.  Installs counting wrappers on that stack instance only."""
+
+    METHODS = ("values", "gradients")
+
+    def __init__(self, stack: LossStack):
+        self.calls = dict.fromkeys(self.METHODS, 0)
+        self.planned = dict.fromkeys(self.METHODS, 0)
+        self.rows = dict.fromkeys(self.METHODS, 0)
+        self.per_agent = {name: Counter() for name in self.METHODS}
+        self.plans = 0
+        for name in self.METHODS:
+            setattr(stack, name, self._counting(name, getattr(stack, name)))
+        resolve = stack._resolve
+
+        def counted_resolve(rows):
+            self.plans += 1
+            return resolve(rows)
+
+        stack._resolve = counted_resolve
+
+    def _counting(self, name, method):
+        def counted(x, rows):
+            # A RowPlan stands for the agents it holds.
+            agents = np.asarray(getattr(rows, "rows", rows)).tolist()
+            self.calls[name] += 1
+            self.planned[name] += isinstance(rows, RowPlan)
+            self.rows[name] += len(agents)
+            self.per_agent[name].update(agents)
+            return method(x, rows)
+
+        return counted
 
 
 class Row(NamedTuple):

@@ -1,6 +1,7 @@
 """Round engine: state initialization, participation, updates, checkpoints."""
 
 import os
+import pickle
 import re
 import struct
 import tempfile
@@ -231,6 +232,23 @@ class TestRunRound:
             assert np.array_equal(x[i], x_before[i])
         assert np.array_equal(phi, phi_before)
         assert np.array_equal(grad, grad_before)
+
+    def test_partial_participation_keeps_nothing_on_the_stack(self):
+        # Every round solves another subset of agents, so its row plans
+        # are resolved that round; none may be kept on the stack, which must
+        # pickle to the same bytes after 5 rounds and after 60.
+        topology = graphs.build_random_graph(20, 0.3, seed=7)
+        rng = np.random.default_rng(7)
+        losses = LossStack([QuadraticLoss(q=rng.uniform(0.5, 2.0, 3), a=rng.standard_normal(3))
+                            for _ in range(20)])
+        x, phi, grad = engine.init_states(losses, topology, rng.standard_normal((20, 3)))
+        config = CadenConfig(mu_z=3.0, mu_y=3.0, participation=0.5, seed=7)
+        for t in range(5):
+            engine.run_round(x, phi, grad, losses, topology, config, t)
+        snapshot = pickle.dumps(losses)
+        for t in range(5, 60):
+            engine.run_round(x, phi, grad, losses, topology, config, t)
+        assert pickle.dumps(losses) == snapshot
 
     def test_full_participation_communication_count(self):
         topology = graphs.build_random_graph(6, 0.5, seed=6)

@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caden import graphs
 from caden.errors import DisconnectedGraphError, GraphSamplingError
@@ -13,6 +15,7 @@ from helpers import (
     dense_constraint_residual,
     incident,
     neighbors,
+    reference_ordered_sums,
     write_edge_list,
 )
 
@@ -73,6 +76,46 @@ class TestIncidentSums:
             for k, _, side in incident(topology, i):
                 want = want + (at_dst if side else at_src)[k]
             assert np.array_equal(got[i], want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.integers(1, 9),
+        terms=st.integers(0, 40),
+        trailing=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        empty=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ordered_sums_equal_add_at(self, rows, terms, trailing, empty, seed):
+        # Random owners, some rows with no term (all of row 0 when
+        # ``empty``), mixed magnitudes and signed zeros: the bits of
+        # np.add.at, the sign of every zero included.
+        rng = np.random.default_rng(seed)
+        owner = rng.integers(int(empty and rows > 1), rows, terms)
+        scales = 10.0 ** rng.uniform(-5.0, 5.0, (terms, *[1] * len(trailing)))
+        values = scales * rng.standard_normal((terms, *trailing))
+        zeros = rng.random(values.shape) < 0.2
+        values[zeros] = np.copysign(0.0, rng.standard_normal(int(zeros.sum())))
+        got = graphs.ordered_sums(owner, values, rows)
+        want = reference_ordered_sums(owner, values, rows)
+        assert got.shape == want.shape == (rows, *trailing)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        m=st.integers(2, 25),
+        edge_prob=st.floats(0.2, 1.0),
+        d=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_incident_sums_equal_add_at_on_random_graphs(self, m, edge_prob, d, seed):
+        t = graphs.build_random_graph(m, edge_prob, seed=seed)
+        rng = np.random.default_rng(seed)
+        at_src, at_dst = 10.0 ** rng.uniform(-5.0, 5.0, (2, t.n, 1)) * rng.standard_normal(
+            (2, t.n, d))
+        agent, _ = graphs.edge_ends(t)
+        want = reference_ordered_sums(agent, np.concatenate([at_dst, at_src]), t.m)
+        assert np.array_equal(graphs.incident_sums(t, at_src, at_dst), want)
 
     def test_edge_ends_list_each_agent_in_ascending_edge_order(self):
         t = graphs.build_random_graph(12, 0.5, seed=4)

@@ -618,6 +618,16 @@ class TestIdxInputs:
         (dict(init_strategy="warmstart", lipschitz_warm_lr=float("inf")), "lipschitz.warm_lr"),
         (dict(init_strategy="warmstart", lipschitz_probe_lr=float("inf")), "lipschitz.probe_lr"),
         (dict(quadratic_style="random", quadratic_cond=float("inf")), "quadratic.cond"),
+        (dict(loss_kind="logistic", loss_blob_spread=-1.0), "loss.blob_spread"),
+        (dict(loss_kind="mlp", loss_blob_spread=float("nan")), "loss.blob_spread"),
+        (dict(loss_kind="logistic", loss_blob_spread=float("inf")), "loss.blob_spread"),
+        (dict(quadratic_targets="", quadratic_target_spread=-0.5), "quadratic.target_spread"),
+        (dict(quadratic_targets="", quadratic_target_spread=float("nan")),
+         "quadratic.target_spread"),
+        (dict(quadratic_targets="", quadratic_target_spread=float("inf")),
+         "quadratic.target_spread"),
+        (dict(caden_tau_reduce_round=-3), "caden.tau_reduce_round"),
+        (dict(algorithm="caden-gd", caden_tau_reduce_round=-2), "caden.tau_reduce_round"),
     ],
 )
 def test_out_of_range_key_refused_before_any_round(tmp_path, monkeypatch, overrides, key):
@@ -632,6 +642,19 @@ def test_out_of_range_key_refused_before_any_round(tmp_path, monkeypatch, overri
     with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must"):
         run_experiment(_k2_config(**overrides), out_dir=str(tmp_path))
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(loss_kind="mlp", loss_blob_spread=0.0),
+        dict(quadratic_targets="", quadratic_target_spread=0.0),
+        dict(caden_tau_reduce_round=-1),
+        dict(caden_tau_reduce_round=0),
+    ],
+)
+def test_range_bounds_are_accepted(overrides):
+    harness._check_ranges(_k2_config(**overrides))
 
 
 class TestGtRuns:

@@ -324,3 +324,27 @@ class TestQuadraticKernel:
         r = scale * rng.standard_normal((k, d))
         want = np.array([q[n] @ r[n] for n in range(k)])
         assert np.array_equal(np.matmul(q, r[..., None])[..., 0], want)
+
+
+class TestSoftmax:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lead=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+        classes=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_max_reduction_form_bit_for_bit(self, lead, classes, seed):
+        # The kernel takes the row maximum one class at a time; with ties,
+        # signed zeros, infinities and NaNs among the logits it must give
+        # the bits of the written-out max(axis=-1) form.
+        rng = np.random.default_rng(seed)
+        pool = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 1e300, -1e-300])
+        logits = 10.0 ** rng.uniform(-3, 3, (*lead, classes)) * rng.standard_normal(
+            (*lead, classes))
+        special = rng.random(logits.shape) < 0.3
+        logits[special] = rng.choice(pool, int(special.sum()))
+        with np.errstate(invalid="ignore", over="ignore"):
+            e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+            want = e / e.sum(axis=-1, keepdims=True)
+            got = losses._softmax(logits)
+        assert np.array_equal(got, want, equal_nan=True)

@@ -21,6 +21,7 @@ from caden.solvers import (
 
 from helpers import (
     Row,
+    StackCalls,
     batch_of,
     central_difference,
     random_psd,
@@ -530,15 +531,7 @@ class TestLockstep:
     @given(_lockstep_batches())
     def test_every_report_equals_the_lone_solve(self, case):
         stack, active, problems, x_start, tau, memory = case
-        asked = {}
-        stacked_values = stack.values
-
-        def counted_values(x, rows):
-            for agent in rows:
-                asked[agent] = asked.get(agent, 0) + 1
-            return stacked_values(x, rows)
-
-        stack.values = counted_values
+        calls = StackCalls(stack)
         got = solve_lbfgs(batch_of(problems, stack, active), x_start, tau, memory)
         for n, (agent, problem, x0) in enumerate(zip(active, problems, x_start)):
             want = reference_solve_lbfgs(problem, x0, tau, memory)
@@ -548,7 +541,7 @@ class TestLockstep:
                 assert np.array_equal(getattr(got, name)[n], getattr(want, name)[0],
                                       equal_nan=True), name
             accepted = got.iterations[n] - got.line_search_failures[n]
-            assert asked[agent] == 1 + accepted + got.backtracks[n]
+            assert calls.per_agent["values"][agent] == 1 + accepted + got.backtracks[n]
             assert np.array_equal(got.loss_grad_out[n], problem.loss.gradient(got.x_out[n]))
 
     def test_failed_search_counts_every_trial(self):
@@ -575,3 +568,39 @@ class TestLockstep:
             assert got.iterations[n] == 6
             assert got.grad_norm_out[n] == float(np.linalg.norm(reference_gradient(problem, x)))
             assert np.array_equal(got.loss_grad_out[n], problem.loss.gradient(x))
+
+
+class TestLeanPath:
+    def test_every_row_accepting_step_1_makes_one_value_and_one_gradient_call_per_iteration(self):
+        # The mlp_ring shapes: 10 agents on a ring, 40 samples of 16
+        # features each, 25 hidden units, 3 classes (d = 503).  At these
+        # points, duals and mu_z every row accepts step 1 in every iteration,
+        # so each iteration is one whole value call and one whole gradient
+        # call through the batch's plan, and no row subset is resolved.
+        features, labels = gaussian_blobs(400, 16, 3, seed=2, spread=2.0)
+        built = [MlpLoss(features[40 * i : 40 * i + 40], labels[40 * i : 40 * i + 40],
+                         hidden=25, classes=3, l2=1e-4) for i in range(10)]
+        stack = LossStack(built)
+        rng = np.random.default_rng(2)
+        x0 = 0.1 * np.array([loss.init_params(2) for loss in built])
+        problems = [
+            Row(loss, 0.01 * rng.standard_normal(loss.dim),
+                0.5 * (x0[i] + x0[[(i - 1) % 10, (i + 1) % 10]]), 0.5)
+            for i, loss in enumerate(built)
+        ]
+        batch = batch_of(problems, stack, range(10))
+        loss_grad = stack.gradients(x0, np.arange(10))
+        tau = 5
+        calls = StackCalls(stack)
+        got = solve_lbfgs(batch, x0, tau, loss_grad=loss_grad)
+        assert got.iterations.tolist() == [tau] * 10
+        assert not got.backtracks.any() and not got.line_search_failures.any()
+        for n, (problem, start) in enumerate(zip(problems, x0)):
+            want = reference_solve_lbfgs(problem, start, tau)
+            assert np.array_equal(got.x_out[n], want.x_out[0])
+            for name in ("grad_norms", "values"):
+                assert np.array_equal(getattr(got, name)[n], getattr(want, name)[0]), name
+            assert np.array_equal(got.loss_grad_out[n], want.loss_grad_out[0])
+        assert calls.calls == calls.planned == {"values": 1 + tau, "gradients": tau}
+        assert calls.rows == {"values": 10 * (1 + tau), "gradients": 10 * tau}
+        assert calls.plans == 0

@@ -1,6 +1,8 @@
 """Run orchestration: builds the problem from a config, runs the chosen
 method, records metrics, and writes CSV + JSON outputs.  ``sweep`` is the one
-runner of a grid of runs over ``caden.participation`` or ``caden.tau``.
+runner of a grid of runs over ``caden.participation`` or ``caden.tau``.  Both
+refuse a config that ``config.check_config`` refuses before anything is built
+or written.
 
 CSV rows follow a fixed column order (round, V_t, rel_err, rel_err_graph,
 acc, comms, time_s, phi_drift, active); metrics without a defined value for
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, engine, graphs, metrics, theory
-from .config import ExperimentConfig, config_as_dict
+from .config import ExperimentConfig, check_config, config_as_dict, float_list
 from .datasets import (
     gaussian_blobs,
     load_idx_images,
@@ -116,11 +118,9 @@ def build_topology(cfg: ExperimentConfig) -> graphs.Topology:
     of_m = {"complete": graphs.complete_graph, "path": graphs.path_graph, "ring": graphs.ring_graph}
     if kind in of_m:
         return of_m[kind](cfg.topology_m)
-    if kind == "file":
-        if not cfg.topology_file:
-            raise ConfigError("topology.kind = file requires topology.file")
-        return _read_input(cfg, "topology.file", graphs.load_edge_list)
-    raise ConfigError(f"unknown topology.kind {kind!r}")
+    if not cfg.topology_file:
+        raise ConfigError("topology.kind = file requires topology.file")
+    return _read_input(cfg, "topology.file", graphs.load_edge_list)
 
 
 def _read_input(cfg: ExperimentConfig, key: str, load):
@@ -150,8 +150,8 @@ def _random_psd(dim: int, cond: float, rng: np.random.Generator) -> np.ndarray:
 
 
 def _quadratic_losses(cfg: ExperimentConfig, m: int) -> list[QuadraticLoss]:
-    if cfg.quadratic_targets.strip():
-        targets = [float(tok) for tok in cfg.quadratic_targets.split(",")]
+    targets = float_list(cfg.quadratic_targets)
+    if targets:
         if len(targets) != m:
             raise ConfigError(f"quadratic.targets lists {len(targets)} values for m={m}")
         a = np.asarray(targets).reshape(m, 1)
@@ -190,7 +190,7 @@ def _data_losses(cfg: ExperimentConfig, m: int):
         x_train, y_train = x[:total], y[:total]
         x_eval, y_eval = x[total:], y[total:]
         classes = cfg.loss_classes
-    elif cfg.loss_data == "idx":
+    else:
         if not (cfg.loss_idx_images and cfg.loss_idx_labels):
             raise ConfigError("loss.data = idx requires loss.idx_images and loss.idx_labels")
         if bool(cfg.loss_idx_eval_images) != bool(cfg.loss_idx_eval_labels):
@@ -205,8 +205,6 @@ def _data_losses(cfg: ExperimentConfig, m: int):
             cut = max(1, x_train.shape[0] - cfg.loss_eval_samples)
             x_eval, y_eval = x_train[cut:], y_train[cut:]
             x_train, y_train = x_train[:cut], y_train[:cut]
-    else:
-        raise ConfigError(f"unknown loss.data {cfg.loss_data!r}")
     if x_train.shape[0] < m:
         raise ConfigError(
             f"loss.idx_images holds {x_train.shape[0]} training samples, fewer than m={m} agents"
@@ -380,93 +378,6 @@ def resolve_parameters(
     return run_cfg, theory_info
 
 
-def _check_ranges(cfg: ExperimentConfig) -> None:
-    """Raise ConfigError naming the first key whose value is out of range;
-    the CADEN keys are checked for CADEN runs only, the gt keys for gt runs.
-    No real-valued key may be infinite or NaN (``init.scale`` excepted)."""
-    checks = [
-        ("rounds", cfg.rounds >= 0, "at least 0"),
-        ("metrics_cadence", cfg.metrics_cadence >= 1, "at least 1"),
-        ("metrics_thresholds", _thresholds_ok(cfg), "a list of positive finite numbers"),
-    ]
-    if cfg.topology_kind in ("random", "complete", "path", "ring"):
-        checks.append(("topology_m", cfg.topology_m >= 2, "at least 2"))
-    if cfg.topology_kind == "random":
-        checks.append(("topology_edge_prob", 0.0 < cfg.topology_edge_prob <= 1.0, "in (0, 1]"))
-    if cfg.loss_kind == "quadratic" and not cfg.quadratic_targets.strip():
-        checks += [
-            ("loss_dimension", cfg.loss_dimension >= 1, "at least 1"),
-            ("quadratic_target_spread", 0.0 <= cfg.quadratic_target_spread < math.inf,
-             "at least 0 and finite"),
-        ]
-    if cfg.loss_kind == "quadratic" and cfg.quadratic_style == "random":
-        checks.append(
-            ("quadratic_cond", 1.0 <= cfg.quadratic_cond < math.inf, "at least 1 and finite")
-        )
-    if cfg.loss_kind in ("logistic", "mlp"):
-        if cfg.loss_data == "blobs":
-            checks += [
-                ("loss_samples_per_agent", cfg.loss_samples_per_agent >= 1, "at least 1"),
-                ("loss_features", cfg.loss_features >= 1, "at least 1"),
-                ("loss_classes", cfg.loss_classes >= 1, "at least 1"),
-                ("loss_blob_spread", 0.0 <= cfg.loss_blob_spread < math.inf,
-                 "at least 0 and finite"),
-                ("loss_feature_scale_max", 0.0 < cfg.loss_feature_scale_max < math.inf,
-                 "positive and finite"),
-            ]
-        checks += [
-            ("loss_eval_samples", cfg.loss_eval_samples >= 1, "at least 1"),
-            ("loss_l2", 0.0 <= cfg.loss_l2 < math.inf, "at least 0 and finite"),
-        ]
-    if cfg.loss_kind == "mlp":
-        checks.append(("loss_hidden", cfg.loss_hidden >= 1, "at least 1"))
-    if cfg.init_strategy == "warmstart":
-        checks += [
-            ("lipschitz_warm_lr", _positive(cfg.lipschitz_warm_lr), "positive and finite"),
-            ("lipschitz_probe_lr", _positive(cfg.lipschitz_probe_lr), "positive and finite"),
-            ("lipschitz_warm_epochs", cfg.lipschitz_warm_epochs >= 0, "at least 0"),
-            ("lipschitz_probe_epochs", cfg.lipschitz_probe_epochs >= 1, "at least 1"),
-        ]
-    if cfg.algorithm == "gt":
-        checks += [
-            ("gt_step", _positive(cfg.gt_step), "positive and finite"),
-            ("gt_tune_rounds", cfg.gt_tune_rounds >= 1, "at least 1"),
-        ]
-    else:
-        checks += [
-            ("caden_tau", cfg.caden_tau >= 1, "at least 1"),
-            ("caden_tau_reduce_round", cfg.caden_tau_reduce_round >= -1,
-             "at least -1 (-1 disables the reduction)"),
-            ("caden_tau_reduced", cfg.caden_tau_reduced >= 1, "at least 1"),
-            ("caden_participation", 0.0 < cfg.caden_participation <= 1.0, "in (0, 1]"),
-            ("caden_mu_z", _positive(cfg.caden_mu_z), "positive and finite"),
-            ("caden_mu_y", _positive(cfg.caden_mu_y), "positive and finite"),
-            ("caden_gd_step", _positive(cfg.caden_gd_step), "positive and finite"),
-            ("caden_lbfgs_memory", cfg.caden_lbfgs_memory >= 1, "at least 1"),
-        ]
-        if cfg.mode == "theory":
-            checks.append(
-                ("contraction_probe_iters", cfg.contraction_probe_iters >= 1, "at least 1")
-            )
-    for attr, ok, requirement in checks:
-        if not ok:
-            key = attr.replace("_", ".", 1)
-            raise ConfigError(f"{key} must be {requirement}, got {getattr(cfg, attr)!r}")
-
-
-def _positive(value: float | None) -> bool:
-    """Whether an optional key is unset (auto) or a positive finite number."""
-    return value is None or 0.0 < value < math.inf
-
-
-def _thresholds_ok(cfg: ExperimentConfig) -> bool:
-    """Whether every ``metrics.thresholds`` entry is a positive finite number."""
-    try:
-        return all(math.isfinite(eps) and eps > 0.0 for eps in cfg.thresholds())
-    except ValueError:
-        return False
-
-
 def _tau_segments(schedule: TauSchedule, start: int, rounds: int) -> list[list[int]]:
     """Run-length encoding [start, end, tau] of the per-round budget."""
     segments: list[list[int]] = []
@@ -484,9 +395,11 @@ def run_experiment(
 ) -> RunResult:
     """Build the problem, run T rounds, record metrics, emit CSV + JSON.
 
+    A config that ``check_config`` refuses raises before anything is built.
     Any error during the round loop flushes the partial trace and a summary
     carrying the failure message before re-raising.
     """
+    check_config(cfg)
     gt = cfg.algorithm == "gt"
     if gt:
         # A checkpoint holds models and duals; gradient tracking's state is
@@ -499,7 +412,6 @@ def run_experiment(
         ):
             if value:
                 raise ConfigError(f"{key} is not supported with algorithm = gt")
-    _check_ranges(cfg)
     topology = build_topology(cfg)
     losses, eval_set = build_losses(cfg, topology)
     init = initialize(cfg, losses, topology)
@@ -734,7 +646,7 @@ def sweep(cfg, key, values, n_seeds=5, out_dir=None, write_outputs=False) -> Swe
     """Runs of ``cfg`` varying only ``key`` over ``values``, each on seeds
     seed .. seed + n_seeds - 1, all logging the same rounds.  Before any run,
     ConfigError refuses an unknown key, gradient tracking (no V and neither
-    key), n_seeds below 1 and every value that ``_check_ranges`` refuses."""
+    key), n_seeds below 1 and every value that ``check_config`` refuses."""
     if key not in SWEEP_LABELS:
         raise ConfigError(f"cannot sweep {key!r}; the sweepable keys are {', '.join(SWEEP_LABELS)}")
     if cfg.algorithm == "gt":
@@ -743,7 +655,7 @@ def sweep(cfg, key, values, n_seeds=5, out_dir=None, write_outputs=False) -> Swe
         raise ConfigError(f"a {key} sweep needs n_seeds of at least 1, got {n_seeds!r}")
     attr = key.replace(".", "_")
     for value in values:
-        _check_ranges(cfg.replace(**{attr: value}))
+        check_config(cfg.replace(**{attr: value}))
     seeds = [cfg.seed + k for k in range(n_seeds)]
     runs = {}
     for value in values:

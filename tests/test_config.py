@@ -144,3 +144,26 @@ class TestSchemaDoc:
         assert cfg.shard_seed() == 9
         assert cfg.replace(loss_shard_seed=4).shard_seed() == 4
         assert config.ExperimentConfig().thresholds() == [1e-2, 1e-4, 1e-6]
+        assert config.float_list(" 0, ,2,") == [0.0, 2.0]
+
+
+class TestCheck:
+    def test_every_default_is_valid(self):
+        config.check_config(config.ExperimentConfig())
+
+    @pytest.mark.parametrize(
+        "attr, value, message",
+        [
+            ("algorithm", "sgd", "algorithm must be one of caden, caden-gd, gt, got 'sgd'"),
+            ("caden_tau", 0, "caden.tau must be at least 1, got 0"),
+            ("loss_l2", float("inf"), "loss.l2 must be in [0, inf), got inf"),
+            ("caden_participation", 1.5, "caden.participation must be in (0, 1], got 1.5"),
+            ("quadratic_targets", "0,,x", "quadratic.targets must be a comma list of numbers"
+             " each in (-inf, inf), got '0,,x'"),
+        ],
+    )
+    def test_message_names_key_requirement_and_value(self, attr, value, message):
+        cfg = config.ExperimentConfig().replace(**{attr: value})
+        with pytest.raises(ConfigError) as err:
+            config.check_config(cfg)
+        assert str(err.value) == message

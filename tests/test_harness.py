@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caden import cli, engine, graphs, harness, metrics
-from caden.config import ExperimentConfig, serialize_config
+from caden.config import KEYS, ExperimentConfig, check_config, serialize_config
 from caden.errors import CadenError, ConfigError, DivergenceError
 from caden.harness import (
     CSV_COLUMNS,
@@ -628,9 +628,21 @@ class TestIdxInputs:
          "quadratic.target_spread"),
         (dict(caden_tau_reduce_round=-3), "caden.tau_reduce_round"),
         (dict(algorithm="caden-gd", caden_tau_reduce_round=-2), "caden.tau_reduce_round"),
+        (dict(seed=-1), "seed"),
+        (dict(loss_shard_seed=-2), "loss.shard_seed"),
+        (dict(quadratic_targets="0,nan"), "quadratic.targets"),
+        (dict(algorithm="gt", caden_tau=0), "caden.tau"),
+        (dict(loss_kind="quadratic", loss_hidden=0), "loss.hidden"),
     ],
 )
 def test_out_of_range_key_refused_before_any_round(tmp_path, monkeypatch, overrides, key):
+    _refused_before_build(tmp_path, monkeypatch, _k2_config(**overrides), key)
+
+
+def _refused_before_build(tmp_path, monkeypatch, cfg, key):
+    """``run_experiment`` of cfg raises ConfigError naming key before it
+    builds the problem, runs a round or writes a file."""
+
     def no_round(*args, **kwargs):
         raise AssertionError("a round ran")
 
@@ -640,8 +652,25 @@ def test_out_of_range_key_refused_before_any_round(tmp_path, monkeypatch, overri
     monkeypatch.setattr(engine, "run_round", no_round)
     monkeypatch.setattr(harness, "build_topology", no_build)
     with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must"):
-        run_experiment(_k2_config(**overrides), out_dir=str(tmp_path))
+        run_experiment(cfg, out_dir=str(tmp_path))
     assert list(tmp_path.iterdir()) == []
+
+
+_RANGED_REALS = [k for k in KEYS if k.within and k.kind in ("float", "autofloat")]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("key", _RANGED_REALS, ids=lambda k: k.name)
+def test_ranged_real_refuses_non_finite(tmp_path, monkeypatch, key, value):
+    cfg = _k2_config(**{key.attr: value})
+    _refused_before_build(tmp_path, monkeypatch, cfg, key.name)
+
+
+@pytest.mark.parametrize("key", [k for k in KEYS if k.choices], ids=lambda k: k.name)
+def test_unknown_choice_refused_before_any_round(tmp_path, monkeypatch, key):
+    # Built in Python, so no parser has seen the value.
+    cfg = _k2_config(**{key.attr: "unknown"})
+    _refused_before_build(tmp_path, monkeypatch, cfg, key.name)
 
 
 @pytest.mark.parametrize(
@@ -651,10 +680,12 @@ def test_out_of_range_key_refused_before_any_round(tmp_path, monkeypatch, overri
         dict(quadratic_targets="", quadratic_target_spread=0.0),
         dict(caden_tau_reduce_round=-1),
         dict(caden_tau_reduce_round=0),
+        dict(seed=0),
+        dict(loss_shard_seed=-1),
     ],
 )
 def test_range_bounds_are_accepted(overrides):
-    harness._check_ranges(_k2_config(**overrides))
+    check_config(_k2_config(**overrides))
 
 
 class TestGtRuns:

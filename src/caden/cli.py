@@ -1,8 +1,9 @@
 """Command-line entry point: run experiments, sweep grids, verify invariants.
 
 ``caden sweep`` runs ``harness.sweep`` once per grid flag given
-(participation first), and its flag types refuse an out-of-range entry
-before any run, with exit code 2 and a message naming the flag."""
+(participation first).  Its flag types refuse a ``--seeds`` below 1, or a
+grid entry that ``config.check_value`` refuses as its key, before any run
+with exit code 2 and a message naming the flag."""
 
 from __future__ import annotations
 
@@ -10,7 +11,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import load_config
+from .config import load_config, read_value
+from .errors import ConfigError
 from .harness import run_experiment, strict_json, sweep
 from .verify import SUITES, run_suites
 
@@ -39,16 +41,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _probability(text: str) -> float:
-    """A number in (0, 1]; argparse names the flag when this refuses."""
-    try:
-        if 0.0 < float(text) <= 1.0:
-            return float(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a probability in (0, 1], got {text!r}")
-
-
 def _count(text: str) -> int:
     """An integer of at least 1; argparse names the flag when this refuses."""
     if not text.strip().isdigit() or int(text) < 1:
@@ -56,9 +48,17 @@ def _count(text: str) -> int:
     return int(text)
 
 
-def _listed(item):
-    """The argparse type of a comma-separated list of ``item`` values."""
-    return lambda text: [item(tok) for tok in text.split(",") if tok.strip()]
+def _values(name: str):
+    """The argparse type of a comma list of config key ``name``'s values,
+    each read and checked as in a config file."""
+
+    def read(text: str) -> list:
+        try:
+            return [read_value(name, tok) for tok in text.split(",") if tok.strip()]
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return read
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -121,12 +121,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--config", required=True, help="config file path")
     sweep_p.add_argument(
         "--participation",
-        type=_listed(_probability),
+        type=_values("caden.participation"),
         default="",
         help="comma-separated participation probabilities",
     )
     sweep_p.add_argument(
-        "--tau", type=_listed(_count), default="", help="comma-separated local iteration budgets"
+        "--tau", type=_values("caden.tau"), default="",
+        help="comma-separated local iteration budgets",
     )
     sweep_p.add_argument("--seeds", type=_count, default=5, help="seeds per grid point")
     _add_common(sweep_p)

@@ -4,7 +4,8 @@ Every key has a typed default; parsing fills defaults so a loaded config is
 fully explicit, and re-serialization is canonical (sorted registry order,
 shortest-roundtrip floats), hence idempotent.  ``auto`` is the spelled value
 of the optional floats that the harness resolves from problem data.  Each
-key's valid values sit on its ``_key`` entry; ``check_config`` checks them.
+key's kind and valid values sit on its ``_key`` entry, and only there;
+``check_value`` checks one value against them, wherever the value comes from.
 
 The shipped ``docs/config_schema.txt`` is generated from this registry.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 
 from .errors import ConfigError
 
@@ -258,7 +260,7 @@ def _in(interval: str, value: float) -> bool:
 def _valid(key: _Key, value) -> bool:
     if key.choices:
         return value in key.choices
-    if not key.within or value is AUTO:
+    if not key.within:
         return True
     try:
         entries = float_list(value) if key.kind == "str" else [value]
@@ -267,14 +269,35 @@ def _valid(key: _Key, value) -> bool:
     return all(_in(key.within, entry) for entry in entries)
 
 
+# The type each kind takes; only a bool key takes a bool.
+_TYPES = {"int": Integral, "float": Real, "autofloat": Real, "str": str, "bool": bool}
+
+
+def check_value(name: str, value, auto: bool = True) -> None:
+    """Raise ConfigError "<name> must be ..., got ..." unless ``value`` fits
+    key ``name``: its kind and its choices or interval, or ``auto`` (None)
+    for an autofloat key unless ``auto`` is False."""
+    key = _BY_NAME[name]
+    if value is AUTO and key.kind == "autofloat" and auto:
+        return
+    if not isinstance(value, _TYPES[key.kind]) or isinstance(value, bool) != (key.kind == "bool"):
+        raise ConfigError(f"{name} must be of kind {key.kind}, got {value!r}")
+    if not _valid(key, value):
+        raise ConfigError(f"{name} must be {_requirement(key)}, got {value!r}")
+
+
+def read_value(name: str, raw: str):
+    """Key ``name``'s value spelled ``raw`` in a config file, checked."""
+    value = _parse_value(_BY_NAME[name], raw)
+    check_value(name, value)
+    return value
+
+
 def check_config(cfg: ExperimentConfig) -> None:
-    """Raise ConfigError naming the first key, in registry order, whose value
-    is not among its choices or not in its interval.  Every key is checked,
-    whether or not it applies to the run; ``auto`` always passes."""
+    """``check_value`` every key, in registry order, whether or not it
+    applies to the run."""
     for key in KEYS:
-        value = getattr(cfg, key.attr)
-        if not _valid(key, value):
-            raise ConfigError(f"{key.name} must be {_requirement(key)}, got {value!r}")
+        check_value(key.name, getattr(cfg, key.attr))
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -316,8 +339,8 @@ def schema_text() -> str:
         "Keys are dotted section names.  Every key is optional and defaults as",
         "listed.  Floats accept any Python literal; `auto` marks values the",
         "harness resolves from problem data.  Every run checks every key's",
-        "value (each entry of a comma list) against its choices or its range,",
-        "whose upper bound inf is open; `auto` always passes.",
+        "value against its kind, then (each entry of a comma list) against its",
+        "choices or its range, whose upper bound inf is open; `auto` always passes.",
         "",
     ]
     for k in KEYS:

@@ -87,11 +87,5 @@ def shard_indices(total: int, agents: int, seed: int) -> list[np.ndarray]:
     Shards are equal-sized with the remainder going to the last agent.
     """
     perm = np.random.default_rng([_SHARD_STREAM, seed]).permutation(total)
-    base = total // agents
-    shards = []
-    start = 0
-    for i in range(agents):
-        size = base + (total - base * agents if i == agents - 1 else 0)
-        shards.append(np.sort(perm[start : start + size]))
-        start += size
-    return shards
+    cuts = [total // agents * i for i in range(agents)] + [total]
+    return [np.sort(perm[start:end]) for start, end in zip(cuts, cuts[1:])]

@@ -95,10 +95,8 @@ def run_edge_round(
 ) -> EdgeState:
     """One synchronous x, z, y sweep; returns the new state."""
     x = edge_x_step(state, losses, topology, config, round_index)
-    mid = EdgeState(x=x, z=state.z, y=state.y)
-    z = edge_z_step(mid, topology, config.mu_z)
-    mid = EdgeState(x=x, z=z, y=state.y)
-    y = edge_y_step(mid, topology, config.mu_y)
+    z = edge_z_step(EdgeState(x=x, z=state.z, y=state.y), topology, config.mu_z)
+    y = edge_y_step(EdgeState(x=x, z=z, y=state.y), topology, config.mu_y)
     return EdgeState(x=x, z=z, y=y)
 
 

@@ -25,7 +25,8 @@ forms from a dual per agent and a z per edge as one ``SubproblemBatch``,
 and ``solve_subproblems`` solves them in one lockstep L-BFGS or
 gradient-descent solve (or the exact one), reported as (k, ...) arrays.
 The anchors and the dual step follow the incident-edge order of
-``graphs.edge_ends``.
+``graphs.edge_ends``.  ``CadenConfig`` and ``TauSchedule`` check
+their parameters as config keys, with ``config.check_value``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import solvers
+from .config import check_value
 from .errors import CheckpointError
 from .graphs import Topology, edge_ends, edge_midpoints, incident_sums
 from .losses import LossStack
@@ -65,8 +67,10 @@ class TauSchedule:
     reduced: int = 1
 
     def __post_init__(self):
-        if self.base < 1 or self.reduced < 1:
-            raise ValueError("every local iteration budget must be at least 1")
+        check_value("caden.tau", self.base)
+        check_value("caden.tau_reduced", self.reduced)
+        if self.reduce_round is not None:
+            check_value("caden.tau_reduce_round", self.reduce_round)
 
     def tau(self, round_index: int) -> int:
         if self.reduce_round is not None and round_index >= self.reduce_round:
@@ -76,7 +80,7 @@ class TauSchedule:
 
 @dataclass
 class CadenConfig:
-    """Engine parameters for one run."""
+    """Engine parameters for one run; mu_z and mu_y may not be ``auto``."""
 
     mu_z: float
     mu_y: float
@@ -89,12 +93,14 @@ class CadenConfig:
     lipschitz: float | None = None
 
     def __post_init__(self):
-        if self.mu_z <= 0 or self.mu_y <= 0:
-            raise ValueError("mu_z and mu_y must be positive")
+        check_value("caden.mu_z", self.mu_z, auto=False)
+        check_value("caden.mu_y", self.mu_y, auto=False)
+        check_value("caden.participation", self.participation)
+        check_value("seed", self.seed)
+        check_value("caden.lbfgs_memory", self.lbfgs_memory)
+        check_value("caden.gd_step", self.gd_step)
         if self.solver not in ("lbfgs", "gd", "exact"):
             raise ValueError(f"unknown solver {self.solver!r}")
-        if not (0.0 < self.participation <= 1.0):
-            raise ValueError("participation probability must be in (0, 1]")
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,8 @@ class ParameterSelectionError(CadenError):
 
 
 class ConfigError(CadenError):
-    """Raised on malformed or contradictory experiment configuration."""
+    """Raised on malformed or contradictory experiment configuration, and by
+    ``config.check_value`` for a value of the wrong kind or out of range."""
 
 
 class CheckpointError(CadenError):

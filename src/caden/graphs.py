@@ -18,6 +18,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
+from .config import check_value
 from .errors import DisconnectedGraphError, GraphSamplingError
 from .losses import rowdot
 
@@ -95,12 +96,11 @@ def from_edges(m: int, edges: Iterable[tuple[int, int]], resamples: int = 0) -> 
     """Build a validated topology from an edge list.
 
     Raises:
-        ValueError: on fewer than 2 agents, self-loops, duplicate edges, or
-            out-of-range endpoints.
+        ConfigError: naming ``topology.m`` for fewer than 2 agents.
+        ValueError: on self-loops, duplicate edges, or out-of-range endpoints.
         DisconnectedGraphError: if the graph is not connected.
     """
-    if m < 2:
-        raise ValueError(f"a topology needs at least 2 agents, got m={m}")
+    check_value("topology.m", m)
     canon = _canonical_edges(edges)
     for i, j in canon:
         if i == j:
@@ -156,13 +156,11 @@ def build_random_graph(
     number of rejected samples is recorded on the returned topology.
 
     Raises:
+        ConfigError: naming ``topology.edge_prob`` or ``topology.m``.
         GraphSamplingError: after ``max_retries`` disconnected samples, which
             signals that ``edge_prob`` is too small for ``m``.
     """
-    if m < 2:
-        raise ValueError("need at least 2 agents")
-    if not (0.0 < edge_prob <= 1.0):
-        raise ValueError("edge_prob must be in (0, 1]")
+    check_value("topology.edge_prob", edge_prob)
     # Every pair i < j, ordered by i then j.
     first, second = np.triu_indices(m, 1)
     for attempt in range(max_retries + 1):

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, engine, graphs, metrics, theory
-from .config import ExperimentConfig, check_config, config_as_dict, float_list
+from .config import ExperimentConfig, check_config, check_value, config_as_dict, float_list
 from .datasets import (
     gaussian_blobs,
     load_idx_images,
@@ -245,36 +245,34 @@ def initialize(cfg: ExperimentConfig, losses: LossStack, topology) -> Initializa
     start; its final iterates become the initial models and the global
     constant is the max across agents.  Quadratic losses report their exact
     smoothness, so the harness never needs a probe for them.  A resumed run
-    takes its models and duals from the checkpoint; under warm start it
-    reruns the deterministic probe for the constant only, so it resolves
-    the same constant as the run that wrote the checkpoint.
+    resolves both as a fresh run does, so its constant is the writer's, and
+    then takes the checkpoint's models, duals and start round.
     """
     m, d = topology.m, losses.dim
-    if cfg.init_state_file:
-        x0, phi0, round_index = _read_input(cfg, "init.state_file", engine.load_checkpoint)
-        if x0.shape != (m, d):
-            raise ConfigError(
-                f"checkpoint {cfg.init_state_file} holds (m, d) = {x0.shape}, but the "
-                f"config's topology and loss give (m, d) = {(m, d)}"
-            )
-        if cfg.init_strategy == "warmstart":
-            lipschitz = _warm_start(cfg, losses).l_hat
-        else:
-            lipschitz = _exact_smoothness(losses)
-        return Initialization(x0, phi0, round_index, lipschitz)
     if cfg.init_strategy == "warmstart":
         est = _warm_start(cfg, losses)
-        return Initialization(est.x_init, None, 0, est.l_hat)
-    if cfg.init_strategy == "random":
-        rng = np.random.default_rng([_XINIT_STREAM, cfg.seed])
-        x0 = cfg.init_scale * rng.standard_normal((m, d))
-    elif isinstance(losses[0], MlpLoss):
-        # Zero weights are a ReLU saddle; seeded small weights keep the probe
-        # and the solvers off it while staying deterministic.
-        x0 = np.tile(losses[0].init_params(cfg.seed), (m, 1))
+        x0, lipschitz = est.x_init, est.l_hat
     else:
-        x0 = np.zeros((m, d))
-    return Initialization(x0, None, 0, _exact_smoothness(losses))
+        exact = [loss.smoothness() for loss in losses]
+        lipschitz = None if None in exact else max(exact)
+        if cfg.init_strategy == "random":
+            rng = np.random.default_rng([_XINIT_STREAM, cfg.seed])
+            x0 = cfg.init_scale * rng.standard_normal((m, d))
+        elif isinstance(losses[0], MlpLoss):
+            # Zero weights are a ReLU saddle; seeded small weights keep the probe
+            # and the solvers off it while staying deterministic.
+            x0 = np.tile(losses[0].init_params(cfg.seed), (m, 1))
+        else:
+            x0 = np.zeros((m, d))
+    start = (x0, None, 0)
+    if cfg.init_state_file:
+        start = _read_input(cfg, "init.state_file", engine.load_checkpoint)
+        if start[0].shape != (m, d):
+            raise ConfigError(
+                f"checkpoint {cfg.init_state_file} holds (m, d) = {start[0].shape}, but the "
+                f"config's topology and loss give (m, d) = {(m, d)}"
+            )
+    return Initialization(*start, lipschitz)
 
 
 def _warm_start(cfg: ExperimentConfig, losses: LossStack):
@@ -289,13 +287,6 @@ def _warm_start(cfg: ExperimentConfig, losses: LossStack):
         warm_epochs=cfg.lipschitz_warm_epochs, warm_lr=cfg.lipschitz_warm_lr,
         probe_epochs=cfg.lipschitz_probe_epochs, probe_lr=cfg.lipschitz_probe_lr,
     )
-
-
-def _exact_smoothness(losses) -> float | None:
-    values = [loss.smoothness() for loss in losses]
-    if any(v is None for v in values):
-        return None
-    return max(values)
 
 
 def _probe_contraction(cfg, run_cfg, losses, topology, init) -> float:
@@ -324,15 +315,12 @@ def resolve_parameters(
     the prescribed budget.
     """
     l_hat = init.lipschitz
-    if cfg.caden_mu_z is not None:
-        mu_z = cfg.caden_mu_z
-    else:
-        if l_hat is None:
-            raise ConfigError(
-                "caden.mu_z = auto needs a smoothness constant; use init.strategy ="
-                " warmstart or a loss family with exact smoothness"
-            )
-        mu_z = 2.0 * l_hat + 1.0
+    if cfg.caden_mu_z is None and l_hat is None:
+        raise ConfigError(
+            "caden.mu_z = auto needs a smoothness constant; use init.strategy ="
+            " warmstart or a loss family with exact smoothness"
+        )
+    mu_z = cfg.caden_mu_z if cfg.caden_mu_z is not None else 2.0 * l_hat + 1.0
     solver = "gd" if cfg.algorithm == "caden-gd" else "lbfgs"
     if solver == "gd" and cfg.caden_gd_step is None and l_hat is None:
         raise ConfigError("caden-gd needs caden.gd_step or a resolvable smoothness constant")
@@ -434,10 +422,8 @@ def run_experiment(
     else:
         run_cfg, summary["theory"] = resolve_parameters(cfg, losses, topology, init, spectral)
         rounds = _caden_rounds(cfg, run_cfg, losses, topology, init, summary)
-    if eval_set is None:
-        acc_fn = lambda x: None  # noqa: E731 - trivial closure
-    else:
-        acc_fn = lambda x: metrics.test_accuracy(x, losses, *eval_set)  # noqa: E731
+    def acc_fn(x):
+        return None if eval_set is None else metrics.test_accuracy(x, losses, *eval_set)
 
     trace = RunTrace()
     t0 = time.perf_counter()
@@ -646,16 +632,16 @@ def sweep(cfg, key, values, n_seeds=5, out_dir=None, write_outputs=False) -> Swe
     """Runs of ``cfg`` varying only ``key`` over ``values``, each on seeds
     seed .. seed + n_seeds - 1, all logging the same rounds.  Before any run,
     ConfigError refuses an unknown key, gradient tracking (no V and neither
-    key), n_seeds below 1 and every value that ``check_config`` refuses."""
+    key), n_seeds below 1 and every value that ``check_value`` refuses."""
     if key not in SWEEP_LABELS:
         raise ConfigError(f"cannot sweep {key!r}; the sweepable keys are {', '.join(SWEEP_LABELS)}")
     if cfg.algorithm == "gt":
         raise ConfigError(f"a {key} sweep needs a CADEN algorithm; gradient tracking has no {key}")
     if n_seeds < 1:
         raise ConfigError(f"a {key} sweep needs n_seeds of at least 1, got {n_seeds!r}")
-    attr = key.replace(".", "_")
     for value in values:
-        check_config(cfg.replace(**{attr: value}))
+        check_value(key, value)
+    attr = key.replace(".", "_")
     seeds = [cfg.seed + k for k in range(n_seeds)]
     runs = {}
     for value in values:

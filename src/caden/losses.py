@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import check_value
 from .errors import LipschitzEstimateError
 
 _INIT_STREAM = 301
@@ -485,10 +486,12 @@ def estimate_lipschitz(
     over its consecutive probe iterates.  One stacked gradient call per epoch
     steps every agent, each with a lone probe's arithmetic.  Pairs with step
     shorter than ``MIN_PROBE_STEP`` are skipped; an agent whose every pair
-    is skipped fails the estimate.
+    is skipped fails the estimate; the knobs are checked as ``lipschitz.*`` keys.
     """
-    if warm_lr <= 0 or probe_lr <= 0:
-        raise ValueError("learning rates must be positive")
+    check_value("lipschitz.warm_epochs", warm_epochs)
+    check_value("lipschitz.warm_lr", warm_lr)
+    check_value("lipschitz.probe_epochs", probe_epochs)
+    check_value("lipschitz.probe_lr", probe_lr)
     rows = np.arange(len(losses))
     x = np.array(np.broadcast_to(np.asarray(x0, dtype=float), (len(rows), losses.dim)))
     for _ in range(warm_epochs):

@@ -406,7 +406,7 @@ def solve_gd(
     x = np.array(x_start, dtype=float)
     k = len(x)
     steps = np.full(k, step, dtype=float) if step is not None else default_gd_step(batch, lipschitz)
-    if (steps <= 0.0).any():
+    if not (steps > 0.0).all():  # also refuses NaN
         raise ValueError("step must be positive")
     lg = _start_loss_gradients(batch, x, loss_grad)
     g = batch.gradients(x, ALL, lg)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
+from .config import check_value
 from .errors import ParameterSelectionError
 from .graphs import SpectralSummary
 
@@ -47,8 +48,11 @@ class TheoryReport:
     gating hypotheses fail."""
 
     conditions_met: dict[str, bool]
-    violations: tuple[str, ...]
-    constants: TheoryConstants | None
+    constants: TheoryConstants | None = None
+
+    @property
+    def violations(self) -> tuple[str, ...]:
+        return tuple(name for name, met in self.conditions_met.items() if not met)
 
     @property
     def ok(self) -> bool:
@@ -115,18 +119,17 @@ def compute_constants(
 
     The hatted constants feed the plain ones; c1 = max(c8/c3, c7/c4) and
     c2 = c6 + c1 c5.  Evaluation is gated on chat1 > 0 and chat4 d_max^2 < 1;
-    when either fails, the report carries flags and no constants.  Inputs
-    outside the formulas' domain raise ValueError.
+    when either fails, the report carries flags and no constants.  ``p_min``
+    and ``params`` go through ``check_value``; a bad rate or L raises ValueError.
     """
-    if not (0.0 < p_min <= 1.0):
-        raise ValueError("p_min must be in (0, 1]")
+    check_value("caden.participation", p_min)
+    check_value("caden.mu_z", params.mu_z, auto=False)
+    check_value("caden.mu_y", params.mu_y, auto=False)
+    check_value("caden.tau", params.tau)
     if not (0.0 < rate < 1.0):
         raise ValueError("rate must be in (0, 1)")
-    for name, value in (("lipschitz", lipschitz), ("mu_z", params.mu_z), ("mu_y", params.mu_y)):
-        if value <= 0:
-            raise ValueError(f"{name} must be positive")
-    if params.tau < 1:
-        raise ValueError("tau must be at least 1")
+    if lipschitz <= 0:
+        raise ValueError("lipschitz must be positive")
     lam_max = spectral.lambda_max
     lam_min_sq = spectral.lambda_min**2
     d = float(spectral.d_max)
@@ -143,14 +146,9 @@ def compute_constants(
         "rate_power_below_bound": r_tau <= rate_power_bound(spectral, p, mu_z),
         "chat1_positive": chat1 > 0.0,
     }
-    violations = [name for name, met in conditions.items() if not met]
     if not conditions["chat1_positive"]:
         conditions["chat4_gap_positive"] = False
-        return TheoryReport(
-            conditions_met=conditions,
-            violations=tuple(violations + ["chat4_gap_positive"]),
-            constants=None,
-        )
+        return TheoryReport(conditions)
 
     chat4 = (6.0 * lam_max / lam_min_sq) * (
         r_tau * (4.0 * p - 8.0 * r_tau) * (4.0 + 3.0 * p**2 - 6.0 * p)
@@ -161,11 +159,7 @@ def compute_constants(
     gap_lin = 1.0 - chat4 * d
     conditions["chat4_gap_positive"] = gap_sq > 0.0
     if not conditions["chat4_gap_positive"]:
-        return TheoryReport(
-            conditions_met=conditions,
-            violations=tuple(name for name, met in conditions.items() if not met),
-            constants=None,
-        )
+        return TheoryReport(conditions)
 
     spectral_ratio = 36.0 * lam_max / (lam_min_sq * mu_y**2)
     mix = d**2 * mu_z**2 + lip**2
@@ -210,8 +204,4 @@ def compute_constants(
         chat1=chat1, chat2=chat2, chat3=chat3, chat4=chat4,
         c3=c3, c4=c4, c5=c5, c6=c6, c7=c7, c8=c8, c1=c1, c2=c2,
     )
-    return TheoryReport(
-        conditions_met=conditions,
-        violations=tuple(name for name, met in conditions.items() if not met),
-        constants=constants,
-    )
+    return TheoryReport(conditions, constants)

@@ -141,9 +141,8 @@ def verify_constants(rate: float = 0.5) -> VerifyResult:
     the bound constants must be monotone in the local rate at fixed
     parameters."""
     failures = []
-    checked = 0
-    for spectral, lip, p_min in constants_grid():
-        checked += 1
+    grid = constants_grid()
+    for spectral, lip, p_min in grid:
         point = f"d_max={spectral.d_max} L={lip} p={p_min}"
         selected = theory.select_parameters(lip, spectral, p_min, rate)
         report = theory.compute_constants(lip, spectral, p_min, rate, selected)
@@ -173,10 +172,10 @@ def verify_constants(rate: float = 0.5) -> VerifyResult:
         suite="constants",
         passed=not failures,
         details={
-            "grid_points": checked,
+            "grid_points": len(grid),
             "rate": rate,
             "failures": failures,
-            "headline": f"{checked} grid points, {len(failures)} failures",
+            "headline": f"{len(grid)} grid points, {len(failures)} failures",
         },
     )
 

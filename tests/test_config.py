@@ -1,14 +1,18 @@
 """Config parsing, canonical serialization, schema documentation."""
 
+import re
 import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caden import config
+from caden import config, graphs, theory
+from caden.engine import CadenConfig, TauSchedule
 from caden.errors import ConfigError
+from caden.losses import LossStack, QuadraticLoss, estimate_lipschitz
 
 SAMPLE = """
 # convex benchmark
@@ -160,6 +164,12 @@ class TestCheck:
             ("caden_participation", 1.5, "caden.participation must be in (0, 1], got 1.5"),
             ("quadratic_targets", "0,,x", "quadratic.targets must be a comma list of numbers"
              " each in (-inf, inf), got '0,,x'"),
+            ("caden_tau", 2.5, "caden.tau must be of kind int, got 2.5"),
+            ("caden_tau", "5", "caden.tau must be of kind int, got '5'"),
+            ("metrics_cadence", True, "metrics.cadence must be of kind int, got True"),
+            ("caden_mu_z", True, "caden.mu_z must be of kind autofloat, got True"),
+            ("metrics_wall_time", 1, "metrics.wall_time must be of kind bool, got 1"),
+            ("output_label", 3, "output.label must be of kind str, got 3"),
         ],
     )
     def test_message_names_key_requirement_and_value(self, attr, value, message):
@@ -167,3 +177,57 @@ class TestCheck:
         with pytest.raises(ConfigError) as err:
             config.check_config(cfg)
         assert str(err.value) == message
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+def _probe(**kwargs):
+    stack = LossStack([QuadraticLoss(q=np.ones(2), a=np.zeros(2))])
+    return estimate_lipschitz(stack, np.ones(2), **kwargs)
+
+
+def _constants(p_min=1.0, **params):
+    selected = theory.SelectedParameters(**{"mu_z": 3.0, "mu_y": 1728.0, "tau": 5, **params})
+    spectral = graphs.laplacian_spectrum(graphs.complete_graph(2))
+    return theory.compute_constants(1.0, spectral, p_min, 0.5, selected)
+
+
+@pytest.mark.parametrize(
+    "call, key",
+    [
+        (lambda: CadenConfig(mu_z=_NAN, mu_y=1.0), "caden.mu_z"),
+        (lambda: CadenConfig(mu_z=None, mu_y=1.0), "caden.mu_z"),
+        (lambda: CadenConfig(mu_z=1.0, mu_y=_INF), "caden.mu_y"),
+        (lambda: CadenConfig(mu_z=1.0, mu_y=0.0), "caden.mu_y"),
+        (lambda: CadenConfig(mu_z=1.0, mu_y=1.0, participation=1.5), "caden.participation"),
+        (lambda: CadenConfig(mu_z=1.0, mu_y=1.0, participation=_NAN), "caden.participation"),
+        (lambda: CadenConfig(mu_z=1.0, mu_y=1.0, seed=-1), "seed"),
+        (lambda: CadenConfig(mu_z=1.0, mu_y=1.0, lbfgs_memory=0), "caden.lbfgs_memory"),
+        (lambda: CadenConfig(mu_z=1.0, mu_y=1.0, solver="gd", gd_step=_NAN), "caden.gd_step"),
+        (lambda: TauSchedule(base=2.5), "caden.tau"),
+        (lambda: TauSchedule(base=True), "caden.tau"),
+        (lambda: TauSchedule(base=0), "caden.tau"),
+        (lambda: TauSchedule(reduced=0), "caden.tau_reduced"),
+        (lambda: TauSchedule(reduce_round=-2), "caden.tau_reduce_round"),
+        (lambda: graphs.complete_graph(1), "topology.m"),
+        (lambda: graphs.from_edges(2.0, [(0, 1)]), "topology.m"),
+        (lambda: graphs.build_random_graph(1, 0.5, seed=0), "topology.m"),
+        (lambda: graphs.build_random_graph(-1, 0.5, seed=0), "topology.m"),
+        (lambda: graphs.build_random_graph(5, 0.0, seed=0), "topology.edge_prob"),
+        (lambda: graphs.build_random_graph(5, _NAN, seed=0), "topology.edge_prob"),
+        (lambda: _probe(probe_epochs=0), "lipschitz.probe_epochs"),
+        (lambda: _probe(warm_epochs=-1), "lipschitz.warm_epochs"),
+        (lambda: _probe(warm_lr=_NAN), "lipschitz.warm_lr"),
+        (lambda: _probe(probe_lr=_INF), "lipschitz.probe_lr"),
+        (lambda: _constants(mu_y=_NAN), "caden.mu_y"),
+        (lambda: _constants(mu_z=_INF), "caden.mu_z"),
+        (lambda: _constants(tau=2.5), "caden.tau"),
+        (lambda: _constants(p_min=_NAN), "caden.participation"),
+    ],
+)
+def test_direct_caller_refuses_through_the_registry(call, key):
+    # The engine, graph builders, theory constants and smoothness probe take
+    # config parameters directly; each refuses a value as its key.
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must"):
+        call()

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from caden import engine, graphs
 from caden.datasets import gaussian_blobs
 from caden.engine import CadenConfig, TauSchedule
+from caden.errors import ConfigError
 from caden.losses import LocalLoss, LogisticLoss, LossStack, MlpLoss, QuadraticLoss
 
 from helpers import Row, batch_of
@@ -81,7 +82,7 @@ class TestParticipation:
         assert abs(rate - 0.5) < 0.02
 
     def test_invalid_probability_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="^caden.participation must"):
             CadenConfig(mu_z=1.0, mu_y=1.0, participation=0.0)
 
 
@@ -360,9 +361,9 @@ class TestTauSchedule:
         assert sched.tau(100) == 1
 
     def test_budget_must_be_positive(self):
-        with pytest.raises(ValueError, match="at least 1"):
+        with pytest.raises(ConfigError, match="^caden.tau must be at least 1"):
             TauSchedule(base=0)
-        with pytest.raises(ValueError, match="at least 1"):
+        with pytest.raises(ConfigError, match="^caden.tau_reduced must be at least 1"):
             TauSchedule(base=5, reduce_round=10, reduced=0)
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caden import graphs
-from caden.errors import DisconnectedGraphError, GraphSamplingError
+from caden.errors import ConfigError, DisconnectedGraphError, GraphSamplingError
 
 from helpers import (
     constraint_matrices,
@@ -44,7 +44,7 @@ class TestTopology:
 
     @pytest.mark.parametrize("m", [-1, 0, 1])
     def test_rejects_fewer_than_two_agents(self, m):
-        with pytest.raises(ValueError, match=f"m={m}$"):
+        with pytest.raises(ConfigError, match=f"^topology.m must be at least 2, got {m}$"):
             graphs.from_edges(m, [])
 
     def test_incident_matches_neighbor_order(self):

@@ -633,6 +633,14 @@ class TestIdxInputs:
         (dict(quadratic_targets="0,nan"), "quadratic.targets"),
         (dict(algorithm="gt", caden_tau=0), "caden.tau"),
         (dict(loss_kind="quadratic", loss_hidden=0), "loss.hidden"),
+        # Values of the wrong kind, as a config built in Python may hold.
+        (dict(caden_tau=2.5), "caden.tau"),
+        (dict(topology_m=3.0), "topology.m"),
+        (dict(caden_tau="5"), "caden.tau"),
+        (dict(metrics_cadence=True), "metrics.cadence"),
+        (dict(caden_mu_z=True), "caden.mu_z"),
+        (dict(metrics_wall_time=0), "metrics.wall_time"),
+        (dict(output_label=None), "output.label"),
     ],
 )
 def test_out_of_range_key_refused_before_any_round(tmp_path, monkeypatch, overrides, key):
@@ -903,16 +911,17 @@ class TestCli:
         assert not (tmp_path / "k2_sweep.json").exists()
 
     @pytest.mark.parametrize(
-        "flags, named",
+        "flags, named, message",
         [
-            (["--tau", "2.5"], "--tau"),
-            (["--seeds", "0", "--tau", "2"], "--seeds"),
-            (["--seeds", "0", "--participation", "0.5"], "--seeds"),
+            (["--tau", "2.5"], "--tau", "bad value for caden.tau: '2.5'"),
+            (["--seeds", "0", "--tau", "2"], "--seeds", "expected an integer of at least 1"),
+            (["--seeds", "0", "--participation", "0.5"], "--seeds",
+             "expected an integer of at least 1"),
         ],
         ids=["non-integer-tau", "zero-seeds-tau", "zero-seeds-participation"],
     )
     def test_sweep_refuses_bad_counts_before_any_run(
-        self, tmp_path, monkeypatch, capsys, flags, named
+        self, tmp_path, monkeypatch, capsys, flags, named, message
     ):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(serialize_config(_k2_config()))
@@ -921,12 +930,22 @@ class TestCli:
         with pytest.raises(SystemExit) as exit_info:
             cli.main(["sweep", "--config", str(cfg_path), *flags, "--out-dir", str(tmp_path)])
         assert exit_info.value.code == 2
-        assert f"argument {named}: expected an integer of at least 1" in capsys.readouterr().err
+        assert f"argument {named}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "k2_sweep.json").exists()
 
-    @pytest.mark.parametrize("value", ["0", "1.5", "nan", "half", "0.5,2"])
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("0", "caden.participation must be in (0, 1], got 0.0"),
+            ("1.5", "caden.participation must be in (0, 1], got 1.5"),
+            ("nan", "caden.participation must be in (0, 1], got nan"),
+            ("half", "bad value for caden.participation: 'half'"),
+            ("0.5,2", "caden.participation must be in (0, 1], got 2.0"),
+        ],
+        ids=["0", "1.5", "nan", "half", "0.5,2"],
+    )
     def test_sweep_refuses_bad_participation_before_any_run(
-        self, tmp_path, monkeypatch, capsys, value
+        self, tmp_path, monkeypatch, capsys, value, message
     ):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(serialize_config(_k2_config()))
@@ -937,7 +956,7 @@ class TestCli:
                       "--out-dir", str(tmp_path)])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert "argument --participation: expected a probability in (0, 1]" in err
+        assert f"argument --participation: {message}" in err
         assert not (tmp_path / "k2_sweep.json").exists()
 
     def test_sweep_both_grids(self, tmp_path, capsys):

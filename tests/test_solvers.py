@@ -382,6 +382,19 @@ class TestGd:
         report = solve_gd(batch_of([p]), rng.standard_normal(p.loss.dim)[None], tau=10)
         assert report.grad_norm_out[0] < report.grad_norm_in[0]
 
+    @pytest.mark.parametrize(
+        "step, lipschitz",
+        [(float("nan"), None), (0.0, None), (-0.1, None), (None, float("nan")),
+         (None, -1e3)],
+    )
+    def test_step_that_is_not_positive_refused(self, step, lipschitz):
+        # A NaN step, given or from a NaN smoothness, is refused like a
+        # negative one instead of running on to NaN models.
+        rng = np.random.default_rng(10)
+        batch = batch_of([_subproblem(rng), _subproblem(rng)])
+        with pytest.raises(ValueError, match="step must be positive"):
+            solve_gd(batch, np.ones((2, 4)), tau=3, step=step, lipschitz=lipschitz)
+
 
 class TestExactSolve:
     def test_matches_independent_oracle(self):

@@ -1,5 +1,6 @@
 """Analysis constants, parameter selection, and their numeric sanity checks."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from caden import engine, graphs, theory
 from caden.engine import CadenConfig
-from caden.errors import ParameterSelectionError
+from caden.errors import ConfigError, ParameterSelectionError
 from caden.losses import LossStack, QuadraticLoss
 from caden.verify import constants_grid, verify_constants
 
@@ -91,8 +92,12 @@ class TestComputeConstants:
         ],
     )
     def test_out_of_domain_input_raises(self, lip, p_min, rate, mu_z, mu_y, tau, name):
+        # The inputs that are config parameters are refused as their keys.
+        keys = {"p_min": "caden.participation", "mu_z": "caden.mu_z", "mu_y": "caden.mu_y",
+                "tau": "caden.tau"}
+        error, named = (ConfigError, keys[name]) if name in keys else (ValueError, name)
         params = theory.SelectedParameters(mu_z=mu_z, mu_y=mu_y, tau=tau)
-        with pytest.raises(ValueError, match=f"^{name} must"):
+        with pytest.raises(error, match=f"^{re.escape(named)} must"):
             theory.compute_constants(lip, K2_SPECTRUM, p_min, rate, params)
 
     def test_monotone_in_rate_at_fixed_parameters(self):

@@ -3,7 +3,7 @@ solvers: round engine, edge-variable reference form, gradient-tracking
 baseline, convergence-analysis constants, and an experiment harness."""
 
 from .config import ExperimentConfig, load_config, parse_config, serialize_config
-from .engine import CadenConfig, TauSchedule
+from .engine import CadenConfig
 from .graphs import Topology, build_random_graph, complete_graph, laplacian_spectrum
 from .harness import RunResult, run_experiment, sweep
 from .losses import LogisticLoss, MlpLoss, QuadraticLoss, estimate_lipschitz
@@ -22,7 +22,6 @@ __all__ = [
     "QuadraticLoss",
     "RunResult",
     "SubproblemBatch",
-    "TauSchedule",
     "Topology",
     "build_random_graph",
     "complete_graph",

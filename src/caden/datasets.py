@@ -29,7 +29,9 @@ def _open_maybe_gzip(path: str) -> IO[bytes]:
 
 def _read_idx(path: str, magic: int, kind: str) -> tuple[list[int], np.ndarray]:
     """The dimensions and the u8 payload of an IDX file; ValueError for a
-    short header, a magic other than ``magic`` or a short payload."""
+    short header, a magic other than ``magic`` or a short payload.  Reads
+    what the file holds, whatever its header declares; bytes past the payload
+    are ignored."""
     fields = 1 + (magic & 0xFF)  # the magic's last byte counts the dimensions
     with _open_maybe_gzip(path) as fp:
         header = fp.read(4 * fields)
@@ -38,10 +40,11 @@ def _read_idx(path: str, magic: int, kind: str) -> tuple[list[int], np.ndarray]:
         found, *dims = struct.unpack(f">{fields}I", header)
         if found != magic:
             raise ValueError(f"bad {kind} magic 0x{found:08x}, expected 0x{magic:08x}")
-        raw = fp.read(math.prod(dims))
-    if len(raw) != math.prod(dims):
+        raw = fp.read()
+    size = math.prod(dims)
+    if len(raw) < size:
         raise ValueError(f"truncated IDX {kind} file")
-    return dims, np.frombuffer(raw, dtype=np.uint8)
+    return dims, np.frombuffer(raw, dtype=np.uint8, count=size)
 
 
 def load_idx_images(path: str) -> np.ndarray:

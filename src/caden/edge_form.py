@@ -65,7 +65,7 @@ def edge_x_step(
     if config.participation < 1.0:
         raise ValueError("the edge form runs full participation only")
     phi = dual_aggregates(state, topology)
-    tau = config.tau_schedule.tau(round_index)
+    tau = config.tau_at(round_index)
     agents = np.arange(topology.m)
     report = solve_subproblems(agents, state.x, None, phi, state.z, losses, topology, config, tau)
     return report.x_out

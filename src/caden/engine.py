@@ -25,20 +25,22 @@ forms from a dual per agent and a z per edge as one ``SubproblemBatch``,
 and ``solve_subproblems`` solves them in one lockstep L-BFGS or
 gradient-descent solve (or the exact one), reported as (k, ...) arrays.
 The anchors and the dual step follow the incident-edge order of
-``graphs.edge_ends``.  ``CadenConfig`` and ``TauSchedule`` check
-their parameters as config keys, with ``config.check_value``.
+``graphs.edge_ends``.  ``CadenConfig`` is the one record of a run's engine
+parameters, each field named and spelled as its ``caden.*`` key (and
+``seed``) and checked as that key with ``config.check_value``;
+``CadenConfig.tau_at`` is the per-round budget.
 """
 
 from __future__ import annotations
 
 import struct
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import solvers
-from .config import check_value
+from .config import KEYS, check_value
 from .errors import CheckpointError
 from .graphs import Topology, edge_ends, edge_midpoints, incident_sums
 from .losses import LossStack
@@ -54,37 +56,22 @@ _PARTICIPATION_STREAM = 401
 CHECKPOINT_HEADER = struct.Struct("<QQQ")
 
 
-@dataclass(frozen=True)
-class TauSchedule:
-    """Local-iteration budget per round.
-
-    ``base`` applies everywhere, optionally dropping to ``reduced`` from
-    ``reduce_round`` on (the workload-reduction schedule).
-    """
-
-    base: int = 5
-    reduce_round: int | None = None
-    reduced: int = 1
-
-    def __post_init__(self):
-        check_value("caden.tau", self.base)
-        check_value("caden.tau_reduced", self.reduced)
-        if self.reduce_round is not None:
-            check_value("caden.tau_reduce_round", self.reduce_round)
-
-    def tau(self, round_index: int) -> int:
-        if self.reduce_round is not None and round_index >= self.reduce_round:
-            return self.reduced
-        return self.base
+# The config key each CadenConfig field is named after: caden.<field>, or seed.
+_KEYS = {k.name.removeprefix("caden."): k.name for k in KEYS if k.name.startswith("caden.")}
+_KEYS["seed"] = "seed"
 
 
 @dataclass
 class CadenConfig:
-    """Engine parameters for one run; mu_z and mu_y may not be ``auto``."""
+    """Engine parameters for one run.  A field named after a config key holds
+    it as the config spells it, so ``tau_reduce_round = -1`` never reduces the
+    budget, and is checked as it; mu_z and mu_y may not be ``auto``."""
 
     mu_z: float
     mu_y: float
-    tau_schedule: TauSchedule = field(default_factory=TauSchedule)
+    tau: int = 5
+    tau_reduce_round: int = -1
+    tau_reduced: int = 1
     participation: float = 1.0
     solver: str = "lbfgs"  # lbfgs | gd | exact
     seed: int = 0
@@ -93,14 +80,19 @@ class CadenConfig:
     lipschitz: float | None = None
 
     def __post_init__(self):
-        check_value("caden.mu_z", self.mu_z, auto=False)
-        check_value("caden.mu_y", self.mu_y, auto=False)
-        check_value("caden.participation", self.participation)
-        check_value("seed", self.seed)
-        check_value("caden.lbfgs_memory", self.lbfgs_memory)
-        check_value("caden.gd_step", self.gd_step)
+        for f in fields(self):
+            if f.name in _KEYS:
+                auto = f.name not in ("mu_z", "mu_y")
+                check_value(_KEYS[f.name], getattr(self, f.name), auto=auto)
         if self.solver not in ("lbfgs", "gd", "exact"):
             raise ValueError(f"unknown solver {self.solver!r}")
+
+    def tau_at(self, round_index: int) -> int:
+        """The local budget of round ``round_index``: ``tau``, or
+        ``tau_reduced`` from round ``tau_reduce_round`` on."""
+        if 0 <= self.tau_reduce_round <= round_index:
+            return self.tau_reduced
+        return self.tau
 
 
 @dataclass(frozen=True)
@@ -199,7 +191,7 @@ def primal_update(
 ) -> np.ndarray:
     """One agent's round-t primal step, as ``run_round`` takes it."""
     z = edge_midpoints(topology, x)
-    tau = config.tau_schedule.tau(round_index)
+    tau = config.tau_at(round_index)
     return solve_subproblems([agent], x, None, phi, z, losses, topology, config, tau).x_out[0]
 
 
@@ -240,7 +232,7 @@ def run_round(
     flags = sample_participation(config, round_index, topology.m)
     active = np.flatnonzero(flags)
     z = edge_midpoints(topology, x)
-    tau = config.tau_schedule.tau(round_index)
+    tau = config.tau_at(round_index)
     report = solve_subproblems(active, x, grad, phi, z, losses, topology, config, tau)
     broadcasts = broadcast(x, active, report.x_out)
     grad[active] = report.loss_grad_out

@@ -77,7 +77,11 @@ def _canonical_edges(edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, int],
     return tuple(sorted((min(i, j), max(i, j)) for i, j in edges))
 
 
-def _is_connected(m: int, neighbors: Sequence[Sequence[int]]) -> bool:
+def _is_connected(m: int, edges: Sequence[tuple[int, int]]) -> bool:
+    neighbors: list[list[int]] = [[] for _ in range(m)]
+    for i, j in edges:
+        neighbors[i].append(j)
+        neighbors[j].append(i)
     seen = [False] * m
     stack = [0]
     seen[0] = True
@@ -98,7 +102,8 @@ def from_edges(m: int, edges: Iterable[tuple[int, int]], resamples: int = 0) -> 
     Raises:
         ConfigError: naming ``topology.m`` for fewer than 2 agents.
         ValueError: on self-loops, duplicate edges, or out-of-range endpoints.
-        DisconnectedGraphError: if the graph is not connected.
+        DisconnectedGraphError: if the graph is not connected; with fewer
+            than m - 1 edges, before any per-agent list is built.
     """
     check_value("topology.m", m)
     canon = _canonical_edges(edges)
@@ -109,14 +114,10 @@ def from_edges(m: int, edges: Iterable[tuple[int, int]], resamples: int = 0) -> 
             raise ValueError(f"edge ({i},{j}) out of range for m={m}")
     if len(set(canon)) != len(canon):
         raise ValueError("duplicate edges")
-    adj: list[list[int]] = [[] for _ in range(m)]
-    for i, j in canon:
-        adj[i].append(j)
-        adj[j].append(i)
-    if not _is_connected(m, adj):
+    if len(canon) < m - 1 or not _is_connected(m, canon):
         raise DisconnectedGraphError(f"graph on {m} agents with {len(canon)} edges is disconnected")
-    degrees = tuple(len(a) for a in adj)
     src, dst = np.array(canon, dtype=np.intp).reshape(-1, 2).T
+    degrees = tuple(np.bincount(np.concatenate([src, dst]), minlength=m).tolist())
     return Topology(
         m=m,
         edges=canon,

@@ -29,7 +29,7 @@ from .datasets import (
     load_idx_labels,
     shard_indices,
 )
-from .engine import CadenConfig, TauSchedule
+from .engine import CadenConfig
 from .errors import ConfigError, DivergenceError
 from .losses import LogisticLoss, LossStack, MlpLoss, QuadraticLoss, estimate_lipschitz
 from .solvers import estimate_contraction
@@ -291,7 +291,7 @@ def _warm_start(cfg: ExperimentConfig, losses: LossStack):
 
 def _probe_contraction(cfg, run_cfg, losses, topology, init) -> float:
     """Max over agents of the empirical subproblem contraction rate of the
-    run's own local solver, on the first round's subproblems."""
+    run's own local solver, on the first round's subproblems at its mu_z."""
     x0 = init.x0
     z = graphs.edge_midpoints(topology, x0)
     report = engine.solve_subproblems(
@@ -308,10 +308,11 @@ def resolve_parameters(
     """The engine config of a CADEN run, with auto parameters filled, and the
     summary's theory record.
 
-    Practice mode: mu_z = 2L + 1 and mu_y = mu_z unless set explicitly; tau
-    comes from the config schedule.  Theory mode probes the local contraction
-    rate of the run's solver, takes the full prescribed triple for the run's
-    Laplacian ``spectral`` summary, and reports the analysis constants at
+    Practice mode: mu_z = 2L + 1 and mu_y = mu_z unless set explicitly; the
+    ``caden.tau*`` keys give the budget.  Theory mode probes the local
+    contraction rate of the run's solver at the prescribed mu_z = 2L + 1,
+    takes the full prescribed triple for the run's Laplacian ``spectral``
+    summary with no budget reduction, and reports the analysis constants at
     the prescribed budget.
     """
     l_hat = init.lipschitz
@@ -320,18 +321,16 @@ def resolve_parameters(
             "caden.mu_z = auto needs a smoothness constant; use init.strategy ="
             " warmstart or a loss family with exact smoothness"
         )
-    mu_z = cfg.caden_mu_z if cfg.caden_mu_z is not None else 2.0 * l_hat + 1.0
+    mu_z = cfg.caden_mu_z if cfg.caden_mu_z is not None else theory.prescribed_mu_z(l_hat)
     solver = "gd" if cfg.algorithm == "caden-gd" else "lbfgs"
     if solver == "gd" and cfg.caden_gd_step is None and l_hat is None:
         raise ConfigError("caden-gd needs caden.gd_step or a resolvable smoothness constant")
     run_cfg = CadenConfig(
         mu_z=mu_z,
         mu_y=cfg.caden_mu_y if cfg.caden_mu_y is not None else mu_z,
-        tau_schedule=TauSchedule(
-            base=cfg.caden_tau,
-            reduce_round=None if cfg.caden_tau_reduce_round < 0 else cfg.caden_tau_reduce_round,
-            reduced=cfg.caden_tau_reduced,
-        ),
+        tau=cfg.caden_tau,
+        tau_reduce_round=cfg.caden_tau_reduce_round,
+        tau_reduced=cfg.caden_tau_reduced,
         participation=cfg.caden_participation,
         solver=solver,
         seed=cfg.seed,
@@ -343,14 +342,13 @@ def resolve_parameters(
     if cfg.mode == "theory":
         if l_hat is None:
             raise ConfigError("theory mode needs a smoothness constant")
-        rate = _probe_contraction(cfg, run_cfg, losses, topology, init)
+        probe_cfg = replace(run_cfg, mu_z=theory.prescribed_mu_z(l_hat))
+        rate = _probe_contraction(cfg, probe_cfg, losses, topology, init)
         rate = min(max(rate, 1e-12), 1.0 - 1e-12)
         selected = theory.select_parameters(l_hat, spectral, cfg.caden_participation, rate)
         run_cfg = replace(
-            run_cfg,
-            mu_z=selected.mu_z,
-            mu_y=selected.mu_y,
-            tau_schedule=TauSchedule(base=selected.tau),
+            run_cfg, mu_z=selected.mu_z, mu_y=selected.mu_y, tau=selected.tau,
+            tau_reduce_round=-1,
         )
         report = theory.compute_constants(
             l_hat, spectral, cfg.caden_participation, rate, selected
@@ -366,11 +364,11 @@ def resolve_parameters(
     return run_cfg, theory_info
 
 
-def _tau_segments(schedule: TauSchedule, start: int, rounds: int) -> list[list[int]]:
+def _tau_segments(run_cfg: CadenConfig, start: int, rounds: int) -> list[list[int]]:
     """Run-length encoding [start, end, tau] of the per-round budget."""
     segments: list[list[int]] = []
     for t in range(start, start + rounds):
-        tau = schedule.tau(t)
+        tau = run_cfg.tau_at(t)
         if segments and segments[-1][2] == tau:
             segments[-1][1] = t + 1
         else:
@@ -533,7 +531,7 @@ def _caden_rounds(cfg, run_cfg, losses, topology, init, summary):
     if init.phi0 is not None:
         phi[:] = init.phi0
     start = init.start_round
-    summary["tau_by_round"] = _tau_segments(run_cfg.tau_schedule, start, cfg.rounds)
+    summary["tau_by_round"] = _tau_segments(run_cfg, start, cfg.rounds)
     yield start, x, phi, grad, 0, 0
     for t in range(start, start + cfg.rounds):
         result = engine.run_round(x, phi, grad, losses, topology, run_cfg, t)

@@ -91,17 +91,24 @@ def rate_power_bound(spectral: SpectralSummary, p_min: float, mu_z: float) -> fl
     )
 
 
+def prescribed_mu_z(lipschitz: float) -> float:
+    """The penalty 2L + 1, the least the analysis allows."""
+    return 2.0 * lipschitz + 1.0
+
+
 def select_parameters(
     lipschitz: float, spectral: SpectralSummary, p_min: float, rate: float
 ) -> SelectedParameters:
     """The prescribed triple: mu_z = 2L+1, mu_y at its floor, tau the smallest
-    budget with rate^tau below its bound."""
+    budget with rate^tau below its bound.  ``p_min`` goes through
+    ``check_value`` as ``caden.participation``."""
+    check_value("caden.participation", p_min)
     if not (0.0 < rate < 1.0):
         raise ParameterSelectionError(
             f"local contraction rate {rate} is not in (0, 1); no contraction was "
             "measured -- probe with more iterations or raise mu_z"
         )
-    mu_z = 2.0 * lipschitz + 1.0
+    mu_z = prescribed_mu_z(lipschitz)
     mu_y = mu_y_floor(spectral, p_min, mu_z)
     bound = rate_power_bound(spectral, p_min, mu_z)
     tau = max(1, math.ceil(math.log(bound) / math.log(rate)))
@@ -141,7 +148,7 @@ def compute_constants(
     chat2 = (4.0 + 3.0 * p**2 - 6.0 * p) / p**2
     chat3 = 2.0 / p
     conditions = {
-        "mu_z_at_least_1_plus_2L": mu_z >= 1.0 + 2.0 * lip,
+        "mu_z_at_least_1_plus_2L": mu_z >= prescribed_mu_z(lip),
         "mu_y_at_least_floor": mu_y >= mu_y_floor(spectral, p, mu_z) * (1.0 - 1e-12),
         "rate_power_below_bound": r_tau <= rate_power_bound(spectral, p, mu_z),
         "chat1_positive": chat1 > 0.0,

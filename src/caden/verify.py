@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import edge_form, engine, graphs, theory
-from .engine import CadenConfig, TauSchedule
+from .engine import CadenConfig
 from .losses import LossStack, QuadraticLoss
 
 SANDWICH_SLACK = -1e-9
@@ -81,9 +81,7 @@ def verify_equivalence(
     """Edge-form and agent-form trajectories and duals must coincide round for
     round, both driven by one full-participation config."""
     topology, losses, x0 = _paired_quadratic_instance(seed)
-    config = CadenConfig(
-        mu_z=mu_z, mu_y=mu_y, tau_schedule=TauSchedule(base=tau), participation=1.0, seed=seed
-    )
+    config = CadenConfig(mu_z=mu_z, mu_y=mu_y, tau=tau, participation=1.0, seed=seed)
     x, phi, grad = engine.init_states(losses, topology, x0)
     edge_state = edge_form.init_edge_state(topology, x0)
     max_gap = 0.0

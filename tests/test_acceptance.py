@@ -16,7 +16,7 @@ import pytest
 
 from caden import baselines, engine, graphs, metrics
 from caden.config import ExperimentConfig
-from caden.engine import CadenConfig, TauSchedule
+from caden.engine import CadenConfig
 from caden.harness import run_experiment, sweep
 from caden.losses import LossStack, QuadraticLoss
 from caden.solvers import estimate_contraction, solve_gd, solve_lbfgs
@@ -112,7 +112,7 @@ def test_criterion_3_convex_convergence():
             QuadraticLoss(q=np.ones(1), a=np.array([0.0])),
             QuadraticLoss(q=np.ones(1), a=np.array([2.0])),
         ])
-        config = CadenConfig(mu_z=3.0, mu_y=3.0, tau_schedule=TauSchedule(base=5), seed=1)
+        config = CadenConfig(mu_z=3.0, mu_y=3.0, tau=5, seed=1)
         x, phi, grad = engine.init_states(losses, topology, np.array([[0.0], [2.0]]))
         for t in range(500):
             engine.run_round(x, phi, grad, losses, topology, config, t)

@@ -1,5 +1,6 @@
 """Config parsing, canonical serialization, schema documentation."""
 
+import dataclasses
 import re
 import typing
 from pathlib import Path
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caden import config, graphs, theory
-from caden.engine import CadenConfig, TauSchedule
+from caden.engine import CadenConfig
 from caden.errors import ConfigError
 from caden.losses import LossStack, QuadraticLoss, estimate_lipschitz
 
@@ -193,6 +194,11 @@ def _constants(p_min=1.0, **params):
     return theory.compute_constants(1.0, spectral, p_min, 0.5, selected)
 
 
+def _select(p_min):
+    spectral = graphs.laplacian_spectrum(graphs.complete_graph(3))
+    return theory.select_parameters(1.0, spectral, p_min, 0.5)
+
+
 @pytest.mark.parametrize(
     "call, key",
     [
@@ -205,11 +211,11 @@ def _constants(p_min=1.0, **params):
         (lambda: CadenConfig(mu_z=1.0, mu_y=1.0, seed=-1), "seed"),
         (lambda: CadenConfig(mu_z=1.0, mu_y=1.0, lbfgs_memory=0), "caden.lbfgs_memory"),
         (lambda: CadenConfig(mu_z=1.0, mu_y=1.0, solver="gd", gd_step=_NAN), "caden.gd_step"),
-        (lambda: TauSchedule(base=2.5), "caden.tau"),
-        (lambda: TauSchedule(base=True), "caden.tau"),
-        (lambda: TauSchedule(base=0), "caden.tau"),
-        (lambda: TauSchedule(reduced=0), "caden.tau_reduced"),
-        (lambda: TauSchedule(reduce_round=-2), "caden.tau_reduce_round"),
+        (lambda: CadenConfig(mu_z=1.0, mu_y=1.0, tau=2.5), "caden.tau"),
+        (lambda: CadenConfig(mu_z=1.0, mu_y=1.0, tau=True), "caden.tau"),
+        (lambda: CadenConfig(mu_z=1.0, mu_y=1.0, tau=0), "caden.tau"),
+        (lambda: CadenConfig(mu_z=1.0, mu_y=1.0, tau_reduced=0), "caden.tau_reduced"),
+        (lambda: CadenConfig(mu_z=1.0, mu_y=1.0, tau_reduce_round=-2), "caden.tau_reduce_round"),
         (lambda: graphs.complete_graph(1), "topology.m"),
         (lambda: graphs.from_edges(2.0, [(0, 1)]), "topology.m"),
         (lambda: graphs.build_random_graph(1, 0.5, seed=0), "topology.m"),
@@ -224,6 +230,9 @@ def _constants(p_min=1.0, **params):
         (lambda: _constants(mu_z=_INF), "caden.mu_z"),
         (lambda: _constants(tau=2.5), "caden.tau"),
         (lambda: _constants(p_min=_NAN), "caden.participation"),
+        (lambda: _select(p_min=0.0), "caden.participation"),
+        (lambda: _select(p_min=_NAN), "caden.participation"),
+        (lambda: _select(p_min=1.5), "caden.participation"),
     ],
 )
 def test_direct_caller_refuses_through_the_registry(call, key):
@@ -231,3 +240,23 @@ def test_direct_caller_refuses_through_the_registry(call, key):
     # config parameters directly; each refuses a value as its key.
     with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must"):
         call()
+
+
+def _engine_key(name):
+    """The config key an engine field is named after, or None."""
+    key = "seed" if name == "seed" else f"caden.{name}"
+    return next((k for k in config.KEYS if k.name == key), None)
+
+
+@pytest.mark.parametrize(
+    "name", [f.name for f in dataclasses.fields(CadenConfig) if _engine_key(f.name)]
+)
+def test_every_engine_field_named_after_a_key_is_checked_as_it(name):
+    # Just below each key's interval: its open lower end, or one under its
+    # closed one.
+    key = _engine_key(name)
+    low = float(key.within[1:].split(",")[0])
+    value = low if key.within[0] == "(" else low - 1
+    value = int(value) if key.kind == "int" else value
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key.name)} must be"):
+        CadenConfig(**{"mu_z": 1.0, "mu_y": 1.0, name: value})

@@ -41,6 +41,11 @@ class TestIdx:
         with pytest.raises(ValueError, match="truncated"):
             datasets.load_idx_images(str(path))
 
+    def test_trailing_bytes_ignored(self, tmp_path):
+        path = tmp_path / "long.idx"
+        path.write_bytes(struct.pack(">II", datasets.IDX_LABELS_MAGIC, 3) + bytes([2, 0, 1, 7, 7]))
+        assert datasets.load_idx_labels(str(path)).tolist() == [2, 0, 1]
+
     @pytest.mark.parametrize("load, size", [("load_idx_images", 15), ("load_idx_labels", 7)])
     def test_short_header_rejected(self, tmp_path, load, size):
         path = tmp_path / "short.idx"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caden import edge_form, engine, graphs, verify
-from caden.engine import CadenConfig, TauSchedule
+from caden.engine import CadenConfig
 from caden.losses import LogisticLoss, LossStack, QuadraticLoss
 from caden.solvers import solve_exact, solve_gd, solve_lbfgs
 from caden.verify import EQUIVALENCE_TOL, verify_equivalence
@@ -67,7 +67,7 @@ class TestLocalObjective:
     def test_zero_losses_zero_duals_minimizer_is_anchor(self):
         topology, state = _k2_state([1.0, -1.0], [0.0], [0.0, 0.0])
         loss = QuadraticLoss(q=np.zeros(1), a=np.zeros(1))
-        config = CadenConfig(mu_z=2.0, mu_y=2.0, tau_schedule=TauSchedule(base=30))
+        config = CadenConfig(mu_z=2.0, mu_y=2.0, tau=30)
         new_x = edge_form.edge_x_step(state, LossStack([loss, loss]), topology, config, 0)
         assert np.allclose(new_x, 0.0, atol=1e-10)
 
@@ -112,7 +112,7 @@ class TestYStep:
         losses = LossStack([QuadraticLoss(q=np.ones(2), a=rng.standard_normal(2))
                             for _ in range(5)])
         x0 = rng.standard_normal((5, 2))
-        config = CadenConfig(mu_z=3.0, mu_y=2.0, tau_schedule=TauSchedule(base=4))
+        config = CadenConfig(mu_z=3.0, mu_y=2.0, tau=4)
         x, phi, grad = engine.init_states(losses, topology, x0)
         edge_state = edge_form.init_edge_state(topology, x0)
         for t in range(20):
@@ -169,7 +169,7 @@ class TestAugmentedObjectiveTrend:
         losses = LossStack([QuadraticLoss(q=np.ones(2), a=rng.standard_normal(2))
                             for _ in range(5)])
         state = edge_form.init_edge_state(topology, rng.standard_normal((5, 2)))
-        config = CadenConfig(mu_z=3.0, mu_y=2.0, tau_schedule=TauSchedule(base=5))
+        config = CadenConfig(mu_z=3.0, mu_y=2.0, tau=5)
         values = [augmented_lagrangian_value(state, losses, topology, mu_z=3.0)]
         for t in range(30):
             state = edge_form.run_edge_round(state, losses, topology, config, t)
@@ -239,9 +239,7 @@ def test_forms_agree_on_random_graphs_and_budgets(
     losses = LossStack([QuadraticLoss(q=random_psd(d, 10.0, rng), a=rng.standard_normal(d))
                         for _ in range(m)])
     x0 = rng.standard_normal((m, d))
-    config = CadenConfig(
-        mu_z=mu_z, mu_y=mu_y_share * mu_z, tau_schedule=TauSchedule(base=tau), solver=solver
-    )
+    config = CadenConfig(mu_z=mu_z, mu_y=mu_y_share * mu_z, tau=tau, solver=solver)
     x, phi, grad = engine.init_states(losses, topology, x0)
     edge_state = edge_form.init_edge_state(topology, x0)
     for t in range(15):
@@ -283,10 +281,10 @@ def test_x_step_equals_lone_solves_of_explicit_edge_subproblems(
         z=rng.standard_normal((topology.n, d)),
         y=rng.standard_normal((topology.n, 2, d)),
     )
-    # TauSchedule refuses a budget of 0, so a fixed-budget stand-in is used.
+    # CadenConfig refuses a budget of 0, so the budget is set after its check.
     config = CadenConfig(mu_z=2.0, mu_y=1.0, solver=solver, lbfgs_memory=memory,
-                         lipschitz=1.0 if logistic else None,
-                         tau_schedule=types.SimpleNamespace(tau=lambda _: tau))
+                         lipschitz=1.0 if logistic else None)
+    config.tau = tau
     new_x = edge_form.edge_x_step(state, losses, topology, config, 0)
     for i in range(m):
         edges = incident(topology, i)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from caden import engine, graphs
 from caden.datasets import gaussian_blobs
-from caden.engine import CadenConfig, TauSchedule
+from caden.engine import CadenConfig
 from caden.errors import ConfigError
 from caden.losses import LocalLoss, LogisticLoss, LossStack, MlpLoss, QuadraticLoss
 
@@ -197,7 +197,7 @@ class TestRunRound:
         losses = LossStack([QuadraticLoss(q=np.ones(2), a=rng.standard_normal(2))
                             for _ in range(7)])
         x, phi, grad = engine.init_states(losses, topology, rng.standard_normal((7, 2)))
-        config = CadenConfig(mu_z=3.0, mu_y=2.0, tau_schedule=TauSchedule(base=5))
+        config = CadenConfig(mu_z=3.0, mu_y=2.0, tau=5)
         rounds = 50
         for t in range(rounds):
             engine.run_round(x, phi, grad, losses, topology, config, t)
@@ -264,7 +264,7 @@ class TestRunRound:
 
     def test_k2_converges_to_global_optimum(self):
         topology, losses, config, x, phi, grad = _k2_setup(solver="lbfgs",
-                                                     tau_schedule=TauSchedule(base=5))
+                                                     tau=5)
         for t in range(300):
             engine.run_round(x, phi, grad, losses, topology, config, t)
         assert abs(x[0, 0] - 1.0) <= 1e-6
@@ -319,7 +319,7 @@ def _carried_gradient_run(draw, rng):
     config = CadenConfig(
         mu_z=float(rng.uniform(0.5, 3.0)),
         mu_y=float(rng.uniform(0.1, 2.0)),
-        tau_schedule=TauSchedule(base=draw(st.integers(1, 6))),
+        tau=draw(st.integers(1, 6)),
         participation=draw(st.floats(0.05, 1.0)),
         solver=solver,
         seed=int(rng.integers(1000)),
@@ -354,17 +354,23 @@ class TestCarriedGradient:
 
 
 class TestTauSchedule:
+    # The per-round budget is CadenConfig.tau_at.
     def test_reduction_schedule(self):
-        sched = TauSchedule(base=5, reduce_round=100, reduced=1)
-        assert sched.tau(0) == 5
-        assert sched.tau(99) == 5
-        assert sched.tau(100) == 1
+        config = CadenConfig(mu_z=1.0, mu_y=1.0, tau=5, tau_reduce_round=100, tau_reduced=1)
+        assert config.tau_at(0) == 5
+        assert config.tau_at(99) == 5
+        assert config.tau_at(100) == 1
+
+    def test_reduce_round_minus_one_never_reduces(self):
+        config = CadenConfig(mu_z=1.0, mu_y=1.0, tau=5, tau_reduce_round=-1, tau_reduced=1)
+        assert config.tau_at(0) == 5
+        assert config.tau_at(10**6) == 5
 
     def test_budget_must_be_positive(self):
         with pytest.raises(ConfigError, match="^caden.tau must be at least 1"):
-            TauSchedule(base=0)
+            CadenConfig(mu_z=1.0, mu_y=1.0, tau=0)
         with pytest.raises(ConfigError, match="^caden.tau_reduced must be at least 1"):
-            TauSchedule(base=5, reduce_round=10, reduced=0)
+            CadenConfig(mu_z=1.0, mu_y=1.0, tau=5, tau_reduce_round=10, tau_reduced=0)
 
 
 class TestCheckpoint:

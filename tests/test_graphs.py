@@ -1,6 +1,7 @@
 """Topology, spectrum, constraint residual, and sandwich-bound tests."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,18 @@ class TestTopology:
     def test_rejects_disconnected(self):
         with pytest.raises(DisconnectedGraphError):
             graphs.from_edges(4, [(0, 1), (2, 3)])
+
+    def test_too_few_edges_refused_before_per_agent_lists(self):
+        # Fewer than m - 1 edges cannot connect m agents; the refusal costs
+        # no memory that grows with m.
+        tracemalloc.start()
+        try:
+            with pytest.raises(DisconnectedGraphError, match="1000000 agents with 1 edges"):
+                graphs.read_edge_list(io.StringIO("1000000 1\n1 2\n"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("m", [-1, 0, 1])
     def test_rejects_fewer_than_two_agents(self, m):

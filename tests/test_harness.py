@@ -2,6 +2,7 @@
 
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -379,29 +380,32 @@ class TestRunExperiment:
 
     def test_theory_probe_measures_the_run_solver(self, tmp_path):
         # A caden-gd run prescribes its parameters from the gradient-descent
-        # contraction rate at the run's default step, not the L-BFGS one.
-        cfg = ExperimentConfig(
-            seed=2, rounds=3, algorithm="caden-gd", mode="theory",
-            topology_kind="complete", topology_m=6,
-            loss_kind="quadratic", quadratic_style="random", loss_dimension=4,
-            quadratic_cond=50.0, init_strategy="random",
-            metrics_wall_time=False, output_label="theory_gd",
-        )
-        result = run_experiment(cfg, out_dir=str(tmp_path))
-        topology = build_topology(cfg)
-        losses, _ = build_losses(cfg, topology)
-        init = initialize(cfg, losses, topology)
-        mu_z = 2.0 * init.lipschitz + 1.0
-        phi = np.zeros_like(init.x0)
-        rates = []
-        for i, loss in enumerate(losses):
-            anchors = 0.5 * (init.x0[i] + init.x0[list(neighbors(topology, i))])
-            report = solve_gd(
-                batch_of([Row(loss, phi[i], anchors, mu_z)]), init.x0[i][None],
-                cfg.contraction_probe_iters, lipschitz=init.lipschitz,
+        # contraction rate at the run's default step, not the L-BFGS one,
+        # and on the subproblems at the mu_z = 2L + 1 it prescribes, also
+        # when the run sets caden.mu_z.
+        for mu_z in (None, 50.0):
+            cfg = ExperimentConfig(
+                seed=2, rounds=3, algorithm="caden-gd", mode="theory",
+                topology_kind="complete", topology_m=6,
+                loss_kind="quadratic", quadratic_style="random", loss_dimension=4,
+                quadratic_cond=50.0, init_strategy="random", caden_mu_z=mu_z,
+                metrics_wall_time=False, output_label="theory_gd",
             )
-            rates.append(estimate_contraction(report)[0])
-        assert result.summary["theory"]["contraction_rate"] == max(rates)
+            result = run_experiment(cfg, out_dir=str(tmp_path))
+            topology = build_topology(cfg)
+            losses, _ = build_losses(cfg, topology)
+            init = initialize(cfg, losses, topology)
+            prescribed = 2.0 * init.lipschitz + 1.0
+            phi = np.zeros_like(init.x0)
+            rates = []
+            for i, loss in enumerate(losses):
+                anchors = 0.5 * (init.x0[i] + init.x0[list(neighbors(topology, i))])
+                report = solve_gd(
+                    batch_of([Row(loss, phi[i], anchors, prescribed)]), init.x0[i][None],
+                    cfg.contraction_probe_iters, lipschitz=init.lipschitz,
+                )
+                rates.append(estimate_contraction(report)[0])
+            assert result.summary["theory"]["contraction_rate"] == max(rates)
 
     def test_theory_run_computes_the_spectrum_once(self, tmp_path, monkeypatch):
         # The graph summary and the prescribed parameters share one
@@ -527,6 +531,14 @@ class TestIdxInputs:
         short.write_bytes(b"\x00" * size)
         key = attr.replace("_", ".", 1)
         self._refused(tmp_path, f"^{key} .*IDX header of {size} bytes", **{attr: str(short)})
+
+    def test_header_declaring_more_than_the_file_holds(self, tmp_path):
+        # 2**31 x 2**31 x 4 bytes declared, 100 held: the reader asks for no
+        # more than the file has.
+        big = tmp_path / "big.idx"
+        big.write_bytes(struct.pack(">IIII", 0x803, 2**31, 2**31, 4) + b"\x00" * 100)
+        self._refused(tmp_path, "^loss.idx_images .*truncated IDX image file",
+                      loss_idx_images=str(big))
 
     def test_eval_images_without_eval_labels(self, tmp_path):
         eval_images, _ = _idx_files(tmp_path, "eval", 10)

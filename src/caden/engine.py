@@ -61,11 +61,13 @@ _KEYS = {k.name.removeprefix("caden."): k.name for k in KEYS if k.name.startswit
 _KEYS["seed"] = "seed"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CadenConfig:
     """Engine parameters for one run.  A field named after a config key holds
     it as the config spells it, so ``tau_reduce_round = -1`` never reduces the
-    budget, and is checked as it; mu_z and mu_y may not be ``auto``."""
+    budget, and is checked as it; mu_z and mu_y may not be ``auto``.  Frozen,
+    so every instance holds checked values; ``dataclasses.replace`` makes a
+    checked variant."""
 
     mu_z: float
     mu_y: float

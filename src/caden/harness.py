@@ -2,13 +2,15 @@
 method, records metrics, and writes CSV + JSON outputs.  ``sweep`` is the one
 runner of a grid of runs over ``caden.participation`` or ``caden.tau``.  Both
 refuse a config that ``config.check_config`` refuses before anything is built
-or written.
+or written.  ``run_experiment`` is the one writer of a run's summary: the
+parameter resolvers and the round loops return values and raise errors, and
+it records them.
 
-CSV rows follow a fixed column order (round, V_t, rel_err, rel_err_graph,
-acc, comms, time_s, phi_drift, active); metrics without a defined value for
-the current method are left empty.  Floats are written shortest-roundtrip, so
-a (config, seed) pair reproduces its CSV byte for byte when wall-time
-recording is off.
+A CSV row is a ``TraceRow``, whose fields are the columns in order (round,
+V_t, rel_err, rel_err_graph, acc, comms, time_s, phi_drift, active); metrics
+without a defined value for the current method are left empty.  Floats are
+written shortest-roundtrip, so a (config, seed) pair reproduces its CSV byte
+for byte when wall-time recording is off.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,23 +43,12 @@ _XINIT_STREAM = 503
 
 GT_STEP_GRID = (1e-1, 1e-2, 1e-3, 1e-4)
 
-CSV_COLUMNS = (
-    "round",
-    "V_t",
-    "rel_err",
-    "rel_err_graph",
-    "acc",
-    "comms",
-    "time_s",
-    "phi_drift",
-    "active",
-)
 
+class TraceRow(NamedTuple):
+    """One CSV row; its fields are the CSV columns, in order."""
 
-@dataclass
-class TraceRow:
     round: int
-    v: float | None
+    V_t: float | None
     rel_err: float
     rel_err_graph: float
     acc: float | None
@@ -67,24 +59,14 @@ class TraceRow:
 
     def finite(self) -> bool:
         """False once a logged metric has overflowed or turned NaN."""
-        values = (self.v, self.rel_err, self.rel_err_graph, self.acc, self.phi_drift)
-        return all(v is None or math.isfinite(v) for v in values)
+        return all(v is None or math.isfinite(v) for v in self)
 
     def cells(self) -> list[str]:
-        def num(value):
-            return "" if value is None else repr(float(value))
+        return ["" if v is None else repr(float(v)) if isinstance(v, float) else str(v)
+                for v in self]
 
-        return [
-            str(self.round),
-            num(self.v),
-            num(self.rel_err),
-            num(self.rel_err_graph),
-            num(self.acc),
-            str(self.comms),
-            num(self.time_s),
-            num(self.phi_drift),
-            str(self.active),
-        ]
+
+CSV_COLUMNS = TraceRow._fields
 
 
 @dataclass
@@ -97,9 +79,8 @@ class RunTrace:
         self.rows.append(row)
 
     def to_csv(self) -> str:
-        lines = [",".join(CSV_COLUMNS)]
-        lines.extend(",".join(r.cells()) for r in self.rows)
-        return "\n".join(lines) + "\n"
+        lines = [CSV_COLUMNS, *(r.cells() for r in self.rows)]
+        return "".join(",".join(cells) + "\n" for cells in lines)
 
 
 @dataclass
@@ -353,13 +334,7 @@ def resolve_parameters(
         report = theory.compute_constants(
             l_hat, spectral, cfg.caden_participation, rate, selected
         )
-        theory_info.update(
-            {
-                "contraction_rate": rate,
-                "selected": asdict(selected),
-                "report": report.as_dict(),
-            }
-        )
+        theory_info.update(contraction_rate=rate, selected=asdict(selected), report=report.as_dict())
     theory_info["parameters"] = {"mu_z": run_cfg.mu_z, "mu_y": run_cfg.mu_y, "lipschitz": l_hat}
     return run_cfg, theory_info
 
@@ -381,9 +356,11 @@ def run_experiment(
 ) -> RunResult:
     """Build the problem, run T rounds, record metrics, emit CSV + JSON.
 
-    A config that ``check_config`` refuses raises before anything is built.
-    Any error during the round loop flushes the partial trace and a summary
-    carrying the failure message before re-raising.
+    A config that ``check_config`` refuses raises before anything is built,
+    and a refused parameter (CADEN's or gt's step) before anything is
+    written.  Any error during the round loop flushes the partial trace and a
+    summary carrying the failure message before re-raising; a divergence
+    also records the round of its last row as ``diverged_at``.
     """
     check_config(cfg)
     gt = cfg.algorithm == "gt"
@@ -415,11 +392,18 @@ def run_experiment(
         },
     }
     if gt:
-        summary["theory"] = {"mode": cfg.mode, "parameters": {}}
-        rounds = _gt_rounds(cfg, losses, topology, init, summary)
+        w = baselines.metropolis_weights(topology)
+        step = cfg.gt_step
+        if step is None:
+            step, table = _tune_gt_step(cfg, losses, init.x0, w)
+            summary["gt_tuning"] = {"grid": list(GT_STEP_GRID), "table": table, "selected": step}
+        summary["theory"] = {"mode": cfg.mode, "parameters": {"gt_step": step}}
+        rounds = _gt_rounds(losses, init.x0, w, step, cfg.rounds)
     else:
         run_cfg, summary["theory"] = resolve_parameters(cfg, losses, topology, init, spectral)
-        rounds = _caden_rounds(cfg, run_cfg, losses, topology, init, summary)
+        summary["tau_by_round"] = _tau_segments(run_cfg, init.start_round, cfg.rounds)
+        rounds = _caden_rounds(cfg, run_cfg, losses, topology, init)
+
     def acc_fn(x):
         return None if eval_set is None else metrics.test_accuracy(x, losses, *eval_set)
 
@@ -430,11 +414,13 @@ def run_experiment(
     final_state: tuple[np.ndarray, np.ndarray] | None = None
     try:
         final_state = _record(
-            rounds, cfg, losses, topology, init, trace, clock, acc_fn, summary, duals=not gt
+            rounds, cfg, losses, topology, init.start_round, trace, clock, acc_fn, duals=not gt
         )
     except Exception as exc:  # flush partial trace, then surface the failure
         error = exc
         summary["error"] = f"{type(exc).__name__}: {exc}"
+        if isinstance(exc, DivergenceError):
+            summary["diverged_at"] = trace.rows[-1].round
 
     if trace.rows:
         last = trace.rows[-1]
@@ -443,7 +429,7 @@ def run_experiment(
             "communications": last.comms,
             "wall_time_s": last.time_s,
             "final_rel_err": last.rel_err,
-            "final_v": last.v,
+            "final_v": last.V_t,
             "final_acc": last.acc,
         }
         summary["thresholds"] = _threshold_table(cfg, trace)
@@ -481,100 +467,78 @@ def strict_json(payload) -> str:
     return json.dumps(_finite_or_none(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _record(rounds, cfg, losses, topology, init, trace, clock, acc_fn, summary, duals):
+def _record(rounds, cfg, losses, topology, start, trace, clock, acc_fn, duals):
     """Log the states that ``rounds`` yields as ``(round, models, duals or
     trackers, loss gradients at the models, communication units, active
-    agents)``: the starting state, every cadence-th round and the last one.
-    Stops at the first state that is not finite or whose logged metrics are
-    not.  ``duals`` says whether the second array holds duals, which define
-    V_t and phi_drift."""
-    start = init.start_round
+    agents)``: the state at round ``start``, every cadence-th round and the
+    last one.  Raises DivergenceError at the first state that is not finite
+    or whose logged metrics are not, once its row is logged.  ``duals`` says
+    whether the second array holds duals, which define V_t and phi_drift."""
     last = start + cfg.rounds
     comms = 0
     for t, x, y, grad, units, active in rounds:
         comms += units
-        finite = _all_finite(x, y)
+        finite = np.isfinite(x).all() and np.isfinite(y).all()
         if finite and (t - start) % cfg.metrics_cadence != 0 and t != last:
             continue
-        trace.append(
-            TraceRow(
-                round=t,
-                v=metrics.lyapunov_v(x, y, grad, topology) if duals else None,
-                rel_err=metrics.relative_error(x, losses),
-                rel_err_graph=metrics.relative_error_graph(x, losses, topology),
-                acc=acc_fn(x),
-                comms=comms,
-                time_s=clock(),
-                phi_drift=metrics.phi_drift(y) if duals else None,
-                active=active,
-            )
+        row = TraceRow(
+            round=t,
+            V_t=metrics.lyapunov_v(x, y, grad, topology) if duals else None,
+            rel_err=metrics.relative_error(x, losses),
+            rel_err_graph=metrics.relative_error_graph(x, losses, topology),
+            acc=acc_fn(x),
+            comms=comms,
+            time_s=clock(),
+            phi_drift=metrics.phi_drift(y) if duals else None,
+            active=active,
         )
-        if not (finite and trace.rows[-1].finite()):
-            _stop_diverged(summary, t, f"models, {'duals' if duals else 'trackers'} or metrics")
+        trace.append(row)
+        if not (finite and row.finite()):
+            what = "duals" if duals else "trackers"
+            raise DivergenceError(f"models, {what} or metrics not finite after round {t}")
     return x, y
 
 
-def _all_finite(*arrays: np.ndarray) -> bool:
-    return all(np.isfinite(a).all() for a in arrays)
-
-
-def _stop_diverged(summary: dict, round_index: int, what: str):
-    """Record the first non-finite round; the caller's flush path writes the
-    trace up to and including its row."""
-    summary["diverged_at"] = round_index
-    raise DivergenceError(f"{what} not finite after round {round_index}")
-
-
-def _caden_rounds(cfg, run_cfg, losses, topology, init, summary):
+def _caden_rounds(cfg, run_cfg, losses, topology, init):
     """The starting state, then the state after each CADEN round."""
     x, phi, grad = engine.init_states(losses, topology, init.x0)
     if init.phi0 is not None:
         phi[:] = init.phi0
     start = init.start_round
-    summary["tau_by_round"] = _tau_segments(run_cfg, start, cfg.rounds)
     yield start, x, phi, grad, 0, 0
     for t in range(start, start + cfg.rounds):
         result = engine.run_round(x, phi, grad, losses, topology, run_cfg, t)
         yield t + 1, x, phi, grad, result.broadcasts, int(result.active.sum())
 
 
-def _tune_gt_step(cfg, losses, topology, x0, w) -> tuple[float, list[dict]]:
+def _gt_rounds(losses, x0, w, step, rounds):
+    """The starting state, then the state after each of ``rounds``
+    gradient-tracking rounds at ``step`` with mixing weights ``w``."""
+    m = len(x0)
+    state = baselines.gt_init(losses, x0, w, step)
+    yield 0, state.x, state.g, state.grads, 0, 0
+    for t in range(rounds):
+        state = baselines.gt_round(state, losses)
+        # Each agent shares its model and its tracker: two d-vectors.
+        yield t + 1, state.x, state.g, state.grads, 2 * m, m
+
+
+def _tune_gt_step(cfg, losses, x0, w) -> tuple[float, list[dict]]:
     """Short deterministic runs over the step grid; best final error wins."""
     rounds = min(cfg.rounds, cfg.gt_tune_rounds)
     table = []
     best_step, best_err = None, np.inf
     for step in GT_STEP_GRID:
-        state = baselines.gt_init(losses, x0, w, step)
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(rounds):
-                state = baselines.gt_round(state, losses)
-            err = metrics.relative_error(state.x, losses)
-        if not np.isfinite(err):
-            err = np.inf
-        table.append({"step": step, "rel_err": None if err == np.inf else err})
+            for _, x, *_ in _gt_rounds(losses, x0, w, step, rounds):
+                pass  # x ends as the trial's final models
+            err = metrics.relative_error(x, losses)
+        table.append({"step": step, "rel_err": err if np.isfinite(err) else None})
         if err < best_err:
             best_step, best_err = step, err
     if best_step is None:
         raise ConfigError("every gt.step candidate diverged; set gt.step explicitly")
     return best_step, table
-
-
-def _gt_rounds(cfg, losses, topology, init, summary):
-    """The starting state, then the state after each gradient-tracking
-    round; tunes the step first when ``gt.step = auto``."""
-    w = baselines.metropolis_weights(topology)
-    if cfg.gt_step is not None:
-        step = cfg.gt_step
-    else:
-        step, table = _tune_gt_step(cfg, losses, topology, init.x0, w)
-        summary["gt_tuning"] = {"grid": list(GT_STEP_GRID), "table": table, "selected": step}
-    summary["theory"]["parameters"]["gt_step"] = step
-    state = baselines.gt_init(losses, init.x0, w, step)
-    yield 0, state.x, state.g, state.grads, 0, 0
-    for t in range(cfg.rounds):
-        state = baselines.gt_round(state, losses)
-        # Each agent shares its model and its tracker: two d-vectors.
-        yield t + 1, state.x, state.g, state.grads, 2 * topology.m, topology.m
 
 
 def _threshold_table(cfg: ExperimentConfig, trace: RunTrace) -> list[dict]:
@@ -610,7 +574,7 @@ class SweepResult:
         for value in self.values:
             per_seed = []
             for s in self.seeds:
-                v_col = [r.v for r in self.runs[(value, s)].trace.rows if r.v is not None]
+                v_col = [r.V_t for r in self.runs[(value, s)].trace.rows if r.V_t is not None]
                 tail = max(1, int(np.ceil(0.1 * len(v_col))))
                 per_seed.append(float(np.mean(v_col[-tail:])))
             out[value] = float(np.mean(per_seed))

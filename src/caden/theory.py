@@ -126,8 +126,10 @@ def compute_constants(
 
     The hatted constants feed the plain ones; c1 = max(c8/c3, c7/c4) and
     c2 = c6 + c1 c5.  Evaluation is gated on chat1 > 0 and chat4 d_max^2 < 1;
-    when either fails, the report carries flags and no constants.  ``p_min``
-    and ``params`` go through ``check_value``; a bad rate or L raises ValueError.
+    when either fails, the report carries flags and no constants.  The bound
+    is vacuous unless c3 > 0 and c4 > 0 (c1 is infinite otherwise), so those
+    two are conditions too.  ``p_min`` and ``params`` go through
+    ``check_value``; a bad rate or L raises ValueError.
     """
     check_value("caden.participation", p_min)
     check_value("caden.mu_z", params.mu_z, auto=False)
@@ -152,9 +154,12 @@ def compute_constants(
         "mu_y_at_least_floor": mu_y >= mu_y_floor(spectral, p, mu_z) * (1.0 - 1e-12),
         "rate_power_below_bound": r_tau <= rate_power_bound(spectral, p, mu_z),
         "chat1_positive": chat1 > 0.0,
+        # Each flag below is set in turn; a gate that fails leaves them False.
+        "chat4_gap_positive": False,
+        "c3_positive": False,
+        "c4_positive": False,
     }
     if not conditions["chat1_positive"]:
-        conditions["chat4_gap_positive"] = False
         return TheoryReport(conditions)
 
     chat4 = (6.0 * lam_max / lam_min_sq) * (
@@ -205,6 +210,7 @@ def compute_constants(
         + (8.0 * r_tau * chat2 * mu_y**2 * mu_z**2 / (chat1 * gap_sq)) * (spectral_ratio + chat4)
         + (mu_z**2 * (8.0 * mu_z**2 * d + 1.0) / gap_sq) * (chat4 + spectral_ratio)
     )
+    conditions.update(c3_positive=c3 > 0.0, c4_positive=c4 > 0.0)
     c1 = max(c8 / c3, c7 / c4) if c3 > 0 and c4 > 0 else float("inf")
     c2 = c6 + c1 * c5
     constants = TheoryConstants(

@@ -146,7 +146,7 @@ def test_criterion_4_one_over_t_trend(nonconvex_runs):
         v_mean = np.zeros(1001)
         for seed in SEEDS:
             rows = nonconvex_runs[("caden", seed)].trace.rows
-            v_mean += np.array([r.v for r in rows])
+            v_mean += np.array([r.V_t for r in rows])
         v_mean /= len(SEEDS)
         horizons = np.array([50, 100, 200, 400, 700, 1000])
         running_avg = np.array([v_mean[:T].mean() for T in horizons])

@@ -281,11 +281,16 @@ def test_x_step_equals_lone_solves_of_explicit_edge_subproblems(
         z=rng.standard_normal((topology.n, d)),
         y=rng.standard_normal((topology.n, 2, d)),
     )
-    # CadenConfig refuses a budget of 0, so the budget is set after its check.
-    config = CadenConfig(mu_z=2.0, mu_y=1.0, solver=solver, lbfgs_memory=memory,
-                         lipschitz=1.0 if logistic else None)
-    config.tau = tau
-    new_x = edge_form.edge_x_step(state, losses, topology, config, 0)
+    config = CadenConfig(mu_z=2.0, mu_y=1.0, tau=max(tau, 1), solver=solver,
+                         lbfgs_memory=memory, lipschitz=1.0 if logistic else None)
+    if tau:
+        new_x = edge_form.edge_x_step(state, losses, topology, config, 0)
+    else:
+        # CadenConfig refuses a budget of 0; the solve takes it as an argument.
+        phi = edge_form.dual_aggregates(state, topology)
+        new_x = engine.solve_subproblems(
+            np.arange(m), state.x, None, phi, state.z, losses, topology, config, 0
+        ).x_out
     for i in range(m):
         edges = incident(topology, i)
         phi_i = np.zeros(d)

@@ -5,6 +5,8 @@ import pickle
 import re
 import struct
 import tempfile
+from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -372,6 +374,13 @@ class TestTauSchedule:
         with pytest.raises(ConfigError, match="^caden.tau_reduced must be at least 1"):
             CadenConfig(mu_z=1.0, mu_y=1.0, tau=5, tau_reduce_round=10, tau_reduced=0)
 
+    def test_fields_cannot_be_assigned(self):
+        # The checks run at construction, so a checked record stays checked.
+        config = CadenConfig(mu_z=1.0, mu_y=1.0, tau=5)
+        with pytest.raises(FrozenInstanceError):
+            config.tau = 0
+        assert config.tau == 5
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
@@ -396,6 +405,6 @@ class TestCheckpoint:
         topology, losses, _, x, phi, _ = _k2_setup()
         path = str(tmp_path / "s.bin")
         engine.save_checkpoint(path, x, phi, round_index=7)
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         assert struct.unpack("<QQQ", raw[:24]) == (2, 1, 7)
         assert len(raw) == 24 + 2 * 2 * 1 * 8

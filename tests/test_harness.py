@@ -745,6 +745,19 @@ class TestGtRuns:
         assert result.summary["totals"]["final_rel_err"] <= 1e-6
         assert result.summary["gt_tuning"]["selected"] in (1e-1, 1e-2, 1e-3, 1e-4)
 
+    def test_gt_step_refusal_writes_no_files(self, tmp_path):
+        # Curvature up to 1e7 makes every candidate step diverge; the step is
+        # resolved before the run's clock starts, like CADEN's parameters,
+        # so the refusal leaves no CSV and no summary behind.
+        cfg = ExperimentConfig(
+            seed=0, rounds=50, algorithm="gt", topology_kind="ring", topology_m=4,
+            loss_kind="quadratic", quadratic_style="random", quadratic_cond=1e7,
+            loss_dimension=3, metrics_wall_time=False, output_label="gt",
+        )
+        with pytest.raises(ConfigError, match="every gt.step candidate diverged"):
+            run_experiment(cfg, out_dir=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
     def test_gt_accounts_two_vectors_per_agent_round(self, tmp_path):
         cfg = _k2_config(algorithm="gt", rounds=25, gt_step=0.1)
         result = run_experiment(cfg, out_dir=str(tmp_path))
@@ -862,7 +875,7 @@ def test_every_public_name_resolves():
 class TestTraceContainer:
     def test_rows_must_increase(self):
         trace = RunTrace()
-        row = TraceRow(round=1, v=0.0, rel_err=0.0, rel_err_graph=0.0, acc=None,
+        row = TraceRow(round=1, V_t=0.0, rel_err=0.0, rel_err_graph=0.0, acc=None,
                        comms=0, time_s=0.0, phi_drift=None, active=0)
         trace.append(row)
         with pytest.raises(ValueError, match="increasing"):

@@ -8,7 +8,9 @@ import pytest
 
 from caden import engine, graphs, theory
 from caden.engine import CadenConfig
+from caden.config import ExperimentConfig
 from caden.errors import ConfigError, ParameterSelectionError
+from caden.harness import run_experiment
 from caden.losses import LossStack, QuadraticLoss
 from caden.verify import constants_grid, verify_constants
 
@@ -58,10 +60,14 @@ class TestComputeConstants:
         # At the exact floor parameters on a single edge the hypotheses all
         # hold yet c3 comes out negative; the dominant term of c3 decays like
         # 1/d_max^2 and only dense graphs leave a margin.  Extra budget
-        # (rate power well below its bound) restores positivity.
+        # (rate power well below its bound) restores positivity.  The report
+        # names the negative c3, so it is not ok.
         report = self._prescribed(K2_SPECTRUM)
-        assert all(report.conditions_met.values())
-        assert report.constants.c3 < 0.0
+        paper = ("mu_z_at_least_1_plus_2L", "mu_y_at_least_floor", "rate_power_below_bound",
+                 "chat1_positive", "chat4_gap_positive")
+        assert all(report.conditions_met[name] for name in paper)
+        assert report.violations == ("c3_positive",)
+        assert report.constants.c3 < 0.0 < report.constants.c4
         sel = theory.select_parameters(1.0, K2_SPECTRUM, p_min=1.0, rate=0.5)
         relaxed = theory.compute_constants(
             1.0, K2_SPECTRUM, 1.0, 0.5, replace(sel, tau=sel.tau + 10)
@@ -71,6 +77,19 @@ class TestComputeConstants:
     def test_chat2_at_full_participation(self):
         report = self._prescribed(K2_SPECTRUM, p_min=1.0)
         assert report.constants.chat2 == pytest.approx(1.0)
+
+    def test_negative_c3_and_c4_are_violations(self):
+        # A theory run on a sparse random graph: every hypothesis of the
+        # paper holds, but c3 and c4 come out negative and the bound is
+        # vacuous (c1 infinite), so the report names both.
+        cfg = ExperimentConfig(
+            seed=0, rounds=0, mode="theory", topology_kind="random", topology_m=8,
+            loss_kind="quadratic", quadratic_style="random", loss_dimension=5,
+            metrics_wall_time=False,
+        )
+        report = run_experiment(cfg, write_outputs=False).summary["theory"]["report"]
+        assert report["violations"] == ["c3_positive", "c4_positive"]
+        assert report["constants"]["c3"] < 0.0 and report["constants"]["c4"] < 0.0
 
     def test_violation_report_instead_of_nan(self):
         # tau = 1 with rate 0.9 leaves chat1 = 1 - 4*0.9 < 0.
@@ -101,11 +120,13 @@ class TestComputeConstants:
             theory.compute_constants(lip, K2_SPECTRUM, p_min, rate, params)
 
     def test_monotone_in_rate_at_fixed_parameters(self):
-        sel = theory.select_parameters(1.0, K2_SPECTRUM, p_min=1.0, rate=0.9)
+        # On K6 every rate gives positive c3 and c4, so c1 and c2 are finite.
+        spectral = graphs.laplacian_spectrum(graphs.complete_graph(6))
+        sel = theory.select_parameters(1.0, spectral, p_min=1.0, rate=0.9)
         prev_c1 = prev_c2 = np.inf
         for rate in (0.9, 0.5, 0.1):
-            report = theory.compute_constants(1.0, K2_SPECTRUM, 1.0, rate, sel)
-            assert report.ok
+            report = theory.compute_constants(1.0, spectral, 1.0, rate, sel)
+            assert report.ok and np.isfinite(report.constants.c1)
             assert report.constants.c1 <= prev_c1
             assert report.constants.c2 <= prev_c2
             prev_c1, prev_c2 = report.constants.c1, report.constants.c2

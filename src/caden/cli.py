@@ -3,7 +3,8 @@
 ``caden sweep`` runs ``harness.sweep`` once per grid flag given
 (participation first).  Its flag types refuse a ``--seeds`` below 1, or a
 grid entry that ``config.check_value`` refuses as its key, before any run
-with exit code 2 and a message naming the flag."""
+with exit code 2 and a message naming the flag.  Every subcommand reads
+``--seed`` as the ``seed`` key in the same way."""
 
 from __future__ import annotations
 
@@ -18,7 +19,9 @@ from .verify import SUITES, run_suites
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument(
+        "--seed", type=_value("seed"), default=None, help="override the config seed"
+    )
     parser.add_argument("--out-dir", default=None, help="override the output directory")
 
 
@@ -48,17 +51,24 @@ def _count(text: str) -> int:
     return int(text)
 
 
-def _values(name: str):
-    """The argparse type of a comma list of config key ``name``'s values,
-    each read and checked as in a config file."""
+def _value(name: str):
+    """The argparse type of one value of config key ``name``, read and
+    checked as in a config file."""
 
-    def read(text: str) -> list:
+    def read(text: str):
         try:
-            return [read_value(name, tok) for tok in text.split(",") if tok.strip()]
+            return read_value(name, text)
         except ConfigError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from exc
 
     return read
+
+
+def _values(name: str):
+    """The argparse type of a comma list of config key ``name``'s values,
+    each read as ``_value`` reads one."""
+    one = _value(name)
+    return lambda text: [one(tok) for tok in text.split(",") if tok.strip()]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -140,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["all", *SUITES],
         help="which invariant suite to run",
     )
-    verify_p.add_argument("--seed", type=int, default=0)
+    verify_p.add_argument("--seed", type=_value("seed"), default=0)
     verify_p.add_argument("--out-dir", default=None)
     verify_p.set_defaults(func=cmd_verify)
     return parser

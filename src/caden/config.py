@@ -220,8 +220,10 @@ def _format_value(key: _Key, value) -> str:
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse config text; unknown keys and bad values raise ConfigError."""
+    """Parse config text; unknown keys, bad values and a key set twice raise
+    ConfigError."""
     values = {}
+    set_on: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -233,6 +235,9 @@ def parse_config(text: str) -> ExperimentConfig:
         key = _BY_NAME.get(name)
         if key is None:
             raise ConfigError(f"line {lineno}: unknown key {name!r}")
+        if name in set_on:
+            raise ConfigError(f"line {lineno}: {name} is already set on line {set_on[name]}")
+        set_on[name] = lineno
         value = _parse_value(key, raw)
         if key.choices and value not in key.choices:
             raise ConfigError(f"line {lineno}: {name} must be {_requirement(key)}")

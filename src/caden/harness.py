@@ -43,6 +43,11 @@ _XINIT_STREAM = 503
 
 GT_STEP_GRID = (1e-1, 1e-2, 1e-3, 1e-4)
 
+# A logged V_t (rel_err for gt) above this factor of max(its start, 1) stops
+# the run as diverged.  The largest factor seen in a healthy run is 8.5e5
+# (a warm-started caden-gd run of the 10-agent MLP ring, at round 2).
+DIVERGENCE_GROWTH = 1e10
+
 
 class TraceRow(NamedTuple):
     """One CSV row; its fields are the CSV columns, in order."""
@@ -472,10 +477,13 @@ def _record(rounds, cfg, losses, topology, start, trace, clock, acc_fn, duals):
     trackers, loss gradients at the models, communication units, active
     agents)``: the state at round ``start``, every cadence-th round and the
     last one.  Raises DivergenceError at the first state that is not finite
-    or whose logged metrics are not, once its row is logged.  ``duals`` says
-    whether the second array holds duals, which define V_t and phi_drift."""
+    or whose logged metrics are not, or whose V_t (rel_err without duals)
+    exceeds ``DIVERGENCE_GROWTH`` times max(the first row's, 1), once its
+    row is logged.  ``duals`` says whether the second array holds duals,
+    which define V_t and phi_drift."""
     last = start + cfg.rounds
     comms = 0
+    size = "V_t" if duals else "rel_err"
     for t, x, y, grad, units, active in rounds:
         comms += units
         finite = np.isfinite(x).all() and np.isfinite(y).all()
@@ -496,6 +504,12 @@ def _record(rounds, cfg, losses, topology, start, trace, clock, acc_fn, duals):
         if not (finite and row.finite()):
             what = "duals" if duals else "trackers"
             raise DivergenceError(f"models, {what} or metrics not finite after round {t}")
+        value = getattr(row, size)
+        if value > DIVERGENCE_GROWTH * max(getattr(trace.rows[0], size), 1.0):
+            raise DivergenceError(
+                f"{size} = {value:.3g} after round {t} exceeds {DIVERGENCE_GROWTH:.0e}"
+                " times max(its start, 1)"
+            )
     return x, y
 
 

@@ -9,13 +9,13 @@ and gradient() on a flat parameter vector of dimension ``dim``.
 The math of each family is written once, as kernels over parameters and
 data with any leading axes; one agent's ``value``/``gradient``/``predict``
 is the one-row case.  ``LossStack`` holds a run's m losses and is the one
-way to evaluate many agents: one kernel call per group of equal data
-shapes, bit-identical to the one-agent methods.  It is built once per run;
-the engine, the solvers, the metrics and the smoothness probe take it as
-given, and the probe steps every agent through it in lockstep.  Which
-kernel reads which shard rows is resolved into a ``RowPlan``: once with the
-stack for all agents, once per ``SubproblemBatch`` for its rows, and per
-call only for other subsets.
+way to evaluate many agents: one kernel call per group of one class and
+equal data shapes, bit-identical to the one-agent methods.  It is built
+once per run; the engine, the solvers, the metrics and the smoothness probe
+take it as given, and the probe steps every agent through it in lockstep.
+Which kernel reads which shard rows is resolved into a ``RowPlan``: once
+with the stack for all agents, once per ``SubproblemBatch`` for its rows,
+and per call only for other subsets.
 """
 
 from __future__ import annotations
@@ -36,7 +36,18 @@ MIN_PROBE_STEP = 1e-15
 
 
 class LocalLoss:
-    """Evaluation contract for one agent's objective."""
+    """Evaluation contract for one agent's objective.
+
+    A loss is evaluated by its kernels on its ``shard``: ``_values`` and
+    ``_gradients`` (and ``_predictions`` for a classifier) take parameters
+    with any leading axes and data with the same ones.  ``value``,
+    ``gradient`` and ``predict`` are the kernels' one-row case.  A subclass
+    overrides the kernels, not those three methods: a ``LossStack`` calls
+    only the kernels.  ``stack_key`` names the group whose stacked shards
+    one kernel call evaluates; each family's key starts with ``type(self)``,
+    so a subclass forms its own group.  A loss without a key cannot join a
+    stack.
+    """
 
     dim: int
 
@@ -51,10 +62,8 @@ class LocalLoss:
         return None
 
     def stack_key(self):
-        """Losses with equal non-None keys evaluate together in a
-        ``LossStack`` through ``_values``/``_gradients``; None evaluates row
-        by row.  A subclass overriding ``value`` or ``gradient`` of a
-        stacking family must return None, or the stack bypasses it."""
+        """Losses with equal keys evaluate together in a ``LossStack``;
+        None (no kernels) keeps a loss out of every stack."""
         return None
 
     def _check(self, x: np.ndarray) -> np.ndarray:
@@ -83,7 +92,7 @@ class QuadraticLoss(LocalLoss):
     a = property(lambda self: self.shard.a)
 
     def stack_key(self):
-        return (QuadraticLoss, self.q.shape)
+        return (type(self), self.q.shape)
 
     def _values(self, x: np.ndarray, data: QuadraticData) -> np.ndarray:
         return 0.5 * rowdot(x - data.a, self._gradients(x, data))
@@ -197,7 +206,7 @@ class LogisticLoss(LocalLoss):
         self.dim = self.n_features * classes
 
     def stack_key(self):
-        return (LogisticLoss, self.shard.features.shape, self.classes, self.l2)
+        return (type(self), self.shard.features.shape, self.classes, self.l2)
 
     def _weights(self, x: np.ndarray) -> np.ndarray:
         return x.reshape(*x.shape[:-1], self.n_features, self.classes)
@@ -254,7 +263,7 @@ class MlpLoss(LocalLoss):
         self.dim = p * h + h + h * k + k
 
     def stack_key(self):
-        return (MlpLoss, self.shard.features.shape, self.hidden, self.classes, self.l2)
+        return (type(self), self.shard.features.shape, self.hidden, self.classes, self.l2)
 
     def _unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(W1, b1, W2, b2) with the leading axes of ``x``; the biases keep a
@@ -332,8 +341,6 @@ class RowPlan(NamedTuple):
     # (loss, shard rows, output positions) per group the rows touch; the
     # positions are a full slice when the group fills them all.
     parts: list
-    # (output position, loss) per row-by-row loss.
-    lone: list
 
 
 class LossStack(Sequence):
@@ -343,15 +350,15 @@ class LossStack(Sequence):
     stands wherever a list of losses does.  ``values(x, rows)`` and
     ``gradients(x, rows)`` evaluate agent ``rows[n]``'s loss at ``x[n]``;
     ``predictions(x, features)`` gives every agent's labels of shared
-    features.  Every member has the same ``dim``; the constructor refuses
-    a loss of another.  Losses with equal ``stack_key`` form one group whose
-    stacked data (the (g, d) or (g, d, d) curvatures of quadratics, the
-    (g, n, p) shards of logistic and MLP losses) goes through the family's
-    kernel in one call; an uneven last shard gets its own group.  Each row's
-    result equals the agent's own ``value``/``gradient``/``predict`` bit for
-    bit; a grouped loss's own ``shard`` becomes a view of its group's
-    arrays.  Losses without a key (user-defined ones) are evaluated row by
-    row.
+    features.  Every member has the same ``dim`` and a ``stack_key``; the
+    constructor refuses a loss of another dim, or one without a key, with
+    the agent's index.  Losses with equal keys form one group whose stacked
+    data (the (g, d) or (g, d, d) curvatures of quadratics, the (g, n, p)
+    shards of logistic and MLP losses) goes through the kernel of the
+    group's class in one call; an uneven last shard, or a subclass, gets
+    its own group.  Each row's result equals the agent's own
+    ``value``/``gradient``/``predict`` bit for bit; each loss's own
+    ``shard`` becomes a view of its group's arrays.
 
     Each call first resolves its rows into a ``RowPlan``.  ``rows`` may be
     a plan from ``plan`` instead, so a caller that evaluates the same rows
@@ -370,10 +377,11 @@ class LossStack(Sequence):
             if loss.dim != self.dim:
                 raise ValueError(f"loss {i} has dim {loss.dim}, but loss 0 has dim {self.dim}")
             key = loss.stack_key()
-            if key is not None:
-                members.setdefault(key, []).append(i)
-        # Per agent: its group (-1 for row-by-row losses) and row in it.
-        self._group = np.full(len(self._losses), -1)
+            if key is None:
+                raise TypeError(f"loss {i} ({type(loss).__name__}) has no stack_key")
+            members.setdefault(key, []).append(i)
+        # Per agent: its group and row in it.
+        self._group = np.zeros(len(self._losses), dtype=np.intp)
         self._slot = np.zeros(len(self._losses), dtype=np.intp)
         self._groups: list[tuple[LocalLoss, Shard]] = []
         for agents in members.values():
@@ -411,7 +419,6 @@ class LossStack(Sequence):
     def _resolve(self, rows: np.ndarray) -> RowPlan:
         """Each row's group, shard row and output position."""
         groups = self._group[rows]
-        lone = [(n, self._losses[rows[n]]) for n in np.flatnonzero(groups < 0)]
         parts = []
         for g, (loss, shard) in enumerate(self._groups):
             pos = np.flatnonzero(groups == g)
@@ -421,35 +428,33 @@ class LossStack(Sequence):
             if len(slots) != len(shard) or (slots != np.arange(len(slots))).any():
                 shard = shard.take(slots)
             parts.append((loss, shard, slice(None) if pos.size == len(rows) else pos))
-        return RowPlan(rows, parts, lone)
+        return RowPlan(rows, parts)
 
     def values(self, x: np.ndarray, rows) -> np.ndarray:
         """(k,) loss values of agents ``rows`` at the (k, d) points ``x``."""
         plan = self.plan(rows)
-        return self._evaluate(x, plan, np.empty(len(plan.rows)), "value", "_values")
+        return self._evaluate(x, plan, np.empty(len(plan.rows)), "_values")
 
     def gradients(self, x: np.ndarray, rows) -> np.ndarray:
         """(k, d) loss gradients of agents ``rows`` at the (k, d) points ``x``."""
         plan = self.plan(rows)
         out = np.empty((len(plan.rows), self.dim))
-        return self._evaluate(x, plan, out, "gradient", "_gradients")
+        return self._evaluate(x, plan, out, "_gradients")
 
     def predictions(self, x: np.ndarray, features: np.ndarray) -> np.ndarray:
         """(m, n) labels that agent i's classifier at ``x[i]`` gives the
         shared (n, p) ``features``."""
         features = np.asarray(features, dtype=float)
         out = np.empty((len(self), len(features)), dtype=np.intp)
-        return self._evaluate(x, self._everyone, out, "predict", "_predictions", features)
+        return self._evaluate(x, self._everyone, out, "_predictions", features)
 
     @staticmethod
-    def _evaluate(x, plan: RowPlan, out, one, many, *shared):
-        """Row n of ``out``: agent ``plan.rows[n]``'s ``one`` at ``x[n]``, or
-        its group's kernel ``many`` on the group's shard rows, or on the
-        ``shared`` data when given."""
-        for n, loss in plan.lone:
-            out[n] = getattr(loss, one)(x[n], *shared)
+    def _evaluate(x, plan: RowPlan, out, kernel, *shared):
+        """Row n of ``out``: agent ``plan.rows[n]``'s group's ``kernel`` at
+        ``x[n]`` on the group's shard rows, or on the ``shared`` data when
+        given."""
         for loss, shard, pos in plan.parts:
-            out[pos] = getattr(loss, many)(x[pos], *(shared or (shard,)))
+            out[pos] = getattr(loss, kernel)(x[pos], *(shared or (shard,)))
         return out
 
 

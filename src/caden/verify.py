@@ -120,8 +120,9 @@ def constants_grid() -> list[tuple[graphs.SpectralSummary, float, float]]:
 
     Dense graphs only: the positivity margin of the constants shrinks with the
     spectral ratio lambda_max / lambda_min^2, and sparse or star-like graphs
-    push c3 negative at the prescribed floor parameters once participation
-    drops below one.
+    push c3 negative at the prescribed floor parameters, at full
+    participation too (at rate 0.5, L = 1 and p = 1, c3 is about -101 on an
+    8-agent ring and -1,300 on an 8-agent path).
     """
     topologies = [
         graphs.complete_graph(6),

@@ -3,7 +3,8 @@ the incident edges of an agent, dense constraint matrices, random curvature
 factories, the midpoint form of the residual V, the edge-form augmented
 Lagrangian, the initial augmented-gradient error, the gradient-tracking
 identity gap, the corollary scaling sweep, the one-agent quadratic, logistic
-and MLP losses, the one-agent smoothness probe, the subproblem ``Row`` the
+and MLP losses, ``AntiGradient``, a quadratic kernel subclass whose searches
+all fail, the one-agent smoothness probe, the subproblem ``Row`` the
 per-row oracles read and ``batch_of``, which stacks rows into a
 ``SubproblemBatch``, and the lone L-BFGS loop with its one-row subproblem
 terms and two-loop recursion, which the stacked kernels, the lockstep probe
@@ -27,7 +28,15 @@ from caden.datasets import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
 from caden.edge_form import EdgeState
 from caden.errors import LipschitzEstimateError, ParameterSelectionError
 from caden.graphs import SpectralSummary, Topology, constraint_residual, edge_midpoints
-from caden.losses import MIN_PROBE_STEP, LipschitzEstimate, LocalLoss, LossStack, RowPlan
+from caden.losses import (
+    MIN_PROBE_STEP,
+    LipschitzEstimate,
+    LocalLoss,
+    LossStack,
+    QuadraticLoss,
+    RowPlan,
+    rowdot,
+)
 from caden.solvers import (
     ARMIJO_C1,
     ARMIJO_SHRINK,
@@ -352,6 +361,21 @@ class ReferenceMlpLoss(LocalLoss):
     def predict(self, x: np.ndarray, features: np.ndarray) -> np.ndarray:
         _, logits = self._forward(self._check(x), np.asarray(features, dtype=float))
         return logits.argmax(axis=1)
+
+
+class AntiGradient(QuadraticLoss):
+    """0.5 ||x||^2 reporting the negated gradient: every search direction
+    ascends, so each Armijo search fails after MAX_BACKTRACKS trials, and
+    gradient steps ascend."""
+
+    def __init__(self, dim: int):
+        super().__init__(np.ones(dim), np.zeros(dim))
+
+    def _values(self, x, data):
+        return 0.5 * rowdot(x, x)
+
+    def _gradients(self, x, data):
+        return -x
 
 
 def reference_estimate_lipschitz(

@@ -50,6 +50,11 @@ class TestParsing:
         with pytest.raises(ConfigError, match="one of"):
             config.parse_config("algorithm = sgd\n")
 
+    def test_key_set_twice_rejected(self):
+        # The last value does not silently win.
+        with pytest.raises(ConfigError, match=r"^line 3: rounds is already set on line 1$"):
+            config.parse_config("rounds = 5\n# again\nrounds = 7\n")
+
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError, match="key = value"):
             config.parse_config("rounds 7\n")

@@ -17,9 +17,9 @@ from caden import engine, graphs
 from caden.datasets import gaussian_blobs
 from caden.engine import CadenConfig
 from caden.errors import ConfigError
-from caden.losses import LocalLoss, LogisticLoss, LossStack, MlpLoss, QuadraticLoss
+from caden.losses import LogisticLoss, LossStack, MlpLoss, QuadraticLoss
 
-from helpers import Row, batch_of
+from helpers import AntiGradient, Row, batch_of
 
 
 def _k2_quadratics():
@@ -273,20 +273,6 @@ class TestRunRound:
         assert abs(x[1, 0] - 1.0) <= 1e-6
 
 
-class _AntiGradient(LocalLoss):
-    """0.5 ||x||^2 reporting the negated gradient, so L-BFGS line searches
-    fail and gradient steps ascend."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-
-    def value(self, x):
-        return 0.5 * float(x @ x)
-
-    def gradient(self, x):
-        return -np.asarray(x, dtype=float)
-
-
 def _carried_gradient_run(draw, rng):
     """Random graph, losses, start models and engine config for the
     carried-gradient property."""
@@ -316,7 +302,7 @@ def _carried_gradient_run(draw, rng):
         elif kind == "mlp":
             losses.append(MlpLoss(features[rows], labels[rows], hidden=1, classes=2, l2=1e-3))
         else:
-            losses.append(_AntiGradient(d))
+            losses.append(AntiGradient(d))
     x0 = np.zeros((m, d)) if at_rest else rng.standard_normal((m, d))
     config = CadenConfig(
         mu_z=float(rng.uniform(0.5, 3.0)),

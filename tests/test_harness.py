@@ -146,14 +146,11 @@ class TestRunExperiment:
         class Bomb(QuadraticLoss):
             calls = 0
 
-            def stack_key(self):
-                return None
-
-            def gradient(self, x):
+            def _gradients(self, x, data):
                 Bomb.calls += 1
                 if Bomb.calls > 60:
                     raise FloatingPointError("synthetic failure")
-                return super().gradient(x)
+                return super()._gradients(x, data)
 
         def broken_losses(cfg, topology):
             return LossStack([Bomb(q=np.ones(1), a=np.array([float(i)])) for i in range(2)]), None
@@ -283,20 +280,40 @@ class TestRunExperiment:
         assert not out.exists()
 
     def test_summary_json_is_strict_when_run_diverges(self, tmp_path):
+        # Rows at rounds 0 and 100 only, so the growth bound never sees V_t
+        # grow: it overflows at round 53, and the run stops on the row of
+        # round 100.
         cfg = ExperimentConfig(
-            seed=0, rounds=80, loss_kind="logistic", init_strategy="warmstart",
-            caden_mu_z=0.05, caden_mu_y=200.0, caden_tau=1,
+            seed=0, rounds=120, loss_kind="logistic", init_strategy="warmstart",
+            caden_mu_z=0.05, caden_mu_y=200.0, caden_tau=1, metrics_cadence=100,
             metrics_wall_time=False, output_label="diverge",
         )
-        with np.errstate(all="ignore"), pytest.raises(DivergenceError):
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="not finite"):
             run_experiment(cfg, out_dir=str(tmp_path))
         summary = _strict_json_loads((tmp_path / "diverge_summary.json").read_text())
-        # V_t overflows first (round 53); the run stops on that row.
-        assert summary["diverged_at"] == summary["totals"]["rounds"] < 80
+        assert summary["diverged_at"] == summary["totals"]["rounds"] == 100
         assert summary["totals"]["final_v"] is None
         assert summary["error"].startswith("DivergenceError")
         rows = (tmp_path / "diverge_metrics.csv").read_text().splitlines()
         assert rows[-1].split(",")[0] == str(summary["diverged_at"])
+
+    def test_growing_run_stops_at_the_growth_bound(self, tmp_path):
+        # V_t grows about tenfold a round from 2,066 and stays finite for
+        # 200 rounds; it first exceeds 1e10 times its start at round 12.
+        cfg = ExperimentConfig(
+            seed=0, rounds=30, topology_kind="random", topology_m=8, loss_kind="quadratic",
+            quadratic_style="random", loss_dimension=5, caden_mu_z=21.0, caden_tau=6,
+            caden_mu_y=100.0, metrics_wall_time=False, output_label="grow",
+        )
+        with pytest.raises(DivergenceError, match=r"^V_t = 7.15e\+13 after round 12 exceeds"):
+            run_experiment(cfg, out_dir=str(tmp_path))
+        summary = _strict_json_loads((tmp_path / "grow_summary.json").read_text())
+        assert summary["diverged_at"] == summary["totals"]["rounds"] == 12
+        assert summary["error"].startswith("DivergenceError: V_t = ")
+        rows = (tmp_path / "grow_metrics.csv").read_text().splitlines()
+        assert [int(r.split(",")[0]) for r in rows[1:]] == list(range(13))
+        v = [float(r.split(",")[1]) for r in rows[1:]]
+        assert v[11] <= harness.DIVERGENCE_GROWTH * v[0] < v[12]
 
     def test_gt_stops_at_first_non_finite_state(self, tmp_path):
         # Step 3 on unit quadratics makes the models grow geometrically; the
@@ -372,8 +389,7 @@ class TestRunExperiment:
             loss_kind="quadratic", quadratic_style="identity", loss_dimension=2,
             metrics_wall_time=False, output_label="theory",
         )
-        result = run_experiment(cfg, out_dir=str(tmp_path))
-        theory_info = result.summary["theory"]
+        theory_info = _diverged_summary(cfg, tmp_path)["theory"]
         assert theory_info["mode"] == "theory"
         assert theory_info["report"]["constants"]["c1"] > 0
         assert set(theory_info["selected"]) == {"mu_z", "mu_y", "tau"}
@@ -391,7 +407,7 @@ class TestRunExperiment:
                 quadratic_cond=50.0, init_strategy="random", caden_mu_z=mu_z,
                 metrics_wall_time=False, output_label="theory_gd",
             )
-            result = run_experiment(cfg, out_dir=str(tmp_path))
+            summary = _diverged_summary(cfg, tmp_path)
             topology = build_topology(cfg)
             losses, _ = build_losses(cfg, topology)
             init = initialize(cfg, losses, topology)
@@ -405,7 +421,7 @@ class TestRunExperiment:
                     cfg.contraction_probe_iters, lipschitz=init.lipschitz,
                 )
                 rates.append(estimate_contraction(report)[0])
-            assert result.summary["theory"]["contraction_rate"] == max(rates)
+            assert summary["theory"]["contraction_rate"] == max(rates)
 
     def test_theory_run_computes_the_spectrum_once(self, tmp_path, monkeypatch):
         # The graph summary and the prescribed parameters share one
@@ -419,9 +435,9 @@ class TestRunExperiment:
             loss_kind="quadratic", quadratic_style="identity", loss_dimension=2,
             metrics_wall_time=False, output_label="theory",
         )
-        result = run_experiment(cfg, out_dir=str(tmp_path))
+        summary = _diverged_summary(cfg, tmp_path)
         assert len(calls) == 1
-        assert result.summary["graph"]["lambda_max"] == spectrum(build_topology(cfg)).lambda_max
+        assert summary["graph"]["lambda_max"] == spectrum(build_topology(cfg)).lambda_max
 
     def test_mu_z_auto_needs_smoothness(self, tmp_path):
         cfg = ExperimentConfig(
@@ -861,6 +877,16 @@ class TestParticipationSweep:
             assert result.runs[(tau, 2)].config.output_label == f"k2_tau{tau}_s2"
 
 
+def _diverged_summary(cfg, out_dir) -> dict:
+    """The summary of a theory run that stops at the growth bound.  The
+    parameters theory mode prescribes make V_t grow by 1e10 or more within
+    two rounds, on these small quadratics too (one reports c1 > 0 and no
+    violation), yet the run writes its theory report first."""
+    with pytest.raises(DivergenceError, match="exceeds"):
+        run_experiment(cfg, out_dir=str(out_dir))
+    return json.loads((out_dir / f"{cfg.output_label}_summary.json").read_text())
+
+
 def _no_run(*args, **kwargs):
     raise AssertionError("no run may start")
 
@@ -942,8 +968,9 @@ class TestCli:
             (["--seeds", "0", "--tau", "2"], "--seeds", "expected an integer of at least 1"),
             (["--seeds", "0", "--participation", "0.5"], "--seeds",
              "expected an integer of at least 1"),
+            (["--seed", "-1", "--tau", "2"], "--seed", "seed must be at least 0, got -1"),
         ],
-        ids=["non-integer-tau", "zero-seeds-tau", "zero-seeds-participation"],
+        ids=["non-integer-tau", "zero-seeds-tau", "zero-seeds-participation", "negative-seed"],
     )
     def test_sweep_refuses_bad_counts_before_any_run(
         self, tmp_path, monkeypatch, capsys, flags, named, message
@@ -1015,6 +1042,14 @@ class TestCli:
 
         with pytest.raises(ValueError, match="unknown suite 'nope'"):
             run_suites(["nope"])
+
+    def test_verify_refuses_a_bad_seed_before_any_suite(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_suites", _no_run)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["verify", "--seed", "-1", "--out-dir", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "argument --seed: seed must be at least 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "verify.json").exists()
 
     @pytest.mark.parametrize("suite", ["sandwich", "equivalence", "constants"])
     def test_verify_subcommand(self, tmp_path, capsys, suite):

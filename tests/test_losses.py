@@ -305,6 +305,32 @@ class TestLossStack:
         with pytest.raises(ValueError, match=r"^loss 1 has dim 66, but loss 0 has dim 15$"):
             losses.LossStack(_loss_zoo()[2:])
 
+    @pytest.mark.parametrize("doubled_first", [False, True])
+    def test_a_subclass_kernel_evaluates_its_own_rows(self, doubled_first):
+        # A subclass that overrides a kernel forms its own group, so each
+        # row reads its own loss's kernel in either member order.
+        class Doubled(losses.QuadraticLoss):
+            def _gradients(self, x, data):
+                return 2.0 * super()._gradients(x, data)
+
+        plain = losses.QuadraticLoss(q=np.ones(2), a=np.zeros(2))
+        doubled = Doubled(q=np.ones(2), a=np.zeros(2))
+        members = [doubled, plain] if doubled_first else [plain, doubled]
+        stack = losses.LossStack(members)
+        x = np.array([[1.0, 2.0], [1.0, 2.0]])
+        values, gradients = stack.values(x, [0, 1]), stack.gradients(x, [0, 1])
+        for n, loss in enumerate(members):
+            assert values[n] == loss.value(x[n])
+            assert np.array_equal(gradients[n], loss.gradient(x[n]))
+        assert np.array_equal(doubled.gradient(x[0]), [2.0, 4.0])
+
+    def test_refuses_a_loss_without_kernels(self):
+        class Lone(losses.LocalLoss):
+            dim = 2
+
+        with pytest.raises(TypeError, match=r"^loss 1 \(Lone\) has no stack_key$"):
+            losses.LossStack([losses.QuadraticLoss(q=np.ones(2), a=np.zeros(2)), Lone()])
+
 
 class TestQuadraticKernel:
     @settings(max_examples=200, deadline=None)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from caden import solvers
 from caden.datasets import gaussian_blobs
-from caden.losses import LocalLoss, LossStack, MlpLoss, QuadraticLoss, rowdot
+from caden.losses import LossStack, MlpLoss, QuadraticLoss, rowdot
 from caden.solvers import (
     estimate_contraction,
     solve_exact,
@@ -20,6 +20,7 @@ from caden.solvers import (
 )
 
 from helpers import (
+    AntiGradient,
     Row,
     StackCalls,
     batch_of,
@@ -465,29 +466,12 @@ class TestContraction:
             assert r_lbfgs <= r_gd
 
 
-class _AntiGradient(LocalLoss):
-    """0.5 ||x||^2 reporting the negated gradient: every search direction
-    ascends, so each Armijo search fails after MAX_BACKTRACKS trials."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-
-    def value(self, x):
-        return 0.5 * float(x @ x)
-
-    def gradient(self, x):
-        return -np.asarray(x, dtype=float)
-
-
 class _UndefinedFar(QuadraticLoss):
     """A quadratic whose value is NaN outside the ball of radius 2, so long
     trial steps are rejected as NaN."""
 
-    def stack_key(self):
-        return None
-
-    def value(self, x):
-        return super().value(x) if float(x @ x) <= 4.0 else float("nan")
+    def _values(self, x, data):
+        return np.where(rowdot(x, x) <= 4.0, super()._values(x, data), np.nan)
 
 
 @st.composite
@@ -510,7 +494,7 @@ def _lockstep_batches(draw):
             rows = slice(9 * i, 9 * i + 9 - (i == m - 1) * 2)  # uneven last shard
             losses.append(MlpLoss(x_mlp[rows], y_mlp[rows], hidden=1, classes=2, l2=1e-3))
         elif kind == "fail":
-            losses.append(_AntiGradient(d))
+            losses.append(AntiGradient(d))
             degree, mu_z, phi = 0, 0.0, np.zeros(d)
         elif kind == "nan":
             losses.append(_UndefinedFar(q=np.ones(d), a=3.0 * rng.standard_normal(d)))
@@ -558,7 +542,7 @@ class TestLockstep:
             assert np.array_equal(got.loss_grad_out[n], problem.loss.gradient(got.x_out[n]))
 
     def test_failed_search_counts_every_trial(self):
-        p = Row(loss=_AntiGradient(3), phi=np.zeros(3),
+        p = Row(loss=AntiGradient(3), phi=np.zeros(3),
                             anchors=np.zeros((0, 3)), mu_z=0.0)
         report = solve_lbfgs(batch_of([p]), np.ones((1, 3)), tau=2)
         assert report.line_search_failures[0] == 2

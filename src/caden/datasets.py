@@ -20,6 +20,9 @@ IDX_LABELS_MAGIC = 0x00000801
 _DATA_STREAM = 202
 _SHARD_STREAM = 203
 
+# Standard deviation of the blob class centers around the origin.
+BLOB_CENTER_SCALE = 4.0
+
 
 def _open_maybe_gzip(path: str) -> IO[bytes]:
     if path.endswith(".gz"):
@@ -67,17 +70,16 @@ def gaussian_blobs(
     classes: int,
     seed: int,
     spread: float = 1.0,
-    center_scale: float = 4.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Balanced Gaussian-blob classification data.
 
-    Class centers are drawn once from N(0, center_scale^2 I); each sample is
-    its class center plus N(0, spread^2 I) noise.  Returns (X, y) with X of
-    shape (samples, features) and integer labels y.  Classes are balanced up
-    to remainder, and the rows are shuffled.
+    Class centers are drawn once from N(0, BLOB_CENTER_SCALE^2 I); each
+    sample is its class center plus N(0, spread^2 I) noise.  Returns (X, y)
+    with X of shape (samples, features) and integer labels y.  Classes are
+    balanced up to remainder, and the rows are shuffled.
     """
     rng = np.random.default_rng([_DATA_STREAM, seed])
-    centers = center_scale * rng.standard_normal((classes, features))
+    centers = BLOB_CENTER_SCALE * rng.standard_normal((classes, features))
     y = np.arange(samples) % classes
     x = centers[y] + spread * rng.standard_normal((samples, features))
     perm = rng.permutation(samples)

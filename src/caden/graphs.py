@@ -178,17 +178,20 @@ def build_random_graph(
     )
 
 
-def laplacian_spectrum(t: Topology, tol: float = CONNECTIVITY_TOL) -> SpectralSummary:
+def laplacian_spectrum(t: Topology) -> SpectralSummary:
     """Largest and second-smallest Laplacian eigenvalues via a symmetric solve.
 
     Raises:
-        DisconnectedGraphError: if the second-smallest eigenvalue is <= tol.
+        DisconnectedGraphError: if the second-smallest eigenvalue is
+            <= CONNECTIVITY_TOL.
     """
     evals = np.linalg.eigvalsh(t.laplacian())
     lam_min = float(evals[1])
     lam_max = float(evals[-1])
-    if lam_min <= tol:
-        raise DisconnectedGraphError(f"second-smallest Laplacian eigenvalue {lam_min} <= {tol}")
+    if lam_min <= CONNECTIVITY_TOL:
+        raise DisconnectedGraphError(
+            f"second-smallest Laplacian eigenvalue {lam_min} <= {CONNECTIVITY_TOL}"
+        )
     return SpectralSummary(lambda_max=lam_max, lambda_min=lam_min, d_max=t.d_max)
 
 

@@ -182,19 +182,23 @@ def _data_losses(cfg: ExperimentConfig, m: int):
         if bool(cfg.loss_idx_eval_images) != bool(cfg.loss_idx_eval_labels):
             raise ConfigError("loss.idx_eval_images and loss.idx_eval_labels must be set together")
         x_train, y_train = _idx_pair(cfg, "loss.idx_images", "loss.idx_labels")
+        held = x_train.shape[0]
         classes = int(y_train.max(initial=0)) + 1
         if cfg.loss_idx_eval_images:
             x_eval, y_eval = _idx_pair(cfg, "loss.idx_eval_images", "loss.idx_eval_labels")
             if x_eval.shape[1] != x_train.shape[1]:
                 raise ConfigError("loss.idx_eval_images and loss.idx_images differ in image size")
+            use = f"{held} training samples"
         else:
-            cut = max(1, x_train.shape[0] - cfg.loss_eval_samples)
+            cut = max(1, held - cfg.loss_eval_samples)
             x_eval, y_eval = x_train[cut:], y_train[cut:]
             x_train, y_train = x_train[:cut], y_train[:cut]
-    if x_train.shape[0] < m:
-        raise ConfigError(
-            f"loss.idx_images holds {x_train.shape[0]} training samples, fewer than m={m} agents"
-        )
+            use = (
+                f"{held} samples; loss.eval_samples = {cfg.loss_eval_samples} carves "
+                f"{len(x_eval)} of them for evaluation, leaving {len(x_train)} for training"
+            )
+        if x_train.shape[0] < m:
+            raise ConfigError(f"loss.idx_images holds {use}, fewer than m={m} agents")
     shards = shard_indices(x_train.shape[0], m, cfg.shard_seed())
     losses = []
     for idx in shards:

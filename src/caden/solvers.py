@@ -12,12 +12,13 @@ and an exact closed-form solve for quadratic losses are also provided.
 the run's ``LossStack``, one agent being the case k = 1.  ``solve_lbfgs``
 and ``solve_gd`` advance a batch in lockstep: one body runs every agent's
 iterations side by side as stacked arrays.  Each stage is one call for the
-agents it concerns: the two-loop recursion over the (k, M, d) histories,
-one stacked loss call at the start, at each backtracking level and for the
-gradients after accepted steps, and the dual and penalty terms, slopes,
-norms and curvature tests as row-wise arrays (``rowdot``).  A row's penalty
-is held as its degree, anchor sum and anchor spread, not as its anchor
-matrix.  Each agent's arithmetic is that of a lone solve, bit for bit.
+agents it concerns: the two-loop recursion over the (k, M, d) memory of
+curvature pairs, each row's newest first and zero-padded, one stacked loss
+call at the start, at each backtracking level and for the gradients after
+accepted steps, and the dual and penalty terms, slopes, norms and curvature
+tests as row-wise arrays (``rowdot``).  A row's penalty is held as its
+degree, anchor sum and anchor spread, not as its anchor matrix.  Each
+agent's arithmetic is that of a lone solve, bit for bit.
 A stage that concerns every row runs on whole arrays (``ALL``): views
 instead of index copies, and loss calls through the batch's ``RowPlan``,
 resolved once per batch; index arrays appear only for row subsets.
@@ -179,45 +180,35 @@ def _geometric_rate(grad_norms: Sequence[float]) -> float:
 
 
 def two_loop_direction(
-    s: np.ndarray,
-    y: np.ndarray,
-    rho: np.ndarray,
-    gamma: np.ndarray,
-    grad: np.ndarray,
-    counts: np.ndarray | None = None,
+    s: np.ndarray, y: np.ndarray, rho: np.ndarray, gamma: np.ndarray, grad: np.ndarray
 ) -> np.ndarray:
     """Apply each row's limited-memory inverse-Hessian approximation to its
-    gradient.
+    gradient: the two-loop recursion over every slot given.
+
+    Each row holds its pairs newest first, zeros after its oldest.  A zero
+    slot (s = y = 0, rho = 0) leaves both loops' vectors as they are, so a
+    row with fewer pairs needs no count: its recursion is that of its own
+    pairs.
 
     Args:
-        s: (k, M, d) step differences per row, oldest first.
-        y: (k, M, d) gradient differences per row, oldest first.
-        rho: (k, M) precomputed 1 / (s_i . y_i).
+        s: (k, M, d) step differences per row, newest first.
+        y: (k, M, d) gradient differences per row, newest first.
+        rho: (k, M) 1 / (s_i . y_i), 0 in an unused slot.
         gamma: (k,) initial inverse-Hessian scalings.
         grad: (k, d) gradients to precondition.
-        counts: (k,) pairs in use per row, its first ``counts[n]`` slots;
-            all M when None.
 
     Returns:
         (k, d) H_n @ grad[n]; the descent directions are their negatives.
     """
-    k, memory = rho.shape
-    if counts is None:
-        counts = np.full(k, memory)
-    top = int(counts.max(initial=0))
-    # Every row takes part in every pair when the counts agree: plain slices.
-    uniform = bool((counts == top).all())
     q = grad.copy()
-    alpha = np.empty((k, top))
-    for i in range(top - 1, -1, -1):
-        rows = slice(None) if uniform else np.flatnonzero(counts > i)
-        alpha[rows, i] = rho[rows, i] * rowdot(s[rows, i], q[rows])
-        q[rows] -= alpha[rows, i][:, None] * y[rows, i]
+    alpha = np.empty_like(rho)
+    for i in range(rho.shape[1]):
+        alpha[:, i] = rho[:, i] * rowdot(s[:, i], q)
+        q -= alpha[:, i, None] * y[:, i]
     r = gamma[:, None] * q
-    for i in range(top):
-        rows = slice(None) if uniform else np.flatnonzero(counts > i)
-        beta = rho[rows, i] * rowdot(y[rows, i], r[rows])
-        r[rows] += (alpha[rows, i] - beta)[:, None] * s[rows, i]
+    for i in reversed(range(rho.shape[1])):
+        beta = rho[:, i] * rowdot(y[:, i], r)
+        r += (alpha[:, i] - beta)[:, None] * s[:, i]
     return r
 
 
@@ -249,8 +240,13 @@ def solve_lbfgs(
     fresh per call: each round's subproblem is a different function, so no
     stale pairs carry over.  An agent stops once its gradient is exactly 0.
 
+    The memory holds each row's pairs newest first, zeros after its oldest:
+    a row storing a pair moves its pairs back a slot, dropping its oldest
+    once all M are held, and writes the new pair at slot 0.  The recursion
+    reads the first ``depth`` slots, the most any row has filled.
+
     Every agent still iterating shares each stage: one two-loop call over
-    the (k, M, d) histories, one stacked value call per backtracking level
+    the (k, depth, d) memory, one stacked value call per backtracking level
     for the agents still searching, one stacked gradient call for the
     agents that accepted.  The slope, norm and curvature dot products go
     through ``rowdot``.  Each row's arithmetic is that of a lone solve, so
@@ -279,10 +275,10 @@ def solve_lbfgs(
     vals[:, 0] = f
     # Only accepted steps store pairs, so at most tau slots are ever used.
     slots = min(memory, tau)
-    s_buf = np.empty((k, slots, d))
-    y_buf = np.empty_like(s_buf)
-    rho_buf = np.empty((k, slots))
-    count = np.zeros(k, dtype=np.intp)
+    s_buf = np.zeros((k, slots, d))
+    y_buf = np.zeros_like(s_buf)
+    rho_buf = np.zeros((k, slots))
+    depth = 0
     gamma = np.ones(k)
     failures, performed, backtracks = np.zeros((3, k), dtype=int)
 
@@ -297,8 +293,9 @@ def solve_lbfgs(
         g_now = g[moving]
         # Looked up as a module global on every call, so a wrapper
         # installed on caden.solvers.two_loop_direction sees each one.
+        held = (moving, slice(depth))
         direction = -two_loop_direction(
-            s_buf[moving], y_buf[moving], rho_buf[moving], gamma[moving], g_now, count[moving]
+            s_buf[held], y_buf[held], rho_buf[held], gamma[moving], g_now
         )
         slope = rowdot(g_now, direction)
         # A numerically broken direction falls back to steepest descent,
@@ -355,20 +352,13 @@ def solve_lbfgs(
             if keep.any():
                 kept = _where(keep)
                 stored = _pick(rows, kept)
-                full = count[stored] == slots
-                if full.any():
-                    shift = _pick(stored, _where(full))
-                    s_buf[shift, :-1] = s_buf[shift, 1:]
-                    y_buf[shift, :-1] = y_buf[shift, 1:]
-                    rho_buf[shift, :-1] = rho_buf[shift, 1:]
-                    count[shift] -= 1
-                c = count[stored]
-                # Each stored row writes its own slot: index pairs, not a slice.
-                at = np.arange(k)[stored]
-                s_buf[at, c] = s_new[kept]
-                y_buf[at, c] = y_new[kept]
-                rho_buf[at, c] = 1.0 / sy[kept]
-                count[stored] = c + 1
+                # Newest first: each storing row's pairs move back a slot.
+                depth = min(depth + 1, slots)
+                for buf in (s_buf, y_buf, rho_buf):
+                    buf[stored, 1:depth] = buf[stored, : depth - 1]
+                s_buf[stored, 0] = s_new[kept]
+                y_buf[stored, 0] = y_new[kept]
+                rho_buf[stored, 0] = 1.0 / sy[kept]
                 gamma[stored] = sy[kept] / rowdot(y_new[kept], y_new[kept])
             gnorm[rows] = rownorm(g_new)
         norms[moving, it] = gnorm[moving]

@@ -491,7 +491,7 @@ class TestRunExperiment:
             loss_kind="logistic", loss_data="idx", loss_idx_images=img_path,
             loss_idx_labels=lab_path, loss_eval_samples=2, output_label="idx",
         )
-        with pytest.raises(ConfigError, match="loss.idx_images holds 2 training samples"):
+        with pytest.raises(ConfigError, match="loss.idx_images holds 4 samples; .* leaving 2 for"):
             run_experiment(cfg, out_dir=str(tmp_path / "out"))
         assert not (tmp_path / "out").exists()
 
@@ -522,11 +522,12 @@ class TestIdxInputs:
 
     def _refused(self, tmp_path, match, **keys):
         images, labels = _idx_files(tmp_path, "train", 30)
-        cfg = ExperimentConfig(
+        fields = dict(
             seed=0, rounds=2, topology_kind="complete", topology_m=3,
             loss_kind="logistic", loss_data="idx", loss_eval_samples=6,
-            **{"loss_idx_images": images, "loss_idx_labels": labels, **keys},
+            loss_idx_images=images, loss_idx_labels=labels,
         )
+        cfg = ExperimentConfig(**{**fields, **keys})
         with pytest.raises(ConfigError, match=match):
             run_experiment(cfg, out_dir=str(tmp_path / "out"))
         assert not (tmp_path / "out").exists()
@@ -589,8 +590,31 @@ class TestIdxInputs:
     def test_empty_files(self, tmp_path):
         images, labels = _idx_files(tmp_path, "empty", 0)
         self._refused(
-            tmp_path, "loss.idx_images holds 0 training samples",
+            tmp_path, "loss.idx_images holds 0 samples; .* leaving 0 for training",
             loss_idx_images=images, loss_idx_labels=labels,
+        )
+
+    @pytest.mark.parametrize(
+        "count, eval_count, message",
+        [
+            # The default loss.eval_samples = 200 takes 149 of 150 images.
+            (150, 0, "loss.idx_images holds 150 samples; loss.eval_samples = 200 carves 149 "
+                     "of them for evaluation, leaving 1 for training, fewer than m=10 agents"),
+            (5, 10, "loss.idx_images holds 5 training samples, fewer than m=10 agents"),
+        ],
+        ids=["carve", "eval-files"],
+    )
+    def test_too_few_training_samples_names_the_split(self, tmp_path, count, eval_count, message):
+        images, labels = _idx_files(tmp_path, "small", count)
+        keys = {}
+        if eval_count:
+            keys["loss_idx_eval_images"], keys["loss_idx_eval_labels"] = _idx_files(
+                tmp_path, "eval", eval_count
+            )
+        self._refused(
+            tmp_path, f"^{re.escape(message)}$",
+            loss_idx_images=images, loss_idx_labels=labels,
+            topology_kind="ring", topology_m=10, loss_eval_samples=200, **keys,
         )
 
 

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from caden import solvers
@@ -31,6 +31,9 @@ from helpers import (
     reference_two_loop,
     reference_value,
 )
+
+# A stray 1/0 or 0 * inf, say in an unused memory slot, fails the suite.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _subproblem(rng, d=4, degree=3, mu_z=3.0, cond=10.0):
@@ -220,26 +223,29 @@ class TestTwoLoop:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_stacked_rows_equal_lone_recursions(self, k, memory, d, equal_counts, seed):
+        # Row n holds its counts[n] pairs newest first, zeros after its
+        # oldest; its recursion must be the lone one over its own pairs.
         rng = np.random.default_rng(seed)
-        s = np.empty((k, memory, d))
-        y = np.empty_like(s)
-        rho = np.empty((k, memory))
-        for n in range(k):
-            s[n], y[n], rho[n] = _random_history(rng, memory, d)
+        s = np.zeros((k, memory, d))
+        y = np.zeros_like(s)
+        rho = np.zeros((k, memory))
         counts = rng.integers(0, memory + 1, size=k)
         if equal_counts:
             counts[:] = memory
+        own = []
+        for n, c in enumerate(counts):
+            own.append(_random_history(rng, c, d))  # oldest first
+            s[n, :c], y[n, :c], rho[n, :c] = (a[::-1] for a in own[n])
         gamma = rng.uniform(0.1, 2.0, k)
         grad = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal((k, d))
-        out = two_loop_direction(s, y, rho, gamma, grad, counts)
-        for n, c in enumerate(counts):
-            want = reference_two_loop(s[n, :c], y[n, :c], rho[n, :c], gamma[n], grad[n])
-            assert np.array_equal(out[n], want)
+        out = two_loop_direction(s, y, rho, gamma, grad)
+        for n, (s_n, y_n, rho_n) in enumerate(own):
+            assert np.array_equal(out[n], reference_two_loop(s_n, y_n, rho_n, gamma[n], grad[n]))
 
     def test_full_memory_exact_line_search_reaches_minimizer(self):
         # With memory >= d and exact curvature pairs the recursion reproduces
         # the Newton direction on quadratics: the minimizer arrives within
-        # d + 1 iterations.
+        # d + 1 iterations.  The history is passed newest first.
         q = np.diag([1.0, 10.0])
         target = np.zeros(2)
         x = np.array([3.0, -1.5])
@@ -250,8 +256,8 @@ class TestTwoLoop:
             grad = q @ (x - target)
             if np.linalg.norm(grad) == 0.0:
                 break
-            s_arr = np.array(s_hist).reshape(len(s_hist), d)
-            y_arr = np.array(y_hist).reshape(len(y_hist), d)
+            s_arr = np.array(s_hist[::-1]).reshape(len(s_hist), d)
+            y_arr = np.array(y_hist[::-1]).reshape(len(y_hist), d)
             rho = (
                 1.0 / np.einsum("ij,ij->i", s_arr, y_arr)
                 if s_hist
@@ -259,7 +265,7 @@ class TestTwoLoop:
             )
             gamma = 1.0
             if s_hist:
-                gamma = float(s_arr[-1] @ y_arr[-1]) / float(y_arr[-1] @ y_arr[-1])
+                gamma = float(s_arr[0] @ y_arr[0]) / float(y_arr[0] @ y_arr[0])
             direction = -two_loop_direction(
                 s_arr[None], y_arr[None], rho[None], np.array([gamma]), grad[None]
             )[0]
@@ -523,9 +529,40 @@ def _lockstep_batches(draw):
     return LossStack(losses), active, problems, x_start, tau, memory
 
 
+def _drop_oldest_case():
+    """A fixed ``_lockstep_batches`` case with tau 7 > memory 2, so rows drop
+    their oldest pair: two quadratics and an MLP that store pairs, a linear
+    row (zero loss, nonzero dual) whose gradient never changes, so every
+    pair it meets is skipped on curvature, and an ``AntiGradient`` row
+    whose every search fails.  Agent 1 of the stack sits out."""
+    rng = np.random.default_rng(24)
+    d = 7
+    features, labels = gaussian_blobs(18, 2, 2, seed=3)
+    linear = QuadraticLoss(q=np.zeros(d), a=np.zeros(d))
+    losses = [
+        QuadraticLoss(q=random_psd(d, 30.0, rng), a=rng.standard_normal(d)),
+        QuadraticLoss(q=np.ones(d), a=np.zeros(d)),
+        MlpLoss(features, labels, hidden=1, classes=2, l2=1e-3),
+        linear,
+        AntiGradient(d),
+        QuadraticLoss(q=random_psd(d, 30.0, rng), a=rng.standard_normal(d)),
+    ]
+    active = [0, 2, 3, 4, 5]
+    problems = [
+        Row(losses[0], rng.standard_normal(d), rng.standard_normal((2, d)), 1.5),
+        Row(losses[2], rng.standard_normal(d), rng.standard_normal((1, d)), 0.7),
+        Row(linear, rng.standard_normal(d), np.zeros((0, d)), 0.0),
+        Row(losses[4], np.zeros(d), np.zeros((0, d)), 0.0),
+        Row(losses[5], rng.standard_normal(d), rng.standard_normal((3, d)), 2.5),
+    ]
+    x_start = rng.standard_normal((len(active), d))
+    return LossStack(losses), active, problems, x_start, 7, 2
+
+
 class TestLockstep:
     @settings(max_examples=200, deadline=None)
     @given(_lockstep_batches())
+    @example(_drop_oldest_case())
     def test_every_report_equals_the_lone_solve(self, case):
         stack, active, problems, x_start, tau, memory = case
         calls = StackCalls(stack)

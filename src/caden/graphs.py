@@ -238,20 +238,16 @@ def ordered_sums(owner: np.ndarray, terms: np.ndarray, rows: int) -> np.ndarray:
     rows.  Each sum starts at 0 and adds its row's terms one at a time in
     list order, the bits ``np.add.at`` gives.  Step r adds every row's r-th
     term at once, so a sum costs one vectorised add per rank, not one per
-    term; a rank that every row reaches adds without indexing ``out``."""
+    term."""
     owner = np.asarray(owner, dtype=np.intp)
     out = np.zeros((rows, *terms.shape[1:]))
     counts = np.bincount(owner, minlength=rows)
     # Row i's terms, in list order, are by_owner[start[i]:start[i] + counts[i]].
     by_owner = np.argsort(owner, kind="stable")
     start = np.cumsum(counts) - counts
-    everyone = counts.min(initial=0)
     for r in range(counts.max(initial=0)):
-        if r < everyone:
-            out += terms[by_owner[start + r]]
-        else:
-            at = np.flatnonzero(counts > r)
-            out[at] += terms[by_owner[start[at] + r]]
+        at = np.flatnonzero(counts > r)
+        out[at] += terms[by_owner[start[at] + r]]
     return out
 
 

@@ -612,21 +612,30 @@ def sweep(cfg, key, values, n_seeds=5, out_dir=None, write_outputs=False) -> Swe
     """Runs of ``cfg`` varying only ``key`` over ``values``, each on seeds
     seed .. seed + n_seeds - 1, all logging the same rounds.  Before any run,
     ConfigError refuses an unknown key, gradient tracking (no V and neither
-    key), n_seeds below 1 and every value that ``check_value`` refuses."""
+    key), n_seeds below 1, every value that ``check_value`` refuses and two
+    values that share an output label, whose files would overwrite each
+    other's."""
     if key not in SWEEP_LABELS:
         raise ConfigError(f"cannot sweep {key!r}; the sweepable keys are {', '.join(SWEEP_LABELS)}")
     if cfg.algorithm == "gt":
         raise ConfigError(f"a {key} sweep needs a CADEN algorithm; gradient tracking has no {key}")
     if n_seeds < 1:
         raise ConfigError(f"a {key} sweep needs n_seeds of at least 1, got {n_seeds!r}")
+    tags = {}
     for value in values:
         check_value(key, value)
+        tag = SWEEP_LABELS[key].format(value)
+        if tag in tags:
+            raise ConfigError(
+                f"{key} values {tags[tag]!r} and {value!r} share the output label {tag!r}"
+            )
+        tags[tag] = value
     attr = key.replace(".", "_")
     seeds = [cfg.seed + k for k in range(n_seeds)]
     runs = {}
-    for value in values:
+    for tag, value in tags.items():
         for s in seeds:
-            label = f"{cfg.output_label}_{SWEEP_LABELS[key].format(value)}_s{s}"
+            label = f"{cfg.output_label}_{tag}_s{s}"
             run_cfg = cfg.replace(**{attr: value}, seed=s, output_label=label)
             runs[(value, s)] = run_experiment(run_cfg, out_dir=out_dir, write_outputs=write_outputs)
     return SweepResult(key, list(values), seeds, runs)

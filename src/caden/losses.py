@@ -412,6 +412,9 @@ class LossStack(Sequence):
             return rows
         rows = np.asarray(rows, dtype=np.intp)
         everyone = self._everyone.rows
+        # Resolving every agent anew instead measured 1.018-1.032x the setup
+        # time (build_losses + initialize) of mlp_ring and gt_logistic
+        # (2-vCPU host).
         if rows.shape == everyone.shape and (rows == everyone).all():
             return self._everyone
         return self._resolve(rows)

@@ -884,8 +884,12 @@ class TestParticipationSweep:
             ("caden.tau", [2, 0], 1, "caden.tau must be at least 1"),
             ("caden.tau", [2], 0, "caden.tau sweep needs n_seeds"),
             ("caden.mu_z", [1.0], 1, "cannot sweep 'caden.mu_z'"),
+            ("caden.participation", [0.3, 0.3000001], 1,
+             "caden.participation values .* share the output label 'p0.3'"),
+            ("caden.tau", [5, 5], 1, "caden.tau values .* share the output label 'tau5'"),
         ],
-        ids=["p-zero", "p-above-one", "p-nan", "tau-zero", "no-seeds", "unknown-key"],
+        ids=["p-zero", "p-above-one", "p-nan", "tau-zero", "no-seeds", "unknown-key",
+             "p-same-label", "tau-repeated"],
     )
     def test_bad_grid_is_refused_before_any_run(self, monkeypatch, key, values, n_seeds, named):
         monkeypatch.setattr(harness, "run_experiment", _no_run)

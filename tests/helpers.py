@@ -296,8 +296,10 @@ class ReferenceMlpLoss(LocalLoss):
     """Two fully connected layers with ReLU, softmax cross-entropy, optional L2.
 
     Flat parameter layout: [W1 (features x hidden), b1, W2 (hidden x classes),
-    b2].  Gradients are reverse-mode through the two layers on the agent's
-    full data shard.
+    b2].  [W1; b1] is read as one (features + 1, hidden) block that
+    multiplies the features with a column of ones appended, so layer 1's
+    bias and its gradient come from one matmul each.  Gradients are
+    reverse-mode through the two layers on the agent's full data shard.
     """
 
     def __init__(
@@ -317,33 +319,28 @@ class ReferenceMlpLoss(LocalLoss):
         p, h, k = self.n_features, hidden, classes
         self.dim = p * h + h + h * k + k
 
-    def _unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         p, h, k = self.n_features, self.hidden, self.classes
-        o1 = p * h
-        o2 = o1 + h
+        o2 = (p + 1) * h
         o3 = o2 + h * k
-        return (
-            x[:o1].reshape(p, h),
-            x[o1:o2],
-            x[o2:o3].reshape(h, k),
-            x[o3:],
-        )
+        return x[:o2].reshape(p + 1, h), x[o2:o3].reshape(h, k), x[o3:]
 
-    def _forward(self, x: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        w1, b1, w2, b2 = self._unpack(x)
-        act = np.maximum(data @ w1 + b1, 0.0)
-        return act, act @ w2 + b2
+    def _forward(self, x: np.ndarray, data: np.ndarray):
+        w1b, w2, b2 = self._unpack(x)
+        augmented = np.hstack([data, np.ones((len(data), 1))])
+        act = np.maximum(augmented @ w1b, 0.0)
+        return augmented, act, act @ w2 + b2
 
     def value(self, x: np.ndarray) -> float:
         x = self._check(x)
-        _, logits = self._forward(x, self.x_data)
+        _, _, logits = self._forward(x, self.x_data)
         return _cross_entropy(_softmax(logits), self.labels) + 0.5 * self.l2 * float(x @ x)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         x = self._check(x)
-        w1, b1, w2, b2 = self._unpack(x)
+        _, w2, _ = self._unpack(x)
         n = self.x_data.shape[0]
-        act, logits = self._forward(x, self.x_data)
+        augmented, act, logits = self._forward(x, self.x_data)
         delta = _softmax(logits)
         delta[np.arange(n), self.labels] -= 1.0
         delta /= n
@@ -351,15 +348,14 @@ class ReferenceMlpLoss(LocalLoss):
         g_b2 = delta.sum(axis=0)
         back = delta @ w2.T
         back[act <= 0.0] = 0.0
-        g_w1 = self.x_data.T @ back
-        g_b1 = back.sum(axis=0)
-        grad = np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2])
+        g_w1b = augmented.T @ back
+        grad = np.concatenate([g_w1b.ravel(), g_w2.ravel(), g_b2])
         if self.l2:
             grad += self.l2 * x
         return grad
 
     def predict(self, x: np.ndarray, features: np.ndarray) -> np.ndarray:
-        _, logits = self._forward(self._check(x), np.asarray(features, dtype=float))
+        _, _, logits = self._forward(self._check(x), np.asarray(features, dtype=float))
         return logits.argmax(axis=1)
 
 

@@ -243,33 +243,46 @@ class TestLossStack:
         # The data is held once: each grouped loss's shard is a view of its
         # group's arrays; an uneven last shard, or a diagonal last quadratic
         # among full ones, forms its own group, which views the loss's own
-        # arrays.
+        # arrays.  An MLP shard holds its features with a column of ones
+        # appended, and its features are a view of those.
         rng = np.random.default_rng(0)
         if family == "quadratic":
             data = [(random_psd(3, 10.0, rng), rng.standard_normal(3)) for _ in range(3)]
             data.append((rng.uniform(0.5, 2.0, 3), rng.standard_normal(3)))
             built = [losses.QuadraticLoss(q, a) for q, a in data]
             fields = {"q": (3, 3, 3), "a": (3, 3)}
+            held = fields
         else:
             sizes = (5, 5, 5, 4)
             data = [(rng.standard_normal((n, 3)), rng.integers(0, 2, n)) for n in sizes]
             if family == "logistic":
                 built = [losses.LogisticLoss(f, y, classes=2) for f, y in data]
+                held = {"features": (3, 5, 3), "labels": (3, 5)}
             else:
                 built = [losses.MlpLoss(f, y, hidden=4, classes=2) for f, y in data]
+                held = {"augmented": (3, 5, 4), "labels": (3, 5), "onehot": (3, 5, 2)}
             fields = {"features": (3, 5, 3), "labels": (3, 5)}
         x = rng.standard_normal(built[0].dim)
         before = [loss.value(x) for loss in built]
+        own = built[-1].shard
         losses.LossStack(built)
         *grouped, last = (loss.shard for loss in built)
-        for name, shape in fields.items():
+        for name, shape in held.items():
             stacked = getattr(grouped[0], name).base
             assert stacked.shape == shape
             for shard in grouped:
                 assert np.shares_memory(getattr(shard, name), stacked)
             assert not np.shares_memory(getattr(last, name), stacked)
-        for name, array in zip(fields, data[-1]):
-            assert np.shares_memory(getattr(last, name), array)
+            assert np.shares_memory(getattr(last, name), getattr(own, name))
+        if family == "mlp":
+            for loss in built:
+                shard = loss.shard
+                assert np.shares_memory(shard.features, shard.augmented)
+                assert np.array_equal(shard.augmented[:, -1], np.ones(len(shard)))
+                assert np.array_equal(shard.onehot.argmax(axis=-1), shard.labels)
+        else:
+            for name, array in zip(fields, data[-1]):
+                assert np.shares_memory(getattr(last, name), array)
         for loss, arrays, value in zip(built, data, before):
             for name, array in zip(fields, arrays):
                 assert np.array_equal(getattr(loss.shard, name), array)

@@ -39,11 +39,13 @@ class LocalLoss:
     """Evaluation contract for one agent's objective.
 
     A loss is evaluated by its kernels on its ``shard``: ``_values`` and
-    ``_gradients`` (and ``_predictions`` for a classifier) take parameters
-    with any leading axes and data with the same ones.  ``value``,
+    ``_gradients``, both at once by ``_values_and_gradients`` (and
+    ``_predictions`` for a classifier) take parameters with any leading axes
+    and data with the same ones.  ``value``,
     ``gradient`` and ``predict`` are the kernels' one-row case.  A subclass
     overrides the kernels, not those three methods: a ``LossStack`` calls
-    only the kernels.  ``stack_key`` names the group whose stacked shards
+    only the kernels.  One that overrides ``_values`` or ``_gradients`` of a
+    family with its own fused kernel overrides that one too.  ``stack_key`` names the group whose stacked shards
     one kernel call evaluates; each family's key starts with ``type(self)``,
     so a subclass forms its own group.  A loss without a key cannot join a
     stack.
@@ -65,6 +67,11 @@ class LocalLoss:
         """Losses with equal keys evaluate together in a ``LossStack``;
         None (no kernels) keeps a loss out of every stack."""
         return None
+
+    def _values_and_gradients(self, x: np.ndarray, shard):
+        """``_values`` and ``_gradients`` at the same points, bit for bit; a
+        family whose two kernels share work overrides this to share it."""
+        return self._values(x, shard), self._gradients(x, shard)
 
     def _check(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -273,6 +280,7 @@ class MlpLoss(LocalLoss):
     augmented features (``MlpShard``) multiply in one matmul, bias included;
     its gradient is one matmul too.  Gradients are reverse-mode through the
     two layers on the agent's full data shard.  ``_values``/``_gradients``
+    and the fused ``_values_and_gradients``, which shares one forward pass,
     take parameters (..., d) and a shard with the same leading axes, ``_predictions`` shared (n, p)
     features instead; ``value``/``gradient``/``predict`` are their one-agent
     case.
@@ -349,6 +357,13 @@ class MlpLoss(LocalLoss):
     def _gradients(self, x: np.ndarray, shard: MlpShard) -> np.ndarray:
         return self._backward(x, *self._layers(x, shard), shard)
 
+    def _values_and_gradients(self, x: np.ndarray, shard: MlpShard):
+        # One forward pass for both; the value reads the probabilities
+        # before the backward pass overwrites them.
+        act, probs = self._layers(x, shard)
+        values = self._objective(x, probs, shard)
+        return values, self._backward(x, act, probs, shard)
+
     def value(self, x: np.ndarray) -> float:
         return float(self._values(self._check(x), self.shard))
 
@@ -386,8 +401,9 @@ class LossStack(Sequence):
     """The m agents' losses, evaluated many rows at a time.
 
     Indexing, ``len`` and iteration give the per-agent losses, so a stack
-    stands wherever a list of losses does.  ``values(x, rows)`` and
-    ``gradients(x, rows)`` evaluate agent ``rows[n]``'s loss at ``x[n]``;
+    stands wherever a list of losses does.  ``values(x, rows)``,
+    ``gradients(x, rows)`` and ``values_and_gradients(x, rows)`` (both from
+    one kernel call) evaluate agent ``rows[n]``'s loss at ``x[n]``;
     ``predictions(x, features)`` gives every agent's labels of shared
     features.  Every member has the same ``dim`` and a ``stack_key``; the
     constructor refuses a loss of another dim, or one without a key, with
@@ -482,6 +498,15 @@ class LossStack(Sequence):
         plan = self.plan(rows)
         out = np.empty((len(plan.rows), self.dim))
         return self._evaluate(x, plan, out, "_gradients")
+
+    def values_and_gradients(self, x: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
+        """``values(x, rows)`` and ``gradients(x, rows)`` bit for bit, from
+        one fused kernel call per group."""
+        plan = self.plan(rows)
+        values, gradients = np.empty(len(plan.rows)), np.empty((len(plan.rows), self.dim))
+        for loss, shard, pos in plan.parts:
+            values[pos], gradients[pos] = loss._values_and_gradients(x[pos], shard)
+        return values, gradients
 
     def predictions(self, x: np.ndarray, features: np.ndarray) -> np.ndarray:
         """(m, n) labels that agent i's classifier at ``x[i]`` gives the

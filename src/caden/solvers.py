@@ -14,9 +14,10 @@ and ``solve_gd`` advance a batch in lockstep: one body runs every agent's
 iterations side by side as stacked arrays.  Each stage is one call for the
 agents it concerns: the two-loop recursion over the (k, M, d) memory of
 curvature pairs, each row's newest first and zero-padded, one stacked loss
-call at the start, at each backtracking level and for the gradients after
-accepted steps, and the dual and penalty terms, slopes, norms and curvature
-tests as row-wise arrays (``rowdot``).  A row's penalty is held as its
+call at the start and one fused value-and-gradient call at each
+backtracking level, whose accepted trials need no further evaluation, and
+the dual and penalty terms, slopes, norms and curvature tests as row-wise
+arrays (``rowdot``).  A row's penalty is held as its
 degree, anchor sum and anchor spread, not as its anchor matrix.  Each
 agent's arithmetic is that of a lone solve, bit for bit.
 Every stage indexes the batch's own rows: a row subset is an index array
@@ -86,9 +87,11 @@ class SubproblemBatch:
     ``values(x, which)`` and ``gradients(x, which)`` evaluate row
     ``which[n]`` at ``x[n]``: the loss terms in one call of the
     ``LossStack`` ``losses``, and the dual and penalty terms as stacked
-    arrays.  ``which`` is an index array, or ``ALL`` for every row in
-    order; then the terms are read as views and the loss call goes through
-    the batch's ``RowPlan``, resolved once when the batch is built.
+    arrays.  ``evaluate(x, which)`` gives both, and the loss gradients,
+    from one fused loss call.  ``which`` is an index array, or ``ALL`` for
+    every row in order; then the terms are read as views and the loss call
+    goes through the batch's ``RowPlan``, resolved once when the batch is
+    built.
     """
 
     def __init__(self, losses: LossStack, agents, phi, mu_z, anchors, owner):
@@ -121,10 +124,7 @@ class SubproblemBatch:
 
     def values(self, x: np.ndarray, which) -> np.ndarray:
         which, rows = self._rows(which)
-        dual = rowdot(self.phi[which], x)
-        off = x - self.mean[which]
-        penalty = self.degree[which] * rowdot(off, off) + self.spread[which]
-        return self._losses.values(x, rows) + dual + 0.5 * self.mu_z[which] * penalty
+        return self._values(x, which, self._losses.values(x, rows))
 
     def gradients(
         self, x: np.ndarray, which, loss_gradients: np.ndarray | None = None
@@ -134,6 +134,23 @@ class SubproblemBatch:
         which, rows = self._rows(which)
         if loss_gradients is None:
             loss_gradients = self._losses.gradients(x, rows)
+        return self._gradients(x, which, loss_gradients)
+
+    def evaluate(self, x: np.ndarray, which) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``values``, ``gradients`` and ``loss_gradients`` of rows ``which``
+        at ``x``, bit for bit, from one fused stacked loss call."""
+        which, rows = self._rows(which)
+        loss_values, loss_gradients = self._losses.values_and_gradients(x, rows)
+        f = self._values(x, which, loss_values)
+        return f, self._gradients(x, which, loss_gradients), loss_gradients
+
+    def _values(self, x: np.ndarray, which, loss_values: np.ndarray) -> np.ndarray:
+        dual = rowdot(self.phi[which], x)
+        off = x - self.mean[which]
+        penalty = self.degree[which] * rowdot(off, off) + self.spread[which]
+        return loss_values + dual + 0.5 * self.mu_z[which] * penalty
+
+    def _gradients(self, x: np.ndarray, which, loss_gradients: np.ndarray) -> np.ndarray:
         pull = self.degree[which, None] * x - self.anchor_sum[which]
         return loss_gradients + self.phi[which] + self.mu_z[which, None] * pull
 
@@ -231,7 +248,8 @@ def solve_lbfgs(
     """tau iterations of L-BFGS on every subproblem of ``batch`` in
     lockstep, warm-started at the rows of ``x_start``; one report for all
     rows.  ``loss_grad`` holds the loss gradients at ``x_start`` when the
-    caller has them; they are evaluated otherwise.
+    caller has them; then the start costs one stacked value call, and one
+    fused value-and-gradient call otherwise.
 
     Two-loop recursion with Liu-Nocedal initial scaling and Armijo
     backtracking (c1=1e-4, halving, 30 backtracks max).  A failed line search
@@ -247,9 +265,11 @@ def solve_lbfgs(
     reads the first ``depth`` slots, the most any row has filled.
 
     Every agent still iterating shares each stage: one two-loop call over
-    the (k, depth, d) memory, one stacked value call per backtracking level
-    for the agents still searching, one stacked gradient call for the
-    agents that accepted.  The slope, norm and curvature dot products go
+    the (k, depth, d) memory and one fused stacked call
+    (``SubproblemBatch.evaluate``) per backtracking level for the agents
+    still searching.  Each trial's value, gradient and loss gradient come
+    from the same pass through the loss, so an accepted trial's gradient is
+    already at hand.  The slope, norm and curvature dot products go
     through ``rowdot``.  Each row's arithmetic is that of a lone solve, so
     each row of the report equals its one-row batch's solve bit for bit.
 
@@ -258,17 +278,19 @@ def solve_lbfgs(
     index arrays of batch rows, or ALL.  The two-loop call covers all k
     rows; a row stopped at a zero gradient gets a zero direction and is
     never searched, evaluated or written.  While no row has stopped the
-    stages read views, and an iteration in which every row accepts step 1
-    costs one stacked value call through the batch's plan and one stacked
-    gradient call, its trial points becoming the state.
+    stages read views, and an iteration in which every row accepts its
+    first trial costs one fused stacked call through the batch's plan, its
+    trial points becoming the state.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     x = np.array(x_start, dtype=float)
     k, d = x.shape
-    lg = _start_loss_gradients(batch, x, loss_grad)
-    g = batch.gradients(x, ALL, lg)
-    f = batch.values(x, ALL)
+    if loss_grad is None:
+        f, g, lg = batch.evaluate(x, ALL)
+    else:
+        lg = np.array(loss_grad, dtype=float)
+        f, g = batch.values(x, ALL), batch.gradients(x, ALL, lg)
     gnorm = rownorm(g)
     # Column c of an agent's row holds its gradient norm and value after c
     # iterations.
@@ -306,15 +328,20 @@ def solve_lbfgs(
             direction[broken] = -g[broken]
             slope[broken] = -rowdot(g[broken], g[broken])
 
-        # Armijo backtracking, one stacked value call per level for the
-        # rows still searching: every moving row at step 1, then those whose
-        # last trial was rejected.
+        # Armijo backtracking, one fused stacked call per level for the rows
+        # still searching: every moving row at step 1, then those whose last
+        # trial was rejected.  Each trial's value, gradient and loss gradient
+        # are kept, so an accepted trial needs no further evaluation.
         step = np.ones(k)
         x_trial = x + direction
-        f_trial = np.empty_like(f)
+        f_trial, g_trial, lg_trial = np.empty_like(f), np.empty_like(g), np.empty_like(lg)
         searching = took = moving
         for _ in range(MAX_BACKTRACKS):
-            f_trial[searching] = batch.values(x_trial[searching], searching)
+            if searching is ALL:
+                f_trial, g_trial, lg_trial = batch.evaluate(x_trial, ALL)
+            else:
+                (f_trial[searching], g_trial[searching],
+                 lg_trial[searching]) = batch.evaluate(x_trial[searching], searching)
             f0, ft = f[searching], f_trial[searching]
             slack = ARMIJO_SLACK * (np.abs(f0) + np.abs(ft))
             accept = ft <= f0 + ARMIJO_C1 * step[searching] * slope[searching] + slack
@@ -330,10 +357,7 @@ def solve_lbfgs(
             live[searching] = False
             took = _where(live)
         if took is ALL or took.size:
-            # One stacked gradient call for the rows that accepted.
-            x_new = x_trial[took]
-            lg_new = batch.loss_gradients(x_new, took)
-            g_new = batch.gradients(x_new, took, lg_new)
+            x_new, g_new, lg_new = x_trial[took], g_trial[took], lg_trial[took]
             s_new = x_new - x[took]
             y_new = g_new - g[took]
             if took is ALL:

@@ -419,13 +419,13 @@ def reference_ordered_sums(owner: np.ndarray, terms: np.ndarray, rows: int) -> n
 
 class StackCalls:
     """Counts what one ``LossStack`` serves from now on: per method
-    (``values``, ``gradients``) its stacked ``calls``, how many of them
+    (``values``, ``gradients``, ``values_and_gradients``) its stacked ``calls``, how many of them
     passed a ``RowPlan`` instead of agent rows (``planned``), the ``rows``
     they evaluate and the rows of each agent (``per_agent``), and the row
     ``plans`` it resolves, the all-agents plan of its constructor not
     included.  Installs counting wrappers on that stack instance only."""
 
-    METHODS = ("values", "gradients")
+    METHODS = ("values", "gradients", "values_and_gradients")
 
     def __init__(self, stack: LossStack):
         self.calls = dict.fromkeys(self.METHODS, 0)

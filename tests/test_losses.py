@@ -220,6 +220,10 @@ class TestLossStack:
         x = rng.standard_normal((len(rows), d)) * rng.uniform(0.1, 3.0)
         values = stack.values(x, rows)
         gradients = stack.gradients(x, rows)
+        # The fused call gives both, bit for bit, every family included.
+        fused_values, fused_gradients = stack.values_and_gradients(x, rows)
+        assert np.array_equal(fused_values, values)
+        assert np.array_equal(fused_gradients, gradients)
         classifiers = [i for i, loss in enumerate(built) if hasattr(loss, "predict")]
         features = rng.standard_normal((7, built[classifiers[0]].n_features))
         # Every classifier agent's labels from one call of a stack of them.
@@ -332,9 +336,11 @@ class TestLossStack:
         stack = losses.LossStack(members)
         x = np.array([[1.0, 2.0], [1.0, 2.0]])
         values, gradients = stack.values(x, [0, 1]), stack.gradients(x, [0, 1])
+        fused_values, fused_gradients = stack.values_and_gradients(x, [0, 1])
         for n, loss in enumerate(members):
-            assert values[n] == loss.value(x[n])
+            assert values[n] == fused_values[n] == loss.value(x[n])
             assert np.array_equal(gradients[n], loss.gradient(x[n]))
+            assert np.array_equal(fused_gradients[n], loss.gradient(x[n]))
         assert np.array_equal(doubled.gradient(x[0]), [2.0, 4.0])
 
     def test_refuses_a_loss_without_kernels(self):

@@ -594,8 +594,12 @@ class TestLockstep:
                          "values", "line_search_failures"):
                 assert np.array_equal(getattr(got, name)[n], getattr(want, name)[0],
                                       equal_nan=True), name
+            # One fused call at the start and one per Armijo trial, and no
+            # other loss call.
             accepted = got.iterations[n] - got.line_search_failures[n]
-            assert calls.per_agent["values"][agent] == 1 + accepted + got.backtracks[n]
+            trials = accepted + got.backtracks[n]
+            assert calls.per_agent["values_and_gradients"][agent] == 1 + trials
+            assert calls.per_agent["values"][agent] == calls.per_agent["gradients"][agent] == 0
             assert np.array_equal(got.loss_grad_out[n], problem.loss.gradient(got.x_out[n]))
 
     def test_failed_search_counts_every_trial(self):
@@ -625,12 +629,14 @@ class TestLockstep:
 
 
 class TestLeanPath:
-    def test_every_row_accepting_step_1_makes_one_value_and_one_gradient_call_per_iteration(self):
+    def test_every_row_accepting_its_first_trial_makes_one_fused_call_per_iteration(self):
         # The mlp_ring shapes: 10 agents on a ring, 40 samples of 16
         # features each, 25 hidden units, 3 classes (d = 503).  At these
         # points, duals and mu_z every row accepts step 1 in every iteration,
-        # so each iteration is one whole value call and one whole gradient
-        # call through the batch's plan, and no row subset is resolved.
+        # so with the start's loss gradients given the solve is one whole
+        # value call, then one whole fused value-and-gradient call per
+        # iteration, all through the batch's plan, and no row subset is
+        # resolved.
         features, labels = gaussian_blobs(400, 16, 3, seed=2, spread=2.0)
         built = [MlpLoss(features[40 * i : 40 * i + 40], labels[40 * i : 40 * i + 40],
                          hidden=25, classes=3, l2=1e-4) for i in range(10)]
@@ -655,6 +661,7 @@ class TestLeanPath:
             for name in ("grad_norms", "values"):
                 assert np.array_equal(getattr(got, name)[n], getattr(want, name)[0]), name
             assert np.array_equal(got.loss_grad_out[n], want.loss_grad_out[0])
-        assert calls.calls == calls.planned == {"values": 1 + tau, "gradients": tau}
-        assert calls.rows == {"values": 10 * (1 + tau), "gradients": 10 * tau}
+        assert calls.calls == calls.planned == {
+            "values": 1, "gradients": 0, "values_and_gradients": tau}
+        assert calls.rows == {"values": 10, "gradients": 0, "values_and_gradients": 10 * tau}
         assert calls.plans == 0

@@ -175,7 +175,9 @@ def solve_subproblems(
     x_start = x[agents]
     start_grad = None if grad is None else grad[agents]
     if config.solver == "lbfgs":
-        return solvers.solve_lbfgs(batch, x_start, tau, config.lbfgs_memory, start_grad)
+        return solvers.solve_lbfgs(
+            batch, x_start, tau, config.lbfgs_memory, start_grad, config.lipschitz
+        )
     if config.solver == "gd":
         return solvers.solve_gd(batch, x_start, tau, config.gd_step, config.lipschitz, start_grad)
     return solvers.solve_exact(batch)

@@ -533,6 +533,7 @@ def reference_solve_lbfgs(
     x_start: np.ndarray,
     tau: int,
     memory: int = DEFAULT_MEMORY,
+    lipschitz: float | None = None,
 ) -> SolverReport:
     """One agent's L-BFGS solve as a lone loop, as a one-row report: the
     oracle that each row of ``solvers.solve_lbfgs`` must match field
@@ -541,7 +542,9 @@ def reference_solve_lbfgs(
     tau iterations of L-BFGS on the local subproblem, warm-started.
 
     Two-loop recursion with Liu-Nocedal initial scaling and Armijo
-    backtracking (c1=1e-4, halving, 30 backtracks max).  A failed line search
+    backtracking (c1=1e-4, halving, 30 backtracks max).  Until the first
+    curvature pair the scaling is 1 / (lipschitz + mu_z degree) when the
+    loss smoothness ``lipschitz`` is given, else 1.  A failed line search
     takes a zero step for that iteration rather than forcing a move.
     Curvature pairs with s.y <= 1e-10 ||s|| ||y|| are dropped, which keeps the
     implicit inverse-Hessian approximation positive definite.  The memory is
@@ -561,7 +564,7 @@ def reference_solve_lbfgs(
     y_buf = np.empty((memory, d))
     rho_buf = np.empty(memory)
     count = 0
-    gamma = 1.0
+    gamma = 1.0 if lipschitz is None else 1.0 / (lipschitz + problem.mu_z * problem.degree)
     failures = 0
     performed = 0
 

@@ -298,7 +298,8 @@ def test_x_step_equals_lone_solves_of_explicit_edge_subproblems(
             phi_i += state.y[k, side]
         problem = Row(losses[i], phi_i, state.z[[k for k, _, _ in edges]], 2.0)
         if solver == "lbfgs":
-            want = solve_lbfgs(batch_of([problem]), state.x[i][None], tau, memory)
+            want = solve_lbfgs(batch_of([problem]), state.x[i][None], tau, memory,
+                               lipschitz=config.lipschitz)
         elif solver == "gd":
             want = solve_gd(batch_of([problem]), state.x[i][None], tau,
                             lipschitz=config.lipschitz)

@@ -580,15 +580,19 @@ def _stop_mid_solve_case():
 
 class TestLockstep:
     @settings(max_examples=200, deadline=None)
-    @given(_lockstep_batches())
-    @example(_drop_oldest_case())
-    @example(_stop_mid_solve_case())
-    def test_every_report_equals_the_lone_solve(self, case):
+    @given(_lockstep_batches(), st.one_of(st.none(), st.floats(0.01, 100.0)))
+    @example(_drop_oldest_case(), None)
+    @example(_drop_oldest_case(), 4.0)
+    @example(_stop_mid_solve_case(), None)
+    def test_every_report_equals_the_lone_solve(self, case, lipschitz):
+        # lipschitz: the loss smoothness that scales each row's first trial,
+        # or None for unit scaling.
         stack, active, problems, x_start, tau, memory = case
         calls = StackCalls(stack)
-        got = solve_lbfgs(batch_of(problems, stack, active), x_start, tau, memory)
+        got = solve_lbfgs(batch_of(problems, stack, active), x_start, tau, memory,
+                          lipschitz=lipschitz)
         for n, (agent, problem, x0) in enumerate(zip(active, problems, x_start)):
-            want = reference_solve_lbfgs(problem, x0, tau, memory)
+            want = reference_solve_lbfgs(problem, x0, tau, memory, lipschitz)
             assert np.array_equal(got.x_out[n], want.x_out[0])
             for name in ("iterations", "grad_norm_in", "grad_norm_out", "grad_norms",
                          "values", "line_search_failures"):

@@ -318,24 +318,27 @@ class MlpLoss(LocalLoss):
             x[..., o3:].reshape(*lead, 1, k),
         )
 
-    def _forward(self, x: np.ndarray, augmented: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Hidden activations and logits of ``augmented`` features."""
-        w1, w2, b2 = self._blocks(x)
+    def _forward(self, layers, augmented: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Hidden activations and logits of ``augmented`` features through
+        the ``_blocks`` ``layers``."""
+        w1, w2, b2 = layers
         act = augmented @ w1
         np.maximum(act, 0.0, out=act)
         logits = act @ w2
         logits += b2
         return act, logits
 
-    def _layers(self, x: np.ndarray, shard: MlpShard) -> tuple[np.ndarray, np.ndarray]:
-        """Hidden activations and softmax probabilities on the shard."""
-        act, logits = self._forward(x, shard.augmented)
-        return act, _softmax(logits)
+    def _layers(self, x: np.ndarray, shard: MlpShard):
+        """The ``_blocks`` of ``x``, and the hidden activations and softmax
+        probabilities on the shard."""
+        layers = self._blocks(x)
+        act, logits = self._forward(layers, shard.augmented)
+        return layers, act, _softmax(logits)
 
     def _objective(self, x: np.ndarray, probs: np.ndarray, shard: MlpShard) -> np.ndarray:
         return _cross_entropy(probs, shard) + 0.5 * self.l2 * rowdot(x, x)
 
-    def _backward(self, x, act: np.ndarray, probs: np.ndarray, shard: MlpShard) -> np.ndarray:
+    def _backward(self, x, layers, act: np.ndarray, probs: np.ndarray, shard: MlpShard):
         """Loss gradients from a forward pass; overwrites ``probs``."""
         n = shard.augmented.shape[-2]
         delta = probs
@@ -345,14 +348,14 @@ class MlpLoss(LocalLoss):
         g_w1, g_w2, g_b2 = self._blocks(grad)
         np.matmul(_t(act), delta, out=g_w2)
         delta.sum(axis=-2, keepdims=True, out=g_b2)
-        back = np.where(act <= 0.0, 0.0, delta @ _t(self._blocks(x)[1]))
+        back = np.where(act <= 0.0, 0.0, delta @ _t(layers[1]))
         np.matmul(_t(shard.augmented), back, out=g_w1)
         if self.l2:
             grad += self.l2 * x
         return grad
 
     def _values(self, x: np.ndarray, shard: MlpShard) -> np.ndarray:
-        return self._objective(x, self._layers(x, shard)[1], shard)
+        return self._objective(x, self._layers(x, shard)[2], shard)
 
     def _gradients(self, x: np.ndarray, shard: MlpShard) -> np.ndarray:
         return self._backward(x, *self._layers(x, shard), shard)
@@ -360,9 +363,9 @@ class MlpLoss(LocalLoss):
     def _values_and_gradients(self, x: np.ndarray, shard: MlpShard):
         # One forward pass for both; the value reads the probabilities
         # before the backward pass overwrites them.
-        act, probs = self._layers(x, shard)
+        layers, act, probs = self._layers(x, shard)
         values = self._objective(x, probs, shard)
-        return values, self._backward(x, act, probs, shard)
+        return values, self._backward(x, layers, act, probs, shard)
 
     def value(self, x: np.ndarray) -> float:
         return float(self._values(self._check(x), self.shard))
@@ -381,7 +384,7 @@ class MlpLoss(LocalLoss):
     def _predictions(self, x: np.ndarray, features: np.ndarray) -> np.ndarray:
         ones = np.ones((*features.shape[:-1], 1))
         augmented = np.concatenate([features, ones], axis=-1)
-        return self._forward(x, augmented)[1].argmax(axis=-1)
+        return self._forward(self._blocks(x), augmented)[1].argmax(axis=-1)
 
     def predict(self, x: np.ndarray, features: np.ndarray) -> np.ndarray:
         return self._predictions(self._check(x), np.asarray(features, dtype=float))

@@ -3,7 +3,9 @@
 ``caden sweep`` runs ``harness.sweep`` once per grid flag given
 (participation first).  Its flag types refuse a ``--seeds`` below 1, or a
 grid entry that ``config.check_value`` refuses as its key, before any run
-with exit code 2 and a message naming the flag.  Every subcommand reads
+with exit code 2 and a message naming the flag.  Every grid given is then
+checked by ``harness.check_sweep`` before any of them runs; a refused grid
+also exits with code 2 and a message, and writes no file.  Every subcommand reads
 ``--seed`` as the ``seed`` key in the same way."""
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from pathlib import Path
 
 from .config import load_config, read_value
 from .errors import ConfigError
-from .harness import run_experiment, strict_json, sweep
+from .harness import check_sweep, run_experiment, strict_json, sweep
 from .verify import SUITES, run_suites
 
 
@@ -75,6 +77,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load(args)
     if not (args.participation or args.tau):
         print("nothing to sweep: pass --participation and/or --tau", file=sys.stderr)
+        return 2
+    try:
+        for key, values in (("caden.participation", args.participation), ("caden.tau", args.tau)):
+            if values:
+                check_sweep(cfg, key, values, args.seeds)
+    except ConfigError as exc:
+        print(f"caden sweep: error: {exc}", file=sys.stderr)
         return 2
     out_dir = args.out_dir if args.out_dir is not None else cfg.output_dir
     report: dict = {"seeds": args.seeds}

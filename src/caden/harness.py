@@ -608,13 +608,12 @@ class SweepResult:
         return out
 
 
-def sweep(cfg, key, values, n_seeds=5, out_dir=None, write_outputs=False) -> SweepResult:
-    """Runs of ``cfg`` varying only ``key`` over ``values``, each on seeds
-    seed .. seed + n_seeds - 1, all logging the same rounds.  Before any run,
-    ConfigError refuses an unknown key, gradient tracking (no V and neither
-    key), n_seeds below 1, every value that ``check_value`` refuses and two
-    values that share an output label, whose files would overwrite each
-    other's."""
+def check_sweep(cfg, key, values, n_seeds=5) -> dict:
+    """The output label of each value of a ``sweep`` of ``cfg`` over
+    ``key``, or ConfigError for an unknown key, gradient tracking (no V and
+    neither key), n_seeds below 1, any value that ``check_value`` refuses
+    and two values that share an output label, whose files would overwrite
+    each other's.  Runs nothing."""
     if key not in SWEEP_LABELS:
         raise ConfigError(f"cannot sweep {key!r}; the sweepable keys are {', '.join(SWEEP_LABELS)}")
     if cfg.algorithm == "gt":
@@ -630,6 +629,14 @@ def sweep(cfg, key, values, n_seeds=5, out_dir=None, write_outputs=False) -> Swe
                 f"{key} values {tags[tag]!r} and {value!r} share the output label {tag!r}"
             )
         tags[tag] = value
+    return tags
+
+
+def sweep(cfg, key, values, n_seeds=5, out_dir=None, write_outputs=False) -> SweepResult:
+    """Runs of ``cfg`` varying only ``key`` over ``values``, each on seeds
+    seed .. seed + n_seeds - 1, all logging the same rounds.  ``check_sweep``
+    refuses a grid before any run."""
+    tags = check_sweep(cfg, key, values, n_seeds)
     attr = key.replace(".", "_")
     seeds = [cfg.seed + k for k in range(n_seeds)]
     runs = {}

@@ -980,14 +980,30 @@ class TestCli:
         report = json.loads((tmp_path / "k2_sweep.json").read_text())
         assert set(report["tau"]) == {"1", "5"}
 
-    def test_sweep_tau_refuses_gradient_tracking(self, tmp_path, monkeypatch):
+    def test_sweep_tau_refuses_gradient_tracking(self, tmp_path, monkeypatch, capsys):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(serialize_config(_k2_config(algorithm="gt", gt_step=0.1)))
         monkeypatch.setattr(cli, "run_experiment", _no_run)
-        with pytest.raises(ConfigError, match="caden.tau"):
-            cli.main(["sweep", "--config", str(cfg_path), "--tau", "1,5",
-                      "--seeds", "1", "--out-dir", str(tmp_path)])
+        monkeypatch.setattr(harness, "run_experiment", _no_run)
+        code = cli.main(["sweep", "--config", str(cfg_path), "--tau", "1,5",
+                         "--seeds", "1", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "a caden.tau sweep needs a CADEN algorithm" in capsys.readouterr().err
         assert not (tmp_path / "k2_sweep.json").exists()
+
+    def test_sweep_checks_every_grid_before_running_any(self, tmp_path, monkeypatch, capsys):
+        # The participation grid is valid and comes first; the tau grid
+        # repeats a label.  Nothing runs and no file is written.
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(serialize_config(_k2_config()))
+        monkeypatch.setattr(cli, "run_experiment", _no_run)
+        monkeypatch.setattr(harness, "run_experiment", _no_run)
+        code = cli.main(["sweep", "--config", str(cfg_path), "--participation", "0.5",
+                         "--tau", "5,5", "--seeds", "1", "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "caden.tau values 5 and 5 share the output label 'tau5'" in err
+        assert list(tmp_path.iterdir()) == [cfg_path]
 
     @pytest.mark.parametrize(
         "flags, named, message",

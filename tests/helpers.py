@@ -419,10 +419,11 @@ def reference_ordered_sums(owner: np.ndarray, terms: np.ndarray, rows: int) -> n
 
 class StackCalls:
     """Counts what one ``LossStack`` serves from now on: per method
-    (``values``, ``gradients``, ``values_and_gradients``) its stacked ``calls``, how many of them
-    passed a ``RowPlan`` instead of agent rows (``planned``), the ``rows``
-    they evaluate and the rows of each agent (``per_agent``), and the row
-    ``plans`` it resolves, the all-agents plan of its constructor not
+    (``values``, ``gradients``, ``values_and_gradients``) its stacked
+    ``calls``, how many of them passed a ``RowPlan`` instead of agent rows
+    (``planned``), the ``rows`` they evaluate, the rows of each agent
+    (``per_agent``) and the calls of each row count (``sizes``), and the
+    row ``plans`` it resolves, the all-agents plan of its constructor not
     included.  Installs counting wrappers on that stack instance only."""
 
     METHODS = ("values", "gradients", "values_and_gradients")
@@ -432,6 +433,7 @@ class StackCalls:
         self.planned = dict.fromkeys(self.METHODS, 0)
         self.rows = dict.fromkeys(self.METHODS, 0)
         self.per_agent = {name: Counter() for name in self.METHODS}
+        self.sizes = {name: Counter() for name in self.METHODS}
         self.plans = 0
         for name in self.METHODS:
             setattr(stack, name, self._counting(name, getattr(stack, name)))
@@ -451,6 +453,7 @@ class StackCalls:
             self.planned[name] += isinstance(rows, RowPlan)
             self.rows[name] += len(agents)
             self.per_agent[name].update(agents)
+            self.sizes[name][len(agents)] += 1
             return method(x, rows)
 
         return counted

@@ -8,7 +8,11 @@ and gradient() on a flat parameter vector of dimension ``dim``.
 
 The math of each family is written once, as kernels over parameters and
 data with any leading axes; one agent's ``value``/``gradient``/``predict``
-is the one-row case.  ``LossStack`` holds a run's m losses and is the one
+is the one-row case.  A fused ``_values_and_gradients`` kernel gives both
+with the bits of the two; the MLP's shares one forward pass between them.
+The MLP reads its layer-1 weights and bias as one block, on features with a
+constant last column (``MlpShard``), so layer 1 and its gradient are one
+matmul each.  ``LossStack`` holds a run's m losses and is the one
 way to evaluate many agents: one kernel call per group of one class and
 equal data shapes, bit-identical to the one-agent methods.  It is built
 once per run; the engine, the solvers, the metrics and the smoothness probe

@@ -5,8 +5,10 @@ The primal step of each round minimizes
     f_i(x) + phi_i . x + (mu_z / 2) * sum_j ||x - anchor_j||^2
 
 for a fixed iteration budget tau.  The primary solver is limited-memory BFGS
-(two-loop recursion, Armijo backtracking); a plain gradient-descent variant
-and an exact closed-form solve for quadratic losses are also provided.
+(two-loop recursion, Armijo backtracking, a first trial scaled by the
+inverse of the subproblem's smoothness when the loss smoothness is known);
+a plain gradient-descent variant and an exact closed-form solve for
+quadratic losses are also provided.
 
 ``SubproblemBatch`` is the one subproblem type: k agents' subproblems over
 the run's ``LossStack``, one agent being the case k = 1.  ``solve_lbfgs``
@@ -257,9 +259,9 @@ def solve_lbfgs(
     a curvature pair its inverse-Hessian scaling is the inverse of its
     subproblem's smoothness, ``default_gd_step(batch, lipschitz)`` =
     1 / (lipschitz + mu_z degree), when the loss smoothness ``lipschitz`` is
-    known (Nocedal & Wright 2006, sec. 7.2), and 1 otherwise; a first trial
-    of unit scaling is rejected about twice per row and round on mlp_ring.  A failed line search
-    takes a zero step for that iteration rather than forcing a move.
+    known (Nocedal & Wright 2006, sec. 7.2), and 1 otherwise.  A failed
+    line search takes a zero step for that iteration rather than forcing a
+    move.
     Curvature pairs with s.y <= 1e-10 ||s|| ||y|| are dropped, which keeps the
     implicit inverse-Hessian approximation positive definite.  The memory is
     fresh per call: each round's subproblem is a different function, so no

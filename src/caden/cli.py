@@ -5,8 +5,8 @@
 grid entry that ``config.check_value`` refuses as its key, before any run
 with exit code 2 and a message naming the flag.  Every grid given is then
 checked by ``harness.check_sweep`` before any of them runs; a refused grid
-also exits with code 2 and a message, and writes no file.  Every subcommand reads
-``--seed`` as the ``seed`` key in the same way."""
+also exits with code 2 and a message, and writes no file.  Every
+subcommand reads ``--seed`` as the ``seed`` key in the same way."""
 
 from __future__ import annotations
 

@@ -169,8 +169,8 @@ def solve_subproblems(
 
     L-BFGS and gradient descent run the agents in lockstep, the exact solve
     one by one; both lockstep solvers take ``config.lipschitz``, L-BFGS to
-    scale its first trials.  Each row of the report equals a lone solve's, so it does
-    not depend on which other agents are solved with it.
+    scale its first trials.  Each row of the report equals a lone solve's,
+    so it does not depend on which other agents are solved with it.
     """
     batch = subproblems(agents, phi, z, losses, topology, config.mu_z)
     x_start = x[agents]

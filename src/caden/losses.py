@@ -12,9 +12,9 @@ is the one-row case.  A fused ``_values_and_gradients`` kernel gives both
 with the bits of the two; the MLP's shares one forward pass between them.
 The MLP reads its layer-1 weights and bias as one block, on features with a
 constant last column (``MlpShard``), so layer 1 and its gradient are one
-matmul each.  ``LossStack`` holds a run's m losses and is the one
-way to evaluate many agents: one kernel call per group of one class and
-equal data shapes, bit-identical to the one-agent methods.  It is built
+matmul each.  ``LossStack`` holds a run's m losses and is the one way to
+evaluate many agents: one kernel call per group of one class and equal
+data shapes, bit-identical to the one-agent methods.  It is built
 once per run; the engine, the solvers, the metrics and the smoothness probe
 take it as given, and the probe steps every agent through it in lockstep.
 Which kernel reads which shard rows is resolved into a ``RowPlan``: once
@@ -45,14 +45,14 @@ class LocalLoss:
     A loss is evaluated by its kernels on its ``shard``: ``_values`` and
     ``_gradients``, both at once by ``_values_and_gradients`` (and
     ``_predictions`` for a classifier) take parameters with any leading axes
-    and data with the same ones.  ``value``,
-    ``gradient`` and ``predict`` are the kernels' one-row case.  A subclass
-    overrides the kernels, not those three methods: a ``LossStack`` calls
-    only the kernels.  One that overrides ``_values`` or ``_gradients`` of a
-    family with its own fused kernel overrides that one too.  ``stack_key`` names the group whose stacked shards
-    one kernel call evaluates; each family's key starts with ``type(self)``,
-    so a subclass forms its own group.  A loss without a key cannot join a
-    stack.
+    and data with the same ones.  ``value``, ``gradient`` and ``predict``
+    are the kernels' one-row case.  A subclass overrides the kernels, not
+    those three methods: a ``LossStack`` calls only the kernels.  One that
+    overrides ``_values`` or ``_gradients`` of a family with its own fused
+    kernel overrides that one too.  ``stack_key`` names the group whose
+    stacked shards one kernel call evaluates; each family's key starts with
+    ``type(self)``, so a subclass forms its own group.  A loss without a key
+    cannot join a stack.
     """
 
     dim: int
@@ -246,6 +246,12 @@ class LogisticLoss(LocalLoss):
         return self._predictions(self._check(x), np.asarray(features, dtype=float))
 
 
+def _with_ones(features: np.ndarray) -> np.ndarray:
+    """(..., n, p + 1) features with a constant last column of ones."""
+    ones = np.ones((*features.shape[:-1], 1))
+    return np.concatenate([features, ones], axis=-1)
+
+
 class MlpShard(Shard):
     """A shard as the MLP kernels read it: ``augmented`` (..., n, p + 1)
     features with a constant last column of ones, so that layer 1's bias is
@@ -261,11 +267,9 @@ class MlpShard(Shard):
 
     @classmethod
     def of(cls, features: np.ndarray, labels: np.ndarray, classes: int) -> MlpShard:
-        features = np.asarray(features, dtype=float)
-        ones = np.ones((*features.shape[:-1], 1))
         labels = np.asarray(labels, dtype=np.int64)
         onehot = (labels[..., None] == np.arange(classes)).astype(float)
-        return cls(np.concatenate([features, ones], axis=-1), labels, onehot)
+        return cls(_with_ones(np.asarray(features, dtype=float)), labels, onehot)
 
     @classmethod
     def stack(cls, shards: Sequence[MlpShard]) -> MlpShard:
@@ -285,9 +289,9 @@ class MlpLoss(LocalLoss):
     its gradient is one matmul too.  Gradients are reverse-mode through the
     two layers on the agent's full data shard.  ``_values``/``_gradients``
     and the fused ``_values_and_gradients``, which shares one forward pass,
-    take parameters (..., d) and a shard with the same leading axes, ``_predictions`` shared (n, p)
-    features instead; ``value``/``gradient``/``predict`` are their one-agent
-    case.
+    take parameters (..., d) and a shard with the same leading axes,
+    ``_predictions`` shared (n, p) features instead;
+    ``value``/``gradient``/``predict`` are their one-agent case.
     """
 
     def __init__(
@@ -386,9 +390,7 @@ class MlpLoss(LocalLoss):
         return np.concatenate([w1.ravel(), np.zeros(h), w2.ravel(), np.zeros(k)])
 
     def _predictions(self, x: np.ndarray, features: np.ndarray) -> np.ndarray:
-        ones = np.ones((*features.shape[:-1], 1))
-        augmented = np.concatenate([features, ones], axis=-1)
-        return self._forward(self._blocks(x), augmented)[1].argmax(axis=-1)
+        return self._forward(self._blocks(x), _with_ones(features))[1].argmax(axis=-1)
 
     def predict(self, x: np.ndarray, features: np.ndarray) -> np.ndarray:
         return self._predictions(self._check(x), np.asarray(features, dtype=float))

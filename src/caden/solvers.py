@@ -19,9 +19,9 @@ curvature pairs, each row's newest first and zero-padded, one stacked loss
 call at the start and one fused value-and-gradient call at each
 backtracking level, whose accepted trials need no further evaluation, and
 the dual and penalty terms, slopes, norms and curvature tests as row-wise
-arrays (``rowdot``).  A row's penalty is held as its
-degree, anchor sum and anchor spread, not as its anchor matrix.  Each
-agent's arithmetic is that of a lone solve, bit for bit.
+arrays (``rowdot``).  A row's penalty is held as its degree, anchor sum and
+anchor spread, not as its anchor matrix.  Each agent's arithmetic is that
+of a lone solve, bit for bit.
 Every stage indexes the batch's own rows: a row subset is an index array
 of batch rows, or ``ALL`` when it is every row, and then the stage runs on
 whole arrays, views instead of index copies, and its loss calls go through
@@ -232,14 +232,6 @@ def two_loop_direction(
     return r
 
 
-def _start_loss_gradients(batch: SubproblemBatch, x: np.ndarray, given) -> np.ndarray:
-    """A writable copy of the given loss gradients at ``x``, else their
-    evaluation."""
-    if given is None:
-        return batch.loss_gradients(x, ALL)
-    return np.array(given, dtype=float)
-
-
 def solve_lbfgs(
     batch: SubproblemBatch,
     x_start: np.ndarray,
@@ -261,11 +253,11 @@ def solve_lbfgs(
     1 / (lipschitz + mu_z degree), when the loss smoothness ``lipschitz`` is
     known (Nocedal & Wright 2006, sec. 7.2), and 1 otherwise.  A failed
     line search takes a zero step for that iteration rather than forcing a
-    move.
-    Curvature pairs with s.y <= 1e-10 ||s|| ||y|| are dropped, which keeps the
-    implicit inverse-Hessian approximation positive definite.  The memory is
-    fresh per call: each round's subproblem is a different function, so no
-    stale pairs carry over.  An agent stops once its gradient is exactly 0.
+    move.  Curvature pairs with s.y <= 1e-10 ||s|| ||y|| are dropped, which
+    keeps the implicit inverse-Hessian approximation positive definite.  The
+    memory is fresh per call: each round's subproblem is a different
+    function, so no stale pairs carry over.  An agent stops once its
+    gradient is exactly 0.
 
     The memory holds each row's pairs newest first, zeros after its oldest:
     a row storing a pair moves its pairs back a slot, dropping its oldest
@@ -346,6 +338,7 @@ def solve_lbfgs(
         searching = took = moving
         for _ in range(MAX_BACKTRACKS):
             if searching is ALL:
+                # Every row searches: the call's own arrays are the trials'.
                 f_trial, g_trial, lg_trial = batch.evaluate(x_trial, ALL)
             else:
                 (f_trial[searching], g_trial[searching],
@@ -429,7 +422,10 @@ def solve_gd(
     steps = np.full(k, step, dtype=float) if step is not None else default_gd_step(batch, lipschitz)
     if not (steps > 0.0).all():  # also refuses NaN
         raise ValueError("step must be positive")
-    lg = _start_loss_gradients(batch, x, loss_grad)
+    if loss_grad is None:
+        lg = batch.loss_gradients(x, ALL)
+    else:
+        lg = np.array(loss_grad, dtype=float)
     g = batch.gradients(x, ALL, lg)
     gnorm = rownorm(g)
     norms = np.full((k, tau + 1), np.nan)

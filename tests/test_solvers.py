@@ -633,7 +633,7 @@ class TestLockstep:
 
 
 class TestLeanPath:
-    def test_every_row_accepting_its_first_trial_makes_one_fused_call_per_iteration(self):
+    def test_first_trials_all_accepted_cost_one_fused_call_per_iteration(self):
         # The mlp_ring shapes: 10 agents on a ring, 40 samples of 16
         # features each, 25 hidden units, 3 classes (d = 503).  At these
         # points, duals and mu_z every row accepts step 1 in every iteration,

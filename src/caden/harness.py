@@ -484,7 +484,8 @@ def _record(rounds, cfg, losses, topology, start, trace, clock, acc_fn, duals):
     or whose logged metrics are not, or whose V_t (rel_err without duals)
     exceeds ``DIVERGENCE_GROWTH`` times max(the first row's, 1), once its
     row is logged.  ``duals`` says whether the second array holds duals,
-    which define V_t and phi_drift."""
+    which define V_t and phi_drift; with duals the relative errors read the
+    yielded loss gradients too, and evaluate no loss."""
     last = start + cfg.rounds
     comms = 0
     size = "V_t" if duals else "rel_err"
@@ -493,11 +494,13 @@ def _record(rounds, cfg, losses, topology, start, trace, clock, acc_fn, duals):
         finite = np.isfinite(x).all() and np.isfinite(y).all()
         if finite and (t - start) % cfg.metrics_cadence != 0 and t != last:
             continue
+        # gt's relative errors evaluate every agent again; baselines.py says why.
+        carried = grad if duals else None
         row = TraceRow(
             round=t,
             V_t=metrics.lyapunov_v(x, y, grad, topology) if duals else None,
-            rel_err=metrics.relative_error(x, losses),
-            rel_err_graph=metrics.relative_error_graph(x, losses, topology),
+            rel_err=metrics.relative_error(x, losses, carried),
+            rel_err_graph=metrics.relative_error_graph(x, losses, topology, carried),
             acc=acc_fn(x),
             comms=comms,
             time_s=clock(),

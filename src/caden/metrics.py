@@ -4,8 +4,10 @@ test accuracy, and dual drift.
 Every metric reads the (m, d) models ``x`` and, where it needs them, the
 (m, d) duals ``phi`` and the run's ``LossStack``.  V reads the engine's
 carried (m, d) loss gradients ``grad`` = grad f_i(x_i) and evaluates no
-loss; the relative errors still evaluate each agent's gradient one agent at
-a time, and test accuracy takes every agent's predictions from one
+loss.  The relative errors read the same rows when the caller passes them,
+and evaluate no loss then either; without them (the gradient-tracking
+baseline) they evaluate each agent's gradient one agent at a time, with the
+same sum.  Test accuracy takes every agent's predictions from one
 ``predictions`` call of the stack.  The residual V is zero exactly at
 consensus stationary points: all models equal and the per-agent gradients
 summing to zero.
@@ -30,32 +32,39 @@ def lyapunov_v(x: np.ndarray, phi: np.ndarray, grad: np.ndarray, topology: Topol
     return total
 
 
-def _gradient_sum(x: np.ndarray, losses: LossStack) -> np.ndarray:
-    # Per agent until perfbench counts stacked calls and keeps trajectory digests.
+def _gradient_sum(x: np.ndarray, losses: LossStack, grad: np.ndarray | None) -> np.ndarray:
+    """sum_i grad f_i(x_i), added in agent order from zero: of the rows of
+    ``grad`` when given, else of each agent's ``gradient``."""
     grad_sum = np.zeros(losses[0].dim)
+    if grad is not None:
+        for row in grad:
+            grad_sum += row
+        return grad_sum
     for x_i, loss in zip(x, losses):
         grad_sum += loss.gradient(x_i)
     return grad_sum
 
 
-def relative_error(x: np.ndarray, losses: LossStack) -> float:
+def relative_error(x: np.ndarray, losses: LossStack, grad: np.ndarray | None = None) -> float:
     """||sum_i grad f_i(x_i)||^2 plus the chain consensus gap
-    sum_{i=1}^{m-1} ||x_i - x_{i+1}||^2.
+    sum_{i=1}^{m-1} ||x_i - x_{i+1}||^2.  ``grad`` holds the (m, d) loss
+    gradients at ``x`` when the caller has them; then no loss is evaluated.
 
     The consensus term runs over consecutive agent indices, not graph edges,
     so the metric is defined for methods without dual variables as well.
     """
-    grad_sum = _gradient_sum(x, losses)
+    grad_sum = _gradient_sum(x, losses, grad)
     diff = x[:-1] - x[1:]
     # A running total in agent order.
     return float(np.cumsum([grad_sum @ grad_sum, *rowdot(diff, diff)])[-1])
 
 
 def relative_error_graph(
-    x: np.ndarray, losses: LossStack, topology: Topology
+    x: np.ndarray, losses: LossStack, topology: Topology, grad: np.ndarray | None = None
 ) -> float:
-    """Variant with the consensus gap summed over graph edges (diagnostic)."""
-    grad_sum = _gradient_sum(x, losses)
+    """Variant with the consensus gap summed over graph edges (diagnostic),
+    reading ``grad`` as ``relative_error`` does."""
+    grad_sum = _gradient_sum(x, losses, grad)
     total = float(grad_sum @ grad_sum)
     total += float(((x[topology.src] - x[topology.dst]) ** 2).sum())
     return total

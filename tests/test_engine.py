@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from caden import engine, graphs
 from caden.datasets import gaussian_blobs
 from caden.engine import CadenConfig
-from caden.errors import ConfigError
+from caden.errors import CheckpointError, ConfigError
 from caden.losses import LogisticLoss, LossStack, MlpLoss, QuadraticLoss
 
 from helpers import AntiGradient, Row, batch_of
@@ -387,10 +387,34 @@ class TestCheckpoint:
             assert np.array_equal(phi_loaded[i], phi[i])
 
     def test_header_layout(self, tmp_path):
-        # Little-endian u64 header (m, d, round), then float64 payload.
+        # An 8-byte magic, then little-endian u64 (version, m, d, round), then
+        # the float64 payload.
         topology, losses, _, x, phi, _ = _k2_setup()
         path = str(tmp_path / "s.bin")
         engine.save_checkpoint(path, x, phi, round_index=7)
         raw = Path(path).read_bytes()
-        assert struct.unpack("<QQQ", raw[:24]) == (2, 1, 7)
-        assert len(raw) == 24 + 2 * 2 * 1 * 8
+        assert raw[:8] == b"CADENCKP"
+        assert struct.unpack("<QQQQ", raw[8:40]) == (1, 2, 1, 7)
+        assert len(raw) == 40 + 2 * 2 * 1 * 8
+
+    @pytest.mark.parametrize("bad, named", [
+        ("wrong-magic", "magic b'NOTCADEN'"),
+        # The earlier layout: a bare (m, d, round) header and a valid body.
+        ("no-magic", "magic"),
+        ("version-2", "format version 2"),
+        ("header-only", "header only"),
+    ])
+    def test_bad_header_is_named(self, tmp_path, bad, named):
+        _, _, _, x, phi, _ = _k2_setup()
+        path = tmp_path / "s.bin"
+        engine.save_checkpoint(str(path), x, phi, round_index=7)
+        raw = path.read_bytes()
+        body = np.zeros(2 * 2 * 1, dtype="<f8").tobytes()
+        path.write_bytes({
+            "wrong-magic": b"NOTCADEN" + raw[8:],
+            "no-magic": struct.pack("<QQQ", 2, 1, 7) + body,
+            "version-2": raw[:8] + struct.pack("<Q", 2) + raw[16:],
+            "header-only": raw[:40],
+        }[bad])
+        with pytest.raises(CheckpointError, match=re.escape(named)):
+            engine.load_checkpoint(str(path))

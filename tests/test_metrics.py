@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caden import engine, graphs, metrics
+from caden import engine, graphs, harness, metrics
+from caden.config import ExperimentConfig
 from caden.datasets import gaussian_blobs
 from caden.engine import CadenConfig
-from caden.losses import LossStack, MlpLoss, QuadraticLoss
+from caden.losses import LogisticLoss, LossStack, MlpLoss, QuadraticLoss
 
 from helpers import Row, batch_of, lyapunov_v_midpoint_form
 
@@ -95,6 +96,62 @@ class TestRelativeError:
         assert chain == pytest.approx(graph)  # path graph: same pair set
         ring = graphs.from_edges(3, [(0, 1), (1, 2), (0, 2)])
         assert metrics.relative_error_graph(x, losses, ring) > graph
+
+
+def _engine_run(family, solver, rounds=4, m=6):
+    """The (m, d) models and carried gradients, the losses and the topology
+    after ``rounds`` engine rounds of ``family`` losses under ``solver``;
+    quadratics run at participation 0.5."""
+    rng = np.random.default_rng(5)
+    topology = graphs.build_random_graph(m, 0.5, seed=5)
+    features, labels = gaussian_blobs(10 * m, 3, 3, seed=5)
+    shards = [slice(10 * i, 10 * i + 10) for i in range(m)]
+    if family == "quadratic":
+        d = 4
+        members = [QuadraticLoss(q=rng.uniform(0.5, 2.0, d), a=rng.standard_normal(d))
+                   for _ in range(m)]
+    elif family == "logistic":
+        d = 9
+        members = [LogisticLoss(features[r], labels[r], 3, 1e-3) for r in shards]
+    else:
+        members = [MlpLoss(features[r], labels[r], hidden=4, classes=3, l2=1e-3) for r in shards]
+        d = members[0].dim
+    losses = LossStack(members)
+    x, phi, grad = engine.init_states(losses, topology, rng.standard_normal((m, d)))
+    participation = 0.5 if family == "quadratic" else 1.0
+    config = CadenConfig(mu_z=2.0, mu_y=1.0, solver=solver, participation=participation, seed=3,
+                         lipschitz=4.0)
+    for t in range(rounds):
+        engine.run_round(x, phi, grad, losses, topology, config, t)
+    return x, grad, losses, topology
+
+
+class TestCarriedGradients:
+    # Given the engine's carried gradients, the relative errors evaluate no
+    # loss and still equal the per-agent recomputation bit for bit.
+    @pytest.mark.parametrize("family, solver", [
+        ("quadratic", "lbfgs"), ("quadratic", "gd"), ("quadratic", "exact"),
+        ("logistic", "lbfgs"), ("logistic", "gd"), ("mlp", "lbfgs"), ("mlp", "gd"),
+    ])
+    def test_equal_to_per_agent_recomputation(self, family, solver):
+        x, grad, losses, topology = _engine_run(family, solver)
+        assert metrics.relative_error(x, losses, grad) == metrics.relative_error(x, losses)
+        assert (metrics.relative_error_graph(x, losses, topology, grad)
+                == metrics.relative_error_graph(x, losses, topology))
+
+    def test_final_rel_err_matches_the_checkpoint(self, tmp_path):
+        state = str(tmp_path / "state.bin")
+        cfg = ExperimentConfig(
+            seed=4, rounds=12, topology_kind="random", topology_m=12, topology_edge_prob=0.4,
+            loss_kind="quadratic", quadratic_style="random", loss_dimension=3,
+            caden_participation=0.5, metrics_cadence=5, metrics_wall_time=False,
+            output_save_state=state,
+        )
+        result = harness.run_experiment(cfg, write_outputs=False)
+        x, _, _ = engine.load_checkpoint(state)
+        topology = harness.build_topology(cfg)
+        losses, _ = harness.build_losses(cfg, topology)
+        assert result.summary["totals"]["final_rel_err"] == metrics.relative_error(x, losses)
 
 
 class TestAccuracy:

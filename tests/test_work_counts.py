@@ -1,10 +1,17 @@
-"""Exact work counts of a short mlp_ring run: how many stacked loss calls
-the run makes, of how many rows, and how many Armijo trials its local
-solves reject.  The counts are deterministic for a (config, seed) pair, so
-a change that adds or removes loss work shows here as a changed number."""
+"""Exact work counts of short runs: how many stacked loss calls an
+mlp_ring run makes, of how many rows, and how many Armijo trials its local
+solves reject, and how many one-agent loss calls (``value``, ``gradient``,
+``predict``) a CADEN and a gradient-tracking run make.  The counts are
+deterministic for a (config, seed) pair, so a change that adds or removes
+loss work shows here as a changed number."""
+
+from collections import Counter
+
+import pytest
 
 from caden import harness, solvers
 from caden.config import ExperimentConfig
+from caden.losses import LogisticLoss, MlpLoss, QuadraticLoss
 
 from helpers import StackCalls
 
@@ -67,3 +74,52 @@ def test_mlp_ring_work_counts(monkeypatch):
     assert len(reports) == 20
     assert sum(int(r.backtracks.sum()) for r in reports) == 48
     assert sum(int(r.line_search_failures.sum()) for r in reports) == 0
+
+
+# The benchmark's gt_logistic workload, shortened, at a fixed step.
+GT_LOGISTIC = dict(
+    rounds=10,
+    algorithm="gt",
+    topology_kind="random",
+    topology_m=20,
+    topology_edge_prob=0.2,
+    loss_kind="logistic",
+    loss_samples_per_agent=100,
+    loss_l2=1e-3,
+    init_strategy="warmstart",
+    gt_step=0.1,
+    metrics_cadence=1,
+)
+
+
+@pytest.fixture
+def lone_calls(monkeypatch):
+    """Counts each family's one-agent ``value``, ``gradient`` and ``predict``
+    calls by name, whichever family serves them."""
+    calls = Counter()
+    for family in (QuadraticLoss, LogisticLoss, MlpLoss):
+        for name in ("value", "gradient", "predict"):
+            method = getattr(family, name, None)
+            if method is None:
+                continue
+
+            def counted(self, *args, _name=name, _method=method):
+                calls[_name] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(family, name, counted)
+    return calls
+
+
+def test_caden_run_calls_no_lone_loss_method(lone_calls):
+    # The relative errors read the engine's carried gradients, and the
+    # accuracy and the solves go through the stack.
+    harness.run_experiment(ExperimentConfig(**MLP_RING, seed=1), write_outputs=False)
+    assert lone_calls == {}
+
+
+def test_gt_run_lone_gradient_calls(lone_calls):
+    # gt evaluates every agent one at a time: 20 at the start, 20 per round,
+    # and its two relative errors 2 x 20 per logged row (11 rows).
+    harness.run_experiment(ExperimentConfig(**GT_LOGISTIC, seed=1), write_outputs=False)
+    assert lone_calls == {"gradient": 20 + 10 * 20 + 11 * 2 * 20}

@@ -8,13 +8,17 @@ vector built elsewhere has a deterministic layout.
 it, and every per-agent sum over incident edges goes through the two.
 ``ordered_sums`` is the one grouped sum: each row adds its terms one at a
 time in list order, as ``np.add.at`` would, with one vectorised add per
-rank; ``incident_sums`` and the subproblems' anchor sums use it.
+rank; ``incident_sums`` and the subproblems' anchor sums use it.  Which
+term each rank adds to which row is resolved into a ``SumPlan``; a
+topology resolves its incident-edge order and that order's plan once, on
+first use (``Topology.incidence``), as read-only arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Sequence
+from functools import cached_property
+from typing import IO, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,6 +66,17 @@ class Topology:
         lap = np.diag(np.array(self.degrees, dtype=float))
         lap[self.src, self.dst] = lap[self.dst, self.src] = -1.0
         return lap
+
+    @cached_property
+    def incidence(self) -> Incidence:
+        """The ``edge_ends`` order and its ``SumPlan``, resolved on first use
+        and kept, every array read-only."""
+        edge = np.arange(self.n)
+        agent, edge = np.concatenate([self.dst, self.src]), np.concatenate([edge, edge])
+        plan = sum_plan(agent, self.m)
+        for a in (agent, edge, plan.counts, *(a for rank in plan.ranks for a in rank)):
+            a.setflags(write=False)
+        return Incidence(agent, edge, plan)
 
 
 @dataclass(frozen=True)
@@ -225,38 +240,71 @@ def edge_midpoints(t: Topology, x: Sequence[np.ndarray] | np.ndarray) -> np.ndar
     return 0.5 * (xm[t.src] + xm[t.dst])
 
 
+class SumPlan(NamedTuple):
+    """How ``ordered_sums`` adds (N, ...) terms into rows: each term's
+    ``owner`` row, the (rows,) ``counts`` of terms per row, and per rank r
+    the rows that hold an r-th term with that term's index."""
+
+    owner: np.ndarray
+    counts: np.ndarray
+    ranks: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+@dataclass(frozen=True)
+class Incidence:
+    """A topology's incident-edge order: ``agent[q]`` and ``edge[q]`` are
+    the agent and edge of end q (``edge_ends``), and ``sums`` is the
+    ``SumPlan`` over ``agent``, the plan of every per-agent incident sum."""
+
+    agent: np.ndarray
+    edge: np.ndarray
+    sums: SumPlan
+
+
 def edge_ends(t: Topology) -> tuple[np.ndarray, np.ndarray]:
     """Both ends of every edge as (agent, edge id) index arrays, each agent's
     in ascending edge order: larger ends first, since an agent's edges to
-    smaller neighbors precede its edges to larger ones."""
-    edge = np.arange(t.n)
-    return np.concatenate([t.dst, t.src]), np.concatenate([edge, edge])
+    smaller neighbors precede its edges to larger ones.  Resolved once per
+    topology; the arrays are read-only."""
+    return t.incidence.agent, t.incidence.edge
 
 
-def ordered_sums(owner: np.ndarray, terms: np.ndarray, rows: int) -> np.ndarray:
-    """(rows, ...) sums of the (N, ...) ``terms`` by their (N,) ``owner``
-    rows.  Each sum starts at 0 and adds its row's terms one at a time in
-    list order, the bits ``np.add.at`` gives.  Step r adds every row's r-th
-    term at once, so a sum costs one vectorised add per rank, not one per
-    term."""
+def sum_plan(owner, rows: int) -> SumPlan:
+    """The ``SumPlan`` of the (N,) ``owner`` rows, out of ``rows``; a plan is
+    returned as is."""
+    if isinstance(owner, SumPlan):
+        return owner
     owner = np.asarray(owner, dtype=np.intp)
-    out = np.zeros((rows, *terms.shape[1:]))
     counts = np.bincount(owner, minlength=rows)
     # Row i's terms, in list order, are by_owner[start[i]:start[i] + counts[i]].
     by_owner = np.argsort(owner, kind="stable")
     start = np.cumsum(counts) - counts
+    ranks = []
     for r in range(counts.max(initial=0)):
         at = np.flatnonzero(counts > r)
-        out[at] += terms[by_owner[start[at] + r]]
+        ranks.append((at, by_owner[start[at] + r]))
+    return SumPlan(owner, counts, tuple(ranks))
+
+
+def ordered_sums(owner, terms: np.ndarray, rows: int) -> np.ndarray:
+    """(rows, ...) sums of the (N, ...) ``terms`` by their (N,) ``owner``
+    rows, or by a ``SumPlan`` of them.  Each sum starts at 0 and adds its
+    row's terms one at a time in list order, the bits ``np.add.at`` gives.
+    Step r adds every row's r-th term at once, so a sum costs one vectorised
+    add per rank, not one per term."""
+    plan = sum_plan(owner, rows)
+    out = np.zeros((len(plan.counts), *terms.shape[1:]))
+    for at, term in plan.ranks:
+        out[at] += terms[term]
     return out
 
 
 def incident_sums(t: Topology, at_src: np.ndarray, at_dst: np.ndarray) -> np.ndarray:
     """(m, ...) per-agent sums of the incident edges' values: ``at_src[k]``
     at edge k's smaller end, ``at_dst[k]`` at its larger one.  Each sum
-    starts at 0 and adds one term at a time in ``edge_ends`` order."""
-    agent, _ = edge_ends(t)
-    return ordered_sums(agent, np.concatenate([at_dst, at_src]), t.m)
+    starts at 0 and adds one term at a time in ``edge_ends`` order, through
+    the topology's own ``SumPlan``."""
+    return ordered_sums(t.incidence.sums, np.concatenate([at_dst, at_src]), t.m)
 
 
 def neighbor_disagreement_bounds(

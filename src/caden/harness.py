@@ -236,7 +236,8 @@ def initialize(cfg: ExperimentConfig, losses: LossStack, topology) -> Initializa
     constant is the max across agents.  Quadratic losses report their exact
     smoothness, so the harness never needs a probe for them.  A resumed run
     resolves both as a fresh run does, so its constant is the writer's, and
-    then takes the checkpoint's models, duals and start round.
+    then takes the checkpoint's models, duals and start round; a checkpoint
+    written for another ``checkpoint_problem`` raises CheckpointError.
     """
     m, d = topology.m, losses.dim
     if cfg.init_strategy == "warmstart":
@@ -256,13 +257,27 @@ def initialize(cfg: ExperimentConfig, losses: LossStack, topology) -> Initializa
             x0 = np.zeros((m, d))
     start = (x0, None, 0)
     if cfg.init_state_file:
-        start = _read_input(cfg, "init.state_file", engine.load_checkpoint)
+        problem = checkpoint_problem(cfg, m, d)
+        start = _read_input(
+            cfg, "init.state_file", lambda path: engine.load_checkpoint(path, problem)
+        )
         if start[0].shape != (m, d):
             raise ConfigError(
                 f"checkpoint {cfg.init_state_file} holds (m, d) = {start[0].shape}, but the "
                 f"config's topology and loss give (m, d) = {(m, d)}"
             )
     return Initialization(*start, lipschitz)
+
+
+def checkpoint_problem(cfg: ExperimentConfig, m: int, d: int) -> dict[str, str]:
+    """What fixes a run's problem, as a checkpoint records it: the
+    ``topology.*``, ``loss.*`` and ``quadratic.*`` keys and ``seed`` as the
+    config spells them, and the model count m and dimension d."""
+    problem = {
+        name: text for name, text in config_as_dict(cfg).items()
+        if name == "seed" or name.startswith(("topology.", "loss.", "quadratic."))
+    }
+    return {**problem, "m": str(m), "d": str(d)}
 
 
 def _warm_start(cfg: ExperimentConfig, losses: LossStack):
@@ -453,7 +468,8 @@ def run_experiment(
         json_path.write_text(strict_json(summary), encoding="ascii")
     if error is None and cfg.output_save_state:
         engine.save_checkpoint(
-            cfg.output_save_state, *final_state, init.start_round + cfg.rounds
+            cfg.output_save_state, *final_state, init.start_round + cfg.rounds,
+            checkpoint_problem(cfg, topology.m, losses.dim),
         )
     if error is not None:
         raise error
@@ -522,13 +538,13 @@ def _record(rounds, cfg, losses, topology, start, trace, clock, acc_fn, duals):
 
 def _caden_rounds(cfg, run_cfg, losses, topology, init):
     """The starting state, then the state after each CADEN round."""
-    x, phi, grad = engine.init_states(losses, topology, init.x0)
+    x, phi, grad, value = engine.init_states(losses, topology, init.x0)
     if init.phi0 is not None:
         phi[:] = init.phi0
     start = init.start_round
     yield start, x, phi, grad, 0, 0
     for t in range(start, start + cfg.rounds):
-        result = engine.run_round(x, phi, grad, losses, topology, run_cfg, t)
+        result = engine.run_round(x, phi, grad, value, losses, topology, run_cfg, t)
         yield t + 1, x, phi, grad, result.broadcasts, int(result.active.sum())
 
 

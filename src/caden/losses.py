@@ -52,7 +52,8 @@ class LocalLoss:
     kernel overrides that one too.  ``stack_key`` names the group whose
     stacked shards one kernel call evaluates; each family's key starts with
     ``type(self)``, so a subclass forms its own group.  A loss without a key
-    cannot join a stack.
+    cannot join a stack.  A kernel returns new arrays, which a stack may
+    hand to its caller as they are.
     """
 
     dim: int
@@ -155,7 +156,8 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 def _cross_entropy(probs: np.ndarray, shard: Shard) -> np.ndarray:
     picked = probs[shard.picks]
-    return -np.log(np.maximum(picked, 1e-300)).mean(axis=-1)
+    # The arithmetic of .mean(axis=-1), without its wrapper.
+    return -np.add.reduce(np.log(np.maximum(picked, 1e-300)), axis=-1) / picked.shape[-1]
 
 
 def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -163,7 +165,7 @@ def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the rows of two (k, d) arrays.  Each row keeps the bits of a lone
     ``a[n] @ b[n]`` (both reach BLAS ``ddot``); ``tests/test_solvers.py``
     pins this, and with it the bit-identity of stacked and lone solves."""
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+    return np.vecdot(a, b)
 
 
 def rownorm(v: np.ndarray) -> np.ndarray:
@@ -347,7 +349,8 @@ class MlpLoss(LocalLoss):
         return _cross_entropy(probs, shard) + 0.5 * self.l2 * rowdot(x, x)
 
     def _backward(self, x, layers, act: np.ndarray, probs: np.ndarray, shard: MlpShard):
-        """Loss gradients from a forward pass; overwrites ``probs``."""
+        """Loss gradients from a forward pass; overwrites ``probs`` and
+        ``act``."""
         n = shard.augmented.shape[-2]
         delta = probs
         delta -= shard.onehot
@@ -356,7 +359,11 @@ class MlpLoss(LocalLoss):
         g_w1, g_w2, g_b2 = self._blocks(grad)
         np.matmul(_t(act), delta, out=g_w2)
         delta.sum(axis=-2, keepdims=True, out=g_b2)
-        back = np.where(act <= 0.0, 0.0, delta @ _t(layers[1]))
+        # The pass back through layer 2 reuses act's array once act has
+        # given its ReLU mask.
+        on = act > 0.0
+        back = np.matmul(delta, _t(layers[1]), out=act)
+        back *= on
         np.matmul(_t(shard.augmented), back, out=g_w1)
         if self.l2:
             grad += self.l2 * x
@@ -510,8 +517,13 @@ class LossStack(Sequence):
 
     def values_and_gradients(self, x: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
         """``values(x, rows)`` and ``gradients(x, rows)`` bit for bit, from
-        one fused kernel call per group."""
+        one fused kernel call per group; when one group fills every row, the
+        kernel's own arrays."""
         plan = self.plan(rows)
+        if len(plan.parts) == 1 and isinstance(plan.parts[0][2], slice):
+            # One group fills every row: its kernel's arrays are the result.
+            loss, shard, _ = plan.parts[0]
+            return loss._values_and_gradients(x, shard)
         values, gradients = np.empty(len(plan.rows)), np.empty((len(plan.rows), self.dim))
         for loss, shard, pos in plan.parts:
             values[pos], gradients[pos] = loss._values_and_gradients(x[pos], shard)

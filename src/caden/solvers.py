@@ -14,14 +14,14 @@ quadratic losses are also provided.
 the run's ``LossStack``, one agent being the case k = 1.  ``solve_lbfgs``
 and ``solve_gd`` advance a batch in lockstep: one body runs every agent's
 iterations side by side as stacked arrays.  Each stage is one call for the
-agents it concerns: the two-loop recursion over the (k, M, d) memory of
-curvature pairs, each row's newest first and zero-padded, one stacked loss
-call at the start and one fused value-and-gradient call at each
-backtracking level, whose accepted trials need no further evaluation, and
-the dual and penalty terms, slopes, norms and curvature tests as row-wise
-arrays (``rowdot``).  A row's penalty is held as its degree, anchor sum and
-anchor spread, not as its anchor matrix.  Each agent's arithmetic is that
-of a lone solve, bit for bit.
+agents it concerns: the two-loop recursion over the memory of curvature
+pairs, M (k, d) slots newest first, each row zero-padded; one fused
+value-and-gradient call at each backtracking level, whose accepted trials
+need no further evaluation (and one at the start, unless the caller gives
+the start's loss terms); and the dual and penalty terms, slopes, norms and
+curvature tests as row-wise arrays (``rowdot``).  A row's penalty is held
+as its degree, anchor sum and anchor spread, not as its anchor matrix.
+Each agent's arithmetic is that of a lone solve, bit for bit.
 Every stage indexes the batch's own rows: a row subset is an index array
 of batch rows, or ``ALL`` when it is every row, and then the stage runs on
 whole arrays, views instead of index copies, and its loss calls go through
@@ -29,8 +29,9 @@ the batch's ``RowPlan``, resolved once per batch.
 
 Each solve returns one ``SolverReport`` of row-stacked arrays: the (k, d)
 models and loss gradients it ends at, (k,) counts and (k, tau + 1)
-histories.  Every solver takes the loss gradients at its start points when
-the caller has them; the engine carries them from round to round this way.
+histories.  Every solver takes the loss values and gradients at its start
+points when the caller has them, and reports them at the points it ends
+at; the engine carries them from round to round this way.
 ``engine.solve_subproblems`` is the one place that picks among the solvers.
 """
 
@@ -42,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import ordered_sums
+from .graphs import ordered_sums, sum_plan
 from .losses import LocalLoss, LossStack, QuadraticLoss, rowdot, rownorm
 
 ARMIJO_C1 = 1e-4
@@ -79,21 +80,24 @@ class SubproblemBatch:
     Row j is agent ``agents[j]``'s subproblem: loss ``losses[agents[j]]``,
     dual ``phi[j]`` and penalty coefficient ``mu_z`` (one, or one per row).
     ``anchors`` is the flat (N, d) list of every row's anchors, ``owner[q]``
-    the row of anchor q.  Each row holds its penalty as three numbers: its
-    ``degree``, ``anchor_sum`` (its anchors added one at a time in list
-    order, by ``graphs.ordered_sums``) and ``spread``
+    the row of anchor q; ``owner`` may be a ``graphs.SumPlan`` of those rows
+    instead, resolved once by the caller (the engine passes its topology's
+    for a batch of every agent).  Each row holds its penalty as three
+    numbers: its ``degree``, ``anchor_sum`` (its anchors added one at a time
+    in list order, by ``graphs.ordered_sums``) and ``spread``
     sum_k ||a_k - mean||^2, through the exact identity
     sum_k ||x - a_k||^2 = degree ||x - mean||^2 + spread.  The penalty
     gradient is degree x - anchor_sum.
 
     ``values(x, which)`` and ``gradients(x, which)`` evaluate row
     ``which[n]`` at ``x[n]``: the loss terms in one call of the
-    ``LossStack`` ``losses``, and the dual and penalty terms as stacked
-    arrays.  ``evaluate(x, which)`` gives both, and the loss gradients,
-    from one fused loss call.  ``which`` is an index array, or ``ALL`` for
-    every row in order; then the terms are read as views and the loss call
-    goes through the batch's ``RowPlan``, resolved once when the batch is
-    built.
+    ``LossStack`` ``losses`` (or from the caller's loss values or
+    gradients, when given), and the dual and penalty terms as stacked
+    arrays.  ``evaluate(x, which)`` gives both, and the loss values and
+    gradients, from one fused loss call.  ``which`` is an index array, or
+    ``ALL`` for every row in order; then the terms are read as views and the
+    loss call goes through the batch's ``RowPlan``, resolved once when the
+    batch is built.
     """
 
     def __init__(self, losses: LossStack, agents, phi, mu_z, anchors, owner):
@@ -103,11 +107,12 @@ class SubproblemBatch:
         rows = len(self._agents)
         self.phi = np.asarray(phi, dtype=float)
         self.mu_z = np.broadcast_to(np.asarray(mu_z, dtype=float), (rows,))
-        self.degree = np.bincount(owner, minlength=rows)
-        self.anchor_sum = ordered_sums(owner, np.asarray(anchors, dtype=float), rows)
+        sums = sum_plan(owner, rows)
+        self.degree = sums.counts
+        self.anchor_sum = ordered_sums(sums, np.asarray(anchors, dtype=float), rows)
         self.mean = self.anchor_sum / np.maximum(self.degree, 1)[:, None]
-        off = anchors - self.mean[owner]
-        self.spread = np.bincount(owner, weights=rowdot(off, off), minlength=rows)
+        off = anchors - self.mean[sums.owner]
+        self.spread = np.bincount(sums.owner, weights=rowdot(off, off), minlength=rows)
 
     def loss(self, row: int) -> LocalLoss:
         return self._losses[self._agents[row]]
@@ -120,13 +125,21 @@ class SubproblemBatch:
         which = np.asarray(which, dtype=np.intp)
         return which, self._agents[which]
 
+    def loss_values(self, x: np.ndarray, which) -> np.ndarray:
+        """(n,) loss values of rows ``which`` at ``x``."""
+        return self._losses.values(x, self._rows(which)[1])
+
     def loss_gradients(self, x: np.ndarray, which) -> np.ndarray:
         """(n, d) loss gradients of rows ``which`` at ``x``."""
         return self._losses.gradients(x, self._rows(which)[1])
 
-    def values(self, x: np.ndarray, which) -> np.ndarray:
+    def values(self, x: np.ndarray, which, loss_values: np.ndarray | None = None) -> np.ndarray:
+        """(n,) objective values; the loss values at ``x`` are evaluated
+        unless given."""
         which, rows = self._rows(which)
-        return self._values(x, which, self._losses.values(x, rows))
+        if loss_values is None:
+            loss_values = self._losses.values(x, rows)
+        return self._values(x, which, loss_values)
 
     def gradients(
         self, x: np.ndarray, which, loss_gradients: np.ndarray | None = None
@@ -138,13 +151,14 @@ class SubproblemBatch:
             loss_gradients = self._losses.gradients(x, rows)
         return self._gradients(x, which, loss_gradients)
 
-    def evaluate(self, x: np.ndarray, which) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``values``, ``gradients`` and ``loss_gradients`` of rows ``which``
-        at ``x``, bit for bit, from one fused stacked loss call."""
+    def evaluate(self, x: np.ndarray, which):
+        """``values``, ``gradients``, ``loss_values`` and ``loss_gradients``
+        of rows ``which`` at ``x``, bit for bit, from one fused stacked loss
+        call."""
         which, rows = self._rows(which)
         loss_values, loss_gradients = self._losses.values_and_gradients(x, rows)
         f = self._values(x, which, loss_values)
-        return f, self._gradients(x, which, loss_gradients), loss_gradients
+        return f, self._gradients(x, which, loss_gradients), loss_values, loss_gradients
 
     def _values(self, x: np.ndarray, which, loss_values: np.ndarray) -> np.ndarray:
         dual = rowdot(self.phi[which], x)
@@ -165,8 +179,10 @@ class SolverReport:
     solve record no values and count no line-search failures or backtracks."""
 
     x_out: np.ndarray  # (k, d)
-    # (k, d) loss gradients at x_out, from the solve's own last evaluation.
+    # (k, d) loss gradients and (k,) loss values at x_out, from the solve's
+    # own evaluations (or the caller's, for a row that did not move).
     loss_grad_out: np.ndarray = field(repr=False)
+    loss_value_out: np.ndarray = field(repr=False)
     iterations: np.ndarray  # (k,)
     grad_norms: np.ndarray = field(repr=False)  # (k, tau + 1)
     values: np.ndarray | None = field(repr=False)  # (k, tau + 1), L-BFGS only
@@ -200,20 +216,25 @@ def _geometric_rate(grad_norms: Sequence[float]) -> float:
 
 
 def two_loop_direction(
-    s: np.ndarray, y: np.ndarray, rho: np.ndarray, gamma: np.ndarray, grad: np.ndarray
+    s: Sequence[np.ndarray],
+    y: Sequence[np.ndarray],
+    rho: Sequence[np.ndarray],
+    gamma: np.ndarray,
+    grad: np.ndarray,
 ) -> np.ndarray:
     """Apply each row's limited-memory inverse-Hessian approximation to its
     gradient: the two-loop recursion over every slot given.
 
-    Each row holds its pairs newest first, zeros after its oldest.  A zero
-    slot (s = y = 0, rho = 0) leaves both loops' vectors as they are, so a
-    row with fewer pairs needs no count: its recursion is that of its own
-    pairs.
+    The memory is M slots, newest first, each holding one pair per row: a
+    list of M (k, d) arrays, or an (M, k, d) array.  Row n holds its pairs
+    newest first, zeros after its oldest.  A zero slot (s = y = 0, rho = 0)
+    leaves both loops' vectors as they are, so a row with fewer pairs needs
+    no count: its recursion is that of its own pairs.
 
     Args:
-        s: (k, M, d) step differences per row, newest first.
-        y: (k, M, d) gradient differences per row, newest first.
-        rho: (k, M) 1 / (s_i . y_i), 0 in an unused slot.
+        s: M (k, d) step differences, newest first.
+        y: M (k, d) gradient differences, newest first.
+        rho: M (k,) 1 / (s_i . y_i), 0 in an unused slot.
         gamma: (k,) initial inverse-Hessian scalings.
         grad: (k, d) gradients to precondition.
 
@@ -221,15 +242,55 @@ def two_loop_direction(
         (k, d) H_n @ grad[n]; the descent directions are their negatives.
     """
     q = grad.copy()
-    alpha = np.empty_like(rho)
-    for i in range(rho.shape[1]):
-        alpha[:, i] = rho[:, i] * rowdot(s[:, i], q)
-        q -= alpha[:, i, None] * y[:, i]
+    alpha = []
+    for s_i, y_i, rho_i in zip(s, y, rho):
+        alpha.append(rho_i * rowdot(s_i, q))
+        q -= alpha[-1][:, None] * y_i
     r = gamma[:, None] * q
-    for i in reversed(range(rho.shape[1])):
-        beta = rho[:, i] * rowdot(y[:, i], r)
-        r += (alpha[:, i] - beta)[:, None] * s[:, i]
+    for s_i, y_i, rho_i, alpha_i in reversed(list(zip(s, y, rho, alpha))):
+        beta = rho_i * rowdot(y_i, r)
+        r += (alpha_i - beta)[:, None] * s_i
     return r
+
+
+def _start(batch: SubproblemBatch, x: np.ndarray, start):
+    """Objective values and gradients and loss values and gradients of every
+    row of ``batch`` at ``x``, as ``evaluate`` gives them: the loss terms
+    are the caller's ``start`` pair of loss values and gradients when
+    given, else one fused call's."""
+    if start is None:
+        return batch.evaluate(x, ALL)
+    lv, lg = (np.array(terms, dtype=float) for terms in start)
+    return batch.values(x, ALL, lv), batch.gradients(x, ALL, lg), lv, lg
+
+
+def _store_pairs(mem, memory: int, took, s_new, y_new, gamma: np.ndarray) -> None:
+    """Store the curvature pairs (s_new, y_new) of the rows ``took`` in the
+    L-BFGS slots ``mem`` = (s, y, rho), newest first and at most ``memory``
+    deep, and set those rows' ``gamma``; a pair with
+    s.y <= CURVATURE_SKIP_TOL ||s|| ||y|| is dropped."""
+    sy, yy = rowdot(s_new, y_new), rowdot(y_new, y_new)
+    keep = sy > CURVATURE_SKIP_TOL * rownorm(s_new) * np.sqrt(yy)
+    if not keep.any():
+        return
+    kept = _where(keep)
+    stored = _pick(took, kept)
+    new = (s_new[kept], y_new[kept], 1.0 / sy[kept])
+    if stored is ALL:
+        # Every row stores: the new arrays become slot 0, nothing moves.
+        for slots, pair in zip(mem, new):
+            slots.insert(0, pair)
+            del slots[memory:]
+    else:
+        # Each storing row's pairs move back a slot; a new last slot starts
+        # at zero for the other rows.
+        for slots, pair in zip(mem, new):
+            if len(slots) < memory:
+                slots.append(np.zeros((len(gamma), *pair.shape[1:])))
+            for j in range(len(slots) - 1, 0, -1):
+                slots[j][stored] = slots[j - 1][stored]
+            slots[0][stored] = pair
+    gamma[stored] = sy[kept] / yy[kept]
 
 
 def solve_lbfgs(
@@ -237,14 +298,15 @@ def solve_lbfgs(
     x_start: np.ndarray,
     tau: int,
     memory: int = DEFAULT_MEMORY,
-    loss_grad: np.ndarray | None = None,
+    start: tuple[np.ndarray, np.ndarray] | None = None,
     lipschitz: float | None = None,
 ) -> SolverReport:
     """tau iterations of L-BFGS on every subproblem of ``batch`` in
     lockstep, warm-started at the rows of ``x_start``; one report for all
-    rows.  ``loss_grad`` holds the loss gradients at ``x_start`` when the
-    caller has them; then the start costs one stacked value call, and one
-    fused value-and-gradient call otherwise.
+    rows.  ``start`` holds the (k,) loss values and (k, d) loss gradients
+    at ``x_start`` when the caller has them, as the engine has its carried
+    rows; then the start makes no loss call, and one fused
+    value-and-gradient call otherwise.
 
     Two-loop recursion with Liu-Nocedal initial scaling and Armijo
     backtracking (c1=1e-4, halving, 30 backtracks max).  Before a row holds
@@ -259,19 +321,24 @@ def solve_lbfgs(
     function, so no stale pairs carry over.  An agent stops once its
     gradient is exactly 0.
 
-    The memory holds each row's pairs newest first, zeros after its oldest:
-    a row storing a pair moves its pairs back a slot, dropping its oldest
-    once all M are held, and writes the new pair at slot 0.  The recursion
-    reads the first ``depth`` slots, the most any row has filled.
+    The memory is a list of (k, d) slots holding each row's pairs newest
+    first, zeros after its oldest, as many slots as the most any row has
+    filled, at most M.  When every row stores a pair, the arrays of the new
+    pair become slot 0 and the oldest slot is dropped once M are held, so
+    nothing is copied; otherwise the storing rows move their pairs back a
+    slot and write the new pair at slot 0.  The last iteration stores no
+    pair, since no recursion would read it.
 
     Every agent still iterating shares each stage: one two-loop call over
-    the (k, depth, d) memory and one fused stacked call
+    the memory and one fused stacked call
     (``SubproblemBatch.evaluate``) per backtracking level for the agents
-    still searching.  Each trial's value, gradient and loss gradient come
-    from the same pass through the loss, so an accepted trial's gradient is
-    already at hand.  The slope, norm and curvature dot products go
-    through ``rowdot``.  Each row's arithmetic is that of a lone solve, so
-    each row of the report equals its one-row batch's solve bit for bit.
+    still searching.  Each trial's value, gradient, loss value and loss
+    gradient come from the same pass through the loss, so an accepted
+    trial's are already at hand, and the report's loss values and gradients
+    are those of the accepted trials.  The slope, norm and curvature dot
+    products go through ``rowdot``.  Each row's arithmetic is that of a lone
+    solve, so each row of the report equals its one-row batch's solve bit
+    for bit.
 
     Every stage reads and writes batch rows: ``moving``, ``searching``,
     ``took`` (the moving rows whose search did not fail) and ``stored`` are
@@ -285,24 +352,15 @@ def solve_lbfgs(
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     x = np.array(x_start, dtype=float)
-    k, d = x.shape
-    if loss_grad is None:
-        f, g, lg = batch.evaluate(x, ALL)
-    else:
-        lg = np.array(loss_grad, dtype=float)
-        f, g = batch.values(x, ALL), batch.gradients(x, ALL, lg)
+    k = len(x)
+    f, g, lv, lg = _start(batch, x, start)
     gnorm = rownorm(g)
     # Column c of an agent's row holds its gradient norm and value after c
     # iterations.
     norms, vals = np.full((2, k, tau + 1), np.nan)
     norms[:, 0] = gnorm
     vals[:, 0] = f
-    # Only accepted steps store pairs, so at most tau slots are ever used.
-    slots = min(memory, tau)
-    s_buf = np.zeros((k, slots, d))
-    y_buf = np.zeros_like(s_buf)
-    rho_buf = np.zeros((k, slots))
-    depth = 0
+    s_mem, y_mem, rho_mem = [], [], []  # (k, d), (k, d) and (k,) slots
     gamma = np.ones(k) if lipschitz is None else default_gd_step(batch, lipschitz)
     failures, performed, backtracks = np.zeros((3, k), dtype=int)
 
@@ -317,9 +375,7 @@ def solve_lbfgs(
         # Every row's direction, a stopped row's zero.  Looked up as a module
         # global on every call, so a wrapper installed on
         # caden.solvers.two_loop_direction sees each one.
-        direction = -two_loop_direction(
-            s_buf[:, :depth], y_buf[:, :depth], rho_buf[:, :depth], gamma, g
-        )
+        direction = -two_loop_direction(s_mem, y_mem, rho_mem, gamma, g)
         slope = rowdot(g, direction)
         # A numerically broken direction falls back to steepest descent,
         # which is always safe.
@@ -330,18 +386,22 @@ def solve_lbfgs(
 
         # Armijo backtracking, one fused stacked call per level for the rows
         # still searching: every moving row at step 1, then those whose last
-        # trial was rejected.  Each trial's value, gradient and loss gradient
-        # are kept, so an accepted trial needs no further evaluation.
+        # trial was rejected.  Each trial's value, gradient, loss value and
+        # loss gradient are kept, so an accepted trial needs no further
+        # evaluation.
         step = np.ones(k)
         x_trial = x + direction
-        f_trial, g_trial, lg_trial = np.empty_like(f), np.empty_like(g), np.empty_like(lg)
+        if moving is not ALL:
+            # Otherwise the first level's arrays are the trials'.
+            f_trial, g_trial = np.empty_like(f), np.empty_like(g)
+            lv_trial, lg_trial = np.empty_like(lv), np.empty_like(lg)
         searching = took = moving
         for _ in range(MAX_BACKTRACKS):
             if searching is ALL:
                 # Every row searches: the call's own arrays are the trials'.
-                f_trial, g_trial, lg_trial = batch.evaluate(x_trial, ALL)
+                f_trial, g_trial, lv_trial, lg_trial = batch.evaluate(x_trial, ALL)
             else:
-                (f_trial[searching], g_trial[searching],
+                (f_trial[searching], g_trial[searching], lv_trial[searching],
                  lg_trial[searching]) = batch.evaluate(x_trial[searching], searching)
             f0, ft = f[searching], f_trial[searching]
             slack = ARMIJO_SLACK * (np.abs(f0) + np.abs(ft))
@@ -365,30 +425,20 @@ def solve_lbfgs(
                 # Every row accepted: the new arrays become the state.
                 # Writing them through ``x[took] = ...`` instead measured
                 # 1.015-1.026x the time of an mlp_ring round (2-vCPU host).
-                x, f, g, lg = x_new, f_trial, g_new, lg_new
+                x, f, g, lv, lg = x_new, f_trial, g_new, lv_trial, lg_new
             else:
                 x[took] = x_new
                 f[took] = f_trial[took]
                 g[took] = g_new
+                lv[took] = lv_trial[took]
                 lg[took] = lg_new
-            sy = rowdot(s_new, y_new)
-            keep = sy > CURVATURE_SKIP_TOL * rownorm(s_new) * rownorm(y_new)
-            if keep.any():
-                kept = _where(keep)
-                stored = _pick(took, kept)
-                # Newest first: each storing row's pairs move back a slot.
-                depth = min(depth + 1, slots)
-                for buf in (s_buf, y_buf, rho_buf):
-                    buf[stored, 1:depth] = buf[stored, : depth - 1]
-                s_buf[stored, 0] = s_new[kept]
-                y_buf[stored, 0] = y_new[kept]
-                rho_buf[stored, 0] = 1.0 / sy[kept]
-                gamma[stored] = sy[kept] / rowdot(y_new[kept], y_new[kept])
+            if it < tau:
+                _store_pairs((s_mem, y_mem, rho_mem), memory, took, s_new, y_new, gamma)
             gnorm[took] = rownorm(g_new)
         norms[moving, it] = gnorm[moving]
         vals[moving, it] = f[moving]
 
-    return SolverReport(x, lg, performed, norms, vals, failures, backtracks)
+    return SolverReport(x, lg, lv, performed, norms, vals, failures, backtracks)
 
 
 def default_gd_step(batch: SubproblemBatch, lipschitz: float | None = None) -> np.ndarray:
@@ -409,24 +459,23 @@ def solve_gd(
     tau: int,
     step: float | None = None,
     lipschitz: float | None = None,
-    loss_grad: np.ndarray | None = None,
+    start: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> SolverReport:
     """tau fixed-step gradient steps on every subproblem of ``batch`` in
     lockstep, warm-started at the rows of ``x_start``, with one report for
-    all rows and one stacked gradient call per step.  Each agent's step
-    defaults to the inverse of its subproblem's smoothness; an agent stops
-    once its gradient is exactly 0.  ``loss_grad`` holds
-    the loss gradients at ``x_start`` when the caller has them."""
+    all rows and one stacked gradient call per step, the last one fused
+    with the loss values so that the report carries them.  Each agent's
+    step defaults to the inverse of its subproblem's smoothness; an agent
+    stops once its gradient is exactly 0, and a row that stops after moving
+    but before the last step has its loss value evaluated after the loop.
+    ``start`` holds the loss values and gradients at ``x_start`` when the
+    caller has them, as ``solve_lbfgs`` takes them."""
     x = np.array(x_start, dtype=float)
     k = len(x)
     steps = np.full(k, step, dtype=float) if step is not None else default_gd_step(batch, lipschitz)
     if not (steps > 0.0).all():  # also refuses NaN
         raise ValueError("step must be positive")
-    if loss_grad is None:
-        lg = batch.loss_gradients(x, ALL)
-    else:
-        lg = np.array(loss_grad, dtype=float)
-    g = batch.gradients(x, ALL, lg)
+    _, g, lv, lg = _start(batch, x, start)
     gnorm = rownorm(g)
     norms = np.full((k, tau + 1), np.nan)
     norms[:, 0] = gnorm
@@ -438,20 +487,28 @@ def solve_gd(
             break
         moving = _where(live)
         x[moving] = x[moving] - steps[moving, None] * g[moving]
-        lg[moving] = batch.loss_gradients(x[moving], moving)
-        g[moving] = batch.gradients(x[moving], moving, lg[moving])
+        if it == tau:
+            _, g[moving], lv[moving], lg[moving] = batch.evaluate(x[moving], moving)
+        else:
+            lg[moving] = batch.loss_gradients(x[moving], moving)
+            g[moving] = batch.gradients(x[moving], moving, lg[moving])
         gnorm[moving] = rownorm(g[moving])
         performed[moving] += 1
         norms[moving, it] = gnorm[moving]
+    # Rows that moved, then stopped at a zero gradient before the last step.
+    stale = np.flatnonzero((performed > 0) & (performed < tau))
+    if stale.size:
+        lv[stale] = batch.loss_values(x[stale], stale)
     zeros = np.zeros(k, dtype=int)
-    return SolverReport(x, lg, performed, norms, None, zeros, zeros)
+    return SolverReport(x, lg, lv, performed, norms, None, zeros, zeros)
 
 
 def solve_exact(batch: SubproblemBatch) -> SolverReport:
     """Closed-form minimizer (Q + mu_z k I)^-1 (Q a - phi + mu_z sum anchors)
     of every row of ``batch``, one row at a time, then every row's loss
-    gradient in one stacked call.  Only valid for quadratic losses; the
-    oracle for the iterative solvers and the engine's "exact" solver mode."""
+    value and gradient in one fused stacked call.  Only valid for quadratic
+    losses; the oracle for the iterative solvers and the engine's "exact"
+    solver mode."""
     k = len(batch.phi)
     x = np.empty_like(batch.phi)
     for n in range(k):
@@ -464,10 +521,9 @@ def solve_exact(batch: SubproblemBatch) -> SolverReport:
             x[n] = (rhs + loss.q * loss.a) / (loss.q + shift)
         else:
             x[n] = np.linalg.solve(loss.q + shift * np.eye(loss.dim), rhs + loss.q @ loss.a)
-    lg = batch.loss_gradients(x, ALL)
-    norms = rownorm(batch.gradients(x, ALL, lg))[:, None]
+    _, g, lv, lg = batch.evaluate(x, ALL)
     zeros = np.zeros(k, dtype=int)
-    return SolverReport(x, lg, zeros, norms, None, zeros, zeros)
+    return SolverReport(x, lg, lv, zeros, rownorm(g)[:, None], None, zeros, zeros)
 
 
 def estimate_contraction(report: SolverReport) -> np.ndarray:

@@ -82,13 +82,13 @@ def verify_equivalence(
     round, both driven by one full-participation config."""
     topology, losses, x0 = _paired_quadratic_instance(seed)
     config = CadenConfig(mu_z=mu_z, mu_y=mu_y, tau=tau, participation=1.0, seed=seed)
-    x, phi, grad = engine.init_states(losses, topology, x0)
+    x, phi, grad, value = engine.init_states(losses, topology, x0)
     edge_state = edge_form.init_edge_state(topology, x0)
     max_gap = 0.0
     max_antisym = edge_form.antisymmetry_gap(edge_state)
     max_phi_gap = 0.0
     for t in range(rounds):
-        engine.run_round(x, phi, grad, losses, topology, config, t)
+        engine.run_round(x, phi, grad, value, losses, topology, config, t)
         edge_state = edge_form.run_edge_round(edge_state, losses, topology, config, t)
         max_gap = max(max_gap, float(np.abs(x - edge_state.x).max()))
         max_antisym = max(max_antisym, edge_form.antisymmetry_gap(edge_state))

@@ -622,6 +622,7 @@ def reference_solve_lbfgs(
     return SolverReport(
         x_out=x[None],
         loss_grad_out=problem.loss.gradient(x)[None],
+        loss_value_out=np.array([problem.loss.value(x)]),
         iterations=np.array([performed]),
         grad_norms=np.array([norms + unreached]),
         values=np.array([vals + unreached]),

@@ -113,10 +113,10 @@ class TestYStep:
                             for _ in range(5)])
         x0 = rng.standard_normal((5, 2))
         config = CadenConfig(mu_z=3.0, mu_y=2.0, tau=4)
-        x, phi, grad = engine.init_states(losses, topology, x0)
+        x, phi, grad, value = engine.init_states(losses, topology, x0)
         edge_state = edge_form.init_edge_state(topology, x0)
         for t in range(20):
-            engine.run_round(x, phi, grad, losses, topology, config, t)
+            engine.run_round(x, phi, grad, value, losses, topology, config, t)
             edge_state = edge_form.run_edge_round(edge_state, losses, topology, config, t)
             rebuilt = edge_form.dual_aggregates(edge_state, topology)
             assert np.abs(phi - rebuilt).max() <= 1e-10
@@ -240,10 +240,10 @@ def test_forms_agree_on_random_graphs_and_budgets(
                         for _ in range(m)])
     x0 = rng.standard_normal((m, d))
     config = CadenConfig(mu_z=mu_z, mu_y=mu_y_share * mu_z, tau=tau, solver=solver)
-    x, phi, grad = engine.init_states(losses, topology, x0)
+    x, phi, grad, value = engine.init_states(losses, topology, x0)
     edge_state = edge_form.init_edge_state(topology, x0)
     for t in range(15):
-        engine.run_round(x, phi, grad, losses, topology, config, t)
+        engine.run_round(x, phi, grad, value, losses, topology, config, t)
         edge_state = edge_form.run_edge_round(edge_state, losses, topology, config, t)
         assert np.abs(x - edge_state.x).max() <= 1e-10
         assert np.abs(phi - edge_form.dual_aggregates(edge_state, topology)).max() <= 1e-10

@@ -1,5 +1,6 @@
 """Round engine: state initialization, participation, updates, checkpoints."""
 
+import hashlib
 import os
 import pickle
 import re
@@ -33,15 +34,15 @@ def _k2_setup(mu_z=3.0, mu_y=3.0, solver="exact", **kwargs):
     topology = graphs.complete_graph(2)
     losses = _k2_quadratics()
     config = CadenConfig(mu_z=mu_z, mu_y=mu_y, solver=solver, **kwargs)
-    x, phi, grad = engine.init_states(losses, topology, np.array([[0.0], [2.0]]))
-    return topology, losses, config, x, phi, grad
+    x, phi, grad, value = engine.init_states(losses, topology, np.array([[0.0], [2.0]]))
+    return topology, losses, config, x, phi, grad, value
 
 
 class TestInitStates:
     def test_duals_start_at_zero(self):
         topology = graphs.build_random_graph(6, 0.5, seed=0)
         losses = LossStack([QuadraticLoss(q=np.ones(3), a=np.zeros(3)) for _ in range(6)])
-        _, phi, _ = engine.init_states(losses, topology, np.zeros((6, 3)))
+        _, phi, _, _ = engine.init_states(losses, topology, np.zeros((6, 3)))
         total = phi.sum()
         assert total == 0.0
 
@@ -91,7 +92,7 @@ class TestParticipation:
 class TestPrimalUpdate:
     def test_k2_closed_form(self):
         # argmin of x^2/2 + (3/2)(x - 1)^2 is 3/4.
-        topology, losses, config, x, phi, _ = _k2_setup()
+        topology, losses, config, x, phi, _, _ = _k2_setup()
         x_new = engine.primal_update(0, x, phi, losses, topology, config, 0)
         assert x_new[0] == pytest.approx(0.75, abs=1e-12)
 
@@ -99,7 +100,7 @@ class TestPrimalUpdate:
         topology = graphs.build_random_graph(5, 0.6, seed=2)
         losses = LossStack([QuadraticLoss(q=np.ones(2), a=np.full(2, float(i))) for i in range(5)])
         x_star = np.full(2, 2.0)  # mean of the targets 0..4
-        x, phi, _ = engine.init_states(losses, topology, np.tile(x_star, (5, 1)))
+        x, phi, _, _ = engine.init_states(losses, topology, np.tile(x_star, (5, 1)))
         config = CadenConfig(mu_z=3.0, mu_y=3.0, solver="exact")
         for i in range(5):
             phi[i] = -losses[i].gradient(x_star)
@@ -114,7 +115,7 @@ class TestPrimalUpdate:
         rng = np.random.default_rng(0)
         losses = LossStack([QuadraticLoss(q=np.ones(3), a=rng.standard_normal(3))
                             for _ in range(6)])
-        x, phi, _ = engine.init_states(losses, topology, rng.standard_normal((6, 3)))
+        x, phi, _, _ = engine.init_states(losses, topology, rng.standard_normal((6, 3)))
         config = CadenConfig(mu_z=2.0, mu_y=2.0, solver="lbfgs")
         forward = [engine.primal_update(i, x, phi, losses, topology, config, 0)
                    for i in range(6)]
@@ -164,7 +165,7 @@ class TestSubproblemBuilder:
 
 class TestBroadcastAndDual:
     def test_inactive_broadcast_is_noop(self):
-        _, _, _, x, _, _ = _k2_setup()
+        _, _, _, x, _, _, _ = _k2_setup()
         before = x.copy()
         assert engine.broadcast(x, [], []) == 0
         assert np.array_equal(x, before)
@@ -172,12 +173,12 @@ class TestBroadcastAndDual:
     def test_one_unit_per_broadcast_regardless_of_degree(self):
         topology = graphs.complete_graph(4)  # every agent has 3 neighbors
         losses = LossStack([QuadraticLoss(q=np.ones(1), a=np.zeros(1)) for _ in range(4)])
-        x, _, _ = engine.init_states(losses, topology, np.zeros((4, 1)))
+        x, _, _, _ = engine.init_states(losses, topology, np.zeros((4, 1)))
         assert engine.broadcast(x, [0], [np.array([0.75])]) == 1
         assert x[0, 0] == 0.75
 
     def test_k2_dual_update_hand_values(self):
-        topology, losses, _, x, phi, _ = _k2_setup()
+        topology, losses, _, x, phi, _, _ = _k2_setup()
         config = CadenConfig(mu_z=3.0, mu_y=2.0)
         engine.broadcast(x, [0, 1], [np.array([1.0]), np.array([0.0])])
         phi0 = engine.dual_update(0, x, phi, topology, config)
@@ -187,7 +188,7 @@ class TestBroadcastAndDual:
         assert phi0[0] + phi1[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_consensus_leaves_duals_unchanged(self):
-        topology, losses, config, x, phi, _ = _k2_setup()
+        topology, losses, config, x, phi, _, _ = _k2_setup()
         engine.broadcast(x, [0, 1], [np.array([1.0]), np.array([1.0])])
         assert engine.dual_update(0, x, phi, topology, config)[0] == 0.0
 
@@ -198,11 +199,11 @@ class TestRunRound:
         rng = np.random.default_rng(1)
         losses = LossStack([QuadraticLoss(q=np.ones(2), a=rng.standard_normal(2))
                             for _ in range(7)])
-        x, phi, grad = engine.init_states(losses, topology, rng.standard_normal((7, 2)))
+        x, phi, grad, value = engine.init_states(losses, topology, rng.standard_normal((7, 2)))
         config = CadenConfig(mu_z=3.0, mu_y=2.0, tau=5)
         rounds = 50
         for t in range(rounds):
-            engine.run_round(x, phi, grad, losses, topology, config, t)
+            engine.run_round(x, phi, grad, value, losses, topology, config, t)
             drift = np.abs(phi.sum(axis=0)).max()
             assert drift <= 1e-9 * config.mu_y * (t + 1)
 
@@ -211,11 +212,11 @@ class TestRunRound:
         rng = np.random.default_rng(2)
         losses = LossStack([QuadraticLoss(q=np.ones(2), a=rng.standard_normal(2))
                             for _ in range(8)])
-        x, phi, grad = engine.init_states(losses, topology, rng.standard_normal((8, 2)))
+        x, phi, grad, value = engine.init_states(losses, topology, rng.standard_normal((8, 2)))
         config = CadenConfig(mu_z=3.0, mu_y=3.0, participation=0.5, seed=3)
         for t in range(10):
             x_before, phi_before = x.copy(), phi.copy()
-            summary = engine.run_round(x, phi, grad, losses, topology, config, t)
+            summary = engine.run_round(x, phi, grad, value, losses, topology, config, t)
             for i in range(8):
                 if not summary.active[i]:
                     assert np.array_equal(x[i], x_before[i])
@@ -224,11 +225,11 @@ class TestRunRound:
     @pytest.mark.parametrize("solver", ["lbfgs", "gd", "exact"])
     def test_all_inactive_round_changes_nothing(self, solver):
         # Every solver takes an empty solve: no rows in, none written.
-        topology, losses, _, x, phi, grad = _k2_setup()
+        topology, losses, _, x, phi, grad, value = _k2_setup()
         config = CadenConfig(mu_z=3.0, mu_y=3.0, participation=1e-9, seed=0, solver=solver)
         phi[:] = [[0.5], [-0.5]]
         x_before, phi_before, grad_before = x.copy(), phi.copy(), grad.copy()
-        summary = engine.run_round(x, phi, grad, losses, topology, config, 0)
+        summary = engine.run_round(x, phi, grad, value, losses, topology, config, 0)
         assert summary.broadcasts == 0
         assert not summary.active.any()
         for i in (0, 1):
@@ -244,31 +245,30 @@ class TestRunRound:
         rng = np.random.default_rng(7)
         losses = LossStack([QuadraticLoss(q=rng.uniform(0.5, 2.0, 3), a=rng.standard_normal(3))
                             for _ in range(20)])
-        x, phi, grad = engine.init_states(losses, topology, rng.standard_normal((20, 3)))
+        x, phi, grad, value = engine.init_states(losses, topology, rng.standard_normal((20, 3)))
         config = CadenConfig(mu_z=3.0, mu_y=3.0, participation=0.5, seed=7)
         for t in range(5):
-            engine.run_round(x, phi, grad, losses, topology, config, t)
+            engine.run_round(x, phi, grad, value, losses, topology, config, t)
         snapshot = pickle.dumps(losses)
         for t in range(5, 60):
-            engine.run_round(x, phi, grad, losses, topology, config, t)
+            engine.run_round(x, phi, grad, value, losses, topology, config, t)
         assert pickle.dumps(losses) == snapshot
 
     def test_full_participation_communication_count(self):
         topology = graphs.build_random_graph(6, 0.5, seed=6)
         losses = LossStack([QuadraticLoss(q=np.ones(1), a=np.zeros(1)) for _ in range(6)])
-        x, phi, grad = engine.init_states(losses, topology, np.zeros((6, 1)))
+        x, phi, grad, value = engine.init_states(losses, topology, np.zeros((6, 1)))
         config = CadenConfig(mu_z=1.0, mu_y=1.0)
         total = sum(
-            engine.run_round(x, phi, grad, losses, topology, config, t).broadcasts
+            engine.run_round(x, phi, grad, value, losses, topology, config, t).broadcasts
             for t in range(9)
         )
         assert total == 6 * 9
 
     def test_k2_converges_to_global_optimum(self):
-        topology, losses, config, x, phi, grad = _k2_setup(solver="lbfgs",
-                                                     tau=5)
+        topology, losses, config, x, phi, grad, value = _k2_setup(solver="lbfgs", tau=5)
         for t in range(300):
-            engine.run_round(x, phi, grad, losses, topology, config, t)
+            engine.run_round(x, phi, grad, value, losses, topology, config, t)
         assert abs(x[0, 0] - 1.0) <= 1e-6
         assert abs(x[1, 0] - 1.0) <= 1e-6
 
@@ -320,25 +320,28 @@ class TestCarriedGradient:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), rounds=st.integers(1, 6), resume_at=st.integers(0, 6))
     def test_equals_a_fresh_evaluation_after_every_round(self, data, rounds, resume_at):
-        # The rows run_round writes come from each solve's last loss
-        # evaluation; they must be the gradients at the current models bit
-        # for bit, for active and inactive agents, and after a resume,
-        # which refills them from the checkpointed models.
+        # The rows run_round writes come from each solve's own loss
+        # evaluations; they must be the gradients and the loss values at the
+        # current models bit for bit, for every solver, for active and
+        # inactive agents, and after a resume, which refills them from the
+        # checkpointed models.
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         topology, losses, x0, config = _carried_gradient_run(data.draw, rng)
         everyone = np.arange(topology.m)
-        x, phi, grad = engine.init_states(losses, topology, x0)
+        x, phi, grad, value = engine.init_states(losses, topology, x0)
         assert np.array_equal(grad, losses.gradients(x, everyone))
+        assert np.array_equal(value, losses.values(x, everyone), equal_nan=True)
         for t in range(rounds):
             if t == resume_at:
                 with tempfile.TemporaryDirectory() as tmp:
                     path = os.path.join(tmp, "state.bin")
                     engine.save_checkpoint(path, x, phi, t)
                     x_saved, phi_saved, _ = engine.load_checkpoint(path)
-                x, phi, grad = engine.init_states(losses, topology, x_saved)
+                x, phi, grad, value = engine.init_states(losses, topology, x_saved)
                 phi[:] = phi_saved
-            engine.run_round(x, phi, grad, losses, topology, config, t)
+            engine.run_round(x, phi, grad, value, losses, topology, config, t)
             assert np.array_equal(grad, losses.gradients(x, everyone))
+            assert np.array_equal(value, losses.values(x, everyone), equal_nan=True)
 
 
 class TestTauSchedule:
@@ -374,10 +377,10 @@ class TestCheckpoint:
         rng = np.random.default_rng(3)
         losses = LossStack([QuadraticLoss(q=np.ones(3), a=rng.standard_normal(3))
                             for _ in range(5)])
-        x, phi, grad = engine.init_states(losses, topology, rng.standard_normal((5, 3)))
+        x, phi, grad, value = engine.init_states(losses, topology, rng.standard_normal((5, 3)))
         config = CadenConfig(mu_z=2.0, mu_y=2.0)
         for t in range(4):
-            engine.run_round(x, phi, grad, losses, topology, config, t)
+            engine.run_round(x, phi, grad, value, losses, topology, config, t)
         path = str(tmp_path / "state.bin")
         engine.save_checkpoint(path, x, phi, round_index=4)
         x_loaded, phi_loaded, round_index = engine.load_checkpoint(path)
@@ -387,34 +390,60 @@ class TestCheckpoint:
             assert np.array_equal(phi_loaded[i], phi[i])
 
     def test_header_layout(self, tmp_path):
-        # An 8-byte magic, then little-endian u64 (version, m, d, round), then
-        # the float64 payload.
-        topology, losses, _, x, phi, _ = _k2_setup()
+        # An 8-byte magic, then little-endian u64 (version, m, d, round), the
+        # SHA-256 digest of the problem record and its u64 length, the
+        # record's "key = value" lines, then the float64 payload.
+        topology, losses, _, x, phi, _, _ = _k2_setup()
         path = str(tmp_path / "s.bin")
-        engine.save_checkpoint(path, x, phi, round_index=7)
+        engine.save_checkpoint(path, x, phi, round_index=7, problem={"seed": "3", "m": "2"})
         raw = Path(path).read_bytes()
+        record = b"seed = 3\nm = 2\n"
         assert raw[:8] == b"CADENCKP"
-        assert struct.unpack("<QQQQ", raw[8:40]) == (1, 2, 1, 7)
-        assert len(raw) == 40 + 2 * 2 * 1 * 8
+        assert struct.unpack("<QQQQ", raw[8:40]) == (2, 2, 1, 7)
+        assert raw[40:72] == hashlib.sha256(record).digest()
+        assert struct.unpack("<Q", raw[72:80]) == (len(record),)
+        assert raw[80 : 80 + len(record)] == record
+        assert len(raw) == 80 + len(record) + 2 * 2 * 1 * 8
+        assert np.array_equal(np.frombuffer(raw[80 + len(record) :], "<f8"),
+                              np.concatenate([x.ravel(), phi.ravel()]))
 
     @pytest.mark.parametrize("bad, named", [
         ("wrong-magic", "magic b'NOTCADEN'"),
-        # The earlier layout: a bare (m, d, round) header and a valid body.
+        # The earlier layouts: a bare (m, d, round) header and a valid body,
+        # and format version 1, whose header had no problem record.
         ("no-magic", "magic"),
-        ("version-2", "format version 2"),
+        ("version-1", "format version 1"),
         ("header-only", "header only"),
+        ("record-digest", "problem record does not match its digest"),
     ])
     def test_bad_header_is_named(self, tmp_path, bad, named):
-        _, _, _, x, phi, _ = _k2_setup()
+        _, _, _, x, phi, _, _ = _k2_setup()
         path = tmp_path / "s.bin"
-        engine.save_checkpoint(str(path), x, phi, round_index=7)
+        engine.save_checkpoint(str(path), x, phi, round_index=7, problem={"seed": "3"})
         raw = path.read_bytes()
         body = np.zeros(2 * 2 * 1, dtype="<f8").tobytes()
+        record_end = engine.CHECKPOINT_HEADER.size + len(b"seed = 3\n")
         path.write_bytes({
             "wrong-magic": b"NOTCADEN" + raw[8:],
             "no-magic": struct.pack("<QQQ", 2, 1, 7) + body,
-            "version-2": raw[:8] + struct.pack("<Q", 2) + raw[16:],
-            "header-only": raw[:40],
+            "version-1": b"CADENCKP" + struct.pack("<QQQQ", 1, 2, 1, 7) + body,
+            "header-only": raw[:record_end],
+            "record-digest": raw.replace(b"seed = 3", b"seed = 4"),
         }[bad])
         with pytest.raises(CheckpointError, match=re.escape(named)):
             engine.load_checkpoint(str(path))
+
+    def test_another_problem_is_named(self, tmp_path):
+        # Every differing key is named with both values; equal records, and
+        # a file written without one, load.
+        _, _, _, x, phi, _, _ = _k2_setup()
+        path = str(tmp_path / "s.bin")
+        written = {"seed": "3", "loss.l2": "0.0", "m": "2"}
+        engine.save_checkpoint(path, x, phi, round_index=7, problem=written)
+        asked = {"seed": "4", "loss.l2": "0.0", "m": "2", "d": "1"}
+        match = "seed = 3 there, 4 here; d = (unset) there, 1 here"
+        with pytest.raises(CheckpointError, match=re.escape(match)):
+            engine.load_checkpoint(path, asked)
+        assert engine.load_checkpoint(path, dict(written))[2] == 7
+        engine.save_checkpoint(path, x, phi, round_index=7)
+        assert engine.load_checkpoint(path, asked)[2] == 7

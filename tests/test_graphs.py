@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caden import graphs
+from caden import engine, graphs
 from caden.errors import ConfigError, DisconnectedGraphError, GraphSamplingError
+from caden.losses import LossStack, QuadraticLoss
 
 from helpers import (
     constraint_matrices,
@@ -129,6 +130,52 @@ class TestIncidentSums:
         agent, _ = graphs.edge_ends(t)
         want = reference_ordered_sums(agent, np.concatenate([at_dst, at_src]), t.m)
         assert np.array_equal(graphs.incident_sums(t, at_src, at_dst), want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        m=st.integers(2, 25),
+        edge_prob=st.floats(0.2, 1.0),
+        d=st.integers(1, 4),
+        p=st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_anchor_sums_equal_add_at_for_every_agent_and_subsets(self, m, edge_prob, d, p, seed):
+        # Every agent in order takes the topology's cached plan, a p < 1
+        # subset resolves its own; both are np.add.at over each agent's
+        # incident edges in ascending order, the topology's cache reused
+        # across calls and left unchanged by them.
+        t = graphs.build_random_graph(m, edge_prob, seed=seed)
+        rng = np.random.default_rng(seed)
+        losses = LossStack([QuadraticLoss(q=np.ones(d), a=np.zeros(d)) for _ in range(m)])
+        phi = rng.standard_normal((m, d))
+        z = 10.0 ** rng.uniform(-5.0, 5.0, (t.n, 1)) * rng.standard_normal((t.n, d))
+        agent, edge = graphs.edge_ends(t)
+        cached = [a.copy() for a in (agent, edge, t.incidence.sums.counts)]
+        subset = np.flatnonzero(rng.random(m) < p)
+        for agents in (np.arange(m), subset, np.arange(m)):
+            batch = engine.subproblems(agents, phi, z, losses, t, 2.0)
+            row = np.full(m, -1)
+            row[agents] = np.arange(len(agents))
+            ends = row[agent] >= 0
+            want = reference_ordered_sums(row[agent[ends]], z[edge[ends]], len(agents))
+            assert np.array_equal(batch.anchor_sum, want)
+            assert batch.degree.tolist() == [t.degrees[i] for i in agents]
+        assert graphs.edge_ends(t)[0] is agent
+        for was, now in zip(cached, (agent, edge, t.incidence.sums.counts)):
+            assert np.array_equal(was, now)
+
+    def test_cached_index_arrays_are_read_only(self):
+        t = graphs.build_random_graph(12, 0.5, seed=4)
+        incidence = t.incidence
+        assert t.incidence is incidence
+        arrays = [incidence.agent, incidence.edge, incidence.sums.owner, incidence.sums.counts]
+        arrays += [a for rank in incidence.sums.ranks for a in rank]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+        # A plan resolved per call is the caller's own.
+        plan = graphs.sum_plan(np.array([1, 0, 1]), 2)
+        plan.counts[0] = 5
 
     def test_edge_ends_list_each_agent_in_ascending_edge_order(self):
         t = graphs.build_random_graph(12, 0.5, seed=4)

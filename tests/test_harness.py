@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from caden import cli, engine, graphs, harness, metrics
 from caden.config import KEYS, ExperimentConfig, check_config, serialize_config
-from caden.errors import CadenError, ConfigError, DivergenceError
+from caden.errors import CadenError, CheckpointError, ConfigError, DivergenceError
 from caden.harness import (
     CSV_COLUMNS,
     RunTrace,
@@ -270,6 +270,23 @@ class TestRunExperiment:
             run_experiment(_k2_config(init_state_file=str(path)), out_dir=str(tmp_path))
         if corrupt == "shape-mismatch":
             assert "(3, 1)" in str(info.value) and "(2, 1)" in str(info.value)
+
+    @pytest.mark.parametrize("changed, key", [
+        (dict(seed=8), "seed"),
+        (dict(loss_l2=0.5), "loss.l2"),
+        (dict(quadratic_targets="0, 3"), "quadratic.targets"),
+    ])
+    def test_checkpoint_of_another_problem_is_refused(self, tmp_path, changed, key):
+        # The checkpoint records the keys that fix the problem; a resume
+        # whose config differs in one of them is refused, naming it.
+        state_path = str(tmp_path / "state.bin")
+        run_experiment(_k2_config(rounds=3, output_save_state=state_path),
+                       out_dir=str(tmp_path / "a"))
+        resume = _k2_config(rounds=3, init_state_file=state_path, output_label="resumed")
+        named = rf"{re.escape(state_path)}.*\b{re.escape(key)} = "
+        with pytest.raises(CheckpointError, match=named):
+            run_experiment(resume.replace(**changed), out_dir=str(tmp_path / "b"))
+        assert not (tmp_path / "b").exists()
 
     def test_missing_checkpoint_names_its_key(self, tmp_path):
         missing = str(tmp_path / "nope.bin")
@@ -833,13 +850,13 @@ class TestOneEvaluationPath:
             topology = build_topology(cfg)
             losses, eval_set = build_losses(cfg, topology)
             init = initialize(cfg, losses, topology)
-            x, phi, grad = engine.init_states(losses, topology, init.x0)
+            x, phi, grad, value = engine.init_states(losses, topology, init.x0)
             for solver in ("lbfgs", "gd"):
                 config = engine.CadenConfig(
                     mu_z=2.0 * init.lipschitz + 1.0, mu_y=1.0, solver=solver,
                     lipschitz=init.lipschitz,
                 )
-                engine.run_round(x, phi, grad, losses, topology, config, 0)
+                engine.run_round(x, phi, grad, value, losses, topology, config, 0)
             assert 0.0 <= metrics.test_accuracy(x, losses, *eval_set) <= 1.0
         cfg = ExperimentConfig(
             seed=3, topology_kind="complete", topology_m=4, loss_kind="quadratic",
@@ -847,10 +864,11 @@ class TestOneEvaluationPath:
         )
         topology = build_topology(cfg)
         losses, _ = build_losses(cfg, topology)
-        x, phi, grad = engine.init_states(losses, topology, initialize(cfg, losses, topology).x0)
+        x0 = initialize(cfg, losses, topology).x0
+        x, phi, grad, value = engine.init_states(losses, topology, x0)
         for solver in ("lbfgs", "gd", "exact"):
             config = engine.CadenConfig(mu_z=3.0, mu_y=1.0, solver=solver)
-            engine.run_round(x, phi, grad, losses, topology, config, 0)
+            engine.run_round(x, phi, grad, value, losses, topology, config, 0)
 
 
 class TestParticipationSweep:

@@ -197,9 +197,7 @@ def _random_history(rng, k, d):
 class TestTwoLoop:
     def test_empty_history_scales_gradient(self):
         grad = np.array([2.0, -4.0])
-        out = two_loop_direction(
-            np.zeros((1, 0, 2)), np.zeros((1, 0, 2)), np.zeros((1, 0)), np.array([0.5]), grad[None]
-        )
+        out = two_loop_direction([], [], [], np.array([0.5]), grad[None])
         assert np.array_equal(out[0], 0.5 * grad)
 
     def test_input_gradient_not_mutated(self):
@@ -207,7 +205,7 @@ class TestTwoLoop:
         s, y, rho = _random_history(rng, 4, 8)
         grad = rng.standard_normal((1, 8))
         snapshot = grad.copy()
-        two_loop_direction(s[None], y[None], rho[None], np.ones(1), grad)
+        two_loop_direction(s[:, None], y[:, None], rho[:, None], np.ones(1), grad)
         assert np.array_equal(grad, snapshot)
 
     @settings(max_examples=100, deadline=None)
@@ -221,6 +219,7 @@ class TestTwoLoop:
     def test_stacked_rows_equal_lone_recursions(self, k, memory, d, equal_counts, seed):
         # Row n holds its counts[n] pairs newest first, zeros after its
         # oldest; its recursion must be the lone one over its own pairs.
+        # The slots are passed as (M, k, d) views of the row-major history.
         rng = np.random.default_rng(seed)
         s = np.zeros((k, memory, d))
         y = np.zeros_like(s)
@@ -234,7 +233,7 @@ class TestTwoLoop:
             s[n, :c], y[n, :c], rho[n, :c] = (a[::-1] for a in own[n])
         gamma = rng.uniform(0.1, 2.0, k)
         grad = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal((k, d))
-        out = two_loop_direction(s, y, rho, gamma, grad)
+        out = two_loop_direction(s.swapaxes(0, 1), y.swapaxes(0, 1), rho.T, gamma, grad)
         for n, (s_n, y_n, rho_n) in enumerate(own):
             assert np.array_equal(out[n], reference_two_loop(s_n, y_n, rho_n, gamma[n], grad[n]))
 
@@ -263,7 +262,7 @@ class TestTwoLoop:
             if s_hist:
                 gamma = float(s_arr[0] @ y_arr[0]) / float(y_arr[0] @ y_arr[0])
             direction = -two_loop_direction(
-                s_arr[None], y_arr[None], rho[None], np.array([gamma]), grad[None]
+                s_arr[:, None], y_arr[:, None], rho[:, None], np.array([gamma]), grad[None]
             )[0]
             denom = float(direction @ (q @ direction))
             step = -float(grad @ direction) / denom  # exact line search
@@ -632,40 +631,70 @@ class TestLockstep:
             assert np.array_equal(got.loss_grad_out[n], problem.loss.gradient(x))
 
 
+def _mlp_ring_batch():
+    """The mlp_ring shapes: 10 agents on a ring, 40 samples of 16 features
+    each, 25 hidden units, 3 classes (d = 503), at points, duals and mu_z
+    where every row accepts step 1 in every iteration: the stack, the rows'
+    problems, their batch and the start points."""
+    features, labels = gaussian_blobs(400, 16, 3, seed=2, spread=2.0)
+    built = [MlpLoss(features[40 * i : 40 * i + 40], labels[40 * i : 40 * i + 40],
+                     hidden=25, classes=3, l2=1e-4) for i in range(10)]
+    stack = LossStack(built)
+    rng = np.random.default_rng(2)
+    x0 = 0.1 * np.array([loss.init_params(2) for loss in built])
+    problems = [
+        Row(loss, 0.01 * rng.standard_normal(loss.dim),
+            0.5 * (x0[i] + x0[[(i - 1) % 10, (i + 1) % 10]]), 0.5)
+        for i, loss in enumerate(built)
+    ]
+    return stack, problems, batch_of(problems, stack, range(10)), x0
+
+
 class TestLeanPath:
     def test_first_trials_all_accepted_cost_one_fused_call_per_iteration(self):
-        # The mlp_ring shapes: 10 agents on a ring, 40 samples of 16
-        # features each, 25 hidden units, 3 classes (d = 503).  At these
-        # points, duals and mu_z every row accepts step 1 in every iteration,
-        # so with the start's loss gradients given the solve is one whole
-        # value call, then one whole fused value-and-gradient call per
-        # iteration, all through the batch's plan, and no row subset is
-        # resolved.
-        features, labels = gaussian_blobs(400, 16, 3, seed=2, spread=2.0)
-        built = [MlpLoss(features[40 * i : 40 * i + 40], labels[40 * i : 40 * i + 40],
-                         hidden=25, classes=3, l2=1e-4) for i in range(10)]
-        stack = LossStack(built)
-        rng = np.random.default_rng(2)
-        x0 = 0.1 * np.array([loss.init_params(2) for loss in built])
-        problems = [
-            Row(loss, 0.01 * rng.standard_normal(loss.dim),
-                0.5 * (x0[i] + x0[[(i - 1) % 10, (i + 1) % 10]]), 0.5)
-            for i, loss in enumerate(built)
-        ]
-        batch = batch_of(problems, stack, range(10))
-        loss_grad = stack.gradients(x0, np.arange(10))
+        # With the start's loss values and gradients given, as the engine
+        # gives its carried rows, the solve is one whole fused
+        # value-and-gradient call per iteration, all through the batch's
+        # plan, and no row subset is resolved.
+        stack, problems, batch, x0 = _mlp_ring_batch()
+        start = stack.values_and_gradients(x0, np.arange(10))
         tau = 5
         calls = StackCalls(stack)
-        got = solve_lbfgs(batch, x0, tau, loss_grad=loss_grad)
+        got = solve_lbfgs(batch, x0, tau, start=start)
         assert got.iterations.tolist() == [tau] * 10
         assert not got.backtracks.any() and not got.line_search_failures.any()
-        for n, (problem, start) in enumerate(zip(problems, x0)):
-            want = reference_solve_lbfgs(problem, start, tau)
-            assert np.array_equal(got.x_out[n], want.x_out[0])
-            for name in ("grad_norms", "values"):
-                assert np.array_equal(getattr(got, name)[n], getattr(want, name)[0]), name
-            assert np.array_equal(got.loss_grad_out[n], want.loss_grad_out[0])
         assert calls.calls == calls.planned == {
-            "values": 1, "gradients": 0, "values_and_gradients": tau}
-        assert calls.rows == {"values": 10, "gradients": 0, "values_and_gradients": 10 * tau}
+            "values": 0, "gradients": 0, "values_and_gradients": tau}
+        assert calls.rows == {"values": 0, "gradients": 0, "values_and_gradients": 10 * tau}
         assert calls.plans == 0
+        for n, (problem, x_start) in enumerate(zip(problems, x0)):
+            want = reference_solve_lbfgs(problem, x_start, tau)
+            assert np.array_equal(got.x_out[n], want.x_out[0])
+            for name in ("grad_norms", "values", "loss_grad_out", "loss_value_out"):
+                assert np.array_equal(getattr(got, name)[n], getattr(want, name)[0]), name
+
+
+class TestReportedLossTerms:
+    # Every solver reports the loss values and gradients at the models it
+    # returns, bit for bit, whether it evaluated the start itself or was
+    # given it: the stop-mid-solve rows include an identity quadratic whose
+    # first step lands exactly on its minimizer, so gradient descent stops
+    # it after one of its five steps.
+    @pytest.mark.parametrize("solver", ["lbfgs", "gd", "exact"])
+    @pytest.mark.parametrize("given_start", [False, True])
+    def test_equal_the_losses_at_x_out(self, solver, given_start):
+        stack, active, problems, x_start, tau, memory = _stop_mid_solve_case()
+        if solver == "exact":
+            # The closed form needs quadratics without a negated gradient.
+            active, problems, x_start = active[:2], problems[:2], x_start[:2]
+        batch = batch_of(problems, stack, active)
+        start = stack.values_and_gradients(x_start, active) if given_start else None
+        if solver == "lbfgs":
+            got = solve_lbfgs(batch, x_start, tau, memory, start)
+        elif solver == "gd":
+            got = solve_gd(batch, x_start, tau, start=start)
+            assert got.iterations.tolist() == [1, tau, tau]
+        else:
+            got = solve_exact(batch)
+        assert np.array_equal(got.loss_value_out, stack.values(got.x_out, active))
+        assert np.array_equal(got.loss_grad_out, stack.gradients(got.x_out, active))

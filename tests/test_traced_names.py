@@ -57,8 +57,8 @@ def test_no_engine_path_calls_the_traced_solver_names(tracer):
     with tracer.patched([(engine, "solve_lbfgs", counting), (engine, "solve_gd", counting)]):
         for solver in ("lbfgs", "gd"):
             config = CadenConfig(mu_z=3.0, mu_y=1.0, solver=solver)
-            x, phi, grad = engine.init_states(losses, topology, x0)
-            engine.run_round(x, phi, grad, losses, topology, config, 0)
+            x, phi, grad, value = engine.init_states(losses, topology, x0)
+            engine.run_round(x, phi, grad, value, losses, topology, config, 0)
             edge_form.edge_x_step(edge_form.init_edge_state(topology, x0), losses, topology,
                                   config, 0)
         for algorithm in ("caden", "caden-gd"):

@@ -1,7 +1,9 @@
 """Exact work counts of short runs: how many stacked loss calls an
-mlp_ring run makes, of how many rows, and how many Armijo trials its local
-solves reject, and how many one-agent loss calls (``value``, ``gradient``,
-``predict``) a CADEN and a gradient-tracking run make.  The counts are
+mlp_ring run makes, of how many rows, how many Armijo trials its local
+solves reject, how many two-loop recursions they run and how many stacked
+predictions its accuracy column takes, and how many one-agent loss calls
+(``value``, ``gradient``, ``predict``) a CADEN and a gradient-tracking run
+make.  The counts are
 deterministic for a (config, seed) pair, so a change that adds or removes
 loss work shows here as a changed number."""
 
@@ -44,11 +46,19 @@ MLP_RING = dict(
 
 def test_mlp_ring_work_counts(monkeypatch):
     counted = []
+    predictions = Counter()
     build_losses = harness.build_losses
 
     def counting_build_losses(cfg, topology):
         losses, eval_set = build_losses(cfg, topology)
         counted.append(StackCalls(losses))
+        predict = losses.predictions
+
+        def counting_predictions(x, features):
+            predictions[len(x)] += 1
+            return predict(x, features)
+
+        losses.predictions = counting_predictions
         return losses, eval_set
 
     reports = []
@@ -58,22 +68,35 @@ def test_mlp_ring_work_counts(monkeypatch):
         reports.append(solve_lbfgs(*args, **kwargs))
         return reports[-1]
 
+    two_loops = []
+    two_loop_direction = solvers.two_loop_direction
+
+    def counting_two_loop_direction(s, y, rho, gamma, grad):
+        two_loops.append(len(grad))
+        return two_loop_direction(s, y, rho, gamma, grad)
+
     monkeypatch.setattr(harness, "build_losses", counting_build_losses)
     monkeypatch.setattr(solvers, "solve_lbfgs", recording_solve_lbfgs)
+    monkeypatch.setattr(solvers, "two_loop_direction", counting_two_loop_direction)
     harness.run_experiment(ExperimentConfig(**MLP_RING, seed=1), write_outputs=False)
     (calls,) = counted
-    # The smoothness probe's 31 gradient calls and the start's one, then per
-    # round one value call at the solve's start and one fused call per
-    # backtracking level: every row at its first trial, then the rows whose
-    # trial was rejected.
-    assert calls.calls == {"values": 20, "gradients": 32, "values_and_gradients": 133}
-    assert calls.rows == {"values": 200, "gradients": 320, "values_and_gradients": 1048}
-    assert calls.sizes["values"] == {10: 20}
-    assert calls.sizes["gradients"] == {10: 32}
-    assert calls.sizes["values_and_gradients"] == {10: 100, 3: 2, 2: 11, 1: 20}
+    # The smoothness probe's 31 gradient calls, the start's one fused call,
+    # then per round one fused call per backtracking level: every row at its
+    # first trial, then the rows whose trial was rejected.  The solves start
+    # from the engine's carried loss values and gradients, so no round makes
+    # a value call.
+    assert calls.calls == {"values": 0, "gradients": 31, "values_and_gradients": 134}
+    assert calls.rows == {"values": 0, "gradients": 310, "values_and_gradients": 1058}
+    assert calls.sizes["values"] == {}
+    assert calls.sizes["gradients"] == {10: 31}
+    assert calls.sizes["values_and_gradients"] == {10: 101, 3: 2, 2: 11, 1: 20}
     assert len(reports) == 20
     assert sum(int(r.backtracks.sum()) for r in reports) == 48
     assert sum(int(r.line_search_failures.sum()) for r in reports) == 0
+    # One lockstep two-loop call of all 10 rows per iteration, tau = 5 per
+    # round, and one stacked prediction of every agent per logged row.
+    assert Counter(two_loops) == {10: 100}
+    assert predictions == {10: 21}
 
 
 # The benchmark's gt_logistic workload, shortened, at a fixed step.

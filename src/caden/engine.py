@@ -19,8 +19,12 @@ writes those rows.  So an L-BFGS solve makes no loss call at its start,
 and a round's only loss calls are its trials.  Inactive rows stay valid
 because their models did not move.  The residual V_t
 (``metrics.lyapunov_v``) and the relative errors
-(``metrics.relative_error``, ``relative_error_graph``) read ``grad``, so a
-logged row evaluates no loss gradient.  A checkpoint (``save_checkpoint``)
+(``metrics.relative_error``, ``relative_error_graph``) read ``grad``, summed
+once per logged row (``metrics.carried_row``), so a logged row evaluates
+no loss gradient.  Beside the state a run carries one
+``solvers.LbfgsPool``, the buffers of the L-BFGS curvature pairs, which
+``run_round`` passes to every round's solve: the buffers live for the run,
+the pairs in them for one solve.  A checkpoint (``save_checkpoint``)
 holds the models, the duals and the round behind a magic number, a format
 version and a digest of the record of the problem it was written for; a
 resumed run refills ``grad`` and ``value`` from the models.
@@ -55,7 +59,7 @@ from .config import KEYS, check_value
 from .errors import CheckpointError
 from .graphs import Topology, edge_midpoints, incident_sums
 from .losses import LossStack
-from .solvers import DEFAULT_MEMORY, SolverReport, SubproblemBatch
+from .solvers import DEFAULT_MEMORY, LbfgsPool, SolverReport, SubproblemBatch
 
 # Kept as names for perfbench/tracer.py, which wraps caden.engine.solve_lbfgs/solve_gd
 # and reads each result as one agent's report.  A solve reports (k, ...) arrays,
@@ -183,12 +187,14 @@ def solve_subproblems(
     topology: Topology,
     config: CadenConfig,
     tau: int,
+    pool: LbfgsPool | None = None,
 ) -> SolverReport:
     """tau iterations of ``config.solver`` on the ``subproblems`` of
     ``agents``, warm-started at their rows of ``x``; one report whose row n
     is agent ``agents[n]``'s.  ``carried`` holds the (m,) loss values and
     (m, d) loss gradients at ``x``, or is None to have the solver evaluate
-    them.
+    them.  ``pool`` holds the run's L-BFGS pair buffers; without it the
+    solve makes its own.
 
     L-BFGS and gradient descent run the agents in lockstep, the exact solve
     one by one; both lockstep solvers take ``config.lipschitz``, L-BFGS to
@@ -200,7 +206,7 @@ def solve_subproblems(
     start = None if carried is None else tuple(terms[agents] for terms in carried)
     if config.solver == "lbfgs":
         return solvers.solve_lbfgs(
-            batch, x_start, tau, config.lbfgs_memory, start, config.lipschitz
+            batch, x_start, tau, config.lbfgs_memory, start, config.lipschitz, pool
         )
     if config.solver == "gd":
         return solvers.solve_gd(batch, x_start, tau, config.gd_step, config.lipschitz, start)
@@ -254,15 +260,19 @@ def run_round(
     topology: Topology,
     config: CadenConfig,
     round_index: int,
+    pool: LbfgsPool | None = None,
 ) -> RoundSummary:
     """One synchronous round on the (m, d) models ``x``, duals ``phi`` and
     loss gradients ``grad`` and the (m,) loss values ``value``, all updated
-    in place: participation, primal solves, broadcast, dual."""
+    in place: participation, primal solves, broadcast, dual.  ``pool`` is
+    the run's ``solvers.LbfgsPool``, or None for a fresh one."""
     flags = sample_participation(config, round_index, topology.m)
     active = np.flatnonzero(flags)
     z = edge_midpoints(topology, x)
     tau = config.tau_at(round_index)
-    report = solve_subproblems(active, x, (value, grad), phi, z, losses, topology, config, tau)
+    report = solve_subproblems(
+        active, x, (value, grad), phi, z, losses, topology, config, tau, pool
+    )
     broadcasts = broadcast(x, active, report.x_out)
     grad[active] = report.loss_grad_out
     value[active] = report.loss_value_out

@@ -35,7 +35,7 @@ from .datasets import (
 from .engine import CadenConfig
 from .errors import ConfigError, DivergenceError
 from .losses import LogisticLoss, LossStack, MlpLoss, QuadraticLoss, estimate_lipschitz
-from .solvers import estimate_contraction
+from .solvers import LbfgsPool, estimate_contraction
 
 _TARGET_STREAM = 501
 _CURVATURE_STREAM = 502
@@ -500,8 +500,9 @@ def _record(rounds, cfg, losses, topology, start, trace, clock, acc_fn, duals):
     or whose logged metrics are not, or whose V_t (rel_err without duals)
     exceeds ``DIVERGENCE_GROWTH`` times max(the first row's, 1), once its
     row is logged.  ``duals`` says whether the second array holds duals,
-    which define V_t and phi_drift; with duals the relative errors read the
-    yielded loss gradients too, and evaluate no loss."""
+    which define V_t and phi_drift; with duals V_t and the relative errors
+    come from ``metrics.carried_row``, which reads the yielded loss
+    gradients, sums them once and evaluates no loss."""
     last = start + cfg.rounds
     comms = 0
     size = "V_t" if duals else "rel_err"
@@ -510,13 +511,18 @@ def _record(rounds, cfg, losses, topology, start, trace, clock, acc_fn, duals):
         finite = np.isfinite(x).all() and np.isfinite(y).all()
         if finite and (t - start) % cfg.metrics_cadence != 0 and t != last:
             continue
-        # gt's relative errors evaluate every agent again; baselines.py says why.
-        carried = grad if duals else None
+        if duals:
+            v_t, rel_err, rel_err_graph = metrics.carried_row(x, y, grad, losses, topology)
+        else:
+            # gt's relative errors evaluate every agent again; baselines.py says why.
+            v_t = None
+            rel_err = metrics.relative_error(x, losses)
+            rel_err_graph = metrics.relative_error_graph(x, losses, topology)
         row = TraceRow(
             round=t,
-            V_t=metrics.lyapunov_v(x, y, grad, topology) if duals else None,
-            rel_err=metrics.relative_error(x, losses, carried),
-            rel_err_graph=metrics.relative_error_graph(x, losses, topology, carried),
+            V_t=v_t,
+            rel_err=rel_err,
+            rel_err_graph=rel_err_graph,
             acc=acc_fn(x),
             comms=comms,
             time_s=clock(),
@@ -537,14 +543,16 @@ def _record(rounds, cfg, losses, topology, start, trace, clock, acc_fn, duals):
 
 
 def _caden_rounds(cfg, run_cfg, losses, topology, init):
-    """The starting state, then the state after each CADEN round."""
+    """The starting state, then the state after each CADEN round.  One
+    L-BFGS pair pool serves every round's solve."""
     x, phi, grad, value = engine.init_states(losses, topology, init.x0)
     if init.phi0 is not None:
         phi[:] = init.phi0
+    pool = LbfgsPool(topology.m, losses.dim)
     start = init.start_round
     yield start, x, phi, grad, 0, 0
     for t in range(start, start + cfg.rounds):
-        result = engine.run_round(x, phi, grad, value, losses, topology, run_cfg, t)
+        result = engine.run_round(x, phi, grad, value, losses, topology, run_cfg, t, pool)
         yield t + 1, x, phi, grad, result.broadcasts, int(result.active.sum())
 
 

@@ -15,7 +15,9 @@ the run's ``LossStack``, one agent being the case k = 1.  ``solve_lbfgs``
 and ``solve_gd`` advance a batch in lockstep: one body runs every agent's
 iterations side by side as stacked arrays.  Each stage is one call for the
 agents it concerns: the two-loop recursion over the memory of curvature
-pairs, M (k, d) slots newest first, each row zero-padded; one fused
+pairs, M (k, d) slots newest first, each row zero-padded, held in an
+``LbfgsPool`` of buffers that lives for the run while each solve's pairs
+are its own; one fused
 value-and-gradient call at each backtracking level, whose accepted trials
 need no further evaluation (and one at the start, unless the caller gives
 the start's loss terms); and the dual and penalty terms, slopes, norms and
@@ -167,8 +169,14 @@ class SubproblemBatch:
         return loss_values + dual + 0.5 * self.mu_z[which] * penalty
 
     def _gradients(self, x: np.ndarray, which, loss_gradients: np.ndarray) -> np.ndarray:
-        pull = self.degree[which, None] * x - self.anchor_sum[which]
-        return loss_gradients + self.phi[which] + self.mu_z[which, None] * pull
+        # loss_gradients + phi + mu_z * (degree x - anchor_sum), in the same
+        # order of operations, into two arrays.
+        pull = self.degree[which, None] * x
+        pull -= self.anchor_sum[which]
+        pull *= self.mu_z[which, None]
+        out = loss_gradients + self.phi[which]
+        out += pull
+        return out
 
 
 @dataclass(frozen=True)
@@ -264,29 +272,77 @@ def _start(batch: SubproblemBatch, x: np.ndarray, start):
     return batch.values(x, ALL, lv), batch.gradients(x, ALL, lg), lv, lg
 
 
-def _store_pairs(mem, memory: int, took, s_new, y_new, gamma: np.ndarray) -> None:
-    """Store the curvature pairs (s_new, y_new) of the rows ``took`` in the
-    L-BFGS slots ``mem`` = (s, y, rho), newest first and at most ``memory``
-    deep, and set those rows' ``gamma``; a pair with
-    s.y <= CURVATURE_SKIP_TOL ||s|| ||y|| is dropped."""
+class LbfgsPool:
+    """Run-lived buffers for the L-BFGS memory's curvature pairs.
+
+    Buffer pair j is an s and a y array of ``rows`` rows of ``dim``
+    entries, made on first use; ``pair(j, k)`` gives their contiguous
+    ``[:k]`` views.  A solve's slots are its first buffer pairs, one more
+    for each slot it adds, and it adds none once it holds M, so a pool
+    that serves every solve of a run holds at most min(M, tau - 1) pairs:
+    the last iteration stores none.  Only the storage lives on: a solve
+    writes every slot before its recursion reads it, and zeroes a slot
+    that pads rows without a pair, so no pair of an earlier solve reaches
+    a later one.
+    """
+
+    def __init__(self, rows: int, dim: int):
+        self.rows, self.dim = rows, dim
+        self.s: list[np.ndarray] = []
+        self.y: list[np.ndarray] = []
+
+    def pair(self, j: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ``[:k]`` views of buffer pair j, made when j is the next."""
+        if j == len(self.s):
+            self.s.append(np.empty((self.rows, self.dim)))
+            self.y.append(np.empty((self.rows, self.dim)))
+        return self.s[j][:k], self.y[j][:k]
+
+
+def _store_pairs(mem, pool: LbfgsPool, memory: int, took, x_pair, g_pair, gamma) -> None:
+    """Store the curvature pairs s = x_new - x, y = g_new - g of the rows
+    ``took``, given as ``x_pair`` = (x_new, x) and ``g_pair`` = (g_new, g),
+    in the L-BFGS slots ``mem`` = (s, y, rho), newest first and at most
+    ``memory`` deep, and set those rows' ``gamma``; a pair with
+    s.y <= CURVATURE_SKIP_TOL ||s|| ||y|| is dropped.  Every slot is a
+    view of ``pool``."""
+    s_mem, y_mem, rho_mem = mem
+    held = len(s_mem)
+    # Below M slots the pair is written into the pool's next buffers.  At M
+    # it goes to temporaries first: a row that drops its pair keeps its
+    # oldest, whose buffers a stored pair reuses.
+    out = pool.pair(held, len(x_pair[0])) if held < memory else (None, None)
+    s_new = np.subtract(*x_pair, out=out[0])
+    y_new = np.subtract(*g_pair, out=out[1])
     sy, yy = rowdot(s_new, y_new), rowdot(y_new, y_new)
     keep = sy > CURVATURE_SKIP_TOL * rownorm(s_new) * np.sqrt(yy)
     if not keep.any():
         return
     kept = _where(keep)
     stored = _pick(took, kept)
-    new = (s_new[kept], y_new[kept], 1.0 / sy[kept])
+    rho = 1.0 / sy[kept]
     if stored is ALL:
-        # Every row stores: the new arrays become slot 0, nothing moves.
-        for slots, pair in zip(mem, new):
-            slots.insert(0, pair)
-            del slots[memory:]
+        # Every row stores: the new pair becomes slot 0, in place below M
+        # slots; at M the oldest slot is dropped and its buffers take it.
+        if held == memory:
+            s_slot, y_slot = s_mem.pop(), y_mem.pop()
+            del rho_mem[-1]
+            s_slot[...], y_slot[...] = s_new, y_new
+            s_new, y_new = s_slot, y_slot
+        for slots, new in zip(mem, (s_new, y_new, rho)):
+            slots.insert(0, new)
     else:
-        # Each storing row's pairs move back a slot; a new last slot starts
-        # at zero for the other rows.
+        # Each storing row's pairs move back a slot.  Below M slots a new
+        # last slot, the pool's next buffers zeroed, pads the other rows;
+        # the new pair is copied out of those buffers first.
+        new = (s_new[kept].copy(), y_new[kept].copy(), rho)
+        if held < memory:
+            s_pad, y_pad = pool.pair(held, len(gamma))
+            s_pad.fill(0.0)
+            y_pad.fill(0.0)
+            for slots, pad in zip(mem, (s_pad, y_pad, np.zeros(len(gamma)))):
+                slots.append(pad)
         for slots, pair in zip(mem, new):
-            if len(slots) < memory:
-                slots.append(np.zeros((len(gamma), *pair.shape[1:])))
             for j in range(len(slots) - 1, 0, -1):
                 slots[j][stored] = slots[j - 1][stored]
             slots[0][stored] = pair
@@ -300,6 +356,7 @@ def solve_lbfgs(
     memory: int = DEFAULT_MEMORY,
     start: tuple[np.ndarray, np.ndarray] | None = None,
     lipschitz: float | None = None,
+    pool: LbfgsPool | None = None,
 ) -> SolverReport:
     """tau iterations of L-BFGS on every subproblem of ``batch`` in
     lockstep, warm-started at the rows of ``x_start``; one report for all
@@ -317,17 +374,25 @@ def solve_lbfgs(
     line search takes a zero step for that iteration rather than forcing a
     move.  Curvature pairs with s.y <= 1e-10 ||s|| ||y|| are dropped, which
     keeps the implicit inverse-Hessian approximation positive definite.  The
-    memory is fresh per call: each round's subproblem is a different
-    function, so no stale pairs carry over.  An agent stops once its
-    gradient is exactly 0.
+    memory's contents are fresh per call: each round's subproblem is a
+    different function, so no stale pairs carry over.  Its buffers come from
+    ``pool``, an ``LbfgsPool`` of at least k rows that the caller keeps for
+    the run (``harness`` makes one per run and passes it through
+    ``engine.run_round``), or a fresh pool for this call when None.  An
+    agent stops once its gradient is exactly 0.
 
     The memory is a list of (k, d) slots holding each row's pairs newest
     first, zeros after its oldest, as many slots as the most any row has
-    filled, at most M.  When every row stores a pair, the arrays of the new
-    pair become slot 0 and the oldest slot is dropped once M are held, so
-    nothing is copied; otherwise the storing rows move their pairs back a
-    slot and write the new pair at slot 0.  The last iteration stores no
-    pair, since no recursion would read it.
+    filled, at most M; each slot is the ``[:k]`` view of a pool buffer.
+    When every row stores a pair, the pair is written
+    (``np.subtract(..., out=)``) into the pool's next buffers and becomes
+    slot 0; once M slots are held it is copied into the oldest slot's
+    buffers instead, which become slot 0.  Otherwise the storing rows move
+    their pairs back a slot and write the new pair at slot 0, and a new
+    last slot, the pool's next buffers zeroed, pads the other rows.  So a
+    run's pool holds at most min(M, tau - 1) pairs, and a round allocates
+    none.  The last iteration stores no pair, since no recursion would read
+    it.
 
     Every agent still iterating shares each stage: one two-loop call over
     the memory and one fused stacked call
@@ -360,7 +425,11 @@ def solve_lbfgs(
     norms, vals = np.full((2, k, tau + 1), np.nan)
     norms[:, 0] = gnorm
     vals[:, 0] = f
-    s_mem, y_mem, rho_mem = [], [], []  # (k, d), (k, d) and (k,) slots
+    if pool is None:
+        pool = LbfgsPool(k, x.shape[1])
+    elif pool.rows < k or pool.dim != x.shape[1]:
+        raise ValueError(f"a pool of ({pool.rows}, {pool.dim}) buffers cannot hold {x.shape} pairs")
+    s_mem, y_mem, rho_mem = [], [], []  # (k, d) views of the pool, (k,) arrays
     gamma = np.ones(k) if lipschitz is None else default_gd_step(batch, lipschitz)
     failures, performed, backtracks = np.zeros((3, k), dtype=int)
 
@@ -419,8 +488,9 @@ def solve_lbfgs(
             took = _where(live)
         if took is ALL or took.size:
             x_new, g_new, lg_new = x_trial[took], g_trial[took], lg_trial[took]
-            s_new = x_new - x[took]
-            y_new = g_new - g[took]
+            if it < tau:
+                _store_pairs((s_mem, y_mem, rho_mem), pool, memory, took,
+                             (x_new, x[took]), (g_new, g[took]), gamma)
             if took is ALL:
                 # Every row accepted: the new arrays become the state.
                 # Writing them through ``x[took] = ...`` instead measured
@@ -432,8 +502,6 @@ def solve_lbfgs(
                 g[took] = g_new
                 lv[took] = lv_trial[took]
                 lg[took] = lg_new
-            if it < tau:
-                _store_pairs((s_mem, y_mem, rho_mem), memory, took, s_new, y_new, gamma)
             gnorm[took] = rownorm(g_new)
         norms[moving, it] = gnorm[moving]
         vals[moving, it] = f[moving]

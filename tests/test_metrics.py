@@ -135,9 +135,22 @@ class TestCarriedGradients:
     ])
     def test_equal_to_per_agent_recomputation(self, family, solver):
         x, grad, losses, topology = _engine_run(family, solver)
-        assert metrics.relative_error(x, losses, grad) == metrics.relative_error(x, losses)
-        assert (metrics.relative_error_graph(x, losses, topology, grad)
+        grad_sum = metrics.gradient_sum(x, losses, grad)
+        assert metrics.relative_error(x, losses, grad_sum) == metrics.relative_error(x, losses)
+        assert (metrics.relative_error_graph(x, losses, topology, grad_sum)
                 == metrics.relative_error_graph(x, losses, topology))
+
+    @pytest.mark.parametrize("family", ["quadratic", "logistic", "mlp"])
+    def test_carried_row_equals_the_three_metrics(self, family):
+        # A logged CADEN row sums the carried rows and the edge gaps once for
+        # V_t and both relative errors; each equals its metric's own call.
+        x, grad, losses, topology = _engine_run(family, "lbfgs")
+        phi = np.random.default_rng(6).standard_normal(x.shape)
+        assert metrics.carried_row(x, phi, grad, losses, topology) == (
+            metrics.lyapunov_v(x, phi, grad, topology),
+            metrics.relative_error(x, losses),
+            metrics.relative_error_graph(x, losses, topology),
+        )
 
     def test_final_rel_err_matches_the_checkpoint(self, tmp_path):
         state = str(tmp_path / "state.bin")

@@ -631,6 +631,89 @@ class TestLockstep:
             assert np.array_equal(got.loss_grad_out[n], problem.loss.gradient(x))
 
 
+def _every_row_stores_case():
+    """A fixed ``_lockstep_batches`` case where every row stores a pair in
+    every iteration but the last, with tau 7 > memory 2, so each pair from
+    the third on is written into the oldest slot's buffers."""
+    rng = np.random.default_rng(26)
+    d = 7
+    losses = [QuadraticLoss(q=random_psd(d, 30.0, rng), a=rng.standard_normal(d))
+              for _ in range(3)]
+    problems = [Row(loss, rng.standard_normal(d), rng.standard_normal((2, d)), 1.5)
+                for loss in losses]
+    return LossStack(losses), [0, 1, 2], problems, rng.standard_normal((3, d)), 7, 2
+
+
+def _stale_padding_case():
+    """A fixed ``_lockstep_batches`` case in which a padding slot's row
+    would read a stale buffer row: an agent at its minimizer from the
+    start, a quadratic that stores pairs, and last a linear row that skips
+    every pair and keeps moving.  The two moving rows' pairs fill rows 0
+    and 1 of the pool's next buffers; only the quadratic's is stored, so
+    those buffers then pad the other two rows, and their row 2, the linear
+    row's, still holds what the buffer held before the solve."""
+    rng = np.random.default_rng(27)
+    d = 7
+    losses = [
+        QuadraticLoss(q=np.ones(d), a=np.zeros(d)),
+        QuadraticLoss(q=random_psd(d, 30.0, rng), a=rng.standard_normal(d)),
+        QuadraticLoss(q=np.zeros(d), a=np.zeros(d)),
+    ]
+    problems = [
+        Row(losses[0], np.zeros(d), np.zeros((0, d)), 0.0),
+        Row(losses[1], rng.standard_normal(d), rng.standard_normal((2, d)), 1.5),
+        Row(losses[2], rng.standard_normal(d), np.zeros((0, d)), 0.0),
+    ]
+    x_start = np.vstack([np.zeros(d), rng.standard_normal((2, d))])
+    return LossStack(losses), [0, 1, 2], problems, x_start, 5, 10
+
+
+class TestPoolReuse:
+    # A pool carries buffers, not pairs, from one solve to the next: two
+    # solves in a row through one pool whose buffers start as NaN equal
+    # solves with fresh pools bit for bit.  The fixed examples cover a
+    # padding slot made from a reused buffer (stale-padding, whose linear
+    # row reads NaN unless the slot is zeroed; drop-oldest and
+    # stop-mid-solve), slots reused once M are held (drop-oldest and
+    # every-row-stores), and rows at an exact zero gradient (stale-padding
+    # from the start, stop-mid-solve after one step).
+    @settings(max_examples=100, deadline=None)
+    @given(_lockstep_batches())
+    @example(_stale_padding_case())
+    @example(_drop_oldest_case())
+    @example(_stop_mid_solve_case())
+    @example(_every_row_stores_case())
+    def test_reused_pool_solves_equal_fresh_ones(self, case):
+        stack, active, problems, x_start, tau, memory = case
+        want = solve_lbfgs(batch_of(problems, stack, active), x_start, tau, memory)
+        # More rows than the batch: a solve uses each buffer's [:k] view.
+        pool = solvers.LbfgsPool(len(active) + 2, x_start.shape[1])
+        for j in range(max(tau - 1, 0)):
+            for buffer in pool.pair(j, pool.rows):
+                buffer.fill(np.nan)
+        for _ in range(2):
+            got = solve_lbfgs(batch_of(problems, stack, active), x_start, tau, memory,
+                              pool=pool)
+            for name in ("x_out", "loss_grad_out", "loss_value_out", "iterations",
+                         "grad_norms", "values", "line_search_failures", "backtracks"):
+                assert np.array_equal(getattr(got, name), getattr(want, name),
+                                      equal_nan=True), name
+        assert len(pool.s) == len(pool.y) == max(tau - 1, 0)
+
+    def test_pool_of_too_few_rows_is_refused(self):
+        stack, active, problems, x_start, tau, memory = _every_row_stores_case()
+        with pytest.raises(ValueError, match="pool"):
+            solve_lbfgs(batch_of(problems, stack, active), x_start, tau, memory,
+                        pool=solvers.LbfgsPool(2, x_start.shape[1]))
+
+    def test_fresh_pool_holds_at_most_min_of_memory_and_tau_minus_one(self):
+        stack, active, problems, x_start, tau, _ = _every_row_stores_case()
+        for memory in (1, 2, 6, 10):
+            pool = solvers.LbfgsPool(len(active), x_start.shape[1])
+            solve_lbfgs(batch_of(problems, stack, active), x_start, tau, memory, pool=pool)
+            assert len(pool.s) == len(pool.y) == min(memory, tau - 1)
+
+
 def _mlp_ring_batch():
     """The mlp_ring shapes: 10 agents on a ring, 40 samples of 16 features
     each, 25 hidden units, 3 classes (d = 503), at points, duals and mu_z

@@ -1,14 +1,17 @@
 """Exact work counts of short runs: how many stacked loss calls an
 mlp_ring run makes, of how many rows, how many Armijo trials its local
-solves reject, how many two-loop recursions they run and how many stacked
+solves reject, how many two-loop recursions they run, whether the one
+L-BFGS pair pool of the run holds every pair they read, how many stacked
 predictions its accuracy column takes, and how many one-agent loss calls
 (``value``, ``gradient``, ``predict``) a CADEN and a gradient-tracking run
 make.  The counts are
 deterministic for a (config, seed) pair, so a change that adds or removes
 loss work shows here as a changed number."""
 
+import inspect
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from caden import harness, solvers
@@ -61,18 +64,25 @@ def test_mlp_ring_work_counts(monkeypatch):
         losses.predictions = counting_predictions
         return losses, eval_set
 
-    reports = []
+    reports, pools = [], []
     solve_lbfgs = solvers.solve_lbfgs
 
     def recording_solve_lbfgs(*args, **kwargs):
+        pools.append(inspect.signature(solve_lbfgs).bind(*args, **kwargs).arguments["pool"])
         reports.append(solve_lbfgs(*args, **kwargs))
         return reports[-1]
 
     two_loops = []
+    slots_read = Counter()
     two_loop_direction = solvers.two_loop_direction
 
     def counting_two_loop_direction(s, y, rho, gamma, grad):
         two_loops.append(len(grad))
+        pool = pools[-1]
+        for slots, buffers in ((s, pool.s), (y, pool.y)):
+            for slot in slots:
+                inside = any(np.shares_memory(slot, buffer) for buffer in buffers)
+                slots_read["in pool" if inside else "outside"] += 1
         return two_loop_direction(s, y, rho, gamma, grad)
 
     monkeypatch.setattr(harness, "build_losses", counting_build_losses)
@@ -97,6 +107,13 @@ def test_mlp_ring_work_counts(monkeypatch):
     # round, and one stacked prediction of every agent per logged row.
     assert Counter(two_loops) == {10: 100}
     assert predictions == {10: 21}
+    # One L-BFGS pool serves the whole run, and every slot that a recursion
+    # reads lies in it: 0 + 1 + 2 + 3 + 4 pairs a round, s and y each, as
+    # every row stores a pair in each iteration but the last.  The pool
+    # holds at most tau - 1 = 4 pairs.
+    (pool,) = {id(p): p for p in pools}.values()
+    assert slots_read == {"in pool": 2 * 10 * 20}
+    assert len(pool.s) == len(pool.y) <= 4
 
 
 # The benchmark's gt_logistic workload, shortened, at a fixed step.

@@ -1,9 +1,7 @@
-"""Pytest bootstrap: prefer the installed package, fall back to src/."""
+"""Pytest bootstrap: import caden from this checkout's src/, never from an
+installed copy, as perfbench/run.py does."""
 
 import sys
 from pathlib import Path
 
-try:
-    import caden  # noqa: F401
-except ImportError:
-    sys.path.insert(0, str(Path(__file__).resolve().parent / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent / "src"))

@@ -18,8 +18,10 @@ data shapes, bit-identical to the one-agent methods.  It is built
 once per run; the engine, the solvers, the metrics and the smoothness probe
 take it as given, and the probe steps every agent through it in lockstep.
 Which kernel reads which shard rows is resolved into a ``RowPlan``: once
-with the stack for all agents, once per ``SubproblemBatch`` for its rows,
-and per call only for other subsets.
+with the stack for all agents, and once per ``SubproblemBatch`` for its
+rows, a row subset from ``SubproblemBatch.take`` being a batch of its own.
+Only a caller that passes agent rows instead of a plan resolves them per
+call.
 """
 
 from __future__ import annotations
@@ -433,9 +435,10 @@ class LossStack(Sequence):
 
     Each call first resolves its rows into a ``RowPlan``.  ``rows`` may be
     a plan from ``plan`` instead, so a caller that evaluates the same rows
-    again and again (a ``SubproblemBatch``) resolves them once.  The plan of
-    all m agents in order is resolved with the stack and reused by every
-    call for them; no other plan is kept.
+    again and again resolves them once: each ``SubproblemBatch``, a row
+    subset ``take`` makes included, passes the plan it resolved when it was
+    built.  The plan of all m agents in order is resolved with the stack and
+    reused by every call for them; no other plan is kept.
     """
 
     def __init__(self, losses: Sequence[LocalLoss]):

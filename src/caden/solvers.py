@@ -24,10 +24,11 @@ the start's loss terms); and the dual and penalty terms, slopes, norms and
 curvature tests as row-wise arrays (``rowdot``).  A row's penalty is held
 as its degree, anchor sum and anchor spread, not as its anchor matrix.
 Each agent's arithmetic is that of a lone solve, bit for bit.
-Every stage indexes the batch's own rows: a row subset is an index array
-of batch rows, or ``ALL`` when it is every row, and then the stage runs on
-whole arrays, views instead of index copies, and its loss calls go through
-the batch's ``RowPlan``, resolved once per batch.
+Every stage marks the batch rows it concerns with a (k,) boolean mask.  A
+stage with every row in play runs on whole arrays, views instead of index
+copies, and evaluates the batch itself; any other stage evaluates
+``batch.take`` of its rows, a batch of its own.  Either way the loss calls
+go through a batch's ``RowPlan``, resolved once per batch.
 
 Each solve returns one ``SolverReport`` of row-stacked arrays: the (k, d)
 models and loss gradients it ends at, (k,) counts and (k, tau + 1)
@@ -58,24 +59,6 @@ CURVATURE_SKIP_TOL = 1e-10
 DEFAULT_MEMORY = 10
 
 
-# Every row of a batch, as a ``which`` argument or a subset of rows: whole
-# arrays and views instead of index copies.  Recognised by identity.
-ALL = slice(None)
-
-
-def _where(keep: np.ndarray):
-    """The positions where the (n,) mask ``keep`` holds, or ALL when it
-    holds at all of them."""
-    return ALL if np.count_nonzero(keep) == len(keep) else keep.nonzero()[0]
-
-
-def _pick(rows, sub):
-    """``rows[sub]`` for index arrays or ALL on either side."""
-    if sub is ALL:
-        return rows
-    return sub if rows is ALL else rows[sub]
-
-
 class SubproblemBatch:
     """Several agents' subproblems, evaluated together.
 
@@ -91,15 +74,14 @@ class SubproblemBatch:
     sum_k ||x - a_k||^2 = degree ||x - mean||^2 + spread.  The penalty
     gradient is degree x - anchor_sum.
 
-    ``values(x, which)`` and ``gradients(x, which)`` evaluate row
-    ``which[n]`` at ``x[n]``: the loss terms in one call of the
-    ``LossStack`` ``losses`` (or from the caller's loss values or
-    gradients, when given), and the dual and penalty terms as stacked
-    arrays.  ``evaluate(x, which)`` gives both, and the loss values and
-    gradients, from one fused loss call.  ``which`` is an index array, or
-    ``ALL`` for every row in order; then the terms are read as views and the
-    loss call goes through the batch's ``RowPlan``, resolved once when the
-    batch is built.
+    ``values(x)`` and ``gradients(x)`` evaluate every row n at ``x[n]``:
+    the loss terms in one call of the ``LossStack`` ``losses`` (or from the
+    caller's loss values or gradients, when given), and the dual and
+    penalty terms as whole arrays.  ``evaluate(x)`` gives both, and the loss
+    values and gradients, from one fused loss call.  Every loss call goes
+    through the batch's ``RowPlan``, resolved once when the batch is built.
+    ``take(rows)`` is the batch of some of its rows, so a subset of rows is
+    evaluated as a batch of its own.
     """
 
     def __init__(self, losses: LossStack, agents, phi, mu_z, anchors, owner):
@@ -119,64 +101,60 @@ class SubproblemBatch:
     def loss(self, row: int) -> LocalLoss:
         return self._losses[self._agents[row]]
 
-    def _rows(self, which):
-        """``which`` (row indices, or ALL) and what its loss terms evaluate:
-        the stack rows, or the batch's plan for ALL."""
-        if which is ALL:
-            return ALL, self._plan
-        which = np.asarray(which, dtype=np.intp)
-        return which, self._agents[which]
+    def take(self, rows) -> SubproblemBatch:
+        """The batch of rows ``rows`` of this one, in that order: their dual
+        and penalty terms copied from it, not recomputed, and their
+        ``RowPlan`` resolved once."""
+        rows = np.asarray(rows, dtype=np.intp)
+        sub = object.__new__(SubproblemBatch)
+        sub._losses, sub._agents = self._losses, self._agents[rows]
+        sub._plan = self._losses.plan(sub._agents)
+        for name in ("phi", "mu_z", "degree", "anchor_sum", "mean", "spread"):
+            setattr(sub, name, getattr(self, name)[rows])
+        return sub
 
-    def loss_values(self, x: np.ndarray, which) -> np.ndarray:
-        """(n,) loss values of rows ``which`` at ``x``."""
-        return self._losses.values(x, self._rows(which)[1])
+    def loss_values(self, x: np.ndarray) -> np.ndarray:
+        """(k,) loss values at ``x``."""
+        return self._losses.values(x, self._plan)
 
-    def loss_gradients(self, x: np.ndarray, which) -> np.ndarray:
-        """(n, d) loss gradients of rows ``which`` at ``x``."""
-        return self._losses.gradients(x, self._rows(which)[1])
+    def loss_gradients(self, x: np.ndarray) -> np.ndarray:
+        """(k, d) loss gradients at ``x``."""
+        return self._losses.gradients(x, self._plan)
 
-    def values(self, x: np.ndarray, which, loss_values: np.ndarray | None = None) -> np.ndarray:
-        """(n,) objective values; the loss values at ``x`` are evaluated
+    def values(self, x: np.ndarray, loss_values: np.ndarray | None = None) -> np.ndarray:
+        """(k,) objective values; the loss values at ``x`` are evaluated
         unless given."""
-        which, rows = self._rows(which)
         if loss_values is None:
-            loss_values = self._losses.values(x, rows)
-        return self._values(x, which, loss_values)
+            loss_values = self.loss_values(x)
+        dual = rowdot(self.phi, x)
+        off = x - self.mean
+        penalty = self.degree * rowdot(off, off) + self.spread
+        return loss_values + dual + 0.5 * self.mu_z * penalty
 
-    def gradients(
-        self, x: np.ndarray, which, loss_gradients: np.ndarray | None = None
-    ) -> np.ndarray:
-        """(n, d) objective gradients; the loss gradients at ``x`` are
+    def gradients(self, x: np.ndarray, loss_gradients: np.ndarray | None = None) -> np.ndarray:
+        """(k, d) objective gradients; the loss gradients at ``x`` are
         evaluated unless given."""
-        which, rows = self._rows(which)
         if loss_gradients is None:
-            loss_gradients = self._losses.gradients(x, rows)
-        return self._gradients(x, which, loss_gradients)
-
-    def evaluate(self, x: np.ndarray, which):
-        """``values``, ``gradients``, ``loss_values`` and ``loss_gradients``
-        of rows ``which`` at ``x``, bit for bit, from one fused stacked loss
-        call."""
-        which, rows = self._rows(which)
-        loss_values, loss_gradients = self._losses.values_and_gradients(x, rows)
-        f = self._values(x, which, loss_values)
-        return f, self._gradients(x, which, loss_gradients), loss_values, loss_gradients
-
-    def _values(self, x: np.ndarray, which, loss_values: np.ndarray) -> np.ndarray:
-        dual = rowdot(self.phi[which], x)
-        off = x - self.mean[which]
-        penalty = self.degree[which] * rowdot(off, off) + self.spread[which]
-        return loss_values + dual + 0.5 * self.mu_z[which] * penalty
-
-    def _gradients(self, x: np.ndarray, which, loss_gradients: np.ndarray) -> np.ndarray:
+            loss_gradients = self.loss_gradients(x)
         # loss_gradients + phi + mu_z * (degree x - anchor_sum), in the same
         # order of operations, into two arrays.
-        pull = self.degree[which, None] * x
-        pull -= self.anchor_sum[which]
-        pull *= self.mu_z[which, None]
-        out = loss_gradients + self.phi[which]
+        pull = self.degree[:, None] * x
+        pull -= self.anchor_sum
+        pull *= self.mu_z[:, None]
+        out = loss_gradients + self.phi
         out += pull
         return out
+
+    def evaluate(self, x: np.ndarray, loss_terms=None):
+        """``values``, ``gradients``, ``loss_values`` and ``loss_gradients``
+        at ``x``, bit for bit, from one fused stacked loss call, or from a
+        copy of ``loss_terms``, the caller's loss values and gradients at
+        ``x``, when given."""
+        if loss_terms is None:
+            lv, lg = self._losses.values_and_gradients(x, self._plan)
+        else:
+            lv, lg = (np.array(terms, dtype=float) for terms in loss_terms)
+        return self.values(x, lv), self.gradients(x, lg), lv, lg
 
 
 @dataclass(frozen=True)
@@ -261,17 +239,6 @@ def two_loop_direction(
     return r
 
 
-def _start(batch: SubproblemBatch, x: np.ndarray, start):
-    """Objective values and gradients and loss values and gradients of every
-    row of ``batch`` at ``x``, as ``evaluate`` gives them: the loss terms
-    are the caller's ``start`` pair of loss values and gradients when
-    given, else one fused call's."""
-    if start is None:
-        return batch.evaluate(x, ALL)
-    lv, lg = (np.array(terms, dtype=float) for terms in start)
-    return batch.values(x, ALL, lv), batch.gradients(x, ALL, lg), lv, lg
-
-
 class LbfgsPool:
     """Run-lived buffers for the L-BFGS memory's curvature pairs.
 
@@ -301,11 +268,11 @@ class LbfgsPool:
 
 def _store_pairs(mem, pool: LbfgsPool, memory: int, took, x_pair, g_pair, gamma) -> None:
     """Store the curvature pairs s = x_new - x, y = g_new - g of the rows
-    ``took``, given as ``x_pair`` = (x_new, x) and ``g_pair`` = (g_new, g),
-    in the L-BFGS slots ``mem`` = (s, y, rho), newest first and at most
-    ``memory`` deep, and set those rows' ``gamma``; a pair with
-    s.y <= CURVATURE_SKIP_TOL ||s|| ||y|| is dropped.  Every slot is a
-    view of ``pool``."""
+    where the (k,) mask ``took`` holds, given as ``x_pair`` = (x_new, x) and
+    ``g_pair`` = (g_new, g) of those rows, in the L-BFGS slots ``mem`` =
+    (s, y, rho), newest first and at most ``memory`` deep, and set those
+    rows' ``gamma``; a pair with s.y <= CURVATURE_SKIP_TOL ||s|| ||y|| is
+    dropped.  Every slot is a view of ``pool``."""
     s_mem, y_mem, rho_mem = mem
     held = len(s_mem)
     # Below M slots the pair is written into the pool's next buffers.  At M
@@ -318,10 +285,10 @@ def _store_pairs(mem, pool: LbfgsPool, memory: int, took, x_pair, g_pair, gamma)
     keep = sy > CURVATURE_SKIP_TOL * rownorm(s_new) * np.sqrt(yy)
     if not keep.any():
         return
-    kept = _where(keep)
-    stored = _pick(took, kept)
-    rho = 1.0 / sy[kept]
-    if stored is ALL:
+    stored = took.copy()
+    stored[took] = keep
+    rho = 1.0 / sy[keep]
+    if stored.all():
         # Every row stores: the new pair becomes slot 0, in place below M
         # slots; at M the oldest slot is dropped and its buffers take it.
         if held == memory:
@@ -335,18 +302,16 @@ def _store_pairs(mem, pool: LbfgsPool, memory: int, took, x_pair, g_pair, gamma)
         # Each storing row's pairs move back a slot.  Below M slots a new
         # last slot, the pool's next buffers zeroed, pads the other rows;
         # the new pair is copied out of those buffers first.
-        new = (s_new[kept].copy(), y_new[kept].copy(), rho)
+        new = (s_new[keep], y_new[keep], rho)
         if held < memory:
-            s_pad, y_pad = pool.pair(held, len(gamma))
-            s_pad.fill(0.0)
-            y_pad.fill(0.0)
-            for slots, pad in zip(mem, (s_pad, y_pad, np.zeros(len(gamma)))):
+            for slots, pad in zip(mem, (*pool.pair(held, len(gamma)), np.empty(len(gamma)))):
+                pad.fill(0.0)
                 slots.append(pad)
         for slots, pair in zip(mem, new):
             for j in range(len(slots) - 1, 0, -1):
                 slots[j][stored] = slots[j - 1][stored]
             slots[0][stored] = pair
-    gamma[stored] = sy[kept] / yy[kept]
+    gamma[stored] = sy[keep] / yy[keep]
 
 
 def solve_lbfgs(
@@ -405,20 +370,21 @@ def solve_lbfgs(
     solve, so each row of the report equals its one-row batch's solve bit
     for bit.
 
-    Every stage reads and writes batch rows: ``moving``, ``searching``,
-    ``took`` (the moving rows whose search did not fail) and ``stored`` are
-    index arrays of batch rows, or ALL.  The two-loop call covers all k
-    rows; a row stopped at a zero gradient gets a zero direction and is
-    never searched, evaluated or written.  While no row has stopped the
-    stages read views, and an iteration in which every row accepts its
-    first trial costs one fused stacked call through the batch's plan, its
-    trial points becoming the state.
+    Every stage marks the batch rows it concerns with a (k,) mask:
+    ``live``, ``searching``, ``took`` (the live rows whose search did not
+    fail) and ``stored``.  A backtracking level evaluates the batch when
+    every row searches, and ``batch.take`` of the searching rows otherwise.
+    The two-loop call covers all k rows; a row stopped at a zero gradient
+    gets a zero direction and is never searched, evaluated or written.  An
+    iteration in which every row accepts its first trial costs one fused
+    stacked call through the batch's plan, and its trial arrays become the
+    state.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     x = np.array(x_start, dtype=float)
     k = len(x)
-    f, g, lv, lg = _start(batch, x, start)
+    f, g, lv, lg = batch.evaluate(x, start)
     gnorm = rownorm(g)
     # Column c of an agent's row holds its gradient norm and value after c
     # iterations.
@@ -429,18 +395,17 @@ def solve_lbfgs(
         pool = LbfgsPool(k, x.shape[1])
     elif pool.rows < k or pool.dim != x.shape[1]:
         raise ValueError(f"a pool of ({pool.rows}, {pool.dim}) buffers cannot hold {x.shape} pairs")
-    s_mem, y_mem, rho_mem = [], [], []  # (k, d) views of the pool, (k,) arrays
+    mem = s_mem, y_mem, rho_mem = [], [], []  # (k, d) views of the pool, (k,) arrays
     gamma = np.ones(k) if lipschitz is None else default_gd_step(batch, lipschitz)
     failures, performed, backtracks = np.zeros((3, k), dtype=int)
 
     for it in range(1, tau + 1):
-        # A row stops for good at a zero gradient, so each moving row has
+        # A row stops for good at a zero gradient, so each live row has
         # moved in every earlier iteration and this is its iteration ``it``.
         live = gnorm != 0.0
         if not live.any():
             break
-        moving = _where(live)
-        performed[moving] += 1
+        performed += live
         # Every row's direction, a stopped row's zero.  Looked up as a module
         # global on every call, so a wrapper installed on
         # caden.solvers.two_loop_direction sees each one.
@@ -448,63 +413,61 @@ def solve_lbfgs(
         slope = rowdot(g, direction)
         # A numerically broken direction falls back to steepest descent,
         # which is always safe.
-        broken = np.flatnonzero(slope >= 0.0)
-        if broken.size:
+        broken = slope >= 0.0
+        if broken.any():
             direction[broken] = -g[broken]
             slope[broken] = -rowdot(g[broken], g[broken])
 
         # Armijo backtracking, one fused stacked call per level for the rows
-        # still searching: every moving row at step 1, then those whose last
+        # still searching: every live row at step 1, then those whose last
         # trial was rejected.  Each trial's value, gradient, loss value and
         # loss gradient are kept, so an accepted trial needs no further
         # evaluation.
         step = np.ones(k)
         x_trial = x + direction
-        if moving is not ALL:
-            # Otherwise the first level's arrays are the trials'.
-            f_trial, g_trial = np.empty_like(f), np.empty_like(g)
-            lv_trial, lg_trial = np.empty_like(lv), np.empty_like(lg)
-        searching = took = moving
+        # The trials' values, gradients, loss values and loss gradients: the
+        # first level's own arrays when every row is live.
+        trial = None if live.all() else [np.empty_like(a) for a in (f, g, lv, lg)]
+        searching, took = live.copy(), live
         for _ in range(MAX_BACKTRACKS):
-            if searching is ALL:
+            if searching.all():
                 # Every row searches: the call's own arrays are the trials'.
-                f_trial, g_trial, lv_trial, lg_trial = batch.evaluate(x_trial, ALL)
+                trial = batch.evaluate(x_trial)
             else:
-                (f_trial[searching], g_trial[searching], lv_trial[searching],
-                 lg_trial[searching]) = batch.evaluate(x_trial[searching], searching)
-            f0, ft = f[searching], f_trial[searching]
+                subset = batch.take(np.flatnonzero(searching)).evaluate(x_trial[searching])
+                for out, got in zip(trial, subset):
+                    out[searching] = got
+            f0, ft = f[searching], trial[0][searching]
             slack = ARMIJO_SLACK * (np.abs(f0) + np.abs(ft))
             accept = ft <= f0 + ARMIJO_C1 * step[searching] * slope[searching] + slack
             if accept.all():
                 break
-            searching = _pick(searching, _where(~accept))
+            searching[searching] = ~accept
             step[searching] *= ARMIJO_SHRINK
             backtracks[searching] += 1
             x_trial[searching] = x[searching] + step[searching, None] * direction[searching]
         else:
             # A failed search leaves the row in place for this iteration.
             failures[searching] += 1
-            live[searching] = False
-            took = _where(live)
-        if took is ALL or took.size:
-            x_new, g_new, lg_new = x_trial[took], g_trial[took], lg_trial[took]
+            took = live & ~searching
+        if took.all():
+            # Every row accepted: the pairs are those of whole arrays, and
+            # the trial arrays become the state.  Writing them through
+            # ``x[took] = ...`` instead measured 1.015-1.026x the time of an
+            # mlp_ring round (2-vCPU host).
             if it < tau:
-                _store_pairs((s_mem, y_mem, rho_mem), pool, memory, took,
-                             (x_new, x[took]), (g_new, g[took]), gamma)
-            if took is ALL:
-                # Every row accepted: the new arrays become the state.
-                # Writing them through ``x[took] = ...`` instead measured
-                # 1.015-1.026x the time of an mlp_ring round (2-vCPU host).
-                x, f, g, lv, lg = x_new, f_trial, g_new, lv_trial, lg_new
-            else:
-                x[took] = x_new
-                f[took] = f_trial[took]
-                g[took] = g_new
-                lv[took] = lv_trial[took]
-                lg[took] = lg_new
+                _store_pairs(mem, pool, memory, took, (x_trial, x), (trial[1], g), gamma)
+            x, (f, g, lv, lg) = x_trial, trial
+            gnorm = rownorm(g)
+        elif took.any():
+            x_new, g_new = x_trial[took], trial[1][took]
+            if it < tau:
+                _store_pairs(mem, pool, memory, took, (x_new, x[took]), (g_new, g[took]), gamma)
+            for state, new in zip((x, f, g, lv, lg), (x_trial, *trial)):
+                state[took] = new[took]
             gnorm[took] = rownorm(g_new)
-        norms[moving, it] = gnorm[moving]
-        vals[moving, it] = f[moving]
+        np.copyto(norms[:, it], gnorm, where=live)
+        np.copyto(vals[:, it], f, where=live)
 
     return SolverReport(x, lg, lv, performed, norms, vals, failures, backtracks)
 
@@ -543,30 +506,30 @@ def solve_gd(
     steps = np.full(k, step, dtype=float) if step is not None else default_gd_step(batch, lipschitz)
     if not (steps > 0.0).all():  # also refuses NaN
         raise ValueError("step must be positive")
-    _, g, lv, lg = _start(batch, x, start)
+    _, g, lv, lg = batch.evaluate(x, start)
     gnorm = rownorm(g)
     norms = np.full((k, tau + 1), np.nan)
     norms[:, 0] = gnorm
     performed = np.zeros(k, dtype=int)
     for it in range(1, tau + 1):
-        # As in ``solve_lbfgs``: a moving row is at its iteration ``it``.
+        # As in ``solve_lbfgs``: a live row is at its iteration ``it``.
         live = gnorm != 0.0
         if not live.any():
             break
-        moving = _where(live)
-        x[moving] = x[moving] - steps[moving, None] * g[moving]
+        rows = batch if live.all() else batch.take(np.flatnonzero(live))
+        x[live] = x[live] - steps[live, None] * g[live]
         if it == tau:
-            _, g[moving], lv[moving], lg[moving] = batch.evaluate(x[moving], moving)
+            _, g[live], lv[live], lg[live] = rows.evaluate(x[live])
         else:
-            lg[moving] = batch.loss_gradients(x[moving], moving)
-            g[moving] = batch.gradients(x[moving], moving, lg[moving])
-        gnorm[moving] = rownorm(g[moving])
-        performed[moving] += 1
-        norms[moving, it] = gnorm[moving]
+            lg[live] = rows.loss_gradients(x[live])
+            g[live] = rows.gradients(x[live], lg[live])
+        gnorm[live] = rownorm(g[live])
+        performed += live
+        np.copyto(norms[:, it], gnorm, where=live)
     # Rows that moved, then stopped at a zero gradient before the last step.
     stale = np.flatnonzero((performed > 0) & (performed < tau))
     if stale.size:
-        lv[stale] = batch.loss_values(x[stale], stale)
+        lv[stale] = batch.take(stale).loss_values(x[stale])
     zeros = np.zeros(k, dtype=int)
     return SolverReport(x, lg, lv, performed, norms, None, zeros, zeros)
 
@@ -589,7 +552,7 @@ def solve_exact(batch: SubproblemBatch) -> SolverReport:
             x[n] = (rhs + loss.q * loss.a) / (loss.q + shift)
         else:
             x[n] = np.linalg.solve(loss.q + shift * np.eye(loss.dim), rhs + loss.q @ loss.a)
-    _, g, lv, lg = batch.evaluate(x, ALL)
+    _, g, lv, lg = batch.evaluate(x)
     zeros = np.zeros(k, dtype=int)
     return SolverReport(x, lg, lv, zeros, rownorm(g)[:, None], None, zeros, zeros)
 

@@ -472,13 +472,14 @@ class Row(NamedTuple):
 
 def batch_of(rows, losses=None, agents=None) -> SubproblemBatch:
     """The batch whose row j is ``rows[j]``, with agent ``agents[j]``'s loss
-    of the stack ``losses`` when given, else a stack of the rows' own."""
+    of the stack ``losses`` when given, else a stack of the rows' own.  With
+    a stack given, ``rows`` may be empty."""
     if losses is None:
         losses, agents = LossStack([r.loss for r in rows]), range(len(rows))
     owner = np.repeat(np.arange(len(rows)), [r.degree for r in rows])
-    anchors = np.concatenate([r.anchors for r in rows])
-    return SubproblemBatch(losses, agents, [r.phi for r in rows], [r.mu_z for r in rows],
-                           anchors, owner)
+    anchors = np.concatenate([np.empty((0, losses.dim)), *(r.anchors for r in rows)])
+    phi = np.reshape([r.phi for r in rows], (len(rows), losses.dim))
+    return SubproblemBatch(losses, agents, phi, [r.mu_z for r in rows], anchors, owner)
 
 
 def _anchor_terms(problem: Row) -> tuple[np.ndarray, np.ndarray, float]:

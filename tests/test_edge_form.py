@@ -60,8 +60,8 @@ class TestLocalObjective:
                 value += float(state.y[k, side] @ diff) + 0.5 * mu_z * float(diff @ diff)
                 gradient = gradient + state.y[k, side] + mu_z * diff
                 constant -= float(state.y[k, side] @ state.z[k])
-            assert np.allclose(gradient, batch.gradients(point[None], [0])[0], atol=1e-12)
-            assert value == pytest.approx(batch.values(point[None], [0])[0] + constant,
+            assert np.allclose(gradient, batch.gradients(point[None])[0], atol=1e-12)
+            assert value == pytest.approx(batch.values(point[None])[0] + constant,
                                           rel=1e-12, abs=1e-12)
 
     def test_zero_losses_zero_duals_minimizer_is_anchor(self):

@@ -157,10 +157,11 @@ class TestSubproblemBuilder:
             lone = batch_of([Row(losses[i], phi[i], want, 2.0)])
             assert batch.loss(n) is losses[i]
             assert batch.degree[n] == len(neighbors)
+            row = batch.take([n])
             for point in (x[i], x[i] + 10.0**log_scale * rng.standard_normal(d)):
-                assert batch.values(point[None], [n])[0] == lone.values(point[None], [0])[0]
-                assert np.array_equal(batch.gradients(point[None], [n])[0],
-                                      lone.gradients(point[None], [0])[0])
+                assert row.values(point[None])[0] == lone.values(point[None])[0]
+                assert np.array_equal(row.gradients(point[None])[0],
+                                      lone.gradients(point[None])[0])
 
 
 class TestBroadcastAndDual:

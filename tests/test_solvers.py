@@ -79,15 +79,15 @@ class TestSubproblemTerms:
             )
             for k in degrees
         ]
-        which = np.array(
+        rows = np.array(
             data.draw(st.lists(st.integers(0, len(problems) - 1), min_size=1, max_size=8)),
             dtype=np.intp,
         )
-        x = scale * rng.standard_normal((len(which), d))
-        batch = batch_of(problems)
-        values = batch.values(x, which)
-        gradients = batch.gradients(x, which)
-        for n, j in enumerate(which):
+        x = scale * rng.standard_normal((len(rows), d))
+        batch = batch_of(problems).take(rows)
+        values = batch.values(x)
+        gradients = batch.gradients(x)
+        for n, j in enumerate(rows):
             assert values[n] == reference_value(problems[j], x[n])
             assert np.array_equal(gradients[n], reference_gradient(problems[j], x[n]))
 
@@ -114,7 +114,7 @@ class TestSubproblemTerms:
                         points += list(scale * rng.standard_normal((3, d)))
                     problems += [Row(zero, np.zeros(d), anchors, 2.0)] * 3
             points = np.array(points)
-            got = batch_of(problems).values(points, np.arange(len(problems)))
+            got = batch_of(problems).values(points)
             for value, x, problem in zip(got, points, problems):
                 want = sum(float(np.sum((x - a) ** 2)) for a in problem.anchors)
                 assert abs(value - want) <= 1e-12 * want
@@ -125,22 +125,66 @@ class TestSubproblemGradient:
         loss = QuadraticLoss(q=np.ones(2), a=np.zeros(2))
         batch = batch_of([Row(loss=loss, phi=np.zeros(2), anchors=np.zeros((1, 2)), mu_z=3.0)])
         v = np.array([1.5, -0.5])
-        assert np.allclose(batch.gradients(v[None], [0])[0], 4.0 * v)
+        assert np.allclose(batch.gradients(v[None])[0], 4.0 * v)
 
     def test_zero_at_minimizer(self):
         rng = np.random.default_rng(0)
         p = _subproblem(rng)
         x_star = _oracle_minimizer(p)
-        assert np.linalg.norm(batch_of([p]).gradients(x_star[None], [0])[0]) < 1e-10
+        assert np.linalg.norm(batch_of([p]).gradients(x_star[None])[0]) < 1e-10
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(1)
         for _ in range(5):
             batch = batch_of([_subproblem(rng)])
             x = rng.standard_normal(4)
-            grad = batch.gradients(x[None], [0])[0]
-            oracle = central_difference(lambda v: batch.values(v[None], [0])[0], x)
+            grad = batch.gradients(x[None])[0]
+            oracle = central_difference(lambda v: batch.values(v[None])[0], x)
             assert np.linalg.norm(grad - oracle) / max(np.linalg.norm(oracle), 1.0) < 1e-5
+
+
+def _take_case(family):
+    """A stack of six quadratic (diagonal and full, so two groups) or MLP
+    losses, and the problems of a batch over five of its agents out of
+    order, with 0 to 3 anchors each."""
+    rng = np.random.default_rng(31)
+    if family == "quadratic":
+        d = 4
+        losses = [QuadraticLoss(q=rng.uniform(0.5, 2.0, d) if i % 2 else random_psd(d, 10.0, rng),
+                                a=rng.standard_normal(d)) for i in range(6)]
+    else:
+        features, labels = gaussian_blobs(60, 4, 3, seed=3, spread=2.0)
+        losses = [MlpLoss(features[10 * i : 10 * i + 10], labels[10 * i : 10 * i + 10],
+                          hidden=5, classes=3, l2=1e-3) for i in range(6)]
+        d = losses[0].dim
+    agents = np.array([5, 1, 3, 0, 4])
+    problems = [Row(losses[i], rng.standard_normal(d), rng.standard_normal((n % 4, d)),
+                    float(rng.uniform(0.5, 3.0))) for n, i in enumerate(agents)]
+    return LossStack(losses), agents, problems
+
+
+class TestTake:
+    @pytest.mark.parametrize("family", ["quadratic", "mlp"])
+    @pytest.mark.parametrize("rows", [[], [2], [4, 0, 3]])
+    def test_equals_the_parent_rows_and_a_batch_of_those_rows(self, family, rows):
+        # The batch of some rows evaluates each row as the parent batch
+        # does, and as a batch built from those rows' own terms, bit for
+        # bit: values, gradients and loss terms.
+        stack, agents, problems = _take_case(family)
+        parent = batch_of(problems, stack, agents)
+        rows = np.array(rows, dtype=np.intp)
+        taken = parent.take(rows)
+        direct = batch_of([problems[j] for j in rows], stack, agents[rows])
+        x = np.random.default_rng(5).standard_normal((len(agents), stack.dim))
+        want = [terms[rows] for terms in parent.evaluate(x)]
+        names = ("values", "gradients", "loss_values", "loss_gradients")
+        for batch in (taken, direct):
+            fused = batch.evaluate(x[rows])
+            for name, got, expected in zip(names, fused, want):
+                assert np.array_equal(got, expected), name
+                assert np.array_equal(getattr(batch, name)(x[rows]), expected), name
+        for name in ("phi", "mu_z", "degree", "anchor_sum", "mean", "spread"):
+            assert np.array_equal(getattr(taken, name), getattr(direct, name)), name
 
 
 class TestRowdot:

@@ -218,7 +218,7 @@ class TestInitialError:
         for i in range(5):
             anchors = np.array([0.5 * (x0[i] + x0[j]) for j in neighbors(topology, i)])
             batch = batch_of([Row(loss=losses[i], phi=np.zeros(2), anchors=anchors, mu_z=2.0)])
-            block = batch.gradients(x0[i][None], [0])[0]
+            block = batch.gradients(x0[i][None])[0]
             total += float(block @ block)
         e0 = augmented_gradient_error(x, phi, losses, topology, config.mu_z)
         assert e0 == pytest.approx(total)

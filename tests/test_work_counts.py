@@ -116,6 +116,44 @@ def test_mlp_ring_work_counts(monkeypatch):
     assert len(pool.s) == len(pool.y) <= 4
 
 
+def test_mlp_ring_half_participation_work_counts(monkeypatch):
+    # At p = 0.5 a round solves 3 to 8 active agents, so every solve is a
+    # batch of some agents and its backtracking levels are row subsets.
+    counted, reports = [], []
+    build_losses = harness.build_losses
+    solve_lbfgs = solvers.solve_lbfgs
+
+    def counting_build_losses(cfg, topology):
+        losses, eval_set = build_losses(cfg, topology)
+        counted.append(StackCalls(losses))
+        return losses, eval_set
+
+    def recording_solve_lbfgs(*args, **kwargs):
+        reports.append(solve_lbfgs(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(harness, "build_losses", counting_build_losses)
+    monkeypatch.setattr(solvers, "solve_lbfgs", recording_solve_lbfgs)
+    config = ExperimentConfig(**{**MLP_RING, "caden_participation": 0.5}, seed=1)
+    harness.run_experiment(config, write_outputs=False)
+    (calls,) = counted
+    # The smoothness probe's 31 gradient calls and the start's fused call of
+    # every agent, then per round one fused call per level: 100 first
+    # levels of the round's active agents and 23 backtracking levels, 28
+    # rows in all.  Each round's batch resolves its plan (20), and so does
+    # each backtracking level on a subset of its batch's rows (22; in the
+    # other one, every row of its batch was rejected).
+    assert calls.calls == {"values": 0, "gradients": 31, "values_and_gradients": 124}
+    assert calls.rows == {"values": 0, "gradients": 310, "values_and_gradients": 553}
+    assert calls.sizes["values"] == {}
+    assert calls.sizes["gradients"] == {10: 31}
+    assert calls.sizes["values_and_gradients"] == {
+        10: 1, 8: 10, 7: 25, 6: 5, 5: 10, 4: 30, 3: 22, 2: 1, 1: 20}
+    assert calls.plans == 42
+    assert len(reports) == 20
+    assert sum(int(r.backtracks.sum()) for r in reports) == 28
+
+
 # The benchmark's gt_logistic workload, shortened, at a fixed step.
 GT_LOGISTIC = dict(
     rounds=10,

@@ -7,9 +7,10 @@ participation only and serves as the equivalence oracle for the agent-form
 engine: with zero dual initialization the two endpoint duals stay
 antisymmetric, z collapses to the edge midpoints, and the x-trajectories of
 the two forms coincide.  The x-step is the engine's
-``solve_subproblems``, passed this form's z where the agent form passes the
-edge midpoints, so both forms share one subproblem builder, one config and
-one lockstep solver; ``dual_aggregates`` sums the endpoint duals with
+``solve_subproblems``, started from ``init_states`` of this form's models
+and dual aggregates and passed this form's z where the agent form passes
+the edge midpoints, so both forms share one subproblem builder, one config
+and one lockstep solver; ``dual_aggregates`` sums the endpoint duals with
 ``graphs.incident_sums``.
 """
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import CadenConfig, solve_subproblems
+from .engine import CadenConfig, init_states, solve_subproblems
 from .graphs import Topology, edge_midpoints, incident_sums
 from .losses import LossStack
 
@@ -67,8 +68,8 @@ def edge_x_step(
     phi = dual_aggregates(state, topology)
     tau = config.tau_at(round_index)
     agents = np.arange(topology.m)
-    report = solve_subproblems(agents, state.x, None, phi, state.z, losses, topology, config, tau)
-    return report.x_out
+    start = init_states(losses, topology, state.x, phi)
+    return solve_subproblems(agents, start, state.z, losses, topology, config, tau).x_out
 
 
 def edge_z_step(state: EdgeState, topology: Topology, mu_z: float) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Agent-form round engine: partial participation, local solves, broadcast,
 dual ascent.
 
-The state is three (m, d) arrays and one (m,) array, one row per agent,
-updated in place: the models ``x``, the duals ``phi``, the loss gradients
-``grad`` = grad f_i(x_i) and the loss values ``value`` = f_i(x_i).  Rounds
-are synchronous.  Every active agent minimizes its
+A run has one ``RunState``, updated in place: three (m, d) arrays and one
+(m,) array, one row per agent (the models ``x``, the duals ``phi``, the
+loss gradients ``grad`` = grad f_i(x_i) and the loss values ``value`` =
+f_i(x_i)), and the run's ``solvers.LbfgsPool``, the buffers of the L-BFGS
+curvature pairs, which live for the run while the pairs in them live for
+one solve.  Rounds are synchronous.  Every active agent minimizes its
 local subproblem built from round-t snapshots, broadcasts the new model
 once, then updates its dual from the post-broadcast models.  Inactive
 agents are frozen for the round.  An agent's model changes only in
@@ -12,22 +14,22 @@ rounds where it broadcasts, so the last model a neighbor received is always
 the agent's current row of ``x``, and no per-neighbor copy is kept.
 
 ``grad`` and ``value`` are carried, not recomputed: ``init_states`` fills
-both with one fused stacked evaluation, each solve starts from its agents'
-rows and reports the (k, d) loss gradients and (k,) loss values at the
-models it returns (L-BFGS those of its accepted trials), and ``run_round``
-writes those rows.  So an L-BFGS solve makes no loss call at its start,
-and a round's only loss calls are its trials.  Inactive rows stay valid
-because their models did not move.  The residual V_t
-(``metrics.lyapunov_v``) and the relative errors
-(``metrics.relative_error``, ``relative_error_graph``) read ``grad``, summed
-once per logged row (``metrics.carried_row``), so a logged row evaluates
-no loss gradient.  Beside the state a run carries one
-``solvers.LbfgsPool``, the buffers of the L-BFGS curvature pairs, which
-``run_round`` passes to every round's solve: the buffers live for the run,
-the pairs in them for one solve.  A checkpoint (``save_checkpoint``)
-holds the models, the duals and the round behind a magic number, a format
-version and a digest of the record of the problem it was written for; a
-resumed run refills ``grad`` and ``value`` from the models.
+both with one fused stacked evaluation, each solve (``solve_subproblems``)
+starts from its agents' rows of the ``RunState`` and reports the (k, d)
+loss gradients and (k,) loss values at the models it returns (those of its
+last solver step, each step being one fused evaluation), and ``run_round``
+writes those rows.  So a solve makes no loss call at its start, and a
+round's only loss calls are its solver steps.  Inactive rows stay valid
+because their models did not move.  A caller with models and duals of its
+own (the edge form's x-step, the theory probe, ``primal_update``) solves
+from ``init_states`` of them.  The residual V_t (``metrics.lyapunov_v``)
+and the relative errors (``metrics.relative_error``,
+``relative_error_graph``) read ``grad``, summed once per logged row
+(``metrics.carried_row``), so a logged row evaluates no loss gradient.  A
+checkpoint (``save_checkpoint``) holds the models, the duals and the round
+behind a magic number, a format version and a digest of the record of the
+problem it was written for; a resumed run refills ``grad`` and ``value``
+from the models.
 
 The agent form is the edge form (``caden.edge_form``) with every consensus
 variable z_ij held at the edge midpoint (x_i + x_j) / 2, which is why one
@@ -123,19 +125,36 @@ class RoundSummary:
     broadcasts: int
 
 
+@dataclass
+class RunState:
+    """A run's engine state, updated in place by ``run_round``: the (m, d)
+    models ``x``, duals ``phi`` and loss gradients ``grad`` at the models,
+    the (m,) loss values ``value`` at them, and the run's L-BFGS ``pool``."""
+
+    x: np.ndarray
+    phi: np.ndarray
+    grad: np.ndarray
+    value: np.ndarray
+    pool: LbfgsPool
+
+
 def init_states(
     losses: LossStack,
     topology: Topology,
     x_init: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(m, d) models copied from ``x_init``, (m, d) zero duals, and the
-    (m, d) loss gradients and (m,) loss values at the models, from one fused
-    stacked evaluation."""
+    phi_init: np.ndarray | None = None,
+) -> RunState:
+    """The ``RunState`` at models copied from ``x_init`` and duals copied
+    from ``phi_init`` (zero when None), its loss gradients and values from
+    one fused stacked evaluation, and an empty pool."""
     x = np.array(x_init, dtype=float)
     if x.shape != (topology.m, losses.dim):
         raise ValueError(f"x_init has shape {x.shape}, expected {(topology.m, losses.dim)}")
+    phi = np.zeros_like(x)
+    if phi_init is not None:
+        phi[:] = phi_init
     value, grad = losses.values_and_gradients(x, np.arange(topology.m))
-    return x, np.zeros_like(x), grad, value
+    return RunState(x, phi, grad, value, LbfgsPool(topology.m, losses.dim))
 
 
 def sample_participation(config: CadenConfig, round_index: int, m: int) -> np.ndarray:
@@ -179,34 +198,29 @@ def subproblems(
 
 def solve_subproblems(
     agents: Sequence[int],
-    x: np.ndarray,
-    carried: tuple[np.ndarray, np.ndarray] | None,
-    phi: np.ndarray,
+    state: RunState,
     z: np.ndarray,
     losses: LossStack,
     topology: Topology,
     config: CadenConfig,
     tau: int,
-    pool: LbfgsPool | None = None,
 ) -> SolverReport:
     """tau iterations of ``config.solver`` on the ``subproblems`` of
-    ``agents``, warm-started at their rows of ``x``; one report whose row n
-    is agent ``agents[n]``'s.  ``carried`` holds the (m,) loss values and
-    (m, d) loss gradients at ``x``, or is None to have the solver evaluate
-    them.  ``pool`` holds the run's L-BFGS pair buffers; without it the
-    solve makes its own.
+    ``agents`` with the duals of ``state``, started from their rows of it:
+    their models, loss values and gradients, and its L-BFGS pool.  One
+    report whose row n is agent ``agents[n]``'s; ``state`` is not written.
 
     L-BFGS and gradient descent run the agents in lockstep, the exact solve
     one by one; both lockstep solvers take ``config.lipschitz``, L-BFGS to
     scale its first trials.  Each row of the report equals a lone solve's,
     so it does not depend on which other agents are solved with it.
     """
-    batch = subproblems(agents, phi, z, losses, topology, config.mu_z)
-    x_start = x[agents]
-    start = None if carried is None else tuple(terms[agents] for terms in carried)
+    batch = subproblems(agents, state.phi, z, losses, topology, config.mu_z)
+    x_start = state.x[agents]
+    start = state.value[agents], state.grad[agents]
     if config.solver == "lbfgs":
         return solvers.solve_lbfgs(
-            batch, x_start, tau, config.lbfgs_memory, start, config.lipschitz, pool
+            batch, x_start, tau, config.lbfgs_memory, start, config.lipschitz, state.pool
         )
     if config.solver == "gd":
         return solvers.solve_gd(batch, x_start, tau, config.gd_step, config.lipschitz, start)
@@ -226,7 +240,8 @@ def primal_update(
     """One agent's round-t primal step, as ``run_round`` takes it."""
     z = edge_midpoints(topology, x)
     tau = config.tau_at(round_index)
-    return solve_subproblems([agent], x, None, phi, z, losses, topology, config, tau).x_out[0]
+    state = init_states(losses, topology, x, phi)
+    return solve_subproblems([agent], state, z, losses, topology, config, tau).x_out[0]
 
 
 def broadcast(x: np.ndarray, agents: np.ndarray, models: np.ndarray) -> int:
@@ -252,31 +267,23 @@ def dual_update(
 
 
 def run_round(
-    x: np.ndarray,
-    phi: np.ndarray,
-    grad: np.ndarray,
-    value: np.ndarray,
+    state: RunState,
     losses: LossStack,
     topology: Topology,
     config: CadenConfig,
     round_index: int,
-    pool: LbfgsPool | None = None,
 ) -> RoundSummary:
-    """One synchronous round on the (m, d) models ``x``, duals ``phi`` and
-    loss gradients ``grad`` and the (m,) loss values ``value``, all updated
-    in place: participation, primal solves, broadcast, dual.  ``pool`` is
-    the run's ``solvers.LbfgsPool``, or None for a fresh one."""
+    """One synchronous round on the run's ``state``, updated in place:
+    participation, primal solves, broadcast, dual."""
     flags = sample_participation(config, round_index, topology.m)
     active = np.flatnonzero(flags)
-    z = edge_midpoints(topology, x)
+    z = edge_midpoints(topology, state.x)
     tau = config.tau_at(round_index)
-    report = solve_subproblems(
-        active, x, (value, grad), phi, z, losses, topology, config, tau, pool
-    )
-    broadcasts = broadcast(x, active, report.x_out)
-    grad[active] = report.loss_grad_out
-    value[active] = report.loss_value_out
-    phi[active] = dual_update(active, x, phi, topology, config)
+    report = solve_subproblems(active, state, z, losses, topology, config, tau)
+    broadcasts = broadcast(state.x, active, report.x_out)
+    state.grad[active] = report.loss_grad_out
+    state.value[active] = report.loss_value_out
+    state.phi[active] = dual_update(active, state.x, state.phi, topology, config)
     return RoundSummary(active=flags, broadcasts=broadcasts)
 
 

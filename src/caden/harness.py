@@ -35,7 +35,7 @@ from .datasets import (
 from .engine import CadenConfig
 from .errors import ConfigError, DivergenceError
 from .losses import LogisticLoss, LossStack, MlpLoss, QuadraticLoss, estimate_lipschitz
-from .solvers import LbfgsPool, estimate_contraction
+from .solvers import estimate_contraction
 
 _TARGET_STREAM = 501
 _CURVATURE_STREAM = 502
@@ -299,9 +299,9 @@ def _probe_contraction(cfg, run_cfg, losses, topology, init) -> float:
     run's own local solver, on the first round's subproblems at its mu_z."""
     x0 = init.x0
     z = graphs.edge_midpoints(topology, x0)
+    state = engine.init_states(losses, topology, x0)
     report = engine.solve_subproblems(
-        np.arange(topology.m), x0, None, np.zeros_like(x0), z, losses, topology, run_cfg,
-        cfg.contraction_probe_iters,
+        np.arange(topology.m), state, z, losses, topology, run_cfg, cfg.contraction_probe_iters
     )
     return float(estimate_contraction(report).max(initial=0.0))
 
@@ -543,17 +543,14 @@ def _record(rounds, cfg, losses, topology, start, trace, clock, acc_fn, duals):
 
 
 def _caden_rounds(cfg, run_cfg, losses, topology, init):
-    """The starting state, then the state after each CADEN round.  One
-    L-BFGS pair pool serves every round's solve."""
-    x, phi, grad, value = engine.init_states(losses, topology, init.x0)
-    if init.phi0 is not None:
-        phi[:] = init.phi0
-    pool = LbfgsPool(topology.m, losses.dim)
+    """The starting state, then the state after each CADEN round: one
+    ``engine.RunState``, its pool serving every round's solve."""
+    state = engine.init_states(losses, topology, init.x0, init.phi0)
     start = init.start_round
-    yield start, x, phi, grad, 0, 0
+    yield start, state.x, state.phi, state.grad, 0, 0
     for t in range(start, start + cfg.rounds):
-        result = engine.run_round(x, phi, grad, value, losses, topology, run_cfg, t, pool)
-        yield t + 1, x, phi, grad, result.broadcasts, int(result.active.sum())
+        result = engine.run_round(state, losses, topology, run_cfg, t)
+        yield t + 1, state.x, state.phi, state.grad, result.broadcasts, int(result.active.sum())
 
 
 def _gt_rounds(losses, x0, w, step, rounds):

@@ -8,8 +8,14 @@ and gradient() on a flat parameter vector of dimension ``dim``.
 
 The math of each family is written once, as kernels over parameters and
 data with any leading axes; one agent's ``value``/``gradient``/``predict``
-is the one-row case.  A fused ``_values_and_gradients`` kernel gives both
-with the bits of the two; the MLP's shares one forward pass between them.
+is the one-row case.  Every family has a one-pass fused
+``_values_and_gradients`` kernel that gives both with the bits of the two:
+the quadratic's value is 0.5 (x - a).g from its one gradient, the logistic
+loss's and the MLP's read one softmax (the MLP's one forward pass) before
+the gradient overwrites it.  So a fused call costs no more than a gradient
+call.  A subclass that overrides ``_values`` or ``_gradients`` of such a
+family must override the fused kernel too; ``LocalLoss.__init_subclass__``
+refuses the class otherwise.
 The MLP reads its layer-1 weights and bias as one block, on features with a
 constant last column (``MlpShard``), so layer 1 and its gradient are one
 matmul each.  ``LossStack`` holds a run's m losses and is the one way to
@@ -51,14 +57,27 @@ class LocalLoss:
     are the kernels' one-row case.  A subclass overrides the kernels, not
     those three methods: a ``LossStack`` calls only the kernels.  One that
     overrides ``_values`` or ``_gradients`` of a family with its own fused
-    kernel overrides that one too.  ``stack_key`` names the group whose
-    stacked shards one kernel call evaluates; each family's key starts with
-    ``type(self)``, so a subclass forms its own group.  A loss without a key
-    cannot join a stack.  A kernel returns new arrays, which a stack may
-    hand to its caller as they are.
+    kernel overrides that one too, or the fused calls would not see its
+    override; defining the class raises TypeError otherwise.  A direct
+    subclass inherits the fused kernel below, which calls the other two.
+    ``stack_key`` names the group whose stacked shards one kernel call
+    evaluates; each family's key starts with ``type(self)``, so a subclass
+    forms its own group.  A loss without a key cannot join a stack.  A
+    kernel returns new arrays, which a stack may hand to its caller as they
+    are.
     """
 
     dim: int
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fused, own = cls._values_and_gradients, vars(cls)
+        if "_values" in own or "_gradients" in own:
+            if fused not in (LocalLoss._values_and_gradients, own.get("_values_and_gradients")):
+                raise TypeError(
+                    f"{cls.__name__} overrides _values or _gradients but inherits the fused "
+                    f"kernel {fused.__qualname__}, which does not call them; override it too"
+                )
 
     def value(self, x: np.ndarray) -> float:
         raise NotImplementedError
@@ -115,6 +134,11 @@ class QuadraticLoss(LocalLoss):
         r = x - data.a
         return data.q * r if self.diagonal else np.matmul(data.q, r[..., None])[..., 0]
 
+    def _values_and_gradients(self, x: np.ndarray, data: QuadraticData):
+        # The value from the one gradient, as ``_values`` computes it.
+        gradients = self._gradients(x, data)
+        return 0.5 * rowdot(x - data.a, gradients), gradients
+
     def value(self, x: np.ndarray) -> float:
         return float(self._values(self._check(x), self.shard))
 
@@ -156,10 +180,12 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _cross_entropy(probs: np.ndarray, shard: Shard) -> np.ndarray:
+def _objective(x: np.ndarray, probs: np.ndarray, shard: Shard, l2: float) -> np.ndarray:
+    """Mean cross-entropy of the softmax ``probs`` plus (l2 / 2) ||x||^2."""
     picked = probs[shard.picks]
     # The arithmetic of .mean(axis=-1), without its wrapper.
-    return -np.add.reduce(np.log(np.maximum(picked, 1e-300)), axis=-1) / picked.shape[-1]
+    cross_entropy = -np.add.reduce(np.log(np.maximum(picked, 1e-300)), axis=-1) / picked.shape[-1]
+    return cross_entropy + 0.5 * l2 * rowdot(x, x)
 
 
 def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -226,16 +252,23 @@ class LogisticLoss(LocalLoss):
     def _weights(self, x: np.ndarray) -> np.ndarray:
         return x.reshape(*x.shape[:-1], self.n_features, self.classes)
 
+    def _backward(self, x: np.ndarray, probs: np.ndarray, shard: Shard) -> np.ndarray:
+        """Loss gradients from the softmax probabilities; overwrites ``probs``."""
+        probs[shard.picks] -= 1.0
+        grad = (_t(shard.features) @ probs) / shard.features.shape[-2]
+        return grad.reshape(x.shape) + self.l2 * x
+
     def _values(self, x: np.ndarray, shard: Shard) -> np.ndarray:
-        probs = _softmax(shard.features @ self._weights(x))
-        return _cross_entropy(probs, shard) + 0.5 * self.l2 * rowdot(x, x)
+        return _objective(x, _softmax(shard.features @ self._weights(x)), shard, self.l2)
 
     def _gradients(self, x: np.ndarray, shard: Shard) -> np.ndarray:
-        n = shard.features.shape[-2]
+        return self._backward(x, _softmax(shard.features @ self._weights(x)), shard)
+
+    def _values_and_gradients(self, x: np.ndarray, shard: Shard):
+        # One softmax for both, read by the value before the backward pass
+        # overwrites it.
         probs = _softmax(shard.features @ self._weights(x))
-        probs[shard.picks] -= 1.0
-        grad = (_t(shard.features) @ probs) / n
-        return grad.reshape(x.shape) + self.l2 * x
+        return _objective(x, probs, shard, self.l2), self._backward(x, probs, shard)
 
     def value(self, x: np.ndarray) -> float:
         return float(self._values(self._check(x), self.shard))
@@ -347,9 +380,6 @@ class MlpLoss(LocalLoss):
         act, logits = self._forward(layers, shard.augmented)
         return layers, act, _softmax(logits)
 
-    def _objective(self, x: np.ndarray, probs: np.ndarray, shard: MlpShard) -> np.ndarray:
-        return _cross_entropy(probs, shard) + 0.5 * self.l2 * rowdot(x, x)
-
     def _backward(self, x, layers, act: np.ndarray, probs: np.ndarray, shard: MlpShard):
         """Loss gradients from a forward pass; overwrites ``probs`` and
         ``act``."""
@@ -372,7 +402,7 @@ class MlpLoss(LocalLoss):
         return grad
 
     def _values(self, x: np.ndarray, shard: MlpShard) -> np.ndarray:
-        return self._objective(x, self._layers(x, shard)[2], shard)
+        return _objective(x, self._layers(x, shard)[2], shard, self.l2)
 
     def _gradients(self, x: np.ndarray, shard: MlpShard) -> np.ndarray:
         return self._backward(x, *self._layers(x, shard), shard)
@@ -381,7 +411,7 @@ class MlpLoss(LocalLoss):
         # One forward pass for both; the value reads the probabilities
         # before the backward pass overwrites them.
         layers, act, probs = self._layers(x, shard)
-        values = self._objective(x, probs, shard)
+        values = _objective(x, probs, shard, self.l2)
         return values, self._backward(x, layers, act, probs, shard)
 
     def value(self, x: np.ndarray) -> float:
@@ -419,9 +449,9 @@ class LossStack(Sequence):
     """The m agents' losses, evaluated many rows at a time.
 
     Indexing, ``len`` and iteration give the per-agent losses, so a stack
-    stands wherever a list of losses does.  ``values(x, rows)``,
-    ``gradients(x, rows)`` and ``values_and_gradients(x, rows)`` (both from
-    one kernel call) evaluate agent ``rows[n]``'s loss at ``x[n]``;
+    stands wherever a list of losses does.  ``gradients(x, rows)`` and
+    ``values_and_gradients(x, rows)`` (both from one fused kernel call)
+    evaluate agent ``rows[n]``'s loss at ``x[n]``;
     ``predictions(x, features)`` gives every agent's labels of shared
     features.  Every member has the same ``dim`` and a ``stack_key``; the
     constructor refuses a loss of another dim, or one without a key, with
@@ -507,11 +537,6 @@ class LossStack(Sequence):
             parts.append((loss, shard, slice(None) if pos.size == len(rows) else pos))
         return RowPlan(rows, parts)
 
-    def values(self, x: np.ndarray, rows) -> np.ndarray:
-        """(k,) loss values of agents ``rows`` at the (k, d) points ``x``."""
-        plan = self.plan(rows)
-        return self._evaluate(x, plan, np.empty(len(plan.rows)), "_values")
-
     def gradients(self, x: np.ndarray, rows) -> np.ndarray:
         """(k, d) loss gradients of agents ``rows`` at the (k, d) points ``x``."""
         plan = self.plan(rows)
@@ -519,8 +544,8 @@ class LossStack(Sequence):
         return self._evaluate(x, plan, out, "_gradients")
 
     def values_and_gradients(self, x: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
-        """``values(x, rows)`` and ``gradients(x, rows)`` bit for bit, from
-        one fused kernel call per group; when one group fills every row, the
+        """(k,) loss values and ``gradients(x, rows)`` bit for bit, from one
+        fused kernel call per group; when one group fills every row, the
         kernel's own arrays."""
         plan = self.plan(rows)
         if len(plan.parts) == 1 and isinstance(plan.parts[0][2], slice):

@@ -11,18 +11,21 @@ a plain gradient-descent variant and an exact closed-form solve for
 quadratic losses are also provided.
 
 ``SubproblemBatch`` is the one subproblem type: k agents' subproblems over
-the run's ``LossStack``, one agent being the case k = 1.  ``solve_lbfgs``
-and ``solve_gd`` advance a batch in lockstep: one body runs every agent's
-iterations side by side as stacked arrays.  Each stage is one call for the
-agents it concerns: the two-loop recursion over the memory of curvature
-pairs, M (k, d) slots newest first, each row zero-padded, held in an
-``LbfgsPool`` of buffers that lives for the run while each solve's pairs
-are its own; one fused
-value-and-gradient call at each backtracking level, whose accepted trials
-need no further evaluation (and one at the start, unless the caller gives
-the start's loss terms); and the dual and penalty terms, slopes, norms and
-curvature tests as row-wise arrays (``rowdot``).  A row's penalty is held
-as its degree, anchor sum and anchor spread, not as its anchor matrix.
+the run's ``LossStack``, one agent being the case k = 1, evaluated only
+through ``SubproblemBatch.evaluate`` (of the batch or of ``take`` of some
+rows).  ``solve_lbfgs`` and ``solve_gd`` advance a batch in lockstep: one
+body runs every agent's iterations side by side as stacked arrays.  Every
+solver step is one fused value-and-gradient call: each backtracking level
+of L-BFGS, whose accepted trials need no further evaluation, and each
+gradient-descent step; the start makes one more unless the caller gives
+its loss terms, as the engine always does from its ``RunState``.  The
+other stages are one call each for the agents they concern: the two-loop
+recursion over the memory of curvature pairs, M (k, d) slots newest first,
+each row zero-padded, held in an ``LbfgsPool`` of buffers that lives for
+the run (in the engine's ``RunState``) while each solve's pairs are its
+own; and the dual and penalty terms, slopes, norms and curvature tests as
+row-wise arrays (``rowdot``).  A row's penalty is held as its degree,
+anchor sum and anchor spread, not as its anchor matrix.
 Each agent's arithmetic is that of a lone solve, bit for bit.
 Every stage marks the batch rows it concerns with a (k,) boolean mask.  A
 stage with every row in play runs on whole arrays, views instead of index
@@ -74,14 +77,13 @@ class SubproblemBatch:
     sum_k ||x - a_k||^2 = degree ||x - mean||^2 + spread.  The penalty
     gradient is degree x - anchor_sum.
 
-    ``values(x)`` and ``gradients(x)`` evaluate every row n at ``x[n]``:
-    the loss terms in one call of the ``LossStack`` ``losses`` (or from the
-    caller's loss values or gradients, when given), and the dual and
-    penalty terms as whole arrays.  ``evaluate(x)`` gives both, and the loss
-    values and gradients, from one fused loss call.  Every loss call goes
-    through the batch's ``RowPlan``, resolved once when the batch is built.
-    ``take(rows)`` is the batch of some of its rows, so a subset of rows is
-    evaluated as a batch of its own.
+    ``evaluate(x)`` is the one way to evaluate a batch: every row n's
+    objective value and gradient at ``x[n]``, and its loss value and
+    gradient, from one fused call of the ``LossStack`` ``losses`` (or from
+    the caller's loss terms, when given), the dual and penalty terms added
+    as whole arrays.  The loss call goes through the batch's ``RowPlan``,
+    resolved once when the batch is built.  ``take(rows)`` is the batch of
+    some of its rows, so a subset of rows is evaluated as a batch of its own.
     """
 
     def __init__(self, losses: LossStack, agents, phi, mu_z, anchors, owner):
@@ -113,29 +115,15 @@ class SubproblemBatch:
             setattr(sub, name, getattr(self, name)[rows])
         return sub
 
-    def loss_values(self, x: np.ndarray) -> np.ndarray:
-        """(k,) loss values at ``x``."""
-        return self._losses.values(x, self._plan)
-
-    def loss_gradients(self, x: np.ndarray) -> np.ndarray:
-        """(k, d) loss gradients at ``x``."""
-        return self._losses.gradients(x, self._plan)
-
-    def values(self, x: np.ndarray, loss_values: np.ndarray | None = None) -> np.ndarray:
-        """(k,) objective values; the loss values at ``x`` are evaluated
-        unless given."""
-        if loss_values is None:
-            loss_values = self.loss_values(x)
+    def _values(self, x: np.ndarray, loss_values: np.ndarray) -> np.ndarray:
+        """(k,) objective values from the loss values at ``x``."""
         dual = rowdot(self.phi, x)
         off = x - self.mean
         penalty = self.degree * rowdot(off, off) + self.spread
         return loss_values + dual + 0.5 * self.mu_z * penalty
 
-    def gradients(self, x: np.ndarray, loss_gradients: np.ndarray | None = None) -> np.ndarray:
-        """(k, d) objective gradients; the loss gradients at ``x`` are
-        evaluated unless given."""
-        if loss_gradients is None:
-            loss_gradients = self.loss_gradients(x)
+    def _gradients(self, x: np.ndarray, loss_gradients: np.ndarray) -> np.ndarray:
+        """(k, d) objective gradients from the loss gradients at ``x``."""
         # loss_gradients + phi + mu_z * (degree x - anchor_sum), in the same
         # order of operations, into two arrays.
         pull = self.degree[:, None] * x
@@ -146,15 +134,15 @@ class SubproblemBatch:
         return out
 
     def evaluate(self, x: np.ndarray, loss_terms=None):
-        """``values``, ``gradients``, ``loss_values`` and ``loss_gradients``
-        at ``x``, bit for bit, from one fused stacked loss call, or from a
-        copy of ``loss_terms``, the caller's loss values and gradients at
-        ``x``, when given."""
+        """(k,) objective values, (k, d) objective gradients, (k,) loss
+        values and (k, d) loss gradients at ``x``, from one fused stacked
+        loss call, or from a copy of ``loss_terms``, the caller's loss values
+        and gradients at ``x``, when given."""
         if loss_terms is None:
             lv, lg = self._losses.values_and_gradients(x, self._plan)
         else:
             lv, lg = (np.array(terms, dtype=float) for terms in loss_terms)
-        return self.values(x, lv), self.gradients(x, lg), lv, lg
+        return self._values(x, lv), self._gradients(x, lg), lv, lg
 
 
 @dataclass(frozen=True)
@@ -342,9 +330,8 @@ def solve_lbfgs(
     memory's contents are fresh per call: each round's subproblem is a
     different function, so no stale pairs carry over.  Its buffers come from
     ``pool``, an ``LbfgsPool`` of at least k rows that the caller keeps for
-    the run (``harness`` makes one per run and passes it through
-    ``engine.run_round``), or a fresh pool for this call when None.  An
-    agent stops once its gradient is exactly 0.
+    the run (the engine's ``RunState`` holds one), or a fresh pool for this
+    call when None.  An agent stops once its gradient is exactly 0.
 
     The memory is a list of (k, d) slots holding each row's pairs newest
     first, zeros after its oldest, as many slots as the most any row has
@@ -494,13 +481,12 @@ def solve_gd(
 ) -> SolverReport:
     """tau fixed-step gradient steps on every subproblem of ``batch`` in
     lockstep, warm-started at the rows of ``x_start``, with one report for
-    all rows and one stacked gradient call per step, the last one fused
-    with the loss values so that the report carries them.  Each agent's
-    step defaults to the inverse of its subproblem's smoothness; an agent
-    stops once its gradient is exactly 0, and a row that stops after moving
-    but before the last step has its loss value evaluated after the loop.
-    ``start`` holds the loss values and gradients at ``x_start`` when the
-    caller has them, as ``solve_lbfgs`` takes them."""
+    all rows.  Each step is one fused ``SubproblemBatch.evaluate`` call of
+    the rows still moving, so every row's report carries the loss value and
+    gradient of its last step.  Each agent's step defaults to the inverse of
+    its subproblem's smoothness; an agent stops once its gradient is exactly
+    0.  ``start`` holds the loss values and gradients at ``x_start`` when
+    the caller has them, as ``solve_lbfgs`` takes them."""
     x = np.array(x_start, dtype=float)
     k = len(x)
     steps = np.full(k, step, dtype=float) if step is not None else default_gd_step(batch, lipschitz)
@@ -518,18 +504,10 @@ def solve_gd(
             break
         rows = batch if live.all() else batch.take(np.flatnonzero(live))
         x[live] = x[live] - steps[live, None] * g[live]
-        if it == tau:
-            _, g[live], lv[live], lg[live] = rows.evaluate(x[live])
-        else:
-            lg[live] = rows.loss_gradients(x[live])
-            g[live] = rows.gradients(x[live], lg[live])
+        _, g[live], lv[live], lg[live] = rows.evaluate(x[live])
         gnorm[live] = rownorm(g[live])
         performed += live
         np.copyto(norms[:, it], gnorm, where=live)
-    # Rows that moved, then stopped at a zero gradient before the last step.
-    stale = np.flatnonzero((performed > 0) & (performed < tau))
-    if stale.size:
-        lv[stale] = batch.take(stale).loss_values(x[stale])
     zeros = np.zeros(k, dtype=int)
     return SolverReport(x, lg, lv, performed, norms, None, zeros, zeros)
 

@@ -364,6 +364,8 @@ class AntiGradient(QuadraticLoss):
     ascends, so each Armijo search fails after MAX_BACKTRACKS trials, and
     gradient steps ascend."""
 
+    _values_and_gradients = LocalLoss._values_and_gradients
+
     def __init__(self, dim: int):
         super().__init__(np.ones(dim), np.zeros(dim))
 
@@ -419,14 +421,14 @@ def reference_ordered_sums(owner: np.ndarray, terms: np.ndarray, rows: int) -> n
 
 class StackCalls:
     """Counts what one ``LossStack`` serves from now on: per method
-    (``values``, ``gradients``, ``values_and_gradients``) its stacked
+    (``gradients``, ``values_and_gradients``) its stacked
     ``calls``, how many of them passed a ``RowPlan`` instead of agent rows
     (``planned``), the ``rows`` they evaluate, the rows of each agent
     (``per_agent``) and the calls of each row count (``sizes``), and the
     row ``plans`` it resolves, the all-agents plan of its constructor not
     included.  Installs counting wrappers on that stack instance only."""
 
-    METHODS = ("values", "gradients", "values_and_gradients")
+    METHODS = ("gradients", "values_and_gradients")
 
     def __init__(self, stack: LossStack):
         self.calls = dict.fromkeys(self.METHODS, 0)

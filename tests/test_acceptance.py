@@ -113,9 +113,10 @@ def test_criterion_3_convex_convergence():
             QuadraticLoss(q=np.ones(1), a=np.array([2.0])),
         ])
         config = CadenConfig(mu_z=3.0, mu_y=3.0, tau=5, seed=1)
-        x, phi, grad, value = engine.init_states(losses, topology, np.array([[0.0], [2.0]]))
+        state = engine.init_states(losses, topology, np.array([[0.0], [2.0]]))
+        x = state.x
         for t in range(500):
-            engine.run_round(x, phi, grad, value, losses, topology, config, t)
+            engine.run_round(state, losses, topology, config, t)
             if max(abs(x[0, 0] - 1.0), abs(x[1, 0] - 1.0)) <= 1e-6:
                 break
         assert abs(x[0, 0] - 1.0) <= 1e-6
@@ -208,7 +209,8 @@ def test_criterion_8_metric_identities():
                 QuadraticLoss(q=rng.uniform(0.5, 2.0, 3), a=rng.standard_normal(3))
                 for _ in range(8)
             ])
-            x, phi, grad, value = engine.init_states(losses, topology, rng.standard_normal((8, 3)))
+            state = engine.init_states(losses, topology, rng.standard_normal((8, 3)))
+            x, phi, grad = state.x, state.phi, state.grad
             for i in range(8):
                 phi[i] = rng.standard_normal(3)
             a = metrics.lyapunov_v(x, phi, grad, topology)
@@ -217,7 +219,8 @@ def test_criterion_8_metric_identities():
         topology = graphs.complete_graph(4)
         losses = LossStack([QuadraticLoss(q=np.ones(2), a=np.full(2, float(i))) for i in range(4)])
         x_star = np.full(2, 1.5)
-        x, phi, grad, value = engine.init_states(losses, topology, np.tile(x_star, (4, 1)))
+        state = engine.init_states(losses, topology, np.tile(x_star, (4, 1)))
+        x, phi, grad = state.x, state.phi, state.grad
         for i in range(4):
             phi[i] = -losses[i].gradient(x_star)
         assert metrics.lyapunov_v(x, phi, grad, topology) == 0.0

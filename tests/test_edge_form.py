@@ -60,9 +60,9 @@ class TestLocalObjective:
                 value += float(state.y[k, side] @ diff) + 0.5 * mu_z * float(diff @ diff)
                 gradient = gradient + state.y[k, side] + mu_z * diff
                 constant -= float(state.y[k, side] @ state.z[k])
-            assert np.allclose(gradient, batch.gradients(point[None])[0], atol=1e-12)
-            assert value == pytest.approx(batch.values(point[None])[0] + constant,
-                                          rel=1e-12, abs=1e-12)
+            values, gradients, _, _ = batch.evaluate(point[None])
+            assert np.allclose(gradient, gradients[0], atol=1e-12)
+            assert value == pytest.approx(values[0] + constant, rel=1e-12, abs=1e-12)
 
     def test_zero_losses_zero_duals_minimizer_is_anchor(self):
         topology, state = _k2_state([1.0, -1.0], [0.0], [0.0, 0.0])
@@ -113,13 +113,13 @@ class TestYStep:
                             for _ in range(5)])
         x0 = rng.standard_normal((5, 2))
         config = CadenConfig(mu_z=3.0, mu_y=2.0, tau=4)
-        x, phi, grad, value = engine.init_states(losses, topology, x0)
+        state = engine.init_states(losses, topology, x0)
         edge_state = edge_form.init_edge_state(topology, x0)
         for t in range(20):
-            engine.run_round(x, phi, grad, value, losses, topology, config, t)
+            engine.run_round(state, losses, topology, config, t)
             edge_state = edge_form.run_edge_round(edge_state, losses, topology, config, t)
             rebuilt = edge_form.dual_aggregates(edge_state, topology)
-            assert np.abs(phi - rebuilt).max() <= 1e-10
+            assert np.abs(state.phi - rebuilt).max() <= 1e-10
 
 
 class TestAugmentedObjective:
@@ -240,13 +240,13 @@ def test_forms_agree_on_random_graphs_and_budgets(
                         for _ in range(m)])
     x0 = rng.standard_normal((m, d))
     config = CadenConfig(mu_z=mu_z, mu_y=mu_y_share * mu_z, tau=tau, solver=solver)
-    x, phi, grad, value = engine.init_states(losses, topology, x0)
+    state = engine.init_states(losses, topology, x0)
     edge_state = edge_form.init_edge_state(topology, x0)
     for t in range(15):
-        engine.run_round(x, phi, grad, value, losses, topology, config, t)
+        engine.run_round(state, losses, topology, config, t)
         edge_state = edge_form.run_edge_round(edge_state, losses, topology, config, t)
-        assert np.abs(x - edge_state.x).max() <= 1e-10
-        assert np.abs(phi - edge_form.dual_aggregates(edge_state, topology)).max() <= 1e-10
+        assert np.abs(state.x - edge_state.x).max() <= 1e-10
+        assert np.abs(state.phi - edge_form.dual_aggregates(edge_state, topology)).max() <= 1e-10
         assert edge_form.antisymmetry_gap(edge_state) <= 1e-12
 
 
@@ -288,8 +288,9 @@ def test_x_step_equals_lone_solves_of_explicit_edge_subproblems(
     else:
         # CadenConfig refuses a budget of 0; the solve takes it as an argument.
         phi = edge_form.dual_aggregates(state, topology)
+        start = engine.init_states(losses, topology, state.x, phi)
         new_x = engine.solve_subproblems(
-            np.arange(m), state.x, None, phi, state.z, losses, topology, config, 0
+            np.arange(m), start, state.z, losses, topology, config, 0
         ).x_out
     for i in range(m):
         edges = incident(topology, i)

@@ -6,7 +6,7 @@ import pickle
 import re
 import struct
 import tempfile
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caden import engine, graphs
+from caden import engine, graphs, solvers
 from caden.datasets import gaussian_blobs
 from caden.engine import CadenConfig
 from caden.errors import CheckpointError, ConfigError
@@ -34,17 +34,24 @@ def _k2_setup(mu_z=3.0, mu_y=3.0, solver="exact", **kwargs):
     topology = graphs.complete_graph(2)
     losses = _k2_quadratics()
     config = CadenConfig(mu_z=mu_z, mu_y=mu_y, solver=solver, **kwargs)
-    x, phi, grad, value = engine.init_states(losses, topology, np.array([[0.0], [2.0]]))
-    return topology, losses, config, x, phi, grad, value
+    state = engine.init_states(losses, topology, np.array([[0.0], [2.0]]))
+    return topology, losses, config, state
 
 
 class TestInitStates:
     def test_duals_start_at_zero(self):
         topology = graphs.build_random_graph(6, 0.5, seed=0)
         losses = LossStack([QuadraticLoss(q=np.ones(3), a=np.zeros(3)) for _ in range(6)])
-        _, phi, _, _ = engine.init_states(losses, topology, np.zeros((6, 3)))
-        total = phi.sum()
+        total = engine.init_states(losses, topology, np.zeros((6, 3))).phi.sum()
         assert total == 0.0
+
+    def test_copies_the_models_and_duals_it_is_given(self):
+        x0, phi0 = np.array([[0.0], [2.0]]), np.array([[1.0], [-1.0]])
+        state = engine.init_states(_k2_quadratics(), graphs.complete_graph(2), x0, phi0)
+        state.x[0], state.phi[0] = 5.0, 5.0
+        assert x0.tolist() == [[0.0], [2.0]]
+        assert phi0.tolist() == [[1.0], [-1.0]]
+        assert state.phi.tolist() == [[5.0], [-1.0]]
 
     def test_dimension_mismatch(self):
         # Models must be (m, d) for the topology's m and the stack's dim.
@@ -92,15 +99,15 @@ class TestParticipation:
 class TestPrimalUpdate:
     def test_k2_closed_form(self):
         # argmin of x^2/2 + (3/2)(x - 1)^2 is 3/4.
-        topology, losses, config, x, phi, _, _ = _k2_setup()
-        x_new = engine.primal_update(0, x, phi, losses, topology, config, 0)
+        topology, losses, config, state = _k2_setup()
+        x_new = engine.primal_update(0, state.x, state.phi, losses, topology, config, 0)
         assert x_new[0] == pytest.approx(0.75, abs=1e-12)
 
     def test_consensus_stationary_point_is_fixed(self):
         topology = graphs.build_random_graph(5, 0.6, seed=2)
         losses = LossStack([QuadraticLoss(q=np.ones(2), a=np.full(2, float(i))) for i in range(5)])
         x_star = np.full(2, 2.0)  # mean of the targets 0..4
-        x, phi, _, _ = engine.init_states(losses, topology, np.tile(x_star, (5, 1)))
+        x, phi = np.tile(x_star, (5, 1)), np.zeros((5, 2))
         config = CadenConfig(mu_z=3.0, mu_y=3.0, solver="exact")
         for i in range(5):
             phi[i] = -losses[i].gradient(x_star)
@@ -115,7 +122,7 @@ class TestPrimalUpdate:
         rng = np.random.default_rng(0)
         losses = LossStack([QuadraticLoss(q=np.ones(3), a=rng.standard_normal(3))
                             for _ in range(6)])
-        x, phi, _, _ = engine.init_states(losses, topology, rng.standard_normal((6, 3)))
+        x, phi = rng.standard_normal((6, 3)), np.zeros((6, 3))
         config = CadenConfig(mu_z=2.0, mu_y=2.0, solver="lbfgs")
         forward = [engine.primal_update(i, x, phi, losses, topology, config, 0)
                    for i in range(6)]
@@ -159,14 +166,56 @@ class TestSubproblemBuilder:
             assert batch.degree[n] == len(neighbors)
             row = batch.take([n])
             for point in (x[i], x[i] + 10.0**log_scale * rng.standard_normal(d)):
-                assert row.values(point[None])[0] == lone.values(point[None])[0]
-                assert np.array_equal(row.gradients(point[None])[0],
-                                      lone.gradients(point[None])[0])
+                got, want = row.evaluate(point[None]), lone.evaluate(point[None])
+                assert got[0][0] == want[0][0]
+                assert np.array_equal(got[1][0], want[1][0])
+
+
+class TestSolveSubproblems:
+    @pytest.mark.parametrize("solver", ["lbfgs", "gd", "exact"])
+    @pytest.mark.parametrize("agents", [range(6), [4, 0, 2]])
+    def test_a_run_state_start_equals_an_evaluated_start(self, solver, agents):
+        # A solve starts from the loss terms and the pool of the RunState;
+        # the solvers given no start evaluate it and make their own pool.
+        # Their reports agree bit for bit, for every agent and for a subset,
+        # and the state is not written.
+        topology = graphs.build_random_graph(6, 0.5, seed=11)
+        rng = np.random.default_rng(11)
+        if solver == "exact":
+            d = 3
+            members = [QuadraticLoss(q=rng.uniform(0.5, 2.0, d), a=rng.standard_normal(d))
+                       for _ in range(6)]
+        else:
+            features, labels = gaussian_blobs(60, 3, 3, seed=11)
+            members = [MlpLoss(features[10 * i : 10 * i + 10], labels[10 * i : 10 * i + 10],
+                               hidden=4, classes=3, l2=1e-3) for i in range(6)]
+            d = members[0].dim
+        losses = LossStack(members)
+        agents = np.array(agents)
+        x0, phi = rng.standard_normal((6, d)), rng.standard_normal((6, d))
+        z = graphs.edge_midpoints(topology, x0)
+        config = CadenConfig(mu_z=2.0, mu_y=1.0, solver=solver, lipschitz=4.0)
+        state = engine.init_states(losses, topology, x0, phi)
+        got = engine.solve_subproblems(agents, state, z, losses, topology, config, 4)
+        batch = engine.subproblems(agents, phi, z, losses, topology, config.mu_z)
+        if solver == "lbfgs":
+            want = solvers.solve_lbfgs(batch, x0[agents], 4, config.lbfgs_memory, None, 4.0)
+        elif solver == "gd":
+            want = solvers.solve_gd(batch, x0[agents], 4, None, 4.0, None)
+        else:
+            want = solvers.solve_exact(batch)
+        for field in fields(solvers.SolverReport):
+            got_terms, want_terms = getattr(got, field.name), getattr(want, field.name)
+            if want_terms is None:
+                assert got_terms is None, field.name
+            else:
+                assert np.array_equal(got_terms, want_terms, equal_nan=True), field.name
+        assert np.array_equal(state.x, x0) and np.array_equal(state.phi, phi)
 
 
 class TestBroadcastAndDual:
     def test_inactive_broadcast_is_noop(self):
-        _, _, _, x, _, _, _ = _k2_setup()
+        x = _k2_setup()[3].x
         before = x.copy()
         assert engine.broadcast(x, [], []) == 0
         assert np.array_equal(x, before)
@@ -174,12 +223,13 @@ class TestBroadcastAndDual:
     def test_one_unit_per_broadcast_regardless_of_degree(self):
         topology = graphs.complete_graph(4)  # every agent has 3 neighbors
         losses = LossStack([QuadraticLoss(q=np.ones(1), a=np.zeros(1)) for _ in range(4)])
-        x, _, _, _ = engine.init_states(losses, topology, np.zeros((4, 1)))
+        x = engine.init_states(losses, topology, np.zeros((4, 1))).x
         assert engine.broadcast(x, [0], [np.array([0.75])]) == 1
         assert x[0, 0] == 0.75
 
     def test_k2_dual_update_hand_values(self):
-        topology, losses, _, x, phi, _, _ = _k2_setup()
+        topology, losses, _, state = _k2_setup()
+        x, phi = state.x, state.phi
         config = CadenConfig(mu_z=3.0, mu_y=2.0)
         engine.broadcast(x, [0, 1], [np.array([1.0]), np.array([0.0])])
         phi0 = engine.dual_update(0, x, phi, topology, config)
@@ -189,9 +239,9 @@ class TestBroadcastAndDual:
         assert phi0[0] + phi1[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_consensus_leaves_duals_unchanged(self):
-        topology, losses, config, x, phi, _, _ = _k2_setup()
-        engine.broadcast(x, [0, 1], [np.array([1.0]), np.array([1.0])])
-        assert engine.dual_update(0, x, phi, topology, config)[0] == 0.0
+        topology, losses, config, state = _k2_setup()
+        engine.broadcast(state.x, [0, 1], [np.array([1.0]), np.array([1.0])])
+        assert engine.dual_update(0, state.x, state.phi, topology, config)[0] == 0.0
 
 
 class TestRunRound:
@@ -200,12 +250,12 @@ class TestRunRound:
         rng = np.random.default_rng(1)
         losses = LossStack([QuadraticLoss(q=np.ones(2), a=rng.standard_normal(2))
                             for _ in range(7)])
-        x, phi, grad, value = engine.init_states(losses, topology, rng.standard_normal((7, 2)))
+        state = engine.init_states(losses, topology, rng.standard_normal((7, 2)))
         config = CadenConfig(mu_z=3.0, mu_y=2.0, tau=5)
         rounds = 50
         for t in range(rounds):
-            engine.run_round(x, phi, grad, value, losses, topology, config, t)
-            drift = np.abs(phi.sum(axis=0)).max()
+            engine.run_round(state, losses, topology, config, t)
+            drift = np.abs(state.phi.sum(axis=0)).max()
             assert drift <= 1e-9 * config.mu_y * (t + 1)
 
     def test_inactive_agents_frozen_bitwise(self):
@@ -213,11 +263,12 @@ class TestRunRound:
         rng = np.random.default_rng(2)
         losses = LossStack([QuadraticLoss(q=np.ones(2), a=rng.standard_normal(2))
                             for _ in range(8)])
-        x, phi, grad, value = engine.init_states(losses, topology, rng.standard_normal((8, 2)))
+        state = engine.init_states(losses, topology, rng.standard_normal((8, 2)))
+        x, phi = state.x, state.phi
         config = CadenConfig(mu_z=3.0, mu_y=3.0, participation=0.5, seed=3)
         for t in range(10):
             x_before, phi_before = x.copy(), phi.copy()
-            summary = engine.run_round(x, phi, grad, value, losses, topology, config, t)
+            summary = engine.run_round(state, losses, topology, config, t)
             for i in range(8):
                 if not summary.active[i]:
                     assert np.array_equal(x[i], x_before[i])
@@ -226,11 +277,12 @@ class TestRunRound:
     @pytest.mark.parametrize("solver", ["lbfgs", "gd", "exact"])
     def test_all_inactive_round_changes_nothing(self, solver):
         # Every solver takes an empty solve: no rows in, none written.
-        topology, losses, _, x, phi, grad, value = _k2_setup()
+        topology, losses, _, state = _k2_setup()
+        x, phi, grad = state.x, state.phi, state.grad
         config = CadenConfig(mu_z=3.0, mu_y=3.0, participation=1e-9, seed=0, solver=solver)
         phi[:] = [[0.5], [-0.5]]
         x_before, phi_before, grad_before = x.copy(), phi.copy(), grad.copy()
-        summary = engine.run_round(x, phi, grad, value, losses, topology, config, 0)
+        summary = engine.run_round(state, losses, topology, config, 0)
         assert summary.broadcasts == 0
         assert not summary.active.any()
         for i in (0, 1):
@@ -246,32 +298,32 @@ class TestRunRound:
         rng = np.random.default_rng(7)
         losses = LossStack([QuadraticLoss(q=rng.uniform(0.5, 2.0, 3), a=rng.standard_normal(3))
                             for _ in range(20)])
-        x, phi, grad, value = engine.init_states(losses, topology, rng.standard_normal((20, 3)))
+        state = engine.init_states(losses, topology, rng.standard_normal((20, 3)))
         config = CadenConfig(mu_z=3.0, mu_y=3.0, participation=0.5, seed=7)
         for t in range(5):
-            engine.run_round(x, phi, grad, value, losses, topology, config, t)
+            engine.run_round(state, losses, topology, config, t)
         snapshot = pickle.dumps(losses)
         for t in range(5, 60):
-            engine.run_round(x, phi, grad, value, losses, topology, config, t)
+            engine.run_round(state, losses, topology, config, t)
         assert pickle.dumps(losses) == snapshot
 
     def test_full_participation_communication_count(self):
         topology = graphs.build_random_graph(6, 0.5, seed=6)
         losses = LossStack([QuadraticLoss(q=np.ones(1), a=np.zeros(1)) for _ in range(6)])
-        x, phi, grad, value = engine.init_states(losses, topology, np.zeros((6, 1)))
+        state = engine.init_states(losses, topology, np.zeros((6, 1)))
         config = CadenConfig(mu_z=1.0, mu_y=1.0)
         total = sum(
-            engine.run_round(x, phi, grad, value, losses, topology, config, t).broadcasts
+            engine.run_round(state, losses, topology, config, t).broadcasts
             for t in range(9)
         )
         assert total == 6 * 9
 
     def test_k2_converges_to_global_optimum(self):
-        topology, losses, config, x, phi, grad, value = _k2_setup(solver="lbfgs", tau=5)
+        topology, losses, config, state = _k2_setup(solver="lbfgs", tau=5)
         for t in range(300):
-            engine.run_round(x, phi, grad, value, losses, topology, config, t)
-        assert abs(x[0, 0] - 1.0) <= 1e-6
-        assert abs(x[1, 0] - 1.0) <= 1e-6
+            engine.run_round(state, losses, topology, config, t)
+        assert abs(state.x[0, 0] - 1.0) <= 1e-6
+        assert abs(state.x[1, 0] - 1.0) <= 1e-6
 
 
 def _carried_gradient_run(draw, rng):
@@ -329,20 +381,20 @@ class TestCarriedGradient:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         topology, losses, x0, config = _carried_gradient_run(data.draw, rng)
         everyone = np.arange(topology.m)
-        x, phi, grad, value = engine.init_states(losses, topology, x0)
-        assert np.array_equal(grad, losses.gradients(x, everyone))
-        assert np.array_equal(value, losses.values(x, everyone), equal_nan=True)
-        for t in range(rounds):
+        state = engine.init_states(losses, topology, x0)
+        for t in range(rounds + 1):
+            assert np.array_equal(state.grad, losses.gradients(state.x, everyone))
+            value = [loss.value(row) for loss, row in zip(losses, state.x)]
+            assert np.array_equal(state.value, value, equal_nan=True)
+            if t == rounds:
+                break
             if t == resume_at:
                 with tempfile.TemporaryDirectory() as tmp:
                     path = os.path.join(tmp, "state.bin")
-                    engine.save_checkpoint(path, x, phi, t)
+                    engine.save_checkpoint(path, state.x, state.phi, t)
                     x_saved, phi_saved, _ = engine.load_checkpoint(path)
-                x, phi, grad, value = engine.init_states(losses, topology, x_saved)
-                phi[:] = phi_saved
-            engine.run_round(x, phi, grad, value, losses, topology, config, t)
-            assert np.array_equal(grad, losses.gradients(x, everyone))
-            assert np.array_equal(value, losses.values(x, everyone), equal_nan=True)
+                state = engine.init_states(losses, topology, x_saved, phi_saved)
+            engine.run_round(state, losses, topology, config, t)
 
 
 class TestTauSchedule:
@@ -378,10 +430,11 @@ class TestCheckpoint:
         rng = np.random.default_rng(3)
         losses = LossStack([QuadraticLoss(q=np.ones(3), a=rng.standard_normal(3))
                             for _ in range(5)])
-        x, phi, grad, value = engine.init_states(losses, topology, rng.standard_normal((5, 3)))
+        state = engine.init_states(losses, topology, rng.standard_normal((5, 3)))
+        x, phi = state.x, state.phi
         config = CadenConfig(mu_z=2.0, mu_y=2.0)
         for t in range(4):
-            engine.run_round(x, phi, grad, value, losses, topology, config, t)
+            engine.run_round(state, losses, topology, config, t)
         path = str(tmp_path / "state.bin")
         engine.save_checkpoint(path, x, phi, round_index=4)
         x_loaded, phi_loaded, round_index = engine.load_checkpoint(path)
@@ -394,7 +447,8 @@ class TestCheckpoint:
         # An 8-byte magic, then little-endian u64 (version, m, d, round), the
         # SHA-256 digest of the problem record and its u64 length, the
         # record's "key = value" lines, then the float64 payload.
-        topology, losses, _, x, phi, _, _ = _k2_setup()
+        state = _k2_setup()[3]
+        x, phi = state.x, state.phi
         path = str(tmp_path / "s.bin")
         engine.save_checkpoint(path, x, phi, round_index=7, problem={"seed": "3", "m": "2"})
         raw = Path(path).read_bytes()
@@ -418,7 +472,8 @@ class TestCheckpoint:
         ("record-digest", "problem record does not match its digest"),
     ])
     def test_bad_header_is_named(self, tmp_path, bad, named):
-        _, _, _, x, phi, _, _ = _k2_setup()
+        state = _k2_setup()[3]
+        x, phi = state.x, state.phi
         path = tmp_path / "s.bin"
         engine.save_checkpoint(str(path), x, phi, round_index=7, problem={"seed": "3"})
         raw = path.read_bytes()
@@ -437,7 +492,8 @@ class TestCheckpoint:
     def test_another_problem_is_named(self, tmp_path):
         # Every differing key is named with both values; equal records, and
         # a file written without one, load.
-        _, _, _, x, phi, _, _ = _k2_setup()
+        state = _k2_setup()[3]
+        x, phi = state.x, state.phi
         path = str(tmp_path / "s.bin")
         written = {"seed": "3", "loss.l2": "0.0", "m": "2"}
         engine.save_checkpoint(path, x, phi, round_index=7, problem=written)

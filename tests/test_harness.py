@@ -141,10 +141,11 @@ class TestRunExperiment:
     def test_partial_trace_flushed_on_error(self, tmp_path):
         # A loss whose gradient blows up after a few evaluations.
         from caden import harness
-        from caden.losses import QuadraticLoss
+        from caden.losses import LocalLoss, QuadraticLoss
 
         class Bomb(QuadraticLoss):
             calls = 0
+            _values_and_gradients = LocalLoss._values_and_gradients
 
             def _gradients(self, x, data):
                 Bomb.calls += 1
@@ -850,14 +851,14 @@ class TestOneEvaluationPath:
             topology = build_topology(cfg)
             losses, eval_set = build_losses(cfg, topology)
             init = initialize(cfg, losses, topology)
-            x, phi, grad, value = engine.init_states(losses, topology, init.x0)
+            state = engine.init_states(losses, topology, init.x0)
             for solver in ("lbfgs", "gd"):
                 config = engine.CadenConfig(
                     mu_z=2.0 * init.lipschitz + 1.0, mu_y=1.0, solver=solver,
                     lipschitz=init.lipschitz,
                 )
-                engine.run_round(x, phi, grad, value, losses, topology, config, 0)
-            assert 0.0 <= metrics.test_accuracy(x, losses, *eval_set) <= 1.0
+                engine.run_round(state, losses, topology, config, 0)
+            assert 0.0 <= metrics.test_accuracy(state.x, losses, *eval_set) <= 1.0
         cfg = ExperimentConfig(
             seed=3, topology_kind="complete", topology_m=4, loss_kind="quadratic",
             quadratic_style="random", loss_dimension=3,
@@ -865,10 +866,10 @@ class TestOneEvaluationPath:
         topology = build_topology(cfg)
         losses, _ = build_losses(cfg, topology)
         x0 = initialize(cfg, losses, topology).x0
-        x, phi, grad, value = engine.init_states(losses, topology, x0)
+        state = engine.init_states(losses, topology, x0)
         for solver in ("lbfgs", "gd", "exact"):
             config = engine.CadenConfig(mu_z=3.0, mu_y=1.0, solver=solver)
-            engine.run_round(x, phi, grad, value, losses, topology, config, 0)
+            engine.run_round(state, losses, topology, config, 0)
 
 
 class TestParticipationSweep:

@@ -218,11 +218,10 @@ class TestLossStack:
         m, d = len(built), built[0].dim
         rows = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=2 * m)))
         x = rng.standard_normal((len(rows), d)) * rng.uniform(0.1, 3.0)
-        values = stack.values(x, rows)
         gradients = stack.gradients(x, rows)
-        # The fused call gives both, bit for bit, every family included.
-        fused_values, fused_gradients = stack.values_and_gradients(x, rows)
-        assert np.array_equal(fused_values, values)
+        # The fused call gives the values and the gradient call's gradients
+        # bit for bit, every family included.
+        values, fused_gradients = stack.values_and_gradients(x, rows)
         assert np.array_equal(fused_gradients, gradients)
         classifiers = [i for i, loss in enumerate(built) if hasattr(loss, "predict")]
         features = rng.standard_normal((7, built[classifiers[0]].n_features))
@@ -306,7 +305,8 @@ class TestLossStack:
         monkeypatch.setattr(losses.QuadraticLoss, "gradient", refuse)
         rows = np.array([4, 0, 2, 3, 1, 0, 3])
         x = rng.standard_normal((len(rows), 3))
-        values, gradients = stack.values(x, rows), stack.gradients(x, rows)
+        values, gradients = stack.values_and_gradients(x, rows)
+        assert np.array_equal(stack.gradients(x, rows), gradients)
         for n, agent in enumerate(rows):
             ref = ReferenceQuadraticLoss(curvatures[agent], targets[agent])
             assert values[n] == ref.value(x[n])
@@ -327,6 +327,8 @@ class TestLossStack:
         # A subclass that overrides a kernel forms its own group, so each
         # row reads its own loss's kernel in either member order.
         class Doubled(losses.QuadraticLoss):
+            _values_and_gradients = losses.LocalLoss._values_and_gradients
+
             def _gradients(self, x, data):
                 return 2.0 * super()._gradients(x, data)
 
@@ -335,13 +337,38 @@ class TestLossStack:
         members = [doubled, plain] if doubled_first else [plain, doubled]
         stack = losses.LossStack(members)
         x = np.array([[1.0, 2.0], [1.0, 2.0]])
-        values, gradients = stack.values(x, [0, 1]), stack.gradients(x, [0, 1])
+        gradients = stack.gradients(x, [0, 1])
         fused_values, fused_gradients = stack.values_and_gradients(x, [0, 1])
         for n, loss in enumerate(members):
-            assert values[n] == fused_values[n] == loss.value(x[n])
+            assert fused_values[n] == loss.value(x[n])
             assert np.array_equal(gradients[n], loss.gradient(x[n]))
             assert np.array_equal(fused_gradients[n], loss.gradient(x[n]))
         assert np.array_equal(doubled.gradient(x[0]), [2.0, 4.0])
+
+    def test_a_kernel_override_without_the_fused_kernel_is_refused(self):
+        # The quadratic's fused kernel does not call _values, so a subclass
+        # that overrides _values alone would lose its override in every
+        # fused call: defining it raises, naming the class and the family.
+        match = (r"^Clipped overrides _values or _gradients but inherits the fused kernel "
+                 r"QuadraticLoss\._values_and_gradients")
+        with pytest.raises(TypeError, match=match):
+            class Clipped(losses.QuadraticLoss):
+                def _values(self, x, data):
+                    return np.minimum(super()._values(x, data), 1.0)
+
+    def test_a_kernel_override_with_the_calling_fused_kernel_is_accepted(self):
+        # LocalLoss's fused kernel calls the other two, so taking it keeps
+        # the override in fused calls.
+        class Clipped(losses.QuadraticLoss):
+            _values_and_gradients = losses.LocalLoss._values_and_gradients
+
+            def _values(self, x, data):
+                return np.minimum(super()._values(x, data), 1.0)
+
+        stack = losses.LossStack([Clipped(q=np.ones(2), a=np.zeros(2))])
+        values, gradients = stack.values_and_gradients(np.array([[3.0, 4.0]]), [0])
+        assert values.tolist() == [1.0]
+        assert gradients.tolist() == [[3.0, 4.0]]
 
     def test_refuses_a_loss_without_kernels(self):
         class Lone(losses.LocalLoss):

@@ -19,10 +19,10 @@ def _random_states(seed, m=8, d=3):
     topology = graphs.build_random_graph(m, 0.4, seed=seed)
     losses = LossStack([QuadraticLoss(q=rng.uniform(0.5, 2.0, d), a=rng.standard_normal(d))
                         for _ in range(m)])
-    x, phi, grad, value = engine.init_states(losses, topology, rng.standard_normal((m, d)))
+    state = engine.init_states(losses, topology, rng.standard_normal((m, d)))
     for i in range(m):
-        phi[i] = rng.standard_normal(d)
-    return topology, losses, x, phi, grad
+        state.phi[i] = rng.standard_normal(d)
+    return topology, losses, state
 
 
 def _consensus_stationary(m=4, d=2):
@@ -31,10 +31,10 @@ def _consensus_stationary(m=4, d=2):
     rng = np.random.default_rng(0)
     losses = LossStack([QuadraticLoss(q=np.ones(d), a=rng.standard_normal(d)) for _ in range(m)])
     x_star = np.mean([loss.a for loss in losses], axis=0)
-    x, phi, grad, value = engine.init_states(losses, topology, np.tile(x_star, (m, 1)))
+    state = engine.init_states(losses, topology, np.tile(x_star, (m, 1)))
     for i in range(m):
-        phi[i] = -losses[i].gradient(x_star)
-    return topology, losses, x, phi, grad
+        state.phi[i] = -losses[i].gradient(x_star)
+    return topology, losses, state.x, state.phi, state.grad
 
 
 def _gradients_at(x, losses):
@@ -45,9 +45,9 @@ def _gradients_at(x, losses):
 class TestResidualForms:
     @pytest.mark.parametrize("seed", range(50))
     def test_pair_and_midpoint_forms_agree(self, seed):
-        topology, losses, x, phi, grad = _random_states(seed)
-        a = metrics.lyapunov_v(x, phi, grad, topology)
-        b = lyapunov_v_midpoint_form(x, phi, losses, topology)
+        topology, losses, state = _random_states(seed)
+        a = metrics.lyapunov_v(state.x, state.phi, state.grad, topology)
+        b = lyapunov_v_midpoint_form(state.x, state.phi, losses, topology)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
     def test_zero_exactly_at_consensus_stationary_state(self):
@@ -71,7 +71,7 @@ class TestRelativeError:
         topology = graphs.complete_graph(2)
         losses = LossStack([QuadraticLoss(q=np.ones(1), a=np.array([-1.0])),
                             QuadraticLoss(q=np.ones(1), a=np.array([1.0]))])
-        x, _, _, _ = engine.init_states(losses, topology, np.zeros((2, 1)))
+        x = np.zeros((2, 1))
         assert metrics.relative_error(x, losses) == 0.0
 
     def test_two_agent_hand_value(self):
@@ -79,7 +79,7 @@ class TestRelativeError:
         topology = graphs.complete_graph(2)
         losses = LossStack([QuadraticLoss(q=np.ones(1), a=np.array([0.0])),
                             QuadraticLoss(q=np.ones(1), a=np.array([2.0]))])
-        x, _, _, _ = engine.init_states(losses, topology, np.array([[0.0], [2.0]]))
+        x = np.array([[0.0], [2.0]])
         assert metrics.relative_error(x, losses) == pytest.approx(4.0)
 
     def test_zero_iff_chain_consensus_and_zero_gradient_sum(self):
@@ -90,7 +90,7 @@ class TestRelativeError:
     def test_graph_variant_counts_edges(self):
         topology = graphs.path_graph(3)
         losses = LossStack([QuadraticLoss(q=np.ones(1), a=np.zeros(1)) for _ in range(3)])
-        x, _, _, _ = engine.init_states(losses, topology, np.array([[0.0], [1.0], [2.0]]))
+        x = np.array([[0.0], [1.0], [2.0]])
         chain = metrics.relative_error(x, losses)
         graph = metrics.relative_error_graph(x, losses, topology)
         assert chain == pytest.approx(graph)  # path graph: same pair set
@@ -117,13 +117,13 @@ def _engine_run(family, solver, rounds=4, m=6):
         members = [MlpLoss(features[r], labels[r], hidden=4, classes=3, l2=1e-3) for r in shards]
         d = members[0].dim
     losses = LossStack(members)
-    x, phi, grad, value = engine.init_states(losses, topology, rng.standard_normal((m, d)))
+    state = engine.init_states(losses, topology, rng.standard_normal((m, d)))
     participation = 0.5 if family == "quadratic" else 1.0
     config = CadenConfig(mu_z=2.0, mu_y=1.0, solver=solver, participation=participation, seed=3,
                          lipschitz=4.0)
     for t in range(rounds):
-        engine.run_round(x, phi, grad, value, losses, topology, config, t)
-    return x, grad, losses, topology
+        engine.run_round(state, losses, topology, config, t)
+    return state.x, state.grad, losses, topology
 
 
 class TestCarriedGradients:
@@ -172,7 +172,7 @@ class TestAccuracy:
         x_data, y_data = gaussian_blobs(60, 5, 10, seed=0)
         topology = graphs.complete_graph(3)
         losses = LossStack([MlpLoss(x_data, y_data, hidden=6, classes=10) for _ in range(3)])
-        x, _, _, _ = engine.init_states(losses, topology, np.tile(params(losses[0]), (3, 1)))
+        x = np.tile(params(losses[0]), (3, 1))
         return topology, losses, x
 
     def test_perfect_classifier_scores_one(self):
@@ -186,7 +186,7 @@ class TestAccuracy:
         batch = batch_of([Row(loss=losses[0], phi=np.zeros(d), anchors=np.zeros((0, d)), mu_z=0.0)],
                          losses, [0])
         params = solve_lbfgs(batch, params[None], 200).x_out[0]
-        x, _, _, _ = engine.init_states(losses, topology, np.tile(params, (2, 1)))
+        x = np.tile(params, (2, 1))
         assert metrics.test_accuracy(x, losses, x_eval, y_eval) == 1.0
 
     def test_zero_weights_predict_one_class(self):
@@ -228,19 +228,18 @@ class TestPhiDrift:
         rng = np.random.default_rng(seed)
         losses = LossStack([QuadraticLoss(q=rng.uniform(0.5, 2.0, d), a=rng.standard_normal(d))
                             for _ in range(m)])
-        x, phi, grad, value = engine.init_states(losses, topology, rng.standard_normal((m, d)))
+        state = engine.init_states(losses, topology, rng.standard_normal((m, d)))
         config = CadenConfig(mu_z=mu_z, mu_y=mu_y_share * mu_z, solver=solver)
         for t in range(10):
-            engine.run_round(x, phi, grad, value, losses, topology, config, t)
-        assert metrics.phi_drift(phi) <= 1e-10
+            engine.run_round(state, losses, topology, config, t)
+        assert metrics.phi_drift(state.phi) <= 1e-10
 
     def test_nonzero_reported_under_partial_participation(self):
-        topology, losses, x, phi, grad = _random_states(1)
-        value = losses.values(x, np.arange(topology.m))
-        phi[:] = 0.0
+        topology, losses, state = _random_states(1)
+        state.phi[:] = 0.0
         config = CadenConfig(mu_z=2.0, mu_y=2.0, participation=0.5, seed=7)
         drifts = []
         for t in range(20):
-            engine.run_round(x, phi, grad, value, losses, topology, config, t)
-            drifts.append(metrics.phi_drift(phi))
+            engine.run_round(state, losses, topology, config, t)
+            drifts.append(metrics.phi_drift(state.phi))
         assert max(drifts) > 0.0

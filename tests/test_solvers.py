@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from caden import solvers
 from caden.datasets import gaussian_blobs
-from caden.losses import LossStack, MlpLoss, QuadraticLoss, rowdot
+from caden.losses import LocalLoss, LossStack, MlpLoss, QuadraticLoss, rowdot
 from caden.solvers import (
     estimate_contraction,
     solve_exact,
@@ -85,8 +85,7 @@ class TestSubproblemTerms:
         )
         x = scale * rng.standard_normal((len(rows), d))
         batch = batch_of(problems).take(rows)
-        values = batch.values(x)
-        gradients = batch.gradients(x)
+        values, gradients, _, _ = batch.evaluate(x)
         for n, j in enumerate(rows):
             assert values[n] == reference_value(problems[j], x[n])
             assert np.array_equal(gradients[n], reference_gradient(problems[j], x[n]))
@@ -114,7 +113,7 @@ class TestSubproblemTerms:
                         points += list(scale * rng.standard_normal((3, d)))
                     problems += [Row(zero, np.zeros(d), anchors, 2.0)] * 3
             points = np.array(points)
-            got = batch_of(problems).values(points)
+            got = batch_of(problems).evaluate(points)[0]
             for value, x, problem in zip(got, points, problems):
                 want = sum(float(np.sum((x - a) ** 2)) for a in problem.anchors)
                 assert abs(value - want) <= 1e-12 * want
@@ -125,21 +124,21 @@ class TestSubproblemGradient:
         loss = QuadraticLoss(q=np.ones(2), a=np.zeros(2))
         batch = batch_of([Row(loss=loss, phi=np.zeros(2), anchors=np.zeros((1, 2)), mu_z=3.0)])
         v = np.array([1.5, -0.5])
-        assert np.allclose(batch.gradients(v[None])[0], 4.0 * v)
+        assert np.allclose(batch.evaluate(v[None])[1][0], 4.0 * v)
 
     def test_zero_at_minimizer(self):
         rng = np.random.default_rng(0)
         p = _subproblem(rng)
         x_star = _oracle_minimizer(p)
-        assert np.linalg.norm(batch_of([p]).gradients(x_star[None])[0]) < 1e-10
+        assert np.linalg.norm(batch_of([p]).evaluate(x_star[None])[1][0]) < 1e-10
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(1)
         for _ in range(5):
             batch = batch_of([_subproblem(rng)])
             x = rng.standard_normal(4)
-            grad = batch.gradients(x[None])[0]
-            oracle = central_difference(lambda v: batch.values(v[None])[0], x)
+            grad = batch.evaluate(x[None])[1][0]
+            oracle = central_difference(lambda v: batch.evaluate(v[None])[0][0], x)
             assert np.linalg.norm(grad - oracle) / max(np.linalg.norm(oracle), 1.0) < 1e-5
 
 
@@ -169,7 +168,7 @@ class TestTake:
     def test_equals_the_parent_rows_and_a_batch_of_those_rows(self, family, rows):
         # The batch of some rows evaluates each row as the parent batch
         # does, and as a batch built from those rows' own terms, bit for
-        # bit: values, gradients and loss terms.
+        # bit: values, gradients and loss terms, evaluated or given.
         stack, agents, problems = _take_case(family)
         parent = batch_of(problems, stack, agents)
         rows = np.array(rows, dtype=np.intp)
@@ -179,10 +178,10 @@ class TestTake:
         want = [terms[rows] for terms in parent.evaluate(x)]
         names = ("values", "gradients", "loss_values", "loss_gradients")
         for batch in (taken, direct):
-            fused = batch.evaluate(x[rows])
-            for name, got, expected in zip(names, fused, want):
-                assert np.array_equal(got, expected), name
-                assert np.array_equal(getattr(batch, name)(x[rows]), expected), name
+            for loss_terms in (None, want[2:]):
+                fused = batch.evaluate(x[rows], loss_terms)
+                for name, got, expected in zip(names, fused, want):
+                    assert np.array_equal(got, expected), name
         for name in ("phi", "mu_z", "degree", "anchor_sum", "mean", "spread"):
             assert np.array_equal(getattr(taken, name), getattr(direct, name)), name
 
@@ -515,6 +514,8 @@ class _UndefinedFar(QuadraticLoss):
     """A quadratic whose value is NaN outside the ball of radius 2, so long
     trial steps are rejected as NaN."""
 
+    _values_and_gradients = LocalLoss._values_and_gradients
+
     def _values(self, x, data):
         return np.where(rowdot(x, x) <= 4.0, super()._values(x, data), np.nan)
 
@@ -646,7 +647,7 @@ class TestLockstep:
             accepted = got.iterations[n] - got.line_search_failures[n]
             trials = accepted + got.backtracks[n]
             assert calls.per_agent["values_and_gradients"][agent] == 1 + trials
-            assert calls.per_agent["values"][agent] == calls.per_agent["gradients"][agent] == 0
+            assert calls.per_agent["gradients"][agent] == 0
             assert np.array_equal(got.loss_grad_out[n], problem.loss.gradient(got.x_out[n]))
 
     def test_failed_search_counts_every_trial(self):
@@ -790,9 +791,8 @@ class TestLeanPath:
         got = solve_lbfgs(batch, x0, tau, start=start)
         assert got.iterations.tolist() == [tau] * 10
         assert not got.backtracks.any() and not got.line_search_failures.any()
-        assert calls.calls == calls.planned == {
-            "values": 0, "gradients": 0, "values_and_gradients": tau}
-        assert calls.rows == {"values": 0, "gradients": 0, "values_and_gradients": 10 * tau}
+        assert calls.calls == calls.planned == {"gradients": 0, "values_and_gradients": tau}
+        assert calls.rows == {"gradients": 0, "values_and_gradients": 10 * tau}
         assert calls.plans == 0
         for n, (problem, x_start) in enumerate(zip(problems, x0)):
             want = reference_solve_lbfgs(problem, x_start, tau)
@@ -823,5 +823,6 @@ class TestReportedLossTerms:
             assert got.iterations.tolist() == [1, tau, tau]
         else:
             got = solve_exact(batch)
-        assert np.array_equal(got.loss_value_out, stack.values(got.x_out, active))
+        values = [stack[i].value(x) for i, x in zip(active, got.x_out)]
+        assert np.array_equal(got.loss_value_out, values)
         assert np.array_equal(got.loss_grad_out, stack.gradients(got.x_out, active))

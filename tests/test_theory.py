@@ -180,30 +180,32 @@ class TestInitialError:
         # share a minimizer and start there in consensus.
         topology = graphs.complete_graph(3)
         losses = LossStack([QuadraticLoss(q=np.ones(1), a=np.array([1.0])) for _ in range(3)])
-        x, phi, _, _ = engine.init_states(losses, topology, np.full((3, 1), 1.0))
+        x = np.full((3, 1), 1.0)
         config = CadenConfig(mu_z=3.0, mu_y=1.0)
-        assert augmented_gradient_error(x, phi, losses, topology, config.mu_z) == 0.0
+        assert augmented_gradient_error(x, np.zeros_like(x), losses, topology,
+                                        config.mu_z) == 0.0
 
     def test_k2_hand_value(self):
         topology = graphs.complete_graph(2)
         losses = LossStack([QuadraticLoss(q=np.ones(1), a=np.array([0.0])),
                             QuadraticLoss(q=np.ones(1), a=np.array([2.0]))])
-        x, phi, _, _ = engine.init_states(losses, topology, np.array([[0.0], [2.0]]))
+        x = np.array([[0.0], [2.0]])
         config = CadenConfig(mu_z=3.0, mu_y=1.0)
-        e0 = augmented_gradient_error(x, phi, losses, topology, config.mu_z)
+        e0 = augmented_gradient_error(x, np.zeros_like(x), losses, topology, config.mu_z)
         assert e0 == pytest.approx(18.0)
 
     def test_round_t_diagnostic_reduces_to_e0_at_start(self):
         topology = graphs.complete_graph(2)
         losses = LossStack([QuadraticLoss(q=np.ones(1), a=np.array([0.0])),
                             QuadraticLoss(q=np.ones(1), a=np.array([2.0]))])
-        x, phi, grad, value = engine.init_states(losses, topology, np.array([[0.0], [2.0]]))
+        state = engine.init_states(losses, topology, np.array([[0.0], [2.0]]))
+        x, phi = state.x, state.phi
         config = CadenConfig(mu_z=3.0, mu_y=1.0)
         e0 = augmented_gradient_error(x, np.zeros_like(x), losses, topology, config.mu_z)
         assert augmented_gradient_error(
             x, phi, losses, topology, config.mu_z
         ) == pytest.approx(e0)
-        engine.run_round(x, phi, grad, value, losses, topology, config, 0)
+        engine.run_round(state, losses, topology, config, 0)
         assert augmented_gradient_error(x, phi, losses, topology, config.mu_z) >= 0.0
 
     def test_matches_subproblem_gradient_blocks(self):
@@ -212,13 +214,12 @@ class TestInitialError:
         losses = LossStack([QuadraticLoss(q=np.ones(2), a=rng.standard_normal(2))
                             for _ in range(5)])
         x0 = rng.standard_normal((5, 2))
-        x, phi, _, _ = engine.init_states(losses, topology, x0)
         config = CadenConfig(mu_z=2.0, mu_y=1.0)
         total = 0.0
         for i in range(5):
             anchors = np.array([0.5 * (x0[i] + x0[j]) for j in neighbors(topology, i)])
             batch = batch_of([Row(loss=losses[i], phi=np.zeros(2), anchors=anchors, mu_z=2.0)])
-            block = batch.gradients(x0[i][None])[0]
+            block = batch.evaluate(x0[i][None])[1][0]
             total += float(block @ block)
-        e0 = augmented_gradient_error(x, phi, losses, topology, config.mu_z)
+        e0 = augmented_gradient_error(x0, np.zeros_like(x0), losses, topology, config.mu_z)
         assert e0 == pytest.approx(total)

@@ -57,8 +57,8 @@ def test_no_engine_path_calls_the_traced_solver_names(tracer):
     with tracer.patched([(engine, "solve_lbfgs", counting), (engine, "solve_gd", counting)]):
         for solver in ("lbfgs", "gd"):
             config = CadenConfig(mu_z=3.0, mu_y=1.0, solver=solver)
-            x, phi, grad, value = engine.init_states(losses, topology, x0)
-            engine.run_round(x, phi, grad, value, losses, topology, config, 0)
+            engine.run_round(engine.init_states(losses, topology, x0), losses, topology,
+                             config, 0)
             edge_form.edge_x_step(edge_form.init_edge_state(topology, x0), losses, topology,
                                   config, 0)
         for algorithm in ("caden", "caden-gd"):
@@ -69,3 +69,14 @@ def test_no_engine_path_calls_the_traced_solver_names(tracer):
             )
             assert "contraction_rate" in run_experiment(cfg, write_outputs=False).summary["theory"]
     assert calls == []
+
+
+def test_round_marks_time_every_engine_round(tracer):
+    # perfbench times a run's rounds by replacing caden.engine.run_round; a
+    # harness that bound the name at import would leave them untimed.
+    marks = tracer.RoundMarks()
+    cfg = ExperimentConfig(seed=0, rounds=3, topology_kind="ring", topology_m=4,
+                           loss_kind="quadratic", metrics_wall_time=False)
+    with tracer.patched(marks.replacements()):
+        run_experiment(cfg, write_outputs=False)
+    assert len(marks.starts) == 3

@@ -1,5 +1,6 @@
 """Exact work counts of short runs: how many stacked loss calls an
-mlp_ring run makes, of how many rows, how many Armijo trials its local
+mlp_ring run makes under L-BFGS and under gradient descent, of how many
+rows, how many Armijo trials its local
 solves reject, how many two-loop recursions they run, whether the one
 L-BFGS pair pool of the run holds every pair they read, how many stacked
 predictions its accuracy column takes, and how many one-agent loss calls
@@ -95,9 +96,8 @@ def test_mlp_ring_work_counts(monkeypatch):
     # first trial, then the rows whose trial was rejected.  The solves start
     # from the engine's carried loss values and gradients, so no round makes
     # a value call.
-    assert calls.calls == {"values": 0, "gradients": 31, "values_and_gradients": 134}
-    assert calls.rows == {"values": 0, "gradients": 310, "values_and_gradients": 1058}
-    assert calls.sizes["values"] == {}
+    assert calls.calls == {"gradients": 31, "values_and_gradients": 134}
+    assert calls.rows == {"gradients": 310, "values_and_gradients": 1058}
     assert calls.sizes["gradients"] == {10: 31}
     assert calls.sizes["values_and_gradients"] == {10: 101, 3: 2, 2: 11, 1: 20}
     assert len(reports) == 20
@@ -143,15 +143,46 @@ def test_mlp_ring_half_participation_work_counts(monkeypatch):
     # rows in all.  Each round's batch resolves its plan (20), and so does
     # each backtracking level on a subset of its batch's rows (22; in the
     # other one, every row of its batch was rejected).
-    assert calls.calls == {"values": 0, "gradients": 31, "values_and_gradients": 124}
-    assert calls.rows == {"values": 0, "gradients": 310, "values_and_gradients": 553}
-    assert calls.sizes["values"] == {}
+    assert calls.calls == {"gradients": 31, "values_and_gradients": 124}
+    assert calls.rows == {"gradients": 310, "values_and_gradients": 553}
     assert calls.sizes["gradients"] == {10: 31}
     assert calls.sizes["values_and_gradients"] == {
         10: 1, 8: 10, 7: 25, 6: 5, 5: 10, 4: 30, 3: 22, 2: 1, 1: 20}
     assert calls.plans == 42
     assert len(reports) == 20
     assert sum(int(r.backtracks.sum()) for r in reports) == 28
+
+
+def test_mlp_ring_gradient_descent_work_counts(monkeypatch):
+    # caden-gd evaluates each step with one fused call, as L-BFGS evaluates
+    # each backtracking level: after the smoothness probe's 31 gradient
+    # calls, the start's fused call of every agent, then one fused call per
+    # step of the rows still moving, 20 rounds of tau = 5 steps of all 10.
+    counted, order = [], []
+    build_losses = harness.build_losses
+
+    def ordered(name, method):
+        def call(x, rows):
+            order.append(name)
+            return method(x, rows)
+
+        return call
+
+    def counting_build_losses(cfg, topology):
+        losses, eval_set = build_losses(cfg, topology)
+        counted.append(StackCalls(losses))
+        for name in StackCalls.METHODS:
+            setattr(losses, name, ordered(name, getattr(losses, name)))
+        return losses, eval_set
+
+    monkeypatch.setattr(harness, "build_losses", counting_build_losses)
+    config = ExperimentConfig(**{**MLP_RING, "algorithm": "caden-gd"}, seed=1)
+    harness.run_experiment(config, write_outputs=False)
+    (calls,) = counted
+    assert order == ["gradients"] * 31 + ["values_and_gradients"] * (1 + 20 * 5)
+    assert calls.rows == {"gradients": 310, "values_and_gradients": 1010}
+    assert calls.sizes["values_and_gradients"] == {10: 101}
+    assert calls.plans == 0
 
 
 # The benchmark's gt_logistic workload, shortened, at a fixed step.

@@ -10,7 +10,7 @@ from __future__ import annotations
 import gzip
 import math
 import struct
-from typing import IO
+import zlib
 
 import numpy as np
 
@@ -24,30 +24,28 @@ _SHARD_STREAM = 203
 BLOB_CENTER_SCALE = 4.0
 
 
-def _open_maybe_gzip(path: str) -> IO[bytes]:
-    if path.endswith(".gz"):
-        return gzip.open(path, "rb")
-    return open(path, "rb")
-
-
 def _read_idx(path: str, magic: int, kind: str) -> tuple[list[int], np.ndarray]:
-    """The dimensions and the u8 payload of an IDX file; ValueError for a
-    short header, a magic other than ``magic`` or a short payload.  Reads
-    what the file holds, whatever its header declares; bytes past the payload
-    are ignored."""
+    """The dimensions and the u8 payload of an IDX file, gzip-compressed when
+    its name ends in ``.gz``; ValueError for a short header, a magic other
+    than ``magic``, a short payload or corrupt gzip data.  Reads what the
+    file holds, whatever its header declares; bytes past the payload are
+    ignored."""
     fields = 1 + (magic & 0xFF)  # the magic's last byte counts the dimensions
-    with _open_maybe_gzip(path) as fp:
-        header = fp.read(4 * fields)
-        if len(header) != 4 * fields:
-            raise ValueError(f"IDX header of {len(header)} bytes, expected {4 * fields}")
-        found, *dims = struct.unpack(f">{fields}I", header)
-        if found != magic:
-            raise ValueError(f"bad {kind} magic 0x{found:08x}, expected 0x{magic:08x}")
-        raw = fp.read()
+    opener = gzip.open if path.endswith(".gz") else open
+    try:
+        with opener(path, "rb") as fp:
+            data = fp.read()
+    except zlib.error as exc:
+        raise ValueError(f"corrupt gzip data in IDX {kind} file ({exc})") from exc
+    if len(data) < 4 * fields:
+        raise ValueError(f"IDX header of {len(data)} bytes, expected {4 * fields}")
+    found, *dims = struct.unpack_from(f">{fields}I", data)
+    if found != magic:
+        raise ValueError(f"bad {kind} magic 0x{found:08x}, expected 0x{magic:08x}")
     size = math.prod(dims)
-    if len(raw) < size:
+    if len(data) - 4 * fields < size:
         raise ValueError(f"truncated IDX {kind} file")
-    return dims, np.frombuffer(raw, dtype=np.uint8, count=size)
+    return dims, np.frombuffer(data, dtype=np.uint8, count=size, offset=4 * fields)
 
 
 def load_idx_images(path: str) -> np.ndarray:

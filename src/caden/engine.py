@@ -4,8 +4,8 @@ dual ascent.
 A run has one ``RunState``, updated in place: three (m, d) arrays and one
 (m,) array, one row per agent (the models ``x``, the duals ``phi``, the
 loss gradients ``grad`` = grad f_i(x_i) and the loss values ``value`` =
-f_i(x_i)), and the run's ``solvers.LbfgsPool``, the buffers of the L-BFGS
-curvature pairs, which live for the run while the pairs in them live for
+f_i(x_i)), and the run's ``solvers.LbfgsPool``, the storage of the L-BFGS
+curvature pairs, which lives for the run while the pairs in it live for
 one solve.  Rounds are synchronous.  Every active agent minimizes its
 local subproblem built from round-t snapshots, broadcasts the new model
 once, then updates its dual from the post-broadcast models.  Inactive
@@ -35,8 +35,9 @@ The agent form is the edge form (``caden.edge_form``) with every consensus
 variable z_ij held at the edge midpoint (x_i + x_j) / 2, which is why one
 broadcast per round suffices.  Every function takes the run's losses as
 one ``LossStack``.  ``subproblems`` builds the round-t subproblems of both
-forms from a dual per agent and a z per edge as one ``SubproblemBatch``,
-and ``solve_subproblems`` solves them in one lockstep L-BFGS or
+forms from a dual per agent and a z per edge as one ``SubproblemBatch`` of
+every agent, and ``solve_subproblems`` solves its rows of the round's
+agents (``SubproblemBatch.take``) in one lockstep L-BFGS or
 gradient-descent solve (or the exact one), reported as (k, ...) arrays.
 The anchors and the dual step follow the incident-edge order of
 ``graphs.edge_ends``, resolved once per topology, as is the plan of its
@@ -171,29 +172,19 @@ def sample_participation(config: CadenConfig, round_index: int, m: int) -> np.nd
 
 
 def subproblems(
-    agents: Sequence[int],
     phi: np.ndarray,
     z: np.ndarray,
     losses: LossStack,
     topology: Topology,
     mu_z: float,
 ) -> SubproblemBatch:
-    """The round-t subproblems of ``agents`` over the run's ``LossStack``:
+    """The round-t subproblems of every agent over the run's ``LossStack``:
     agent i's has dual ``phi[i]`` and one anchor ``z[k]`` per incident edge k,
-    in ascending edge (= neighbor) order.  ``z`` is indexed once, for the
-    incident edges of ``agents`` only.  Every agent in order takes the
-    topology's own plan of its anchor sums; another subset resolves its
-    own."""
-    agents = np.asarray(agents, dtype=np.intp)
+    in ascending edge (= neighbor) order, summed through the topology's own
+    plan.  ``take`` of this batch gives the subproblems of some agents."""
     incidence = topology.incidence
-    if agents.shape == (topology.m,) and (agents == np.arange(topology.m)).all():
-        anchors = z[incidence.edge]
-        return SubproblemBatch(losses, agents, phi[agents], mu_z, anchors, incidence.sums)
-    row = np.full(topology.m, -1)
-    row[agents] = np.arange(agents.size)
-    ends = np.flatnonzero(row[incidence.agent] >= 0)
-    anchors, owner = z[incidence.edge[ends]], row[incidence.agent[ends]]
-    return SubproblemBatch(losses, agents, phi[agents], mu_z, anchors, owner)
+    agents = np.arange(topology.m)
+    return SubproblemBatch(losses, agents, phi.copy(), mu_z, z[incidence.edge], incidence.sums)
 
 
 def solve_subproblems(
@@ -205,8 +196,9 @@ def solve_subproblems(
     config: CadenConfig,
     tau: int,
 ) -> SolverReport:
-    """tau iterations of ``config.solver`` on the ``subproblems`` of
-    ``agents`` with the duals of ``state``, started from their rows of it:
+    """tau iterations of ``config.solver`` on the rows of ``agents`` of the
+    ``subproblems`` with the duals of ``state`` (the whole batch when they
+    are every agent in order), started from their rows of ``state``:
     their models, loss values and gradients, and its L-BFGS pool.  One
     report whose row n is agent ``agents[n]``'s; ``state`` is not written.
 
@@ -215,7 +207,9 @@ def solve_subproblems(
     scale its first trials.  Each row of the report equals a lone solve's,
     so it does not depend on which other agents are solved with it.
     """
-    batch = subproblems(agents, state.phi, z, losses, topology, config.mu_z)
+    batch = subproblems(state.phi, z, losses, topology, config.mu_z)
+    if not np.array_equal(agents, np.arange(topology.m)):
+        batch = batch.take(agents)
     x_start = state.x[agents]
     start = state.value[agents], state.grad[agents]
     if config.solver == "lbfgs":

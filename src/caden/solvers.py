@@ -16,22 +16,18 @@ through ``SubproblemBatch.evaluate`` (of the batch or of ``take`` of some
 rows).  ``solve_lbfgs`` and ``solve_gd`` advance a batch in lockstep: one
 body runs every agent's iterations side by side as stacked arrays.  Every
 solver step is one fused value-and-gradient call: each backtracking level
-of L-BFGS, whose accepted trials need no further evaluation, and each
-gradient-descent step; the start makes one more unless the caller gives
-its loss terms, as the engine always does from its ``RunState``.  The
-other stages are one call each for the agents they concern: the two-loop
-recursion over the memory of curvature pairs, M (k, d) slots newest first,
-each row zero-padded, held in an ``LbfgsPool`` of buffers that lives for
-the run (in the engine's ``RunState``) while each solve's pairs are its
-own; and the dual and penalty terms, slopes, norms and curvature tests as
+of L-BFGS and each gradient-descent step; the start makes one more unless
+the caller gives its loss terms, as the engine does from its ``RunState``.
+The other stages are one call each for the agents they concern: the
+two-loop recursion over the curvature pairs, newest first and each row
+zero-padded, in the s and y arrays of an ``LbfgsPool`` that lives for the
+run; and the dual and penalty terms, slopes, norms and curvature tests as
 row-wise arrays (``rowdot``).  A row's penalty is held as its degree,
-anchor sum and anchor spread, not as its anchor matrix.
-Each agent's arithmetic is that of a lone solve, bit for bit.
-Every stage marks the batch rows it concerns with a (k,) boolean mask.  A
-stage with every row in play runs on whole arrays, views instead of index
-copies, and evaluates the batch itself; any other stage evaluates
-``batch.take`` of its rows, a batch of its own.  Either way the loss calls
-go through a batch's ``RowPlan``, resolved once per batch.
+anchor sum and anchor spread, not as its anchor matrix.  Each agent's
+arithmetic is that of a lone solve, bit for bit.  Every stage marks the
+batch rows it concerns with a (k,) boolean mask.  A stage with every row
+in play runs on whole arrays and evaluates the batch itself; any other
+evaluates ``batch.take`` of its rows, a batch of its own.
 
 Each solve returns one ``SolverReport`` of row-stacked arrays: the (k, d)
 models and loss gradients it ends at, (k,) counts and (k, tau + 1)
@@ -49,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import ordered_sums, sum_plan
+from .graphs import SumPlan, ordered_sums
 from .losses import LocalLoss, LossStack, QuadraticLoss, rowdot, rownorm
 
 ARMIJO_C1 = 1e-4
@@ -67,10 +63,9 @@ class SubproblemBatch:
 
     Row j is agent ``agents[j]``'s subproblem: loss ``losses[agents[j]]``,
     dual ``phi[j]`` and penalty coefficient ``mu_z`` (one, or one per row).
-    ``anchors`` is the flat (N, d) list of every row's anchors, ``owner[q]``
-    the row of anchor q; ``owner`` may be a ``graphs.SumPlan`` of those rows
-    instead, resolved once by the caller (the engine passes its topology's
-    for a batch of every agent).  Each row holds its penalty as three
+    ``anchors`` is the flat (N, d) list of every row's anchors and ``sums``
+    the ``graphs.SumPlan`` of their rows, resolved once by the caller (the
+    engine passes its topology's).  Each row holds its penalty as three
     numbers: its ``degree``, ``anchor_sum`` (its anchors added one at a time
     in list order, by ``graphs.ordered_sums``) and ``spread``
     sum_k ||a_k - mean||^2, through the exact identity
@@ -86,14 +81,13 @@ class SubproblemBatch:
     some of its rows, so a subset of rows is evaluated as a batch of its own.
     """
 
-    def __init__(self, losses: LossStack, agents, phi, mu_z, anchors, owner):
+    def __init__(self, losses: LossStack, agents, phi, mu_z, anchors, sums: SumPlan):
         self._losses = losses
         self._agents = np.asarray(agents, dtype=np.intp)
         self._plan = losses.plan(self._agents)
         rows = len(self._agents)
         self.phi = np.asarray(phi, dtype=float)
         self.mu_z = np.broadcast_to(np.asarray(mu_z, dtype=float), (rows,))
-        sums = sum_plan(owner, rows)
         self.degree = sums.counts
         self.anchor_sum = ordered_sums(sums, np.asarray(anchors, dtype=float), rows)
         self.mean = self.anchor_sum / np.maximum(self.degree, 1)[:, None]
@@ -228,78 +222,69 @@ def two_loop_direction(
 
 
 class LbfgsPool:
-    """Run-lived buffers for the L-BFGS memory's curvature pairs.
-
-    Buffer pair j is an s and a y array of ``rows`` rows of ``dim``
-    entries, made on first use; ``pair(j, k)`` gives their contiguous
-    ``[:k]`` views.  A solve's slots are its first buffer pairs, one more
-    for each slot it adds, and it adds none once it holds M, so a pool
-    that serves every solve of a run holds at most min(M, tau - 1) pairs:
-    the last iteration stores none.  Only the storage lives on: a solve
-    writes every slot before its recursion reads it, and zeroes a slot
-    that pads rows without a pair, so no pair of an earlier solve reaches
-    a later one.
+    """Run-lived storage for the L-BFGS memory's curvature pairs: an s and a
+    y array of (slots + 1, ``rows``, ``dim``), made when a solve first needs
+    more slots than they hold; ``s`` and ``y`` are their first ``slots``,
+    and the last is a spare.  ``slots(depth, k)`` gives the views a solve of
+    k rows uses, so a pool that serves every solve of a run is made once,
+    with min(M, tau - 1) slots: the last iteration stores no pair.  Only the
+    storage lives on: a solve reads only the slots it has put to use, so no
+    pair of an earlier solve reaches a later one.
     """
 
     def __init__(self, rows: int, dim: int):
         self.rows, self.dim = rows, dim
-        self.s: list[np.ndarray] = []
-        self.y: list[np.ndarray] = []
+        self._s = self._y = self.s = self.y = np.empty((0, rows, dim))
 
-    def pair(self, j: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The ``[:k]`` views of buffer pair j, made when j is the next."""
-        if j == len(self.s):
-            self.s.append(np.empty((self.rows, self.dim)))
-            self.y.append(np.empty((self.rows, self.dim)))
-        return self.s[j][:k], self.y[j][:k]
+    def slots(self, depth: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The s and y views of the first ``depth`` slots' first k rows and
+        of the spare after them."""
+        if depth >= len(self._s):
+            self._s, self._y = (np.empty((depth + 1, self.rows, self.dim)) for _ in range(2))
+            self.s, self.y = self._s[:depth], self._y[:depth]
+        return self._s[: depth + 1, :k], self._y[: depth + 1, :k]
 
 
-def _store_pairs(mem, pool: LbfgsPool, memory: int, took, x_pair, g_pair, gamma) -> None:
+def _store_pairs(mem, held: int, took, x_pair, g_pair, gamma) -> int:
     """Store the curvature pairs s = x_new - x, y = g_new - g of the rows
-    where the (k,) mask ``took`` holds, given as ``x_pair`` = (x_new, x) and
-    ``g_pair`` = (g_new, g) of those rows, in the L-BFGS slots ``mem`` =
-    (s, y, rho), newest first and at most ``memory`` deep, and set those
+    where the (k,) mask ``took`` holds, given ``x_pair`` = (x_new, x) and
+    ``g_pair`` = (g_new, g) of every row, in the L-BFGS memory ``mem`` =
+    (s, y, rho) of S slots and a spare, S = min(M, tau - 1), and set those
     rows' ``gamma``; a pair with s.y <= CURVATURE_SKIP_TOL ||s|| ||y|| is
-    dropped.  Every slot is a view of ``pool``."""
-    s_mem, y_mem, rho_mem = mem
-    held = len(s_mem)
-    # Below M slots the pair is written into the pool's next buffers.  At M
-    # it goes to temporaries first: a row that drops its pair keeps its
-    # oldest, whose buffers a stored pair reuses.
-    out = pool.pair(held, len(x_pair[0])) if held < memory else (None, None)
-    s_new = np.subtract(*x_pair, out=out[0])
-    y_new = np.subtract(*g_pair, out=out[1])
+    dropped.  The first ``held`` slots are in use, oldest first: each row's
+    newest pair at slot held - 1, zeros below its oldest.  A pair is
+    computed in place at slot ``held``, the next one or, once all S are in
+    use, the spare.  Below S that slot is put to use, and the rows that
+    store no pair move theirs up one slot over a zero at slot 0; at S the
+    storing rows move theirs down one slot, their oldest falling off.
+    Returns the slots in use."""
+    # When every row took a step (or stores a pair below), whole arrays are
+    # indexed by slices, not masks.
+    at, where = (slice(None), True) if took.all() else (took, took[:, None])
+    for slots, pair in zip(mem, (x_pair, g_pair)):
+        np.subtract(*pair, out=slots[held], where=where)
+    s_new, y_new = mem[0][held, at], mem[1][held, at]
     sy, yy = rowdot(s_new, y_new), rowdot(y_new, y_new)
     keep = sy > CURVATURE_SKIP_TOL * rownorm(s_new) * np.sqrt(yy)
     if not keep.any():
-        return
+        return held
     stored = took.copy()
     stored[took] = keep
-    rho = 1.0 / sy[keep]
-    if stored.all():
-        # Every row stores: the new pair becomes slot 0, in place below M
-        # slots; at M the oldest slot is dropped and its buffers take it.
-        if held == memory:
-            s_slot, y_slot = s_mem.pop(), y_mem.pop()
-            del rho_mem[-1]
-            s_slot[...], y_slot[...] = s_new, y_new
-            s_new, y_new = s_slot, y_slot
-        for slots, new in zip(mem, (s_new, y_new, rho)):
-            slots.insert(0, new)
-    else:
-        # Each storing row's pairs move back a slot.  Below M slots a new
-        # last slot, the pool's next buffers zeroed, pads the other rows;
-        # the new pair is copied out of those buffers first.
-        new = (s_new[keep], y_new[keep], rho)
-        if held < memory:
-            for slots, pad in zip(mem, (*pool.pair(held, len(gamma)), np.empty(len(gamma)))):
-                pad.fill(0.0)
-                slots.append(pad)
-        for slots, pair in zip(mem, new):
-            for j in range(len(slots) - 1, 0, -1):
-                slots[j][stored] = slots[j - 1][stored]
-            slots[0][stored] = pair
-    gamma[stored] = sy[keep] / yy[keep]
+    every = stored.all()
+    rows, pick = (slice(None),) * 2 if every else (stored, keep)
+    mem[2][held, rows] = 1.0 / sy[pick]
+    gamma[rows] = sy[pick] / yy[pick]
+    if held < len(mem[0]) - 1:
+        if not every:
+            for slots in mem:
+                for j in range(held, 0, -1):
+                    slots[j, ~stored] = slots[j - 1, ~stored]
+                slots[0, ~stored] = 0.0
+        return held + 1
+    for slots in mem:
+        for j in range(held):
+            slots[j, rows] = slots[j + 1, rows]
+    return held
 
 
 def solve_lbfgs(
@@ -328,44 +313,33 @@ def solve_lbfgs(
     move.  Curvature pairs with s.y <= 1e-10 ||s|| ||y|| are dropped, which
     keeps the implicit inverse-Hessian approximation positive definite.  The
     memory's contents are fresh per call: each round's subproblem is a
-    different function, so no stale pairs carry over.  Its buffers come from
-    ``pool``, an ``LbfgsPool`` of at least k rows that the caller keeps for
-    the run (the engine's ``RunState`` holds one), or a fresh pool for this
-    call when None.  An agent stops once its gradient is exactly 0.
+    different function, so no stale pairs carry over.  Its storage comes
+    from ``pool``, an ``LbfgsPool`` of at least k rows that the caller keeps
+    for the run (the engine's ``RunState`` holds one), or a fresh pool for
+    this call when None.  An agent stops once its gradient is exactly 0.
 
-    The memory is a list of (k, d) slots holding each row's pairs newest
-    first, zeros after its oldest, as many slots as the most any row has
-    filled, at most M; each slot is the ``[:k]`` view of a pool buffer.
-    When every row stores a pair, the pair is written
-    (``np.subtract(..., out=)``) into the pool's next buffers and becomes
-    slot 0; once M slots are held it is copied into the oldest slot's
-    buffers instead, which become slot 0.  Otherwise the storing rows move
-    their pairs back a slot and write the new pair at slot 0, and a new
-    last slot, the pool's next buffers zeroed, pads the other rows.  So a
-    run's pool holds at most min(M, tau - 1) pairs, and a round allocates
-    none.  The last iteration stores no pair, since no recursion would read
-    it.
+    The memory is the pool's s and y views of S = min(M, tau - 1) slots of
+    k rows and a spare, and a rho of as many (k,) slots, the first ``held``
+    slots in use, as many as the most any row has filled: each row's pairs
+    oldest first up to its newest at slot held - 1, zeros below its oldest.
+    ``_store_pairs`` is the one store path; it computes each new pair in
+    place, so when every row stores below S slots it copies no slot.  The
+    recursion reads the slots in use newest first, as reversed (held, k, d)
+    views.  After the pool's first solve, a solve of no more rows with the
+    same S allocates no pair storage.  The last iteration stores no pair,
+    since no recursion would read it.
 
     Every agent still iterating shares each stage: one two-loop call over
-    the memory and one fused stacked call
-    (``SubproblemBatch.evaluate``) per backtracking level for the agents
-    still searching.  Each trial's value, gradient, loss value and loss
-    gradient come from the same pass through the loss, so an accepted
-    trial's are already at hand, and the report's loss values and gradients
-    are those of the accepted trials.  The slope, norm and curvature dot
-    products go through ``rowdot``.  Each row's arithmetic is that of a lone
-    solve, so each row of the report equals its one-row batch's solve bit
-    for bit.
-
-    Every stage marks the batch rows it concerns with a (k,) mask:
-    ``live``, ``searching``, ``took`` (the live rows whose search did not
-    fail) and ``stored``.  A backtracking level evaluates the batch when
-    every row searches, and ``batch.take`` of the searching rows otherwise.
-    The two-loop call covers all k rows; a row stopped at a zero gradient
-    gets a zero direction and is never searched, evaluated or written.  An
-    iteration in which every row accepts its first trial costs one fused
-    stacked call through the batch's plan, and its trial arrays become the
-    state.
+    the memory of all k rows, a stopped row getting a zero direction, and
+    one fused stacked call (``SubproblemBatch.evaluate``) per backtracking
+    level, of the batch when every row searches and of ``batch.take`` of
+    the searching rows otherwise.  An accepted trial's value, gradient and
+    loss terms come from that call, so the report's loss values and
+    gradients are those of the accepted trials, and when every row accepts,
+    its trial arrays become the state.  The masks are ``live``,
+    ``searching``, ``took`` (the live rows whose search did not fail) and
+    ``stored``.  Each row's arithmetic is that of a lone solve, so each row
+    of the report equals its one-row batch's solve bit for bit.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
@@ -382,7 +356,8 @@ def solve_lbfgs(
         pool = LbfgsPool(k, x.shape[1])
     elif pool.rows < k or pool.dim != x.shape[1]:
         raise ValueError(f"a pool of ({pool.rows}, {pool.dim}) buffers cannot hold {x.shape} pairs")
-    mem = s_mem, y_mem, rho_mem = [], [], []  # (k, d) views of the pool, (k,) arrays
+    s_mem, y_mem = pool.slots(max(min(memory, tau - 1), 0), k)
+    mem, held = (s_mem, y_mem, np.empty(s_mem.shape[:2])), 0  # s, y and rho
     gamma = np.ones(k) if lipschitz is None else default_gd_step(batch, lipschitz)
     failures, performed, backtracks = np.zeros((3, k), dtype=int)
 
@@ -393,10 +368,10 @@ def solve_lbfgs(
         if not live.any():
             break
         performed += live
-        # Every row's direction, a stopped row's zero.  Looked up as a module
-        # global on every call, so a wrapper installed on
-        # caden.solvers.two_loop_direction sees each one.
-        direction = -two_loop_direction(s_mem, y_mem, rho_mem, gamma, g)
+        # Every row's direction, a stopped row's zero, from the slots in use
+        # newest first.  Looked up as a module global on every call, so a
+        # wrapper installed on caden.solvers.two_loop_direction sees each one.
+        direction = -two_loop_direction(*(slots[:held][::-1] for slots in mem), gamma, g)
         slope = rowdot(g, direction)
         # A numerically broken direction falls back to steepest descent,
         # which is always safe.
@@ -407,18 +382,15 @@ def solve_lbfgs(
 
         # Armijo backtracking, one fused stacked call per level for the rows
         # still searching: every live row at step 1, then those whose last
-        # trial was rejected.  Each trial's value, gradient, loss value and
-        # loss gradient are kept, so an accepted trial needs no further
-        # evaluation.
+        # trial was rejected.  ``trial`` keeps each trial's value, gradient,
+        # loss value and loss gradient, so an accepted trial needs no further
+        # evaluation: the first level's own arrays when every row is live.
         step = np.ones(k)
         x_trial = x + direction
-        # The trials' values, gradients, loss values and loss gradients: the
-        # first level's own arrays when every row is live.
         trial = None if live.all() else [np.empty_like(a) for a in (f, g, lv, lg)]
         searching, took = live.copy(), live
         for _ in range(MAX_BACKTRACKS):
             if searching.all():
-                # Every row searches: the call's own arrays are the trials'.
                 trial = batch.evaluate(x_trial)
             else:
                 subset = batch.take(np.flatnonzero(searching)).evaluate(x_trial[searching])
@@ -437,22 +409,18 @@ def solve_lbfgs(
             # A failed search leaves the row in place for this iteration.
             failures[searching] += 1
             took = live & ~searching
+        if it < tau and took.any():
+            held = _store_pairs(mem, held, took, (x_trial, x), (trial[1], g), gamma)
         if took.all():
-            # Every row accepted: the pairs are those of whole arrays, and
-            # the trial arrays become the state.  Writing them through
-            # ``x[took] = ...`` instead measured 1.015-1.026x the time of an
-            # mlp_ring round (2-vCPU host).
-            if it < tau:
-                _store_pairs(mem, pool, memory, took, (x_trial, x), (trial[1], g), gamma)
+            # Every row accepted: the trial arrays become the state.  Writing
+            # them through ``x[took] = ...`` instead measured 1.015-1.026x the
+            # time of an mlp_ring round (2-vCPU host).
             x, (f, g, lv, lg) = x_trial, trial
             gnorm = rownorm(g)
         elif took.any():
-            x_new, g_new = x_trial[took], trial[1][took]
-            if it < tau:
-                _store_pairs(mem, pool, memory, took, (x_new, x[took]), (g_new, g[took]), gamma)
-            for state, new in zip((x, f, g, lv, lg), (x_trial, *trial)):
-                state[took] = new[took]
-            gnorm[took] = rownorm(g_new)
+            for state, tried in zip((x, f, g, lv, lg), (x_trial, *trial)):
+                state[took] = tried[took]
+            gnorm[took] = rownorm(g[took])
         np.copyto(norms[:, it], gnorm, where=live)
         np.copyto(vals[:, it], f, where=live)
 

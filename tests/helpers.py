@@ -27,7 +27,13 @@ from caden.baselines import GTState
 from caden.datasets import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
 from caden.edge_form import EdgeState
 from caden.errors import LipschitzEstimateError, ParameterSelectionError
-from caden.graphs import SpectralSummary, Topology, constraint_residual, edge_midpoints
+from caden.graphs import (
+    SpectralSummary,
+    Topology,
+    constraint_residual,
+    edge_midpoints,
+    sum_plan,
+)
 from caden.losses import (
     MIN_PROBE_STEP,
     LipschitzEstimate,
@@ -481,7 +487,8 @@ def batch_of(rows, losses=None, agents=None) -> SubproblemBatch:
     owner = np.repeat(np.arange(len(rows)), [r.degree for r in rows])
     anchors = np.concatenate([np.empty((0, losses.dim)), *(r.anchors for r in rows)])
     phi = np.reshape([r.phi for r in rows], (len(rows), losses.dim))
-    return SubproblemBatch(losses, agents, phi, [r.mu_z for r in rows], anchors, owner)
+    sums = sum_plan(owner, len(rows))
+    return SubproblemBatch(losses, agents, phi, [r.mu_z for r in rows], anchors, sums)
 
 
 def _anchor_terms(problem: Row) -> tuple[np.ndarray, np.ndarray, float]:

@@ -156,7 +156,7 @@ class TestSubproblemBuilder:
                             for _ in range(m)])
         agents = sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1)))
         z = graphs.edge_midpoints(topology, x)
-        batch = engine.subproblems(agents, phi, z, losses, topology, mu_z=2.0)
+        batch = engine.subproblems(phi, z, losses, topology, mu_z=2.0).take(agents)
         assert len(batch.phi) == len(agents)
         for n, i in enumerate(agents):
             neighbors = sorted(b if a == i else a for a, b in topology.edges if i in (a, b))
@@ -197,7 +197,7 @@ class TestSolveSubproblems:
         config = CadenConfig(mu_z=2.0, mu_y=1.0, solver=solver, lipschitz=4.0)
         state = engine.init_states(losses, topology, x0, phi)
         got = engine.solve_subproblems(agents, state, z, losses, topology, config, 4)
-        batch = engine.subproblems(agents, phi, z, losses, topology, config.mu_z)
+        batch = engine.subproblems(phi, z, losses, topology, config.mu_z).take(agents)
         if solver == "lbfgs":
             want = solvers.solve_lbfgs(batch, x0[agents], 4, config.lbfgs_memory, None, 4.0)
         elif solver == "gd":

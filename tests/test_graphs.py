@@ -140,10 +140,10 @@ class TestIncidentSums:
         seed=st.integers(0, 2**16),
     )
     def test_anchor_sums_equal_add_at_for_every_agent_and_subsets(self, m, edge_prob, d, p, seed):
-        # Every agent in order takes the topology's cached plan, a p < 1
-        # subset resolves its own; both are np.add.at over each agent's
-        # incident edges in ascending order, the topology's cache reused
-        # across calls and left unchanged by them.
+        # The batch of every agent sums through the topology's cached plan,
+        # and a p < 1 subset takes its rows; both are np.add.at over each
+        # agent's incident edges in ascending order, the topology's cache
+        # reused across calls and left unchanged by them.
         t = graphs.build_random_graph(m, edge_prob, seed=seed)
         rng = np.random.default_rng(seed)
         losses = LossStack([QuadraticLoss(q=np.ones(d), a=np.zeros(d)) for _ in range(m)])
@@ -153,7 +153,7 @@ class TestIncidentSums:
         cached = [a.copy() for a in (agent, edge, t.incidence.sums.counts)]
         subset = np.flatnonzero(rng.random(m) < p)
         for agents in (np.arange(m), subset, np.arange(m)):
-            batch = engine.subproblems(agents, phi, z, losses, t, 2.0)
+            batch = engine.subproblems(phi, z, losses, t, 2.0).take(agents)
             row = np.full(m, -1)
             row[agents] = np.arange(len(agents))
             ends = row[agent] >= 0

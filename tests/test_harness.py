@@ -1,8 +1,10 @@
 """End-to-end runs, CSV/JSON output, determinism, sweeps, CLI."""
 
+import gzip
 import json
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -559,6 +561,16 @@ class TestIdxInputs:
     def test_label_file_passed_as_images(self, tmp_path):
         _, labels = _idx_files(tmp_path, "other", 30)
         self._refused(tmp_path, "^loss.idx_images .*bad image magic", loss_idx_images=labels)
+
+    def test_corrupt_gzip_data(self, tmp_path):
+        # A block header of reserved type: zlib refuses the deflate stream.
+        images, _ = _idx_files(tmp_path, "other", 30)
+        raw = bytearray(gzip.compress(Path(images).read_bytes()))
+        raw[10] = 0xFF
+        corrupt = tmp_path / "corrupt.idx.gz"
+        corrupt.write_bytes(raw)
+        self._refused(tmp_path, "^loss.idx_images .*corrupt gzip data in IDX image file",
+                      loss_idx_images=str(corrupt))
 
     @pytest.mark.parametrize("attr, size", [("loss_idx_images", 15), ("loss_idx_labels", 7)])
     def test_short_header(self, tmp_path, attr, size):

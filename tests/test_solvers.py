@@ -679,7 +679,7 @@ class TestLockstep:
 def _every_row_stores_case():
     """A fixed ``_lockstep_batches`` case where every row stores a pair in
     every iteration but the last, with tau 7 > memory 2, so each pair from
-    the third on is written into the oldest slot's buffers."""
+    the third on drops every row's oldest."""
     rng = np.random.default_rng(26)
     d = 7
     losses = [QuadraticLoss(q=random_psd(d, 30.0, rng), a=rng.standard_normal(d))
@@ -693,10 +693,10 @@ def _stale_padding_case():
     """A fixed ``_lockstep_batches`` case in which a padding slot's row
     would read a stale buffer row: an agent at its minimizer from the
     start, a quadratic that stores pairs, and last a linear row that skips
-    every pair and keeps moving.  The two moving rows' pairs fill rows 0
-    and 1 of the pool's next buffers; only the quadratic's is stored, so
-    those buffers then pad the other two rows, and their row 2, the linear
-    row's, still holds what the buffer held before the solve."""
+    every pair and keeps moving.  Only the quadratic's pair is stored, so
+    each slot it puts to use pads the other two rows, and its row 2, the
+    linear row's, holds what the pool held before the solve unless it is
+    zeroed."""
     rng = np.random.default_rng(27)
     d = 7
     losses = [
@@ -733,9 +733,8 @@ class TestPoolReuse:
         want = solve_lbfgs(batch_of(problems, stack, active), x_start, tau, memory)
         # More rows than the batch: a solve uses each buffer's [:k] view.
         pool = solvers.LbfgsPool(len(active) + 2, x_start.shape[1])
-        for j in range(max(tau - 1, 0)):
-            for buffer in pool.pair(j, pool.rows):
-                buffer.fill(np.nan)
+        for buffer in pool.slots(max(tau - 1, 0), pool.rows):
+            buffer.fill(np.nan)
         for _ in range(2):
             got = solve_lbfgs(batch_of(problems, stack, active), x_start, tau, memory,
                               pool=pool)

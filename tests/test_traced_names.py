@@ -1,20 +1,25 @@
 """The benchmark's tracer replaces package attributes by name; every name it
 replaces must exist, or the benchmark breaks while the package tests pass, and
-no engine path may reach a traced name whose results the tracer misreads."""
+no engine path may reach a traced name whose results the tracer misreads.  The
+environment record that every benchmark run writes reads package names too."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import caden
 from caden import edge_form, engine, graphs
 from caden.config import ExperimentConfig
 from caden.engine import CadenConfig
 from caden.harness import run_experiment
 from caden.losses import LossStack, QuadraticLoss
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+MEASURE = ROOT / "perfbench" / "measure.py"
 
 
 @pytest.fixture(scope="module")
@@ -80,3 +85,15 @@ def test_round_marks_time_every_engine_round(tracer):
     with tracer.patched(marks.replacements()):
         run_experiment(cfg, write_outputs=False)
     assert len(marks.starts) == 3
+
+
+def test_benchmark_environment_record_reads_existing_names(monkeypatch):
+    # perfbench/run.py records measure.environment on every run, and that
+    # record reads caden.BACKEND; removing the name would break every run.
+    monkeypatch.syspath_prepend(str(MEASURE.parent))
+    spec = importlib.util.spec_from_file_location("perfbench_measure", MEASURE)
+    measure = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, measure)
+    spec.loader.exec_module(measure)
+    record = measure.environment(ROOT)
+    assert record["caden_backend"] == caden.BACKEND

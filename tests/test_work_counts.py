@@ -1,13 +1,13 @@
 """Exact work counts of short runs: how many stacked loss calls an
 mlp_ring run makes under L-BFGS and under gradient descent, of how many
-rows, how many Armijo trials its local
-solves reject, how many two-loop recursions they run, whether the one
-L-BFGS pair pool of the run holds every pair they read, how many stacked
-predictions its accuracy column takes, and how many one-agent loss calls
-(``value``, ``gradient``, ``predict``) a CADEN and a gradient-tracking run
-make.  The counts are
-deterministic for a (config, seed) pair, so a change that adds or removes
-loss work shows here as a changed number."""
+rows, how many Armijo trials its local solves reject, how many two-loop
+recursions they run, whether the one L-BFGS pair pool of the run holds
+every pair they read (also with its memory full, and made once), how many
+stacked predictions its accuracy column takes, and how many one-agent loss
+calls (``value``, ``gradient``, ``predict``) a CADEN and a
+gradient-tracking run make.  The counts are deterministic for a (config,
+seed) pair, so a change that adds or removes loss work shows here as a
+changed number."""
 
 import inspect
 from collections import Counter
@@ -48,49 +48,67 @@ MLP_RING = dict(
 )
 
 
+class LbfgsRecord:
+    """What an L-BFGS run does, recorded through wrappers: its stack's
+    ``calls``, the stacked ``predictions`` by row count, each solve's
+    ``reports`` and ``pools``, each two-loop call's row count
+    (``two_loops``) and slot count (``depths``), how many of the slots read
+    lie in the solve's pool (``slots_read``), the addresses of those slots
+    (``addresses``) and the pool's s and y objects at each call (``held``,
+    kept alive so that their ids stay distinct)."""
+
+    def __init__(self, monkeypatch):
+        self.counted, self.predictions = [], Counter()
+        self.reports, self.pools = [], []
+        self.two_loops, self.depths, self.slots_read = [], Counter(), Counter()
+        self.addresses, self.held = set(), []
+        build_losses = harness.build_losses
+        solve_lbfgs = solvers.solve_lbfgs
+        two_loop_direction = solvers.two_loop_direction
+
+        def counting_build_losses(cfg, topology):
+            losses, eval_set = build_losses(cfg, topology)
+            self.counted.append(StackCalls(losses))
+            predict = losses.predictions
+
+            def counting_predictions(x, features):
+                self.predictions[len(x)] += 1
+                return predict(x, features)
+
+            losses.predictions = counting_predictions
+            return losses, eval_set
+
+        def recording_solve_lbfgs(*args, **kwargs):
+            self.pools.append(inspect.signature(solve_lbfgs).bind(*args, **kwargs).arguments["pool"])
+            self.reports.append(solve_lbfgs(*args, **kwargs))
+            return self.reports[-1]
+
+        def counting_two_loop_direction(s, y, rho, gamma, grad):
+            self.two_loops.append(len(grad))
+            self.depths[len(s)] += 1
+            pool = self.pools[-1]
+            self.held.append((pool.s, pool.y))
+            for slots, buffers in ((s, pool.s), (y, pool.y)):
+                for slot in slots:
+                    inside = any(np.shares_memory(slot, buffer) for buffer in buffers)
+                    self.slots_read["in pool" if inside else "outside"] += 1
+                    self.addresses.add(slot.__array_interface__["data"][0])
+            return two_loop_direction(s, y, rho, gamma, grad)
+
+        monkeypatch.setattr(harness, "build_losses", counting_build_losses)
+        monkeypatch.setattr(solvers, "solve_lbfgs", recording_solve_lbfgs)
+        monkeypatch.setattr(solvers, "two_loop_direction", counting_two_loop_direction)
+
+    def run(self, config: ExperimentConfig) -> StackCalls:
+        harness.run_experiment(config, write_outputs=False)
+        (calls,) = self.counted
+        return calls
+
+
 def test_mlp_ring_work_counts(monkeypatch):
-    counted = []
-    predictions = Counter()
-    build_losses = harness.build_losses
-
-    def counting_build_losses(cfg, topology):
-        losses, eval_set = build_losses(cfg, topology)
-        counted.append(StackCalls(losses))
-        predict = losses.predictions
-
-        def counting_predictions(x, features):
-            predictions[len(x)] += 1
-            return predict(x, features)
-
-        losses.predictions = counting_predictions
-        return losses, eval_set
-
-    reports, pools = [], []
-    solve_lbfgs = solvers.solve_lbfgs
-
-    def recording_solve_lbfgs(*args, **kwargs):
-        pools.append(inspect.signature(solve_lbfgs).bind(*args, **kwargs).arguments["pool"])
-        reports.append(solve_lbfgs(*args, **kwargs))
-        return reports[-1]
-
-    two_loops = []
-    slots_read = Counter()
-    two_loop_direction = solvers.two_loop_direction
-
-    def counting_two_loop_direction(s, y, rho, gamma, grad):
-        two_loops.append(len(grad))
-        pool = pools[-1]
-        for slots, buffers in ((s, pool.s), (y, pool.y)):
-            for slot in slots:
-                inside = any(np.shares_memory(slot, buffer) for buffer in buffers)
-                slots_read["in pool" if inside else "outside"] += 1
-        return two_loop_direction(s, y, rho, gamma, grad)
-
-    monkeypatch.setattr(harness, "build_losses", counting_build_losses)
-    monkeypatch.setattr(solvers, "solve_lbfgs", recording_solve_lbfgs)
-    monkeypatch.setattr(solvers, "two_loop_direction", counting_two_loop_direction)
-    harness.run_experiment(ExperimentConfig(**MLP_RING, seed=1), write_outputs=False)
-    (calls,) = counted
+    record = LbfgsRecord(monkeypatch)
+    calls = record.run(ExperimentConfig(**MLP_RING, seed=1))
+    reports = record.reports
     # The smoothness probe's 31 gradient calls, the start's one fused call,
     # then per round one fused call per backtracking level: every row at its
     # first trial, then the rows whose trial was rejected.  The solves start
@@ -105,38 +123,50 @@ def test_mlp_ring_work_counts(monkeypatch):
     assert sum(int(r.line_search_failures.sum()) for r in reports) == 0
     # One lockstep two-loop call of all 10 rows per iteration, tau = 5 per
     # round, and one stacked prediction of every agent per logged row.
-    assert Counter(two_loops) == {10: 100}
-    assert predictions == {10: 21}
+    assert Counter(record.two_loops) == {10: 100}
+    assert record.predictions == {10: 21}
     # One L-BFGS pool serves the whole run, and every slot that a recursion
     # reads lies in it: 0 + 1 + 2 + 3 + 4 pairs a round, s and y each, as
     # every row stores a pair in each iteration but the last.  The pool
     # holds at most tau - 1 = 4 pairs.
-    (pool,) = {id(p): p for p in pools}.values()
-    assert slots_read == {"in pool": 2 * 10 * 20}
+    (pool,) = {id(p): p for p in record.pools}.values()
+    assert record.slots_read == {"in pool": 2 * 10 * 20}
     assert len(pool.s) == len(pool.y) <= 4
+
+
+def test_mlp_ring_full_memory_work_counts(monkeypatch):
+    # With memory M = 2 and tau = 8, each solve holds M pairs from its
+    # third iteration on, so 100 of the run's 140 stores drop the oldest
+    # pair.
+    record = LbfgsRecord(monkeypatch)
+    config = {**MLP_RING, "caden_lbfgs_memory": 2, "caden_tau": 8}
+    calls = record.run(ExperimentConfig(**config, seed=1))
+    reports = record.reports
+    assert calls.calls == {"gradients": 31, "values_and_gradients": 223}
+    assert calls.rows == {"gradients": 310, "values_and_gradients": 1692}
+    assert calls.sizes["values_and_gradients"] == {10: 161, 3: 3, 2: 14, 1: 45}
+    assert len(reports) == 20
+    assert sum(int(r.backtracks.sum()) for r in reports) == 82
+    assert sum(int(r.line_search_failures.sum()) for r in reports) == 0
+    # One two-loop call of all 10 rows per iteration: over 0, 1 and then 2
+    # slots in each solve.
+    assert Counter(record.two_loops) == {10: 160}
+    assert record.depths == {0: 20, 1: 20, 2: 120}
+    # One pool serves the run; its s and y are made once, and every slot
+    # read is one of the 2 s and 2 y slots in it.
+    (pool,) = {id(p): p for p in record.pools}.values()
+    assert record.slots_read == {"in pool": 2 * (1 + 2 * 6) * 20}
+    assert len({(id(s), id(y)) for s, y in record.held}) == 1
+    assert len(record.addresses) == 2 * 2
+    assert len(pool.s) == len(pool.y) == 2
 
 
 def test_mlp_ring_half_participation_work_counts(monkeypatch):
     # At p = 0.5 a round solves 3 to 8 active agents, so every solve is a
     # batch of some agents and its backtracking levels are row subsets.
-    counted, reports = [], []
-    build_losses = harness.build_losses
-    solve_lbfgs = solvers.solve_lbfgs
-
-    def counting_build_losses(cfg, topology):
-        losses, eval_set = build_losses(cfg, topology)
-        counted.append(StackCalls(losses))
-        return losses, eval_set
-
-    def recording_solve_lbfgs(*args, **kwargs):
-        reports.append(solve_lbfgs(*args, **kwargs))
-        return reports[-1]
-
-    monkeypatch.setattr(harness, "build_losses", counting_build_losses)
-    monkeypatch.setattr(solvers, "solve_lbfgs", recording_solve_lbfgs)
-    config = ExperimentConfig(**{**MLP_RING, "caden_participation": 0.5}, seed=1)
-    harness.run_experiment(config, write_outputs=False)
-    (calls,) = counted
+    record = LbfgsRecord(monkeypatch)
+    calls = record.run(ExperimentConfig(**{**MLP_RING, "caden_participation": 0.5}, seed=1))
+    reports = record.reports
     # The smoothness probe's 31 gradient calls and the start's fused call of
     # every agent, then per round one fused call per level: 100 first
     # levels of the round's active agents and 23 backtracking levels, 28
